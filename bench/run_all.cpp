@@ -26,6 +26,7 @@
 #include "bench_common.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fleet/harness.hpp"
 #include "io/wire.hpp"
 #include "data/mnist_synth.hpp"
@@ -319,17 +320,20 @@ std::vector<Record> train_benches() {
   return records;
 }
 
-/// The SoA lane-replay record group: the batched compiled engines — forward
-/// (PureExecutor::run_z_batch) and gradient (batch_loss_grad) — with lane
-/// replay forced on vs forced off (the per-sample scalar reference) on the
-/// same model, theta, and sample rows. Both sides spread over the same
-/// worker pool, so the ratio isolates the SoA win (one op-stream walk per
-/// kLanes samples + vectorized lane kernels) from thread-level parallelism.
-/// "simd_batch_speedup" / "simd_grad_speedup" carry the dimensionless
-/// lanes/scalar ratios at batch 256 — hardware-independent, gated against
-/// the checked-in baseline in CI (>= 2x asserted on multi-core runners).
-/// "simd_noisy_speedup" is the same ratio for the density engine
-/// (NoisyExecutor::run_z_batch) at batch 64 on the belem workload.
+/// The SoA lane-replay record group: the compiled engines' one lane
+/// template at its two widths on the same model, theta, and sample rows —
+/// forward (PureExecutor::run_z_batch) and gradient (batch_loss_grad) with
+/// full blocks at L = kBlockLanes ("engine=lanes") vs every sample replayed
+/// alone at L = 1 ("engine=scalar", the single-sample calls run_z /
+/// batch_loss_grad of one row). Both sides spread over the same worker
+/// pool, so the ratio isolates the block win (one op-stream walk per
+/// kBlockLanes samples + vectorized lane kernels) from thread-level
+/// parallelism. "simd_batch_speedup" / "simd_grad_speedup" carry the
+/// dimensionless L = 8 / L = 1 ratios at batch 256 — hardware-independent,
+/// gated against the checked-in baseline in CI (>= 2x asserted on
+/// multi-core runners). "simd_noisy_speedup" is the same ratio for the
+/// density engine (NoisyExecutor::run_z_batch vs run_z) at batch 64 on the
+/// belem workload.
 std::vector<Record> simd_benches() {
   std::vector<Record> records;
   const QnnModel model = build_paper_model(4, 4, 4, 2);
@@ -337,15 +341,7 @@ std::vector<Record> simd_benches() {
   const auto executor =
       build_pure_executor(model.circuit, model.readout_qubits);
   const Dataset data = make_mnist4(256, 24);
-
-  struct EngineSpec {
-    const char* label;
-    BatchReplay replay;
-  };
-  const EngineSpec engines[] = {
-      {"scalar", BatchReplay::kScalar},
-      {"lanes", BatchReplay::kLanes},
-  };
+  ThreadPool& pool = ThreadPool::global();
 
   double forward_scalar_256 = 0.0;
   double forward_lanes_256 = 0.0;
@@ -355,14 +351,22 @@ std::vector<Record> simd_benches() {
     const std::span<const std::vector<double>> sub(data.features.data(), batch);
     std::vector<std::size_t> idx(batch);
     for (std::size_t i = 0; i < batch; ++i) idx[i] = i;
-    for (const EngineSpec& engine : engines) {
-      const std::string params = std::string("engine=") + engine.label +
+    for (const bool lanes : {false, true}) {
+      const std::string params = std::string("engine=") +
+                                 (lanes ? "lanes" : "scalar") +
                                  ",qubits=4,batch=" + std::to_string(batch);
       const Record forward = time_loop(
           "batch_forward", params, static_cast<double>(batch), "samples/sec",
           [&] {
-            const auto zs =
-                executor->run_z_batch(sub, theta, nullptr, engine.replay);
+            std::vector<std::vector<double>> zs;
+            if (lanes) {
+              zs = executor->run_z_batch(sub, theta);
+            } else {
+              zs.resize(batch);
+              pool.parallel_for(batch, [&](std::size_t i) {
+                zs[i] = executor->run_z(sub[i], theta);
+              });
+            }
             volatile double sink = zs[0][0];
             (void)sink;
           });
@@ -370,21 +374,25 @@ std::vector<Record> simd_benches() {
       const Record grad = time_loop(
           "batch_grad", params, static_cast<double>(batch), "gradients/sec",
           [&] {
-            const BatchGrad bg =
-                batch_loss_grad(*executor, theta, data, idx, 5.0,
-                                engine.replay);
-            volatile double sink = bg.grad[0];
+            double first = 0.0;
+            if (lanes) {
+              first = batch_loss_grad(*executor, theta, data, idx, 5.0).grad[0];
+            } else {
+              std::vector<double> g0(batch);
+              pool.parallel_for(batch, [&](std::size_t b) {
+                g0[b] = batch_loss_grad(*executor, theta, data,
+                                        std::span(idx).subspan(b, 1), 5.0)
+                            .grad[0];
+              });
+              first = g0[0];
+            }
+            volatile double sink = first;
             (void)sink;
           });
       records.push_back(grad);
       if (batch == 256) {
-        if (engine.replay == BatchReplay::kScalar) {
-          forward_scalar_256 = forward.throughput;
-          grad_scalar_256 = grad.throughput;
-        } else {
-          forward_lanes_256 = forward.throughput;
-          grad_lanes_256 = grad.throughput;
-        }
+        (lanes ? forward_lanes_256 : forward_scalar_256) = forward.throughput;
+        (lanes ? grad_lanes_256 : grad_scalar_256) = grad.throughput;
       }
     }
   }
@@ -404,8 +412,8 @@ std::vector<Record> simd_benches() {
     records.push_back(speedup);
   }
 
-  // Density-engine lane replay: NoisyExecutor::run_z_batch with lanes forced
-  // on vs off over the same rows, exact expectations (shots = 0) — the shape
+  // Density-engine lane replay: NoisyExecutor::run_z_batch vs per-sample
+  // run_z over the same rows, exact expectations (shots = 0) — the shape
   // of noisy_evaluate and the compression keep_best guard. Smaller batch
   // than the pure group because each sample is a full density evolution.
   {
@@ -417,24 +425,28 @@ std::vector<Record> simd_benches() {
                                                    kNoisyBatch);
     double noisy_scalar = 0.0;
     double noisy_lanes = 0.0;
-    for (const EngineSpec& engine : engines) {
-      const std::string params = std::string("engine=") + engine.label +
+    for (const bool lanes : {false, true}) {
+      const std::string params = std::string("engine=") +
+                                 (lanes ? "lanes" : "scalar") +
                                  ",qubits=4,device=belem,batch=" +
                                  std::to_string(kNoisyBatch);
       const Record rec = time_loop(
           "noisy_batch_forward", params, static_cast<double>(kNoisyBatch),
           "samples/sec", [&] {
-            const auto zs =
-                noisy->run_z_batch(sub, 0, 99, nullptr, engine.replay);
+            std::vector<std::vector<double>> zs;
+            if (lanes) {
+              zs = noisy->run_z_batch(sub);
+            } else {
+              zs.resize(kNoisyBatch);
+              pool.parallel_for(kNoisyBatch, [&](std::size_t i) {
+                zs[i] = noisy->run_z(sub[i]);
+              });
+            }
             volatile double sink = zs[0][0];
             (void)sink;
           });
       records.push_back(rec);
-      if (engine.replay == BatchReplay::kScalar) {
-        noisy_scalar = rec.throughput;
-      } else {
-        noisy_lanes = rec.throughput;
-      }
+      (lanes ? noisy_lanes : noisy_scalar) = rec.throughput;
     }
     Record speedup;
     speedup.name = "simd_noisy_speedup";
@@ -866,8 +878,6 @@ std::vector<Record> backend_benches() {
   return records;
 }
 
-/// The wire-protocol record group: a multi-connection load generator
-/// against a WireServer on a loopback ephemeral port. Each connection is a
 // --- fleet simulator ------------------------------------------------------
 
 /// One-repository-many-devices scaling: a full FleetHarness run per fleet
@@ -972,6 +982,8 @@ std::vector<Record> fleet_benches() {
   return records;
 }
 
+/// The wire-protocol record group: a multi-connection load generator
+/// against a WireServer on a loopback ephemeral port. Each connection is a
 /// thread with its own WireClient issuing synchronous predicts, so every
 /// request pays the full deployment path — frame encode, TCP round-trip,
 /// server decode, a blocking submit through the shard dispatchers, and the

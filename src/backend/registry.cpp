@@ -53,7 +53,7 @@ class DensityMatrixBackend final : public ExecutionBackend {
   std::vector<std::vector<double>> run_logits_batch(
       std::span<const std::vector<double>> xs,
       ThreadPool* pool = nullptr) const override {
-    // Fused SoA lane replay over full blocks, scalar tail — see
+    // SoA lane replay: full blocks at width 8, the tail at width 1 — see
     // NoisyExecutor::run_z_batch.
     return executor_->run_z_batch(xs, shots_, shot_seed_, pool);
   }
@@ -97,7 +97,7 @@ class PureStatevectorBackend final : public ExecutionBackend {
   std::vector<std::vector<double>> run_logits_batch(
       std::span<const std::vector<double>> xs,
       ThreadPool* pool = nullptr) const override {
-    // Fused SoA lane replay over full blocks, scalar tail — see
+    // SoA lane replay: full blocks at width 8, the tail at width 1 — see
     // PureExecutor::run_z_batch.
     return executor_->run_z_batch(xs, theta_, pool);
   }

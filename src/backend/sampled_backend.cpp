@@ -1,33 +1,12 @@
 #include "backend/sampled_backend.hpp"
 
 #include <algorithm>
-#include <complex>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
 namespace qucad {
-
-namespace {
-
-/// Per-thread replay scratch, recycled across samples and across backends
-/// of the same width so the statevector replay + CDF stay allocation-free
-/// after warmup (the NoisyExecutor::run_z_batch pattern).
-struct SampleScratch {
-  std::unique_ptr<StateVector> sv;
-  std::vector<double> cdf;
-};
-
-SampleScratch& thread_scratch(int qubits) {
-  thread_local SampleScratch scratch;
-  if (!scratch.sv || scratch.sv->num_qubits() != qubits) {
-    scratch.sv = std::make_unique<StateVector>(qubits);
-  }
-  return scratch;
-}
-
-}  // namespace
 
 SampledStatevectorBackend::SampledStatevectorBackend(
     std::shared_ptr<const PureExecutor> executor, std::vector<double> theta,
@@ -97,74 +76,46 @@ std::vector<double> SampledStatevectorBackend::draw_logits(
   return z;
 }
 
-std::vector<double> SampledStatevectorBackend::sample_into(
-    std::span<const double> x, std::uint64_t sample_seed, StateVector& sv,
-    std::vector<double>& cdf) const {
-  executor_->run_state(sv, x, theta_);
-  const std::vector<cplx>& amps = sv.amplitudes();
-
-  // Cumulative distribution over basis states, built in place. The final
-  // entry (~1.0 up to rounding) is used as the draw range so a slightly
-  // off-norm state never biases the tail bucket.
-  cdf.resize(amps.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    acc += std::norm(amps[i]);
-    cdf[i] = acc;
+template <std::size_t L>
+void SampledStatevectorBackend::sample_lanes(const LaneInputs<L>& xs,
+                                             std::uint64_t first_seed,
+                                             std::vector<double>* zs) const {
+  auto& sv =
+      lane_scratch<BatchedStateVector<L>>(executor_->circuit().num_qubits());
+  executor_->program().run_pure_lanes(sv, xs, theta_);
+  // Each lane's cumulative distribution over basis states, rebuilt in
+  // per-thread scratch. Its final entry (~1.0 up to rounding) is the draw
+  // range, so a slightly off-norm state never biases the tail bucket.
+  thread_local std::vector<double> cdf;
+  for (std::size_t l = 0; l < L; ++l) {
+    double total = 0.0;
+    sv.lane_cdf(l, cdf, total);
+    zs[l] = draw_logits(cdf, total, first_seed + l);
   }
-  return draw_logits(cdf, acc, sample_seed);
 }
 
 std::vector<double> SampledStatevectorBackend::run_logits(
     std::span<const double> x) const {
-  require(x.size() >=
-              static_cast<std::size_t>(executor_->program().num_inputs()),
-          "feature vector too short for compiled program");
-  SampleScratch& scratch = thread_scratch(executor_->circuit().num_qubits());
-  return sample_into(x, seed_, *scratch.sv, scratch.cdf);
+  executor_->program().require_inputs(x);
+  std::vector<double> z;
+  sample_lanes<1>({x.data()}, seed_, &z);
+  return z;
 }
 
 std::vector<std::vector<double>> SampledStatevectorBackend::run_logits_batch(
     std::span<const std::vector<double>> xs, ThreadPool* pool) const {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
   // Validate the whole batch at the API boundary (calling thread): a ragged
   // row fails here, not inside a worker's replay.
   for (const std::vector<double>& x : xs) {
-    require(x.size() >=
-                static_cast<std::size_t>(executor_->program().num_inputs()),
-            "feature vector too short for compiled program");
+    executor_->program().require_inputs(x);
   }
   std::vector<std::vector<double>> zs(xs.size());
-  ThreadPool& workers = pool ? *pool : ThreadPool::global();
-  const std::size_t blocks =
-      use_lane_replay(BatchReplay::kAuto) ? xs.size() / kLanes : 0;
-  const std::size_t tail_start = blocks * kLanes;
-  const std::size_t tail = xs.size() - tail_start;
-  // Full lane blocks replay once through the SoA engine and then sample
-  // each lane's final state; the lane amplitudes — and so the CDFs and the
-  // seed_ + i shot draws — are bitwise identical to the per-sample path.
-  workers.parallel_for(blocks + tail, [&](std::size_t t) {
-    const int qubits = executor_->circuit().num_qubits();
-    SampleScratch& scratch = thread_scratch(qubits);
-    if (t >= blocks) {
-      const std::size_t i = tail_start + (t - blocks);
-      zs[i] = sample_into(xs[i], seed_ + i, *scratch.sv, scratch.cdf);
-      return;
-    }
-    thread_local std::unique_ptr<BatchedStateVector> lanes_sv;
-    if (!lanes_sv || lanes_sv->num_qubits() != qubits) {
-      lanes_sv = std::make_unique<BatchedStateVector>(qubits);
-    }
-    std::array<const double*, kLanes> lanes;
-    const std::size_t first = t * kLanes;
-    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] = xs[first + l].data();
-    executor_->run_state_lanes(*lanes_sv, lanes, theta_);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      double total = 0.0;
-      lanes_sv->lane_cdf(l, scratch.cdf, total);
-      zs[first + l] = draw_logits(scratch.cdf, total, seed_ + first + l);
-    }
-  });
+  parallel_for_lanes(pool ? *pool : ThreadPool::global(), xs.size(), true,
+                     [&](auto width, std::size_t first) {
+                       constexpr std::size_t L = decltype(width)::value;
+                       sample_lanes<L>(lane_rows<L>(xs, first), seed_ + first,
+                                       &zs[first]);
+                     });
   return zs;
 }
 

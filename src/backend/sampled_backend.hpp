@@ -67,14 +67,13 @@ class SampledStatevectorBackend final : public ExecutionBackend {
   /// exact reproducibility must keep the request->batch assignment fixed
   /// (the serving layer documents the same caveat).
   ///
-  /// Full blocks of BatchedStateVector::kLanes samples replay through the
-  /// SoA lane engine and then sample each lane's final state; because the
-  /// lane replay is bitwise identical to the scalar replay (see
-  /// sim/batched_state.hpp) the drawn shot streams — and therefore the
-  /// logits — are bit-for-bit the same as the per-sample path. The ragged
-  /// tail (and everything, under the QUCAD_SCALAR_REPLAY kill switch) goes
-  /// per-sample. Every row is validated against the program's input arity
-  /// up front, on the calling thread.
+  /// Full blocks of kBlockLanes samples replay at that width and the ragged
+  /// tail at width 1, then each lane's final state is sampled. A lane's
+  /// amplitudes do not depend on the width (sim/batched_state.hpp), so
+  /// sample i's shot stream — and its logits — are bit-for-bit those of a
+  /// backend seeded seed + i answering run_logits alone. Every row is
+  /// validated against the program's input arity up front, on the calling
+  /// thread.
   std::vector<std::vector<double>> run_logits_batch(
       std::span<const std::vector<double>> xs,
       ThreadPool* pool = nullptr) const override;
@@ -84,14 +83,14 @@ class SampledStatevectorBackend final : public ExecutionBackend {
   const PureExecutor& executor() const { return *executor_; }
 
  private:
-  /// One sample's shot-sampled logits into caller-owned scratch.
-  std::vector<double> sample_into(std::span<const double> x,
-                                  std::uint64_t sample_seed, StateVector& sv,
-                                  std::vector<double>& cdf) const;
+  /// Replays the L samples of `xs` once, then draws lane l's logits into
+  /// `zs[l]` from the shot stream seeded `first_seed + l`.
+  template <std::size_t L>
+  void sample_lanes(const LaneInputs<L>& xs, std::uint64_t first_seed,
+                    std::vector<double>* zs) const;
 
-  /// The shot-draw loop shared by the scalar and lane paths: `shots_` draws
-  /// from `cdf` (running total `total`) under an Rng seeded with
-  /// `sample_seed`, confusion flips included.
+  /// The shot-draw loop: `shots_` draws from `cdf` (running total `total`)
+  /// under an Rng seeded with `sample_seed`, confusion flips included.
   std::vector<double> draw_logits(const std::vector<double>& cdf, double total,
                                   std::uint64_t sample_seed) const;
 

@@ -1,7 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <latch>
 
 namespace qucad {
 
@@ -10,8 +12,8 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
     const unsigned hw = std::thread::hardware_concurrency();
     num_threads = hw == 0 ? 4 : hw;
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  // The thread calling parallel_for is the pool's last member.
+  for (std::size_t i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -42,23 +44,13 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (count == 1 || workers_.size() <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
+  // Everything below lives in this frame. A helper's last touch of it is
+  // done.count_down(), and this frame outlives done.wait().
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::condition_variable done_cv;
-  std::mutex done_mutex;
-
-  const std::size_t num_chunks = std::min(count, workers_.size());
-  auto chunk_runner = [&, count] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) break;
+  auto run_chunks = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < count;) {
       try {
         body(i);
       } catch (...) {
@@ -66,20 +58,23 @@ void ThreadPool::parallel_for(std::size_t count,
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (done.fetch_add(1) + 1 == num_chunks) {
-      std::lock_guard lock(done_mutex);
-      done_cv.notify_one();
-    }
   };
-
-  {
-    std::lock_guard lock(mutex_);
-    for (std::size_t c = 0; c < num_chunks; ++c) tasks_.push(chunk_runner);
+  const std::size_t helpers = std::min(count, size()) - 1;
+  std::latch done(static_cast<std::ptrdiff_t>(helpers));
+  if (helpers > 0) {
+    {
+      std::lock_guard lock(mutex_);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        tasks_.push([&] {
+          run_chunks();
+          done.count_down();
+        });
+      }
+    }
+    cv_.notify_all();
   }
-  cv_.notify_all();
-
-  std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return done.load() == num_chunks; });
+  run_chunks();
+  done.wait();
   if (first_error) std::rethrow_exception(first_error);
 }
 

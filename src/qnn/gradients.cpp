@@ -1,7 +1,6 @@
 #include "qnn/gradients.hpp"
 
 #include <array>
-#include <memory>
 #include <utility>
 
 #include "common/require.hpp"
@@ -9,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "qnn/loss.hpp"
 #include "sim/adjoint.hpp"
+#include "sim/compiled_adjoint.hpp"
 #include "sim/statevector.hpp"
 
 namespace qucad {
@@ -114,8 +114,7 @@ BatchGrad batch_loss(const Circuit& circuit,
 BatchGrad batch_loss_grad(const PureExecutor& executor,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
-                          double logit_scale, BatchReplay replay) {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+                          double logit_scale, ThreadPool* pool) {
   require(!indices.empty(), "empty batch");
   require(executor.num_trainable() <= static_cast<int>(theta.size()),
           "theta smaller than the executor's trainable parameter space");
@@ -125,11 +124,8 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
   const std::vector<int>& slots = executor.circuit().readout_physical();
   // Validate the selected rows up front, on the calling thread — a ragged
   // row must not fail deep inside a worker's replay.
-  const std::size_t num_inputs =
-      static_cast<std::size_t>(executor.program().num_inputs());
   for (const std::size_t row : indices) {
-    require(data.features[row].size() >= num_inputs,
-            "feature vector too short for compiled program");
+    executor.program().require_inputs(data.features[row]);
   }
 
   std::vector<double> losses(batch, 0.0);
@@ -137,7 +133,7 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
   std::vector<std::vector<double>> grads(batch);
 
   // Positional class logits from a per-qubit <Z> vector, plus the matching
-  // per-qubit observable weights dL/d<Z_q> — shared by both replay paths.
+  // per-qubit observable weights dL/d<Z_q>.
   auto logits_of = [&](const std::vector<double>& z_all) {
     std::vector<double> logits;
     logits.reserve(slots.size());
@@ -154,68 +150,37 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
     return weights;
   };
 
-  const std::size_t blocks = use_lane_replay(replay) ? batch / kLanes : 0;
-  const std::size_t tail_start = blocks * kLanes;
-  const std::size_t tail = batch - tail_start;
-
-  parallel_for(blocks + tail, [&](std::size_t t) {
-    if (t >= blocks) {
-      const std::size_t b = tail_start + (t - blocks);
-      const std::size_t row = indices[b];
-      const std::vector<double>& x = data.features[row];
-      const int label = data.labels[row];
-
-      // Per-worker workspace recycled across samples (and batches): the
-      // compiled replays stay allocation-free.
-      thread_local AdjointWorkspace workspace;
-
-      // Filled by the weight hook (which the adjoint invokes exactly once,
-      // after the forward replay) and reused for the loss below.
-      std::vector<double> logits;
-      const AdjointResult result = executor.adjoint(
-          theta, x,
-          [&](const std::vector<double>& z_all) {
-            // z_all is per qubit id; logits are positional over slots.
-            logits = logits_of(z_all);
-            return weights_of(logits, label);
-          },
-          &workspace);
-
-      losses[b] = cross_entropy(logits, label, logit_scale);
-      correct[b] = static_cast<int>(argmax(logits)) == label ? 1 : 0;
-      grads[b] = result.gradients;
-      grads[b].resize(num_params, 0.0);
-      return;
-    }
-
-    // One SoA lane block: kLanes samples share a forward replay and a
-    // reverse sweep, each lane accumulating its own gradient vector.
-    const std::size_t first = t * kLanes;
-    std::array<const double*, kLanes> xs;
-    std::array<int, kLanes> labels;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const std::size_t row = indices[first + l];
-      xs[l] = data.features[row].data();
-      labels[l] = data.labels[row];
-    }
-    thread_local LaneAdjointWorkspace workspace;
-    std::array<std::vector<double>, kLanes> lane_logits;
-    LaneAdjointResult result = executor.adjoint_lanes(
-        theta, xs,
-        [&](std::size_t lane, const std::vector<double>& z_all) {
-          lane_logits[lane] = logits_of(z_all);
-          return weights_of(lane_logits[lane], labels[lane]);
-        },
-        &workspace);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const std::size_t b = first + l;
-      losses[b] = cross_entropy(lane_logits[l], labels[l], logit_scale);
-      correct[b] =
-          static_cast<int>(argmax(lane_logits[l])) == labels[l] ? 1 : 0;
-      grads[b] = std::move(result.gradients[l]);
-      grads[b].resize(num_params, 0.0);
-    }
-  });
+  // One lane adjoint per block: its samples share a forward replay and a
+  // reverse sweep, each lane accumulating its own gradient vector.
+  parallel_for_lanes(
+      pool ? *pool : ThreadPool::global(), batch, true,
+      [&](auto width, std::size_t first) {
+        constexpr std::size_t L = decltype(width)::value;
+        LaneInputs<L> xs;
+        std::array<int, L> labels;
+        for (std::size_t l = 0; l < L; ++l) {
+          const std::size_t row = indices[first + l];
+          xs[l] = data.features[row].data();
+          labels[l] = data.labels[row];
+        }
+        // Filled by the weight hook (which the adjoint invokes once per
+        // lane, after the forward replay) and reused for the loss below.
+        std::array<std::vector<double>, L> lane_logits;
+        LaneAdjointResult result = compiled_adjoint_gradient_lanes<L>(
+            executor.program(), theta, xs,
+            [&](std::size_t lane, const std::vector<double>& z_all) {
+              lane_logits[lane] = logits_of(z_all);
+              return weights_of(lane_logits[lane], labels[lane]);
+            });
+        for (std::size_t l = 0; l < L; ++l) {
+          const std::size_t b = first + l;
+          losses[b] = cross_entropy(lane_logits[l], labels[l], logit_scale);
+          correct[b] =
+              static_cast<int>(argmax(lane_logits[l])) == labels[l] ? 1 : 0;
+          grads[b] = std::move(result.gradients[l]);
+          grads[b].resize(num_params, 0.0);
+        }
+      });
 
   BatchGrad out;
   out.grad.assign(num_params, 0.0);
@@ -234,59 +199,33 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
 BatchGrad batch_loss(const PureExecutor& executor,
                      std::span<const double> theta, const Dataset& data,
                      std::span<const std::size_t> indices, double logit_scale,
-                     BatchReplay replay) {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+                     ThreadPool* pool) {
   require(!indices.empty(), "empty batch");
   const std::size_t batch = indices.size();
-  const std::size_t num_inputs =
-      static_cast<std::size_t>(executor.program().num_inputs());
   for (const std::size_t row : indices) {
-    require(data.features[row].size() >= num_inputs,
-            "feature vector too short for compiled program");
+    executor.program().require_inputs(data.features[row]);
   }
-  const std::vector<int>& slots = executor.circuit().readout_physical();
 
   std::vector<double> losses(batch, 0.0);
   std::vector<int> correct(batch, 0);
 
-  const std::size_t blocks = use_lane_replay(replay) ? batch / kLanes : 0;
-  const std::size_t tail_start = blocks * kLanes;
-  const std::size_t tail = batch - tail_start;
-
-  parallel_for(blocks + tail, [&](std::size_t t) {
-    auto score = [&](std::size_t b, const std::vector<double>& logits) {
-      losses[b] = cross_entropy(logits, data.labels[indices[b]], logit_scale);
-      correct[b] =
-          static_cast<int>(argmax(logits)) == data.labels[indices[b]] ? 1 : 0;
-    };
-    if (t >= blocks) {
-      const std::size_t b = tail_start + (t - blocks);
-      score(b, executor.run_z(data.features[indices[b]], theta));
-      return;
-    }
-    // One SoA lane block: kLanes forward replays fused into one pass.
-    const std::size_t first = t * kLanes;
-    std::array<const double*, kLanes> xs;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      xs[l] = data.features[indices[first + l]].data();
-    }
-    thread_local std::unique_ptr<BatchedStateVector> scratch;
-    if (!scratch || scratch->num_qubits() != executor.circuit().num_qubits()) {
-      scratch =
-          std::make_unique<BatchedStateVector>(executor.circuit().num_qubits());
-    }
-    executor.run_state_lanes(*scratch, xs, theta);
-    thread_local std::vector<double> zbuf;
-    zbuf.resize(slots.size() * kLanes);
-    scratch->readout_z(slots, zbuf.data());
-    std::vector<double> logits(slots.size());
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        logits[k] = zbuf[k * kLanes + l];
-      }
-      score(first + l, logits);
-    }
-  });
+  parallel_for_lanes(
+      pool ? *pool : ThreadPool::global(), batch, true,
+      [&](auto width, std::size_t first) {
+        constexpr std::size_t L = decltype(width)::value;
+        LaneInputs<L> xs;
+        for (std::size_t l = 0; l < L; ++l) {
+          xs[l] = data.features[indices[first + l]].data();
+        }
+        std::array<std::vector<double>, L> logits;
+        executor.run_z_lanes<L>(xs, theta, logits.data());
+        for (std::size_t l = 0; l < L; ++l) {
+          const int label = data.labels[indices[first + l]];
+          losses[first + l] = cross_entropy(logits[l], label, logit_scale);
+          correct[first + l] =
+              static_cast<int>(argmax(logits[l])) == label ? 1 : 0;
+        }
+      });
 
   BatchGrad out;
   for (std::size_t b = 0; b < batch; ++b) {

@@ -35,28 +35,25 @@ BatchGrad batch_loss(const Circuit& circuit,
                      std::span<const std::size_t> indices, double logit_scale);
 
 /// Compiled-engine variant of batch_loss_grad: replays the executor's
-/// symbolic-theta program instead of re-walking a gate list. Full blocks of
-/// BatchedStateVector::kLanes samples go through the SoA lane adjoint (one
-/// forward + one reverse sweep per block, lane-wide duals); the ragged tail
-/// — and the whole batch under `replay = kScalar`, the 1e-10-pinned
-/// reference — runs one compiled adjoint per sample with per-thread
-/// workspace reuse. Class logits are read positionally from the executor's
-/// readout slots — slot k is class k. Agrees with the reference
-/// batch_loss_grad on the corresponding logical circuit at 1e-10 (same
-/// unitary up to global phase); gradients are sized to theta.size().
-/// Selected feature rows are validated against the program's input arity up
-/// front, on the calling thread.
+/// symbolic-theta program instead of re-walking a gate list, spread over
+/// `pool` (nullptr = the process-global pool). Full blocks of kBlockLanes
+/// samples run one lane adjoint (one forward + one reverse sweep, lane-wide
+/// duals), the ragged tail runs it at width 1. Class logits are read
+/// positionally from the executor's readout slots — slot k is class k.
+/// Agrees with the reference batch_loss_grad on the corresponding logical
+/// circuit at 1e-10 (same unitary up to global phase); gradients are sized
+/// to theta.size(). Selected feature rows are validated against the
+/// program's input arity up front, on the calling thread.
 BatchGrad batch_loss_grad(const PureExecutor& executor,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
-                          double logit_scale,
-                          BatchReplay replay = BatchReplay::kAuto);
+                          double logit_scale, ThreadPool* pool = nullptr);
 
 /// Compiled-engine variant of batch_loss (forward replays only; same lane
-/// blocking, validation, and `replay` contract as batch_loss_grad).
+/// blocking, validation, and `pool` contract as batch_loss_grad).
 BatchGrad batch_loss(const PureExecutor& executor,
                      std::span<const double> theta, const Dataset& data,
                      std::span<const std::size_t> indices, double logit_scale,
-                     BatchReplay replay = BatchReplay::kAuto);
+                     ThreadPool* pool = nullptr);
 
 }  // namespace qucad

@@ -111,9 +111,4 @@ StatusOr<std::span<const double>> OnlineManager::theta_for_decision(
   return std::span<const double>(theta);
 }
 
-const std::vector<double>& OnlineManager::theta_for(const Decision& decision) const {
-  require(decision.entry_index >= 0, "decision does not reference an entry");
-  return repository_.entry(decision.entry_index).theta;
-}
-
 }  // namespace qucad

@@ -64,11 +64,6 @@ class OnlineManager {
   StatusOr<std::span<const double>> theta_for_decision(
       const Decision& decision) const;
 
-  /// Deprecated shim for theta_for_decision: returns the referenced entry's
-  /// parameters even for Failure decisions (the historical behavior) and
-  /// throws PreconditionError when the decision references no entry.
-  const std::vector<double>& theta_for(const Decision& decision) const;
-
   int optimizations_run() const { return optimizations_; }
   int reuses() const { return reuses_; }
   double total_optimize_seconds() const { return total_optimize_seconds_; }

@@ -1,30 +1,34 @@
 #include "sim/batched_state.hpp"
 
-#include <cstdlib>
-
 #include "common/require.hpp"
-#include "sim/density_matrix.hpp"
 
 namespace qucad {
 
 // Every kernel below expands the complex arithmetic over the SoA planes in
-// the SAME operation order as StateVector's std::complex path:
+// the operation order of the matching std::complex expression:
 //   (m * a).re = m.re * a.re - m.im * a.im
 //   (m * a).im = m.re * a.im + m.im * a.re
-// with two-term sums associated exactly as `m0 * a0 + m1 * a1`. This keeps
-// every lane bitwise identical to a scalar replay of that sample (IEEE
-// mul/add are deterministic; the build adds no FMA contraction or
-// fast-math), which the sampled backend's batched path depends on.
+// with two-term sums associated exactly as `m0 * a0 + m1 * a1`, and every
+// lane loop reads only its own lane. IEEE mul/add are deterministic and the
+// build adds no FMA contraction or fast-math, so a lane's result does not
+// depend on L — the bitwise contract of sim/batched_state.hpp.
 
-bool lane_replay_enabled() {
-  static const bool enabled = [] {
-    const char* knob = std::getenv("QUCAD_SCALAR_REPLAY");
-    return knob == nullptr || knob[0] == '\0';
-  }();
-  return enabled;
+namespace {
+
+/// One matrix copied into every lane, for the uniform entry points that
+/// share the per-lane kernel. (The statevector's apply1 / apply_diag1, the
+/// pure engine's hottest ops, keep their own register-constant kernels.)
+template <std::size_t L>
+std::array<std::array<cplx, 4>, L> broadcast(const std::array<cplx, 4>& m) {
+  std::array<std::array<cplx, 4>, L> ms;
+  ms.fill(m);
+  return ms;
 }
 
-BatchedStateVector::BatchedStateVector(int num_qubits)
+}  // namespace
+
+template <std::size_t L>
+BatchedStateVector<L>::BatchedStateVector(int num_qubits)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
   require(num_qubits > 0 && num_qubits <= 20, "qubit count out of range");
   re_.assign(dim_ * kLanes, 0.0);
@@ -32,13 +36,15 @@ BatchedStateVector::BatchedStateVector(int num_qubits)
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedStateVector::reset() {
+template <std::size_t L>
+void BatchedStateVector<L>::reset() {
   std::fill(re_.begin(), re_.end(), 0.0);
   std::fill(im_.begin(), im_.end(), 0.0);
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedStateVector::apply1(int q, const std::array<cplx, 4>& m) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply1(int q, const std::array<cplx, 4>& m) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   const double m0r = m[0].real(), m0i = m[0].imag();
   const double m1r = m[1].real(), m1i = m[1].imag();
@@ -64,7 +70,9 @@ void BatchedStateVector::apply1(int q, const std::array<cplx, 4>& m) {
   }
 }
 
-void BatchedStateVector::apply1_lanes(int q, const std::array<cplx, 4>* ms) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply1_lanes(int q,
+                                         const std::array<cplx, 4>* ms) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Transpose the per-lane matrices into lane-major rows once, so the inner
   // loop stays unit-stride over every operand.
@@ -100,7 +108,8 @@ void BatchedStateVector::apply1_lanes(int q, const std::array<cplx, 4>* ms) {
   }
 }
 
-void BatchedStateVector::apply_diag1(int q, cplx d0, cplx d1) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply_diag1(int q, cplx d0, cplx d1) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   const double d0r = d0.real(), d0i = d0.imag();
   const double d1r = d1.real(), d1i = d1.imag();
@@ -119,15 +128,16 @@ void BatchedStateVector::apply_diag1(int q, cplx d0, cplx d1) {
   }
 }
 
-void BatchedStateVector::apply_diag1_lanes(int q, const cplx* d0s,
-                                           const cplx* d1s) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply_diag1_lanes(int q,
+                                              const std::array<cplx, 4>* ms) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   double d0r[kLanes], d0i[kLanes], d1r[kLanes], d1i[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) {
-    d0r[l] = d0s[l].real();
-    d0i[l] = d0s[l].imag();
-    d1r[l] = d1s[l].real();
-    d1i[l] = d1s[l].imag();
+    d0r[l] = ms[l][0].real();
+    d0i[l] = ms[l][0].imag();
+    d1r[l] = ms[l][3].real();
+    d1i[l] = ms[l][3].imag();
   }
   const std::size_t mq = std::size_t{1} << q;
   for (std::size_t i = 0; i < dim_; ++i) {
@@ -147,15 +157,13 @@ void BatchedStateVector::apply_diag1_lanes(int q, const cplx* d0s,
 namespace {
 
 /// The CRot2 block pass over one 4-tuple of SoA rows, lane-major matrix
-/// operands: m on the (00, 01) pair, X m X on the (10, 11) pair — the same
-/// index pattern as CompiledProgram::run_pure's CRot2 case.
+/// operands: m on the (00, 01) pair, X m X on the (10, 11) pair.
+template <std::size_t L>
 inline void crot_rows(double* r00, double* i00, double* r01, double* i01,
                       double* r10, double* i10, double* r11, double* i11,
-                      const double (&mr)[4][BatchedStateVector::kLanes],
-                      const double (&mi)[4][BatchedStateVector::kLanes]) {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+                      const double (&mr)[4][L], const double (&mi)[4][L]) {
 #pragma omp simd
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     const double a0r = r00[l], a0i = i00[l];
     const double a1r = r01[l], a1i = i01[l];
     r00[l] = (mr[0][l] * a0r - mi[0][l] * a0i) +
@@ -181,8 +189,9 @@ inline void crot_rows(double* r00, double* i00, double* r01, double* i01,
 
 }  // namespace
 
-void BatchedStateVector::apply_crot_lanes(int control, int target,
-                                          const std::array<cplx, 4>* ms) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply_crot_lanes(int control, int target,
+                                             const std::array<cplx, 4>* ms) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
@@ -208,14 +217,8 @@ void BatchedStateVector::apply_crot_lanes(int control, int target,
   }
 }
 
-void BatchedStateVector::apply_crot(int control, int target,
-                                    const std::array<cplx, 4>& m) {
-  std::array<std::array<cplx, 4>, kLanes> broadcast;
-  broadcast.fill(m);
-  apply_crot_lanes(control, target, broadcast.data());
-}
-
-void BatchedStateVector::apply_cx(int control, int target) {
+template <std::size_t L>
+void BatchedStateVector<L>::apply_cx(int control, int target) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
@@ -238,8 +241,9 @@ void BatchedStateVector::apply_cx(int control, int target) {
   }
 }
 
-void BatchedStateVector::readout_z(std::span<const int> slots,
-                                   double* out) const {
+template <std::size_t L>
+void BatchedStateVector<L>::readout_z(std::span<const int> slots,
+                                      double* out) const {
   std::fill(out, out + slots.size() * kLanes, 0.0);
   for (std::size_t i = 0; i < dim_; ++i) {
     const double* r = re_.data() + i * kLanes;
@@ -256,7 +260,8 @@ void BatchedStateVector::readout_z(std::span<const int> slots,
   }
 }
 
-void BatchedStateVector::all_z(double* out) const {
+template <std::size_t L>
+void BatchedStateVector<L>::all_z(double* out) const {
   const std::size_t n = static_cast<std::size_t>(num_qubits_);
   std::fill(out, out + n * kLanes, 0.0);
   for (std::size_t i = 0; i < dim_; ++i) {
@@ -274,15 +279,17 @@ void BatchedStateVector::all_z(double* out) const {
   }
 }
 
-void BatchedStateVector::lane_cdf(std::size_t lane, std::vector<double>& cdf,
-                                  double& total) const {
+template <std::size_t L>
+void BatchedStateVector<L>::lane_cdf(std::size_t lane,
+                                     std::vector<double>& cdf,
+                                     double& total) const {
   require(lane < kLanes, "lane index out of range");
   cdf.resize(dim_);
   double acc = 0.0;
   for (std::size_t i = 0; i < dim_; ++i) {
     const double r = re_[i * kLanes + lane];
     const double m = im_[i * kLanes + lane];
-    // Same expression order as std::norm in the scalar sampling path.
+    // Same expression order as std::norm.
     acc += r * r + m * m;
     cdf[i] = acc;
   }
@@ -290,14 +297,14 @@ void BatchedStateVector::lane_cdf(std::size_t lane, std::vector<double>& cdf,
 }
 
 // ---------------------------------------------------------------------------
-// BatchedDensityMatrix: the noisy engine's lane state. Every kernel mirrors
-// the matching DensityMatrix kernel pass for pass (left multiply then right
-// multiply for unitaries, the same gathered block sequence for channels)
-// with the complex arithmetic expanded over the SoA planes in the scalar
-// expression order — the bitwise contract described at the top of the file.
+// BatchedDensityMatrix: the noisy engine's lane state. Unitaries mirror the
+// DensityMatrix oracle pass for pass (left multiply then right multiply),
+// with the complex arithmetic expanded over the SoA planes in std::complex
+// expression order — the contract described at the top of the file.
 // ---------------------------------------------------------------------------
 
-BatchedDensityMatrix::BatchedDensityMatrix(int num_qubits)
+template <std::size_t L>
+BatchedDensityMatrix<L>::BatchedDensityMatrix(int num_qubits)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
   require(num_qubits > 0 && num_qubits <= kMaxQubits,
           "batched density matrix qubit count out of range");
@@ -306,13 +313,16 @@ BatchedDensityMatrix::BatchedDensityMatrix(int num_qubits)
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedDensityMatrix::reset() {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::reset() {
   std::fill(re_.begin(), re_.end(), 0.0);
   std::fill(im_.begin(), im_.end(), 0.0);
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply1_lanes(int q,
+                                           const std::array<cplx, 4>* us) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Lane-major operand rows, plus the conjugates the right pass needs
   // (DensityMatrix::right_mul1_dag conjugates once up front).
@@ -350,9 +360,9 @@ void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
     }
   }
   // Pass 2: rho -> rho U^dag (column pairs), same traversal as
-  // right_mul1_dag. conj(a) negates ai, and the scalar kernel multiplies
-  // v * conj(a): re = vr*ar + vi*ai, im = -vr*ai + vi*ar after expanding the
-  // conjugate — written with the same signs below.
+  // DensityMatrix::right_mul1_dag. conj(a) negates ai, and the oracle
+  // multiplies v * conj(a): re = vr*ar + vi*ai, im = -vr*ai + vi*ar after
+  // expanding the conjugate — written with the same signs below.
   for (std::size_t r = 0; r < dim_; ++r) {
     const std::size_t row = r * dim_;
     for (std::size_t c = 0; c < dim_; ++c) {
@@ -381,24 +391,26 @@ void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
   }
 }
 
-void BatchedDensityMatrix::apply1(int q, const std::array<cplx, 4>& u) {
-  std::array<std::array<cplx, 4>, kLanes> broadcast;
-  broadcast.fill(u);
-  apply1_lanes(q, broadcast.data());
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply1(int q, const std::array<cplx, 4>& u) {
+  apply1_lanes(q, broadcast<L>(u).data());
 }
 
-void BatchedDensityMatrix::apply_diag1_lanes(int q, const cplx* d0s,
-                                             const cplx* d1s) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_diag1_lanes(
+    int q, const std::array<cplx, 4>* ms) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Per-lane scale factors, derived with the same host-side std::complex
   // expressions as DensityMatrix::apply_diag1.
   double n0[kLanes], n1[kLanes];
   double f01r[kLanes], f01i[kLanes], f10r[kLanes], f10i[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) {
-    n0[l] = std::norm(d0s[l]);
-    n1[l] = std::norm(d1s[l]);
-    const cplx f01 = d0s[l] * std::conj(d1s[l]);
-    const cplx f10 = d1s[l] * std::conj(d0s[l]);
+    const cplx d0 = ms[l][0];
+    const cplx d1 = ms[l][3];
+    n0[l] = std::norm(d0);
+    n1[l] = std::norm(d1);
+    const cplx f01 = d0 * std::conj(d1);
+    const cplx f10 = d1 * std::conj(d0);
     f01r[l] = f01.real();
     f01i[l] = f01.imag();
     f10r[l] = f10.real();
@@ -436,17 +448,14 @@ void BatchedDensityMatrix::apply_diag1_lanes(int q, const cplx* d0s,
   }
 }
 
-void BatchedDensityMatrix::apply_diag1(int q, cplx d0, cplx d1) {
-  cplx d0s[kLanes], d1s[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    d0s[l] = d0;
-    d1s[l] = d1;
-  }
-  apply_diag1_lanes(q, d0s, d1s);
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_diag1(int q, cplx d0, cplx d1) {
+  apply_diag1_lanes(q, broadcast<L>({d0, cplx{}, cplx{}, d1}).data());
 }
 
-void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
-                                        const std::array<cplx, 16>* us) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply2_lanes(int q0, int q1,
+                                           const std::array<cplx, 16>* us) {
   require(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 && q1 < num_qubits_ &&
               q0 != q1,
           "invalid qubit pair");
@@ -504,7 +513,7 @@ void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
       }
     }
   }
-  // Pass 2: rho -> rho U^dag, same traversal as right_mul2_dag (the scalar
+  // Pass 2: rho -> rho U^dag, same traversal as right_mul2_dag (the oracle
   // kernel accumulates v[j] * adag[j*4+k] from complex zero, j ascending).
   for (std::size_t r = 0; r < dim_; ++r) {
     const std::size_t row = r * dim_;
@@ -543,19 +552,32 @@ void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
   }
 }
 
-void BatchedDensityMatrix::apply2(int q0, int q1,
-                                  const std::array<cplx, 16>& u) {
-  std::array<std::array<cplx, 16>, kLanes> broadcast;
-  broadcast.fill(u);
-  apply2_lanes(q0, q1, broadcast.data());
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_crot_lanes(int control, int target,
+                                               const std::array<cplx, 4>* ms) {
+  // CX (I (x) M) CX is block-diagonal: M on control-0, X M X on control-1
+  // (local index = 2*bit(control) + bit(target)).
+  const cplx zero{0.0, 0.0};
+  std::array<std::array<cplx, 16>, L> us;
+  for (std::size_t l = 0; l < L; ++l) {
+    const std::array<cplx, 4>& m = ms[l];
+    us[l] = {m[0], m[1], zero, zero,  //
+             m[2], m[3], zero, zero,  //
+             zero, zero, m[3], m[2],  //
+             zero, zero, m[1], m[0]};
+  }
+  apply2_lanes(control, target, us.data());
 }
 
-void BatchedDensityMatrix::apply_cx(int control, int target) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
-  // Same entry-pair relabeling as DensityMatrix::apply_cx — pure value
-  // swaps, so lanes are trivially bitwise identical.
+  // CX is a permutation P with P = P^dag = P^-1, so CX rho CX^dag just
+  // relabels entries: rho'(r, c) = rho(pi(r), pi(c)) with pi(i) = i XOR
+  // target-bit when the control bit is set. Each unordered entry pair is
+  // swapped once, from its lexicographically smaller side.
   const std::size_t mc = std::size_t{1} << control;
   const std::size_t mt = std::size_t{1} << target;
   auto swap_rows = [&](std::size_t a, std::size_t b) {
@@ -586,7 +608,8 @@ void BatchedDensityMatrix::apply_cx(int control, int target) {
   }
 }
 
-void BatchedDensityMatrix::apply_channel1(int q, const FusedChannel1& ch) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_channel1(int q, const FusedChannel1& ch) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   if (ch.is_identity()) return;
   const std::size_t mq = std::size_t{1} << q;
@@ -608,8 +631,7 @@ void BatchedDensityMatrix::apply_channel1(int q, const FusedChannel1& ch) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         const double v00r = p00r[l], v00i = p00i[l];
         const double v11r = p11r[l], v11i = p11i[l];
-        // Populations mix through the real 2x2, coherences scale by off —
-        // the same statement order as DensityMatrix::apply_channel1.
+        // Populations mix through the real 2x2, coherences scale by off.
         p00r[l] = ch.d00_00 * v00r + ch.d00_11 * v11r;
         p00i[l] = ch.d00_00 * v00i + ch.d00_11 * v11i;
         p11r[l] = ch.d11_00 * v00r + ch.d11_11 * v11r;
@@ -623,8 +645,9 @@ void BatchedDensityMatrix::apply_channel1(int q, const FusedChannel1& ch) {
   }
 }
 
-void BatchedDensityMatrix::apply_channel2(int qa, int qb,
-                                          const FusedChannel2& ch) {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply_channel2(int qa, int qb,
+                                             const FusedChannel2& ch) {
   require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
               qa != qb,
           "invalid qubit pair");
@@ -636,11 +659,10 @@ void BatchedDensityMatrix::apply_channel2(int qa, int qb,
     if ((r & ma) || (r & mb)) continue;
     for (std::size_t c = 0; c < dim_; ++c) {
       if ((c & ma) || (c & mb)) continue;
-      // Lane rows of the 4x4 block, local index k = 2*bit(qa) + bit(qb).
-      // The scalar kernel gathers the block, transforms it in statement
-      // order, and writes it back; applying the same statement sequence
-      // in place is value-identical because every statement reads only
-      // block entries the sequence has already brought up to date.
+      // Lane rows of the 4x4 block, local index k = 2*bit(qa) + bit(qb),
+      // transformed in place: two-qubit depolarizing (scale the block,
+      // redistribute its partial trace over the diagonal), then thermal
+      // relaxation on qa (block-index bit 1), then on qb (bit 0).
       double* er[4][4];
       double* ei[4][4];
       for (int kr = 0; kr < 4; ++kr) {
@@ -712,13 +734,19 @@ void BatchedDensityMatrix::apply_channel2(int qa, int qb,
   }
 }
 
-void BatchedDensityMatrix::lane_probabilities(std::size_t lane,
-                                              std::vector<double>& probs) const {
+template <std::size_t L>
+void BatchedDensityMatrix<L>::lane_probabilities(
+    std::size_t lane, std::vector<double>& probs) const {
   require(lane < kLanes, "lane index out of range");
   probs.resize(dim_);
   for (std::size_t i = 0; i < dim_; ++i) {
     probs[i] = re_[(i * dim_ + i) * kLanes + lane];
   }
 }
+
+template class BatchedStateVector<1>;
+template class BatchedStateVector<kBlockLanes>;
+template class BatchedDensityMatrix<1>;
+template class BatchedDensityMatrix<kBlockLanes>;
 
 }  // namespace qucad

@@ -1,7 +1,8 @@
 #include "sim/compiled_adjoint.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
+#include <memory>
 
 #include "common/require.hpp"
 
@@ -9,153 +10,8 @@ namespace qucad {
 
 namespace {
 
-/// The reverse sweep walks ket and lam in lockstep through the same
-/// inverse ops, so every kernel below transforms BOTH amplitude arrays in a
-/// single loop — one pass of loop/index overhead instead of two, and the
-/// per-parameter gradient overlap folds into the same pass (it reads the
-/// pre-transform values, which the loop already has in registers).
-
-using Amps = std::vector<cplx>;
-
 std::array<cplx, 4> dagger2(const std::array<cplx, 4>& m) {
   return {std::conj(m[0]), std::conj(m[2]), std::conj(m[1]), std::conj(m[3])};
-}
-
-void unapply2_both(Amps& ket, Amps& lam, int q, const std::array<cplx, 4>& md) {
-  const std::size_t stride = std::size_t{1} << q;
-  const std::size_t dim = ket.size();
-  for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    for (std::size_t off = 0; off < stride; ++off) {
-      const std::size_t i0 = base + off;
-      const std::size_t i1 = i0 + stride;
-      const cplx k0 = ket[i0], k1 = ket[i1];
-      ket[i0] = md[0] * k0 + md[1] * k1;
-      ket[i1] = md[2] * k0 + md[3] * k1;
-      const cplx l0 = lam[i0], l1 = lam[i1];
-      lam[i0] = md[0] * l0 + md[1] * l1;
-      lam[i1] = md[2] * l0 + md[3] * l1;
-    }
-  }
-}
-
-/// Same as unapply2_both, plus the Z-generator overlap of the op being
-/// un-applied: returns Im(<lam| Z_q |ket>) evaluated on the PRE-transform
-/// (i.e. after-the-op) states, which is exactly the adjoint-gradient
-/// contribution point.
-double unapply2_both_with_overlap(Amps& ket, Amps& lam, int q,
-                                  const std::array<cplx, 4>& md) {
-  const std::size_t stride = std::size_t{1} << q;
-  const std::size_t dim = ket.size();
-  double acc = 0.0;
-  for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    for (std::size_t off = 0; off < stride; ++off) {
-      const std::size_t i0 = base + off;
-      const std::size_t i1 = i0 + stride;
-      const cplx k0 = ket[i0], k1 = ket[i1];
-      const cplx l0 = lam[i0], l1 = lam[i1];
-      // Im(conj(l) * k), with the Z sign flip on the bit-1 half.
-      acc += (l0.real() * k0.imag() - l0.imag() * k0.real()) -
-             (l1.real() * k1.imag() - l1.imag() * k1.real());
-      ket[i0] = md[0] * k0 + md[1] * k1;
-      ket[i1] = md[2] * k0 + md[3] * k1;
-      lam[i0] = md[0] * l0 + md[1] * l1;
-      lam[i1] = md[2] * l0 + md[3] * l1;
-    }
-  }
-  return acc;
-}
-
-void undiag_both(Amps& ket, Amps& lam, int q, cplx d0, cplx d1) {
-  const std::size_t mq = std::size_t{1} << q;
-  const std::size_t dim = ket.size();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const cplx d = (i & mq) ? d1 : d0;
-    ket[i] *= d;
-    lam[i] *= d;
-  }
-}
-
-double undiag_both_with_overlap(Amps& ket, Amps& lam, int q, cplx d0, cplx d1) {
-  const std::size_t mq = std::size_t{1} << q;
-  const std::size_t dim = ket.size();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const cplx k = ket[i], l = lam[i];
-    const double im = l.real() * k.imag() - l.imag() * k.real();
-    if (i & mq) {
-      acc -= im;
-      ket[i] = k * d1;
-      lam[i] = l * d1;
-    } else {
-      acc += im;
-      ket[i] = k * d0;
-      lam[i] = l * d0;
-    }
-  }
-  return acc;
-}
-
-/// Un-applies a CRot2 (interior matrix `m` already resolved; the inverse is
-/// the same block structure built from m^dagger) from both states.
-void uncrot_both(Amps& ket, Amps& lam, int control, int target,
-                 const std::array<cplx, 4>& md) {
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  const std::size_t dim = ket.size();
-  auto transform = [&](Amps& a, std::size_t i00, std::size_t i01,
-                       std::size_t i10, std::size_t i11) {
-    const cplx a00 = a[i00], a01 = a[i01];
-    a[i00] = md[0] * a00 + md[1] * a01;
-    a[i01] = md[2] * a00 + md[3] * a01;
-    const cplx a10 = a[i10], a11 = a[i11];
-    a[i10] = md[3] * a10 + md[2] * a11;
-    a[i11] = md[1] * a10 + md[0] * a11;
-  };
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & mc) || (i & mt)) continue;
-    const std::size_t i01 = i | mt;
-    const std::size_t i10 = i | mc;
-    const std::size_t i11 = i | mc | mt;
-    transform(ket, i, i01, i10, i11);
-    transform(lam, i, i01, i10, i11);
-  }
-}
-
-/// uncrot_both plus the generator overlap Im(<lam| G~ |ket>) on the
-/// pre-transform states, where G~ = CX (I (x) A) CX and A = u2 Z u2^dagger
-/// (the RZ generator conjugated through the post-rotation factor).
-double uncrot_both_with_overlap(Amps& ket, Amps& lam, int control, int target,
-                                const std::array<cplx, 4>& md,
-                                const std::array<cplx, 4>& a_mat) {
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  const std::size_t dim = ket.size();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & mc) || (i & mt)) continue;
-    const std::size_t i01 = i | mt;
-    const std::size_t i10 = i | mc;
-    const std::size_t i11 = i | mc | mt;
-
-    const cplx k00 = ket[i], k01 = ket[i01], k10 = ket[i10], k11 = ket[i11];
-    const cplx l00 = lam[i], l01 = lam[i01], l10 = lam[i10], l11 = lam[i11];
-    // Control-0 pair sees A; control-1 pair sees X A X.
-    const cplx g0 = std::conj(l00) * (a_mat[0] * k00 + a_mat[1] * k01) +
-                    std::conj(l01) * (a_mat[2] * k00 + a_mat[3] * k01);
-    const cplx g1 = std::conj(l10) * (a_mat[3] * k10 + a_mat[2] * k11) +
-                    std::conj(l11) * (a_mat[1] * k10 + a_mat[0] * k11);
-    acc += g0.imag() + g1.imag();
-
-    ket[i] = md[0] * k00 + md[1] * k01;
-    ket[i01] = md[2] * k00 + md[3] * k01;
-    ket[i10] = md[3] * k10 + md[2] * k11;
-    ket[i11] = md[1] * k10 + md[0] * k11;
-    lam[i] = md[0] * l00 + md[1] * l01;
-    lam[i01] = md[2] * l00 + md[3] * l01;
-    lam[i10] = md[3] * l10 + md[2] * l11;
-    lam[i11] = md[1] * l10 + md[0] * l11;
-  }
-  return acc;
 }
 
 /// A = u2 Z u2^dagger: the Z generator of the interior RZ conjugated through
@@ -167,160 +23,25 @@ std::array<cplx, 4> conjugated_z_generator(const std::array<cplx, 4>& p) {
   return {a00, a01, std::conj(a01), a11};
 }
 
-void uncx_both(Amps& ket, Amps& lam, int control, int target) {
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  const std::size_t dim = ket.size();
-  for (std::size_t i = 0; i < dim; ++i) {
-    if ((i & mc) && !(i & mt)) {
-      std::swap(ket[i], ket[i | mt]);
-      std::swap(lam[i], lam[i | mt]);
-    }
-  }
-}
+// The reverse sweep walks ket and lam in lockstep through the same inverse
+// ops, so every kernel below transforms BOTH states in a single loop — one
+// pass of loop/index overhead instead of two — and folds the per-lane
+// gradient overlap into the same pass (it reads the pre-transform values,
+// which the loop already has in registers). Per-lane matrices are
+// transposed into lane-major rows so the inner loops stay unit-stride; to
+// keep each kernel a single loop, callers without an overlap pass a scratch
+// accumulator whose contents are discarded.
 
-}  // namespace
-
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        const ObservableWeightFn& weight_fn,
-                                        AdjointWorkspace* workspace) {
-  require(!program.has_channels(),
-          "compiled adjoint requires a noiseless program");
-  const int n = program.num_qubits();
-
-  AdjointWorkspace local;
-  AdjointWorkspace& ws = workspace ? *workspace : local;
-  if (ws.ket.num_qubits() != n) {
-    ws.ket = StateVector(n);
-    ws.lam = StateVector(n);
-  }
-
-  // Forward replay, recording the resolved symbolic matrices so the reverse
-  // sweep below daggers them instead of re-resolving each op.
-  program.run_pure(ws.ket, x, theta, &ws.resolved);
-
-  AdjointResult result;
-  result.z_expectations = ws.ket.all_z_expectations();
-
-  const std::vector<double> weights = weight_fn(result.z_expectations);
-  require(weights.size() == static_cast<std::size_t>(n),
-          "observable weight vector must have one entry per qubit");
-
-  const std::size_t num_params = std::max(
-      static_cast<std::size_t>(program.num_trainable()), theta.size());
-  result.gradients.assign(num_params, 0.0);
-  if (program.num_trainable() == 0) return result;
-
-  auto& ket = ws.ket.amplitudes();
-  auto& lam = ws.lam.amplitudes();
-
-  // lam = O_eff |psi>, O_eff = sum_q w_q Z_q diagonal in the computational
-  // basis.
-  for (std::size_t i = 0; i < ket.size(); ++i) {
-    double w_sum = 0.0;
-    for (int q = 0; q < n; ++q) {
-      const double z = (i >> q) & 1 ? -1.0 : 1.0;
-      w_sum += weights[static_cast<std::size_t>(q)] * z;
-    }
-    lam[i] = w_sum * ket[i];
-  }
-
-  // Reverse sweep: maintain ket = |psi_k>, lam = U_{k+1}^dag..U_N^dag O|psi>.
-  // For a symbolic op with a trainable slot, dU/dtheta = theta_scale *
-  // (-i Z/2) U (the RZ generator sits at the top of the op even for SymUni1,
-  // whose absorbed prefix precedes the RZ), so the contribution is
-  // theta_scale * Im(<lam| Z |psi_after>) — computed inside the same loop
-  // that un-applies the op from both states.
-  const auto& ops = program.ops();
-  for (std::size_t idx = ops.size(); idx-- > 0;) {
-    const CompiledOp& op = ops[idx];
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        unapply2_both(ket, lam, op.q0, dagger2(op.u));
-        break;
-      case COpKind::Diag1:
-        undiag_both(ket, lam, op.q0, std::conj(op.u[0]), std::conj(op.u[3]));
-        break;
-      case COpKind::SymDiag1: {
-        const cplx d0 = std::conj(ws.resolved[idx][0]);  // inverse diagonal
-        const cplx d1 = std::conj(ws.resolved[idx][3]);
-        if (op.theta_index >= 0) {
-          result.gradients[static_cast<std::size_t>(op.theta_index)] +=
-              op.theta_scale * undiag_both_with_overlap(ket, lam, op.q0, d0, d1);
-        } else {
-          undiag_both(ket, lam, op.q0, d0, d1);
-        }
-        break;
-      }
-      case COpKind::SymUni1: {
-        const auto md = dagger2(ws.resolved[idx]);
-        if (op.theta_index >= 0) {
-          result.gradients[static_cast<std::size_t>(op.theta_index)] +=
-              op.theta_scale *
-              unapply2_both_with_overlap(ket, lam, op.q0, md);
-        } else {
-          unapply2_both(ket, lam, op.q0, md);
-        }
-        break;
-      }
-      case COpKind::CRot2: {
-        const auto md = dagger2(ws.resolved[idx]);
-        if (op.theta_index >= 0) {
-          result.gradients[static_cast<std::size_t>(op.theta_index)] +=
-              op.theta_scale *
-              uncrot_both_with_overlap(ket, lam, op.q0, op.q1, md,
-                                       conjugated_z_generator(op.u2));
-        } else {
-          uncrot_both(ket, lam, op.q0, op.q1, md);
-        }
-        break;
-      }
-      case COpKind::Cx:
-        uncx_both(ket, lam, op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-      case COpKind::Channel2:
-        require(false, "cannot un-apply a channel op");
-        break;
-    }
-  }
-  return result;
-}
-
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        std::vector<double> fixed_weights,
-                                        AdjointWorkspace* workspace) {
-  return compiled_adjoint_gradient(
-      program, theta, x,
-      [w = std::move(fixed_weights)](const std::vector<double>&) { return w; },
-      workspace);
-}
-
-namespace {
-
-// ---- SoA lane kernels for the batched reverse sweep ----
-//
-// Same lockstep ket/lam structure as the scalar kernels above, widened to
-// BatchedStateVector::kLanes samples: per-lane matrices are transposed into
-// lane-major rows so the inner loops stay unit-stride, and the per-lane
-// gradient overlap accumulates into an acc[kLanes] array. To keep each
-// kernel a single loop, callers without an overlap pass a scratch array
-// whose contents are discarded.
-
-constexpr std::size_t kLanes = BatchedStateVector::kLanes;
-
+template <std::size_t L>
 struct LaneMats {
-  double r[4][kLanes];
-  double i[4][kLanes];
+  double r[4][L];
+  double i[4][L];
 };
 
-LaneMats transpose_mats(const std::array<cplx, 4>* ms) {
-  LaneMats t;
-  for (std::size_t l = 0; l < kLanes; ++l) {
+template <std::size_t L>
+LaneMats<L> transpose_mats(const std::array<cplx, 4>* ms) {
+  LaneMats<L> t;
+  for (std::size_t l = 0; l < L; ++l) {
     for (std::size_t e = 0; e < 4; ++e) {
       t.r[e][l] = ms[l][e].real();
       t.i[e][l] = ms[l][e].imag();
@@ -329,8 +50,9 @@ LaneMats transpose_mats(const std::array<cplx, 4>* ms) {
   return t;
 }
 
-void lanes_unapply2_both(BatchedStateVector& ket, BatchedStateVector& lam,
-                         int q, const LaneMats& m, double* acc) {
+template <std::size_t L>
+void lanes_unapply2_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+                         int q, const LaneMats<L>& m, double* acc) {
   const std::size_t stride = std::size_t{1} << q;
   const std::size_t dim = ket.dim();
   double* kr = ket.re();
@@ -339,10 +61,10 @@ void lanes_unapply2_both(BatchedStateVector& ket, BatchedStateVector& lam,
   double* li = lam.im();
   for (std::size_t base = 0; base < dim; base += 2 * stride) {
     for (std::size_t off = 0; off < stride; ++off) {
-      const std::size_t i0 = (base + off) * kLanes;
-      const std::size_t i1 = i0 + stride * kLanes;
+      const std::size_t i0 = (base + off) * L;
+      const std::size_t i1 = i0 + stride * L;
 #pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t l = 0; l < L; ++l) {
         const double k0r = kr[i0 + l], k0i = ki[i0 + l];
         const double k1r = kr[i1 + l], k1i = ki[i1 + l];
         const double l0r = lr[i0 + l], l0i = li[i0 + l];
@@ -370,9 +92,10 @@ void lanes_unapply2_both(BatchedStateVector& ket, BatchedStateVector& lam,
   }
 }
 
-void lanes_undiag_both(BatchedStateVector& ket, BatchedStateVector& lam, int q,
-                       const double (&d0r)[kLanes], const double (&d0i)[kLanes],
-                       const double (&d1r)[kLanes], const double (&d1i)[kLanes],
+template <std::size_t L>
+void lanes_undiag_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+                       int q, const double (&d0r)[L], const double (&d0i)[L],
+                       const double (&d1r)[L], const double (&d1i)[L],
                        double* acc) {
   const std::size_t mq = std::size_t{1} << q;
   const std::size_t dim = ket.dim();
@@ -385,9 +108,9 @@ void lanes_undiag_both(BatchedStateVector& ket, BatchedStateVector& lam, int q,
     const double* dr = hi ? d1r : d0r;
     const double* di = hi ? d1i : d0i;
     const double sign = hi ? -1.0 : 1.0;
-    const std::size_t row = i * kLanes;
+    const std::size_t row = i * L;
 #pragma omp simd
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t l = 0; l < L; ++l) {
       const double akr = kr[row + l], aki = ki[row + l];
       const double alr = lr[row + l], ali = li[row + l];
       acc[l] += sign * (alr * aki - ali * akr);
@@ -401,8 +124,9 @@ void lanes_undiag_both(BatchedStateVector& ket, BatchedStateVector& lam, int q,
 
 /// Lane uncrot; when `a_mat` is non-null also accumulates the per-lane
 /// generator overlap Im(<lam| CX (I (x) A) CX |ket>) into acc.
-void lanes_uncrot_both(BatchedStateVector& ket, BatchedStateVector& lam,
-                       int control, int target, const LaneMats& m,
+template <std::size_t L>
+void lanes_uncrot_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+                       int control, int target, const LaneMats<L>& m,
                        const std::array<cplx, 4>* a_mat, double* acc) {
   const std::size_t mc = std::size_t{1} << control;
   const std::size_t mt = std::size_t{1} << target;
@@ -413,11 +137,11 @@ void lanes_uncrot_both(BatchedStateVector& ket, BatchedStateVector& lam,
   double* li = lam.im();
   for (std::size_t i = 0; i < dim; ++i) {
     if ((i & mc) || (i & mt)) continue;
-    const std::size_t i00 = i * kLanes;
-    const std::size_t i01 = (i | mt) * kLanes;
-    const std::size_t i10 = (i | mc) * kLanes;
-    const std::size_t i11 = (i | mc | mt) * kLanes;
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    const std::size_t i00 = i * L;
+    const std::size_t i01 = (i | mt) * L;
+    const std::size_t i10 = (i | mc) * L;
+    const std::size_t i11 = (i | mc | mt) * L;
+    for (std::size_t l = 0; l < L; ++l) {
       const cplx k00{kr[i00 + l], ki[i00 + l]};
       const cplx k01{kr[i01 + l], ki[i01 + l]};
       const cplx k10{kr[i10 + l], ki[i10 + l]};
@@ -459,7 +183,8 @@ void lanes_uncrot_both(BatchedStateVector& ket, BatchedStateVector& lam,
   }
 }
 
-void lanes_uncx_both(BatchedStateVector& ket, BatchedStateVector& lam,
+template <std::size_t L>
+void lanes_uncx_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
                      int control, int target) {
   ket.apply_cx(control, target);
   lam.apply_cx(control, target);
@@ -467,50 +192,56 @@ void lanes_uncx_both(BatchedStateVector& ket, BatchedStateVector& lam,
 
 }  // namespace
 
+template <std::size_t L>
 LaneAdjointResult compiled_adjoint_gradient_lanes(
     const CompiledProgram& program, std::span<const double> theta,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    const LaneObservableWeightFn& weight_fn, LaneAdjointWorkspace* workspace) {
+    const LaneInputs<L>& xs, const LaneObservableWeightFn& weight_fn) {
   require(!program.has_channels(),
           "compiled adjoint requires a noiseless program");
   const int n = program.num_qubits();
 
-  LaneAdjointWorkspace local;
-  LaneAdjointWorkspace& ws = workspace ? *workspace : local;
+  // Per-thread scratch, recycled across calls: the forward lanes |psi>, the
+  // adjoint lanes, and the angle-resolved symbolic matrices recorded by the
+  // forward replay and daggered by the reverse sweep.
+  struct Workspace {
+    std::unique_ptr<BatchedStateVector<L>> ket, lam;
+    std::vector<std::array<cplx, 4>> resolved;
+  };
+  thread_local Workspace ws;
   if (!ws.ket || ws.ket->num_qubits() != n) {
-    ws.ket = std::make_unique<BatchedStateVector>(n);
-    ws.lam = std::make_unique<BatchedStateVector>(n);
+    ws.ket = std::make_unique<BatchedStateVector<L>>(n);
+    ws.lam = std::make_unique<BatchedStateVector<L>>(n);
   }
 
   program.run_pure_lanes(*ws.ket, xs, theta, &ws.resolved);
 
   LaneAdjointResult result;
-  result.z_expectations.resize(kLanes);
-  std::vector<double> z_all(static_cast<std::size_t>(n) * kLanes);
+  result.z_expectations.resize(L);
+  std::vector<double> z_all(static_cast<std::size_t>(n) * L);
   ws.ket->all_z(z_all.data());
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     result.z_expectations[l].resize(static_cast<std::size_t>(n));
     for (int q = 0; q < n; ++q) {
       result.z_expectations[l][static_cast<std::size_t>(q)] =
-          z_all[static_cast<std::size_t>(q) * kLanes + l];
+          z_all[static_cast<std::size_t>(q) * L + l];
     }
   }
 
-  // Per-lane weights, transposed to wq[q * kLanes + lane] for the lam init.
-  std::vector<double> wq(static_cast<std::size_t>(n) * kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  // Per-lane weights, transposed to wq[q * L + lane] for the lam init.
+  std::vector<double> wq(static_cast<std::size_t>(n) * L);
+  for (std::size_t l = 0; l < L; ++l) {
     const std::vector<double> w = weight_fn(l, result.z_expectations[l]);
     require(w.size() == static_cast<std::size_t>(n),
             "observable weight vector must have one entry per qubit");
     for (int q = 0; q < n; ++q) {
-      wq[static_cast<std::size_t>(q) * kLanes + l] =
+      wq[static_cast<std::size_t>(q) * L + l] =
           w[static_cast<std::size_t>(q)];
     }
   }
 
   const std::size_t num_params = std::max(
       static_cast<std::size_t>(program.num_trainable()), theta.size());
-  result.gradients.assign(kLanes, std::vector<double>(num_params, 0.0));
+  result.gradients.assign(L, std::vector<double>(num_params, 0.0));
   if (program.num_trainable() == 0) return result;
 
   // lam = O_eff |psi> per lane, O_eff = sum_q w_q Z_q (diagonal).
@@ -520,47 +251,52 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
     double* lr = ws.lam->re();
     double* li = ws.lam->im();
     for (std::size_t i = 0; i < ws.ket->dim(); ++i) {
-      double wsum[kLanes] = {};
+      double wsum[L] = {};
       for (int q = 0; q < n; ++q) {
         const double z = (i >> q) & 1 ? -1.0 : 1.0;
-        const double* wrow = wq.data() + static_cast<std::size_t>(q) * kLanes;
+        const double* wrow = wq.data() + static_cast<std::size_t>(q) * L;
 #pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) wsum[l] += z * wrow[l];
+        for (std::size_t l = 0; l < L; ++l) wsum[l] += z * wrow[l];
       }
-      const std::size_t row = i * kLanes;
+      const std::size_t row = i * L;
 #pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t l = 0; l < L; ++l) {
         lr[row + l] = wsum[l] * kr[row + l];
         li[row + l] = wsum[l] * ki[row + l];
       }
     }
   }
 
-  // Reverse sweep — the scalar sweep's structure with lane-wide duals.
-  std::array<std::array<cplx, 4>, kLanes> mds;
-  double acc[kLanes];
-  double scratch[kLanes] = {};  // discarded overlap for non-trainable ops
+  // Reverse sweep: maintain ket = |psi_k>, lam = U_{k+1}^dag..U_N^dag O|psi>
+  // per lane. For a symbolic op with a trainable slot, dU/dtheta =
+  // theta_scale * (-i Z/2) U (the RZ generator sits at the top of the op
+  // even for SymUni1, whose absorbed prefix precedes the RZ), so the
+  // contribution is theta_scale * Im(<lam| Z |psi_after>) — computed inside
+  // the same loop that un-applies the op from both states.
+  std::array<std::array<cplx, 4>, L> mds;
+  double acc[L];
+  double scratch[L] = {};  // discarded overlap for non-trainable ops
   auto add_grads = [&](const CompiledOp& op) {
     auto t = static_cast<std::size_t>(op.theta_index);
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t l = 0; l < L; ++l) {
       result.gradients[l][t] += op.theta_scale * acc[l];
     }
   };
   const auto& ops = program.ops();
   for (std::size_t idx = ops.size(); idx-- > 0;) {
     const CompiledOp& op = ops[idx];
-    const std::array<cplx, 4>* res = ws.resolved.data() + idx * kLanes;
+    const std::array<cplx, 4>* res = ws.resolved.data() + idx * L;
     switch (op.kind) {
       case COpKind::Unitary1: {
         mds.fill(dagger2(op.u));
-        lanes_unapply2_both(*ws.ket, *ws.lam, op.q0, transpose_mats(mds.data()),
-                            scratch);
+        lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
+                            transpose_mats<L>(mds.data()), scratch);
         break;
       }
       case COpKind::Diag1:
       case COpKind::SymDiag1: {
-        double d0r[kLanes], d0i[kLanes], d1r[kLanes], d1i[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) {
+        double d0r[L], d0i[L], d1r[L], d1i[L];
+        for (std::size_t l = 0; l < L; ++l) {
           const cplx d0 = op.kind == COpKind::Diag1 ? std::conj(op.u[0])
                                                     : std::conj(res[l][0]);
           const cplx d1 = op.kind == COpKind::Diag1 ? std::conj(op.u[3])
@@ -571,7 +307,7 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
           d1i[l] = d1.imag();
         }
         if (op.kind == COpKind::SymDiag1 && op.theta_index >= 0) {
-          std::fill(acc, acc + kLanes, 0.0);
+          std::fill(acc, acc + L, 0.0);
           lanes_undiag_both(*ws.ket, *ws.lam, op.q0, d0r, d0i, d1r, d1i, acc);
           add_grads(op);
         } else {
@@ -581,29 +317,29 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
         break;
       }
       case COpKind::SymUni1: {
-        for (std::size_t l = 0; l < kLanes; ++l) mds[l] = dagger2(res[l]);
+        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
         if (op.theta_index >= 0) {
-          std::fill(acc, acc + kLanes, 0.0);
+          std::fill(acc, acc + L, 0.0);
           lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
-                              transpose_mats(mds.data()), acc);
+                              transpose_mats<L>(mds.data()), acc);
           add_grads(op);
         } else {
           lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
-                              transpose_mats(mds.data()), scratch);
+                              transpose_mats<L>(mds.data()), scratch);
         }
         break;
       }
       case COpKind::CRot2: {
-        for (std::size_t l = 0; l < kLanes; ++l) mds[l] = dagger2(res[l]);
+        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
         if (op.theta_index >= 0) {
           const std::array<cplx, 4> a_mat = conjugated_z_generator(op.u2);
-          std::fill(acc, acc + kLanes, 0.0);
+          std::fill(acc, acc + L, 0.0);
           lanes_uncrot_both(*ws.ket, *ws.lam, op.q0, op.q1,
-                            transpose_mats(mds.data()), &a_mat, acc);
+                            transpose_mats<L>(mds.data()), &a_mat, acc);
           add_grads(op);
         } else {
           lanes_uncrot_both(*ws.ket, *ws.lam, op.q0, op.q1,
-                            transpose_mats(mds.data()), nullptr, scratch);
+                            transpose_mats<L>(mds.data()), nullptr, scratch);
         }
         break;
       }
@@ -618,5 +354,12 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
   }
   return result;
 }
+
+template LaneAdjointResult compiled_adjoint_gradient_lanes(
+    const CompiledProgram&, std::span<const double>, const LaneInputs<1>&,
+    const LaneObservableWeightFn&);
+template LaneAdjointResult compiled_adjoint_gradient_lanes(
+    const CompiledProgram&, std::span<const double>,
+    const LaneInputs<kBlockLanes>&, const LaneObservableWeightFn&);
 
 }  // namespace qucad

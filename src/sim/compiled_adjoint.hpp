@@ -1,10 +1,9 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
+#include <vector>
 
-#include "sim/adjoint.hpp"
 #include "sim/compiled_ops.hpp"
 
 namespace qucad {
@@ -14,11 +13,12 @@ namespace qucad {
 /// training path. Where sim/adjoint.hpp walks a logical Circuit gate by gate
 /// (building a CMat per gate and copying the full amplitude vector per
 /// trainable parameter), this engine replays a CompiledProgram's fused
-/// op-stream forward once, then sweeps it backward un-applying each op in
-/// place. Trainable parameters only ever appear as symbolic RZ angles
-/// (SymDiag1 / SymUni1 / CRot2 ops with theta_index >= 0), whose generator
-/// is Z (conjugated through the CRot2 post-factor) — so each per-parameter
-/// contribution is a single allocation-free pass
+/// op-stream forward once over L samples (sim/batched_state.hpp), then
+/// sweeps it backward un-applying each op in place. Trainable parameters
+/// only ever appear as symbolic RZ angles (SymDiag1 / SymUni1 / CRot2 ops
+/// with theta_index >= 0), whose generator is Z (conjugated through the
+/// CRot2 post-factor) — so each per-parameter contribution is a single
+/// allocation-free pass
 ///   `d<O>/dtheta_t` += theta_scale * Im(`<lambda| G |psi>`)
 /// folded into the same loop that un-applies the op from both states (the
 /// chain rule through the affine angle is the theta_scale factor; a
@@ -29,57 +29,9 @@ namespace qucad {
 /// source up to global phase, `<Z>(theta, x)` — and therefore every gradient —
 /// agrees with the logical-circuit adjoint exactly (tested at 1e-10).
 
-/// Reusable scratch for compiled_adjoint_gradient. Thread it through batch
-/// loops (one workspace per worker thread) so per-sample replays allocate
-/// nothing; the workspace is resized on first use and whenever the qubit
-/// count changes. A workspace must not be shared between concurrent calls.
-struct AdjointWorkspace {
-  StateVector ket{1};  ///< forward state |psi>
-  StateVector lam{1};  ///< adjoint state, U_{k+1}^dag..U_N^dag O|psi>
-  /// Angle-resolved symbolic-op matrices recorded by the forward replay and
-  /// daggered by the reverse sweep (see CompiledProgram::run_pure).
-  std::vector<std::array<cplx, 4>> resolved;
-};
-
-/// Exact gradient of `<O_eff>` via adjoint differentiation over a compiled
-/// noiseless program (program.has_channels() must be false). One forward and
-/// one reverse replay of the op-stream, O(compiled ops) regardless of
-/// parameter count.
-///
-/// `weight_fn` receives `<Z_q>` for every qubit (indexed by qubit id, matching
-/// the sim/adjoint.hpp contract — NOT readout-slot order) and returns the
-/// per-qubit observable weights, i.e. the upstream derivative `dL/d<Z_q>`.
-/// The returned gradients vector has max(program.num_trainable(),
-/// theta.size()) entries; parameters whose RZs were elided as trailing
-/// diagonals get their exact gradient of zero.
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        const ObservableWeightFn& weight_fn,
-                                        AdjointWorkspace* workspace = nullptr);
-
-/// Convenience overload with fixed per-qubit weights.
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        std::vector<double> fixed_weights,
-                                        AdjointWorkspace* workspace = nullptr);
-
-/// Reusable scratch for compiled_adjoint_gradient_lanes — the SoA lane
-/// counterpart of AdjointWorkspace (one per worker thread, never shared
-/// between concurrent calls). Heap-held so the workspace stays cheap to
-/// construct and resizes lazily on first use / qubit-count change.
-struct LaneAdjointWorkspace {
-  std::unique_ptr<BatchedStateVector> ket;  ///< forward lanes |psi>
-  std::unique_ptr<BatchedStateVector> lam;  ///< adjoint lanes
-  /// Per-lane angle-resolved matrices, `[op * kLanes + lane]` (see
-  /// CompiledProgram::run_pure_lanes).
-  std::vector<std::array<cplx, 4>> resolved;
-};
-
 /// Per-lane observable weights: receives the lane index and that lane's
-/// `<Z_q>` vector (indexed by qubit id) and returns dL/d`<Z_q>` per qubit —
-/// the lane counterpart of ObservableWeightFn.
+/// `<Z_q>` vector (indexed by qubit id, matching the sim/adjoint.hpp
+/// contract — NOT readout-slot order) and returns dL/d`<Z_q>` per qubit.
 using LaneObservableWeightFn = std::function<std::vector<double>(
     std::size_t lane, const std::vector<double>& z_expectations)>;
 
@@ -89,16 +41,20 @@ struct LaneAdjointResult {
   std::vector<std::vector<double>> gradients;       ///< [lane][param]
 };
 
-/// Adjoint differentiation over BatchedStateVector::kLanes samples at once:
-/// one SoA forward replay, one SoA reverse sweep with lane-wide duals, each
-/// lane accumulating its own gradient vector. theta is shared across lanes
-/// (the batch-training shape); `xs[lane]` must hold at least
-/// program.num_inputs() entries, validated by the batch entry points.
-/// Matches the per-sample compiled_adjoint_gradient at 1e-10.
+/// Exact gradient of each lane's `<O_eff>` over a compiled noiseless program
+/// (program.has_channels() must be false): one SoA forward replay and one
+/// reverse sweep with lane-wide duals, O(compiled ops) regardless of
+/// parameter count. theta is shared across lanes (the batch-training
+/// shape); `xs[lane]` must hold at least program.num_inputs() entries
+/// (CompiledProgram::require_inputs). Each lane's gradient vector has
+/// max(program.num_trainable(), theta.size()) entries; parameters whose RZs
+/// were elided as trailing diagonals get their exact gradient of zero.
+///
+/// Replays into this thread's scratch, so `weight_fn` must not itself run a
+/// compiled adjoint of the same width.
+template <std::size_t L>
 LaneAdjointResult compiled_adjoint_gradient_lanes(
     const CompiledProgram& program, std::span<const double> theta,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    const LaneObservableWeightFn& weight_fn,
-    LaneAdjointWorkspace* workspace = nullptr);
+    const LaneInputs<L>& xs, const LaneObservableWeightFn& weight_fn);
 
 }  // namespace qucad

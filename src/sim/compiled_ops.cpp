@@ -1,9 +1,12 @@
 #include "sim/compiled_ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/require.hpp"
 #include "linalg/gates.hpp"
+#include "sim/statevector.hpp"
 
 namespace qucad {
 
@@ -400,311 +403,130 @@ double resolve_sym_angle(const CompiledOp& op, std::span<const double> x,
   return op.angle_offset;  // literal (CRot2 with a fully bound interior)
 }
 
-void CompiledProgram::run(DensityMatrix& dm, std::span<const double> x,
-                          std::span<const double> theta) const {
-  require(dm.num_qubits() == num_qubits_, "scratch matrix qubit count mismatch");
-  dm.reset();
-  for (const CompiledOp& op : ops_) {
+void CompiledProgram::require_inputs(std::span<const double> x) const {
+  require(x.size() >= static_cast<std::size_t>(num_inputs_),
+          "feature vector too short for compiled program");
+}
+
+namespace {
+
+std::array<cplx, 4> sym_diag_matrix(const CompiledOp& /*op*/, double angle) {
+  const auto [d0, d1] = rz_diag(angle);
+  return {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
+}
+
+/// The one replay loop behind run_lanes and run_pure_lanes: walks the op
+/// stream once per block of L samples. Each symbolic op resolves to one 2x2
+/// per lane, which is also what `resolved` records: per lane for
+/// input-symbolic angles, once for theta-symbolic ones (applied with the
+/// uniform kernels).
+template <typename State, std::size_t L>
+void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
+            const LaneInputs<L>& xs, std::span<const double> theta,
+            std::vector<std::array<cplx, 4>>* resolved) {
+  if (resolved != nullptr) resolved->resize(ops.size() * L);
+  state.reset();
+  std::array<std::array<cplx, 4>, L> ms;
+  auto lane_matrices = [&](std::size_t idx, auto matrix_at) {
+    const CompiledOp& op = ops[idx];
+    if (op.input_index >= 0) {
+      for (std::size_t l = 0; l < L; ++l) {
+        // The caller checked every row with require_inputs(), so the
+        // bounds check inside resolve_sym_angle always passes.
+        const std::span<const double> x(xs[l],
+                                        static_cast<std::size_t>(num_inputs));
+        ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
+      }
+    } else {
+      ms.fill(matrix_at(op, resolve_sym_angle(op, {}, theta)));
+    }
+    if (resolved != nullptr) {
+      std::copy(ms.begin(), ms.end(), resolved->begin() + idx * L);
+    }
+    return ms.data();
+  };
+  for (std::size_t idx = 0; idx < ops.size(); ++idx) {
+    const CompiledOp& op = ops[idx];
     switch (op.kind) {
       case COpKind::Unitary1:
-        dm.apply1(op.q0, op.u);
+        state.apply1(op.q0, op.u);
         break;
       case COpKind::Diag1:
-        dm.apply_diag1(op.q0, op.u[0], op.u[3]);
+        state.apply_diag1(op.q0, op.u[0], op.u[3]);
         break;
       case COpKind::SymDiag1: {
-        const auto [d0, d1] = rz_diag(resolve_sym_angle(op, x, theta));
-        dm.apply_diag1(op.q0, d0, d1);
+        const auto* m = lane_matrices(idx, sym_diag_matrix);
+        if (op.input_index >= 0) {
+          state.apply_diag1_lanes(op.q0, m);
+        } else {
+          state.apply_diag1(op.q0, m[0][0], m[0][3]);
+        }
         break;
       }
-      case COpKind::SymUni1:
-        dm.apply1(op.q0, sym_uni_matrix(op, resolve_sym_angle(op, x, theta)));
-        break;
-      case COpKind::CRot2: {
-        // CX (I (x) M) CX is block-diagonal: M on control-0, X M X on
-        // control-1 (local index = 2*bit(q0) + bit(q1), q0 = control).
-        const std::array<cplx, 4> m =
-            crot_inner_matrix(op, resolve_sym_angle(op, x, theta));
-        const cplx zero{0.0, 0.0};
-        dm.apply2(op.q0, op.q1,
-                  {m[0], m[1], zero, zero,      //
-                   m[2], m[3], zero, zero,      //
-                   zero, zero, m[3], m[2],      //
-                   zero, zero, m[1], m[0]});
+      case COpKind::SymUni1: {
+        const auto* m = lane_matrices(idx, sym_uni_matrix);
+        if (op.input_index >= 0) {
+          state.apply1_lanes(op.q0, m);
+        } else {
+          state.apply1(op.q0, m[0]);
+        }
         break;
       }
+      case COpKind::CRot2:
+        state.apply_crot_lanes(op.q0, op.q1,
+                               lane_matrices(idx, crot_inner_matrix));
+        break;
       case COpKind::Cx:
-        dm.apply_cx(op.q0, op.q1);
+        state.apply_cx(op.q0, op.q1);
         break;
       case COpKind::Channel1:
-        dm.apply_channel1(op.q0, op.ch1);
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel1(op.q0, op.ch1);
+        }
         break;
       case COpKind::Channel2:
-        dm.apply_channel2(op.q0, op.q1, op.ch2);
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel2(op.q0, op.q1, op.ch2);
+        }
         break;
     }
   }
 }
 
-void CompiledProgram::run_lanes(
-    BatchedDensityMatrix& bdm,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    std::span<const double> theta) const {
-  constexpr std::size_t kLanes = BatchedDensityMatrix::kLanes;
+}  // namespace
+
+template <std::size_t L>
+void CompiledProgram::run_lanes(BatchedDensityMatrix<L>& bdm,
+                                const LaneInputs<L>& xs,
+                                std::span<const double> theta) const {
   require(bdm.num_qubits() == num_qubits_,
           "scratch matrix qubit count mismatch");
-  bdm.reset();
-  const std::size_t ni = static_cast<std::size_t>(num_inputs_);
-  // Same validated-row contract as run_pure_lanes: every lane's span covers
-  // num_inputs() entries, so angle resolution is the SAME code path as run().
-  auto lane_x = [&](std::size_t lane) {
-    return std::span<const double>(xs[lane], ni);
-  };
-  const cplx zero{0.0, 0.0};
-  for (const CompiledOp& op : ops_) {
-    const bool divergent = op.input_index >= 0;
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        bdm.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        bdm.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        if (divergent) {
-          cplx d0s[kLanes], d1s[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const auto [d0, d1] =
-                rz_diag(resolve_sym_angle(op, lane_x(l), theta));
-            d0s[l] = d0;
-            d1s[l] = d1;
-          }
-          bdm.apply_diag1_lanes(op.q0, d0s, d1s);
-        } else {
-          const auto [d0, d1] = rz_diag(resolve_sym_angle(op, {}, theta));
-          bdm.apply_diag1(op.q0, d0, d1);
-        }
-        break;
-      }
-      case COpKind::SymUni1: {
-        if (divergent) {
-          std::array<std::array<cplx, 4>, kLanes> ms;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            ms[l] = sym_uni_matrix(op, resolve_sym_angle(op, lane_x(l), theta));
-          }
-          bdm.apply1_lanes(op.q0, ms.data());
-        } else {
-          bdm.apply1(op.q0,
-                     sym_uni_matrix(op, resolve_sym_angle(op, {}, theta)));
-        }
-        break;
-      }
-      case COpKind::CRot2: {
-        // Same block-diagonal 4x4 as run(): M on control-0, X M X on
-        // control-1 (local index = 2*bit(q0) + bit(q1), q0 = control).
-        auto block = [&](const std::array<cplx, 4>& m) {
-          return std::array<cplx, 16>{m[0], m[1], zero, zero,  //
-                                      m[2], m[3], zero, zero,  //
-                                      zero, zero, m[3], m[2],  //
-                                      zero, zero, m[1], m[0]};
-        };
-        if (divergent) {
-          std::array<std::array<cplx, 16>, kLanes> us;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            us[l] = block(
-                crot_inner_matrix(op, resolve_sym_angle(op, lane_x(l), theta)));
-          }
-          bdm.apply2_lanes(op.q0, op.q1, us.data());
-        } else {
-          bdm.apply2(op.q0, op.q1,
-                     block(crot_inner_matrix(
-                         op, resolve_sym_angle(op, {}, theta))));
-        }
-        break;
-      }
-      case COpKind::Cx:
-        bdm.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-        bdm.apply_channel1(op.q0, op.ch1);
-        break;
-      case COpKind::Channel2:
-        bdm.apply_channel2(op.q0, op.q1, op.ch2);
-        break;
-    }
-  }
+  replay(ops_, num_inputs_, bdm, xs, theta, nullptr);
 }
 
-void CompiledProgram::run_pure(StateVector& sv, std::span<const double> x,
-                               std::span<const double> theta,
-                               std::vector<std::array<cplx, 4>>* resolved) const {
-  require(sv.num_qubits() == num_qubits_, "scratch state qubit count mismatch");
-  require(!has_channels(),
-          "run_pure requires a noiseless program (no channel ops)");
-  if (resolved != nullptr) resolved->resize(ops_.size());
-  sv.reset();
-  for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-    const CompiledOp& op = ops_[idx];
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        sv.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        sv.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        const auto [d0, d1] = rz_diag(resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) {
-          (*resolved)[idx] = {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
-        }
-        sv.apply_diag1(op.q0, d0, d1);
-        break;
-      }
-      case COpKind::SymUni1: {
-        const std::array<cplx, 4> m =
-            sym_uni_matrix(op, resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) (*resolved)[idx] = m;
-        sv.apply1(op.q0, m);
-        break;
-      }
-      case COpKind::CRot2: {
-        const std::array<cplx, 4> m =
-            crot_inner_matrix(op, resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) (*resolved)[idx] = m;
-        // One pass over the 4-tuples: M on the control-0 target pair,
-        // X M X on the control-1 pair.
-        auto& amps = sv.amplitudes();
-        const std::size_t mc = std::size_t{1} << op.q0;
-        const std::size_t mt = std::size_t{1} << op.q1;
-        for (std::size_t i = 0; i < amps.size(); ++i) {
-          if ((i & mc) || (i & mt)) continue;
-          const std::size_t i00 = i;
-          const std::size_t i01 = i | mt;
-          const std::size_t i10 = i | mc;
-          const std::size_t i11 = i | mc | mt;
-          const cplx a00 = amps[i00], a01 = amps[i01];
-          amps[i00] = m[0] * a00 + m[1] * a01;
-          amps[i01] = m[2] * a00 + m[3] * a01;
-          const cplx a10 = amps[i10], a11 = amps[i11];
-          amps[i10] = m[3] * a10 + m[2] * a11;
-          amps[i11] = m[1] * a10 + m[0] * a11;
-        }
-        break;
-      }
-      case COpKind::Cx:
-        sv.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-      case COpKind::Channel2:
-        break;  // unreachable: guarded by the has_channels() require above
-    }
-  }
-}
-
+template <std::size_t L>
 void CompiledProgram::run_pure_lanes(
-    BatchedStateVector& bsv,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
+    BatchedStateVector<L>& bsv, const LaneInputs<L>& xs,
     std::span<const double> theta,
     std::vector<std::array<cplx, 4>>* resolved) const {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
   require(bsv.num_qubits() == num_qubits_,
           "scratch state qubit count mismatch");
   require(!has_channels(),
           "run_pure_lanes requires a noiseless program (no channel ops)");
-  if (resolved != nullptr) resolved->resize(ops_.size() * kLanes);
-  bsv.reset();
-  const std::size_t ni = static_cast<std::size_t>(num_inputs_);
-  // Lane's feature row as a span: batch entry points validated each row
-  // holds >= num_inputs() entries, so resolve_sym_angle's bounds check
-  // always passes and angle resolution is the SAME code path as run_pure.
-  auto lane_x = [&](std::size_t lane) {
-    return std::span<const double>(xs[lane], ni);
-  };
-  for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-    const CompiledOp& op = ops_[idx];
-    const bool divergent = op.input_index >= 0;
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        bsv.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        bsv.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        if (divergent) {
-          cplx d0s[kLanes], d1s[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const auto [d0, d1] =
-                rz_diag(resolve_sym_angle(op, lane_x(l), theta));
-            d0s[l] = d0;
-            d1s[l] = d1;
-            if (resolved != nullptr) {
-              (*resolved)[idx * kLanes + l] = {d0, cplx{0.0, 0.0},
-                                               cplx{0.0, 0.0}, d1};
-            }
-          }
-          bsv.apply_diag1_lanes(op.q0, d0s, d1s);
-        } else {
-          const auto [d0, d1] = rz_diag(resolve_sym_angle(op, {}, theta));
-          if (resolved != nullptr) {
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              (*resolved)[idx * kLanes + l] = {d0, cplx{0.0, 0.0},
-                                               cplx{0.0, 0.0}, d1};
-            }
-          }
-          bsv.apply_diag1(op.q0, d0, d1);
-        }
-        break;
-      }
-      case COpKind::SymUni1: {
-        if (divergent) {
-          std::array<std::array<cplx, 4>, kLanes> ms;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            ms[l] = sym_uni_matrix(op, resolve_sym_angle(op, lane_x(l), theta));
-            if (resolved != nullptr) (*resolved)[idx * kLanes + l] = ms[l];
-          }
-          bsv.apply1_lanes(op.q0, ms.data());
-        } else {
-          const std::array<cplx, 4> m =
-              sym_uni_matrix(op, resolve_sym_angle(op, {}, theta));
-          if (resolved != nullptr) {
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              (*resolved)[idx * kLanes + l] = m;
-            }
-          }
-          bsv.apply1(op.q0, m);
-        }
-        break;
-      }
-      case COpKind::CRot2: {
-        if (divergent) {
-          std::array<std::array<cplx, 4>, kLanes> ms;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            ms[l] =
-                crot_inner_matrix(op, resolve_sym_angle(op, lane_x(l), theta));
-            if (resolved != nullptr) (*resolved)[idx * kLanes + l] = ms[l];
-          }
-          bsv.apply_crot_lanes(op.q0, op.q1, ms.data());
-        } else {
-          const std::array<cplx, 4> m =
-              crot_inner_matrix(op, resolve_sym_angle(op, {}, theta));
-          if (resolved != nullptr) {
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              (*resolved)[idx * kLanes + l] = m;
-            }
-          }
-          bsv.apply_crot(op.q0, op.q1, m);
-        }
-        break;
-      }
-      case COpKind::Cx:
-        bsv.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-      case COpKind::Channel2:
-        break;  // unreachable: guarded by the has_channels() require above
-    }
-  }
+  replay(ops_, num_inputs_, bsv, xs, theta, resolved);
 }
+
+template void CompiledProgram::run_lanes(BatchedDensityMatrix<1>&,
+                                         const LaneInputs<1>&,
+                                         std::span<const double>) const;
+template void CompiledProgram::run_lanes(BatchedDensityMatrix<kBlockLanes>&,
+                                         const LaneInputs<kBlockLanes>&,
+                                         std::span<const double>) const;
+template void CompiledProgram::run_pure_lanes(
+    BatchedStateVector<1>&, const LaneInputs<1>&, std::span<const double>,
+    std::vector<std::array<cplx, 4>>*) const;
+template void CompiledProgram::run_pure_lanes(
+    BatchedStateVector<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
+    std::span<const double>, std::vector<std::array<cplx, 4>>*) const;
 
 }  // namespace qucad

@@ -8,8 +8,6 @@
 
 #include "noise/noise_model.hpp"
 #include "sim/batched_state.hpp"
-#include "sim/density_matrix.hpp"
-#include "sim/statevector.hpp"
 #include "transpile/physical.hpp"
 
 namespace qucad {
@@ -17,11 +15,12 @@ namespace qucad {
 /// \file
 /// The shared compiled-program abstraction: a PhysicalCircuit (optionally
 /// with a NoiseModel folded in) lowered ONCE into a flat, replayable op
-/// stream. Two engines replay it:
+/// stream. Two engines replay it, L samples at a time (sim/batched_state.hpp):
 ///   - the density-matrix engine (NoisyExecutor::run_z / run_z_batch), which
 ///     replays one program per evaluation sample, and
-///   - the pure-statevector engine (PureExecutor / compiled_adjoint_gradient),
-///     which replays one program per (sample, theta) pair during training.
+///   - the pure-statevector engine (PureExecutor /
+///     compiled_adjoint_gradient_lanes), which replays one program per
+///     (sample, theta) pair during training.
 /// Symbolic slots are the reason a single program can be shared: RZ angles
 /// affine in an input-encoding slot stay symbolic across samples, and RZ
 /// angles affine in a trainable slot stay symbolic across optimizer steps.
@@ -115,9 +114,9 @@ struct CompileStats {
 ///
 /// Invariants:
 ///  - Immutable after compile(); all replay methods are const and safe to
-///    call concurrently. Each replay writes only the caller's scratch state
-///    (DensityMatrix or StateVector), so per-thread scratch reuse — the
-///    run_z_batch / batch_loss_grad threading pattern — needs no locking.
+///    call concurrently. Each replay writes only the caller's scratch lane
+///    state, so per-thread scratch reuse — the run_z_batch /
+///    batch_loss_grad threading pattern — needs no locking.
 ///  - Symbolic slots survive compilation: input-symbolic RZ angles are
 ///    resolved against `x` and trainable-symbolic RZ angles against `theta`
 ///    at replay time, so one program serves every (sample, theta) pair.
@@ -146,59 +145,37 @@ class CompiledProgram {
   const std::vector<CompiledOp>& ops() const { return ops_; }
   const CompileStats& stats() const { return stats_; }
 
-  /// Replays the program on `dm` for input sample `x` and parameters
-  /// `theta` (pass an empty span when the program has no trainable slots,
-  /// i.e. theta was bound before lowering). `dm` is reset first, so a
-  /// caller-owned scratch matrix can be reused across samples without
-  /// reallocation.
-  void run(DensityMatrix& dm, std::span<const double> x,
-           std::span<const double> theta = {}) const;
+  /// Throws PreconditionError unless `x` holds at least num_inputs()
+  /// entries — the check every replay entry point runs on each feature row
+  /// up front, on the calling thread, before handing raw lane pointers on.
+  void require_inputs(std::span<const double> x) const;
 
-  /// Replays the program (channels included) over
-  /// BatchedDensityMatrix::kLanes samples at once — the SoA lane
-  /// counterpart of run(). `xs[lane]` points at that lane's feature vector,
-  /// which the CALLER must have validated to hold at least num_inputs()
-  /// entries (the batch entry points do this up front). theta and every
-  /// error channel are lane-uniform; only input-symbolic RZ angles diverge
-  /// per lane. Walks the SAME op stream with the same angle helpers as
-  /// run(), so each lane's entries are bitwise identical to a scalar run()
-  /// of that sample (see sim/batched_state.hpp).
-  void run_lanes(BatchedDensityMatrix& bdm,
-                 const std::array<const double*, BatchedStateVector::kLanes>& xs,
+  /// Replays the program (channels included) over the L samples of `bdm`.
+  /// `xs[lane]` points at that lane's feature vector, which the caller must
+  /// have checked with require_inputs(). theta (pass an empty span when the
+  /// program has no trainable slots, i.e. theta was bound before lowering)
+  /// and every error channel are lane-uniform; only input-symbolic RZ angles
+  /// diverge per lane. `bdm` is reset first, so caller-owned scratch can be
+  /// reused across samples without reallocation.
+  template <std::size_t L>
+  void run_lanes(BatchedDensityMatrix<L>& bdm, const LaneInputs<L>& xs,
                  std::span<const double> theta = {}) const;
 
-  /// Replays a noiseless program on `sv` — the compiled forward pass of the
-  /// statevector training path. Requires has_channels() == false. `sv` is
-  /// reset first (same scratch-reuse contract as run()). With the default
-  /// CompileOptions the final state matches the gate-by-gate reference up to
-  /// a global phase and elided trailing virtual-Z rotations; probabilities
-  /// and every `<Z>` match exactly.
+  /// Replays a noiseless program (has_channels() == false) over the L
+  /// samples of `bsv` — the compiled forward pass of the statevector
+  /// engines. Same input and reset contract as run_lanes(). With the
+  /// default CompileOptions the final state matches the gate-by-gate
+  /// reference up to a global phase and elided trailing virtual-Z
+  /// rotations; probabilities and every `<Z>` match exactly.
   ///
-  /// When `resolved` is non-null it is resized to ops().size() and entry i
-  /// receives the angle-resolved 2x2 of symbolic op i (SymDiag1 diagonal in
-  /// [0]/[3], SymUni1 full matrix, CRot2 interior matrix) — the adjoint's
-  /// reverse sweep daggers these instead of re-resolving every op.
-  void run_pure(StateVector& sv, std::span<const double> x,
-                std::span<const double> theta = {},
-                std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
-
-  /// Replays a noiseless program over BatchedStateVector::kLanes samples at
-  /// once — the SoA lane counterpart of run_pure. `xs[lane]` points at that
-  /// lane's feature vector, which the CALLER must have validated to hold at
-  /// least num_inputs() entries (the batch entry points do this up front).
-  /// theta is shared by every lane, so only input-symbolic angles diverge
-  /// per lane; every other op is applied with one broadcast matrix.
-  ///
-  /// Walks the SAME op stream as run_pure and builds per-lane matrices with
-  /// the same helpers, so each lane's amplitudes are bitwise identical to a
-  /// scalar run_pure of that sample (see sim/batched_state.hpp).
-  ///
-  /// When `resolved` is non-null it is resized to ops().size() * kLanes and
-  /// entry `idx * kLanes + lane` receives lane's angle-resolved 2x2 of
-  /// symbolic op idx — the lane adjoint's reverse-sweep input.
+  /// When `resolved` is non-null it is resized to ops().size() * L and entry
+  /// `idx * L + lane` receives lane's angle-resolved 2x2 of symbolic op idx
+  /// (SymDiag1 diagonal in [0]/[3], SymUni1 full matrix, CRot2 interior
+  /// matrix) — the adjoint's reverse sweep daggers these instead of
+  /// re-resolving every op.
+  template <std::size_t L>
   void run_pure_lanes(
-      BatchedStateVector& bsv,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
+      BatchedStateVector<L>& bsv, const LaneInputs<L>& xs,
       std::span<const double> theta = {},
       std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
 

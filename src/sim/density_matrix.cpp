@@ -155,32 +155,6 @@ void DensityMatrix::apply2(int q0, int q1, const std::array<cplx, 16>& u) {
   right_mul2_dag(q0, q1, u, rho_);
 }
 
-void DensityMatrix::apply_cx(int control, int target) {
-  require(control >= 0 && control < num_qubits_ && target >= 0 &&
-              target < num_qubits_ && control != target,
-          "invalid qubit pair");
-  // CX is a permutation P with P = P^dag = P^-1, so CX rho CX^dag just
-  // relabels entries: rho'(r, c) = rho(pi(r), pi(c)) with
-  // pi(i) = i XOR target-bit when the control bit is set. Each unordered
-  // entry pair is swapped once, from its lexicographically smaller side.
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  for (std::size_t r = 0; r < dim_; ++r) {
-    const std::size_t pr = (r & mc) ? (r ^ mt) : r;
-    if (pr < r) continue;  // row pair already handled from the smaller row
-    cplx* row = rho_.data() + r * dim_;
-    cplx* prow = rho_.data() + pr * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      const std::size_t pc = (c & mc) ? (c ^ mt) : c;
-      if (pr == r) {
-        if (pc > c) std::swap(row[c], row[pc]);
-      } else {
-        std::swap(row[c], prow[pc]);
-      }
-    }
-  }
-}
-
 void DensityMatrix::apply_gate(const Gate& gate, double angle) {
   if (gate.kind == GateKind::RZ) {
     apply_diag1(gate.q0, std::exp(cplx{0.0, -angle / 2.0}),
@@ -312,96 +286,6 @@ void DensityMatrix::apply_thermal1(int q, double gamma, double lambda) {
       row1[c1] *= keep;
       row0[c1] *= s;
       row1[c] *= s;
-    }
-  }
-}
-
-void DensityMatrix::apply_channel1(int q, const FusedChannel1& ch) {
-  require(q >= 0 && q < num_qubits_, "qubit index out of range");
-  if (ch.is_identity()) return;
-  const std::size_t mq = std::size_t{1} << q;
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if (r & mq) continue;
-    const std::size_t r1 = r | mq;
-    cplx* row0 = rho_.data() + r * dim_;
-    cplx* row1 = rho_.data() + r1 * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if (c & mq) continue;
-      const std::size_t c1 = c | mq;
-      const cplx v00 = row0[c];
-      const cplx v11 = row1[c1];
-      row0[c] = ch.d00_00 * v00 + ch.d00_11 * v11;
-      row1[c1] = ch.d11_00 * v00 + ch.d11_11 * v11;
-      row0[c1] *= ch.off;
-      row1[c] *= ch.off;
-    }
-  }
-}
-
-void DensityMatrix::apply_channel2(int qa, int qb, const FusedChannel2& ch) {
-  require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
-              qa != qb,
-          "invalid qubit pair");
-  if (ch.is_identity()) return;
-  const std::size_t ma = std::size_t{1} << qa;
-  const std::size_t mb = std::size_t{1} << qb;
-  // Local block index k = 2*bit(qa) + bit(qb), matching apply_depolarizing2.
-  const std::size_t offsets[4] = {0, mb, ma, ma | mb};
-  cplx e[4][4];
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if ((r & ma) || (r & mb)) continue;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if ((c & ma) || (c & mb)) continue;
-      for (int kr = 0; kr < 4; ++kr) {
-        for (int kc = 0; kc < 4; ++kc) {
-          e[kr][kc] = rho_[(r | offsets[kr]) * dim_ + (c | offsets[kc])];
-        }
-      }
-      // Two-qubit depolarizing: scale the block, redistribute its partial
-      // trace over the block diagonal.
-      if (ch.quarter_p != 0.0) {
-        const cplx t = e[0][0] + e[1][1] + e[2][2] + e[3][3];
-        for (auto& rowk : e) {
-          for (cplx& v : rowk) v *= ch.keep;
-        }
-        const cplx add = ch.quarter_p * t;
-        for (int k = 0; k < 4; ++k) e[k][k] += add;
-      }
-      // Thermal relaxation on qa (block-index bit 1).
-      if (ch.gamma_a != 0.0 || ch.s_a != 1.0) {
-        for (int rb = 0; rb < 2; ++rb) {
-          for (int cb = 0; cb < 2; ++cb) {
-            cplx& e00 = e[rb][cb];
-            cplx& e01 = e[rb][2 + cb];
-            cplx& e10 = e[2 + rb][cb];
-            cplx& e11 = e[2 + rb][2 + cb];
-            e00 += ch.gamma_a * e11;
-            e11 *= ch.keep_a;
-            e01 *= ch.s_a;
-            e10 *= ch.s_a;
-          }
-        }
-      }
-      // Thermal relaxation on qb (block-index bit 0).
-      if (ch.gamma_b != 0.0 || ch.s_b != 1.0) {
-        for (int ra = 0; ra < 2; ++ra) {
-          for (int ca = 0; ca < 2; ++ca) {
-            cplx& e00 = e[2 * ra][2 * ca];
-            cplx& e01 = e[2 * ra][2 * ca + 1];
-            cplx& e10 = e[2 * ra + 1][2 * ca];
-            cplx& e11 = e[2 * ra + 1][2 * ca + 1];
-            e00 += ch.gamma_b * e11;
-            e11 *= ch.keep_b;
-            e01 *= ch.s_b;
-            e10 *= ch.s_b;
-          }
-        }
-      }
-      for (int kr = 0; kr < 4; ++kr) {
-        for (int kc = 0; kc < 4; ++kc) {
-          rho_[(r | offsets[kr]) * dim_ + (c | offsets[kc])] = e[kr][kc];
-        }
-      }
     }
   }
 }

@@ -9,40 +9,6 @@
 
 namespace qucad {
 
-/// Precomputed single-qubit error site: a depolarizing channel followed by
-/// thermal relaxation, folded into one linear map per 2x2 block of the
-/// target-qubit subspace. The populations mix through a real 2x2 matrix and
-/// the coherences scale by a single real factor, so the whole composite
-/// applies in one pass over rho (see DensityMatrix::apply_channel1).
-struct FusedChannel1 {
-  double d00_00 = 1.0;  // rho00 <- d00_00*rho00 + d00_11*rho11
-  double d00_11 = 0.0;
-  double d11_00 = 0.0;  // rho11 <- d11_00*rho00 + d11_11*rho11
-  double d11_11 = 1.0;
-  double off = 1.0;     // rho01, rho10 scale
-
-  bool is_identity() const {
-    return d00_00 == 1.0 && d00_11 == 0.0 && d11_00 == 0.0 && d11_11 == 1.0 &&
-           off == 1.0;
-  }
-};
-
-/// Precomputed CX error site: two-qubit depolarizing plus per-qubit thermal
-/// relaxation on both operands, applied in one gathered pass per 4x4 block
-/// (see DensityMatrix::apply_channel2). `a` refers to the lower qubit index
-/// of the pair, `b` to the higher, matching NoiseModel::cx_noise storage.
-struct FusedChannel2 {
-  double keep = 1.0;       // 1 - p of the two-qubit depolarizing term
-  double quarter_p = 0.0;  // p / 4 redistribution weight
-  double gamma_a = 0.0, keep_a = 1.0, s_a = 1.0;  // thermal on min(q)
-  double gamma_b = 0.0, keep_b = 1.0, s_b = 1.0;  // thermal on max(q)
-
-  bool is_identity() const {
-    return keep == 1.0 && quarter_p == 0.0 && gamma_a == 0.0 && s_a == 1.0 &&
-           gamma_b == 0.0 && s_b == 1.0;
-  }
-};
-
 /// Exact mixed-state simulator: rho is a dim x dim row-major complex matrix.
 /// Unitary gates map rho -> U rho U^dag; Kraus channels map
 /// rho -> sum_k K_k rho K_k^dag. Same qubit-index conventions as StateVector.
@@ -68,11 +34,6 @@ class DensityMatrix {
   /// rho -> U rho U^dag for a two-qubit U (row-major 4x4, local index
   /// 2*bit(q0)+bit(q1)).
   void apply2(int q0, int q1, const std::array<cplx, 16>& u);
-
-  /// rho -> CX rho CX^dag via the index permutation (CX is a permutation
-  /// matrix): one swap pass instead of two 4x4 multiply passes. The hot
-  /// two-qubit path of the compiled executor.
-  void apply_cx(int control, int target);
 
   void apply_gate(const Gate& gate, double angle);
 
@@ -100,14 +61,6 @@ class DensityMatrix {
   /// Single pass over rho — the hot path for calibrated gate noise, ~10x
   /// cheaper than the equivalent 3-operator Kraus application.
   void apply_thermal1(int q, double gamma, double lambda);
-
-  /// Precompiled single-qubit error site (depolarizing + thermal folded by
-  /// the compiled-ops pass): one pass over rho instead of two.
-  void apply_channel1(int q, const FusedChannel1& ch);
-
-  /// Precompiled CX error site (two-qubit depolarizing + both thermal
-  /// relaxations): one gathered pass over rho instead of three.
-  void apply_channel2(int qa, int qb, const FusedChannel2& ch);
 
   /// Diagonal of rho (computational-basis probabilities).
   std::vector<double> diagonal_probabilities() const;

@@ -1,12 +1,12 @@
 #include "transpile/executor.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/gates.hpp"
 #include "noise/channels.hpp"
+#include "sim/compiled_adjoint.hpp"
 
 namespace qucad {
 
@@ -115,91 +115,63 @@ std::vector<double> NoisyExecutor::finish_probs(std::vector<double> probs,
   return counts;
 }
 
-std::vector<double> NoisyExecutor::run_z_into(std::span<const double> x,
-                                              DensityMatrix& dm, int shots,
-                                              Rng* rng) const {
-  program_.run(dm, x);
-  return z_from_probs(finish_probs(dm.diagonal_probabilities(), shots, rng));
+template <std::size_t L, typename Finish>
+void NoisyExecutor::replay(const LaneInputs<L>& xs, Finish&& finish) const {
+  auto& dm = lane_scratch<BatchedDensityMatrix<L>>(circuit_.num_qubits());
+  program_.run_lanes(dm, xs);
+  thread_local std::vector<double> probs;
+  for (std::size_t l = 0; l < L; ++l) {
+    dm.lane_probabilities(l, probs);
+    finish(l, probs);
+  }
+}
+
+std::vector<double> NoisyExecutor::run_one(std::span<const double> x,
+                                           int shots, Rng* rng) const {
+  program_.require_inputs(x);
+  std::vector<double> z;
+  replay<1>({x.data()}, [&](std::size_t, const std::vector<double>& probs) {
+    z = z_from_probs(finish_probs(probs, shots, rng));
+  });
+  return z;
 }
 
 std::vector<double> NoisyExecutor::run_z(std::span<const double> x) const {
-  DensityMatrix dm(circuit_.num_qubits());
-  return run_z_into(x, dm, 0, nullptr);
+  return run_one(x, 0, nullptr);
 }
 
 std::vector<double> NoisyExecutor::run_z_shots(std::span<const double> x,
                                                int shots, Rng& rng) const {
   require(shots > 0, "shots must be positive");
-  DensityMatrix dm(circuit_.num_qubits());
-  return run_z_into(x, dm, shots, &rng);
+  return run_one(x, shots, &rng);
 }
 
 std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
     std::span<const std::vector<double>> xs, int shots,
-    std::uint64_t shot_seed, ThreadPool* pool, BatchReplay replay) const {
-  constexpr std::size_t kLanes = BatchedDensityMatrix::kLanes;
+    std::uint64_t shot_seed, ThreadPool* pool) const {
   // Validate the whole batch at the API boundary: a ragged row must fail
   // here, on the calling thread, not deep inside a worker's replay.
-  for (const std::vector<double>& x : xs) {
-    require(x.size() >= static_cast<std::size_t>(program_.num_inputs()),
-            "feature vector too short for compiled program");
-  }
+  for (const std::vector<double>& x : xs) program_.require_inputs(x);
   std::vector<std::vector<double>> zs(xs.size());
-  ThreadPool& workers = pool ? *pool : ThreadPool::global();
-
-  const bool lanes_ok = use_lane_replay(replay) &&
-                        circuit_.num_qubits() <= BatchedDensityMatrix::kMaxQubits;
-  const std::size_t blocks = lanes_ok ? xs.size() / kLanes : 0;
-  const std::size_t tail_start = blocks * kLanes;
-  const std::size_t tail = xs.size() - tail_start;
-
-  // Task t < blocks replays one full lane block through the SoA density
-  // engine; the ragged tail (and everything, under scalar replay) goes
-  // through the per-sample reference path.
-  workers.parallel_for(blocks + tail, [&](std::size_t t) {
-    if (t >= blocks) {
-      const std::size_t i = tail_start + (t - blocks);
-      // One scratch matrix per worker thread, recycled across samples (and
-      // across batches when the qubit count matches) — replays of the
-      // compiled program stay allocation-free.
-      thread_local std::unique_ptr<DensityMatrix> scratch;
-      if (!scratch || scratch->num_qubits() != circuit_.num_qubits()) {
-        scratch = std::make_unique<DensityMatrix>(circuit_.num_qubits());
-      }
-      if (shots > 0) {
-        Rng rng(shot_seed + i);
-        zs[i] = run_z_into(xs[i], *scratch, shots, &rng);
-      } else {
-        zs[i] = run_z_into(xs[i], *scratch, 0, nullptr);
-      }
-      return;
-    }
-    thread_local std::unique_ptr<BatchedDensityMatrix> lane_scratch;
-    if (!lane_scratch || lane_scratch->num_qubits() != circuit_.num_qubits()) {
-      lane_scratch = std::make_unique<BatchedDensityMatrix>(circuit_.num_qubits());
-    }
-    std::array<const double*, kLanes> lanes;
-    const std::size_t first = t * kLanes;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      lanes[l] = xs[first + l].data();
-    }
-    program_.run_lanes(*lane_scratch, lanes);
-    // Per-lane finish: extract the lane's diagonal and run the SAME scalar
-    // readout-error / shot-sampling / <Z> code as run_z_into, with the Rng
-    // seeded by the GLOBAL sample index — results are bitwise identical to
-    // the per-sample path.
-    thread_local std::vector<double> probs;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const std::size_t i = first + l;
-      lane_scratch->lane_probabilities(l, probs);
-      if (shots > 0) {
-        Rng rng(shot_seed + i);
-        zs[i] = z_from_probs(finish_probs(probs, shots, &rng));
-      } else {
-        zs[i] = z_from_probs(finish_probs(probs, 0, nullptr));
-      }
-    }
-  });
+  const bool full_blocks =
+      circuit_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
+  parallel_for_lanes(
+      pool ? *pool : ThreadPool::global(), xs.size(), full_blocks,
+      [&](auto width, std::size_t first) {
+        constexpr std::size_t L = decltype(width)::value;
+        // Sample i draws its shots from Rng(shot_seed + i), i the GLOBAL
+        // sample index, whichever block it lands in.
+        auto finish = [&](std::size_t l, const std::vector<double>& probs) {
+          const std::size_t i = first + l;
+          if (shots > 0) {
+            Rng rng(shot_seed + i);
+            zs[i] = z_from_probs(finish_probs(probs, shots, &rng));
+          } else {
+            zs[i] = z_from_probs(finish_probs(probs, 0, nullptr));
+          }
+        };
+        replay<L>(lane_rows<L>(xs, first), finish);
+      });
   return zs;
 }
 
@@ -219,108 +191,62 @@ PureExecutor::PureExecutor(PhysicalCircuit circuit,
   program_ = CompiledProgram::compile(circuit_, NoiseModel(), compile_options);
 }
 
-void PureExecutor::run_state(StateVector& sv, std::span<const double> x,
-                             std::span<const double> theta) const {
-  program_.run_pure(sv, x, theta);
+template <std::size_t L>
+void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
+                               std::span<const double> theta,
+                               std::vector<double>* zs) const {
+  auto& sv = lane_scratch<BatchedStateVector<L>>(circuit_.num_qubits());
+  program_.run_pure_lanes(sv, xs, theta);
+  // Ordered by readout slot (class position) — not indexed by qubit id.
+  const auto& slots = circuit_.readout_physical();
+  thread_local std::vector<double> zbuf;
+  zbuf.resize(slots.size() * L);
+  sv.readout_z(slots, zbuf.data());
+  for (std::size_t l = 0; l < L; ++l) {
+    zs[l].resize(slots.size());
+    for (std::size_t k = 0; k < slots.size(); ++k) zs[l][k] = zbuf[k * L + l];
+  }
 }
+
+template void PureExecutor::run_z_lanes(const LaneInputs<1>&,
+                                        std::span<const double>,
+                                        std::vector<double>*) const;
+template void PureExecutor::run_z_lanes(const LaneInputs<kBlockLanes>&,
+                                        std::span<const double>,
+                                        std::vector<double>*) const;
 
 std::vector<double> PureExecutor::run_z(std::span<const double> x,
                                         std::span<const double> theta) const {
-  // One scratch state per worker thread, recycled across samples and across
-  // executors of the same width — per-sample replays stay allocation-free
-  // (the same pattern as NoisyExecutor::run_z_batch).
-  thread_local std::unique_ptr<StateVector> scratch;
-  if (!scratch || scratch->num_qubits() != circuit_.num_qubits()) {
-    scratch = std::make_unique<StateVector>(circuit_.num_qubits());
-  }
-  StateVector& sv = *scratch;
-  program_.run_pure(sv, x, theta);
-  // One pass over the amplitudes, accumulating only the measured qubits,
-  // ordered by readout slot (class position) — not indexed by qubit id.
-  const auto& slots = circuit_.readout_physical();
-  std::vector<double> z(slots.size(), 0.0);
-  const auto& amps = sv.amplitudes();
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    const double p = std::norm(amps[i]);
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      z[k] += (i >> slots[k]) & 1 ? -p : p;
-    }
-  }
+  program_.require_inputs(x);
+  std::vector<double> z;
+  run_z_lanes<1>({x.data()}, theta, &z);
   return z;
-}
-
-AdjointResult PureExecutor::adjoint(std::span<const double> theta,
-                                    std::span<const double> x,
-                                    const ObservableWeightFn& weight_fn,
-                                    AdjointWorkspace* workspace) const {
-  return compiled_adjoint_gradient(program_, theta, x, weight_fn, workspace);
-}
-
-void PureExecutor::run_state_lanes(
-    BatchedStateVector& bsv,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    std::span<const double> theta) const {
-  program_.run_pure_lanes(bsv, xs, theta);
-}
-
-LaneAdjointResult PureExecutor::adjoint_lanes(
-    std::span<const double> theta,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    const LaneObservableWeightFn& weight_fn,
-    LaneAdjointWorkspace* workspace) const {
-  return compiled_adjoint_gradient_lanes(program_, theta, xs, weight_fn,
-                                         workspace);
 }
 
 std::vector<std::vector<double>> PureExecutor::run_z_batch(
     std::span<const std::vector<double>> xs, std::span<const double> theta,
-    ThreadPool* pool, BatchReplay replay) const {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+    ThreadPool* pool) const {
   // Validate the whole batch at the API boundary (calling thread), so a
   // ragged row never fails inside a worker's replay.
-  for (const std::vector<double>& x : xs) {
-    require(x.size() >= static_cast<std::size_t>(program_.num_inputs()),
-            "feature vector too short for compiled program");
-  }
+  for (const std::vector<double>& x : xs) program_.require_inputs(x);
   std::vector<std::vector<double>> zs(xs.size());
-  ThreadPool& workers = pool ? *pool : ThreadPool::global();
-
-  const std::size_t blocks = use_lane_replay(replay) ? xs.size() / kLanes : 0;
-  const std::size_t tail_start = blocks * kLanes;
-  const std::size_t tail = xs.size() - tail_start;
-  const auto& slots = circuit_.readout_physical();
-
-  // Task t < blocks replays one full lane block through the SoA engine;
-  // the ragged tail (and everything, under scalar replay) goes through the
-  // per-sample reference path.
-  workers.parallel_for(blocks + tail, [&](std::size_t t) {
-    if (t >= blocks) {
-      const std::size_t i = tail_start + (t - blocks);
-      zs[i] = run_z(xs[i], theta);
-      return;
-    }
-    thread_local std::unique_ptr<BatchedStateVector> scratch;
-    if (!scratch || scratch->num_qubits() != circuit_.num_qubits()) {
-      scratch = std::make_unique<BatchedStateVector>(circuit_.num_qubits());
-    }
-    std::array<const double*, kLanes> lanes;
-    const std::size_t first = t * kLanes;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      lanes[l] = xs[first + l].data();
-    }
-    program_.run_pure_lanes(*scratch, lanes, theta);
-    thread_local std::vector<double> zbuf;
-    zbuf.resize(slots.size() * kLanes);
-    scratch->readout_z(slots, zbuf.data());
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      std::vector<double>& z = zs[first + l];
-      z.resize(slots.size());
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        z[k] = zbuf[k * kLanes + l];
-      }
-    }
-  });
+  parallel_for_lanes(pool ? *pool : ThreadPool::global(), xs.size(), true,
+                     [&](auto width, std::size_t first) {
+                       constexpr std::size_t L = decltype(width)::value;
+                       run_z_lanes<L>(lane_rows<L>(xs, first), theta,
+                                      &zs[first]);
+                     });
   return zs;
+}
+
+AdjointResult PureExecutor::adjoint(std::span<const double> theta,
+                                    std::span<const double> x,
+                                    const ObservableWeightFn& weight_fn) const {
+  program_.require_inputs(x);
+  LaneAdjointResult lanes = compiled_adjoint_gradient_lanes<1>(
+      program_, theta, {x.data()},
+      [&](std::size_t, const std::vector<double>& z) { return weight_fn(z); });
+  return {std::move(lanes.z_expectations[0]), std::move(lanes.gradients[0])};
 }
 
 StateVector run_physical_pure(const PhysicalCircuit& circuit,

@@ -6,7 +6,7 @@
 
 #include "common/rng.hpp"
 #include "noise/noise_model.hpp"
-#include "sim/compiled_adjoint.hpp"
+#include "sim/adjoint.hpp"
 #include "sim/compiled_ops.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
@@ -24,7 +24,8 @@ class ThreadPool;
 ///
 /// Construction compiles the circuit + noise model once into a fused op
 /// stream (sim/compiled_ops.hpp); run_z / run_z_shots / run_z_batch replay
-/// that program per sample. The original gate-by-gate walk is kept as
+/// that program on SoA lane states (sim/batched_state.hpp) — width 1 for a
+/// single sample. The original gate-by-gate walk is kept as
 /// run_density / run_z_reference — the ground truth the compiled path is
 /// tested against.
 ///
@@ -58,18 +59,14 @@ class NoisyExecutor {
   /// Every row is validated against the program's input arity up front, on
   /// the calling thread — a ragged batch fails here, not inside a worker.
   ///
-  /// Full blocks of BatchedDensityMatrix::kLanes samples replay through the
-  /// SoA lane engine (one walk of the op stream per block); the ragged tail
-  /// falls back to per-sample replay. Lane entries are bitwise identical to
-  /// the scalar reference, and readout/shot post-processing runs the SAME
-  /// scalar code per lane, so `replay` never changes results — kScalar
-  /// forces the per-sample path, kAuto honours QUCAD_SCALAR_REPLAY.
-  /// Circuits wider than BatchedDensityMatrix::kMaxQubits always take the
-  /// per-sample path (lane scratch is dim^2 * kLanes entries).
+  /// Full blocks of kBlockLanes samples replay at that width (one walk of
+  /// the op stream per block), the ragged tail at width 1; a sample's
+  /// result does not depend on which. Circuits wider than
+  /// `BatchedDensityMatrix<kBlockLanes>::kMaxQubits` replay every sample at
+  /// width 1 (block scratch is dim^2 * kBlockLanes entries).
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs, int shots = 0,
-      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr,
-      BatchReplay replay = BatchReplay::kAuto) const;
+      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr) const;
 
   /// Final density matrix (before readout error) via the legacy gate-by-gate
   /// walk. Reference path for the compiled engine's equivalence tests.
@@ -83,8 +80,13 @@ class NoisyExecutor {
   const CompiledProgram& program() const { return program_; }
 
  private:
-  std::vector<double> run_z_into(std::span<const double> x, DensityMatrix& dm,
-                                 int shots, Rng* rng) const;
+  /// Replays the L samples of `xs` and hands lane l's final
+  /// computational-basis probabilities to `finish(l, probs)`.
+  template <std::size_t L, typename Finish>
+  void replay(const LaneInputs<L>& xs, Finish&& finish) const;
+  /// One sample at width 1: run_z (shots = 0) or run_z_shots.
+  std::vector<double> run_one(std::span<const double> x, int shots,
+                              Rng* rng) const;
   std::vector<double> z_from_probs(const std::vector<double>& probs) const;
   std::vector<double> finish_probs(std::vector<double> probs, int shots,
                                    Rng* rng) const;
@@ -116,9 +118,8 @@ class NoisyExecutor {
 /// instead: z_expectations has one entry PER QUBIT, because the observable
 /// weight hook needs the full vector.
 ///
-/// All run methods are const and safe to call concurrently; per-thread
-/// scratch (StateVector / AdjointWorkspace) is the caller's to thread
-/// through batch loops.
+/// All run methods are const and safe to call concurrently; each replays
+/// into per-thread scratch (lane_scratch).
 class PureExecutor {
  public:
   /// Takes a copy: the executor is self-contained (same rationale as
@@ -131,45 +132,27 @@ class PureExecutor {
   std::vector<double> run_z(std::span<const double> x,
                             std::span<const double> theta = {}) const;
 
-  /// Batched run_z: full blocks of BatchedStateVector::kLanes samples replay
-  /// through the SoA lane engine (one pass of the op stream per block) and
-  /// the ragged tail falls back to per-sample run_z, all spread over `pool`
-  /// (nullptr = the process-global pool). `replay` picks the engine —
-  /// kScalar is the 1e-10-pinned per-sample reference, kAuto honours the
-  /// QUCAD_SCALAR_REPLAY kill switch. Every row is validated against the
-  /// program's input arity up front, on the calling thread.
+  /// run_z over the L samples of `xs` (each checked with
+  /// CompiledProgram::require_inputs), lane l's slot values written to
+  /// `zs[l]`.
+  template <std::size_t L>
+  void run_z_lanes(const LaneInputs<L>& xs, std::span<const double> theta,
+                   std::vector<double>* zs) const;
+
+  /// Batched run_z spread over `pool` (nullptr = the process-global pool):
+  /// full blocks of kBlockLanes samples replay at that width, the ragged
+  /// tail at width 1. Every row is validated against the program's input
+  /// arity up front, on the calling thread.
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs,
-      std::span<const double> theta = {}, ThreadPool* pool = nullptr,
-      BatchReplay replay = BatchReplay::kAuto) const;
+      std::span<const double> theta = {}, ThreadPool* pool = nullptr) const;
 
-  /// Replays the compiled forward pass into caller-owned scratch.
-  void run_state(StateVector& sv, std::span<const double> x,
-                 std::span<const double> theta = {}) const;
-
-  /// Lane forward pass into caller-owned SoA scratch: `xs[lane]` must hold
-  /// at least program().num_inputs() entries (callers validate — see
-  /// CompiledProgram::run_pure_lanes).
-  void run_state_lanes(
-      BatchedStateVector& bsv,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
-      std::span<const double> theta = {}) const;
-
-  /// Compiled adjoint pass (see sim/compiled_adjoint.hpp). Pass a per-thread
-  /// workspace to make batched gradient loops allocation-free.
+  /// Compiled adjoint pass for one sample — compiled_adjoint_gradient_lanes
+  /// at width 1 (see sim/compiled_adjoint.hpp). z_expectations has one
+  /// entry per qubit.
   AdjointResult adjoint(std::span<const double> theta,
                         std::span<const double> x,
-                        const ObservableWeightFn& weight_fn,
-                        AdjointWorkspace* workspace = nullptr) const;
-
-  /// Lane adjoint pass over kLanes samples at once (see
-  /// sim/compiled_adjoint.hpp) — the gradient engine behind the batched
-  /// batch_loss_grad path. Same scratch-threading contract as adjoint().
-  LaneAdjointResult adjoint_lanes(
-      std::span<const double> theta,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
-      const LaneObservableWeightFn& weight_fn,
-      LaneAdjointWorkspace* workspace = nullptr) const;
+                        const ObservableWeightFn& weight_fn) const;
 
   int num_trainable() const { return program_.num_trainable(); }
   const PhysicalCircuit& circuit() const { return circuit_; }

@@ -1,17 +1,17 @@
-// Equivalence and regression suite for the SoA lane-batched replay engines
-// (sim/batched_state.hpp): the lane forward / adjoint paths must be bitwise
-// identical to the scalar per-sample replay (the 1e-10-pinned reference),
-// including the ragged tail of every batch size around the lane width; the
-// sampled backend's lane blocks must draw bit-for-bit the same shot streams
-// as the per-sample path; and the batch-boundary validation added with the
-// lane engines must reject short feature rows up front, on the calling
-// thread.
+// Equivalence and regression suite for the SoA lane replay
+// (sim/batched_state.hpp): a sample's results must be bitwise the same
+// whether it replays in a full kBlockLanes block or alone at width 1 —
+// density and pure forward, the adjoint, and the sampled backend's shot
+// streams alike, over every batch size around the block width — and the
+// batch entry points must reject short feature rows up front, on the
+// calling thread.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +26,7 @@
 #include "qnn/model.hpp"
 #include "qnn/trainer.hpp"
 #include "sim/batched_state.hpp"
+#include "sim/statevector.hpp"
 #include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -36,7 +37,7 @@ namespace {
 
 using test::kAgreementTol;
 
-constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+constexpr std::size_t kLanes = kBlockLanes;
 
 /// The paper model compiled symbolically plus enough synthetic samples to
 /// cover two full lane blocks and a ragged tail.
@@ -59,75 +60,13 @@ std::vector<std::size_t> iota_indices(std::size_t n) {
   return idx;
 }
 
-TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
-  const BatchedFixture fx;
-  // Every batch size through two full blocks plus a tail: 1..17 covers
-  // tail-only (< kLanes), exactly one block, block + ragged tail, and two
-  // blocks + tail.
-  for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
-    const auto xs = first_rows(fx.data, n);
-    const auto lane =
-        fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kLanes);
-    const auto scalar =
-        fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kScalar);
-    ASSERT_EQ(lane.size(), n);
-    ASSERT_EQ(scalar.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Bitwise, not near: the sampled backend's shot streams depend on the
-      // lane amplitudes being exactly the scalar amplitudes.
-      EXPECT_EQ(lane[i], scalar[i]) << "batch size " << n << " sample " << i;
-      // And the documented 1e-10 contract against the per-sample engine.
-      const auto reference = fx.executor->run_z(xs[i], fx.theta);
-      ASSERT_EQ(lane[i].size(), reference.size());
-      for (std::size_t k = 0; k < reference.size(); ++k) {
-        EXPECT_NEAR(lane[i][k], reference[k], kAgreementTol)
-            << "batch size " << n << " sample " << i << " slot " << k;
-      }
-    }
-  }
-}
-
-TEST(BatchedReplay, LaneAdjointMatchesScalarAcrossRaggedSizes) {
-  const BatchedFixture fx;
-  const double logit_scale = 5.0;
-  for (const std::size_t n : {std::size_t{1}, kLanes - 1, kLanes, kLanes + 1,
-                              2 * kLanes, 2 * kLanes + 1}) {
-    const auto indices = iota_indices(n);
-    const BatchGrad lane = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                           indices, logit_scale,
-                                           BatchReplay::kLanes);
-    const BatchGrad scalar = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                             indices, logit_scale,
-                                             BatchReplay::kScalar);
-    EXPECT_NEAR(lane.loss, scalar.loss, kAgreementTol) << "batch size " << n;
-    EXPECT_DOUBLE_EQ(lane.accuracy, scalar.accuracy) << "batch size " << n;
-    ASSERT_EQ(lane.grad.size(), scalar.grad.size());
-    ASSERT_EQ(lane.grad.size(), fx.theta.size());
-    for (std::size_t p = 0; p < lane.grad.size(); ++p) {
-      EXPECT_NEAR(lane.grad[p], scalar.grad[p], kAgreementTol)
-          << "batch size " << n << " parameter " << p;
-    }
-
-    const BatchGrad lane_fwd = batch_loss(*fx.executor, fx.theta, fx.data,
-                                          indices, logit_scale,
-                                          BatchReplay::kLanes);
-    const BatchGrad scalar_fwd = batch_loss(*fx.executor, fx.theta, fx.data,
-                                            indices, logit_scale,
-                                            BatchReplay::kScalar);
-    EXPECT_NEAR(lane_fwd.loss, scalar_fwd.loss, kAgreementTol);
-    EXPECT_DOUBLE_EQ(lane_fwd.accuracy, scalar_fwd.accuracy);
-    EXPECT_NEAR(lane_fwd.loss, lane.loss, kAgreementTol)
-        << "forward-only loss must equal the gradient pass loss";
-  }
-}
-
 TEST(BatchedReplay, LaneAdjointMatchesLogicalReference) {
   // Pin the whole chain, not just lane-vs-scalar: the lane gradient on a
   // ragged batch must agree with the uncompiled logical-circuit reference.
   const BatchedFixture fx;
   const auto indices = iota_indices(kLanes + 3);
-  const BatchGrad lane = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                         indices, 5.0, BatchReplay::kLanes);
+  const BatchGrad lane =
+      batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, 5.0);
   const BatchGrad logical = batch_loss_grad(
       fx.model.circuit, fx.model.readout_qubits, fx.theta, fx.data, indices, 5.0);
   EXPECT_NEAR(lane.loss, logical.loss, kAgreementTol);
@@ -154,8 +93,7 @@ TEST(BatchedReplay, ReadoutSlotsStayPositional) {
   for (std::size_t i = 0; i < xs.size(); ++i) {
     xs[i] = {0.1 * static_cast<double>(i)};
   }
-  const auto lane = executor->run_z_batch(xs, theta, nullptr,
-                                          BatchReplay::kLanes);
+  const auto lane = executor->run_z_batch(xs, theta);
   ASSERT_EQ(lane.size(), xs.size());
   for (std::size_t i = 0; i < lane.size(); ++i) {
     ASSERT_EQ(lane[i].size(), 2u);
@@ -166,15 +104,16 @@ TEST(BatchedReplay, ReadoutSlotsStayPositional) {
 }
 
 TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
-  // Sample i of a batch draws from seed + i whichever engine replays it. A
+  // Sample i of a batch draws from seed + i whichever width replays it. A
   // backend seeded seed + i therefore reproduces sample i's stream through
-  // the SCALAR single-sample path (run_logits draws from its own seed + 0),
+  // the width-1 single-sample path (run_logits draws from its own seed + 0),
   // giving a bitwise reference for every lane of every block — including
-  // lane positions the in-process scalar tail can never cover.
+  // lane positions the in-batch width-1 tail can never cover — with and
+  // without readout confusion.
   const BatchedFixture fx;
   const std::uint64_t seed = 41;
   const int shots = 256;
-  const std::size_t n = 2 * kLanes + 3;  // two lane blocks + scalar tail
+  const std::size_t n = 2 * kLanes + 3;  // two lane blocks + width-1 tail
   const auto xs = first_rows(fx.data, n);
 
   const std::vector<ReadoutError> confusions[] = {
@@ -205,9 +144,7 @@ TEST(BatchedValidation, ShortRowsFailUpFrontAtEveryBatchEntryPoint) {
   ragged[3] = {0.5, 0.5};  // the compiled program reads 4 inputs
 
   EXPECT_THROW(fx.executor->run_z_batch(ragged, fx.theta), PreconditionError);
-  EXPECT_THROW(
-      fx.executor->run_z_batch(ragged, fx.theta, nullptr, BatchReplay::kScalar),
-      PreconditionError);
+  EXPECT_THROW(fx.executor->run_z(ragged[3], fx.theta), PreconditionError);
 
   const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 32, 7);
   EXPECT_THROW(sampled.run_logits_batch(ragged), PreconditionError);
@@ -257,61 +194,101 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
-  const NoisyBatchedFixture fx;
-  // Every batch size through two full lane blocks plus a tail, exact
-  // (shots = 0) expectations: the lane density replay must be bitwise
-  // identical to the per-sample path, and both inside the documented 1e-10
-  // envelope of the uncompiled gate-by-gate reference.
+TEST(BatchedReplay, BlockWidthMatchesWidthOneBitwiseAcrossBatchSizes) {
+  // Every batch size through two full blocks plus a tail: 1..17 covers
+  // tail-only (< kLanes), exactly one block, block + ragged tail, and two
+  // blocks + tail. Each batch result is compared bitwise with the same
+  // sample answered alone (width 1); the gate-by-gate oracles pin the
+  // absolute values at 1e-10.
+  const BatchedFixture fx;
+  const NoisyBatchedFixture noisy;
+  const double logit_scale = 5.0;
+  const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
+    SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
-    const auto lane =
-        fx.noisy->run_z_batch(xs, 0, 99, nullptr, BatchReplay::kLanes);
-    const auto scalar =
-        fx.noisy->run_z_batch(xs, 0, 99, nullptr, BatchReplay::kScalar);
-    ASSERT_EQ(lane.size(), n);
-    ASSERT_EQ(scalar.size(), n);
+    const auto noisy_xs = first_rows(noisy.data, n);
+
+    const auto pure = fx.executor->run_z_batch(xs, fx.theta);
+    const auto density = noisy.noisy->run_z_batch(noisy_xs);
+    const auto density_shots = noisy.noisy->run_z_batch(noisy_xs, 128, 41);
+    const auto logits = sampled.run_logits_batch(xs);
+    ASSERT_EQ(pure.size(), n);
+    ASSERT_EQ(density.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(lane[i], scalar[i]) << "batch size " << n << " sample " << i;
-      const auto reference = fx.noisy->run_z_reference(xs[i]);
-      ASSERT_EQ(lane[i].size(), reference.size());
-      for (std::size_t k = 0; k < reference.size(); ++k) {
-        EXPECT_NEAR(lane[i][k], reference[k], kAgreementTol)
-            << "batch size " << n << " sample " << i << " slot " << k;
+      SCOPED_TRACE("sample " + std::to_string(i));
+      EXPECT_EQ(pure[i], fx.executor->run_z(xs[i], fx.theta));
+      EXPECT_EQ(density[i], noisy.noisy->run_z(noisy_xs[i]));
+      // Sample i draws from shot_seed + i / seed + i whichever width
+      // replays it.
+      Rng rng(41 + i);
+      EXPECT_EQ(density_shots[i],
+                noisy.noisy->run_z_shots(noisy_xs[i], 128, rng));
+      const SampledStatevectorBackend alone(fx.executor, fx.theta, {}, 256,
+                                            41 + i);
+      EXPECT_EQ(logits[i], alone.run_logits(xs[i]));
+
+      const StateVector oracle =
+          run_physical_pure(fx.executor->circuit(), xs[i], fx.theta);
+      const auto& slots = fx.executor->circuit().readout_physical();
+      ASSERT_EQ(pure[i].size(), slots.size());
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        EXPECT_NEAR(pure[i][k], oracle.expectation_z(slots[k]), kAgreementTol);
+      }
+      const auto density_oracle = noisy.noisy->run_z_reference(noisy_xs[i]);
+      ASSERT_EQ(density[i].size(), density_oracle.size());
+      for (std::size_t k = 0; k < density_oracle.size(); ++k) {
+        EXPECT_NEAR(density[i][k], density_oracle[k], kAgreementTol);
       }
     }
-  }
-}
 
-TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
-  // shots > 0: sample i draws from Rng(shot_seed + i) whichever engine
-  // replays it, and the lane diagonal feeds the SAME scalar readout/shot
-  // code — so sampled results are bitwise identical too, lane blocks and
-  // ragged tail alike.
-  const NoisyBatchedFixture fx;
-  const auto xs = first_rows(fx.data, kLanes + 3);
-  const auto lane =
-      fx.noisy->run_z_batch(xs, 128, 41, nullptr, BatchReplay::kLanes);
-  const auto scalar =
-      fx.noisy->run_z_batch(xs, 128, 41, nullptr, BatchReplay::kScalar);
-  EXPECT_EQ(lane, scalar);
+    // The adjoint: a batch's mean loss/gradient must be bitwise the mean of
+    // its samples' single-sample results, summed in sample order.
+    const auto indices = iota_indices(n);
+    const BatchGrad batch =
+        batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, logit_scale);
+    const BatchGrad forward =
+        batch_loss(*fx.executor, fx.theta, fx.data, indices, logit_scale);
+    BatchGrad summed;
+    summed.grad.assign(fx.theta.size(), 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::size_t> one{i};
+      const BatchGrad single =
+          batch_loss_grad(*fx.executor, fx.theta, fx.data, one, logit_scale);
+      summed.loss += single.loss;
+      summed.accuracy += single.accuracy;
+      for (std::size_t p = 0; p < summed.grad.size(); ++p) {
+        summed.grad[p] += single.grad[p];
+      }
+    }
+    const double inv = 1.0 / static_cast<double>(n);
+    for (double& g : summed.grad) g *= inv;
+    EXPECT_EQ(batch.loss, summed.loss * inv);
+    EXPECT_EQ(batch.accuracy, summed.accuracy * inv);
+    EXPECT_EQ(batch.grad, summed.grad);
+    EXPECT_NEAR(forward.loss, batch.loss, kAgreementTol)
+        << "forward-only loss must equal the gradient pass loss";
+    EXPECT_DOUBLE_EQ(forward.accuracy, batch.accuracy);
+  }
 }
 
 TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   // The lane engines keep per-thread SoA scratch; hammer the shared
   // executor + sampled backend from several caller threads at once (each
-  // fanning out over the process-global pool) and require every result to
-  // match the serial reference. Named *ThreadPool* so the TSan preset's
-  // test filter picks this suite up.
+  // fanning out over the same pool, and running chunks itself) and require
+  // every result to match the reference. Named *ThreadPool* so the TSan
+  // preset's test filter picks this suite up.
   const BatchedFixture fx;
+  // An explicit 4-thread pool, so the multi-worker path runs even on a
+  // 1-core machine.
+  ThreadPool pool(4);
   const auto xs = first_rows(fx.data, 2 * kLanes + 1);
-  const auto expected_z =
-      fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kLanes);
+  const auto expected_z = fx.executor->run_z_batch(xs, fx.theta);
   const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 64, 9);
   const auto expected_logits = sampled.run_logits_batch(xs);
   const auto indices = iota_indices(xs.size());
-  const BatchGrad expected_grad = batch_loss_grad(
-      *fx.executor, fx.theta, fx.data, indices, 5.0, BatchReplay::kLanes);
+  const BatchGrad expected_grad =
+      batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, 5.0);
 
   constexpr int kThreads = 4;
   std::array<bool, kThreads> ok{};
@@ -321,12 +298,10 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
     threads.emplace_back([&, t] {
       bool agree = true;
       for (int round = 0; round < 3; ++round) {
-        agree &= fx.executor->run_z_batch(xs, fx.theta, nullptr,
-                                          BatchReplay::kLanes) == expected_z;
-        agree &= sampled.run_logits_batch(xs) == expected_logits;
+        agree &= fx.executor->run_z_batch(xs, fx.theta, &pool) == expected_z;
+        agree &= sampled.run_logits_batch(xs, &pool) == expected_logits;
         const BatchGrad grad = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                               indices, 5.0,
-                                               BatchReplay::kLanes);
+                                               indices, 5.0, &pool);
         agree &= grad.grad == expected_grad.grad &&
                  grad.loss == expected_grad.loss;
       }

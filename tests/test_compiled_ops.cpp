@@ -1,12 +1,14 @@
 // Equivalence suite for the compiled noisy-execution engine: the fused
 // op-stream (sim/compiled_ops.hpp) must reproduce the legacy gate-by-gate
 // density-matrix walk to 1e-10 on random transpiled circuits, with noise on
-// and off, shots on and off — plus unit checks for the fused channel
-// kernels, the CX permutation fast path, and the executor cache.
+// and off, shots on and off — plus unit checks of the width-1 lane kernels
+// (fused channels, the CX permutation fast path) against the DensityMatrix
+// oracle, and the executor cache.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "data/mnist_synth.hpp"
 #include "noise/calibration_history.hpp"
@@ -51,6 +53,40 @@ PhysicalCircuit random_transpiled(Rng& rng, int nq, int gates, int inputs) {
   const RoutedCircuit routed =
       route_circuit(c, CouplingMap(nq, edges), trivial_layout(nq));
   return lower_to_basis(routed, {});
+}
+
+/// Row-major entry i of a width-1 lane density matrix.
+cplx entry(const BatchedDensityMatrix<1>& rho, std::size_t i) {
+  return {rho.re()[i], rho.im()[i]};
+}
+
+/// Runs a bound logical circuit on a width-1 lane density matrix with the
+/// same gate matrices DensityMatrix::apply_gate uses.
+void run_on_lanes(BatchedDensityMatrix<1>& rho, const Circuit& c) {
+  for (const Gate& g : c.gates()) {
+    const double angle = c.resolve_angle(g, {}, {});
+    if (g.kind == GateKind::RZ) {
+      rho.apply_diag1(g.q0, std::exp(cplx{0.0, -angle / 2.0}),
+                      std::exp(cplx{0.0, angle / 2.0}));
+      continue;
+    }
+    const CMat m = gate_matrix(g.kind, angle);
+    if (g.num_qubits() == 1) {
+      rho.apply1(g.q0, as_array2(m));
+    } else {
+      const std::array<cplx, 16> u = as_array4(m);
+      rho.apply2_lanes(g.q0, g.q1, &u);
+    }
+  }
+}
+
+void expect_matches_oracle(const BatchedDensityMatrix<1>& lanes,
+                           const DensityMatrix& oracle) {
+  for (std::size_t i = 0; i < oracle.data().size(); ++i) {
+    EXPECT_NEAR(std::abs(entry(lanes, i) - oracle.data()[i]), 0.0,
+                test::kTightTol)
+        << "rho entry " << i;
+  }
 }
 
 class CompiledOpsTest : public test::SeededTest {};
@@ -110,11 +146,10 @@ TEST_F(CompiledOpsTest, FullDensityMatrixMatchesWithElisionDisabled) {
 
   const std::vector<double> x{0.4, 2.0};
   const DensityMatrix ref = executor.run_density(x);
-  DensityMatrix compiled(nq);
-  executor.program().run(compiled, x);
-  ASSERT_EQ(ref.data().size(), compiled.data().size());
+  BatchedDensityMatrix<1> compiled(nq);
+  executor.program().run_lanes(compiled, {x.data()});
   for (std::size_t i = 0; i < ref.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(compiled.data()[i] - ref.data()[i]), 0.0,
+    EXPECT_NEAR(std::abs(entry(compiled, i) - ref.data()[i]), 0.0,
                 kAgreementTol)
         << "rho entry " << i;
   }
@@ -166,32 +201,42 @@ TEST_F(CompiledOpsTest, ShotSamplingMatchesLegacySeedForSeed) {
 }
 
 TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
-  const PhysicalCircuit phys = random_transpiled(rng(), 4, 12, 2);
-  std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}, {2, 3}};
-  const Calibration cal = noisy_calibration(4, edges, rng());
-  const NoisyExecutor executor(phys, NoiseModel(cal));
+  // 4 qubits replays 8 samples as one full block; 9 qubits is wider than
+  // the block cap, so every sample replays at width 1 (two are enough).
+  for (const int nq : {4, 9}) {
+    SCOPED_TRACE("qubits " + std::to_string(nq));
+    const PhysicalCircuit phys = random_transpiled(rng(), nq, 12, 2);
+    std::vector<std::pair<int, int>> edges;
+    for (int q = 0; q + 1 < nq; ++q) edges.emplace_back(q, q + 1);
+    const Calibration cal = noisy_calibration(nq, edges, rng());
+    const NoisyExecutor executor(phys, NoiseModel(cal));
 
-  std::vector<std::vector<double>> xs;
-  for (int i = 0; i < 8; ++i) {
-    xs.push_back({rng().uniform(0.0, 3.0), rng().uniform(0.0, 3.0)});
-  }
-  const auto batch = executor.run_z_batch(xs);
-  ASSERT_EQ(batch.size(), xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto single = executor.run_z(xs[i]);
-    ASSERT_EQ(batch[i].size(), single.size());
-    for (std::size_t k = 0; k < single.size(); ++k) {
-      EXPECT_NEAR(batch[i][k], single[k], 1e-14);
+    std::vector<std::vector<double>> xs;
+    for (int i = 0; i < (nq == 4 ? 8 : 2); ++i) {
+      xs.push_back({rng().uniform(0.0, 3.0), rng().uniform(0.0, 3.0)});
     }
-  }
+    const auto batch = executor.run_z_batch(xs);
+    ASSERT_EQ(batch.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const auto single = executor.run_z(xs[i]);
+      ASSERT_EQ(batch[i].size(), single.size());
+      for (std::size_t k = 0; k < single.size(); ++k) {
+        EXPECT_NEAR(batch[i][k], single[k], 1e-14);
+      }
+    }
+    const auto reference = executor.run_z_reference(xs[0]);
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_NEAR(batch[0][k], reference[k], kAgreementTol);
+    }
 
-  // Shot batches reproduce run_z_shots with the matching per-sample seed.
-  const auto shot_batch = executor.run_z_batch(xs, 500, 77);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    Rng rng_i(77 + i);
-    const auto single = executor.run_z_shots(xs[i], 500, rng_i);
-    for (std::size_t k = 0; k < single.size(); ++k) {
-      EXPECT_DOUBLE_EQ(shot_batch[i][k], single[k]);
+    // Shot batches reproduce run_z_shots with the matching per-sample seed.
+    const auto shot_batch = executor.run_z_batch(xs, 500, 77);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      Rng rng_i(77 + i);
+      const auto single = executor.run_z_shots(xs[i], 500, rng_i);
+      for (std::size_t k = 0; k < single.size(); ++k) {
+        EXPECT_DOUBLE_EQ(shot_batch[i][k], single[k]);
+      }
     }
   }
 }
@@ -203,8 +248,9 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
 
   Rng rng(5);
   const Circuit c = test::random_circuit(rng, 3, 8);
-  DensityMatrix fused(3), seq(3);
-  fused.run(c);
+  BatchedDensityMatrix<1> fused(3);
+  DensityMatrix seq(3);
+  run_on_lanes(fused, c);
   seq.run(c);
 
   for (int q = 0; q < 3; ++q) {
@@ -212,10 +258,8 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
     seq.apply_depolarizing1(q, pn.depolarizing_p);
     seq.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
   }
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(fused.data()[i] - seq.data()[i]), 0.0, test::kTightTol);
-  }
-  EXPECT_NEAR(fused.trace_real(), 1.0, test::kTightTol);
+  expect_matches_oracle(fused, seq);
+  EXPECT_NEAR(seq.trace_real(), 1.0, test::kTightTol);
 }
 
 TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
@@ -226,31 +270,29 @@ TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
 
   Rng rng(9);
   const Circuit c = test::random_circuit(rng, 4, 10);
-  DensityMatrix fused(4), seq(4);
-  fused.run(c);
+  BatchedDensityMatrix<1> fused(4);
+  DensityMatrix seq(4);
+  run_on_lanes(fused, c);
   seq.run(c);
 
   fused.apply_channel2(1, 3, fuse_cx_channel(cn));
   seq.apply_depolarizing2(1, 3, cn.depolarizing_p);
   seq.apply_thermal1(1, cn.thermal_first.gamma, cn.thermal_first.lambda);
   seq.apply_thermal1(3, cn.thermal_second.gamma, cn.thermal_second.lambda);
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(fused.data()[i] - seq.data()[i]), 0.0, test::kTightTol);
-  }
-  EXPECT_NEAR(fused.trace_real(), 1.0, test::kTightTol);
+  expect_matches_oracle(fused, seq);
+  EXPECT_NEAR(seq.trace_real(), 1.0, test::kTightTol);
 }
 
 TEST(FusedChannels, CxPermutationMatchesApply2) {
   Rng rng(11);
   const Circuit c = test::random_circuit(rng, 4, 12);
-  DensityMatrix perm(4), mat(4);
-  perm.run(c);
+  BatchedDensityMatrix<1> perm(4);
+  DensityMatrix mat(4);
+  run_on_lanes(perm, c);
   mat.run(c);
   perm.apply_cx(2, 0);
   mat.apply_gate(Gate{GateKind::CX, 2, 0, {}, 0.0}, 0.0);
-  for (std::size_t i = 0; i < perm.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(perm.data()[i] - mat.data()[i]), 0.0, test::kTightTol);
-  }
+  expect_matches_oracle(perm, mat);
 }
 
 TEST(CompiledEvalCache, HitsOnRepeatedConfigurationMissesOnChange) {

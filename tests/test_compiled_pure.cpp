@@ -1,6 +1,6 @@
 // Equivalence suite for the compiled statevector training path: the
 // symbolic-theta compiled program (lower_model_symbolic / build_pure_executor
-// + sim/compiled_adjoint.hpp) must reproduce the logical-circuit reference
+// + PureExecutor::adjoint) must reproduce the logical-circuit reference
 // engines — StateVector::run, adjoint_gradient, parameter_shift_gradient,
 // batch_loss_grad — to 1e-10 on randomized parameterized circuits, and the
 // structure-keyed executor cache must hit across theta updates while
@@ -19,7 +19,6 @@
 #include "qnn/model.hpp"
 #include "qnn/trainer.hpp"
 #include "sim/adjoint.hpp"
-#include "sim/compiled_adjoint.hpp"
 #include "transpile/transpiler.hpp"
 
 #include "test_support.hpp"
@@ -65,6 +64,11 @@ std::vector<double> random_vector(Rng& rng, int n, double lo = -kPi,
   std::vector<double> v(static_cast<std::size_t>(n));
   for (double& t : v) t = rng.uniform(lo, hi);
   return v;
+}
+
+/// Observable weights that ignore the forward expectations.
+ObservableWeightFn fixed(std::vector<double> weights) {
+  return [w = std::move(weights)](const std::vector<double>&) { return w; };
 }
 
 std::vector<int> all_qubits(int nq) {
@@ -173,8 +177,7 @@ TEST_F(CompiledPureTest, AdjointMatchesReferenceAdjoint) {
 
     const auto reference = adjoint_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
-    const auto compiled =
-        compiled_adjoint_gradient(executor->program(), theta, x, weights);
+    const auto compiled = executor->adjoint(theta, x, fixed(weights));
 
     ASSERT_EQ(compiled.z_expectations.size(), reference.z_expectations.size());
     for (int q = 0; q < nq; ++q) {
@@ -203,8 +206,7 @@ TEST_F(CompiledPureTest, AdjointMatchesParameterShift) {
 
     const auto shift = parameter_shift_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
-    const auto compiled =
-        compiled_adjoint_gradient(executor->program(), theta, x, weights);
+    const auto compiled = executor->adjoint(theta, x, fixed(weights));
 
     ASSERT_EQ(compiled.gradients.size(), shift.size());
     for (std::size_t p = 0; p < shift.size(); ++p) {
@@ -225,8 +227,7 @@ TEST_F(CompiledPureTest, SharedParameterContributionsAccumulate) {
 
   const auto reference = adjoint_gradient(c, theta, {}, weights);
   const auto executor = build_pure_executor(c, all_qubits(2));
-  const auto compiled =
-      compiled_adjoint_gradient(executor->program(), theta, {}, weights);
+  const auto compiled = executor->adjoint(theta, {}, fixed(weights));
 
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(compiled.gradients[0], reference.gradients[0], kAgreementTol);
@@ -248,8 +249,7 @@ TEST_F(CompiledPureTest, TrailingTrainableRzIsElidedWithExactZeroGradient) {
   EXPECT_EQ(executor->num_trainable(), 2);
 
   const auto reference = adjoint_gradient(c, theta, {}, weights);
-  const auto compiled =
-      compiled_adjoint_gradient(executor->program(), theta, {}, weights);
+  const auto compiled = executor->adjoint(theta, {}, fixed(weights));
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(reference.gradients[1], 0.0, 1e-15);
   EXPECT_DOUBLE_EQ(compiled.gradients[1], 0.0);

@@ -271,15 +271,19 @@ TEST(ThreadPool, ParallelForPropagatesException) {
 }
 
 TEST(ThreadPool, ParallelForStressManyBatches) {
+  // Many short batches: each parallel_for's completion state lives in its
+  // caller's frame, so a worker touching it after the caller has returned
+  // shows up here (as a crash, or under ASan's detect_stack_use_after_return
+  // and TSan) within a few thousand rounds.
   ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
+  for (int round = 0; round < 100000; ++round) {
     std::atomic<long> sum{0};
     const std::size_t count = 1 + static_cast<std::size_t>(round) * 7 % 97;
     pool.parallel_for(count,
                       [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); });
     const long expected =
         static_cast<long>(count) * static_cast<long>(count - 1) / 2;
-    EXPECT_EQ(sum.load(), expected) << "round " << round;
+    ASSERT_EQ(sum.load(), expected) << "round " << round;
   }
 }
 

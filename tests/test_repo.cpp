@@ -233,7 +233,10 @@ TEST(Manager, ReusesWhenCalibrationMatches) {
   EXPECT_GE(decision.entry_index, 0);
   EXPECT_EQ(manager.optimizations_run(), 0);
   EXPECT_EQ(manager.reuses(), 1);
-  EXPECT_FALSE(manager.theta_for(decision).empty());
+  const StatusOr<std::span<const double>> theta =
+      manager.theta_for_decision(decision);
+  ASSERT_TRUE(theta.ok());
+  EXPECT_FALSE(theta->empty());
 }
 
 TEST(Manager, CompressesOnOutlierCalibration) {
@@ -315,15 +318,13 @@ TEST(Manager, ThetaForDecisionSurfacesFailureAsStatus) {
       manager.theta_for_decision(failure);
   ASSERT_FALSE(unavailable.ok());
   EXPECT_EQ(unavailable.status().code(), StatusCode::kUnavailable);
-  // The documented fallback (and the legacy shim) still reach the entry.
-  EXPECT_EQ(manager.repository().entry(1).theta, manager.theta_for(failure));
+  // The documented fallback still reaches the entry.
+  EXPECT_FALSE(manager.repository().entry(failure.entry_index).theta.empty());
 
-  // A decision that references nothing: kInvalidArgument from the Status
-  // surface, PreconditionError from the legacy shim.
+  // A decision that references nothing: kInvalidArgument.
   const OnlineManager::Decision empty;
   EXPECT_EQ(manager.theta_for_decision(empty).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_THROW(manager.theta_for(empty), PreconditionError);
 }
 
 TEST(Manager, OwnsItsStateByValue) {
