@@ -194,61 +194,57 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BatchedReplay, BlockWidthMatchesWidthOneBitwiseAcrossBatchSizes) {
-  // Every batch size through two full blocks plus a tail: 1..17 covers
-  // tail-only (< kLanes), exactly one block, block + ragged tail, and two
-  // blocks + tail. Each batch result is compared bitwise with the same
-  // sample answered alone (width 1); the gate-by-gate oracles pin the
-  // absolute values at 1e-10.
+// The four sweeps below run every batch size through two full blocks plus a
+// tail: 1..17 covers tail-only (< kLanes), exactly one block, block + ragged
+// tail, and two blocks + tail. "Scalar" is the width-1 single-sample path:
+// each batch result must be bitwise the same sample answered alone, and the
+// gate-by-gate oracles pin the absolute values at 1e-10.
+
+TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
   const BatchedFixture fx;
-  const NoisyBatchedFixture noisy;
-  const double logit_scale = 5.0;
   const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
+  const auto& slots = fx.executor->circuit().readout_physical();
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
-    const auto noisy_xs = first_rows(noisy.data, n);
-
     const auto pure = fx.executor->run_z_batch(xs, fx.theta);
-    const auto density = noisy.noisy->run_z_batch(noisy_xs);
-    const auto density_shots = noisy.noisy->run_z_batch(noisy_xs, 128, 41);
     const auto logits = sampled.run_logits_batch(xs);
     ASSERT_EQ(pure.size(), n);
-    ASSERT_EQ(density.size(), n);
+    ASSERT_EQ(logits.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       SCOPED_TRACE("sample " + std::to_string(i));
+      // Bitwise, not near: the sampled backend's shot streams depend on the
+      // block amplitudes being exactly the width-1 amplitudes.
       EXPECT_EQ(pure[i], fx.executor->run_z(xs[i], fx.theta));
-      EXPECT_EQ(density[i], noisy.noisy->run_z(noisy_xs[i]));
-      // Sample i draws from shot_seed + i / seed + i whichever width
-      // replays it.
-      Rng rng(41 + i);
-      EXPECT_EQ(density_shots[i],
-                noisy.noisy->run_z_shots(noisy_xs[i], 128, rng));
+      // Sample i draws from seed + i whichever width replays it.
       const SampledStatevectorBackend alone(fx.executor, fx.theta, {}, 256,
                                             41 + i);
       EXPECT_EQ(logits[i], alone.run_logits(xs[i]));
 
       const StateVector oracle =
           run_physical_pure(fx.executor->circuit(), xs[i], fx.theta);
-      const auto& slots = fx.executor->circuit().readout_physical();
       ASSERT_EQ(pure[i].size(), slots.size());
       for (std::size_t k = 0; k < slots.size(); ++k) {
-        EXPECT_NEAR(pure[i][k], oracle.expectation_z(slots[k]), kAgreementTol);
-      }
-      const auto density_oracle = noisy.noisy->run_z_reference(noisy_xs[i]);
-      ASSERT_EQ(density[i].size(), density_oracle.size());
-      for (std::size_t k = 0; k < density_oracle.size(); ++k) {
-        EXPECT_NEAR(density[i][k], density_oracle[k], kAgreementTol);
+        EXPECT_NEAR(pure[i][k], oracle.expectation_z(slots[k]), kAgreementTol)
+            << "slot " << k;
       }
     }
+  }
+}
 
-    // The adjoint: a batch's mean loss/gradient must be bitwise the mean of
-    // its samples' single-sample results, summed in sample order.
+TEST(BatchedReplay, LaneAdjointMatchesScalarAcrossRaggedSizes) {
+  // A batch's mean loss/gradient must be bitwise the mean of its samples'
+  // single-sample results, summed in sample order.
+  const BatchedFixture fx;
+  const double logit_scale = 5.0;
+  for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
+    SCOPED_TRACE("batch size " + std::to_string(n));
     const auto indices = iota_indices(n);
     const BatchGrad batch =
         batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, logit_scale);
     const BatchGrad forward =
         batch_loss(*fx.executor, fx.theta, fx.data, indices, logit_scale);
+    ASSERT_EQ(batch.grad.size(), fx.theta.size());
     BatchGrad summed;
     summed.grad.assign(fx.theta.size(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -269,6 +265,46 @@ TEST(BatchedReplay, BlockWidthMatchesWidthOneBitwiseAcrossBatchSizes) {
     EXPECT_NEAR(forward.loss, batch.loss, kAgreementTol)
         << "forward-only loss must equal the gradient pass loss";
     EXPECT_DOUBLE_EQ(forward.accuracy, batch.accuracy);
+  }
+}
+
+TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
+  // Exact (shots = 0) expectations: the block density replay must be
+  // bitwise the width-1 one, and both inside the documented 1e-10 envelope
+  // of the uncompiled gate-by-gate reference.
+  const NoisyBatchedFixture fx;
+  for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
+    SCOPED_TRACE("batch size " + std::to_string(n));
+    const auto xs = first_rows(fx.data, n);
+    const auto density = fx.noisy->run_z_batch(xs);
+    ASSERT_EQ(density.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE("sample " + std::to_string(i));
+      EXPECT_EQ(density[i], fx.noisy->run_z(xs[i]));
+      const auto reference = fx.noisy->run_z_reference(xs[i]);
+      ASSERT_EQ(density[i].size(), reference.size());
+      for (std::size_t k = 0; k < reference.size(); ++k) {
+        EXPECT_NEAR(density[i][k], reference[k], kAgreementTol) << "slot " << k;
+      }
+    }
+  }
+}
+
+TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
+  // shots > 0: sample i draws from Rng(shot_seed + i) whichever width
+  // replays it, and the block diagonal feeds the same readout/shot code —
+  // so sampled results are bitwise identical too, blocks and tail alike.
+  const NoisyBatchedFixture fx;
+  for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
+    SCOPED_TRACE("batch size " + std::to_string(n));
+    const auto xs = first_rows(fx.data, n);
+    const auto density_shots = fx.noisy->run_z_batch(xs, 128, 41);
+    ASSERT_EQ(density_shots.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      Rng rng(41 + i);
+      EXPECT_EQ(density_shots[i], fx.noisy->run_z_shots(xs[i], 128, rng))
+          << "sample " << i;
+    }
   }
 }
 
