@@ -48,15 +48,16 @@ const BackendCapabilities& backend_kind_capabilities(BackendKind kind) {
   return unknown;
 }
 
+BackendDiagnostics program_diagnostics(BackendKind kind,
+                                       const CompiledProgram& program,
+                                       int shots) {
+  return {backend_kind_name(kind), kind, program.num_qubits(), shots,
+          program.stats().source_ops, program.stats().compiled_ops};
+}
+
 Status BackendConfig::validate() const {
   if (shots < 0) {
     return Status::invalid_argument("backend shots must be non-negative");
-  }
-  if (kind == BackendKind::kDensityNoisy && shots > 0) {
-    return Status::invalid_argument(
-        "the exact density backend computes expectations; finite-shot "
-        "readout is the kSampled backend's job (or the legacy "
-        "NoisyEvalOptions::shots knob)");
   }
   if (kind == BackendKind::kPureStatevector && shots > 0) {
     return Status::invalid_argument(

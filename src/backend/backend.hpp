@@ -20,7 +20,8 @@ class ThreadPool;
 /// concrete engine selected by a BackendConfig instead of hard-coded
 /// NoisyExecutor / PureExecutor calls. The built-in backends are
 ///  - kDensityNoisy:     exact density-matrix evolution with calibrated
-///                       channels (fronts NoisyExecutor),
+///                       channels (fronts NoisyExecutor); exact expectations,
+///                       or finite-shot readout with BackendConfig::shots,
 ///  - kPureStatevector:  noise-free statevector expectations (fronts
 ///                       PureExecutor),
 ///  - kSampled:          finite-shot bitstring sampling from the compiled
@@ -33,8 +34,8 @@ class ThreadPool;
 /// The execution regimes a BackendConfig can select.
 enum class BackendKind : std::uint8_t {
   /// Exact density-matrix evolution with the calibration's noise channels
-  /// folded in. Logits are expectations; BackendConfig::shots must be 0
-  /// (finite-shot readout is the kSampled backend's job).
+  /// folded in. Logits are exact expectations with BackendConfig::shots ==
+  /// 0, finite-shot estimates of them otherwise.
   kDensityNoisy = 0,
   /// Noise-free compiled statevector expectations. The training-path engine;
   /// the only gradient-capable kind.
@@ -87,6 +88,11 @@ struct BackendDiagnostics {
   std::size_t compiled_ops = 0;  ///< ops in the fused replay stream
 };
 
+/// The diagnostics of a built-in backend of `kind` replaying `program`.
+BackendDiagnostics program_diagnostics(BackendKind kind,
+                                       const CompiledProgram& program,
+                                       int shots);
+
 /// Selects and parameterizes an execution backend. This is the config every
 /// consumer-facing option struct carries (NoisyEvalOptions, TrainConfig,
 /// HarnessOptions, ServiceConfig) so a scenario picks its execution regime
@@ -97,19 +103,18 @@ struct BackendDiagnostics {
 struct BackendConfig {
   BackendKind kind = BackendKind::kDensityNoisy;
 
-  /// Shots drawn per sample. Required > 0 for kSampled; must stay 0 for the
-  /// expectation kinds (validate() rejects the mismatch — the legacy
-  /// NoisyEvalOptions::shots knob still drives density-path shot readout).
+  /// Shots drawn per sample (0 = exact expectations). Required > 0 for
+  /// kSampled; optional for kDensityNoisy, whose finite-shot readout ends in
+  /// the same SlotReadout kernel; must stay 0 for kPureStatevector (select
+  /// kSampled for noise-free finite-shot readout).
   int shots = 0;
 
-  /// Base seed of the kSampled backend's per-sample shot streams (sample i
-  /// draws from seed + i, matching NoisyExecutor::run_z_batch). Clearing it
-  /// while `deterministic` is set is a validation error. The density kind's
-  /// legacy shot path is seeded by NoisyEvalOptions::shot_seed instead —
-  /// this field does not apply there (just as `shots` is rejected there).
+  /// Base seed of the per-sample shot streams of every shot-drawing kind
+  /// (sample i draws from seed + i, matching NoisyExecutor::run_z_batch).
+  /// Clearing it while `deterministic` is set is a validation error.
   std::optional<std::uint64_t> seed = 99;
 
-  /// Require a seeded, reproducible sampling stream. Off, a kSampled
+  /// Require a seeded, reproducible sampling stream. Off, a shot-drawing
   /// backend without a seed draws one from the OS entropy pool.
   bool deterministic = true;
 
@@ -131,8 +136,8 @@ struct BackendConfig {
   }
 
   /// OK when the knob combination is consistent; the first violation
-  /// otherwise (shots on an expectation kind, kSampled without shots,
-  /// determinism requested without a seed).
+  /// otherwise (negative shots, shots on kPureStatevector, kSampled without
+  /// shots, determinism requested without a seed).
   Status validate() const;
 };
 

@@ -14,17 +14,20 @@ namespace {
 
 /// Adapter fronting the exact density-matrix engine (NoisyExecutor). Keeps
 /// the concrete fast paths: run_logits_batch is the fused run_z_batch sweep
-/// with per-thread scratch reuse.
+/// with per-thread scratch reuse. With shots > 0 both run methods draw
+/// sample i from seed + i through the executor's readout kernel.
 class DensityMatrixBackend final : public ExecutionBackend {
  public:
   DensityMatrixBackend(std::shared_ptr<const NoisyExecutor> executor,
-                       int shots, std::uint64_t shot_seed, bool readout_active)
+                       int shots, std::uint64_t seed, bool readout_active,
+                       bool deterministic)
       : executor_(std::move(executor)),
         shots_(shots),
-        shot_seed_(shot_seed),
+        seed_(seed),
         capabilities_(backend_kind_capabilities(BackendKind::kDensityNoisy)) {
     capabilities_.finite_shots = shots_ > 0;
     capabilities_.readout_error = readout_active;
+    capabilities_.deterministic = deterministic;
   }
 
   BackendKind kind() const override { return BackendKind::kDensityNoisy; }
@@ -32,22 +35,12 @@ class DensityMatrixBackend final : public ExecutionBackend {
     return capabilities_;
   }
   BackendDiagnostics diagnostics() const override {
-    BackendDiagnostics d;
-    d.name = backend_kind_name(BackendKind::kDensityNoisy);
-    d.kind = BackendKind::kDensityNoisy;
-    d.num_qubits = executor_->circuit().num_qubits();
-    d.shots = shots_;
-    d.source_ops = executor_->program().stats().source_ops;
-    d.compiled_ops = executor_->program().stats().compiled_ops;
-    return d;
+    return program_diagnostics(BackendKind::kDensityNoisy,
+                               executor_->program(), shots_);
   }
 
   std::vector<double> run_logits(std::span<const double> x) const override {
-    if (shots_ > 0) {
-      Rng rng(shot_seed_);
-      return executor_->run_z_shots(x, shots_, rng);
-    }
-    return executor_->run_z(x);
+    return executor_->run_z(x, shots_, seed_);
   }
 
   std::vector<std::vector<double>> run_logits_batch(
@@ -55,13 +48,13 @@ class DensityMatrixBackend final : public ExecutionBackend {
       ThreadPool* pool = nullptr) const override {
     // SoA lane replay: full blocks at width 8, the tail at width 1 — see
     // NoisyExecutor::run_z_batch.
-    return executor_->run_z_batch(xs, shots_, shot_seed_, pool);
+    return executor_->run_z_batch(xs, shots_, seed_, pool);
   }
 
  private:
   std::shared_ptr<const NoisyExecutor> executor_;
   int shots_;
-  std::uint64_t shot_seed_;
+  std::uint64_t seed_;
   BackendCapabilities capabilities_;
 };
 
@@ -80,14 +73,8 @@ class PureStatevectorBackend final : public ExecutionBackend {
     return backend_kind_capabilities(BackendKind::kPureStatevector);
   }
   BackendDiagnostics diagnostics() const override {
-    BackendDiagnostics d;
-    d.name = backend_kind_name(BackendKind::kPureStatevector);
-    d.kind = BackendKind::kPureStatevector;
-    d.num_qubits = executor_->circuit().num_qubits();
-    d.shots = 0;
-    d.source_ops = executor_->program().stats().source_ops;
-    d.compiled_ops = executor_->program().stats().compiled_ops;
-    return d;
+    return program_diagnostics(BackendKind::kPureStatevector,
+                               executor_->program(), 0);
   }
 
   std::vector<double> run_logits(std::span<const double> x) const override {
@@ -107,6 +94,13 @@ class PureStatevectorBackend final : public ExecutionBackend {
   std::vector<double> theta_;
 };
 
+/// The base seed of a shot-drawing backend: the configured one, or — when
+/// the config waives determinism and leaves the seed unset — one drawn from
+/// the OS entropy pool.
+std::uint64_t resolve_seed(const BackendConfig& config) {
+  return config.seed.has_value() ? *config.seed : std::random_device{}();
+}
+
 Status missing(const char* field, const char* kind) {
   return Status::invalid_argument(std::string("backend context is missing ") +
                                   field + " (required by " + kind + ")");
@@ -124,7 +118,6 @@ std::shared_ptr<const PureExecutor> resolve_pure_executor(
 
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
     const BackendConfig& config, const BackendContext& context) {
-  (void)config;  // validated by the registry; shots == 0 for this kind
   const char* kind = backend_kind_name(BackendKind::kDensityNoisy);
   if (context.model == nullptr) return missing("the model", kind);
   if (context.transpiled == nullptr) return missing("the routed model", kind);
@@ -141,10 +134,12 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
   // it, and the capability flag must say so.
   const bool readout_active = context.noise.include_readout_error &&
                               executor->noise().num_qubits() > 0;
+  const bool draws_shots = config.shots > 0;
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const DensityMatrixBackend>(
-          std::move(executor), context.density_shots,
-          context.density_shot_seed, readout_active));
+          std::move(executor), config.shots,
+          draws_shots ? resolve_seed(config) : 0, readout_active,
+          /*deterministic=*/!draws_shots || config.seed.has_value()));
 }
 
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_pure(
@@ -171,13 +166,11 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_sampled(
     if (!errors.ok()) return errors.status();
     slot_readout = *std::move(errors);
   }
-  const std::uint64_t seed =
-      config.seed.has_value() ? *config.seed : std::random_device{}();
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const SampledStatevectorBackend>(
           resolve_pure_executor(context),
           std::vector<double>(context.theta.begin(), context.theta.end()),
-          std::move(slot_readout), config.shots, seed,
+          std::move(slot_readout), config.shots, resolve_seed(config),
           /*deterministic=*/config.seed.has_value()));
 }
 
@@ -227,20 +220,6 @@ void BackendRegistry::register_factory(BackendKind kind, Factory factory) {
 StatusOr<std::shared_ptr<const ExecutionBackend>> BackendRegistry::make(
     const BackendConfig& config, const BackendContext& context) const {
   if (Status status = config.validate(); !status.ok()) return status;
-  if (context.density_shots < 0) {
-    return Status::invalid_argument("density shots must be non-negative");
-  }
-  // Chokepoint consistency check: the legacy density shot knob
-  // (NoisyEvalOptions::shots) only means something to the density engine.
-  // Rejecting it here — rather than in each consumer — guarantees no
-  // backend path can silently drop a caller's shot request.
-  if (context.density_shots > 0 &&
-      config.kind != BackendKind::kDensityNoisy) {
-    return Status::invalid_argument(
-        "the legacy density shot knob (NoisyEvalOptions::shots) drives the "
-        "density engine's shot readout; a non-density backend takes its "
-        "shot budget from BackendConfig::shots");
-  }
   Factory factory;
   {
     std::lock_guard<std::mutex> lock(mutex_);

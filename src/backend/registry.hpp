@@ -37,12 +37,6 @@ struct BackendContext {
   /// backend kind shares the one executor cache (a repeated configuration —
   /// or a theta update on the structure-keyed pure program — is a hit).
   bool use_cache = true;
-  /// Legacy density-path finite-shot readout (NoisyEvalOptions::shots /
-  /// shot_seed): when > 0 the density backend samples its z estimates
-  /// through NoisyExecutor's shot path instead of reporting exact
-  /// expectations. BackendConfig::shots deliberately rejects this kind.
-  int density_shots = 0;
-  std::uint64_t density_shot_seed = 99;
 };
 
 /// Factory map from BackendKind to backend builder — the single seam every
@@ -69,11 +63,9 @@ class BackendRegistry {
   /// by constructing a fresh registry).
   void register_factory(BackendKind kind, Factory factory);
 
-  /// Validates `config` (including context-level consistency: the legacy
-  /// density shot knob is rejected for any non-density kind rather than
-  /// silently dropped) and builds the backend for it. Missing context
+  /// Validates `config` and builds the backend for it. Missing context
   /// fields, unknown kinds, and inconsistent configs come back as Status
-  /// values.
+  /// values. The shot budget and seed come from `config` for every kind.
   StatusOr<std::shared_ptr<const ExecutionBackend>> make(
       const BackendConfig& config, const BackendContext& context) const;
 

@@ -177,8 +177,11 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_f64(config.eval.noise.durations.cx_us);
   out.write_bool(config.eval.noise.include_thermal_relaxation);
   out.write_bool(config.eval.noise.include_readout_error);
-  out.write_i32(config.eval.shots);
-  out.write_u64(config.eval.shot_seed);
+  // Two v1 slots held the density-only shot knob BackendConfig now carries.
+  // The v1 layout keeps them, written as the v1 defaults (0 shots, seed 99);
+  // decode_config maps a legacy shots > 0 forward.
+  out.write_i32(0);
+  out.write_u64(99);
   out.write_bool(config.eval.use_cache);
   out.write_u8(static_cast<std::uint8_t>(config.eval.backend.kind));
   out.write_i32(config.eval.backend.shots);
@@ -238,17 +241,33 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   if (Status s = in.read_bool(config.eval.noise.include_readout_error);
       !s.ok())
     return s;
-  if (Status s = in.read_i32(config.eval.shots); !s.ok()) return s;
-  if (Status s = in.read_u64(config.eval.shot_seed); !s.ok()) return s;
+  std::int32_t legacy_shots = 0;
+  std::uint64_t legacy_seed = 0;
+  if (Status s = in.read_i32(legacy_shots); !s.ok()) return s;
+  if (Status s = in.read_u64(legacy_seed); !s.ok()) return s;
   if (Status s = in.read_bool(config.eval.use_cache); !s.ok()) return s;
+  // Any u8 kind: registered custom kinds round-trip, and a kind without a
+  // factory fails when the service is built, not here.
   std::uint8_t raw = 0;
-  if (Status s = read_enum_u8(in, 2, "BackendKind", raw); !s.ok()) return s;
+  if (Status s = in.read_u8(raw); !s.ok()) return s;
   config.eval.backend.kind = static_cast<BackendKind>(raw);
   if (Status s = in.read_i32(config.eval.backend.shots); !s.ok()) return s;
   if (Status s = in.read_optional_u64(config.eval.backend.seed); !s.ok())
     return s;
   if (Status s = in.read_bool(config.eval.backend.deterministic); !s.ok())
     return s;
+  if (legacy_shots != 0) {
+    // The legacy knob never combined with another kind or with backend
+    // shots, nor went negative (validate() rejected those).
+    if (legacy_shots < 0 || config.eval.backend.shots != 0 ||
+        config.eval.backend.kind != BackendKind::kDensityNoisy) {
+      return Status::invalid_argument(
+          "legacy density shots need the density backend without backend "
+          "shots");
+    }
+    config.eval.backend.shots = legacy_shots;
+    config.eval.backend.seed = legacy_seed;
+  }
 
   AdmmOptions& admm = config.manager.admm;
   if (Status s = in.read_i32(admm.iterations); !s.ok()) return s;

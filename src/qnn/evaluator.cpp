@@ -45,8 +45,6 @@ StatusOr<NoisyEvalResult> noisy_evaluate_or(const QnnModel& model,
   context.calibration = &calib;
   context.noise = options.noise;
   context.use_cache = options.use_cache;
-  context.density_shots = options.shots;
-  context.density_shot_seed = options.shot_seed;
   StatusOr<std::shared_ptr<const ExecutionBackend>> backend =
       BackendRegistry::global().make(options.backend, context);
   if (!backend.ok()) return backend.status();

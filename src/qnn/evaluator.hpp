@@ -16,13 +16,6 @@ class ThreadPool;
 
 struct NoisyEvalOptions {
   NoiseModelOptions noise;
-  /// Density-path finite-shot readout (0 = exact expectations). This is the
-  /// legacy knob for shot-sampling the density engine's confusion-adjusted
-  /// probabilities; the statevector-cost alternative is selecting the
-  /// kSampled backend below. Setting it alongside a non-density backend is
-  /// rejected at evaluation time.
-  int shots = 0;
-  std::uint64_t shot_seed = 99;
   /// Pool used to spread samples; nullptr = the process-global pool. Lets
   /// callers (and tests) pin the evaluation to a specific worker count.
   ThreadPool* pool = nullptr;
@@ -33,10 +26,11 @@ struct NoisyEvalOptions {
   /// fresh build (e.g. when benchmarking compilation itself).
   bool use_cache = true;
   /// Which execution regime serves the evaluation (backend/backend.hpp).
-  /// Default: the exact density-matrix backend — the historical behavior.
-  /// kPureStatevector evaluates noise-free; kSampled gives hardware-like
-  /// finite-shot logits at statevector cost. Dispatched through
-  /// BackendRegistry::global(), so registered custom regimes work here too.
+  /// Default: the exact density-matrix backend — the historical behavior;
+  /// `backend.shots` > 0 gives it finite-shot readout. kPureStatevector
+  /// evaluates noise-free; kSampled gives hardware-like finite-shot logits
+  /// at statevector cost. Dispatched through BackendRegistry::global(), so
+  /// registered custom regimes work here too.
   BackendConfig backend;
 };
 

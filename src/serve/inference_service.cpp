@@ -82,8 +82,6 @@ struct InferenceService::Impl {
     context.calibration = &calibration;
     context.noise = config.eval.noise;
     context.use_cache = config.eval.use_cache;
-    context.density_shots = config.eval.shots;
-    context.density_shot_seed = config.eval.shot_seed;
     StatusOr<std::shared_ptr<const ExecutionBackend>> backend =
         BackendRegistry::global().make(config.eval.backend, context);
     // Callers (create / on_calibration) wrap epoch installation in a

@@ -106,7 +106,7 @@ struct RepositorySnapshot {
 /// With an expectation backend (the default exact density engine, or
 /// kPureStatevector) predictions are exact: a request's logits are
 /// bitwise-identical however requests are split into micro-batches and
-/// whatever pool serves them. Shot-sampled serving (legacy `eval.shots > 0`
+/// whatever pool serves them. Shot-sampled serving (`eval.backend.shots > 0`
 /// on the density engine, or the kSampled backend) draws each batch's RNG
 /// streams from the batch layout (sample i of a batch samples from
 /// seed + i), so determinism then holds only for a fixed request->batch

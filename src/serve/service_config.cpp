@@ -32,15 +32,7 @@ Status ServiceConfig::validate() const {
         "result_cache_quantum must be finite and non-negative (0 keys on "
         "exact bits)");
   }
-  if (eval.shots < 0) {
-    return Status::invalid_argument("shots must be non-negative (0 = exact)");
-  }
   if (Status status = eval.backend.validate(); !status.ok()) return status;
-  if (eval.shots > 0 && eval.backend.kind != BackendKind::kDensityNoisy) {
-    return Status::invalid_argument(
-        "eval.shots drives the density engine's shot readout; a "
-        "non-density backend takes its shot budget from eval.backend.shots");
-  }
   if (manager.bootstrap_scale <= 0.0) {
     return Status::invalid_argument("bootstrap_scale must be positive");
   }

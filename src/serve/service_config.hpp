@@ -35,14 +35,13 @@ struct ServiceConfig {
     kServeMatched,
   };
 
-  /// Request-execution knobs: noise model options, shots (0 = exact
-  /// density-matrix expectations — the only mode whose predictions are
-  /// invariant under micro-batch boundaries), executor cache, worker pool,
-  /// and `eval.backend` — the execution regime every epoch compiles to
-  /// (exact density noise by default; kSampled serves hardware-like
-  /// finite-shot predictions at statevector cost). validate() rejects
-  /// inconsistent combinations, e.g. the legacy density shot knob set while
-  /// a non-density backend is selected.
+  /// Request-execution knobs: noise model options, executor cache, worker
+  /// pool, and `eval.backend` — the execution regime every epoch compiles
+  /// to (exact density noise by default; `eval.backend.shots` > 0 draws
+  /// finite-shot readout from it, and kSampled serves hardware-like
+  /// finite-shot predictions at statevector cost). Only shots == 0 gives
+  /// predictions invariant under micro-batch boundaries. validate() rejects
+  /// inconsistent backend combinations.
   NoisyEvalOptions eval;
 
   /// Repository-decision knobs for calibration events (reuse threshold
@@ -123,10 +122,6 @@ struct ServiceConfig {
   }
   ServiceConfig& with_failure_policy(FailurePolicy value) {
     failure_policy = value;
-    return *this;
-  }
-  ServiceConfig& with_shots(int shots) {
-    eval.shots = shots;
     return *this;
   }
   ServiceConfig& with_backend(BackendConfig backend) {

@@ -242,25 +242,6 @@ void BatchedStateVector<L>::apply_cx(int control, int target) {
 }
 
 template <std::size_t L>
-void BatchedStateVector<L>::readout_z(std::span<const int> slots,
-                                      double* out) const {
-  std::fill(out, out + slots.size() * kLanes, 0.0);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double* r = re_.data() + i * kLanes;
-    const double* m = im_.data() + i * kLanes;
-    double p[kLanes];
-#pragma omp simd
-    for (std::size_t l = 0; l < kLanes; ++l) p[l] = r[l] * r[l] + m[l] * m[l];
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      const double sign = (i >> slots[k]) & 1 ? -1.0 : 1.0;
-      double* zk = out + k * kLanes;
-#pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) zk[l] += sign * p[l];
-    }
-  }
-}
-
-template <std::size_t L>
 void BatchedStateVector<L>::all_z(double* out) const {
   const std::size_t n = static_cast<std::size_t>(num_qubits_);
   std::fill(out, out + n * kLanes, 0.0);
@@ -280,20 +261,16 @@ void BatchedStateVector<L>::all_z(double* out) const {
 }
 
 template <std::size_t L>
-void BatchedStateVector<L>::lane_cdf(std::size_t lane,
-                                     std::vector<double>& cdf,
-                                     double& total) const {
+void BatchedStateVector<L>::lane_probabilities(
+    std::size_t lane, std::vector<double>& probs) const {
   require(lane < kLanes, "lane index out of range");
-  cdf.resize(dim_);
-  double acc = 0.0;
+  probs.resize(dim_);
   for (std::size_t i = 0; i < dim_; ++i) {
     const double r = re_[i * kLanes + lane];
     const double m = im_[i * kLanes + lane];
     // Same expression order as std::norm.
-    acc += r * r + m * m;
-    cdf[i] = acc;
+    probs[i] = r * r + m * m;
   }
-  total = acc;
 }
 
 // ---------------------------------------------------------------------------

@@ -136,18 +136,13 @@ class BatchedStateVector {
   /// CX as an amplitude-row swap, every lane.
   void apply_cx(int control, int target);
 
-  /// `<Z>` of each readout slot per lane, written to `out[slot * L + lane]`
-  /// — slot-ordered (class position), matching PureExecutor::run_z.
-  void readout_z(std::span<const int> slots, double* out) const;
-
   /// `<Z_q>` for every qubit per lane, written to `out[q * L + lane]` (the
   /// adjoint weight-hook layout).
   void all_z(double* out) const;
 
-  /// One lane's cumulative probability distribution over basis states, with
-  /// the running total returned through `total` (the shot sampler's input).
-  void lane_cdf(std::size_t lane, std::vector<double>& cdf,
-                double& total) const;
+  /// One lane's computational-basis probabilities |amplitude|^2, resized
+  /// and written to `probs` (the readout kernel's input).
+  void lane_probabilities(std::size_t lane, std::vector<double>& probs) const;
 
  private:
   int num_qubits_ = 0;

@@ -26,15 +26,16 @@ NoisyExecutor::NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise,
               noise_.num_qubits() == circuit_.num_qubits(),
           "noise model qubit count mismatch");
   program_ = CompiledProgram::compile(circuit_, noise_, compile_options);
+  // Confusion only matters on measured qubits: slot k carries the error of
+  // the physical qubit hosting class k.
+  std::vector<ReadoutError> slot_errors;
   if (noise_.num_qubits() > 0) {
-    // Confusion only matters on measured qubits; restrict to them once.
-    readout_restricted_.resize(static_cast<std::size_t>(circuit_.num_qubits()));
     for (int pq : circuit_.readout_physical()) {
-      readout_restricted_[static_cast<std::size_t>(pq)] =
-          noise_.readout()[static_cast<std::size_t>(pq)];
+      slot_errors.push_back(noise_.readout()[static_cast<std::size_t>(pq)]);
     }
-    apply_readout_ = true;
   }
+  readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(),
+                         std::move(slot_errors));
 }
 
 DensityMatrix NoisyExecutor::run_density(std::span<const double> x) const {
@@ -86,69 +87,15 @@ DensityMatrix NoisyExecutor::run_density(std::span<const double> x) const {
   return dm;
 }
 
-std::vector<double> NoisyExecutor::z_from_probs(
-    const std::vector<double>& probs) const {
-  std::vector<double> z;
-  z.reserve(circuit_.readout_physical().size());
-  for (int pq : circuit_.readout_physical()) {
-    const std::size_t mq = std::size_t{1} << pq;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      acc += (i & mq) ? -probs[i] : probs[i];
-    }
-    z.push_back(acc);
-  }
-  return z;
-}
-
-std::vector<double> NoisyExecutor::finish_probs(std::vector<double> probs,
-                                                int shots, Rng* rng) const {
-  if (apply_readout_) {
-    probs = apply_readout_error(std::move(probs), readout_restricted_);
-  }
-  if (shots <= 0) return probs;
-  std::vector<double> counts(probs.size(), 0.0);
-  for (int s = 0; s < shots; ++s) {
-    counts[rng->weighted_index(probs)] += 1.0;
-  }
-  for (double& c : counts) c /= static_cast<double>(shots);
-  return counts;
-}
-
-template <std::size_t L, typename Finish>
-void NoisyExecutor::replay(const LaneInputs<L>& xs, Finish&& finish) const {
-  auto& dm = lane_scratch<BatchedDensityMatrix<L>>(circuit_.num_qubits());
-  program_.run_lanes(dm, xs);
-  thread_local std::vector<double> probs;
-  for (std::size_t l = 0; l < L; ++l) {
-    dm.lane_probabilities(l, probs);
-    finish(l, probs);
-  }
-}
-
-std::vector<double> NoisyExecutor::run_one(std::span<const double> x,
-                                           int shots, Rng* rng) const {
-  program_.require_inputs(x);
-  std::vector<double> z;
-  replay<1>({x.data()}, [&](std::size_t, const std::vector<double>& probs) {
-    z = z_from_probs(finish_probs(probs, shots, rng));
-  });
-  return z;
-}
-
-std::vector<double> NoisyExecutor::run_z(std::span<const double> x) const {
-  return run_one(x, 0, nullptr);
-}
-
-std::vector<double> NoisyExecutor::run_z_shots(std::span<const double> x,
-                                               int shots, Rng& rng) const {
-  require(shots > 0, "shots must be positive");
-  return run_one(x, shots, &rng);
+std::vector<double> NoisyExecutor::run_z(std::span<const double> x, int shots,
+                                         std::uint64_t seed) const {
+  const std::vector<std::vector<double>> one{{x.begin(), x.end()}};
+  return run_z_batch(one, shots, seed)[0];
 }
 
 std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
-    std::span<const std::vector<double>> xs, int shots,
-    std::uint64_t shot_seed, ThreadPool* pool) const {
+    std::span<const std::vector<double>> xs, int shots, std::uint64_t seed,
+    ThreadPool* pool) const {
   // Validate the whole batch at the API boundary: a ragged row must fail
   // here, on the calling thread, not deep inside a worker's replay.
   for (const std::vector<double>& x : xs) program_.require_inputs(x);
@@ -159,61 +106,75 @@ std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
       pool ? *pool : ThreadPool::global(), xs.size(), full_blocks,
       [&](auto width, std::size_t first) {
         constexpr std::size_t L = decltype(width)::value;
-        // Sample i draws its shots from Rng(shot_seed + i), i the GLOBAL
-        // sample index, whichever block it lands in.
-        auto finish = [&](std::size_t l, const std::vector<double>& probs) {
-          const std::size_t i = first + l;
-          if (shots > 0) {
-            Rng rng(shot_seed + i);
-            zs[i] = z_from_probs(finish_probs(probs, shots, &rng));
-          } else {
-            zs[i] = z_from_probs(finish_probs(probs, 0, nullptr));
-          }
-        };
-        replay<L>(lane_rows<L>(xs, first), finish);
+        auto& dm = lane_scratch<BatchedDensityMatrix<L>>(circuit_.num_qubits());
+        program_.run_lanes(dm, lane_rows<L>(xs, first));
+        thread_local std::vector<double> probs;
+        for (std::size_t l = 0; l < L; ++l) {
+          dm.lane_probabilities(l, probs);
+          // Sample i draws from Rng(seed + i), i the GLOBAL sample index,
+          // whichever block it lands in.
+          zs[first + l] = readout_.z(probs, shots, seed + first + l);
+        }
       });
   return zs;
 }
 
 std::vector<double> NoisyExecutor::run_z_reference(
     std::span<const double> x) const {
-  const DensityMatrix dm = run_density(x);
-  std::vector<double> probs = dm.diagonal_probabilities();
-  if (apply_readout_) {
-    probs = apply_readout_error(std::move(probs), readout_restricted_);
+  std::vector<double> probs = run_density(x).diagonal_probabilities();
+  const std::vector<int>& slots = circuit_.readout_physical();
+  if (noise_.num_qubits() > 0) {
+    // Confusion on the measured qubits only, over the full 2^n vector.
+    std::vector<ReadoutError> errors(noise_.readout().size());
+    for (int pq : slots) {
+      errors[static_cast<std::size_t>(pq)] =
+          noise_.readout()[static_cast<std::size_t>(pq)];
+    }
+    probs = apply_readout_error(std::move(probs), errors);
   }
-  return z_from_probs(probs);
+  std::vector<double> z(slots.size(), 0.0);
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const std::size_t mq = std::size_t{1} << slots[k];
+    for (std::size_t i = 0; i < probs.size(); ++i) {
+      z[k] += (i & mq) ? -probs[i] : probs[i];
+    }
+  }
+  return z;
 }
 
 PureExecutor::PureExecutor(PhysicalCircuit circuit,
                            CompileOptions compile_options)
     : circuit_(std::move(circuit)) {
   program_ = CompiledProgram::compile(circuit_, NoiseModel(), compile_options);
+  readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(), {});
 }
 
 template <std::size_t L>
 void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
                                std::span<const double> theta,
-                               std::vector<double>* zs) const {
+                               std::vector<double>* zs,
+                               const SlotReadout* readout, int shots,
+                               std::uint64_t first_seed) const {
   auto& sv = lane_scratch<BatchedStateVector<L>>(circuit_.num_qubits());
   program_.run_pure_lanes(sv, xs, theta);
-  // Ordered by readout slot (class position) — not indexed by qubit id.
-  const auto& slots = circuit_.readout_physical();
-  thread_local std::vector<double> zbuf;
-  zbuf.resize(slots.size() * L);
-  sv.readout_z(slots, zbuf.data());
+  const SlotReadout& out = readout != nullptr ? *readout : readout_;
+  thread_local std::vector<double> probs;
   for (std::size_t l = 0; l < L; ++l) {
-    zs[l].resize(slots.size());
-    for (std::size_t k = 0; k < slots.size(); ++k) zs[l][k] = zbuf[k * L + l];
+    sv.lane_probabilities(l, probs);
+    zs[l] = out.z(probs, shots, first_seed + l);
   }
 }
 
 template void PureExecutor::run_z_lanes(const LaneInputs<1>&,
                                         std::span<const double>,
-                                        std::vector<double>*) const;
+                                        std::vector<double>*,
+                                        const SlotReadout*, int,
+                                        std::uint64_t) const;
 template void PureExecutor::run_z_lanes(const LaneInputs<kBlockLanes>&,
                                         std::span<const double>,
-                                        std::vector<double>*) const;
+                                        std::vector<double>*,
+                                        const SlotReadout*, int,
+                                        std::uint64_t) const;
 
 std::vector<double> PureExecutor::run_z(std::span<const double> x,
                                         std::span<const double> theta) const {
@@ -225,7 +186,8 @@ std::vector<double> PureExecutor::run_z(std::span<const double> x,
 
 std::vector<std::vector<double>> PureExecutor::run_z_batch(
     std::span<const std::vector<double>> xs, std::span<const double> theta,
-    ThreadPool* pool) const {
+    ThreadPool* pool, const SlotReadout* readout, int shots,
+    std::uint64_t seed) const {
   // Validate the whole batch at the API boundary (calling thread), so a
   // ragged row never fails inside a worker's replay.
   for (const std::vector<double>& x : xs) program_.require_inputs(x);
@@ -234,7 +196,8 @@ std::vector<std::vector<double>> PureExecutor::run_z_batch(
                      [&](auto width, std::size_t first) {
                        constexpr std::size_t L = decltype(width)::value;
                        run_z_lanes<L>(lane_rows<L>(xs, first), theta,
-                                      &zs[first]);
+                                      &zs[first], readout, shots,
+                                      seed + first);
                      });
   return zs;
 }

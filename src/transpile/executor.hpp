@@ -4,8 +4,8 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "noise/noise_model.hpp"
+#include "noise/slot_readout.hpp"
 #include "sim/adjoint.hpp"
 #include "sim/compiled_ops.hpp"
 #include "sim/density_matrix.hpp"
@@ -20,12 +20,13 @@ class ThreadPool;
 /// physical pulse is followed by its calibrated channel (exact density-
 /// matrix evolution, matching what Qiskit Aer converges to at infinite
 /// shots); RZ is virtual and noiseless; measurement applies the classical
-/// readout confusion.
+/// readout confusion through the SlotReadout kernel (noise/slot_readout.hpp),
+/// which also draws finite-shot estimates.
 ///
 /// Construction compiles the circuit + noise model once into a fused op
-/// stream (sim/compiled_ops.hpp); run_z / run_z_shots / run_z_batch replay
-/// that program on SoA lane states (sim/batched_state.hpp) — width 1 for a
-/// single sample. The original gate-by-gate walk is kept as
+/// stream (sim/compiled_ops.hpp); run_z / run_z_batch replay that program
+/// on SoA lane states (sim/batched_state.hpp) — width 1 for a single
+/// sample. The original gate-by-gate walk is kept as
 /// run_density / run_z_reference — the ground truth the compiled path is
 /// tested against.
 ///
@@ -45,17 +46,16 @@ class NoisyExecutor {
                 CompileOptions compile_options = {});
 
   /// `<Z>` of each readout slot, ordered by position in
-  /// circuit.readout_physical() — NOT indexed by qubit id. Exact.
-  std::vector<double> run_z(std::span<const double> x) const;
-
-  /// Shot-sampled estimate of run_z.
-  std::vector<double> run_z_shots(std::span<const double> x, int shots,
-                                  Rng& rng) const;
+  /// circuit.readout_physical() — NOT indexed by qubit id. Exact for
+  /// shots <= 0; otherwise the estimate from `shots` outcomes drawn from
+  /// Rng(seed): run_z_batch on the one sample, so bitwise its sample 0.
+  std::vector<double> run_z(std::span<const double> x, int shots = 0,
+                            std::uint64_t seed = 99) const;
 
   /// Batched run_z over many samples, spread over `pool` (nullptr = the
   /// process-global pool) with per-thread density-matrix scratch reuse.
   /// shots <= 0 gives exact expectations; otherwise sample i draws `shots`
-  /// shots from an Rng seeded with shot_seed + i (matching noisy_evaluate).
+  /// outcomes from Rng(seed + i), i its index in `xs`.
   /// Every row is validated against the program's input arity up front, on
   /// the calling thread — a ragged batch fails here, not inside a worker.
   ///
@@ -66,13 +66,14 @@ class NoisyExecutor {
   /// width 1 (block scratch is dim^2 * kBlockLanes entries).
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs, int shots = 0,
-      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr) const;
+      std::uint64_t seed = 99, ThreadPool* pool = nullptr) const;
 
   /// Final density matrix (before readout error) via the legacy gate-by-gate
   /// walk. Reference path for the compiled engine's equivalence tests.
   DensityMatrix run_density(std::span<const double> x) const;
 
-  /// run_z recomputed through run_density — the uncompiled reference.
+  /// Exact run_z recomputed through run_density and the full-vector
+  /// apply_readout_error — the uncompiled reference.
   std::vector<double> run_z_reference(std::span<const double> x) const;
 
   const PhysicalCircuit& circuit() const { return circuit_; }
@@ -80,23 +81,11 @@ class NoisyExecutor {
   const CompiledProgram& program() const { return program_; }
 
  private:
-  /// Replays the L samples of `xs` and hands lane l's final
-  /// computational-basis probabilities to `finish(l, probs)`.
-  template <std::size_t L, typename Finish>
-  void replay(const LaneInputs<L>& xs, Finish&& finish) const;
-  /// One sample at width 1: run_z (shots = 0) or run_z_shots.
-  std::vector<double> run_one(std::span<const double> x, int shots,
-                              Rng* rng) const;
-  std::vector<double> z_from_probs(const std::vector<double>& probs) const;
-  std::vector<double> finish_probs(std::vector<double> probs, int shots,
-                                   Rng* rng) const;
-
   PhysicalCircuit circuit_;
   NoiseModel noise_;
   CompiledProgram program_;
-  /// Readout confusion restricted to measured qubits, precomputed once.
-  std::vector<ReadoutError> readout_restricted_;
-  bool apply_readout_ = false;
+  /// The readout slots with their calibrated confusion.
+  SlotReadout readout_;
 };
 
 /// Noise-free compiled statevector engine: the training-path counterpart of
@@ -108,9 +97,9 @@ class NoisyExecutor {
 ///
 /// Two ExecutionBackends front this engine (backend/backend.hpp):
 /// kPureStatevector exposes its exact expectations, and kSampled replays
-/// the same compiled program once per sample and draws finite-shot
-/// bitstrings (+ readout confusion) from the final state
-/// (backend/sampled_backend.hpp).
+/// the same compiled program once per sample and reads the final state out
+/// through its own SlotReadout (readout confusion + finite shots;
+/// backend/sampled_backend.hpp).
 ///
 /// Readout contract (same as NoisyExecutor): run_z output is ordered by
 /// position in circuit.readout_physical() — slot k is class k — never
@@ -134,18 +123,25 @@ class PureExecutor {
 
   /// run_z over the L samples of `xs` (each checked with
   /// CompiledProgram::require_inputs), lane l's slot values written to
-  /// `zs[l]`.
+  /// `zs[l]`. Read out through `readout` (nullptr = this executor's
+  /// confusion-free slots): exact for shots <= 0, otherwise lane l draws
+  /// from Rng(first_seed + l).
   template <std::size_t L>
   void run_z_lanes(const LaneInputs<L>& xs, std::span<const double> theta,
-                   std::vector<double>* zs) const;
+                   std::vector<double>* zs,
+                   const SlotReadout* readout = nullptr, int shots = 0,
+                   std::uint64_t first_seed = 0) const;
 
   /// Batched run_z spread over `pool` (nullptr = the process-global pool):
   /// full blocks of kBlockLanes samples replay at that width, the ragged
   /// tail at width 1. Every row is validated against the program's input
-  /// arity up front, on the calling thread.
+  /// arity up front, on the calling thread. `readout` / `shots` / `seed`
+  /// as in run_z_lanes, sample i drawing from Rng(seed + i).
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs,
-      std::span<const double> theta = {}, ThreadPool* pool = nullptr) const;
+      std::span<const double> theta = {}, ThreadPool* pool = nullptr,
+      const SlotReadout* readout = nullptr, int shots = 0,
+      std::uint64_t seed = 0) const;
 
   /// Compiled adjoint pass for one sample — compiled_adjoint_gradient_lanes
   /// at width 1 (see sim/compiled_adjoint.hpp). z_expectations has one
@@ -161,6 +157,7 @@ class PureExecutor {
  private:
   PhysicalCircuit circuit_;
   CompiledProgram program_;
+  SlotReadout readout_;  ///< the readout slots, no confusion
 };
 
 /// Noise-free reference: runs the physical circuit gate by gate on a state

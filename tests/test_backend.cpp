@@ -2,8 +2,10 @@
 // config validation, capability flags, registry dispatch equivalence with
 // the direct NoisyExecutor / PureExecutor paths (1e-10), the sampled
 // backend's seeded determinism + shots->inf convergence to the pure logits
-// + hand-computed readout-error application, and the config threading
-// through evaluator / trainer / harness / serving.
+// + hand-computed readout-error application (sampled and density shots),
+// the SlotReadout kernel's distribution (chi-square against the exact
+// confused slot marginals) and rounding robustness, and the config
+// threading through evaluator / trainer / harness / serving.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +16,13 @@
 
 #include "backend/registry.hpp"
 #include "backend/sampled_backend.hpp"
+#include "common/stats.hpp"
 #include "core/strategies.hpp"
 #include "data/seismic_synth.hpp"
+#include "data/vibration_synth.hpp"
 #include "eval/harness.hpp"
 #include "noise/calibration_history.hpp"
+#include "noise/slot_readout.hpp"
 #include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
 #include "qnn/trainer.hpp"
@@ -80,11 +85,17 @@ TEST(BackendConfig, ValidatesKnobCombinations) {
                   .validate()
                   .ok());
 
+  // The density kind draws finite-shot readout from BackendConfig::shots.
+  EXPECT_TRUE(BackendConfig().with_shots(100).validate().ok());
+  EXPECT_EQ(BackendConfig().with_shots(100).with_seed(std::nullopt)
+                .validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+
   EXPECT_EQ(BackendConfig().with_shots(-1).validate().code(),
             StatusCode::kInvalidArgument);
-  // Shots on the expectation kinds are inconsistent by construction.
-  EXPECT_EQ(BackendConfig().with_shots(100).validate().code(),
-            StatusCode::kInvalidArgument);
+  // Pure plus shots stays inconsistent: kSampled is the noise-free
+  // finite-shot kind.
   EXPECT_EQ(BackendConfig()
                 .with_kind(BackendKind::kPureStatevector)
                 .with_shots(100)
@@ -162,13 +173,14 @@ TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
 }
 
 TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
+  // Density plus shots is a plain BackendConfig: the backend draws sample i
+  // from seed + i, exactly the executor's shot batch.
   const BackendFixture fx;
-  BackendContext context = fx.context();
-  context.density_shots = 64;
-  context.density_shot_seed = 7;
-  const std::shared_ptr<const ExecutionBackend> backend =
-      must_make(BackendConfig{}, context);
+  const std::shared_ptr<const ExecutionBackend> backend = must_make(
+      BackendConfig().with_shots(64).with_seed(std::uint64_t{7}), fx.context());
   EXPECT_TRUE(backend->capabilities().finite_shots);
+  EXPECT_TRUE(backend->capabilities().deterministic);
+  EXPECT_EQ(backend->diagnostics().shots, 64);
 
   const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
       fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
@@ -178,6 +190,24 @@ TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
   for (std::size_t i = 0; i < via_registry.size(); ++i) {
     EXPECT_EQ(via_registry[i], via_executor[i]) << "sample " << i;
   }
+  // Single-sample replay equals slot 0 of the batch (seed + 0).
+  EXPECT_EQ(backend->run_logits(fx.data.features[0]), via_registry[0]);
+  EXPECT_EQ(direct->run_z(fx.data.features[0], 64, 7), via_registry[0]);
+
+  // The seed resolution is shared with kSampled: an unseeded config that
+  // waives determinism draws from entropy and says so.
+  const auto unseeded = must_make(BackendConfig()
+                                      .with_shots(64)
+                                      .with_deterministic(false)
+                                      .with_seed(std::nullopt),
+                                  fx.context());
+  EXPECT_FALSE(unseeded->capabilities().deterministic);
+  EXPECT_TRUE(must_make(BackendConfig().with_deterministic(false).with_seed(
+                            std::nullopt),
+                        fx.context())
+                  ->capabilities()
+                  .deterministic)
+      << "exact expectations stay deterministic without a seed";
 }
 
 TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
@@ -276,13 +306,12 @@ TEST(BackendRegistry, CustomFactoryOverrides) {
 }
 
 TEST(BackendRegistry, RejectsLegacyDensityShotsOnNonDensityKinds) {
-  // The chokepoint guard: no backend path may silently drop a caller's
-  // legacy shot request.
+  // Pure plus shots is rejected at the registry, never silently dropped:
+  // kSampled is the noise-free finite-shot kind.
   const BackendFixture fx;
-  BackendContext context = fx.context();
-  context.density_shots = 32;
   const auto backend = make_backend(
-      BackendConfig().with_kind(BackendKind::kPureStatevector), context);
+      BackendConfig().with_kind(BackendKind::kPureStatevector).with_shots(32),
+      fx.context());
   ASSERT_FALSE(backend.ok());
   EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
 }
@@ -419,6 +448,258 @@ TEST(SampledBackend, AppliesReadoutErrorHandComputedCase) {
   EXPECT_DOUBLE_EQ(exact_bits[1], 1.0);
 }
 
+TEST(SampledBackend, DensityShotsApplyReadoutErrorHandComputedCase) {
+  // The density-plus-shots twin of AppliesReadoutErrorHandComputedCase: the
+  // same |01> state evolved noise-free through the density engine (zero
+  // gate errors, thermal relaxation off) must read out the same closed
+  // form, exactly at shots == 0 and within 4 sigma at 200k shots.
+  QnnModel model;
+  model.circuit = Circuit(2);
+  model.circuit.x(0);
+  model.num_classes = 2;
+  model.readout_qubits = {0, 1};
+  const TranspiledModel transpiled =
+      transpile_model(model.circuit, model.readout_qubits, CouplingMap::line(2));
+
+  Calibration calib(2, {{0, 1}});
+  calib.set_readout(transpiled.readout_physical(0), ReadoutError{0.1, 0.2});
+  calib.set_readout(transpiled.readout_physical(1), ReadoutError{0.05, 0.3});
+
+  BackendContext context;
+  context.model = &model;
+  context.transpiled = &transpiled;
+  context.calibration = &calib;
+  context.noise.include_thermal_relaxation = false;
+
+  const auto exact = must_make(BackendConfig{}, context);
+  const std::vector<double> z_exact = exact->run_logits(std::vector<double>{});
+  ASSERT_EQ(z_exact.size(), 2u);
+  EXPECT_NEAR(z_exact[0], -0.6, 1e-12);
+  EXPECT_NEAR(z_exact[1], 0.9, 1e-12);
+
+  const auto sampled = must_make(
+      BackendConfig().with_shots(200000).with_seed(std::uint64_t{3}), context);
+  EXPECT_TRUE(sampled->capabilities().finite_shots);
+  EXPECT_TRUE(sampled->capabilities().readout_error);
+  const std::vector<double> z = sampled->run_logits(std::vector<double>{});
+  ASSERT_EQ(z.size(), 2u);
+  EXPECT_NEAR(z[0], -0.6, 0.01);
+  EXPECT_NEAR(z[1], 0.9, 0.01);
+
+  // Confusion disabled: every shot reads the true bits.
+  context.noise.include_readout_error = false;
+  const auto clean = must_make(
+      BackendConfig().with_shots(128).with_seed(std::uint64_t{3}), context);
+  const std::vector<double> bits = clean->run_logits(std::vector<double>{});
+  EXPECT_DOUBLE_EQ(bits[0], -1.0);
+  EXPECT_DOUBLE_EQ(bits[1], 1.0);
+}
+
+TEST(BackendRegistry, DensityExactPathMatchesReferenceWithScatteredReadout) {
+  // Readout slots {1, 3}: the kernel's slot marginal plus per-slot
+  // confusion must equal the gate-by-gate reference's full-vector
+  // confusion at 1e-10, slot by slot in class order.
+  BackendFixture fx;
+  fx.model.readout_qubits = {1, 3};
+  fx.transpiled =
+      transpile_model(fx.model.circuit, fx.model.readout_qubits,
+                      CouplingMap::belem(), &fx.history.day(0));
+  const auto backend = must_make(BackendConfig{}, fx.context());
+  const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
+      fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
+  const auto batch = backend->run_logits_batch(fx.data.features);
+  for (std::size_t i = 0; i < fx.data.size(); ++i) {
+    const std::vector<double> reference =
+        direct->run_z_reference(fx.data.features[i]);
+    ASSERT_EQ(batch[i].size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_NEAR(batch[i][k], reference[k], kAgreementTol)
+          << "sample " << i << " slot " << k;
+    }
+  }
+}
+
+/// Chi-square statistic of `counts` (summing to `shots`) against `bins`
+/// (normalized here). A bin without mass must hold no count.
+double chi_square(const std::vector<int>& counts,
+                  const std::vector<double>& bins, int shots) {
+  double total = 0.0;
+  for (double b : bins) total += b;
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    const double expected = shots * bins[b] / total;
+    if (expected == 0.0) {
+      EXPECT_EQ(counts[b], 0) << "bin " << b << " has no mass";
+      continue;
+    }
+    const double d = counts[b] - expected;
+    chi2 += d * d / expected;
+  }
+  return chi2;
+}
+
+/// Draws 1e5 shots per seed from the density engine's confused slot
+/// marginals of `x` and pins the chi-square statistic below the p = 0.001
+/// critical value; also checks the engine's own shot path ends in exactly
+/// these counts.
+void expect_multinomial_matches_marginals(const NoisyExecutor& executor,
+                                          const std::vector<double>& x,
+                                          double critical) {
+  const PhysicalCircuit& circuit = executor.circuit();
+  std::vector<ReadoutError> errors;
+  for (int pq : circuit.readout_physical()) {
+    errors.push_back(executor.noise().readout()[static_cast<std::size_t>(pq)]);
+  }
+  const SlotReadout readout(circuit.num_qubits(), circuit.readout_physical(),
+                            errors);
+  const std::vector<double> probs =
+      executor.run_density(x).diagonal_probabilities();
+  std::vector<double> bins;
+  readout.confused_bins(probs, bins);
+  ASSERT_EQ(bins.size(), std::size_t{1} << circuit.readout_physical().size());
+
+  const int shots = 100000;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<int> counts;
+    SlotReadout::draw_counts(bins, shots, rng, counts);
+    int sum = 0;
+    for (int c : counts) sum += c;
+    EXPECT_EQ(sum, shots);
+    EXPECT_LT(chi_square(counts, bins, shots), critical) << "seed " << seed;
+
+    // The engine's shot path draws the same counts from the same seed.
+    const std::vector<double> z = executor.run_z(x, shots, seed);
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      double ones = 0.0;
+      for (std::size_t b = 0; b < counts.size(); ++b) {
+        if ((b >> k) & 1) ones += counts[b];
+      }
+      EXPECT_NEAR(z[k], (shots - 2.0 * ones) / shots, 1e-12) << "slot " << k;
+    }
+  }
+}
+
+TEST(SlotReadout, MultinomialMatchesConfusedMarginalsTwoSlots) {
+  const BackendFixture fx;
+  const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
+      fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
+  // 3 degrees of freedom: chi2(0.999) = 16.27.
+  expect_multinomial_matches_marginals(*executor, fx.data.features[0], 16.27);
+}
+
+TEST(SlotReadout, MultinomialMatchesConfusedMarginalsFourSlotsVibration) {
+  // The 4-class vibration workload: 16 bins, readout on all four qubits.
+  const CalibrationHistory history{FluctuationScenario::belem(), 2, 77};
+  const QnnModel model = build_paper_model(4, 4, 4, 1);
+  const std::vector<double> theta = init_params(model, 5);
+  const TranspiledModel transpiled = transpile_model(
+      model.circuit, model.readout_qubits, CouplingMap::belem(),
+      &history.day(0));
+  const Dataset raw = make_vibration(8, 23);
+  const Dataset data = FeatureScaler::fit(raw).transform(raw);
+  const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
+      model, transpiled, theta, history.day(1), {});
+  ASSERT_EQ(executor->circuit().readout_physical().size(), 4u);
+  // 15 degrees of freedom: chi2(0.999) = 37.70.
+  expect_multinomial_matches_marginals(*executor, data.features[3], 37.70);
+}
+
+TEST(SlotReadout, BinomialDrawsHaveBinomialSpread) {
+  // One chi-square over a single draw checks the mean; this checks the
+  // spread of the conditional binomials across seeds, on the small-n
+  // Bernoulli path (10 shots) and through the order-statistic recursion
+  // (1000 and 100000 shots): mean within 5 standard errors, variance
+  // within 15% of n p (1 - p) over 2000 draws (~5 standard errors).
+  const int draws = 2000;
+  for (const int shots : {10, 1000, 100000}) {
+    for (const double p : {0.3, 0.97}) {
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      std::vector<int> counts;
+      for (int seed = 0; seed < draws; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed));
+        SlotReadout::draw_counts(std::vector<double>{p, 1.0 - p}, shots, rng,
+                                 counts);
+        sum += counts[0];
+        sum_sq += static_cast<double>(counts[0]) * counts[0];
+      }
+      const double mean = sum / draws;
+      const double variance = (sum_sq - draws * mean * mean) / (draws - 1);
+      const double expected_variance = shots * p * (1.0 - p);
+      EXPECT_NEAR(mean, shots * p, 5.0 * std::sqrt(expected_variance / draws))
+          << "shots " << shots << " p " << p;
+      EXPECT_NEAR(variance / expected_variance, 1.0, 0.15)
+          << "shots " << shots << " p " << p;
+    }
+  }
+}
+
+TEST(SlotReadout, RoundingResidueNeverLeavesTheUnitInterval) {
+  // Basis probabilities as a replay leaves them: -1e-17 rounding entries
+  // and totals of 1 +- 1e-15. Every conditional binomial must see a p in
+  // [0, 1] (the kernel throws otherwise), so no count lands on an empty or
+  // negative bin, the counts sum to the shot budget, and every estimate
+  // stays in [-1, 1].
+  const std::vector<double> rounding_sets[] = {
+      {0.25, -1e-17, 0.5 + 1e-15, 0.25},
+      {0.25, 0.25, 0.5 - 1e-15, -1e-17},
+      {-1e-17, 1.0 + 1e-15, -1e-17, 0.0},
+      {1e-300, 0.0, -1e-17, 1.0 - 1e-15},
+  };
+  const std::vector<int> slots{0, 1};
+  for (const auto& probs : rounding_sets) {
+    for (const std::vector<ReadoutError>& errors :
+         {std::vector<ReadoutError>{},
+          std::vector<ReadoutError>{{0.0, 0.0}, {1e-17, 0.0}}}) {
+      const SlotReadout readout(2, slots, errors);
+      std::vector<double> bins;
+      readout.confused_bins(probs, bins);
+      for (const int shots : {1, 7, 100000}) {
+        Rng rng(9);
+        std::vector<int> counts;
+        SlotReadout::draw_counts(bins, shots, rng, counts);
+        int sum = 0;
+        for (std::size_t b = 0; b < counts.size(); ++b) {
+          EXPECT_GE(counts[b], 0);
+          if (bins[b] <= 0.0) {
+            EXPECT_EQ(counts[b], 0) << "bin " << b;
+          }
+          sum += counts[b];
+        }
+        EXPECT_EQ(sum, shots);
+        for (double z : readout.z(probs, shots, 9)) {
+          EXPECT_GE(z, -1.0);
+          EXPECT_LE(z, 1.0);
+        }
+      }
+    }
+  }
+  // Every bin empty: no binomial is drawn; the shots land in the last bin.
+  Rng rng(1);
+  std::vector<int> counts;
+  SlotReadout::draw_counts(std::vector<double>{0.0, -1e-17, 0.0}, 5, rng,
+                           counts);
+  EXPECT_EQ(counts, (std::vector<int>{0, 0, 5}));
+}
+
+TEST(SlotReadout, SingleShotReadsOneOutcomePerSlot) {
+  const BackendFixture fx;
+  for (const BackendKind kind :
+       {BackendKind::kDensityNoisy, BackendKind::kSampled}) {
+    const auto backend =
+        must_make(BackendConfig().with_kind(kind).with_shots(1), fx.context());
+    for (const auto& z : backend->run_logits_batch(fx.data.features)) {
+      ASSERT_EQ(z.size(), 2u);
+      for (double v : z) EXPECT_TRUE(v == 1.0 || v == -1.0) << v;
+    }
+  }
+  // A deterministic basis state reads its bits on the one shot.
+  const SlotReadout readout(2, std::vector<int>{1, 0}, {});
+  EXPECT_EQ(readout.z(std::vector<double>{0.0, 1.0, 0.0, 0.0}, 1, 4),
+            (std::vector<double>{1.0, -1.0}));
+}
+
 TEST(BackendThreading, EvaluatorDispatchesConfiguredBackend) {
   const BackendFixture fx;
 
@@ -444,9 +725,25 @@ TEST(BackendThreading, EvaluatorDispatchesConfiguredBackend) {
   EXPECT_GE(a.accuracy, 0.0);
   EXPECT_LE(a.accuracy, 1.0);
 
-  // Legacy density shot knob + non-density backend is rejected, not mixed.
-  NoisyEvalOptions conflicting = sampled_options;
-  conflicting.shots = 32;
+  // Density plus shots evaluates through the same backend config, equal
+  // to the executor's shot batch.
+  NoisyEvalOptions density_sampled;
+  density_sampled.backend = BackendConfig().with_shots(256);
+  const NoisyEvalResult shot_eval = noisy_evaluate(
+      fx.model, fx.transpiled, fx.theta, fx.data, fx.history.day(0),
+      density_sampled);
+  const auto shot_zs =
+      build_noisy_executor(fx.model, fx.transpiled, fx.theta,
+                           fx.history.day(0), {})
+          ->run_z_batch(fx.data.features, 256, 99);
+  for (std::size_t i = 0; i < shot_zs.size(); ++i) {
+    EXPECT_EQ(shot_eval.predictions[i], static_cast<int>(argmax(shot_zs[i])))
+        << "sample " << i;
+  }
+
+  // Pure plus shots is rejected, not silently evaluated exactly.
+  NoisyEvalOptions conflicting = pure_options;
+  conflicting.backend.shots = 32;
   const auto status = noisy_evaluate_or(fx.model, fx.transpiled, fx.theta,
                                         fx.data, fx.history.day(0), conflicting);
   ASSERT_FALSE(status.ok());
@@ -504,12 +801,20 @@ TEST(BackendThreading, ServiceConfigValidatesBackendCombinations) {
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);
-  // Legacy density shots with a non-density backend is inconsistent.
+  // Pure plus shots is inconsistent; density plus shots is a config.
   EXPECT_EQ(ServiceConfig()
                 .with_backend(BackendConfig()
-                                  .with_kind(BackendKind::kSampled)
-                                  .with_shots(128))
-                .with_shots(64)
+                                  .with_kind(BackendKind::kPureStatevector)
+                                  .with_shots(64))
+                .validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ServiceConfig()
+                  .with_backend(BackendConfig().with_shots(64))
+                  .validate()
+                  .ok());
+  EXPECT_EQ(ServiceConfig()
+                .with_backend(BackendConfig().with_shots(-5))
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);

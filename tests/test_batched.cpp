@@ -117,9 +117,9 @@ TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
   const auto xs = first_rows(fx.data, n);
 
   const std::vector<ReadoutError> confusions[] = {
-      {},  // confusion-free: the draw loop consumes one uniform per shot
+      {},  // confusion-free: the multinomial draws from the raw marginals
       {ReadoutError{0.1, 0.2}, ReadoutError{0.05, 0.3}, ReadoutError{0.02, 0.04},
-       ReadoutError{0.15, 0.0}},  // extra bernoullis interleave the stream
+       ReadoutError{0.15, 0.0}},  // confused bins change every binomial's p
   };
   for (const auto& slot_readout : confusions) {
     const SampledStatevectorBackend batch(fx.executor, fx.theta, slot_readout,
@@ -291,19 +291,20 @@ TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
 }
 
 TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
-  // shots > 0: sample i draws from Rng(shot_seed + i) whichever width
-  // replays it, and the block diagonal feeds the same readout/shot code —
-  // so sampled results are bitwise identical too, blocks and tail alike.
+  // shots > 0: sample i draws from Rng(seed + i) whichever width replays
+  // it, and the block diagonal feeds the same SlotReadout kernel — so
+  // sampled results are bitwise identical too, blocks and tail alike.
   const NoisyBatchedFixture fx;
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
-    const auto density_shots = fx.noisy->run_z_batch(xs, 128, 41);
-    ASSERT_EQ(density_shots.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Rng rng(41 + i);
-      EXPECT_EQ(density_shots[i], fx.noisy->run_z_shots(xs[i], 128, rng))
-          << "sample " << i;
+    for (const int shots : {1, 128, 8192}) {
+      const auto sampled = fx.noisy->run_z_batch(xs, shots, 41);
+      ASSERT_EQ(sampled.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(sampled[i], fx.noisy->run_z(xs[i], shots, 41 + i))
+            << "sample " << i << " shots " << shots;
+      }
     }
   }
 }

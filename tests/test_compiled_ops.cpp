@@ -180,16 +180,19 @@ TEST_F(CompiledOpsTest, FusionDisabledStillMatches) {
 TEST_F(CompiledOpsTest, ShotSamplingMatchesLegacySeedForSeed) {
   // Shots draw from the same per-sample probabilities, so with identical
   // seeds the compiled path must converge to the same estimates as exact
-  // expectations, and be deterministic run to run.
+  // expectations, and be deterministic run to run; a batch of one draws
+  // sample 0 from the same seed.
   const PhysicalCircuit phys = random_transpiled(rng(), 3, 10, 1);
   std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
   const Calibration cal = noisy_calibration(3, edges, rng());
   const NoisyExecutor executor(phys, NoiseModel(cal));
 
   const std::vector<double> x{0.9};
-  Rng r1(42), r2(42);
-  const auto s1 = executor.run_z_shots(x, 4000, r1);
-  const auto s2 = executor.run_z_shots(x, 4000, r2);
+  const auto s1 = executor.run_z(x, 4000, 42);
+  const auto s2 = executor.run_z(x, 4000, 42);
+  EXPECT_EQ(executor.run_z_batch(std::vector<std::vector<double>>{x}, 4000,
+                                 42)[0],
+            s1);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t k = 0; k < s1.size(); ++k) {
     EXPECT_DOUBLE_EQ(s1[k], s2[k]) << "shot sampling must be deterministic";
@@ -229,11 +232,10 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
       EXPECT_NEAR(batch[0][k], reference[k], kAgreementTol);
     }
 
-    // Shot batches reproduce run_z_shots with the matching per-sample seed.
+    // Shot batches reproduce single-sample shot runs seeded 77 + i.
     const auto shot_batch = executor.run_z_batch(xs, 500, 77);
     for (std::size_t i = 0; i < xs.size(); ++i) {
-      Rng rng_i(77 + i);
-      const auto single = executor.run_z_shots(xs[i], 500, rng_i);
+      const auto single = executor.run_z(xs[i], 500, 77 + i);
       for (std::size_t k = 0; k < single.size(); ++k) {
         EXPECT_DOUBLE_EQ(shot_batch[i][k], single[k]);
       }

@@ -104,8 +104,7 @@ TEST(Executor, ShotSamplingConvergesToExact) {
   const NoisyExecutor executor(phys, nm);
 
   const auto exact = executor.run_z({});
-  Rng rng(123);
-  const auto sampled = executor.run_z_shots({}, 20000, rng);
+  const auto sampled = executor.run_z({}, 20000, 123);
   for (std::size_t q = 0; q < 2; ++q) {
     EXPECT_NEAR(sampled[q], exact[q], 0.03);
   }

@@ -17,14 +17,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "backend/registry.hpp"
 #include "common/rng.hpp"
 #include "core/qucad.hpp"
 #include "data/seismic_synth.hpp"
+#include "fleet/remote_stub_backend.hpp"
 #include "io/artifacts.hpp"
 #include "io/serializer.hpp"
 #include "noise/calibration_history.hpp"
@@ -246,8 +249,6 @@ Artifacts random_artifacts(Rng& rng) {
   artifacts.config.num_shards = 1 + static_cast<std::size_t>(rng.uniform(0.0, 4.0));
   artifacts.config.queue_capacity =
       8 + static_cast<std::size_t>(rng.uniform(0.0, 100.0));
-  artifacts.config.eval.shot_seed = static_cast<std::uint64_t>(
-      rng.uniform(0.0, 1e6));
   artifacts.config.manager.bootstrap_scale = rng.uniform(0.5, 2.0);
   if (rng.bernoulli(0.5)) {
     artifacts.config.eval.backend = BackendConfig()
@@ -255,6 +256,9 @@ Artifacts random_artifacts(Rng& rng) {
                                         .with_shots(128)
                                         .with_seed(static_cast<std::uint64_t>(
                                             rng.uniform(0.0, 1e6)));
+  } else if (rng.bernoulli(0.5)) {
+    artifacts.config.eval.backend = BackendConfig().with_shots(64).with_seed(
+        static_cast<std::uint64_t>(rng.uniform(0.0, 1e6)));
   }
   return artifacts;
 }
@@ -409,49 +413,119 @@ TEST(IoArtifacts, HugeQubitCountInHistorySectionRejectedWithoutAllocating) {
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(IoArtifacts, SemanticallyInvalidValuesRejectedNotThrown) {
-  // A CRC-valid artifact whose calibration carries an illegal error rate:
-  // re-encode a golden calibration day with sx pushed out of [0,1). The
-  // domain setter would throw; the deserializer must convert to kDataLoss.
-  Artifacts artifacts = golden_artifacts();
-  const std::vector<std::uint8_t> good = serialize_artifacts(artifacts);
-  // Locate the first calibration sx_error f64 and overwrite it with 2.0,
-  // then fix up that section's CRC so only semantic validation can object.
+/// `good` with `patch` written at `offset` into the payload of section
+/// `section_id` and that section's CRC fixed up, so only the payload
+/// decoder can object.
+std::vector<std::uint8_t> patch_section_payload(
+    const std::vector<std::uint8_t>& good, std::uint32_t section_id,
+    std::size_t offset, const std::vector<std::uint8_t>& patch) {
+  std::vector<std::uint8_t> bytes = good;
   Deserializer in(good);
   std::span<const std::uint8_t> skip;
-  ASSERT_TRUE(in.read_span(12, skip).ok());
-  std::vector<std::uint8_t> bytes = good;
+  EXPECT_TRUE(in.read_span(12, skip).ok());
   for (int s = 0; s < 3; ++s) {
     std::uint32_t id = 0;
     std::uint64_t length = 0;
     std::uint32_t crc = 0;
-    ASSERT_TRUE(in.read_u32(id).ok());
-    ASSERT_TRUE(in.read_u64(length).ok());
+    EXPECT_TRUE(in.read_u32(id).ok());
+    EXPECT_TRUE(in.read_u64(length).ok());
     const std::size_t crc_offset = in.offset();
-    ASSERT_TRUE(in.read_u32(crc).ok());
+    EXPECT_TRUE(in.read_u32(crc).ok());
     const std::size_t payload_offset = in.offset();
-    ASSERT_TRUE(in.read_span(static_cast<std::size_t>(length), skip).ok());
-    if (id != kSectionCalibrationHistory) continue;
-    // Payload: u64 day count, then day 0 = i32 nq, u64 edge count,
-    // 4 edges x 2 i32, then nq f64 sx errors — first sx at +8+4+8+32.
-    const std::size_t sx_offset = payload_offset + 8 + 4 + 8 + 32;
-    Serializer patch;
-    patch.write_f64(2.0);  // illegal: sx error must be in [0,1)
-    for (std::size_t i = 0; i < 8; ++i) {
-      bytes[sx_offset + i] = patch.bytes()[i];
+    EXPECT_TRUE(in.read_span(static_cast<std::size_t>(length), skip).ok());
+    if (id != section_id) continue;
+    for (std::size_t i = 0; i < patch.size(); ++i) {
+      bytes[payload_offset + offset + i] = patch[i];
     }
-    const std::span<const std::uint8_t> payload(bytes.data() + payload_offset,
-                                                static_cast<std::size_t>(length));
+    const std::span<const std::uint8_t> payload(
+        bytes.data() + payload_offset, static_cast<std::size_t>(length));
     Serializer fixed_crc;
     fixed_crc.write_u32(crc32(payload));
     for (std::size_t i = 0; i < 4; ++i) {
       bytes[crc_offset + i] = fixed_crc.bytes()[i];
     }
   }
+  return bytes;
+}
+
+TEST(IoArtifacts, SemanticallyInvalidValuesRejectedNotThrown) {
+  // A CRC-valid artifact whose calibration carries an illegal error rate:
+  // re-encode a golden calibration day with sx pushed out of [0,1). The
+  // domain setter would throw; the deserializer must convert to kDataLoss.
+  const std::vector<std::uint8_t> good =
+      serialize_artifacts(golden_artifacts());
+  // Payload: u64 day count, then day 0 = i32 nq, u64 edge count,
+  // 4 edges x 2 i32, then nq f64 sx errors — first sx at +8+4+8+32.
+  Serializer patch;
+  patch.write_f64(2.0);  // illegal: sx error must be in [0,1)
+  const std::vector<std::uint8_t> bytes = patch_section_payload(
+      good, kSectionCalibrationHistory, 8 + 4 + 8 + 32, patch.bytes());
   ASSERT_NE(bytes, good);
   const StatusOr<Artifacts> result = deserialize_artifacts(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
+/// A v1 file written before BackendConfig::shots applied to the density
+/// kind: the two legacy config slots (i32 shots, u64 seed after the two
+/// noise durations and two noise flags) carry `shots` / `seed`.
+std::vector<std::uint8_t> legacy_shots_artifact(const Artifacts& artifacts,
+                                                std::int32_t shots,
+                                                std::uint64_t seed) {
+  Serializer legacy;
+  legacy.write_i32(shots);
+  legacy.write_u64(seed);
+  return patch_section_payload(serialize_artifacts(artifacts),
+                               kSectionServiceConfig, 8 + 8 + 1 + 1,
+                               legacy.bytes());
+}
+
+TEST(IoArtifacts, LegacyDensityShotsLoadAsBackendShots) {
+  Artifacts artifacts = golden_artifacts();
+  artifacts.config.eval.backend = BackendConfig{};
+  const StatusOr<Artifacts> loaded =
+      deserialize_artifacts(legacy_shots_artifact(artifacts, 512, 7));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->config.eval.backend.kind, BackendKind::kDensityNoisy);
+  EXPECT_EQ(loaded->config.eval.backend.shots, 512);
+  EXPECT_EQ(loaded->config.eval.backend.seed, std::optional<std::uint64_t>(7));
+  EXPECT_TRUE(loaded->config.validate().ok());
+  // Re-encoding writes the legacy slots as the v1 defaults and the shots
+  // in the backend config: the file it writes is the canonical form.
+  Artifacts expected = artifacts;
+  expected.config.eval.backend = BackendConfig().with_shots(512).with_seed(7);
+  EXPECT_EQ(serialize_artifacts(*loaded), serialize_artifacts(expected));
+
+  // The legacy knob never combined with another kind, with backend shots,
+  // or with a negative count; such files are rejected with a Status.
+  for (const BackendConfig& backend :
+       {BackendConfig().with_kind(BackendKind::kSampled).with_shots(128),
+        BackendConfig().with_kind(BackendKind::kPureStatevector),
+        BackendConfig().with_shots(16)}) {
+    artifacts.config.eval.backend = backend;
+    const StatusOr<Artifacts> rejected =
+        deserialize_artifacts(legacy_shots_artifact(artifacts, 64, 7));
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+  artifacts.config.eval.backend = BackendConfig{};
+  EXPECT_FALSE(
+      deserialize_artifacts(legacy_shots_artifact(artifacts, -3, 7)).ok());
+}
+
+TEST(IoArtifacts, CustomBackendKindRoundTrips) {
+  // A registered custom kind (the remote stub's 16) passes validate(), so
+  // the file a service writes with it must load again.
+  Artifacts artifacts = golden_artifacts();
+  artifacts.config.eval.backend =
+      BackendConfig().with_kind(fleet::kRemoteStubBackendKind).with_shots(48);
+  ASSERT_TRUE(artifacts.config.validate().ok());
+  const std::vector<std::uint8_t> bytes = serialize_artifacts(artifacts);
+  const StatusOr<Artifacts> loaded = deserialize_artifacts(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->config.eval.backend.kind, fleet::kRemoteStubBackendKind);
+  EXPECT_EQ(loaded->config.eval.backend.shots, 48);
+  EXPECT_EQ(serialize_artifacts(*loaded), bytes);
 }
 
 // --- corruption battery --------------------------------------------------
@@ -596,6 +670,7 @@ TEST(IoColdStart, BitwiseIdenticalPredictionsAcrossAllBackendKinds) {
                       .with_kind(BackendKind::kSampled)
                       .with_shots(256)
                       .with_seed(11)},
+      {"density_plus_shots", BackendConfig().with_shots(256).with_seed(11)},
   };
   for (const auto& kind : kinds) {
     SCOPED_TRACE(kind.label);
@@ -648,6 +723,38 @@ TEST(IoColdStart, BitwiseIdenticalPredictionsAcrossAllBackendKinds) {
       }
     }
   }
+}
+
+TEST(IoColdStart, UnregisteredBackendKindIsAStatus) {
+  // An artifact naming a kind this process has no factory for loads, and
+  // the cold start fails with the registry's invalid-argument Status
+  // instead of aborting; once the kind is registered it serves.
+  const IoFixture fixture;
+  Artifacts artifacts;
+  artifacts.repository = fixture.small_repository();
+  artifacts.calibration_history = fixture.history.slice(0, 2);
+  artifacts.config =
+      ServiceConfig::from_environment(fixture.env)
+          .with_backend(BackendConfig()
+                            .with_kind(fleet::kRemoteStubBackendKind)
+                            .with_shots(32));
+  const StatusOr<Artifacts> loaded =
+      deserialize_artifacts(serialize_artifacts(artifacts));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  const StatusOr<InferenceService> missing =
+      cold_start_service(fixture.env, *loaded);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+
+  fleet::RemoteStubOptions options;
+  ASSERT_TRUE(fleet::register_remote_stub_backend(BackendRegistry::global(),
+                                                  options)
+                  .ok());
+  StatusOr<InferenceService> served = cold_start_service(fixture.env, *loaded);
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
+  const auto prediction = served->submit(fixture.env.test.features[0]);
+  ASSERT_TRUE(prediction.ok()) << prediction.status().to_string();
+  EXPECT_EQ(prediction->backend, fleet::kRemoteStubBackendKind);
 }
 
 TEST(IoColdStart, EmptyCalibrationStreamRejected) {

@@ -325,9 +325,9 @@ TEST(NoisyEvaluate, PoolSizeDoesNotChangePredictions) {
     EXPECT_EQ(a.predictions[i], b.predictions[i]) << "sample " << i;
   }
 
-  // Shot-based sampling must also be pool-invariant (per-sample seeds).
-  serial_opts.shots = 256;
-  parallel_opts.shots = 256;
+  // Density shot sampling must also be pool-invariant (per-sample seeds).
+  serial_opts.backend.shots = 256;
+  parallel_opts.backend.shots = 256;
   const NoisyEvalResult sa =
       noisy_evaluate(model, transpiled, theta, data, h.day(1), serial_opts);
   const NoisyEvalResult sb =

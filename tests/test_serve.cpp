@@ -86,7 +86,10 @@ TEST(ServeConfig, ValidateRejectsBadKnobs) {
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceConfig().with_shots(-5).validate().code(),
+  EXPECT_EQ(ServiceConfig()
+                .with_backend(BackendConfig().with_shots(-5))
+                .validate()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -133,17 +136,17 @@ TEST(ServeConfig, BuildersSetShardingKnobs) {
 
 TEST(ServeConfig, ConsolidatesFromPipelineAndEnvironment) {
   PipelineConfig pipeline;
-  pipeline.eval.shots = 128;
+  pipeline.eval.backend.shots = 128;
   pipeline.manager_options.bootstrap_scale = 2.5;
   const ServiceConfig from_pipeline = ServiceConfig::from_pipeline(pipeline);
-  EXPECT_EQ(from_pipeline.eval.shots, 128);
+  EXPECT_EQ(from_pipeline.eval.backend.shots, 128);
   EXPECT_DOUBLE_EQ(from_pipeline.manager.bootstrap_scale, 2.5);
 
   Environment env;
-  env.eval.shots = 64;
+  env.eval.backend.shots = 64;
   env.manager_options.enable_failure_reports = false;
   const ServiceConfig from_env = ServiceConfig::from_environment(env);
-  EXPECT_EQ(from_env.eval.shots, 64);
+  EXPECT_EQ(from_env.eval.backend.shots, 64);
   EXPECT_FALSE(from_env.manager.enable_failure_reports);
 }
 
