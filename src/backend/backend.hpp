@@ -26,8 +26,9 @@ class ThreadPool;
 ///                       PureExecutor),
 ///  - kSampled:          finite-shot bitstring sampling from the compiled
 ///                       pure statevector with per-qubit readout confusion —
-///                       hardware-like readout at statevector cost
-///                       (backend/sampled_backend.hpp).
+///                       hardware-like readout at statevector cost.
+/// Both statevector kinds are one StatevectorBackend
+/// (backend/statevector_backend.hpp), exact at shots == 0.
 /// New regimes (sharded pools, remote/hardware stubs) plug in through
 /// BackendRegistry (backend/registry.hpp) without touching any consumer.
 

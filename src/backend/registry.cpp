@@ -3,7 +3,7 @@
 #include <random>
 #include <utility>
 
-#include "backend/sampled_backend.hpp"
+#include "backend/statevector_backend.hpp"
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "qnn/eval_cache.hpp"
@@ -58,47 +58,17 @@ class DensityMatrixBackend final : public ExecutionBackend {
   BackendCapabilities capabilities_;
 };
 
-/// Adapter fronting the noise-free compiled statevector engine
-/// (PureExecutor). Theta is bound at construction; the underlying compiled
-/// program stays structure-keyed and symbolic, so backend builds across
-/// theta updates share one cache entry.
-class PureStatevectorBackend final : public ExecutionBackend {
- public:
-  PureStatevectorBackend(std::shared_ptr<const PureExecutor> executor,
-                         std::vector<double> theta)
-      : executor_(std::move(executor)), theta_(std::move(theta)) {}
-
-  BackendKind kind() const override { return BackendKind::kPureStatevector; }
-  const BackendCapabilities& capabilities() const override {
-    return backend_kind_capabilities(BackendKind::kPureStatevector);
-  }
-  BackendDiagnostics diagnostics() const override {
-    return program_diagnostics(BackendKind::kPureStatevector,
-                               executor_->program(), 0);
-  }
-
-  std::vector<double> run_logits(std::span<const double> x) const override {
-    return executor_->run_z(x, theta_);
-  }
-
-  std::vector<std::vector<double>> run_logits_batch(
-      std::span<const std::vector<double>> xs,
-      ThreadPool* pool = nullptr) const override {
-    // SoA lane replay: full blocks at width 8, the tail at width 1 — see
-    // PureExecutor::run_z_batch.
-    return executor_->run_z_batch(xs, theta_, pool);
-  }
-
- private:
-  std::shared_ptr<const PureExecutor> executor_;
-  std::vector<double> theta_;
-};
-
-/// The base seed of a shot-drawing backend: the configured one, or — when
-/// the config waives determinism and leaves the seed unset — one drawn from
-/// the OS entropy pool.
+/// The base seed of a backend's shot streams: 0 when it draws no shots,
+/// else the configured one, or — when the config waives determinism and
+/// leaves the seed unset — one drawn from the OS entropy pool.
 std::uint64_t resolve_seed(const BackendConfig& config) {
+  if (config.shots == 0) return 0;
   return config.seed.has_value() ? *config.seed : std::random_device{}();
+}
+
+/// Exact logits always reproduce; shot estimates only under a given seed.
+bool reproducible(const BackendConfig& config) {
+  return config.shots == 0 || config.seed.has_value();
 }
 
 Status missing(const char* field, const char* kind) {
@@ -134,44 +104,34 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
   // it, and the capability flag must say so.
   const bool readout_active = context.noise.include_readout_error &&
                               executor->noise().num_qubits() > 0;
-  const bool draws_shots = config.shots > 0;
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const DensityMatrixBackend>(
-          std::move(executor), config.shots,
-          draws_shots ? resolve_seed(config) : 0, readout_active,
-          /*deterministic=*/!draws_shots || config.seed.has_value()));
+          std::move(executor), config.shots, resolve_seed(config),
+          readout_active, reproducible(config)));
 }
 
-StatusOr<std::shared_ptr<const ExecutionBackend>> make_pure(
-    const BackendConfig& config, const BackendContext& context) {
-  (void)config;
-  if (context.model == nullptr) {
-    return missing("the model", backend_kind_name(BackendKind::kPureStatevector));
-  }
-  return std::shared_ptr<const ExecutionBackend>(
-      std::make_shared<const PureStatevectorBackend>(
-          resolve_pure_executor(context),
-          std::vector<double>(context.theta.begin(), context.theta.end())));
-}
-
-StatusOr<std::shared_ptr<const ExecutionBackend>> make_sampled(
+/// Both statevector kinds: kPureStatevector is the shots == 0 case (exact,
+/// confusion-free), kSampled the shots > 0 one (readout confusion from the
+/// calibration when the noise options keep it).
+StatusOr<std::shared_ptr<const ExecutionBackend>> make_statevector(
     const BackendConfig& config, const BackendContext& context) {
   if (context.model == nullptr) {
-    return missing("the model", backend_kind_name(BackendKind::kSampled));
+    return missing("the model", backend_kind_name(config.kind));
   }
   std::vector<ReadoutError> slot_readout;
-  if (context.calibration != nullptr && context.noise.include_readout_error) {
+  if (config.shots > 0 && context.calibration != nullptr &&
+      context.noise.include_readout_error) {
     StatusOr<std::vector<ReadoutError>> errors = slot_readout_errors(
         *context.model, context.transpiled, *context.calibration);
     if (!errors.ok()) return errors.status();
     slot_readout = *std::move(errors);
   }
   return std::shared_ptr<const ExecutionBackend>(
-      std::make_shared<const SampledStatevectorBackend>(
+      std::make_shared<const StatevectorBackend>(
           resolve_pure_executor(context),
           std::vector<double>(context.theta.begin(), context.theta.end()),
           std::move(slot_readout), config.shots, resolve_seed(config),
-          /*deterministic=*/config.seed.has_value()));
+          reproducible(config)));
 }
 
 }  // namespace
@@ -198,8 +158,9 @@ BackendRegistry::BackendRegistry() : factories_(3) {
   factories_[static_cast<std::size_t>(BackendKind::kDensityNoisy)] =
       make_density;
   factories_[static_cast<std::size_t>(BackendKind::kPureStatevector)] =
-      make_pure;
-  factories_[static_cast<std::size_t>(BackendKind::kSampled)] = make_sampled;
+      make_statevector;
+  factories_[static_cast<std::size_t>(BackendKind::kSampled)] =
+      make_statevector;
 }
 
 BackendRegistry& BackendRegistry::global() {

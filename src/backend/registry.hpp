@@ -30,8 +30,8 @@ struct BackendContext {
   const TranspiledModel* transpiled = nullptr;
   std::span<const double> theta;
   const Calibration* calibration = nullptr;
-  /// Noise-model construction knobs for the density backend; the sampled
-  /// backend honors include_readout_error.
+  /// Noise-model construction knobs for the density backend; kSampled
+  /// honors include_readout_error.
   NoiseModelOptions noise;
   /// Resolve compiled executors through CompiledEvalCache::global() so every
   /// backend kind shares the one executor cache (a repeated configuration —
@@ -52,7 +52,9 @@ class BackendRegistry {
       std::function<StatusOr<std::shared_ptr<const ExecutionBackend>>(
           const BackendConfig&, const BackendContext&)>;
 
-  /// A registry with the three built-in factories pre-registered.
+  /// A registry with the built-in kinds pre-registered (one factory for
+  /// kDensityNoisy, one StatevectorBackend factory for kPureStatevector and
+  /// kSampled).
   BackendRegistry();
 
   /// Process-wide registry used by every config-driven consumer.
@@ -82,7 +84,7 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_backend(
 /// `calibration`: entry k is the confusion of the physical qubit hosting
 /// class k (`transpiled.readout_physical(model.readout_qubits[k])`; pass
 /// nullptr for an unrouted circuit, where logical ids are physical ids).
-/// This is the mapping the sampled backend applies. A readout qubit the
+/// This is the mapping kSampled applies. A readout qubit the
 /// calibration does not cover is an invalid-argument Status (this sits on
 /// the registry's no-throw path).
 StatusOr<std::vector<ReadoutError>> slot_readout_errors(

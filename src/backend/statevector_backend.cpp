@@ -1,10 +1,12 @@
-#include "backend/sampled_backend.hpp"
+#include "backend/statevector_backend.hpp"
+
+#include <utility>
 
 #include "common/require.hpp"
 
 namespace qucad {
 
-SampledStatevectorBackend::SampledStatevectorBackend(
+StatevectorBackend::StatevectorBackend(
     std::shared_ptr<const PureExecutor> executor, std::vector<double> theta,
     std::vector<ReadoutError> slot_readout, int shots, std::uint64_t seed,
     bool deterministic)
@@ -12,9 +14,11 @@ SampledStatevectorBackend::SampledStatevectorBackend(
       theta_(std::move(theta)),
       shots_(shots),
       seed_(seed),
-      capabilities_(backend_kind_capabilities(BackendKind::kSampled)) {
-  require(executor_ != nullptr, "sampled backend needs a compiled executor");
-  require(shots_ > 0, "sampled backend needs shots > 0");
+      kind_(shots > 0 ? BackendKind::kSampled : BackendKind::kPureStatevector),
+      capabilities_(backend_kind_capabilities(kind_)) {
+  require(executor_ != nullptr,
+          "statevector backend needs a compiled executor");
+  require(shots_ >= 0, "statevector backend shots must be non-negative");
   capabilities_.readout_error = !slot_readout.empty();
   readout_ = SlotReadout(executor_->circuit().num_qubits(),
                          executor_->circuit().readout_physical(),
@@ -24,16 +28,11 @@ SampledStatevectorBackend::SampledStatevectorBackend(
   capabilities_.deterministic = deterministic;
 }
 
-const BackendCapabilities& SampledStatevectorBackend::capabilities() const {
-  return capabilities_;
+BackendDiagnostics StatevectorBackend::diagnostics() const {
+  return program_diagnostics(kind_, executor_->program(), shots_);
 }
 
-BackendDiagnostics SampledStatevectorBackend::diagnostics() const {
-  return program_diagnostics(BackendKind::kSampled, executor_->program(),
-                             shots_);
-}
-
-std::vector<double> SampledStatevectorBackend::run_logits(
+std::vector<double> StatevectorBackend::run_logits(
     std::span<const double> x) const {
   executor_->program().require_inputs(x);
   std::vector<double> z;
@@ -41,7 +40,7 @@ std::vector<double> SampledStatevectorBackend::run_logits(
   return z;
 }
 
-std::vector<std::vector<double>> SampledStatevectorBackend::run_logits_batch(
+std::vector<std::vector<double>> StatevectorBackend::run_logits_batch(
     std::span<const std::vector<double>> xs, ThreadPool* pool) const {
   return executor_->run_z_batch(xs, theta_, pool, &readout_, shots_, seed_);
 }

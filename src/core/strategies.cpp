@@ -4,23 +4,6 @@
 
 namespace qucad {
 
-namespace {
-
-/// The paper's Table-I accounting executes the matched model even on
-/// Guidance-2 failure days (the miss is charged to accuracy, not skipped),
-/// so the strategies resolve a Failure decision by falling back to the
-/// matched entry explicitly — the check theta_for_decision exists to force.
-std::vector<double> theta_or_matched_entry(
-    const OnlineManager& manager, const OnlineManager::Decision& decision) {
-  const StatusOr<std::span<const double>> theta =
-      manager.theta_for_decision(decision);
-  if (theta.ok()) return std::vector<double>(theta->begin(), theta->end());
-  require(decision.entry_index >= 0, "decision does not reference an entry");
-  return manager.repository().entry(decision.entry_index).theta;
-}
-
-}  // namespace
-
 std::span<const double> BaselineStrategy::online_day(int, const Calibration&) {
   return env_.theta_pretrained;
 }
@@ -97,25 +80,13 @@ std::span<const double> CompressionEverydayStrategy::online_day(
   return theta_;
 }
 
-QuCadWithoutOfflineStrategy::QuCadWithoutOfflineStrategy(const Environment& env)
-    : Strategy(env) {
-  manager_ = std::make_unique<OnlineManager>(
-      env_.model, env_.transpiled, env_.theta_pretrained, env_.train,
-      ModelRepository{}, env_.manager_options);
-}
-
-std::span<const double> QuCadWithoutOfflineStrategy::online_day(
-    int, const Calibration& calib) {
-  OnlineManager::Decision decision;
-  timed_online([&] { decision = manager_->process_day(calib); });
-  if (decision.action != OnlineManager::Decision::Action::NewModel) {
-    --optimizations_;  // reuse days cost no optimization
-  }
-  theta_ = theta_or_matched_entry(*manager_, decision);
-  return theta_;
-}
-
 QuCadStrategy::QuCadStrategy(const Environment& env) : Strategy(env) {}
+
+QuCadStrategy::QuCadStrategy(const Environment& env, ModelRepository repository)
+    : Strategy(env),
+      manager_(std::make_unique<OnlineManager>(
+          env_.model, env_.transpiled, env_.theta_pretrained, env_.train,
+          std::move(repository), env_.manager_options)) {}
 
 void QuCadStrategy::offline(const std::vector<Calibration>& history) {
   require(!history.empty(), "QuCAD requires offline history");
@@ -133,16 +104,16 @@ void QuCadStrategy::offline(const std::vector<Calibration>& history) {
 
 std::span<const double> QuCadStrategy::online_day(int, const Calibration& calib) {
   require(manager_ != nullptr, "offline() must run before online_day()");
-  OnlineManager::Decision decision;
-  const int before = manager_->optimizations_run();
-  timed_online([&] { decision = manager_->process_day(calib); });
-  if (manager_->optimizations_run() == before) {
+  timed_online([&] { decision_ = manager_->process_day(calib); });
+  if (decision_.action != OnlineManager::Decision::Action::NewModel) {
     --optimizations_;  // pure repository lookup, no optimization happened
   }
-  if (decision.action == OnlineManager::Decision::Action::Failure) {
+  if (decision_.action == OnlineManager::Decision::Action::Failure) {
     ++failures_;
   }
-  theta_ = theta_or_matched_entry(*manager_, decision);
+  // Failure days execute the matched (invalid) model too: the paper's
+  // Table-I accounting charges the Guidance-2 miss to accuracy.
+  theta_ = manager_->repository().entry(decision_.entry_index).theta;
   return theta_;
 }
 

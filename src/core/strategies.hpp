@@ -64,37 +64,46 @@ class CompressionEverydayStrategy final : public Strategy {
   std::vector<double> theta_;
 };
 
-/// Table I row 5: the online manager starting from an empty repository.
-class QuCadWithoutOfflineStrategy final : public Strategy {
- public:
-  explicit QuCadWithoutOfflineStrategy(const Environment& env);
-  std::string name() const override { return "QuCAD w/o offline"; }
-  std::span<const double> online_day(int day, const Calibration& calib) override;
-  const OnlineManager& manager() const { return *manager_; }
-
- private:
-  std::unique_ptr<OnlineManager> manager_;
-  std::vector<double> theta_;
-};
-
-/// Table I row 6: the full framework — offline repository construction plus
-/// the online manager.
-class QuCadStrategy final : public Strategy {
+/// Table I row 6: the full framework — offline repository construction
+/// plus the online manager. online_day() is THE Sec. III-D online step every
+/// longitudinal loop (the strategy harness, the fleet harness) runs: match
+/// today's calibration, reuse a stored model or compress a new one or file
+/// a Guidance-2 failure report, and return the parameters to execute — on
+/// failure days the matched (invalid) model, the paper's Table-I accounting.
+class QuCadStrategy : public Strategy {
  public:
   explicit QuCadStrategy(const Environment& env);
   std::string name() const override { return "QuCAD"; }
   void offline(const std::vector<Calibration>& history) override;
-  std::span<const double> online_day(int day, const Calibration& calib) override;
+  std::span<const double> online_day(int day, const Calibration& calib) final;
 
   const OnlineManager& manager() const;
+  /// What the latest online_day() decided (reuse / new model / failure,
+  /// match distance, compression cost).
+  const OnlineManager::Decision& last_decision() const { return decision_; }
   const ConstructorDiagnostics& offline_diagnostics() const { return diagnostics_; }
   int failure_reports() const { return failures_; }
+
+ protected:
+  /// Starts online-ready from `repository` (no offline stage).
+  QuCadStrategy(const Environment& env, ModelRepository repository);
 
  private:
   std::unique_ptr<OnlineManager> manager_;
   ConstructorDiagnostics diagnostics_;
+  OnlineManager::Decision decision_;
   std::vector<double> theta_;
   int failures_ = 0;
+};
+
+/// Table I row 5: the same online step starting from an empty repository.
+class QuCadWithoutOfflineStrategy final : public QuCadStrategy {
+ public:
+  explicit QuCadWithoutOfflineStrategy(const Environment& env)
+      : QuCadStrategy(env, ModelRepository{}) {}
+  std::string name() const override { return "QuCAD w/o offline"; }
+  /// No offline stage: the history is ignored.
+  void offline(const std::vector<Calibration>&) override {}
 };
 
 }  // namespace qucad

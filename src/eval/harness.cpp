@@ -12,6 +12,7 @@ MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
                               const std::vector<Calibration>& online_days,
                               const HarnessOptions& options) {
   require(!online_days.empty(), "no online days to evaluate");
+  require(options.day_stride >= 1, "day_stride must be >= 1");
   if (!offline_history.empty()) strategy.offline(offline_history);
 
   MethodResult result;
@@ -69,6 +70,7 @@ void print_comparison_table(std::ostream& os,
 
 void print_accuracy_series(std::ostream& os, const MethodResult& result,
                            const std::vector<std::string>& dates, int stride) {
+  require(stride >= 1, "stride must be >= 1");
   os << result.method << ":\n";
   for (std::size_t d = 0; d < result.daily_accuracy.size();
        d += static_cast<std::size_t>(stride)) {

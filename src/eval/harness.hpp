@@ -20,19 +20,12 @@ struct HarnessOptions {
   /// shift with hardware-like finite-shot readout, or kPureStatevector for
   /// the noise-free ceiling.
   std::optional<BackendConfig> backend;
-  /// Concurrent submitters the SERVING longitudinal harness
-  /// (run_longitudinal over an InferenceService) uses to push each day's
-  /// test set through submit_async — exercises routing, micro-batching and
-  /// admission under the daily evaluation. Expectation backends make the
-  /// accuracy series independent of this knob. Ignored by the strategy
-  /// harness. Must be >= 1.
-  int serve_clients = 1;
 };
 
 /// Runs one strategy over the online calibration window: offline() on the
 /// historical days, then for each online day adapt + evaluate on the test
 /// set under that day's exact noise model (or the regime selected by
-/// `options.backend`).
+/// `options.backend`). `options.day_stride` must be >= 1.
 MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
                               const std::vector<Calibration>& offline_history,
                               const std::vector<Calibration>& online_days,
@@ -43,7 +36,8 @@ void print_comparison_table(std::ostream& os,
                             const std::vector<MethodResult>& results,
                             const std::string& dataset_name);
 
-/// Prints a date-indexed accuracy series (Fig. 2/4/8/9 style).
+/// Prints a date-indexed accuracy series (Fig. 2/4/8/9 style), every
+/// `stride`-th day (>= 1).
 void print_accuracy_series(std::ostream& os, const MethodResult& result,
                            const std::vector<std::string>& dates,
                            int stride = 7);

@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "repo/constructor.hpp"
-#include "repo/manager.hpp"
+#include "core/strategies.hpp"
 
 namespace qucad::fleet {
 
@@ -70,7 +69,16 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
     streams.push_back(*std::move(stream));
   }
 
-  return FleetHarness(env, config, options, std::move(streams));
+  // The per-day evaluation settings live on the harness's own environment
+  // copy, so the QuCAD strategy and the evaluator read one source.
+  Environment harness_env = env;
+  if (options.backend.has_value()) harness_env.eval.backend = *options.backend;
+  if (options.max_eval_samples > 0 &&
+      options.max_eval_samples < harness_env.test.size()) {
+    harness_env.test = harness_env.test.take(options.max_eval_samples);
+  }
+  return FleetHarness(std::move(harness_env), config, options,
+                      std::move(streams));
 }
 
 StatusOr<FleetResult> FleetHarness::run() {
@@ -83,25 +91,9 @@ StatusOr<FleetResult> FleetHarness::run() {
       offline_pool.push_back(stream.history().day(d));
     }
   }
-
-  OfflineBuild build = build_repository(env_.model, env_.transpiled,
-                                        env_.theta_pretrained, offline_pool,
-                                        env_.train, env_.profile,
-                                        env_.constructor_options);
-  const std::size_t offline_entries = build.repository.size();
-
-  OnlineManager manager(env_.model, env_.transpiled, env_.theta_pretrained,
-                        env_.train, std::move(build.repository),
-                        env_.manager_options);
-
-  NoisyEvalOptions eval = env_.eval;
-  if (options_.backend.has_value()) eval.backend = *options_.backend;
-
-  const Dataset test =
-      options_.max_eval_samples > 0 &&
-              options_.max_eval_samples < env_.test.size()
-          ? env_.test.take(options_.max_eval_samples)
-          : env_.test;
+  QuCadStrategy qucad(env_);
+  qucad.offline(offline_pool);
+  const std::size_t offline_entries = qucad.manager().repository().size();
 
   FleetResult result;
   result.devices.resize(streams_.size());
@@ -121,8 +113,10 @@ StatusOr<FleetResult> FleetHarness::run() {
       const Calibration& calibration = streams_[i].history().day(d);
 
       const auto start = std::chrono::steady_clock::now();
-      const OnlineManager::Decision decision =
-          manager.process_day(calibration);
+      // Failure days still serve the matched (invalid) model — the paper's
+      // Table-I accounting — with the failure recorded below.
+      const std::span<const double> theta = qucad.online_day(d, calibration);
+      const OnlineManager::Decision& decision = qucad.last_decision();
       switch (decision.action) {
         case OnlineManager::Decision::Action::Reuse:
           ++device.reuses;
@@ -135,16 +129,10 @@ StatusOr<FleetResult> FleetHarness::run() {
           break;
       }
       device.optimize_seconds += decision.optimize_seconds;
-      if (decision.entry_index < 0) {
-        return Status::internal("fleet decision references no repository entry");
-      }
-      // Failure days still serve the matched (invalid) model — the paper's
-      // Table-I accounting — with the failure recorded above.
-      const std::vector<double>& theta =
-          manager.repository().entry(decision.entry_index).theta;
 
-      StatusOr<NoisyEvalResult> evaluated = noisy_evaluate_or(
-          env_.model, env_.transpiled, theta, test, calibration, eval);
+      StatusOr<NoisyEvalResult> evaluated =
+          noisy_evaluate_or(env_.model, env_.transpiled, theta, env_.test,
+                            calibration, env_.eval);
       if (!evaluated.ok()) return evaluated.status();
 
       const double seconds =
@@ -172,7 +160,7 @@ StatusOr<FleetResult> FleetHarness::run() {
   }
   result.aggregate = summarize_series(pooled);
   result.repository_entries_offline = offline_entries;
-  result.repository_entries_final = manager.repository().size();
+  result.repository_entries_final = qucad.manager().repository().size();
   return result;
 }
 

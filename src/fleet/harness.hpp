@@ -71,8 +71,9 @@ struct FleetResult {
 /// longitudinally. Offline, the repository is built from the pooled offline
 /// windows of all drift streams (it learns the fleet's regimes, not one
 /// device's); online, each day every device's calibration goes through the
-/// shared OnlineManager — reuse, compress-new, or failure-report — and the
-/// selected model is evaluated under that device's noise.
+/// one shared QuCAD online step (QuCadStrategy::online_day) — reuse,
+/// compress-new, or failure-report — and the selected model is evaluated
+/// under that device's noise.
 ///
 /// All devices must share one topology class (qubit count + coupled edges):
 /// calibration feature vectors are topology-dimensioned, so that is the
@@ -83,7 +84,8 @@ class FleetHarness {
  public:
   /// Validates the fleet against the environment and synthesizes every
   /// device's drift stream. The environment is copied (the OnlineManager
-  /// convention: a harness cannot dangle).
+  /// convention: a harness cannot dangle), with `options.backend` and
+  /// `options.max_eval_samples` applied to the copy.
   static StatusOr<FleetHarness> create(const Environment& env,
                                        const FleetConfig& config,
                                        FleetOptions options = {});

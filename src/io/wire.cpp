@@ -26,8 +26,6 @@ constexpr std::uint8_t kMaxStatusCode =
     static_cast<std::uint8_t>(StatusCode::kInternal);
 constexpr std::uint8_t kMaxAction =
     static_cast<std::uint8_t>(OnlineManager::Decision::Action::Failure);
-constexpr std::uint8_t kMaxBackendKind =
-    static_cast<std::uint8_t>(BackendKind::kSampled);
 
 // --- codec helpers ------------------------------------------------------
 
@@ -197,11 +195,10 @@ StatusOr<Prediction> decode_predict_response(
   Prediction p;
   if (Status s = in.read_i32(p.label); !s.ok()) return s;
   if (Status s = in.read_u64(p.epoch); !s.ok()) return s;
+  // Any u8 kind, as in the artifact decoder: a service on a registered
+  // custom kind answers with that kind's byte.
   std::uint8_t backend = 0;
   if (Status s = in.read_u8(backend); !s.ok()) return s;
-  if (backend > kMaxBackendKind) {
-    return Status::data_loss("backend kind out of range on the wire");
-  }
   p.backend = static_cast<BackendKind>(backend);
   if (Status s = in.read_f64_vector(p.logits); !s.ok()) return s;
   if (Status s = expect_exhausted(in); !s.ok()) return s;

@@ -62,9 +62,9 @@ struct EvalCacheStats {
 ///
 /// The cache also backs every ExecutionBackend uniformly: the registry's
 /// backend factories (backend/registry.hpp) resolve their compiled engine
-/// here — the density backend through get_or_build, the pure AND sampled
-/// backends through get_or_build_pure (the sampled backend is a sampling
-/// layer over the same structure-keyed compiled program) — so building a
+/// here — the density backend through get_or_build, the one statevector
+/// backend (kPureStatevector and kSampled alike) through get_or_build_pure —
+/// so building a
 /// backend for an already-seen configuration costs a hash lookup plus a
 /// thin wrapper, never a recompilation.
 ///

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "backend/registry.hpp"
@@ -378,82 +377,6 @@ RepositorySnapshot InferenceService::repository_snapshot() const {
 
 const OnlineManager& InferenceService::manager() const {
   return impl_->manager;
-}
-
-MethodResult run_longitudinal(InferenceService& service, const Dataset& test,
-                              const std::vector<Calibration>& online_days,
-                              const HarnessOptions& options) {
-  require(!online_days.empty(), "no online days to evaluate");
-  require(test.size() > 0, "empty test set");
-  require(options.serve_clients >= 1,
-          "serve_clients must be at least 1");
-
-  MethodResult result;
-  result.method = "InferenceService";
-  result.daily_accuracy.reserve(online_days.size());
-
-  // One day's traffic through the async serving path: `serve_clients`
-  // submitters interleave the test set, each issuing submit_async and
-  // gathering. Shed requests (bounded queue full) are retried with backoff
-  // — the harness wants every sample's answer, so admission control
-  // throttles it rather than dropping samples.
-  const auto classify_day = [&]() -> std::vector<int> {
-    std::vector<int> labels(test.size(), -1);
-    std::vector<Status> failures(
-        static_cast<std::size_t>(options.serve_clients));
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<std::size_t>(options.serve_clients));
-    for (int c = 0; c < options.serve_clients; ++c) {
-      clients.emplace_back([&, c] {
-        for (std::size_t i = static_cast<std::size_t>(c); i < test.size();
-             i += static_cast<std::size_t>(options.serve_clients)) {
-          for (int attempt = 0;; ++attempt) {
-            StatusOr<Prediction> prediction =
-                service.submit_async(test.features[i]).get();
-            if (prediction.ok()) {
-              labels[i] = prediction->label;
-              break;
-            }
-            if (prediction.status().code() !=
-                    StatusCode::kResourceExhausted ||
-                attempt >= 10000) {
-              failures[static_cast<std::size_t>(c)] = prediction.status();
-              return;
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    for (const Status& status : failures) {
-      if (!status.ok()) require(false, status.to_string());
-    }
-    return labels;
-  };
-
-  for (std::size_t d = 0; d < online_days.size();
-       d += static_cast<std::size_t>(options.day_stride)) {
-    const StatusOr<CalibrationReport> report =
-        service.on_calibration(online_days[d]);
-    if (!report.ok()) require(false, report.status().to_string());
-    result.online_optimize_seconds += report->decision.optimize_seconds;
-    if (report->decision.action ==
-        OnlineManager::Decision::Action::NewModel) {
-      ++result.optimizations;
-    }
-
-    const std::vector<int> labels = classify_day();
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (labels[i] == test.labels[i]) ++correct;
-    }
-    result.daily_accuracy.push_back(static_cast<double>(correct) /
-                                    static_cast<double>(test.size()));
-  }
-
-  result.metrics = summarize_series(result.daily_accuracy);
-  return result;
 }
 
 }  // namespace qucad

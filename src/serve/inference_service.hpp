@@ -10,8 +10,6 @@
 #include "backend/backend.hpp"
 #include "common/status.hpp"
 #include "core/strategy.hpp"
-#include "eval/harness.hpp"
-#include "eval/metrics.hpp"
 #include "repo/manager.hpp"
 #include "serve/service_config.hpp"
 #include "serve/shard.hpp"
@@ -194,18 +192,5 @@ class InferenceService {
   explicit InferenceService(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
-
-/// Serving-layer counterpart of the strategy harness: feeds each day's
-/// calibration through on_calibration, classifies `test` through the async
-/// serving path (`options.serve_clients` concurrent submitters issuing
-/// submit_async and gathering futures; shed requests are retried with
-/// backoff, so a bounded queue only throttles the harness, never drops a
-/// sample) under that day's noise, and summarizes the daily accuracy
-/// series like eval/harness run_longitudinal does for a Strategy. With an
-/// expectation backend the result is independent of shard count and client
-/// concurrency.
-MethodResult run_longitudinal(InferenceService& service, const Dataset& test,
-                              const std::vector<Calibration>& online_days,
-                              const HarnessOptions& options = {});
 
 }  // namespace qucad

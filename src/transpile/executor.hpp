@@ -95,11 +95,11 @@ class NoisyExecutor {
 /// replayed across every (sample, theta) pair of a training run instead of
 /// re-walking the gate list per evaluation.
 ///
-/// Two ExecutionBackends front this engine (backend/backend.hpp):
-/// kPureStatevector exposes its exact expectations, and kSampled replays
-/// the same compiled program once per sample and reads the final state out
-/// through its own SlotReadout (readout confusion + finite shots;
-/// backend/sampled_backend.hpp).
+/// One ExecutionBackend fronts this engine for both statevector kinds
+/// (backend/statevector_backend.hpp): kPureStatevector exposes its exact
+/// expectations, and kSampled replays the same compiled program once per
+/// sample and reads the final state out through its own SlotReadout
+/// (readout confusion + finite shots).
 ///
 /// Readout contract (same as NoisyExecutor): run_z output is ordered by
 /// position in circuit.readout_physical() — slot k is class k — never

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "backend/registry.hpp"
-#include "backend/sampled_backend.hpp"
+#include "backend/statevector_backend.hpp"
 #include "common/stats.hpp"
 #include "core/strategies.hpp"
 #include "data/seismic_synth.hpp"
@@ -223,12 +223,16 @@ TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
         backend->run_logits(fx.data.features[i]);
     const std::vector<double> via_executor =
         direct->run_z(fx.data.features[i], fx.theta);
-    ASSERT_EQ(via_registry.size(), via_executor.size());
-    for (std::size_t k = 0; k < via_registry.size(); ++k) {
-      EXPECT_NEAR(via_registry[k], via_executor[k], kAgreementTol)
-          << "sample " << i << " slot " << k;
-    }
+    // Bitwise: the one statevector backend at shots == 0 ends in the same
+    // confusion-free run_z_lanes call as the executor.
+    EXPECT_EQ(via_registry, via_executor) << "sample " << i;
   }
+  const std::vector<std::vector<double>> rows(fx.data.features.begin(),
+                                              fx.data.features.begin() + 9);
+  EXPECT_EQ(backend->run_logits_batch(rows),
+            direct->run_z_batch(rows, fx.theta));
+  EXPECT_FALSE(backend->capabilities().readout_error)
+      << "the pure kind never applies calibration confusion";
 }
 
 TEST(BackendRegistry, DensityNarrowsReadoutCapabilityWhenDisabled) {

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "backend/sampled_backend.hpp"
+#include "backend/statevector_backend.hpp"
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "data/mnist_synth.hpp"
@@ -122,13 +122,13 @@ TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
        ReadoutError{0.15, 0.0}},  // confused bins change every binomial's p
   };
   for (const auto& slot_readout : confusions) {
-    const SampledStatevectorBackend batch(fx.executor, fx.theta, slot_readout,
-                                          shots, seed);
+    const StatevectorBackend batch(fx.executor, fx.theta, slot_readout, shots,
+                                   seed);
     const auto zs = batch.run_logits_batch(xs);
     ASSERT_EQ(zs.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      const SampledStatevectorBackend per(fx.executor, fx.theta, slot_readout,
-                                          shots, seed + i);
+      const StatevectorBackend per(fx.executor, fx.theta, slot_readout, shots,
+                                   seed + i);
       EXPECT_EQ(per.run_logits(xs[i]), zs[i])
           << "sample " << i << (slot_readout.empty() ? "" : " (with confusion)");
     }
@@ -146,7 +146,7 @@ TEST(BatchedValidation, ShortRowsFailUpFrontAtEveryBatchEntryPoint) {
   EXPECT_THROW(fx.executor->run_z_batch(ragged, fx.theta), PreconditionError);
   EXPECT_THROW(fx.executor->run_z(ragged[3], fx.theta), PreconditionError);
 
-  const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 32, 7);
+  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 32, 7);
   EXPECT_THROW(sampled.run_logits_batch(ragged), PreconditionError);
   EXPECT_THROW(sampled.run_logits(ragged[3]), PreconditionError);
 
@@ -202,7 +202,7 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
 
 TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
   const BatchedFixture fx;
-  const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
+  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
   const auto& slots = fx.executor->circuit().readout_physical();
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     SCOPED_TRACE("batch size " + std::to_string(n));
@@ -217,8 +217,7 @@ TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
       // block amplitudes being exactly the width-1 amplitudes.
       EXPECT_EQ(pure[i], fx.executor->run_z(xs[i], fx.theta));
       // Sample i draws from seed + i whichever width replays it.
-      const SampledStatevectorBackend alone(fx.executor, fx.theta, {}, 256,
-                                            41 + i);
+      const StatevectorBackend alone(fx.executor, fx.theta, {}, 256, 41 + i);
       EXPECT_EQ(logits[i], alone.run_logits(xs[i]));
 
       const StateVector oracle =
@@ -321,7 +320,7 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   ThreadPool pool(4);
   const auto xs = first_rows(fx.data, 2 * kLanes + 1);
   const auto expected_z = fx.executor->run_z_batch(xs, fx.theta);
-  const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 64, 9);
+  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 64, 9);
   const auto expected_logits = sampled.run_logits_batch(xs);
   const auto indices = iota_indices(xs.size());
   const BatchGrad expected_grad =

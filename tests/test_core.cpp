@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/require.hpp"
 #include "core/qucad.hpp"
 #include "core/strategies.hpp"
@@ -109,9 +111,13 @@ TEST(Strategies, QuCadWithoutOfflineReusesAfterFirstDay) {
   const CalibrationHistory h(FluctuationScenario::belem(), 30, 3);
   strategy.online_day(0, h.day(0));
   EXPECT_EQ(strategy.optimizations(), 1);
+  EXPECT_EQ(strategy.last_decision().action,
+            OnlineManager::Decision::Action::NewModel);
   strategy.online_day(1, h.day(1));  // quiet adjacent day: reuse expected
   EXPECT_EQ(strategy.optimizations(), 1);
   EXPECT_EQ(strategy.manager().reuses(), 1);
+  EXPECT_EQ(strategy.last_decision().action,
+            OnlineManager::Decision::Action::Reuse);
 }
 
 TEST(Strategies, QuCadOfflineThenOnline) {
@@ -146,6 +152,25 @@ TEST(Harness, LongitudinalRunProducesMetrics) {
   EXPECT_GT(result.metrics.mean_accuracy, 0.0);
   EXPECT_LE(result.metrics.mean_accuracy, 1.0);
   EXPECT_EQ(result.method, "Baseline");
+}
+
+// A zero stride used to loop forever and a negative one wrapped through
+// size_t to evaluate day 0 alone; both are configuration errors.
+TEST(Harness, RejectsNonPositiveDayStride) {
+  const Environment& env = test_env();
+  BaselineStrategy baseline(env);
+  const CalibrationHistory h(FluctuationScenario::belem(), 4, 2021);
+  for (const int stride : {0, -1}) {
+    HarnessOptions options;
+    options.day_stride = stride;
+    EXPECT_THROW(run_longitudinal(baseline, env, {}, h.slice(0, 4), options),
+                 PreconditionError)
+        << "stride " << stride;
+    std::ostringstream out;
+    EXPECT_THROW(print_accuracy_series(out, MethodResult{}, {}, stride),
+                 PreconditionError)
+        << "stride " << stride;
+  }
 }
 
 TEST(Metrics, SummarizeSeries) {

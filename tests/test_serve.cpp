@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/thread_pool.hpp"
 #include "core/qucad.hpp"
 #include "core/strategies.hpp"
 #include "data/seismic_synth.hpp"
+#include "eval/harness.hpp"
 #include "noise/calibration_history.hpp"
 #include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
@@ -40,6 +42,9 @@ namespace {
 struct ServeFixture {
   Environment env;
   CalibrationHistory history{FluctuationScenario::belem(), 120, 77};
+  /// An explicit 4-thread pool, so the concurrency tests sweep batches on
+  /// several workers even where ThreadPool::global() is inline (1 core).
+  ThreadPool pool{4};
 
   ServeFixture() {
     Dataset raw = make_seismic(96, 5);
@@ -55,6 +60,13 @@ struct ServeFixture {
     env.manager_options.admm.epochs_per_iteration = 1;
     env.manager_options.admm.finetune_epochs = 0;
     env.admm = env.manager_options.admm;
+  }
+
+  /// The environment's service config, batches swept on `pool`.
+  ServiceConfig pooled_config() {
+    ServiceConfig config = ServiceConfig::from_environment(env);
+    config.eval.pool = &pool;
+    return config;
   }
 
   /// A repository of valid entries with distinct parameters, thresholded so
@@ -336,7 +348,8 @@ TEST(ServeHotSwap, ConcurrentSubmitsSeeConsistentEpochs) {
   constexpr int kSwaps = 12;
 
   StatusOr<InferenceService> service = InferenceService::create(
-      fx.env, fx.reuse_only_repository(3), fx.history.day(0));
+      fx.env, fx.reuse_only_repository(3), fx.history.day(0),
+      fx.pooled_config());
   ASSERT_TRUE(service.ok());
 
   // Epoch 1 is the pretrained model under day 0.
@@ -410,8 +423,8 @@ TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   constexpr int kThreads = 8;
   // A wide coalescing window so simultaneously-released submitters land in
   // one sweep even under unlucky scheduling.
-  const ServiceConfig config = ServiceConfig::from_environment(fx.env)
-                                   .with_batch_window(std::chrono::milliseconds(50));
+  const ServiceConfig config =
+      fx.pooled_config().with_batch_window(std::chrono::milliseconds(50));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok());
@@ -440,15 +453,22 @@ TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
   const Calibration& day = fx.history.day(0);
 
   // Four distinct configurations (distinct thetas) and their ground truth.
+  // One full 8-lane block plus a tail, so each sweep on the explicit pool
+  // spreads over several workers.
+  const std::vector<std::vector<double>> xs(fx.env.train.features.begin(),
+                                            fx.env.train.features.begin() + 9);
   std::vector<std::vector<double>> thetas;
-  std::vector<std::vector<double>> expected;
-  const std::vector<double>& x = fx.env.train.features[0];
+  std::vector<std::vector<std::vector<double>>> expected;
   for (int v = 0; v < 4; ++v) {
     std::vector<double> theta = fx.env.theta_pretrained;
     theta[static_cast<std::size_t>(v)] += 0.2 * v;
     const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
         fx.env.model, fx.env.transpiled, theta, day, fx.env.eval.noise);
-    expected.push_back(executor->run_z(x));
+    std::vector<std::vector<double>> per_sample;
+    for (const std::vector<double>& x : xs) {
+      per_sample.push_back(executor->run_z(x));
+    }
+    expected.push_back(std::move(per_sample));
     thetas.push_back(std::move(theta));
   }
 
@@ -463,8 +483,9 @@ TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
             CompiledEvalCache::global().get_or_build(
                 fx.env.model, fx.env.transpiled, thetas[v], day,
                 fx.env.eval.noise);
-        const std::vector<double> z = executor->run_z(x);
-        ASSERT_EQ(z, expected[v]) << "thread " << t << " iteration " << i;
+        const std::vector<std::vector<double>> zs =
+            executor->run_z_batch(xs, 0, 0, &fx.pool);
+        ASSERT_EQ(zs, expected[v]) << "thread " << t << " iteration " << i;
       }
     });
   }
@@ -478,6 +499,8 @@ TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
 // The serving surface and the research harness must tell the same story:
 // a service with kServeMatched policy replays the exact decisions and
 // predictions of the QuCAD-without-offline strategy over the same window.
+// The service side is driven inline: each day's calibration goes through
+// on_calibration, then the whole test set through submit_async.
 TEST(ServeLongitudinal, MatchesStrategyHarnessBitwise) {
   ServeFixture fx;
   const Dataset test = fx.env.train.take(24);
@@ -497,17 +520,36 @@ TEST(ServeLongitudinal, MatchesStrategyHarnessBitwise) {
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok());
-  const MethodResult from_service =
-      run_longitudinal(*service, test, window);
 
-  ASSERT_EQ(from_service.daily_accuracy.size(),
-            from_strategy.daily_accuracy.size());
-  for (std::size_t d = 0; d < from_service.daily_accuracy.size(); ++d) {
-    EXPECT_DOUBLE_EQ(from_service.daily_accuracy[d],
-                     from_strategy.daily_accuracy[d])
+  std::vector<double> daily_accuracy;
+  int optimizations = 0;
+  for (const Calibration& day : window) {
+    const StatusOr<CalibrationReport> report = service->on_calibration(day);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    if (report->decision.action == OnlineManager::Decision::Action::NewModel) {
+      ++optimizations;
+    }
+    std::vector<std::future<StatusOr<Prediction>>> futures;
+    futures.reserve(test.size());
+    for (const std::vector<double>& x : test.features) {
+      futures.push_back(service->submit_async(x));
+    }
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      const StatusOr<Prediction> prediction = futures[i].get();
+      ASSERT_TRUE(prediction.ok()) << prediction.status().to_string();
+      if (prediction->label == test.labels[i]) ++correct;
+    }
+    daily_accuracy.push_back(static_cast<double>(correct) /
+                             static_cast<double>(test.size()));
+  }
+
+  ASSERT_EQ(daily_accuracy.size(), from_strategy.daily_accuracy.size());
+  for (std::size_t d = 0; d < daily_accuracy.size(); ++d) {
+    EXPECT_DOUBLE_EQ(daily_accuracy[d], from_strategy.daily_accuracy[d])
         << "day " << d;
   }
-  EXPECT_EQ(from_service.optimizations, from_strategy.optimizations);
+  EXPECT_EQ(optimizations, from_strategy.optimizations);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,8 +637,7 @@ TEST(ServeSharding, PredictionsBitwiseIdenticalAcrossShardCounts) {
       fx.env.eval.noise);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    const ServiceConfig config =
-        ServiceConfig::from_environment(fx.env).with_num_shards(shards);
+    const ServiceConfig config = fx.pooled_config().with_num_shards(shards);
     StatusOr<InferenceService> service =
         InferenceService::create(fx.env, {}, day, config);
     ASSERT_TRUE(service.ok()) << service.status().to_string();
@@ -699,9 +740,8 @@ TEST(ServeHotSwap, SaturatedShardsKeepEpochConsistency) {
   constexpr int kRequestsPerThread = 20;
   constexpr int kSwaps = 8;
 
-  const ServiceConfig config = ServiceConfig::from_environment(fx.env)
-                                   .with_num_shards(2)
-                                   .with_queue_capacity(3);
+  const ServiceConfig config =
+      fx.pooled_config().with_num_shards(2).with_queue_capacity(3);
   StatusOr<InferenceService> service = InferenceService::create(
       fx.env, fx.reuse_only_repository(3), fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();

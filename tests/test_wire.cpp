@@ -24,6 +24,7 @@
 
 #include "core/qucad.hpp"
 #include "data/seismic_synth.hpp"
+#include "fleet/remote_stub_backend.hpp"
 #include "io/serializer.hpp"
 #include "io/wire.hpp"
 #include "noise/calibration_history.hpp"
@@ -46,20 +47,26 @@ TEST(WireCodec, PredictRequestRoundTrips) {
 }
 
 TEST(WireCodec, PredictResponseRoundTripsBitwise) {
-  Prediction p;
-  p.label = 1;
-  p.logits = {-0.125, 0.875};
-  p.epoch = 42;
-  p.backend = BackendKind::kSampled;
-  const StatusOr<Prediction> decoded =
-      decode_predict_response(encode_predict_response(p));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->label, 1);
-  EXPECT_EQ(decoded->epoch, 42u);
-  EXPECT_EQ(decoded->backend, BackendKind::kSampled);
-  ASSERT_EQ(decoded->logits.size(), 2u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded->logits[0]),
-            std::bit_cast<std::uint64_t>(-0.125));
+  // Any u8 backend kind rides the wire, as in artifacts: a service on a
+  // registered custom kind (the remote stub is kind 16) must answer with a
+  // frame its own client accepts.
+  for (const BackendKind kind :
+       {BackendKind::kSampled, fleet::kRemoteStubBackendKind}) {
+    Prediction p;
+    p.label = 1;
+    p.logits = {-0.125, 0.875};
+    p.epoch = 42;
+    p.backend = kind;
+    const StatusOr<Prediction> decoded =
+        decode_predict_response(encode_predict_response(p));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded->label, 1);
+    EXPECT_EQ(decoded->epoch, 42u);
+    EXPECT_EQ(decoded->backend, kind);
+    ASSERT_EQ(decoded->logits.size(), 2u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded->logits[0]),
+              std::bit_cast<std::uint64_t>(-0.125));
+  }
 }
 
 TEST(WireCodec, RemoteErrorStatusTransports) {
@@ -291,6 +298,39 @@ TEST(WireLoopback, RoundTripMatchesDirectSubmitBitwise) {
     }
   }
   EXPECT_EQ(server->connections_accepted(), 1u);
+}
+
+TEST(WireLoopback, CustomBackendKindServiceAnswersItsClient) {
+  fleet::RemoteStubOptions options;
+  options.inner_kind = BackendKind::kDensityNoisy;
+  ASSERT_TRUE(fleet::register_remote_stub_backend(BackendRegistry::global(),
+                                                  options)
+                  .ok());
+  const WireFixture& fx = fixture();
+  const ServiceConfig config =
+      ServiceConfig::from_environment(fx.env).with_backend(
+          BackendConfig().with_kind(fleet::kRemoteStubBackendKind));
+  StatusOr<InferenceService> service = InferenceService::create(
+      fx.env, fx.reuse_only_repository(), fx.history.day(0), config);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  StatusOr<WireServer> server = WireServer::start(*service);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  StatusOr<WireClient> client =
+      WireClient::connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+
+  const std::vector<double>& x = fx.env.test.features[0];
+  const StatusOr<Prediction> remote = client->predict(x);
+  const StatusOr<Prediction> direct = service->submit(x);
+  ASSERT_TRUE(remote.ok()) << remote.status().to_string();
+  ASSERT_TRUE(direct.ok()) << direct.status().to_string();
+  EXPECT_EQ(remote->backend, fleet::kRemoteStubBackendKind);
+  EXPECT_EQ(remote->label, direct->label);
+  ASSERT_EQ(remote->logits.size(), direct->logits.size());
+  for (std::size_t k = 0; k < remote->logits.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(remote->logits[k]),
+              std::bit_cast<std::uint64_t>(direct->logits[k]));
+  }
 }
 
 TEST(WireLoopback, ServiceRefusalKeepsTheConnectionOpen) {

@@ -9,9 +9,9 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         `throw` may not appear there (tests excluded by
                         scope).
   registry-only-backend NoisyExecutor / PureExecutor /
-                        SampledStatevectorBackend are constructed only
-                        inside src/backend/, src/sim/, src/transpile/ (the
-                        engines themselves) — consumers go through
+                        StatevectorBackend are constructed only inside
+                        src/backend/, src/sim/, src/transpile/ (the engines
+                        themselves) — consumers go through
                         BackendRegistry / CompiledEvalCache.
   positional-readout    run_z / run_logits / zne_expectations output is
                         ordered by readout slot, never indexed by qubit
@@ -45,7 +45,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "tools" / "qucad_lint_allow.txt"
 
-BACKEND_TYPES = r"(?:NoisyExecutor|PureExecutor|SampledStatevectorBackend)"
+BACKEND_TYPES = r"(?:NoisyExecutor|PureExecutor|StatevectorBackend)"
 
 # Containers whose subscript must be a slot index (a slot-ordered value or
 # the direct result of a slot-ordered call), and index spellings that claim
@@ -226,6 +226,9 @@ SELF_TEST_CASES = {
     "registry-only-backend": [
         ("src/qnn/bad.cpp",
          "void f() { NoisyExecutor executor(phys, nm); }\n"),
+        ("bench/bad.cpp",
+         "auto g() { return std::make_shared<const StatevectorBackend>(\n"
+         "    executor, theta, {}, 64, 7); }\n"),
     ],
     "positional-readout": [
         ("src/eval/bad.cpp",
