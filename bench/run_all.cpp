@@ -8,8 +8,10 @@
 //   backends, wire, fleet) and writes only its BENCH_<name>.json.
 //
 // Each BENCH_<group>.json file holds:
-//   {"schema": "qucad-bench-v1", "group": ..., "records": [
+//   {"schema": "qucad-bench-v1", "group": ..., "engine_isa": ...,
+//    "hw_threads": ..., "compiler": ..., "build_type": ..., "records": [
 //      {"name", "params", "iters", "seconds", "throughput", "unit"}, ...]}
+// engine_isa is the replay clone the CPU resolves (sim/isa_clones.hpp).
 
 #include <algorithm>
 #include <atomic>
@@ -43,6 +45,7 @@
 #include "qnn/trainer.hpp"
 #include "serve/inference_service.hpp"
 #include "sim/adjoint.hpp"
+#include "sim/isa_clones.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -76,6 +79,10 @@ void write_group(const std::string& dir, const std::string& group,
   std::ofstream os(path);
   require(os.good(), "cannot open " + path);
   os << "{\n  \"schema\": \"qucad-bench-v1\",\n  \"group\": \"" << group
+     << "\",\n  \"engine_isa\": \"" << engine_isa()
+     << "\",\n  \"hw_threads\": " << std::thread::hardware_concurrency()
+     << ",\n  \"compiler\": \"" << json_escape(QUCAD_BENCH_COMPILER)
+     << "\",\n  \"build_type\": \"" << json_escape(QUCAD_BENCH_BUILD_TYPE)
      << "\",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];

@@ -40,6 +40,7 @@
 #include "noise/calibration_history.hpp"
 #include "repo/constructor.hpp"
 #include "serve/inference_service.hpp"
+#include "sim/isa_clones.hpp"
 
 using namespace qucad;
 
@@ -183,7 +184,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "serving on " << (args.expose ? "0.0.0.0" : "127.0.0.1")
             << ":" << server->port() << " (epoch "
-            << service->active_epoch() << "); Ctrl-C to stop\n";
+            << service->active_epoch() << ", engine " << engine_isa()
+            << "); Ctrl-C to stop\n";
 
   int received = 0;
   sigwait(&signals, &received);

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <chrono>
+#include <ctime>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,30 +65,38 @@ class Strategy {
   int optimizations() const { return optimizations_; }
 
  protected:
-  /// Runs fn, adds its wall time to the online cost, counts an optimization.
+  /// Runs fn, adds its process CPU time to the online cost, counts an
+  /// optimization.
   template <typename Fn>
   void timed_online(Fn&& fn) {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = process_cpu_seconds();
     fn();
-    online_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    online_seconds_ += process_cpu_seconds() - start;
     ++optimizations_;
   }
 
   template <typename Fn>
   void timed_offline(Fn&& fn) {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = process_cpu_seconds();
     fn();
-    offline_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    offline_seconds_ += process_cpu_seconds() - start;
   }
 
   const Environment& env_;
   double online_seconds_ = 0.0;
   double offline_seconds_ = 0.0;
   int optimizations_ = 0;
+
+ private:
+  /// CPU seconds this process has used so far, all threads included. Costs
+  /// are charged in CPU time rather than wall time, so sibling processes on
+  /// a loaded machine do not move them.
+  static double process_cpu_seconds() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  }
 };
 
 }  // namespace qucad

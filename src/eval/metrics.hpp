@@ -22,8 +22,8 @@ struct MethodResult {
   std::string method;
   std::vector<double> daily_accuracy;
   SeriesMetrics metrics;
-  double online_optimize_seconds = 0.0;
-  double offline_optimize_seconds = 0.0;
+  double online_optimize_seconds = 0.0;   // process CPU seconds
+  double offline_optimize_seconds = 0.0;  // process CPU seconds
   int optimizations = 0;
 };
 

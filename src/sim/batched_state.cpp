@@ -1,6 +1,10 @@
 #include "sim/batched_state.hpp"
 
+#include <type_traits>
+
 #include "common/require.hpp"
+#include "sim/compiled_ops.hpp"
+#include "sim/isa_clones.hpp"
 
 namespace qucad {
 
@@ -10,8 +14,9 @@ namespace qucad {
 //   (m * a).im = m.re * a.im + m.im * a.re
 // with two-term sums associated exactly as `m0 * a0 + m1 * a1`, and every
 // lane loop reads only its own lane. IEEE mul/add are deterministic and the
-// build adds no FMA contraction or fast-math, so a lane's result does not
-// depend on L — the bitwise contract of sim/batched_state.hpp.
+// build passes -ffp-contract=off and no fast-math, so a lane's result
+// depends neither on L nor on the ISA clone that runs it — the bitwise
+// contract of sim/batched_state.hpp.
 
 namespace {
 
@@ -586,9 +591,14 @@ void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
 }
 
 template <std::size_t L>
-void BatchedDensityMatrix<L>::apply_channel1(int q, const FusedChannel1& ch) {
+void BatchedDensityMatrix<L>::apply_channel1(int q,
+                                             const FusedChannel1& channel) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
-  if (ch.is_identity()) return;
+  if (channel.is_identity()) return;
+  // A local copy: the coefficients then stay in registers instead of being
+  // reloaded after every store to the planes (which the compiler must
+  // otherwise assume may alias them), so the lane loops vectorize.
+  const FusedChannel1 ch = channel;
   const std::size_t mq = std::size_t{1} << q;
   for (std::size_t r = 0; r < dim_; ++r) {
     if (r & mq) continue;
@@ -624,11 +634,12 @@ void BatchedDensityMatrix<L>::apply_channel1(int q, const FusedChannel1& ch) {
 
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_channel2(int qa, int qb,
-                                             const FusedChannel2& ch) {
+                                             const FusedChannel2& channel) {
   require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
               qa != qb,
           "invalid qubit pair");
-  if (ch.is_identity()) return;
+  if (channel.is_identity()) return;
+  const FusedChannel2 ch = channel;  // register-resident: see apply_channel1
   const std::size_t ma = std::size_t{1} << qa;
   const std::size_t mb = std::size_t{1} << qb;
   const std::size_t offsets[4] = {0, mb, ma, ma | mb};
@@ -725,5 +736,182 @@ template class BatchedStateVector<1>;
 template class BatchedStateVector<kBlockLanes>;
 template class BatchedDensityMatrix<1>;
 template class BatchedDensityMatrix<kBlockLanes>;
+
+// ---------------------------------------------------------------------------
+// The one replay loop over the compiled op stream (CompiledProgram::run_lanes
+// and run_pure_lanes). It lives in this file so that its ISA clones inline
+// the kernels above: see sim/isa_clones.hpp.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::array<cplx, 4> sym_diag_matrix(const CompiledOp& /*op*/, double angle) {
+  const auto [d0, d1] = rz_diag(angle);
+  return {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
+}
+
+/// The one replay loop behind run_lanes and run_pure_lanes: walks the op
+/// stream once per block of L samples. Each symbolic op resolves to one 2x2
+/// per lane, which is also what `resolved` records: per lane for
+/// input-symbolic angles, once for theta-symbolic ones (applied with the
+/// uniform kernels).
+template <typename State, std::size_t L>
+void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
+            const LaneInputs<L>& xs, std::span<const double> theta,
+            std::vector<std::array<cplx, 4>>* resolved) {
+  if (resolved != nullptr) resolved->resize(ops.size() * L);
+  state.reset();
+  std::array<std::array<cplx, 4>, L> ms;
+  auto lane_matrices = [&](std::size_t idx, auto matrix_at) {
+    const CompiledOp& op = ops[idx];
+    if (op.input_index >= 0) {
+      for (std::size_t l = 0; l < L; ++l) {
+        // The caller checked every row with require_inputs(), so the
+        // bounds check inside resolve_sym_angle always passes.
+        const std::span<const double> x(xs[l],
+                                        static_cast<std::size_t>(num_inputs));
+        ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
+      }
+    } else {
+      ms.fill(matrix_at(op, resolve_sym_angle(op, {}, theta)));
+    }
+    if (resolved != nullptr) {
+      std::copy(ms.begin(), ms.end(), resolved->begin() + idx * L);
+    }
+    return ms.data();
+  };
+  for (std::size_t idx = 0; idx < ops.size(); ++idx) {
+    const CompiledOp& op = ops[idx];
+    switch (op.kind) {
+      case COpKind::Unitary1:
+        state.apply1(op.q0, op.u);
+        break;
+      case COpKind::Diag1:
+        state.apply_diag1(op.q0, op.u[0], op.u[3]);
+        break;
+      case COpKind::SymDiag1: {
+        const auto* m = lane_matrices(idx, sym_diag_matrix);
+        if (op.input_index >= 0) {
+          state.apply_diag1_lanes(op.q0, m);
+        } else {
+          state.apply_diag1(op.q0, m[0][0], m[0][3]);
+        }
+        break;
+      }
+      case COpKind::SymUni1: {
+        const auto* m = lane_matrices(idx, sym_uni_matrix);
+        if (op.input_index >= 0) {
+          state.apply1_lanes(op.q0, m);
+        } else {
+          state.apply1(op.q0, m[0]);
+        }
+        break;
+      }
+      case COpKind::CRot2:
+        state.apply_crot_lanes(op.q0, op.q1,
+                               lane_matrices(idx, crot_inner_matrix));
+        break;
+      case COpKind::Cx:
+        state.apply_cx(op.q0, op.q1);
+        break;
+      case COpKind::Channel1:
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel1(op.q0, op.ch1);
+        }
+        break;
+      case COpKind::Channel2:
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel2(op.q0, op.q1, op.ch2);
+        }
+        break;
+    }
+  }
+}
+
+// The replay entry points: one non-template function per (state type, lane
+// width), so QUCAD_ISA_CLONES can clone each one per ISA level and flatten
+// the replay loop and every kernel above into each clone. They must stay in
+// this file, next to the kernel definitions, for flatten to see them.
+
+QUCAD_ISA_CLONES void replay_entry(const std::vector<CompiledOp>& ops,
+                                   int num_inputs,
+                                   BatchedDensityMatrix<1>& state,
+                                   const LaneInputs<1>& xs,
+                                   std::span<const double> theta) {
+  replay(ops, num_inputs, state, xs, theta, nullptr);
+}
+
+QUCAD_ISA_CLONES void replay_entry(const std::vector<CompiledOp>& ops,
+                                   int num_inputs,
+                                   BatchedDensityMatrix<kBlockLanes>& state,
+                                   const LaneInputs<kBlockLanes>& xs,
+                                   std::span<const double> theta) {
+  replay(ops, num_inputs, state, xs, theta, nullptr);
+}
+
+QUCAD_ISA_CLONES void replay_entry(
+    const std::vector<CompiledOp>& ops, int num_inputs,
+    BatchedStateVector<1>& state, const LaneInputs<1>& xs,
+    std::span<const double> theta,
+    std::vector<std::array<cplx, 4>>* resolved) {
+  replay(ops, num_inputs, state, xs, theta, resolved);
+}
+
+QUCAD_ISA_CLONES void replay_entry(
+    const std::vector<CompiledOp>& ops, int num_inputs,
+    BatchedStateVector<kBlockLanes>& state, const LaneInputs<kBlockLanes>& xs,
+    std::span<const double> theta,
+    std::vector<std::array<cplx, 4>>* resolved) {
+  replay(ops, num_inputs, state, xs, theta, resolved);
+}
+
+}  // namespace
+
+const char* engine_isa() {
+#if QUCAD_HAVE_ISA_CLONES
+  // The CPU-feature tests GCC's resolver for QUCAD_ISA_CLONES runs, in the
+  // same order.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+  if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+  return "x86-64";
+#else
+  return "baseline";
+#endif
+}
+
+template <std::size_t L>
+void CompiledProgram::run_lanes(BatchedDensityMatrix<L>& bdm,
+                                const LaneInputs<L>& xs,
+                                std::span<const double> theta) const {
+  require(bdm.num_qubits() == num_qubits_,
+          "scratch matrix qubit count mismatch");
+  replay_entry(ops_, num_inputs_, bdm, xs, theta);
+}
+
+template <std::size_t L>
+void CompiledProgram::run_pure_lanes(
+    BatchedStateVector<L>& bsv, const LaneInputs<L>& xs,
+    std::span<const double> theta,
+    std::vector<std::array<cplx, 4>>* resolved) const {
+  require(bsv.num_qubits() == num_qubits_,
+          "scratch state qubit count mismatch");
+  require(!has_channels(),
+          "run_pure_lanes requires a noiseless program (no channel ops)");
+  replay_entry(ops_, num_inputs_, bsv, xs, theta, resolved);
+}
+
+template void CompiledProgram::run_lanes(BatchedDensityMatrix<1>&,
+                                         const LaneInputs<1>&,
+                                         std::span<const double>) const;
+template void CompiledProgram::run_lanes(BatchedDensityMatrix<kBlockLanes>&,
+                                         const LaneInputs<kBlockLanes>&,
+                                         std::span<const double>) const;
+template void CompiledProgram::run_pure_lanes(
+    BatchedStateVector<1>&, const LaneInputs<1>&, std::span<const double>,
+    std::vector<std::array<cplx, 4>>*) const;
+template void CompiledProgram::run_pure_lanes(
+    BatchedStateVector<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
+    std::span<const double>, std::vector<std::array<cplx, 4>>*) const;
 
 }  // namespace qucad

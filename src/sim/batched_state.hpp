@@ -36,8 +36,9 @@ namespace qucad {
 ///
 /// Arithmetic contract: each lane evolves through plain mul/add complex
 /// arithmetic in the expression order of the matching std::complex code,
-/// with no reassociation, and no lane reads another. A sample's result is
-/// therefore bitwise the same at either width and in any lane position —
+/// with no reassociation or FMA contraction, and no lane reads another. A
+/// sample's result is therefore bitwise the same at either width, in any
+/// lane position and on any ISA clone of the replay (sim/isa_clones.hpp) —
 /// which the sampled backend's per-sample shot streams rely on.
 
 /// Lanes of a full batch block: 8 doubles = one cache line per plane row,

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/require.hpp"
+#include "sim/isa_clones.hpp"
 
 namespace qucad {
 
@@ -190,6 +191,117 @@ void lanes_uncx_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
   lam.apply_cx(control, target);
 }
 
+/// Reverse sweep: maintains ket = |psi_k>, lam = U_{k+1}^dag..U_N^dag O|psi>
+/// per lane, adding each trainable op's contribution to gradients[lane]. For
+/// a symbolic op with a trainable slot, dU/dtheta = theta_scale * (-i Z/2) U
+/// (the RZ generator sits at the top of the op even for SymUni1, whose
+/// absorbed prefix precedes the RZ), so the contribution is
+/// theta_scale * Im(<lam| Z |psi_after>) — computed inside the same loop
+/// that un-applies the op from both states.
+template <std::size_t L>
+void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
+                         const std::vector<std::array<cplx, 4>>& resolved,
+                         BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+                         std::vector<std::vector<double>>& gradients) {
+  std::array<std::array<cplx, 4>, L> mds;
+  double acc[L];
+  double scratch[L] = {};  // discarded overlap for non-trainable ops
+  auto add_grads = [&](const CompiledOp& op) {
+    auto t = static_cast<std::size_t>(op.theta_index);
+    for (std::size_t l = 0; l < L; ++l) {
+      gradients[l][t] += op.theta_scale * acc[l];
+    }
+  };
+  for (std::size_t idx = ops.size(); idx-- > 0;) {
+    const CompiledOp& op = ops[idx];
+    const std::array<cplx, 4>* res = resolved.data() + idx * L;
+    switch (op.kind) {
+      case COpKind::Unitary1: {
+        mds.fill(dagger2(op.u));
+        lanes_unapply2_both(ket, lam, op.q0,
+                            transpose_mats<L>(mds.data()), scratch);
+        break;
+      }
+      case COpKind::Diag1:
+      case COpKind::SymDiag1: {
+        double d0r[L], d0i[L], d1r[L], d1i[L];
+        for (std::size_t l = 0; l < L; ++l) {
+          const cplx d0 = op.kind == COpKind::Diag1 ? std::conj(op.u[0])
+                                                    : std::conj(res[l][0]);
+          const cplx d1 = op.kind == COpKind::Diag1 ? std::conj(op.u[3])
+                                                    : std::conj(res[l][3]);
+          d0r[l] = d0.real();
+          d0i[l] = d0.imag();
+          d1r[l] = d1.real();
+          d1i[l] = d1.imag();
+        }
+        if (op.kind == COpKind::SymDiag1 && op.theta_index >= 0) {
+          std::fill(acc, acc + L, 0.0);
+          lanes_undiag_both(ket, lam, op.q0, d0r, d0i, d1r, d1i, acc);
+          add_grads(op);
+        } else {
+          lanes_undiag_both(ket, lam, op.q0, d0r, d0i, d1r, d1i, scratch);
+        }
+        break;
+      }
+      case COpKind::SymUni1: {
+        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
+        if (op.theta_index >= 0) {
+          std::fill(acc, acc + L, 0.0);
+          lanes_unapply2_both(ket, lam, op.q0,
+                              transpose_mats<L>(mds.data()), acc);
+          add_grads(op);
+        } else {
+          lanes_unapply2_both(ket, lam, op.q0,
+                              transpose_mats<L>(mds.data()), scratch);
+        }
+        break;
+      }
+      case COpKind::CRot2: {
+        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
+        if (op.theta_index >= 0) {
+          const std::array<cplx, 4> a_mat = conjugated_z_generator(op.u2);
+          std::fill(acc, acc + L, 0.0);
+          lanes_uncrot_both(ket, lam, op.q0, op.q1,
+                            transpose_mats<L>(mds.data()), &a_mat, acc);
+          add_grads(op);
+        } else {
+          lanes_uncrot_both(ket, lam, op.q0, op.q1,
+                            transpose_mats<L>(mds.data()), nullptr, scratch);
+        }
+        break;
+      }
+      case COpKind::Cx:
+        lanes_uncx_both(ket, lam, op.q0, op.q1);
+        break;
+      case COpKind::Channel1:
+      case COpKind::Channel2:
+        require(false, "cannot un-apply a channel op");
+        break;
+    }
+  }
+}
+
+// The reverse sweep's entry points: one non-template function per lane
+// width, cloned per ISA level with the kernels above flattened in (see
+// sim/isa_clones.hpp), like the forward replay's.
+
+QUCAD_ISA_CLONES void reverse_sweep(
+    const std::vector<CompiledOp>& ops,
+    const std::vector<std::array<cplx, 4>>& resolved,
+    BatchedStateVector<1>& ket, BatchedStateVector<1>& lam,
+    std::vector<std::vector<double>>& gradients) {
+  reverse_sweep_lanes(ops, resolved, ket, lam, gradients);
+}
+
+QUCAD_ISA_CLONES void reverse_sweep(
+    const std::vector<CompiledOp>& ops,
+    const std::vector<std::array<cplx, 4>>& resolved,
+    BatchedStateVector<kBlockLanes>& ket, BatchedStateVector<kBlockLanes>& lam,
+    std::vector<std::vector<double>>& gradients) {
+  reverse_sweep_lanes(ops, resolved, ket, lam, gradients);
+}
+
 }  // namespace
 
 template <std::size_t L>
@@ -267,91 +379,8 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
     }
   }
 
-  // Reverse sweep: maintain ket = |psi_k>, lam = U_{k+1}^dag..U_N^dag O|psi>
-  // per lane. For a symbolic op with a trainable slot, dU/dtheta =
-  // theta_scale * (-i Z/2) U (the RZ generator sits at the top of the op
-  // even for SymUni1, whose absorbed prefix precedes the RZ), so the
-  // contribution is theta_scale * Im(<lam| Z |psi_after>) — computed inside
-  // the same loop that un-applies the op from both states.
-  std::array<std::array<cplx, 4>, L> mds;
-  double acc[L];
-  double scratch[L] = {};  // discarded overlap for non-trainable ops
-  auto add_grads = [&](const CompiledOp& op) {
-    auto t = static_cast<std::size_t>(op.theta_index);
-    for (std::size_t l = 0; l < L; ++l) {
-      result.gradients[l][t] += op.theta_scale * acc[l];
-    }
-  };
-  const auto& ops = program.ops();
-  for (std::size_t idx = ops.size(); idx-- > 0;) {
-    const CompiledOp& op = ops[idx];
-    const std::array<cplx, 4>* res = ws.resolved.data() + idx * L;
-    switch (op.kind) {
-      case COpKind::Unitary1: {
-        mds.fill(dagger2(op.u));
-        lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
-                            transpose_mats<L>(mds.data()), scratch);
-        break;
-      }
-      case COpKind::Diag1:
-      case COpKind::SymDiag1: {
-        double d0r[L], d0i[L], d1r[L], d1i[L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const cplx d0 = op.kind == COpKind::Diag1 ? std::conj(op.u[0])
-                                                    : std::conj(res[l][0]);
-          const cplx d1 = op.kind == COpKind::Diag1 ? std::conj(op.u[3])
-                                                    : std::conj(res[l][3]);
-          d0r[l] = d0.real();
-          d0i[l] = d0.imag();
-          d1r[l] = d1.real();
-          d1i[l] = d1.imag();
-        }
-        if (op.kind == COpKind::SymDiag1 && op.theta_index >= 0) {
-          std::fill(acc, acc + L, 0.0);
-          lanes_undiag_both(*ws.ket, *ws.lam, op.q0, d0r, d0i, d1r, d1i, acc);
-          add_grads(op);
-        } else {
-          lanes_undiag_both(*ws.ket, *ws.lam, op.q0, d0r, d0i, d1r, d1i,
-                            scratch);
-        }
-        break;
-      }
-      case COpKind::SymUni1: {
-        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
-        if (op.theta_index >= 0) {
-          std::fill(acc, acc + L, 0.0);
-          lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
-                              transpose_mats<L>(mds.data()), acc);
-          add_grads(op);
-        } else {
-          lanes_unapply2_both(*ws.ket, *ws.lam, op.q0,
-                              transpose_mats<L>(mds.data()), scratch);
-        }
-        break;
-      }
-      case COpKind::CRot2: {
-        for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
-        if (op.theta_index >= 0) {
-          const std::array<cplx, 4> a_mat = conjugated_z_generator(op.u2);
-          std::fill(acc, acc + L, 0.0);
-          lanes_uncrot_both(*ws.ket, *ws.lam, op.q0, op.q1,
-                            transpose_mats<L>(mds.data()), &a_mat, acc);
-          add_grads(op);
-        } else {
-          lanes_uncrot_both(*ws.ket, *ws.lam, op.q0, op.q1,
-                            transpose_mats<L>(mds.data()), nullptr, scratch);
-        }
-        break;
-      }
-      case COpKind::Cx:
-        lanes_uncx_both(*ws.ket, *ws.lam, op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-      case COpKind::Channel2:
-        require(false, "cannot un-apply a channel op");
-        break;
-    }
-  }
+  reverse_sweep(program.ops(), ws.resolved, *ws.ket, *ws.lam,
+                result.gradients);
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "common/require.hpp"
 #include "linalg/gates.hpp"
@@ -407,126 +406,5 @@ void CompiledProgram::require_inputs(std::span<const double> x) const {
   require(x.size() >= static_cast<std::size_t>(num_inputs_),
           "feature vector too short for compiled program");
 }
-
-namespace {
-
-std::array<cplx, 4> sym_diag_matrix(const CompiledOp& /*op*/, double angle) {
-  const auto [d0, d1] = rz_diag(angle);
-  return {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
-}
-
-/// The one replay loop behind run_lanes and run_pure_lanes: walks the op
-/// stream once per block of L samples. Each symbolic op resolves to one 2x2
-/// per lane, which is also what `resolved` records: per lane for
-/// input-symbolic angles, once for theta-symbolic ones (applied with the
-/// uniform kernels).
-template <typename State, std::size_t L>
-void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
-            const LaneInputs<L>& xs, std::span<const double> theta,
-            std::vector<std::array<cplx, 4>>* resolved) {
-  if (resolved != nullptr) resolved->resize(ops.size() * L);
-  state.reset();
-  std::array<std::array<cplx, 4>, L> ms;
-  auto lane_matrices = [&](std::size_t idx, auto matrix_at) {
-    const CompiledOp& op = ops[idx];
-    if (op.input_index >= 0) {
-      for (std::size_t l = 0; l < L; ++l) {
-        // The caller checked every row with require_inputs(), so the
-        // bounds check inside resolve_sym_angle always passes.
-        const std::span<const double> x(xs[l],
-                                        static_cast<std::size_t>(num_inputs));
-        ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
-      }
-    } else {
-      ms.fill(matrix_at(op, resolve_sym_angle(op, {}, theta)));
-    }
-    if (resolved != nullptr) {
-      std::copy(ms.begin(), ms.end(), resolved->begin() + idx * L);
-    }
-    return ms.data();
-  };
-  for (std::size_t idx = 0; idx < ops.size(); ++idx) {
-    const CompiledOp& op = ops[idx];
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        state.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        state.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        const auto* m = lane_matrices(idx, sym_diag_matrix);
-        if (op.input_index >= 0) {
-          state.apply_diag1_lanes(op.q0, m);
-        } else {
-          state.apply_diag1(op.q0, m[0][0], m[0][3]);
-        }
-        break;
-      }
-      case COpKind::SymUni1: {
-        const auto* m = lane_matrices(idx, sym_uni_matrix);
-        if (op.input_index >= 0) {
-          state.apply1_lanes(op.q0, m);
-        } else {
-          state.apply1(op.q0, m[0]);
-        }
-        break;
-      }
-      case COpKind::CRot2:
-        state.apply_crot_lanes(op.q0, op.q1,
-                               lane_matrices(idx, crot_inner_matrix));
-        break;
-      case COpKind::Cx:
-        state.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, op.ch1);
-        }
-        break;
-      case COpKind::Channel2:
-        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel2(op.q0, op.q1, op.ch2);
-        }
-        break;
-    }
-  }
-}
-
-}  // namespace
-
-template <std::size_t L>
-void CompiledProgram::run_lanes(BatchedDensityMatrix<L>& bdm,
-                                const LaneInputs<L>& xs,
-                                std::span<const double> theta) const {
-  require(bdm.num_qubits() == num_qubits_,
-          "scratch matrix qubit count mismatch");
-  replay(ops_, num_inputs_, bdm, xs, theta, nullptr);
-}
-
-template <std::size_t L>
-void CompiledProgram::run_pure_lanes(
-    BatchedStateVector<L>& bsv, const LaneInputs<L>& xs,
-    std::span<const double> theta,
-    std::vector<std::array<cplx, 4>>* resolved) const {
-  require(bsv.num_qubits() == num_qubits_,
-          "scratch state qubit count mismatch");
-  require(!has_channels(),
-          "run_pure_lanes requires a noiseless program (no channel ops)");
-  replay(ops_, num_inputs_, bsv, xs, theta, resolved);
-}
-
-template void CompiledProgram::run_lanes(BatchedDensityMatrix<1>&,
-                                         const LaneInputs<1>&,
-                                         std::span<const double>) const;
-template void CompiledProgram::run_lanes(BatchedDensityMatrix<kBlockLanes>&,
-                                         const LaneInputs<kBlockLanes>&,
-                                         std::span<const double>) const;
-template void CompiledProgram::run_pure_lanes(
-    BatchedStateVector<1>&, const LaneInputs<1>&, std::span<const double>,
-    std::vector<std::array<cplx, 4>>*) const;
-template void CompiledProgram::run_pure_lanes(
-    BatchedStateVector<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
-    std::span<const double>, std::vector<std::array<cplx, 4>>*) const;
 
 }  // namespace qucad

@@ -156,7 +156,10 @@ class CompiledProgram {
   /// program has no trainable slots, i.e. theta was bound before lowering)
   /// and every error channel are lane-uniform; only input-symbolic RZ angles
   /// diverge per lane. `bdm` is reset first, so caller-owned scratch can be
-  /// reused across samples without reallocation.
+  /// reused across samples without reallocation. The replay runs the widest
+  /// ISA clone the CPU supports (sim/isa_clones.hpp), with bitwise the same
+  /// result on every clone; it is defined in sim/batched_state.cpp, next to
+  /// the kernels the clones inline.
   template <std::size_t L>
   void run_lanes(BatchedDensityMatrix<L>& bdm, const LaneInputs<L>& xs,
                  std::span<const double> theta = {}) const;

@@ -4,15 +4,20 @@
 // density and pure forward, the adjoint, and the sampled backend's shot
 // streams alike, over every batch size around the block width — and the
 // batch entry points must reject short feature rows up front, on the
-// calling thread.
+// calling thread. The replay's per-ISA clones are pinned bitwise against the
+// baseline-built kernels on whatever CPU runs the suite.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "backend/statevector_backend.hpp"
@@ -20,12 +25,17 @@
 #include "common/thread_pool.hpp"
 #include "data/mnist_synth.hpp"
 #include "noise/calibration_history.hpp"
+#include "noise/noise_model.hpp"
+#include "qnn/ansatz.hpp"
+#include "qnn/encoding.hpp"
 #include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
 #include "qnn/gradients.hpp"
 #include "qnn/model.hpp"
 #include "qnn/trainer.hpp"
 #include "sim/batched_state.hpp"
+#include "sim/compiled_ops.hpp"
+#include "sim/isa_clones.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
@@ -305,6 +315,210 @@ TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
             << "sample " << i << " shots " << shots;
       }
     }
+  }
+}
+
+// Cross-ISA pins. CompiledProgram::run_lanes / run_pure_lanes dispatch to
+// per-ISA clones of the replay (sim/isa_clones.hpp) that inline their own
+// copies of the lane kernels, while the out-of-line BatchedDensityMatrix /
+// BatchedStateVector members this test calls are built for the baseline ISA.
+// Driving one program op by op through the out-of-line kernels and through
+// the clone the host resolves must give bitwise the same planes.
+
+/// A compiled program with its theta and one block of feature rows.
+struct RandomRoutedProgram {
+  CompiledProgram program;
+  std::vector<double> theta;
+  std::vector<std::vector<double>> rows;
+};
+
+/// A random routed program: angle encoder, random literal gates, the paper
+/// ansatz, read out on qubits {1, 3} and routed onto belem with SWAPs.
+/// Input and trainable RZ angles stay symbolic; `noisy` folds the day's
+/// calibrated channels in.
+RandomRoutedProgram random_routed_program(std::uint64_t seed, bool noisy) {
+  Rng rng(seed);
+  const CalibrationHistory history(FluctuationScenario::belem(), 1, seed);
+  Circuit c = angle_encoder(4, 4);
+  c.append(test::random_circuit(rng, 4, 24));
+  c.append(build_paper_ansatz(4, 2));
+  const TranspiledModel transpiled =
+      transpile_model(c, {1, 3}, CouplingMap::belem(), &history.day(0));
+  EXPECT_GT(transpiled.routed.swap_count, 0) << "seed " << seed;
+  RandomRoutedProgram out;
+  out.program = CompiledProgram::compile(
+      lower_model_symbolic(transpiled),
+      noisy ? NoiseModel(history.day(0)) : NoiseModel());
+  out.theta.resize(static_cast<std::size_t>(c.num_trainable()));
+  for (double& t : out.theta) t = rng.uniform(-test::kPi, test::kPi);
+  out.rows.resize(kLanes);
+  for (auto& row : out.rows) {
+    row.resize(4);
+    for (double& v : row) v = rng.uniform(0.0, 1.0);
+  }
+  return out;
+}
+
+/// The program's op kinds, as a coverage check on the random programs.
+std::vector<bool> op_kinds_present(const CompiledProgram& program) {
+  std::vector<bool> present(static_cast<std::size_t>(COpKind::Channel2) + 1);
+  for (const CompiledOp& op : program.ops()) {
+    present[static_cast<std::size_t>(op.kind)] = true;
+  }
+  return present;
+}
+
+std::array<cplx, 4> sym_diag_at(const CompiledOp& /*op*/, double angle) {
+  const auto [d0, d1] = rz_diag(angle);
+  return {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
+}
+
+/// Replays `program` op by op through the out-of-line kernels of `state`,
+/// with run_lanes' per-op dispatch: per-lane matrices for input-symbolic
+/// angles, the uniform kernels for everything else.
+template <typename State, std::size_t L>
+void replay_out_of_line(const CompiledProgram& program, State& state,
+                        const LaneInputs<L>& xs,
+                        std::span<const double> theta) {
+  state.reset();
+  std::array<std::array<cplx, 4>, L> ms;
+  auto lane_matrices = [&](const CompiledOp& op, auto matrix_at) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::span<const double> x(
+          xs[l], static_cast<std::size_t>(program.num_inputs()));
+      ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
+    }
+    return ms.data();
+  };
+  for (const CompiledOp& op : program.ops()) {
+    switch (op.kind) {
+      case COpKind::Unitary1:
+        state.apply1(op.q0, op.u);
+        break;
+      case COpKind::Diag1:
+        state.apply_diag1(op.q0, op.u[0], op.u[3]);
+        break;
+      case COpKind::SymDiag1: {
+        const auto* m = lane_matrices(op, sym_diag_at);
+        if (op.input_index >= 0) {
+          state.apply_diag1_lanes(op.q0, m);
+        } else {
+          state.apply_diag1(op.q0, m[0][0], m[0][3]);
+        }
+        break;
+      }
+      case COpKind::SymUni1: {
+        const auto* m = lane_matrices(op, sym_uni_matrix);
+        if (op.input_index >= 0) {
+          state.apply1_lanes(op.q0, m);
+        } else {
+          state.apply1(op.q0, m[0]);
+        }
+        break;
+      }
+      case COpKind::CRot2:
+        state.apply_crot_lanes(op.q0, op.q1,
+                               lane_matrices(op, crot_inner_matrix));
+        break;
+      case COpKind::Cx:
+        state.apply_cx(op.q0, op.q1);
+        break;
+      case COpKind::Channel1:
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel1(op.q0, op.ch1);
+        }
+        break;
+      case COpKind::Channel2:
+        if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
+          state.apply_channel2(op.q0, op.q1, op.ch2);
+        }
+        break;
+    }
+  }
+}
+
+/// Bytewise equality of two SoA states' real and imaginary planes.
+template <typename State>
+void expect_planes_bitwise_equal(const State& actual, const State& expected,
+                                 std::size_t entries) {
+  const std::size_t n = entries * State::kLanes;
+  for (const auto& [a, e, plane] :
+       {std::tuple{actual.re(), expected.re(), "re"},
+        std::tuple{actual.im(), expected.im(), "im"}}) {
+    if (std::memcmp(a, e, n * sizeof(double)) == 0) continue;
+    std::size_t i = 0;
+    while (std::memcmp(a + i, e + i, sizeof(double)) == 0) ++i;
+    ADD_FAILURE() << plane << " plane differs first at entry " << i / State::kLanes
+                  << " lane " << i % State::kLanes << ": " << a[i]
+                  << " vs out-of-line " << e[i];
+  }
+}
+
+/// Runs the clone-dispatched replay (`run`) and the out-of-line one on the
+/// same rows at width L, and pins their planes bitwise.
+template <typename State, typename Run>
+void check_width(const RandomRoutedProgram& p, std::size_t entries, Run run) {
+  constexpr std::size_t L = State::kLanes;
+  const int n = p.program.num_qubits();
+  State cloned(n);
+  State out_of_line(n);
+  for (std::size_t first = 0; first + L <= p.rows.size(); first += L) {
+    SCOPED_TRACE("width " + std::to_string(L) + " first row " +
+                 std::to_string(first));
+    const auto xs = lane_rows<L>(p.rows, first);
+    run(cloned, xs);
+    replay_out_of_line(p.program, out_of_line, xs, p.theta);
+    expect_planes_bitwise_equal(cloned, out_of_line, entries);
+  }
+}
+
+TEST(BatchedNoisy, ClonedReplayBitwiseMatchesOutOfLineKernels) {
+  // Noisy programs carry the channels; CX sandwiches fuse to CRot2 only
+  // where no channel follows the CX, so the noiseless density replay covers
+  // the density CRot2 kernel.
+  SCOPED_TRACE(std::string("engine_isa ") + engine_isa());
+  std::vector<bool> kinds(static_cast<std::size_t>(COpKind::Channel2) + 1);
+  for (const bool noisy : {true, false}) {
+    for (const std::uint64_t seed : {3u, 17u, 29u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (noisy ? " noisy" : " noiseless"));
+      const RandomRoutedProgram p = random_routed_program(seed, noisy);
+      const std::vector<bool> present = op_kinds_present(p.program);
+      for (std::size_t k = 0; k < kinds.size(); ++k) {
+        kinds[k] = kinds[k] || present[k];
+      }
+      const std::size_t dim = std::size_t{1} << p.program.num_qubits();
+      auto run = [&](auto& bdm, const auto& xs) {
+        p.program.run_lanes(bdm, xs, p.theta);
+      };
+      check_width<BatchedDensityMatrix<1>>(p, dim * dim, run);
+      check_width<BatchedDensityMatrix<kBlockLanes>>(p, dim * dim, run);
+    }
+  }
+  for (const COpKind kind : {COpKind::SymUni1, COpKind::CRot2, COpKind::Cx,
+                             COpKind::Channel1, COpKind::Channel2}) {
+    EXPECT_TRUE(kinds[static_cast<std::size_t>(kind)])
+        << "op kind " << static_cast<int>(kind) << " not exercised";
+  }
+}
+
+TEST(BatchedReplay, ClonedReplayBitwiseMatchesOutOfLineKernels) {
+  SCOPED_TRACE(std::string("engine_isa ") + engine_isa());
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomRoutedProgram p = random_routed_program(seed, false);
+    ASSERT_FALSE(p.program.has_channels());
+    const std::vector<bool> kinds = op_kinds_present(p.program);
+    for (const COpKind kind : {COpKind::SymUni1, COpKind::CRot2, COpKind::Cx}) {
+      EXPECT_TRUE(kinds[static_cast<std::size_t>(kind)])
+          << "op kind " << static_cast<int>(kind) << " not exercised";
+    }
+    const std::size_t dim = std::size_t{1} << p.program.num_qubits();
+    auto run = [&](auto& bsv, const auto& xs) {
+      p.program.run_pure_lanes(bsv, xs, p.theta);
+    };
+    check_width<BatchedStateVector<1>>(p, dim, run);
+    check_width<BatchedStateVector<kBlockLanes>>(p, dim, run);
   }
 }
 

@@ -21,8 +21,16 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         strtok (non-reentrant), and std::random_device
                         (non-deterministic seeding) are banned in
                         deterministic paths.
+  fp-determinism        the lane replay is bitwise the same on every ISA
+                        clone (sim/isa_clones.hpp): no `reduction(` clause
+                        on a `#pragma omp simd` under src/sim/ (lanes never
+                        combine), and no -ffast-math, -Ofast,
+                        -ffp-contract=fast, -march=, -mavx* or -mfma in any
+                        CMakeLists.txt (ISA levels come from the clones,
+                        and FP contraction stays off).
 
-Scope: src/, bench/, examples/ (positional-readout also covers tests/).
+Scope: src/, bench/, examples/ (positional-readout also covers tests/;
+fp-determinism covers src/sim/ sources and every CMakeLists.txt).
 Exemptions live in tools/qucad_lint_allow.txt as `<rule-id> <path>` lines,
 each with a rationale comment — prefer fixing over allowlisting.
 
@@ -58,13 +66,18 @@ SLOT_CONTAINER = (
 QUBIT_INDEX = r"[^\]\n]*qubit[^\]\n]*"
 
 
+CMAKE_FILE = "CMakeLists.txt"
+
+
 class Rule:
-    def __init__(self, rule_id, pattern, message, dirs, suffixes=(".cpp", ".hpp")):
+    def __init__(self, rule_id, pattern, message, dirs, cmake=False):
         self.rule_id = rule_id
         self.pattern = re.compile(pattern)
         self.message = message
         self.dirs = dirs
-        self.suffixes = suffixes
+        # A CMake rule scans every CMakeLists.txt (`dirs` unused); the others
+        # scan the C++ sources under `dirs`.
+        self.cmake = cmake
 
 
 RULES = [
@@ -98,6 +111,21 @@ RULES = [
         "rand/srand/strtok/std::random_device are banned: use "
         "common/rng.hpp's seeded generators (determinism contract)",
         dirs=("src", "bench", "examples"),
+    ),
+    Rule(
+        "fp-determinism",
+        r"#\s*pragma\s+omp\s+simd\b[^\n]*\breduction\s*\(",
+        "an omp simd reduction may reassociate a sum differently per ISA "
+        "clone; lanes must stay independent (bitwise-across-ISA contract)",
+        dirs=("src/sim",),
+    ),
+    Rule(
+        "fp-determinism",
+        r"(?<![\w-])-(?:ffast-math|Ofast|ffp-contract=fast|march=|mavx|mfma)",
+        "fast-math, FP contraction and -march/-mavx/-mfma break the replay's "
+        "bitwise-across-ISA contract; ISA levels come from QUCAD_ISA_CLONES",
+        dirs=(),
+        cmake=True,
     ),
 ]
 
@@ -158,6 +186,22 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
+def strip_cmake_comments(text):
+    """Blanks out CMake `#` comments outside quoted arguments, keeping
+    newlines and columns."""
+    out = []
+    for line in text.split("\n"):
+        quoted = False
+        for i, c in enumerate(line):
+            if c == '"' and (i == 0 or line[i - 1] != "\\"):
+                quoted = not quoted
+            elif c == "#" and not quoted:
+                line = line[:i] + " " * (len(line) - i)
+                break
+        out.append(line)
+    return "\n".join(out)
+
+
 def load_allowlist(path):
     allow = set()
     if not path.exists():
@@ -176,6 +220,8 @@ def load_allowlist(path):
 
 def rule_applies(rule, rel):
     rel_posix = rel.as_posix()
+    if rule.cmake or rel.name == CMAKE_FILE:
+        return rule.cmake and rel.name == CMAKE_FILE
     if rule.rule_id == "registry-only-backend" and any(
         rel_posix.startswith(d + "/") for d in ENGINE_DIRS
     ):
@@ -183,8 +229,9 @@ def rule_applies(rule, rel):
     return any(rel_posix.startswith(d + "/") for d in rule.dirs)
 
 
-def lint_tree(root, allow):
-    findings = []
+def source_files(root):
+    """The C++ sources under the rules' directories, then every
+    CMakeLists.txt outside build trees, as (path, stripped text) pairs."""
     scan_dirs = sorted({d for rule in RULES for d in rule.dirs})
     seen = set()
     for dir_name in scan_dirs:
@@ -195,18 +242,28 @@ def lint_tree(root, allow):
             if path.suffix not in (".cpp", ".hpp") or path in seen:
                 continue
             seen.add(path)
-            rel = path.relative_to(root)
-            text = strip_comments_and_strings(path.read_text())
-            for rule in RULES:
-                if not rule_applies(rule, rel):
-                    continue
-                if (rule.rule_id, rel.as_posix()) in allow:
-                    continue
-                for match in rule.pattern.finditer(text):
-                    line = text.count("\n", 0, match.start()) + 1
-                    findings.append(
-                        f"{rel.as_posix()}:{line}: [{rule.rule_id}] {rule.message}"
-                    )
+            yield path, strip_comments_and_strings(path.read_text())
+    for path in sorted(root.rglob(CMAKE_FILE)):
+        rel_parts = path.relative_to(root).parts
+        if any(part.startswith(("build", ".")) for part in rel_parts[:-1]):
+            continue
+        yield path, strip_cmake_comments(path.read_text())
+
+
+def lint_tree(root, allow):
+    findings = []
+    for path, text in source_files(root):
+        rel = path.relative_to(root)
+        for rule in RULES:
+            if not rule_applies(rule, rel):
+                continue
+            if (rule.rule_id, rel.as_posix()) in allow:
+                continue
+            for match in rule.pattern.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                findings.append(
+                    f"{rel.as_posix()}:{line}: [{rule.rule_id}] {rule.message}"
+                )
     return findings
 
 
@@ -239,21 +296,41 @@ SELF_TEST_CASES = {
         ("src/data/bad.cpp",
          "int f() { std::random_device rd; return rand() % 6; }\n"),
     ],
+    "fp-determinism": [
+        ("src/sim/bad.cpp",
+         "double f(const double* a) {\n  double s = 0.0;\n"
+         "#pragma omp simd reduction(+ : s)\n"
+         "  for (int l = 0; l < 8; ++l) s += a[l];\n  return s;\n}\n"),
+        ("CMakeLists.txt",
+         "target_compile_options(qucad_options INTERFACE -O2 -march=native)\n"),
+        ("bench/CMakeLists.txt",
+         "set(CMAKE_CXX_FLAGS \"${CMAKE_CXX_FLAGS} -ffast-math -mfma\")\n"),
+    ],
 }
 
-CLEAN_FILE = (
-    "src/serve/good.cpp",
-    # Mentions of every banned pattern inside comments and strings, plus the
-    # allowed direction of readout indexing: none of these may fire.
-    "// a comment may say throw, rand(), or NoisyExecutor executor(x);\n"
-    "const char* s = \"throw std::random_device rand()\";\n"
-    "int slot_ok(const std::vector<int>& readout_qubits) {\n"
-    "  return readout_qubits[0];  // slot -> qubit mapping is the legal way\n"
-    "}\n"
-    "double positional(const std::vector<double>& logits, int slot) {\n"
-    "  return logits[slot];\n"
-    "}\n",
-)
+CLEAN_FILES = [
+    ("src/serve/good.cpp",
+     # Mentions of every banned pattern inside comments and strings, plus
+     # the allowed direction of readout indexing: none of these may fire.
+     "// a comment may say throw, rand(), or NoisyExecutor executor(x);\n"
+     "const char* s = \"throw std::random_device rand()\";\n"
+     "int slot_ok(const std::vector<int>& readout_qubits) {\n"
+     "  return readout_qubits[0];  // slot -> qubit mapping is the legal way\n"
+     "}\n"
+     "double positional(const std::vector<double>& logits, int slot) {\n"
+     "  return logits[slot];\n"
+     "}\n"),
+    ("src/sim/good.cpp",
+     # A per-lane omp simd loop (no reduction clause) and a reduction named
+     # only in a comment.
+     "void f(double* acc, const double* a) {\n"
+     "#pragma omp simd  // no reduction(+ : acc) across lanes\n"
+     "  for (int l = 0; l < 8; ++l) acc[l] += a[l];\n}\n"),
+    ("examples/CMakeLists.txt",
+     # The allowed contraction setting, and banned flags only in a comment.
+     "# never -ffast-math or -march=native here\n"
+     "target_compile_options(x PRIVATE -ffp-contract=off -fopenmp-simd)\n"),
+]
 
 
 def self_test():
@@ -262,19 +339,21 @@ def self_test():
         tmp_root = pathlib.Path(tmp)
         all_cases = [case for cases in SELF_TEST_CASES.values()
                      for case in cases]
-        for rel, content in [*all_cases, CLEAN_FILE]:
+        for rel, content in [*all_cases, *CLEAN_FILES]:
             target = tmp_root / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(content)
         findings = lint_tree(tmp_root, allow=set())
         for rule_id, cases in SELF_TEST_CASES.items():
             for rel, _ in cases:
-                hits = [f for f in findings if f"[{rule_id}]" in f and rel in f]
+                hits = [f for f in findings
+                        if f"[{rule_id}]" in f and f.startswith(rel + ":")]
                 if not hits:
                     failures.append(f"rule {rule_id} did not fire on {rel}")
-        clean_hits = [f for f in findings if CLEAN_FILE[0] in f]
-        if clean_hits:
-            failures.append(f"clean file produced findings: {clean_hits}")
+        for rel, _ in CLEAN_FILES:
+            clean_hits = [f for f in findings if f.startswith(rel + ":")]
+            if clean_hits:
+                failures.append(f"clean file produced findings: {clean_hits}")
         # The allowlist must silence exactly the exempted (rule, file) pair.
         rel = SELF_TEST_CASES["no-throw-serving"][0][0]
         allowed = lint_tree(tmp_root, allow={("no-throw-serving", rel)})
@@ -286,7 +365,7 @@ def self_test():
         print(f"self-test FAILED: {failure}")
     if not failures:
         print(f"self-test OK: {len(SELF_TEST_CASES)} rules fire, "
-              "clean file stays clean, allowlist suppresses")
+              "clean files stay clean, allowlist suppresses")
     return 1 if failures else 0
 
 
