@@ -51,8 +51,7 @@ enum class BackendKind : std::uint8_t {
 const char* backend_kind_name(BackendKind kind);
 
 /// What a backend can and cannot do. Consumers branch on these instead of
-/// on concrete executor types — e.g. the trainer rejects any configured
-/// backend whose kind is not gradient-capable.
+/// on concrete executor types.
 struct BackendCapabilities {
   /// Calibrated error channels participate in the state evolution.
   bool models_noise = false;
@@ -95,9 +94,8 @@ BackendDiagnostics program_diagnostics(BackendKind kind,
                                        int shots);
 
 /// Selects and parameterizes an execution backend. This is the config every
-/// consumer-facing option struct carries (NoisyEvalOptions, TrainConfig,
-/// HarnessOptions, ServiceConfig) so a scenario picks its execution regime
-/// declaratively. Engine knobs that would poison executor-cache keys (noise
+/// consumer-facing option struct carries (NoisyEvalOptions, HarnessOptions,
+/// ServiceConfig) so a scenario picks its execution regime declaratively. Engine knobs that would poison executor-cache keys (noise
 /// model options, worker pool, cache bypass) deliberately stay on the
 /// consumer option structs; this struct only holds what defines the
 /// backend itself.

@@ -214,7 +214,8 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_u64(config.num_shards);
   out.write_u64(config.queue_capacity);
   out.write_u64(static_cast<std::uint64_t>(config.deadline_budget.count()));
-  out.write_u8(static_cast<std::uint8_t>(config.routing));
+  // The v1 routing-policy byte; one policy is left, written as 0.
+  out.write_u8(0);
   out.write_u64(config.result_cache_capacity);
   out.write_f64(config.result_cache_quantum);
 }
@@ -313,8 +314,9 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   if (Status s = in.read_u64(count); !s.ok()) return s;
   config.deadline_budget =
       std::chrono::microseconds(static_cast<std::int64_t>(count));
+  // The v1 routing-policy byte (0 least-loaded, 1 hash): range-checked,
+  // then ignored — every service routes least-loaded now.
   if (Status s = read_enum_u8(in, 1, "RoutingPolicy", raw); !s.ok()) return s;
-  config.routing = static_cast<ServiceConfig::RoutingPolicy>(raw);
   if (Status s = in.read_u64(count); !s.ok()) return s;
   config.result_cache_capacity = static_cast<std::size_t>(count);
   if (Status s = in.read_f64(config.result_cache_quantum); !s.ok()) return s;

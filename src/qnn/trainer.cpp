@@ -21,15 +21,6 @@ TrainResult train_circuit(const Circuit& circuit,
   require(config.frozen.empty() || config.frozen.size() == theta.size(),
           "freeze mask size mismatch");
   require(data.size() > 0, "empty training set");
-  require(config.backend.validate().ok(), "invalid training backend config");
-  // The training loop differentiates through its own compiled/reference
-  // statevector engines, so only the gradient-capable built-in kind is
-  // accepted — a custom registry backend cannot supply gradients to
-  // batch_loss_grad regardless of what its instance capabilities claim.
-  require(backend_kind_capabilities(config.backend.kind).gradients,
-          "training needs a gradient-capable backend kind "
-          "(kPureStatevector); density/sampled/custom regimes are "
-          "evaluation-only");
 
   Rng rng(config.seed);
   Adam optimizer(config.lr);

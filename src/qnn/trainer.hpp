@@ -4,7 +4,6 @@
 #include <functional>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "circuit/circuit.hpp"
 #include "data/dataset.hpp"
 #include "qnn/model.hpp"
@@ -43,15 +42,6 @@ struct TrainConfig {
   /// Gradient engine. Both produce the same losses/gradients to ~1e-12 per
   /// step; kCompiled is the fast path, kReference the ground truth.
   TrainEngine engine = TrainEngine::kCompiled;
-
-  /// Execution regime the training loop runs under. Training needs exact
-  /// gradients, so the kind must be gradient-capable
-  /// (backend_kind_capabilities(kind).gradients — today only
-  /// kPureStatevector); train_circuit rejects anything else up front rather
-  /// than silently training on a regime whose logits it cannot
-  /// differentiate. `engine` above then picks the compiled or reference
-  /// implementation of that regime.
-  BackendConfig backend{.kind = BackendKind::kPureStatevector};
 };
 
 struct TrainResult {

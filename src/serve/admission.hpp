@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -13,7 +12,7 @@ namespace qucad {
 /// Load-shedding and deadline policy shared by every shard of one
 /// InferenceService. The bounded per-shard queue does the actual admission
 /// (BoundedQueue::try_push against its capacity); this object turns the two
-/// overload outcomes into the serving error model and counts them:
+/// overload outcomes into the serving error model (the shards count them):
 ///
 ///  - queue full at submission  -> kResourceExhausted (shed, never queued)
 ///  - deadline budget elapsed while queued -> kDeadlineExceeded (failed at
@@ -36,28 +35,19 @@ class AdmissionController {
   /// dispatch time.
   Clock::TimePoint stamp() const { return clock_.now(); }
 
-  /// The shed verdict for a request bounced off a full shard queue.
-  /// Counts it and returns the kResourceExhausted the caller propagates.
-  Status shed(std::size_t shard, std::size_t queue_capacity);
+  /// The shed verdict for a request bounced off a full shard queue: the
+  /// kResourceExhausted the caller propagates.
+  static Status shed(std::size_t shard, std::size_t queue_capacity);
 
   /// Dispatch-time gate: OK while the request's budget has time left,
-  /// kDeadlineExceeded (counted) once `enqueued + deadline_budget` is past.
-  Status admit_for_execution(Clock::TimePoint enqueued);
-
-  std::uint64_t shed_count() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deadline_misses() const {
-    return deadline_misses_.load(std::memory_order_relaxed);
-  }
+  /// kDeadlineExceeded once `enqueued + deadline_budget` is past.
+  Status admit_for_execution(Clock::TimePoint enqueued) const;
 
   std::chrono::microseconds deadline_budget() const { return deadline_budget_; }
 
  private:
   const std::chrono::microseconds deadline_budget_;
   const Clock& clock_;
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> deadline_misses_{0};
 };
 
 }  // namespace qucad

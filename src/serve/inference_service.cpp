@@ -1,7 +1,6 @@
 #include "serve/inference_service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -28,25 +27,19 @@ struct InferenceService::Impl {
   // --- sharded serving plane ---------------------------------------------
   AdmissionController admission;
   ResultCache cache;
-  // Stable addresses: shards hold references to config/admission/cache and
-  // run dispatcher threads, so they live behind unique_ptr and are neither
-  // copied nor reallocated after create().
+  // The one current epoch every shard and submit path reads; written only
+  // by install_epoch. Declared before the shards, which borrow it.
+  EpochSlot epoch;
+  // Stable addresses: shards hold references to config/admission/cache/
+  // epoch and run dispatcher threads, so they live behind unique_ptr and
+  // are neither copied nor reallocated after create().
   std::vector<std::unique_ptr<ServingShard>> shards;
-
-  // --- epoch state -------------------------------------------------------
-  // Shards each hold their own epoch pointer; this is the service-level
-  // view (what active_epoch()/active_theta() report after a broadcast).
-  mutable std::mutex epoch_mutex;
-  std::uint64_t current_epoch_id = 0;
-  std::vector<double> current_theta;
-  std::uint64_t next_epoch_id = 1;
   mutable std::mutex admin_mutex;  // serializes on_calibration events
 
   // --- monitoring --------------------------------------------------------
   // Calibration-event counters; the serving-path counters live on the
   // shards (submit_batch sweeps are counted by the shard that ran them).
   mutable std::mutex stats_mutex;
-  std::uint64_t swaps = 0;
   std::uint64_t reuses = 0;
   std::uint64_t compressions = 0;
   std::uint64_t failures = 0;
@@ -64,7 +57,7 @@ struct InferenceService::Impl {
     shards.reserve(config.num_shards);
     for (std::size_t s = 0; s < config.num_shards; ++s) {
       shards.push_back(std::make_unique<ServingShard>(
-          s, config, admission, cache.enabled() ? &cache : nullptr));
+          s, config, admission, cache.enabled() ? &cache : nullptr, epoch));
     }
   }
 
@@ -90,34 +83,21 @@ struct InferenceService::Impl {
     return *std::move(backend);
   }
 
-  /// Builds the next epoch and broadcasts it shard by shard: every shard
-  /// gets its own backend instance for the same (theta, calibration) —
-  /// resolved through the registry, sharing the compiled program via the
-  /// executor cache — under ONE epoch id. A shard that is mid-sweep keeps
-  /// its old snapshot until the batch finishes; shards are updated in
-  /// index order, so during the broadcast early shards already serve the
-  /// new epoch while late shards still serve the old one, and every
-  /// prediction names whichever it ran on. The only writer of epoch state;
-  /// callers hold admin_mutex (or are create()).
+  /// Builds one backend for (theta, calibration) and publishes it as the
+  /// next epoch in a single store, so every shard moves at once. A build
+  /// that throws installs nothing and consumes no id, which keeps ids
+  /// gapless: the id of the current epoch is the number of installs. A
+  /// batch that is mid-sweep keeps the snapshot it grabbed. The only writer
+  /// of `epoch`; callers hold admin_mutex (or are create()).
   std::uint64_t install_epoch(std::vector<double> theta,
                               const Calibration& calibration) {
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lock(epoch_mutex);
-      id = next_epoch_id++;
-    }
-    for (const std::unique_ptr<ServingShard>& shard : shards) {
-      auto epoch = std::make_shared<Epoch>();
-      epoch->id = id;
-      epoch->theta = theta;
-      epoch->calibration = calibration;
-      epoch->backend = build_backend(epoch->theta, calibration);
-      shard->install_epoch(std::move(epoch));
-    }
-    std::lock_guard<std::mutex> lock(epoch_mutex);
-    current_epoch_id = id;
-    current_theta = std::move(theta);
-    return id;
+    auto next = std::make_shared<Epoch>();
+    next->backend = build_backend(theta, calibration);
+    const std::shared_ptr<const Epoch> current = epoch.load();
+    next->id = current == nullptr ? 1 : current->id + 1;
+    next->theta = std::move(theta);
+    epoch.store(next);
+    return next->id;
   }
 
   Status validate_features(const std::vector<double>& features) const {
@@ -129,14 +109,10 @@ struct InferenceService::Impl {
     return Status();
   }
 
-  /// Least-loaded shard, ties broken by the deterministic feature hash —
-  /// or pure hash routing when configured.
+  /// Least-loaded shard, ties broken by the deterministic feature hash.
   ServingShard& route(const std::vector<double>& features) {
     const std::size_t by_hash = route_by_hash(features, shards.size());
-    if (config.routing == ServiceConfig::RoutingPolicy::kHash ||
-        shards.size() == 1) {
-      return *shards[by_hash];
-    }
+    if (shards.size() == 1) return *shards[by_hash];
     std::size_t best = by_hash;
     std::size_t best_depth = std::numeric_limits<std::size_t>::max();
     for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -188,10 +164,6 @@ StatusOr<InferenceService> InferenceService::create(
     return Status::invalid_argument(
         std::string("cannot compile the initial epoch: ") + e.what());
   }
-  {
-    std::lock_guard<std::mutex> lock(impl->stats_mutex);
-    ++impl->swaps;
-  }
   for (const std::unique_ptr<ServingShard>& shard : impl->shards) {
     shard->start();
   }
@@ -213,21 +185,19 @@ std::future<StatusOr<Prediction>> InferenceService::submit_async(
     rejected.set_value(std::move(status));
     return rejected.get_future();
   }
-  ServingShard& shard = impl_->route(features);
   if (impl_->cache.enabled()) {
-    // Answer repeats from the shard's CURRENT epoch without queueing. The
-    // key carries the epoch id, so a cached answer is exactly what this
-    // epoch's sweep would compute (bitwise, for expectation backends) and
-    // a hot-swap invalidates by construction.
-    const std::shared_ptr<const Epoch> epoch = shard.epoch();
+    // Answer repeats from the CURRENT epoch without queueing. The key
+    // carries the epoch id, so a cached answer is exactly what this epoch's
+    // sweep would compute (bitwise, for expectation backends) and a
+    // hot-swap invalidates by construction.
     if (std::optional<Prediction> hit =
-            impl_->cache.lookup(epoch->id, features)) {
+            impl_->cache.lookup(impl_->epoch.load()->id, features)) {
       std::promise<StatusOr<Prediction>> cached;
       cached.set_value(*std::move(hit));
       return cached.get_future();
     }
   }
-  return shard.enqueue(std::move(features));
+  return impl_->route(features).enqueue(std::move(features));
 }
 
 StatusOr<Prediction> InferenceService::submit(std::vector<double> features) {
@@ -243,12 +213,10 @@ StatusOr<std::vector<Prediction>> InferenceService::submit_batch(
     }
   }
   // A caller-assembled batch bypasses queue and window: one sweep on the
-  // routed shard's current epoch snapshot (all shards converge to the same
-  // epoch outside an in-flight broadcast).
-  ServingShard& shard = impl_->route(batch.front());
-  const std::shared_ptr<const Epoch> epoch = shard.epoch();
+  // current epoch, counted against the routed shard.
+  const std::shared_ptr<const Epoch> epoch = impl_->epoch.load();
   try {
-    return shard.run_batch(*epoch, batch);
+    return impl_->route(batch.front()).run_batch(*epoch, batch);
   } catch (const std::exception& e) {
     return Status::internal(std::string("batch sweep failed: ") + e.what());
   }
@@ -310,28 +278,23 @@ StatusOr<CalibrationReport> InferenceService::on_calibration(
                             e.what());
   }
   report.swapped = true;
-  {
-    std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-    ++impl_->swaps;
-  }
   return report;
 }
 
 std::uint64_t InferenceService::active_epoch() const {
-  std::lock_guard<std::mutex> lock(impl_->epoch_mutex);
-  return impl_->current_epoch_id;
+  return impl_->epoch.load()->id;
 }
 
 std::vector<double> InferenceService::active_theta() const {
-  std::lock_guard<std::mutex> lock(impl_->epoch_mutex);
-  return impl_->current_theta;
+  return impl_->epoch.load()->theta;
 }
 
 ServingStats InferenceService::stats() const {
   ServingStats stats;
+  // Ids are gapless from 1, so the current id counts every install.
+  stats.swaps = active_epoch();
   {
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-    stats.swaps = impl_->swaps;
     stats.reuses = impl_->reuses;
     stats.compressions = impl_->compressions;
     stats.failures = impl_->failures;

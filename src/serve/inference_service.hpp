@@ -38,7 +38,7 @@ struct ServingStats {
   std::uint64_t requests = 0;        ///< samples served (submit* variants)
   std::uint64_t batches = 0;         ///< compiled batch sweeps executed
   std::uint64_t coalesced = 0;       ///< async requests that shared a sweep
-  std::uint64_t swaps = 0;           ///< epochs installed (including the first)
+  std::uint64_t swaps = 0;           ///< epochs installed, first included (== active_epoch())
   std::uint64_t reuses = 0;          ///< calibration events answered from the repository
   std::uint64_t compressions = 0;    ///< calibration events that compressed a new model
   std::uint64_t failures = 0;        ///< Guidance-2 failure reports
@@ -72,9 +72,8 @@ struct RepositorySnapshot {
 ///    setup-scope objects it was built from.
 ///  - `submit_async` never blocks on the batch window: the request is
 ///    routed to one of `ServiceConfig::num_shards` independent shards
-///    (least-loaded, with a deterministic feature-hash fallback — or pure
-///    hash routing under RoutingPolicy::kHash) and the caller gets a
-///    future. Each shard owns a BOUNDED queue and its own micro-batch
+///    (least-loaded, with a deterministic feature-hash tie-break) and the
+///    caller gets a future. Each shard owns a BOUNDED queue and its own micro-batch
 ///    dispatcher: a full queue sheds the request with kResourceExhausted
 ///    instead of queuing unboundedly, and a request still queued past
 ///    `deadline_budget` fails with kDeadlineExceeded instead of executing
@@ -83,14 +82,14 @@ struct RepositorySnapshot {
 ///    epoch-keyed result cache answers repeated (quantized) feature
 ///    vectors without queueing at all. `submit` is a thin blocking shim
 ///    (`submit_async(...).get()`); `submit_batch` sweeps a caller-assembled
-///    batch directly on one shard's epoch, bypassing queue and window.
+///    batch directly on the current epoch, bypassing queue and window.
 ///  - `on_calibration` runs the repository decision for a new calibration
-///    snapshot (reuse / compress-new / failure report) and hot-swaps the
-///    compiled backend shard by shard: epochs are immutable shared_ptr
-///    snapshots (same id across shards, per-shard backend instance built
-///    through the registry), so in-flight batches finish on the program
-///    they started with and every prediction names the epoch that produced
-///    it.
+///    snapshot (reuse / compress-new / failure report), builds ONE backend
+///    through the registry and publishes it as the service's one current
+///    epoch in a single store: every shard moves at once, or — when the
+///    build fails — none does. Epochs are immutable shared_ptr snapshots,
+///    so in-flight batches finish on the program they started with and
+///    every prediction names the epoch that produced it.
 ///
 /// Concurrency contract: `submit`, `submit_async`, `submit_batch`,
 /// `active_epoch`, `stats`, `shard_stats` and `repository_snapshot` may be
@@ -163,7 +162,8 @@ class InferenceService {
   /// being served from the current epoch throughout.
   StatusOr<CalibrationReport> on_calibration(const Calibration& calibration);
 
-  /// Id of the epoch currently serving (monotonically increasing from 1).
+  /// Id of the epoch currently serving: 1 for the first, then one more per
+  /// installed epoch (a failed install spends no id).
   std::uint64_t active_epoch() const;
 
   /// Parameters the active epoch serves (the repository entry installed by

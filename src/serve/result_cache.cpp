@@ -8,14 +8,18 @@ namespace qucad {
 ResultCache::ResultCache(std::size_t capacity, double quantum)
     : capacity_(capacity), quantum_(quantum) {}
 
-ResultCache::Key ResultCache::make_key(std::uint64_t epoch,
-                                       std::span<const double> features) const {
+std::optional<ResultCache::Key> ResultCache::make_key(
+    std::uint64_t epoch, std::span<const double> features) const {
   Key key;
   key.epoch = epoch;
   key.quantized.reserve(features.size());
   for (const double f : features) {
     if (quantum_ > 0.0) {
-      key.quantized.push_back(std::llround(f / quantum_));
+      // A bucket outside the int64 range (NaN, inf, huge readings) has no
+      // key: llround would map all of them to one value.
+      const double bucket = std::round(f / quantum_);
+      if (!(bucket >= -0x1p63 && bucket < 0x1p63)) return std::nullopt;
+      key.quantized.push_back(static_cast<std::int64_t>(bucket));
     } else {
       key.quantized.push_back(std::bit_cast<std::int64_t>(f));
     }
@@ -42,10 +46,11 @@ std::size_t ResultCache::KeyHash::operator()(const Key& key) const {
 std::optional<Prediction> ResultCache::lookup(std::uint64_t epoch,
                                               std::span<const double> features) {
   if (!enabled()) return std::nullopt;
-  const Key key = make_key(epoch, features);
+  const std::optional<Key> key = make_key(epoch, features);
   std::lock_guard<std::mutex> lock(mutex_);
   ++lookups_;
-  const auto it = index_.find(key);
+  if (!key.has_value()) return std::nullopt;
+  const auto it = index_.find(*key);
   if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++hits_;
@@ -55,9 +60,10 @@ std::optional<Prediction> ResultCache::lookup(std::uint64_t epoch,
 void ResultCache::insert(std::uint64_t epoch, std::span<const double> features,
                          const Prediction& prediction) {
   if (!enabled()) return;
-  Key key = make_key(epoch, features);
+  std::optional<Key> key = make_key(epoch, features);
+  if (!key.has_value()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = index_.find(key); it != index_.end()) {
+  if (const auto it = index_.find(*key); it != index_.end()) {
     it->second->second = prediction;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
@@ -66,7 +72,7 @@ void ResultCache::insert(std::uint64_t epoch, std::span<const double> features,
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }
-  lru_.emplace_front(std::move(key), prediction);
+  lru_.emplace_front(*std::move(key), prediction);
   index_.emplace(lru_.front().first, lru_.begin());
 }
 

@@ -22,7 +22,9 @@ namespace qucad {
 /// quantum buckets each feature to its nearest multiple, trading exactness
 /// for hit rate on analog inputs. The full quantized vector is stored in
 /// the key (not just its hash), so a collision can never serve the wrong
-/// prediction. Thread-safe; all methods may race.
+/// prediction; a request with a feature whose bucket falls outside the
+/// int64 range (NaN, inf, huge) is uncacheable — lookup misses, insert
+/// drops it. Thread-safe; all methods may race.
 class ResultCache {
  public:
   /// `capacity` == 0 disables the cache (lookup always misses, insert
@@ -56,7 +58,9 @@ class ResultCache {
   };
   using Entry = std::pair<Key, Prediction>;
 
-  Key make_key(std::uint64_t epoch, std::span<const double> features) const;
+  /// nullopt when the request is uncacheable (see the class comment).
+  std::optional<Key> make_key(std::uint64_t epoch,
+                              std::span<const double> features) const;
 
   const std::size_t capacity_;
   const double quantum_;

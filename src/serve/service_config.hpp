@@ -48,18 +48,6 @@ struct ServiceConfig {
   /// bootstrap, online-compression ADMM settings, failure reports).
   ManagerOptions manager;
 
-  /// How the router assigns a submit_async request to a shard.
-  enum class RoutingPolicy {
-    /// Pick the shard with the shallowest queue; break ties with the
-    /// deterministic feature hash. Best latency under skewed load.
-    kLeastLoaded,
-    /// Pure feature-hash routing: the same feature vector always lands on
-    /// the same shard, independent of load — the deterministic fallback
-    /// (and the right choice for shot-sampled backends, where a request's
-    /// draw depends on its batch placement).
-    kHash,
-  };
-
   /// Upper bound on requests coalesced into one compiled batch sweep.
   std::size_t max_batch_size = 32;
 
@@ -70,8 +58,10 @@ struct ServiceConfig {
 
   FailurePolicy failure_policy = FailurePolicy::kKeepServing;
 
-  /// Independent serving shards, each with its own micro-batch dispatcher,
-  /// bounded queue and epoch pointer. One shard reproduces the PR-4
+  /// Independent serving shards, each with its own micro-batch dispatcher
+  /// and bounded queue; all of them serve the service's one current epoch.
+  /// A request goes to the shard with the shallowest queue, ties broken by
+  /// a deterministic feature hash. One shard reproduces the PR-4
   /// single-dispatcher service; more shards remove the single-dispatcher
   /// bottleneck under concurrent load. Expectation backends stay
   /// bitwise-identical across shard counts (a request's logits do not
@@ -87,8 +77,6 @@ struct ServiceConfig {
   /// being executed late (the dispatcher checks before each sweep). Zero
   /// disables the deadline.
   std::chrono::microseconds deadline_budget{0};
-
-  RoutingPolicy routing = RoutingPolicy::kLeastLoaded;
 
   /// Epoch-keyed result cache: predictions for repeated (quantized) feature
   /// vectors are answered without queueing or re-execution. Entries are
@@ -138,10 +126,6 @@ struct ServiceConfig {
   }
   ServiceConfig& with_deadline_budget(std::chrono::microseconds value) {
     deadline_budget = value;
-    return *this;
-  }
-  ServiceConfig& with_routing(RoutingPolicy value) {
-    routing = value;
     return *this;
   }
   ServiceConfig& with_result_cache(std::size_t capacity) {

@@ -26,11 +26,13 @@ std::size_t route_by_hash(std::span<const double> features,
 }
 
 ServingShard::ServingShard(std::size_t index, const ServiceConfig& config,
-                           AdmissionController& admission, ResultCache* cache)
+                           const AdmissionController& admission,
+                           ResultCache* cache, const EpochSlot& epoch)
     : index_(index),
       config_(config),
       admission_(admission),
       cache_(cache),
+      epoch_(epoch),
       queue_(config.queue_capacity) {}
 
 ServingShard::~ServingShard() {
@@ -40,16 +42,6 @@ ServingShard::~ServingShard() {
 
 void ServingShard::start() {
   dispatcher_ = std::thread([this] { dispatch_loop(); });
-}
-
-void ServingShard::install_epoch(std::shared_ptr<const Epoch> epoch) {
-  std::lock_guard<std::mutex> lock(epoch_mutex_);
-  epoch_ = std::move(epoch);
-}
-
-std::shared_ptr<const Epoch> ServingShard::epoch() const {
-  std::lock_guard<std::mutex> lock(epoch_mutex_);
-  return epoch_;
 }
 
 std::future<StatusOr<Prediction>> ServingShard::enqueue(
@@ -70,7 +62,7 @@ std::future<StatusOr<Prediction>> ServingShard::enqueue(
     failed.set_value(Status::unavailable("service is shutting down"));
   } else {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    failed.set_value(admission_.shed(index_, queue_.capacity()));
+    failed.set_value(AdmissionController::shed(index_, queue_.capacity()));
   }
   return result;
 }
@@ -117,7 +109,7 @@ void ServingShard::serve_pending(std::vector<QueuedRequest>& batch) {
   }
   if (live.empty()) return;
 
-  const std::shared_ptr<const Epoch> epoch = this->epoch();
+  const std::shared_ptr<const Epoch> epoch = epoch_.load();
   std::vector<std::vector<double>> features;
   features.reserve(live.size());
   for (QueuedRequest& request : live) {

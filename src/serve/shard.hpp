@@ -7,12 +7,12 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.hpp"
 #include "common/bounded_queue.hpp"
 #include "common/status.hpp"
-#include "noise/calibration.hpp"
 #include "serve/admission.hpp"
 #include "serve/service_config.hpp"
 
@@ -38,24 +38,39 @@ struct Prediction {
   BackendKind backend = BackendKind::kDensityNoisy;
 };
 
-/// One immutable serving snapshot. A hot-swap replaces each shard's
-/// shared_ptr; batches that already hold a snapshot finish on it untouched.
-/// Shards serving the same calibration event share the epoch id but hold
-/// their own ExecutionBackend instance (resolved per shard through the
-/// registry; the compiled program underneath is shared via the executor
-/// cache).
+/// One immutable serving snapshot: the model one calibration event chose,
+/// compiled once for that day's noise. A hot-swap publishes a new snapshot;
+/// batches that already hold one finish on it untouched.
 struct Epoch {
   std::uint64_t id = 0;
   std::vector<double> theta;
-  Calibration calibration;
   std::shared_ptr<const ExecutionBackend> backend;
+};
+
+/// The service's one current epoch. Every shard dispatcher and the
+/// service's submit paths read it; the service replaces it in a single
+/// store, so every shard moves to a new epoch at once or not at all.
+class EpochSlot {
+ public:
+  std::shared_ptr<const Epoch> load() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return epoch_;
+  }
+
+  void store(std::shared_ptr<const Epoch> epoch) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    epoch_ = std::move(epoch);
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::shared_ptr<const Epoch> epoch_;
 };
 
 /// Deterministic request-to-shard assignment: FNV-1a over the feature bit
 /// patterns, reduced mod `num_shards`. The same feature vector routes to
 /// the same shard on every call, every service instance, every process —
-/// the fallback the least-loaded router uses to break ties, and the whole
-/// policy under RoutingPolicy::kHash.
+/// the fallback the least-loaded router uses to break ties.
 std::size_t route_by_hash(std::span<const double> features,
                           std::size_t num_shards);
 
@@ -69,19 +84,20 @@ struct ShardStats {
   std::uint64_t queue_depth = 0;      ///< instantaneous backlog
 };
 
-/// One serving shard: a bounded request queue, a micro-batch dispatcher
-/// thread, and an atomically hot-swappable epoch pointer. The
-/// InferenceService routes submit_async() requests across N of these; each
-/// shard is single-consumer by construction, so the dispatcher needs no
-/// coordination with its peers — the only cross-shard state is the shared
-/// AdmissionController (global shed/deadline accounting) and the optional
-/// ResultCache.
+/// One serving shard: a bounded request queue and a micro-batch dispatcher
+/// thread. The InferenceService routes submit_async() requests across N of
+/// these; each shard is single-consumer by construction, so the dispatcher
+/// needs no coordination with its peers — the only cross-shard state is the
+/// service's EpochSlot, the AdmissionController (deadline policy and clock)
+/// and the optional ResultCache.
 class ServingShard {
  public:
-  /// `config`, `admission` and `cache` are borrowed and must outlive the
-  /// shard (the owning service guarantees it). `cache` may be null.
+  /// `config`, `admission`, `cache` and `epoch` are borrowed and must
+  /// outlive the shard (the owning service guarantees it). `cache` may be
+  /// null.
   ServingShard(std::size_t index, const ServiceConfig& config,
-               AdmissionController& admission, ResultCache* cache);
+               const AdmissionController& admission, ResultCache* cache,
+               const EpochSlot& epoch);
 
   /// Closes the queue, drains in-flight requests, joins the dispatcher.
   ~ServingShard();
@@ -89,15 +105,9 @@ class ServingShard {
   ServingShard(const ServingShard&) = delete;
   ServingShard& operator=(const ServingShard&) = delete;
 
-  /// Spawns the dispatcher. Called once, after the first epoch is
-  /// installed — the dispatcher assumes epoch() is never null.
+  /// Spawns the dispatcher. Called once, after the service installed its
+  /// first epoch — the dispatcher assumes the slot is never empty.
   void start();
-
-  /// Atomically publishes a new epoch for subsequent batches; the batch the
-  /// dispatcher is currently sweeping keeps the snapshot it grabbed.
-  void install_epoch(std::shared_ptr<const Epoch> epoch);
-
-  std::shared_ptr<const Epoch> epoch() const;
 
   /// Admission-controlled enqueue. The future resolves with the
   /// prediction, kResourceExhausted (queue full — never queued),
@@ -127,11 +137,9 @@ class ServingShard {
 
   const std::size_t index_;
   const ServiceConfig& config_;
-  AdmissionController& admission_;
+  const AdmissionController& admission_;
   ResultCache* cache_;
-
-  mutable std::mutex epoch_mutex_;
-  std::shared_ptr<const Epoch> epoch_;  // never null once start()ed
+  const EpochSlot& epoch_;
 
   BoundedQueue<QueuedRequest> queue_;
   std::thread dispatcher_;

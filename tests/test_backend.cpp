@@ -25,7 +25,6 @@
 #include "noise/slot_readout.hpp"
 #include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
-#include "qnn/trainer.hpp"
 #include "serve/inference_service.hpp"
 #include "test_support.hpp"
 #include "transpile/transpiler.hpp"
@@ -781,21 +780,6 @@ TEST(BackendThreading, HarnessBackendOverride) {
   // pure accuracy exactly.
   EXPECT_DOUBLE_EQ(result.daily_accuracy[0], noise_free);
   EXPECT_DOUBLE_EQ(result.daily_accuracy[1], noise_free);
-}
-
-TEST(BackendThreading, TrainerRejectsNonGradientBackend) {
-  const BackendFixture fx;
-  std::vector<double> theta = fx.theta;
-  TrainConfig config;
-  config.epochs = 1;
-  config.backend.kind = BackendKind::kDensityNoisy;
-  EXPECT_THROW(train_model(fx.model, theta, fx.data, config),
-               PreconditionError);
-
-  config.backend.kind = BackendKind::kSampled;
-  config.backend.shots = 64;
-  EXPECT_THROW(train_model(fx.model, theta, fx.data, config),
-               PreconditionError);
 }
 
 TEST(BackendThreading, ServiceConfigValidatesBackendCombinations) {

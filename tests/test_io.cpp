@@ -513,6 +513,50 @@ TEST(IoArtifacts, LegacyDensityShotsLoadAsBackendShots) {
       deserialize_artifacts(legacy_shots_artifact(artifacts, -3, 7)).ok());
 }
 
+/// Payload length of section `section_id` in the artifact `bytes`.
+std::size_t section_payload_length(const std::vector<std::uint8_t>& bytes,
+                                   std::uint32_t section_id) {
+  Deserializer in(bytes);
+  std::span<const std::uint8_t> skip;
+  EXPECT_TRUE(in.read_span(12, skip).ok());
+  for (int s = 0; s < 3; ++s) {
+    std::uint32_t id = 0;
+    std::uint64_t length = 0;
+    std::uint32_t crc = 0;
+    EXPECT_TRUE(in.read_u32(id).ok());
+    EXPECT_TRUE(in.read_u64(length).ok());
+    EXPECT_TRUE(in.read_u32(crc).ok());
+    if (id == section_id) return static_cast<std::size_t>(length);
+    EXPECT_TRUE(in.read_span(static_cast<std::size_t>(length), skip).ok());
+  }
+  ADD_FAILURE() << "artifact has no section " << section_id;
+  return 0;
+}
+
+TEST(IoArtifacts, LegacyRoutingByteIsRangeCheckedThenIgnored) {
+  // The v1 config keeps the retired routing-policy byte (0 least-loaded,
+  // 1 hash) just before the two result-cache slots (u64 capacity, f64
+  // quantum) that end the section. A file written with hash routing still
+  // loads, as the one policy left; any other value is corrupt.
+  const std::vector<std::uint8_t> good =
+      serialize_artifacts(golden_artifacts());
+  const std::size_t offset =
+      section_payload_length(good, kSectionServiceConfig) - 8 - 8 - 1;
+
+  const std::vector<std::uint8_t> hash_routed =
+      patch_section_payload(good, kSectionServiceConfig, offset, {1});
+  ASSERT_NE(hash_routed, good);
+  const StatusOr<Artifacts> loaded = deserialize_artifacts(hash_routed);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(serialize_artifacts(*loaded), good)
+      << "the byte must be ignored and re-encoded as 0";
+
+  const StatusOr<Artifacts> rejected = deserialize_artifacts(
+      patch_section_payload(good, kSectionServiceConfig, offset, {2}));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(IoArtifacts, CustomBackendKindRoundTrips) {
   // A registered custom kind (the remote stub's 16) passes validate(), so
   // the file a service writes with it must load again.
