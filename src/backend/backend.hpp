@@ -50,34 +50,6 @@ enum class BackendKind : std::uint8_t {
 /// "sampled_statevector").
 const char* backend_kind_name(BackendKind kind);
 
-/// What a backend can and cannot do. Consumers branch on these instead of
-/// on concrete executor types.
-struct BackendCapabilities {
-  /// Calibrated error channels participate in the state evolution.
-  bool models_noise = false;
-  /// Logits are finite-shot estimates rather than exact expectations.
-  bool finite_shots = false;
-  /// Classical readout confusion is applied to measurement outcomes.
-  bool readout_error = false;
-  /// The backend's engine exposes an exact gradient path (adjoint).
-  bool gradients = false;
-  /// Identical inputs produce bitwise-identical logits (exact expectations,
-  /// or shot sampling under a fixed seed).
-  bool deterministic = true;
-  /// run_logits_batch replays full sample blocks through the SoA lane
-  /// engine (sim/batched_state.hpp) instead of looping run_logits. Only the
-  /// statevector-replay kinds can: the density engine evolves one matrix
-  /// per sample by construction.
-  bool batched_replay = false;
-};
-
-/// Static capabilities of a built-in kind (what any backend of that kind
-/// can support; instance capabilities() may narrow — e.g. determinism off
-/// when sampling unseeded). Kinds beyond the built-ins report all-false
-/// capabilities here — for custom registrations, consult the built
-/// instance's capabilities() instead.
-const BackendCapabilities& backend_kind_capabilities(BackendKind kind);
-
 /// Introspection snapshot of one built backend, for logs and perf records.
 struct BackendDiagnostics {
   std::string name;          ///< registry name of the kind
@@ -110,12 +82,9 @@ struct BackendConfig {
 
   /// Base seed of the per-sample shot streams of every shot-drawing kind
   /// (sample i draws from seed + i, matching NoisyExecutor::run_z_batch).
-  /// Clearing it while `deterministic` is set is a validation error.
+  /// Unset, a shot-drawing backend draws its base seed from the OS entropy
+  /// pool, so its estimates do not reproduce across builds.
   std::optional<std::uint64_t> seed = 99;
-
-  /// Require a seeded, reproducible sampling stream. Off, a shot-drawing
-  /// backend without a seed draws one from the OS entropy pool.
-  bool deterministic = true;
 
   BackendConfig& with_kind(BackendKind value) {
     kind = value;
@@ -129,14 +98,10 @@ struct BackendConfig {
     seed = value;
     return *this;
   }
-  BackendConfig& with_deterministic(bool value) {
-    deterministic = value;
-    return *this;
-  }
 
   /// OK when the knob combination is consistent; the first violation
   /// otherwise (negative shots, shots on kPureStatevector, kSampled without
-  /// shots, determinism requested without a seed).
+  /// shots).
   Status validate() const;
 };
 
@@ -154,18 +119,17 @@ class ExecutionBackend {
   virtual ~ExecutionBackend() = default;
 
   virtual BackendKind kind() const = 0;
-  virtual const BackendCapabilities& capabilities() const = 0;
   virtual BackendDiagnostics diagnostics() const = 0;
 
-  /// Class logits for one sample. Equals run_logits_batch({x})[0] bitwise.
-  virtual std::vector<double> run_logits(std::span<const double> x) const = 0;
-
   /// Batched logits, spread over `pool` (nullptr = the process-global
-  /// pool). The default implementation parallelizes run_logits per sample;
-  /// backends with a fused batch path (NoisyExecutor::run_z_batch)
-  /// override it.
+  /// pool). The one compute entry point every backend implements.
   virtual std::vector<std::vector<double>> run_logits_batch(
-      std::span<const std::vector<double>> xs, ThreadPool* pool = nullptr) const;
+      std::span<const std::vector<double>> xs,
+      ThreadPool* pool = nullptr) const = 0;
+
+  /// Class logits for one sample: run_logits_batch({x})[0], so it is
+  /// bitwise sample 0 of a batch by construction.
+  std::vector<double> run_logits(std::span<const double> x) const;
 };
 
 }  // namespace qucad

@@ -12,35 +12,19 @@ namespace qucad {
 
 namespace {
 
-/// Adapter fronting the exact density-matrix engine (NoisyExecutor). Keeps
-/// the concrete fast paths: run_logits_batch is the fused run_z_batch sweep
-/// with per-thread scratch reuse. With shots > 0 both run methods draw
-/// sample i from seed + i through the executor's readout kernel.
+/// Adapter fronting the exact density-matrix engine (NoisyExecutor): the
+/// fused run_z_batch sweep with per-thread scratch reuse. With shots > 0
+/// sample i draws from seed + i through the executor's readout kernel.
 class DensityMatrixBackend final : public ExecutionBackend {
  public:
   DensityMatrixBackend(std::shared_ptr<const NoisyExecutor> executor,
-                       int shots, std::uint64_t seed, bool readout_active,
-                       bool deterministic)
-      : executor_(std::move(executor)),
-        shots_(shots),
-        seed_(seed),
-        capabilities_(backend_kind_capabilities(BackendKind::kDensityNoisy)) {
-    capabilities_.finite_shots = shots_ > 0;
-    capabilities_.readout_error = readout_active;
-    capabilities_.deterministic = deterministic;
-  }
+                       int shots, std::uint64_t seed)
+      : executor_(std::move(executor)), shots_(shots), seed_(seed) {}
 
   BackendKind kind() const override { return BackendKind::kDensityNoisy; }
-  const BackendCapabilities& capabilities() const override {
-    return capabilities_;
-  }
   BackendDiagnostics diagnostics() const override {
     return program_diagnostics(BackendKind::kDensityNoisy,
                                executor_->program(), shots_);
-  }
-
-  std::vector<double> run_logits(std::span<const double> x) const override {
-    return executor_->run_z(x, shots_, seed_);
   }
 
   std::vector<std::vector<double>> run_logits_batch(
@@ -55,20 +39,14 @@ class DensityMatrixBackend final : public ExecutionBackend {
   std::shared_ptr<const NoisyExecutor> executor_;
   int shots_;
   std::uint64_t seed_;
-  BackendCapabilities capabilities_;
 };
 
 /// The base seed of a backend's shot streams: 0 when it draws no shots,
-/// else the configured one, or — when the config waives determinism and
-/// leaves the seed unset — one drawn from the OS entropy pool.
+/// else the configured one, or one drawn from the OS entropy pool when the
+/// seed is unset.
 std::uint64_t resolve_seed(const BackendConfig& config) {
   if (config.shots == 0) return 0;
   return config.seed.has_value() ? *config.seed : std::random_device{}();
-}
-
-/// Exact logits always reproduce; shot estimates only under a given seed.
-bool reproducible(const BackendConfig& config) {
-  return config.shots == 0 || config.seed.has_value();
 }
 
 Status missing(const char* field, const char* kind) {
@@ -100,14 +78,9 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
           : build_noisy_executor(*context.model, *context.transpiled,
                                  context.theta, *context.calibration,
                                  context.noise);
-  // Confusion is a no-op (all-zero errors) when the noise options disable
-  // it, and the capability flag must say so.
-  const bool readout_active = context.noise.include_readout_error &&
-                              executor->noise().num_qubits() > 0;
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const DensityMatrixBackend>(
-          std::move(executor), config.shots, resolve_seed(config),
-          readout_active, reproducible(config)));
+          std::move(executor), config.shots, resolve_seed(config)));
 }
 
 /// Both statevector kinds: kPureStatevector is the shots == 0 case (exact,
@@ -130,8 +103,7 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_statevector(
       std::make_shared<const StatevectorBackend>(
           resolve_pure_executor(context),
           std::vector<double>(context.theta.begin(), context.theta.end()),
-          std::move(slot_readout), config.shots, resolve_seed(config),
-          reproducible(config)));
+          std::move(slot_readout), config.shots, resolve_seed(config)));
 }
 
 }  // namespace

@@ -38,21 +38,14 @@ class StatevectorBackend final : public ExecutionBackend {
  public:
   /// `slot_readout[k]` is the confusion of readout slot k (the calibration
   /// readout error of the physical qubit hosting class k); pass an empty
-  /// vector for confusion-free readout. Pass `deterministic = false` when
-  /// `seed` was drawn from entropy rather than supplied by the caller, so
-  /// capabilities() reports the truth.
+  /// vector for confusion-free readout.
   StatevectorBackend(std::shared_ptr<const PureExecutor> executor,
                      std::vector<double> theta,
                      std::vector<ReadoutError> slot_readout, int shots,
-                     std::uint64_t seed, bool deterministic = true);
+                     std::uint64_t seed);
 
   BackendKind kind() const override { return kind_; }
-  const BackendCapabilities& capabilities() const override {
-    return capabilities_;
-  }
   BackendDiagnostics diagnostics() const override;
-
-  std::vector<double> run_logits(std::span<const double> x) const override;
 
   /// PureExecutor::run_z_batch read out through this backend's slots.
   /// With shots > 0, sample i draws its shot stream from seed + i, where i
@@ -73,7 +66,6 @@ class StatevectorBackend final : public ExecutionBackend {
   int shots_;
   std::uint64_t seed_;
   BackendKind kind_;
-  BackendCapabilities capabilities_;
 };
 
 }  // namespace qucad

@@ -83,12 +83,6 @@ void RemoteStubBackend::account_submission(std::size_t samples) const {
   }
 }
 
-std::vector<double> RemoteStubBackend::run_logits(
-    std::span<const double> x) const {
-  account_submission(1);
-  return inner_->run_logits(x);
-}
-
 std::vector<std::vector<double>> RemoteStubBackend::run_logits_batch(
     std::span<const std::vector<double>> xs, ThreadPool* pool) const {
   account_submission(xs.size());

@@ -24,8 +24,8 @@ struct RemoteStubOptions {
   /// the kind the stub itself is registered under.
   BackendKind inner_kind = BackendKind::kSampled;
 
-  /// Injected queueing wait per submission (one run_logits or
-  /// run_logits_batch call = one submission).
+  /// Injected queueing wait per submission (one run_logits_batch call = one
+  /// submission; run_logits is a batch of one).
   double queue_latency_seconds = 0.0;
 
   /// Extra wait per injected transient fault (the client's retry backoff).
@@ -63,7 +63,7 @@ struct RemoteStubOptions {
 class RemoteStubBackend final : public ExecutionBackend {
  public:
   struct Stats {
-    std::uint64_t submissions = 0;  ///< run_logits / run_logits_batch calls
+    std::uint64_t submissions = 0;  ///< run_logits_batch calls
     std::uint64_t jobs = 0;         ///< shot-batched jobs submitted
     std::uint64_t faults = 0;       ///< transient unavailabilities injected
     double wait_seconds = 0.0;      ///< total injected queue + backoff wait
@@ -74,12 +74,8 @@ class RemoteStubBackend final : public ExecutionBackend {
                     BackendKind kind = kRemoteStubBackendKind);
 
   BackendKind kind() const override { return kind_; }
-  const BackendCapabilities& capabilities() const override {
-    return inner_->capabilities();
-  }
   BackendDiagnostics diagnostics() const override;
 
-  std::vector<double> run_logits(std::span<const double> x) const override;
   std::vector<std::vector<double>> run_logits_batch(
       std::span<const std::vector<double>> xs,
       ThreadPool* pool = nullptr) const override;
@@ -107,10 +103,10 @@ class RemoteStubBackend final : public ExecutionBackend {
 /// Installs a remote-stub factory under `kind` (default
 /// kRemoteStubBackendKind) on `registry`. The factory builds the inner
 /// backend through the SAME registry with the config's kind remapped to
-/// options.inner_kind — every other config field (shots, seed,
-/// deterministic) passes through — then wraps it. After registration any
-/// config-driven consumer (evaluator, harness, serving, fleet) selects the
-/// stub with `BackendConfig{.kind = kind, ...}`.
+/// options.inner_kind — every other config field (shots, seed) passes
+/// through — then wraps it. After registration any config-driven consumer
+/// (evaluator, harness, serving, fleet) selects the stub with
+/// `BackendConfig{.kind = kind, ...}`.
 Status register_remote_stub_backend(BackendRegistry& registry,
                                     RemoteStubOptions options,
                                     BackendKind kind = kRemoteStubBackendKind);

@@ -186,7 +186,8 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_u8(static_cast<std::uint8_t>(config.eval.backend.kind));
   out.write_i32(config.eval.backend.shots);
   out.write_optional_u64(config.eval.backend.seed);
-  out.write_bool(config.eval.backend.deterministic);
+  // The v1 determinism byte: set exactly when the stream is seeded.
+  out.write_bool(config.eval.backend.seed.has_value());
   // Repository-decision knobs.
   const AdmmOptions& admm = config.manager.admm;
   out.write_i32(admm.iterations);
@@ -255,8 +256,13 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   if (Status s = in.read_i32(config.eval.backend.shots); !s.ok()) return s;
   if (Status s = in.read_optional_u64(config.eval.backend.seed); !s.ok())
     return s;
-  if (Status s = in.read_bool(config.eval.backend.deterministic); !s.ok())
-    return s;
+  // The v1 determinism byte: a file that demanded a seeded stream but
+  // stores no seed could never be served, so it stays corrupt.
+  bool legacy_deterministic = false;
+  if (Status s = in.read_bool(legacy_deterministic); !s.ok()) return s;
+  if (legacy_deterministic && !config.eval.backend.seed.has_value()) {
+    return Status::data_loss("determinism requested without a seed");
+  }
   if (legacy_shots != 0) {
     // The legacy knob never combined with another kind or with backend
     // shots, nor went negative (validate() rejected those).

@@ -9,7 +9,10 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <list>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -279,10 +282,19 @@ struct WireServer::Impl {
   int listen_fd = -1;
   std::uint16_t port = 0;
 
+  /// One accepted connection: its thread and the fd that thread owns.
+  /// The thread sets `fd` to -1 when it has closed it, which marks the
+  /// entry finished and ready to be joined.
+  struct Connection {
+    std::thread thread;
+    int fd = -1;
+  };
+
   std::thread acceptor;
-  std::mutex mutex;                  // guards connections/connection_fds
-  std::vector<std::thread> threads;  // one per accepted connection
-  std::vector<int> connection_fds;   // index-aligned; -1 once a thread closed its fd
+  std::mutex mutex;  // guards connections and every Connection::fd
+  // A list: a connection thread keeps a reference to its own entry while
+  // the acceptor splices finished entries out around it.
+  std::list<Connection> connections;
   std::atomic<bool> running{true};
   std::atomic<std::uint64_t> accepted{0};
 
@@ -301,14 +313,39 @@ struct WireServer::Impl {
       }
       accepted.fetch_add(1, std::memory_order_relaxed);
       set_nodelay(fd);
+      reap_finished();
       std::lock_guard<std::mutex> lock(mutex);
-      const std::size_t slot = connection_fds.size();
-      connection_fds.push_back(fd);
-      threads.emplace_back([this, fd, slot] { serve_connection(fd, slot); });
+      Connection& connection = connections.emplace_back();
+      connection.fd = fd;
+      try {
+        connection.thread =
+            std::thread([this, &connection] { serve_connection(connection); });
+      } catch (const std::system_error&) {
+        // Out of threads: refuse this peer and keep serving the others.
+        connections.pop_back();
+        ::close(fd);
+      }
     }
   }
 
-  void serve_connection(int fd, std::size_t slot) {
+  /// Joins the connection threads that have finished. The entries move out
+  /// under the lock; the joins run outside it, since a finishing thread
+  /// takes the lock for its last touch of `connections`.
+  void reap_finished() {
+    std::list<Connection> finished;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      for (auto it = connections.begin(); it != connections.end();) {
+        const auto next = std::next(it);
+        if (it->fd < 0) finished.splice(finished.end(), connections, it);
+        it = next;
+      }
+    }
+    for (Connection& connection : finished) connection.thread.join();
+  }
+
+  void serve_connection(Connection& connection) {
+    const int fd = connection.fd;  // set before this thread started
     std::vector<std::uint8_t> payload;
     while (running.load(std::memory_order_acquire)) {
       Status read = read_frame(fd, options.max_payload, payload);
@@ -323,10 +360,11 @@ struct WireServer::Impl {
       if (!serve_frame(fd, payload)) break;
     }
     // The connection thread owns its fd: close exactly once, and tell
-    // stop() (which only ever shutdown()s) that this slot is gone.
+    // stop() (which only ever shutdown()s) and the reaper that this entry
+    // is finished. This is the thread's last touch of shared state.
     std::lock_guard<std::mutex> lock(mutex);
-    connection_fds[slot] = -1;
     ::close(fd);
+    connection.fd = -1;
   }
 
   /// Serves one decoded frame; returns false when the connection must
@@ -376,18 +414,18 @@ struct WireServer::Impl {
     ::shutdown(listen_fd, SHUT_RDWR);
     {
       std::lock_guard<std::mutex> lock(mutex);
-      for (int fd : connection_fds) {
-        if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+      for (const Connection& connection : connections) {
+        if (connection.fd >= 0) ::shutdown(connection.fd, SHUT_RDWR);
       }
     }
     if (acceptor.joinable()) acceptor.join();
-    // The acceptor is down, so `threads` can no longer grow.
-    std::vector<std::thread> to_join;
+    // The acceptor is down, so `connections` can no longer grow.
+    std::list<Connection> to_join;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      to_join.swap(threads);
+      to_join.swap(connections);
     }
-    for (std::thread& t : to_join) t.join();
+    for (Connection& connection : to_join) connection.thread.join();
     ::close(listen_fd);
     listen_fd = -1;
   }
@@ -437,7 +475,13 @@ StatusOr<WireServer> WireServer::start(InferenceService& service,
   }
   impl->port = ntohs(bound.sin_port);
   Impl* raw = impl.get();
-  impl->acceptor = std::thread([raw] { raw->accept_loop(); });
+  try {
+    impl->acceptor = std::thread([raw] { raw->accept_loop(); });
+  } catch (const std::system_error& e) {
+    ::close(impl->listen_fd);
+    return Status::unavailable(std::string("cannot start the acceptor: ") +
+                               e.what());
+  }
   return WireServer(std::move(impl));
 }
 
@@ -461,6 +505,11 @@ std::uint16_t WireServer::port() const { return impl_->port; }
 
 std::uint64_t WireServer::connections_accepted() const {
   return impl_->accepted.load(std::memory_order_relaxed);
+}
+
+std::size_t WireServer::connection_threads() const {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return impl_->connections.size();
 }
 
 void WireServer::stop() {

@@ -104,8 +104,10 @@ struct WireServerOptions {
 /// borrowed InferenceService (which must outlive the server). Each
 /// connection is handled by its own thread issuing blocking submits, so
 /// concurrent connections coalesce in the service's shard dispatchers
-/// exactly like in-process submit callers do. stop() (or destruction)
-/// closes the listener and every live connection, then joins.
+/// exactly like in-process submit callers do. A finished connection's
+/// thread is joined before the next connection's thread is spawned, and a
+/// spawn that fails refuses only that peer. stop() (or destruction) closes
+/// the listener and every live connection, then joins.
 class WireServer {
  public:
   static StatusOr<WireServer> start(InferenceService& service,
@@ -122,6 +124,10 @@ class WireServer {
 
   /// Connections accepted over the server's lifetime.
   std::uint64_t connections_accepted() const;
+
+  /// Connection threads not yet joined: the live connections plus the
+  /// finished ones the acceptor reaps before its next spawn.
+  std::size_t connection_threads() const;
 
   /// Idempotent shutdown: stops accepting, closes live connections, joins.
   void stop();

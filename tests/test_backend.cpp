@@ -1,5 +1,5 @@
 // Contract tests of the pluggable execution-backend API (src/backend/):
-// config validation, capability flags, registry dispatch equivalence with
+// config validation, registry dispatch equivalence with
 // the direct NoisyExecutor / PureExecutor paths (1e-10), the sampled
 // backend's seeded determinism + shots->inf convergence to the pure logits
 // + hand-computed readout-error application (sampled and density shots),
@@ -75,21 +75,18 @@ TEST(BackendConfig, ValidatesKnobCombinations) {
                   .with_shots(1024)
                   .validate()
                   .ok());
-  // Unseeded sampling is allowed only when determinism is explicitly waived.
+  // Unseeded sampling draws its base seed from entropy.
   EXPECT_TRUE(BackendConfig()
                   .with_kind(BackendKind::kSampled)
                   .with_shots(64)
-                  .with_deterministic(false)
                   .with_seed(std::nullopt)
                   .validate()
                   .ok());
 
   // The density kind draws finite-shot readout from BackendConfig::shots.
   EXPECT_TRUE(BackendConfig().with_shots(100).validate().ok());
-  EXPECT_EQ(BackendConfig().with_shots(100).with_seed(std::nullopt)
-                .validate()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      BackendConfig().with_shots(100).with_seed(std::nullopt).validate().ok());
 
   EXPECT_EQ(BackendConfig().with_shots(-1).validate().code(),
             StatusCode::kInvalidArgument);
@@ -104,35 +101,6 @@ TEST(BackendConfig, ValidatesKnobCombinations) {
   // A sampling backend without a shot budget cannot produce logits.
   EXPECT_EQ(BackendConfig().with_kind(BackendKind::kSampled).validate().code(),
             StatusCode::kInvalidArgument);
-  // Determinism requested but no seed to derive the stream from.
-  EXPECT_EQ(BackendConfig()
-                .with_kind(BackendKind::kSampled)
-                .with_shots(64)
-                .with_seed(std::nullopt)
-                .validate()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(BackendConfig, KindCapabilities) {
-  const BackendCapabilities& density =
-      backend_kind_capabilities(BackendKind::kDensityNoisy);
-  EXPECT_TRUE(density.models_noise);
-  EXPECT_TRUE(density.readout_error);
-  EXPECT_FALSE(density.gradients);
-
-  const BackendCapabilities& pure =
-      backend_kind_capabilities(BackendKind::kPureStatevector);
-  EXPECT_FALSE(pure.models_noise);
-  EXPECT_TRUE(pure.gradients);
-  EXPECT_FALSE(pure.finite_shots);
-
-  const BackendCapabilities& sampled =
-      backend_kind_capabilities(BackendKind::kSampled);
-  EXPECT_FALSE(sampled.models_noise);
-  EXPECT_TRUE(sampled.finite_shots);
-  EXPECT_TRUE(sampled.readout_error);
-  EXPECT_FALSE(sampled.gradients);
 }
 
 TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
@@ -140,7 +108,6 @@ TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
   const std::shared_ptr<const ExecutionBackend> backend =
       must_make(BackendConfig{}, fx.context());
   EXPECT_EQ(backend->kind(), BackendKind::kDensityNoisy);
-  EXPECT_TRUE(backend->capabilities().models_noise);
 
   const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
       fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
@@ -177,8 +144,6 @@ TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
   const BackendFixture fx;
   const std::shared_ptr<const ExecutionBackend> backend = must_make(
       BackendConfig().with_shots(64).with_seed(std::uint64_t{7}), fx.context());
-  EXPECT_TRUE(backend->capabilities().finite_shots);
-  EXPECT_TRUE(backend->capabilities().deterministic);
   EXPECT_EQ(backend->diagnostics().shots, 64);
 
   const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
@@ -193,20 +158,23 @@ TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
   EXPECT_EQ(backend->run_logits(fx.data.features[0]), via_registry[0]);
   EXPECT_EQ(direct->run_z(fx.data.features[0], 64, 7), via_registry[0]);
 
-  // The seed resolution is shared with kSampled: an unseeded config that
-  // waives determinism draws from entropy and says so.
-  const auto unseeded = must_make(BackendConfig()
-                                      .with_shots(64)
-                                      .with_deterministic(false)
-                                      .with_seed(std::nullopt),
-                                  fx.context());
-  EXPECT_FALSE(unseeded->capabilities().deterministic);
-  EXPECT_TRUE(must_make(BackendConfig().with_deterministic(false).with_seed(
-                            std::nullopt),
+  // The seed resolution is shared with kSampled: an unseeded config draws
+  // its base seed from entropy and still answers every row.
+  const auto unseeded = must_make(
+      BackendConfig().with_shots(64).with_seed(std::nullopt), fx.context());
+  EXPECT_EQ(unseeded->run_logits_batch(fx.data.features).size(),
+            fx.data.features.size());
+
+  // Exact kinds draw no shots, so the seed cannot change their logits.
+  for (const BackendKind kind :
+       {BackendKind::kDensityNoisy, BackendKind::kPureStatevector}) {
+    const BackendConfig seeded = BackendConfig().with_kind(kind);
+    EXPECT_EQ(must_make(BackendConfig(seeded).with_seed(std::nullopt),
                         fx.context())
-                  ->capabilities()
-                  .deterministic)
-      << "exact expectations stay deterministic without a seed";
+                  ->run_logits_batch(fx.data.features),
+              must_make(seeded, fx.context())->run_logits_batch(fx.data.features))
+        << backend_kind_name(kind);
+  }
 }
 
 TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
@@ -230,17 +198,6 @@ TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
                                               fx.data.features.begin() + 9);
   EXPECT_EQ(backend->run_logits_batch(rows),
             direct->run_z_batch(rows, fx.theta));
-  EXPECT_FALSE(backend->capabilities().readout_error)
-      << "the pure kind never applies calibration confusion";
-}
-
-TEST(BackendRegistry, DensityNarrowsReadoutCapabilityWhenDisabled) {
-  const BackendFixture fx;
-  BackendContext context = fx.context();
-  EXPECT_TRUE(must_make(BackendConfig{}, context)->capabilities().readout_error);
-  context.noise.include_readout_error = false;
-  EXPECT_FALSE(
-      must_make(BackendConfig{}, context)->capabilities().readout_error);
 }
 
 TEST(BackendRegistry, ReportsMissingContext) {
@@ -263,16 +220,15 @@ TEST(BackendRegistry, CustomFactoryOverrides) {
   class StubBackend final : public ExecutionBackend {
    public:
     BackendKind kind() const override { return BackendKind::kPureStatevector; }
-    const BackendCapabilities& capabilities() const override {
-      return backend_kind_capabilities(BackendKind::kPureStatevector);
-    }
     BackendDiagnostics diagnostics() const override {
       BackendDiagnostics d;
       d.name = "stub";
       return d;
     }
-    std::vector<double> run_logits(std::span<const double>) const override {
-      return {0.25, -0.75};
+    std::vector<std::vector<double>> run_logits_batch(
+        std::span<const std::vector<double>> xs,
+        ThreadPool* = nullptr) const override {
+      return std::vector<std::vector<double>>(xs.size(), {0.25, -0.75});
     }
   };
 
@@ -290,6 +246,7 @@ TEST(BackendRegistry, CustomFactoryOverrides) {
       BackendConfig().with_kind(BackendKind::kPureStatevector), fx.context());
   ASSERT_TRUE(backend.ok());
   EXPECT_EQ((*backend)->diagnostics().name, "stub");
+  // run_logits is the stub's batch path at one row.
   EXPECT_EQ((*backend)->run_logits(fx.data.features[0])[1], -0.75);
 
   // A brand-new kind beyond the built-in enumerators: the table grows on
@@ -360,14 +317,13 @@ TEST(SampledBackend, DeterministicUnderFixedSeed) {
   EXPECT_NE(c->run_logits_batch(fx.data.features), batch_a)
       << "a different seed must draw a different shot stream";
 
-  // Caller-seeded instances advertise determinism; an entropy-seeded one
-  // narrows the capability (it cannot reproduce across builds).
-  EXPECT_TRUE(a->capabilities().deterministic);
-  const auto unseeded = must_make(BackendConfig(config)
-                                      .with_deterministic(false)
-                                      .with_seed(std::nullopt),
-                                  fx.context());
-  EXPECT_FALSE(unseeded->capabilities().deterministic);
+  // An unseeded config draws its base seed from entropy and still answers
+  // every row.
+  const auto unseeded =
+      must_make(BackendConfig(config).with_seed(std::nullopt), fx.context());
+  const auto batch_unseeded = unseeded->run_logits_batch(fx.data.features);
+  ASSERT_EQ(batch_unseeded.size(), fx.data.features.size());
+  EXPECT_EQ(batch_unseeded[0].size(), batch_a[0].size());
 }
 
 TEST(SampledBackend, ConvergesToPureLogitsAsShotsGrow) {
@@ -390,7 +346,6 @@ TEST(SampledBackend, ConvergesToPureLogitsAsShotsGrow) {
                                        .with_shots(shots)
                                        .with_seed(std::uint64_t{12}),
                                    context);
-    EXPECT_FALSE(sampled->capabilities().readout_error);
     const std::vector<double> estimate =
         sampled->run_logits(fx.data.features[0]);
     ASSERT_EQ(estimate.size(), exact.size());
@@ -432,7 +387,6 @@ TEST(SampledBackend, AppliesReadoutErrorHandComputedCase) {
                                      .with_shots(200000)
                                      .with_seed(std::uint64_t{3}),
                                  context);
-  EXPECT_TRUE(sampled->capabilities().readout_error);
   const std::vector<double> z = sampled->run_logits(std::vector<double>{});
   ASSERT_EQ(z.size(), 2u);
   // 200k shots: sigma < 0.0023 per slot; 0.01 is > 4 sigma.
@@ -482,8 +436,6 @@ TEST(SampledBackend, DensityShotsApplyReadoutErrorHandComputedCase) {
 
   const auto sampled = must_make(
       BackendConfig().with_shots(200000).with_seed(std::uint64_t{3}), context);
-  EXPECT_TRUE(sampled->capabilities().finite_shots);
-  EXPECT_TRUE(sampled->capabilities().readout_error);
   const std::vector<double> z = sampled->run_logits(std::vector<double>{});
   ASSERT_EQ(z.size(), 2u);
   EXPECT_NEAR(z[0], -0.6, 0.01);

@@ -564,13 +564,5 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   }
 }
 
-TEST(BatchedCapabilities, LaneEnginesAdvertiseBatchedReplay) {
-  EXPECT_TRUE(
-      backend_kind_capabilities(BackendKind::kPureStatevector).batched_replay);
-  EXPECT_TRUE(backend_kind_capabilities(BackendKind::kSampled).batched_replay);
-  EXPECT_TRUE(
-      backend_kind_capabilities(BackendKind::kDensityNoisy).batched_replay);
-}
-
 }  // namespace
 }  // namespace qucad

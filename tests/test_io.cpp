@@ -557,6 +557,35 @@ TEST(IoArtifacts, LegacyRoutingByteIsRangeCheckedThenIgnored) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(IoArtifacts, LegacyDeterminismByteNeedsASeed) {
+  // The v1 config keeps the retired determinism byte right after the
+  // backend seed: 36 bytes of noise, legacy-shot, cache, kind and shots
+  // slots, then the optional u64 seed (1 presence byte + 8 when set).
+  // Encode writes "seeded"; a cleared byte beside a seed still loads, while
+  // a set byte without a seed names a stream v1 could never serve.
+  constexpr std::size_t kSeedOffset = 8 + 8 + 1 + 1 + 4 + 8 + 1 + 1 + 4;
+  Artifacts artifacts = golden_artifacts();
+  artifacts.config.eval.backend.seed = 7;
+  const std::vector<std::uint8_t> seeded = serialize_artifacts(artifacts);
+  const std::vector<std::uint8_t> waived = patch_section_payload(
+      seeded, kSectionServiceConfig, kSeedOffset + 9, {0});
+  ASSERT_NE(waived, seeded);
+  const StatusOr<Artifacts> loaded = deserialize_artifacts(waived);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->config.eval.backend.seed, std::optional<std::uint64_t>(7));
+  EXPECT_EQ(serialize_artifacts(*loaded), seeded);
+
+  artifacts.config.eval.backend.seed = std::nullopt;
+  const std::vector<std::uint8_t> unseeded = serialize_artifacts(artifacts);
+  ASSERT_TRUE(deserialize_artifacts(unseeded).ok());
+  const std::vector<std::uint8_t> demanded = patch_section_payload(
+      unseeded, kSectionServiceConfig, kSeedOffset + 1, {1});
+  ASSERT_NE(demanded, unseeded);
+  const StatusOr<Artifacts> rejected = deserialize_artifacts(demanded);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(IoArtifacts, CustomBackendKindRoundTrips) {
   // A registered custom kind (the remote stub's 16) passes validate(), so
   // the file a service writes with it must load again.

@@ -2,8 +2,9 @@
 // rejection, then loopback TCP against a live InferenceService — a wire
 // round-trip must serve the same bytes as a direct submit, malformed
 // frames (oversized, garbage, truncated, mid-frame disconnect) must fail
-// with a Status and never wedge the server, and a calibration push must
-// hot-swap the serving epoch for subsequent requests. Test names start
+// with a Status and never wedge the server, connection churn must not pile
+// up threads, and a calibration push must hot-swap the serving epoch for
+// subsequent requests. Test names start
 // with Wire* so the TSan CTest preset selects this suite's concurrency
 // surface.
 
@@ -429,6 +430,38 @@ TEST(WireLoopback, MidFrameDisconnectLeavesTheServerServing) {
   const StatusOr<Prediction> served =
       client->predict(fixture().env.test.features[0]);
   EXPECT_TRUE(served.ok()) << served.status().to_string();
+}
+
+TEST(WireLoopback, ChurnedConnectionsAreReaped) {
+  // Connection churn alone must not pile up threads: each finished
+  // connection's thread is joined before the next spawn, so the server
+  // holds a handful of threads, not one per connection ever accepted.
+  StatusOr<InferenceService> service = fixture().make_service();
+  ASSERT_TRUE(service.ok());
+  StatusOr<WireServer> server = WireServer::start(*service);
+  ASSERT_TRUE(server.ok());
+
+  constexpr int kChurned = 2000;
+  for (int i = 0; i < kChurned; ++i) {
+    {
+      RawConnection raw(server->port());
+      ASSERT_GE(raw.fd, 0) << "connection " << i;
+    }  // hang up without sending a frame
+    // Pace on the acceptor: a client that outruns it overflows the listen
+    // backlog, and every dropped SYN costs a one-second retransmit.
+    while (server->connections_accepted() < static_cast<std::uint64_t>(i) + 1) {
+      std::this_thread::yield();
+    }
+  }
+
+  StatusOr<WireClient> client =
+      WireClient::connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  const StatusOr<Prediction> served =
+      client->predict(fixture().env.test.features[0]);
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
+  EXPECT_EQ(server->connections_accepted(), kChurned + 1u);
+  EXPECT_LT(server->connection_threads(), 64u);
 }
 
 TEST(WireLoopback, CalibrationPushHotSwapsTheServingEpoch) {
