@@ -944,6 +944,7 @@ std::vector<Record> fleet_benches() {
   config.admm.finetune_epochs = 2;
   config.admm.validation_samples = 16;
   config.nat.epochs = 1;
+  config.constructor_options.admm = config.admm;
   config.manager_options.admm = config.admm;
   const CalibrationHistory day0(FluctuationScenario::belem(), 1, 2021);
   const Environment env = prepare_environment(

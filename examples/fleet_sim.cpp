@@ -130,6 +130,7 @@ Environment make_environment(const std::string& workload,
   config.admm.finetune_epochs = 2;
   config.admm.validation_samples = 16;
   config.nat.epochs = 1;
+  config.constructor_options.admm = config.admm;
   config.manager_options.admm = config.admm;
   const Dataset raw = workload == "vibration" ? make_vibration(320, 23)
                                               : make_seismic(320, 11);

@@ -99,6 +99,7 @@ Environment make_environment(const CalibrationHistory& history) {
   config.admm.iterations = 2;
   config.admm.epochs_per_iteration = 1;
   config.admm.finetune_epochs = 0;
+  config.constructor_options.admm = config.admm;
   config.manager_options.admm = config.admm;
   return prepare_environment(make_seismic(600, 11), CouplingMap::belem(),
                              history.day(0), config);

@@ -109,18 +109,19 @@ struct InferenceService::Impl {
     return Status();
   }
 
-  /// Least-loaded shard, ties broken by the deterministic feature hash.
+  /// The shard with the fewest outstanding requests (queued or mid-sweep),
+  /// ties broken by the deterministic feature hash.
   ServingShard& route(const std::vector<double>& features) {
     const std::size_t by_hash = route_by_hash(features, shards.size());
     if (shards.size() == 1) return *shards[by_hash];
     std::size_t best = by_hash;
-    std::size_t best_depth = std::numeric_limits<std::size_t>::max();
+    std::uint64_t best_load = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      const std::size_t depth = shards[s]->queue_depth();
-      if (depth < best_depth) {
+      const std::uint64_t load = shards[s]->outstanding();
+      if (load < best_load) {
         best = s;
-        best_depth = depth;
-      } else if (depth == best_depth && s == by_hash) {
+        best_load = load;
+      } else if (load == best_load && s == by_hash) {
         best = s;  // hash fallback wins ties deterministically
       }
     }

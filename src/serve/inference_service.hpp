@@ -72,7 +72,7 @@ struct RepositorySnapshot {
 ///    setup-scope objects it was built from.
 ///  - `submit_async` never blocks on the batch window: the request is
 ///    routed to one of `ServiceConfig::num_shards` independent shards
-///    (least-loaded, with a deterministic feature-hash tie-break) and the
+///    (fewest outstanding requests, feature-hash tie-break) and the
 ///    caller gets a future. Each shard owns a BOUNDED queue and its own micro-batch
 ///    dispatcher: a full queue sheds the request with kResourceExhausted
 ///    instead of queuing unboundedly, and a request still queued past

@@ -51,18 +51,21 @@ struct ServiceConfig {
   /// Upper bound on requests coalesced into one compiled batch sweep.
   std::size_t max_batch_size = 32;
 
-  /// How long the dispatcher waits for more concurrent submitters after the
-  /// first request of a batch arrives. Zero serves every request as its own
-  /// batch (lowest latency, no coalescing).
+  /// Cap on how long the dispatcher lingers for more concurrent submitters
+  /// after the first request of a batch arrives. It lingers only while
+  /// lingering coalesces: on a shard's first batch and after a batch that
+  /// held more than one request, never after a lone request, which would
+  /// otherwise wait out the whole window for nothing. Zero serves every
+  /// request as its own batch (lowest latency, no coalescing).
   std::chrono::microseconds batch_window{200};
 
   FailurePolicy failure_policy = FailurePolicy::kKeepServing;
 
   /// Independent serving shards, each with its own micro-batch dispatcher
   /// and bounded queue; all of them serve the service's one current epoch.
-  /// A request goes to the shard with the shallowest queue, ties broken by
-  /// a deterministic feature hash. One shard reproduces the PR-4
-  /// single-dispatcher service; more shards remove the single-dispatcher
+  /// A request goes to the shard with the fewest outstanding requests
+  /// (queued or mid-sweep), ties broken by a deterministic feature hash.
+  /// One shard is a single-dispatcher service; more shards remove that
   /// bottleneck under concurrent load. Expectation backends stay
   /// bitwise-identical across shard counts (a request's logits do not
   /// depend on which shard's sweep computed them). Must be >= 1.

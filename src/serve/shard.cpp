@@ -1,6 +1,7 @@
 #include "serve/shard.hpp"
 
 #include <bit>
+#include <chrono>
 #include <exception>
 #include <string>
 #include <utility>
@@ -51,8 +52,12 @@ std::future<StatusOr<Prediction>> ServingShard::enqueue(
   request.enqueued = admission_.stamp();
   std::future<StatusOr<Prediction>> result = request.promise.get_future();
 
+  // Counted before the push: once queued, the dispatcher may serve the
+  // request (and release its slot) before try_push even returns.
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
   const PushResult pushed = queue_.try_push(std::move(request));
   if (pushed == PushResult::kOk) return result;
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
 
   // The rejected request (promise included) died inside try_push; hand the
   // caller a fresh, already-resolved future instead.
@@ -84,12 +89,25 @@ std::vector<Prediction> ServingShard::run_batch(
 }
 
 void ServingShard::dispatch_loop() {
+  // Linger for stragglers only while lingering coalesces: after a batch of
+  // one, the window would only park the next lone request. A batch that
+  // gathers without lingering (requests queued during the previous sweep)
+  // turns it back on. A fresh shard lingers on its first batch.
+  bool linger = true;
   for (;;) {
-    std::vector<QueuedRequest> batch =
-        queue_.collect(config_.max_batch_size, config_.batch_window);
+    std::vector<QueuedRequest> batch = queue_.collect(
+        config_.max_batch_size,
+        linger ? config_.batch_window : std::chrono::microseconds(0));
     if (batch.empty()) return;  // closed and drained
+    linger = batch.size() > 1;
     serve_pending(batch);
   }
+}
+
+void ServingShard::resolve(std::promise<StatusOr<Prediction>>& promise,
+                           StatusOr<Prediction> result) {
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+  promise.set_value(std::move(result));
 }
 
 void ServingShard::serve_pending(std::vector<QueuedRequest>& batch) {
@@ -104,7 +122,7 @@ void ServingShard::serve_pending(std::vector<QueuedRequest>& batch) {
       live.push_back(std::move(request));
     } else {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      request.promise.set_value(std::move(status));
+      resolve(request.promise, std::move(status));
     }
   }
   if (live.empty()) return;
@@ -126,14 +144,14 @@ void ServingShard::serve_pending(std::vector<QueuedRequest>& batch) {
       if (cache_ != nullptr) {
         cache_->insert(epoch->id, features[i], predictions[i]);
       }
-      live[i].promise.set_value(std::move(predictions[i]));
+      resolve(live[i].promise, std::move(predictions[i]));
     }
   } catch (const std::exception& e) {
     // Features were validated at submission; anything thrown here is a
     // library invariant failure. Fail the batch, keep the shard up.
     for (QueuedRequest& request : live) {
-      request.promise.set_value(
-          Status::internal(std::string("batch sweep failed: ") + e.what()));
+      resolve(request.promise,
+              Status::internal(std::string("batch sweep failed: ") + e.what()));
     }
   }
 }

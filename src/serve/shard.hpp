@@ -70,7 +70,7 @@ class EpochSlot {
 /// Deterministic request-to-shard assignment: FNV-1a over the feature bit
 /// patterns, reduced mod `num_shards`. The same feature vector routes to
 /// the same shard on every call, every service instance, every process —
-/// the fallback the least-loaded router uses to break ties.
+/// the fallback the router uses to break outstanding-request ties.
 std::size_t route_by_hash(std::span<const double> features,
                           std::size_t num_shards);
 
@@ -122,7 +122,12 @@ class ServingShard {
                                     std::span<const std::vector<double>> xs);
 
   std::size_t index() const { return index_; }
-  std::size_t queue_depth() const { return queue_.size(); }
+  /// Requests admitted to this shard whose futures are not yet resolved:
+  /// queued, lingering, or inside the current sweep. The router's load
+  /// signal: a shard that is mid-sweep has an empty queue but is not idle.
+  std::uint64_t outstanding() const {
+    return outstanding_.load(std::memory_order_relaxed);
+  }
   ShardStats stats() const;
 
  private:
@@ -134,6 +139,11 @@ class ServingShard {
 
   void dispatch_loop();
   void serve_pending(std::vector<QueuedRequest>& batch);
+  /// Releases the request's outstanding slot, then resolves its future: the
+  /// promise is the request's last touch of shard state, so a caller whose
+  /// future resolved already sees this shard as one request lighter.
+  void resolve(std::promise<StatusOr<Prediction>>& promise,
+               StatusOr<Prediction> result);
 
   const std::size_t index_;
   const ServiceConfig& config_;
@@ -149,6 +159,7 @@ class ServingShard {
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> deadline_misses_{0};
+  std::atomic<std::uint64_t> outstanding_{0};
 };
 
 }  // namespace qucad

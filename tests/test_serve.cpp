@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -427,6 +428,9 @@ TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok());
+  // A lone warm-up request leaves the dispatcher not lingering; the burst
+  // below must turn coalescing back on by itself.
+  ASSERT_TRUE(service->submit(fx.env.train.features[kThreads]).ok());
 
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
@@ -439,10 +443,31 @@ TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   for (std::thread& client : clients) client.join();
 
   const ServingStats stats = service->stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads));
-  EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kThreads))
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads) + 1);
+  EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kThreads) + 1)
       << "concurrent submitters should coalesce into shared sweeps";
   EXPECT_GT(stats.coalesced, 0u);
+}
+
+TEST(ServeBatching, LoneRequestDoesNotLinger) {
+  ServeFixture fx;
+  // A window far longer than a sweep: a dispatcher that lingered after a
+  // lone request would park the next one for the whole window.
+  const ServiceConfig config =
+      ServiceConfig::from_environment(fx.env)
+          .with_num_shards(1)
+          .with_batch_window(std::chrono::seconds(2));
+  StatusOr<InferenceService> service =
+      InferenceService::create(fx.env, {}, fx.history.day(0), config);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+
+  // A fresh shard lingers on its first batch; this one holds one request.
+  ASSERT_TRUE(service->submit(fx.env.train.features[0]).ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service->submit(fx.env.train.features[1]).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "a lone request waited out the batch window after a lone batch";
+  EXPECT_EQ(service->stats().batches, 2u);
 }
 
 TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
@@ -591,7 +616,7 @@ TEST(ServeRouting, HashRoutingIsDeterministicAcrossServices) {
 
   // Two independently-built services must spread an identical sequential
   // request sequence identically across their shards: a sequential submit
-  // finds every queue empty, so the hash tie-break places it.
+  // finds every shard idle, so the hash tie-break places it.
   ServeFixture fx;
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env)
@@ -623,6 +648,108 @@ TEST(ServeRouting, HashRoutingIsDeterministicAcrossServices) {
   }
   EXPECT_EQ(total, n);
   EXPECT_GE(used, 2u) << "hash routing should spread distinct vectors";
+}
+
+// A shard that is mid-sweep has an empty queue but is not idle: a request
+// that hashes to it must go to the idle peer instead of waiting out the
+// sweep.
+TEST(ServeRouting, IdleShardIsPreferredOverBusyOne) {
+  struct Gate {
+    std::atomic<bool> armed{true};
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+  };
+  // The density backend, except that the first sweep blocks until the test
+  // opens the gate.
+  class HeldBackend final : public ExecutionBackend {
+   public:
+    HeldBackend(std::shared_ptr<const ExecutionBackend> inner,
+                std::shared_ptr<Gate> gate)
+        : inner_(std::move(inner)), gate_(std::move(gate)) {}
+    BackendKind kind() const override { return inner_->kind(); }
+    BackendDiagnostics diagnostics() const override {
+      return inner_->diagnostics();
+    }
+    std::vector<std::vector<double>> run_logits_batch(
+        std::span<const std::vector<double>> xs,
+        ThreadPool* pool) const override {
+      if (gate_->armed.exchange(false)) {
+        gate_->entered.set_value();
+        gate_->released.wait();
+      }
+      return inner_->run_logits_batch(xs, pool);
+    }
+
+   private:
+    std::shared_ptr<const ExecutionBackend> inner_;
+    std::shared_ptr<Gate> gate_;
+  };
+  const auto gate = std::make_shared<Gate>();
+  std::future<void> entered = gate->entered.get_future();
+  // A custom kind no other test uses.
+  const BackendKind held = static_cast<BackendKind>(18);
+  BackendRegistry::global().register_factory(
+      held,
+      [gate](const BackendConfig& config, const BackendContext& context)
+          -> StatusOr<std::shared_ptr<const ExecutionBackend>> {
+        BackendConfig density = config;
+        density.kind = BackendKind::kDensityNoisy;
+        StatusOr<std::shared_ptr<const ExecutionBackend>> inner =
+            BackendRegistry::global().make(density, context);
+        if (!inner.ok()) return inner.status();
+        return std::shared_ptr<const ExecutionBackend>(
+            std::make_shared<HeldBackend>(*std::move(inner), gate));
+      });
+
+  ServeFixture fx;
+  const ServiceConfig config =
+      ServiceConfig::from_environment(fx.env)
+          .with_num_shards(2)
+          .with_batch_window(std::chrono::microseconds(0))
+          .with_backend(BackendConfig().with_kind(held));
+  StatusOr<InferenceService> service =
+      InferenceService::create(fx.env, {}, fx.history.day(0), config);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  // Opens the gate on every exit path, before the service joins its
+  // dispatchers.
+  struct Opener {
+    Gate& gate;
+    bool open = false;
+    void operator()() {
+      if (!open) gate.release.set_value();
+      open = true;
+    }
+    ~Opener() { (*this)(); }
+  } opener{*gate};
+
+  const std::vector<double>& a = fx.env.train.features[0];
+  const std::size_t busy = route_by_hash(a, 2);
+  std::size_t b_index = 1;
+  while (route_by_hash(fx.env.train.features[b_index], 2) != busy) ++b_index;
+  const std::vector<double>& b = fx.env.train.features[b_index];
+
+  std::future<StatusOr<Prediction>> first = service->submit_async(a);
+  ASSERT_EQ(entered.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the first sweep never started";
+  std::future<StatusOr<Prediction>> second = service->submit_async(b);
+  EXPECT_EQ(second.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a request that hashes to the busy shard queued behind its sweep";
+  EXPECT_EQ(first.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout)
+      << "the held sweep finished early";
+  opener();
+
+  const StatusOr<Prediction> first_result = first.get();
+  const StatusOr<Prediction> second_result = second.get();
+  ASSERT_TRUE(first_result.ok()) << first_result.status().to_string();
+  ASSERT_TRUE(second_result.ok()) << second_result.status().to_string();
+  const std::vector<ShardStats> shards = service->shard_stats();
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(shards[busy].requests, 1u);
+  EXPECT_EQ(shards[1 - busy].requests, 1u);
 }
 
 TEST(ServeSharding, PredictionsBitwiseIdenticalAcrossShardCounts) {
