@@ -111,19 +111,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     if (in.u8() % 8 == 0) readout.push_back(logical + 1);  // hostile slot
 
-    qucad::TranspileOptions options;
-    options.noise_aware_layout = false;
     qucad::Calibration calibration(physical, coupling.edges());
     const qucad::Calibration* calibration_ptr = nullptr;
-    // The noise-aware placement scores injective layouts exhaustively;
-    // keep that path to small devices so iterations stay fast.
+    // A calibration selects the noise-aware placement, which scores
+    // injective layouts exhaustively; keep that path to small devices so
+    // iterations stay fast.
     if (physical <= 5 && logical <= 4 && in.u8() % 2 == 0) {
-      options.noise_aware_layout = true;
       calibration_ptr = &calibration;
     }
 
-    const qucad::TranspiledModel model = qucad::transpile_model(
-        circuit, readout, coupling, calibration_ptr, options);
+    const qucad::TranspiledModel model =
+        qucad::transpile_model(circuit, readout, coupling, calibration_ptr);
 
     check(model.routed.circuit.num_qubits() == physical);
     check(model.readout_logical == readout);

@@ -1,6 +1,6 @@
 #include "eval/harness.hpp"
 
-#include <iostream>
+#include <ostream>
 
 #include "common/require.hpp"
 #include "common/table.hpp"
@@ -13,6 +13,8 @@ MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
                               const HarnessOptions& options) {
   require(!online_days.empty(), "no online days to evaluate");
   require(options.day_stride >= 1, "day_stride must be >= 1");
+  require(!options.backend.has_value() || options.backend->validate().ok(),
+          "harness backend config is invalid");
   if (!offline_history.empty()) strategy.offline(offline_history);
 
   MethodResult result;
@@ -27,13 +29,8 @@ MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
     const Calibration& calib = online_days[d];
     const std::span<const double> theta =
         strategy.online_day(static_cast<int>(d), calib);
-    const double acc = noisy_accuracy(env.model, env.transpiled, theta,
-                                      env.test, calib, eval);
-    result.daily_accuracy.push_back(acc);
-    if (options.verbose) {
-      std::cout << "  [" << result.method << "] day " << d << ": acc "
-                << fmt_pct(acc) << "\n";
-    }
+    result.daily_accuracy.push_back(
+        noisy_accuracy(env.model, env.transpiled, theta, env.test, calib, eval));
   }
 
   result.metrics = summarize_series(result.daily_accuracy);

@@ -12,7 +12,6 @@ namespace qucad {
 struct HarnessOptions {
   /// Days between evaluations (1 = every day, matching the paper).
   int day_stride = 1;
-  bool verbose = false;
   /// Execution regime override for the daily evaluation. Unset, the
   /// environment's own `eval.backend` applies (exact density noise by
   /// default); set it to replay the same longitudinal comparison under a
@@ -25,7 +24,8 @@ struct HarnessOptions {
 /// Runs one strategy over the online calibration window: offline() on the
 /// historical days, then for each online day adapt + evaluate on the test
 /// set under that day's exact noise model (or the regime selected by
-/// `options.backend`). `options.day_stride` must be >= 1.
+/// `options.backend`). `options.day_stride` must be >= 1 and a set
+/// `options.backend` must validate; both are checked before offline().
 MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
                               const std::vector<Calibration>& offline_history,
                               const std::vector<Calibration>& online_days,

@@ -1,7 +1,6 @@
 #include "fleet/harness.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "core/strategies.hpp"
@@ -107,7 +106,6 @@ StatusOr<FleetResult> FleetHarness::run() {
   const int first_day = options_.offline_days;
   const int last_day = options_.offline_days + options_.online_days;
   for (int d = first_day; d < last_day; d += options_.day_stride) {
-    double day_sum = 0.0;
     for (std::size_t i = 0; i < streams_.size(); ++i) {
       FleetDeviceResult& device = result.devices[i];
       const Calibration& calibration = streams_[i].history().day(d);
@@ -142,12 +140,6 @@ StatusOr<FleetResult> FleetHarness::run() {
       device.daily_accuracy.push_back(evaluated->accuracy);
       device.day_seconds.push_back(seconds);
       pooled.push_back(evaluated->accuracy);
-      day_sum += evaluated->accuracy;
-    }
-    if (options_.verbose) {
-      std::printf("fleet day %3d: mean accuracy %.4f over %zu devices\n", d,
-                  day_sum / static_cast<double>(streams_.size()),
-                  streams_.size());
     }
   }
 

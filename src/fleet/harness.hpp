@@ -29,7 +29,6 @@ struct FleetOptions {
   /// evaluations (e.g. the remote stub kind) — same convention as
   /// HarnessOptions::backend.
   std::optional<BackendConfig> backend;
-  bool verbose = false;
 };
 
 /// One device's slice of a fleet run.

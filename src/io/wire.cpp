@@ -110,8 +110,7 @@ Status write_frame(int fd, const std::vector<std::uint8_t>& payload) {
 /// reported as kInvalidArgument (the stream is positionally intact, so the
 /// server can still answer before closing); everything else is transport
 /// failure (kUnavailable) or corruption (kDataLoss).
-Status read_frame(int fd, std::uint32_t max_payload,
-                  std::vector<std::uint8_t>& payload) {
+Status read_frame(int fd, std::vector<std::uint8_t>& payload) {
   std::uint8_t prefix[4];
   if (Status s = recv_all(fd, prefix, sizeof(prefix)); !s.ok()) return s;
   Deserializer in(std::span<const std::uint8_t>(prefix, sizeof(prefix)));
@@ -120,10 +119,11 @@ Status read_frame(int fd, std::uint32_t max_payload,
   if (length == 0) {
     return Status::invalid_argument("empty wire frame (no message type)");
   }
-  if (length > max_payload) {
+  if (length > kWireMaxPayload) {
     return Status::invalid_argument(
         "oversized wire frame: " + std::to_string(length) +
-        " bytes exceeds the " + std::to_string(max_payload) + "-byte limit");
+        " bytes exceeds the " + std::to_string(kWireMaxPayload) +
+        "-byte limit");
   }
   payload.resize(length);
   return recv_all(fd, payload.data(), payload.size());
@@ -348,7 +348,7 @@ struct WireServer::Impl {
     const int fd = connection.fd;  // set before this thread started
     std::vector<std::uint8_t> payload;
     while (running.load(std::memory_order_acquire)) {
-      Status read = read_frame(fd, options.max_payload, payload);
+      Status read = read_frame(fd, payload);
       if (!read.ok()) {
         // An oversized/empty length prefix still leaves the stream intact
         // enough to say why before hanging up; a dead peer does not.
@@ -563,7 +563,7 @@ StatusOr<Prediction> WireClient::predict(std::span<const double> features) {
   if (Status s = write_frame(fd_, encode_predict_request(features)); !s.ok())
     return s;
   std::vector<std::uint8_t> payload;
-  if (Status s = read_frame(fd_, kWireMaxPayload, payload); !s.ok()) return s;
+  if (Status s = read_frame(fd_, payload); !s.ok()) return s;
   return decode_predict_response(payload);
 }
 
@@ -573,7 +573,7 @@ StatusOr<WireCalibrationAck> WireClient::push_calibration(
       !s.ok())
     return s;
   std::vector<std::uint8_t> payload;
-  if (Status s = read_frame(fd_, kWireMaxPayload, payload); !s.ok()) return s;
+  if (Status s = read_frame(fd_, payload); !s.ok()) return s;
   return decode_calibration_ack(payload);
 }
 

@@ -95,9 +95,6 @@ struct WireServerOptions {
   /// Bind the loopback interface only (the safe default); clear to accept
   /// connections from other hosts (the deployed-daemon shape).
   bool loopback_only = true;
-  /// Frames with a larger length prefix are rejected and the connection
-  /// closed.
-  std::uint32_t max_payload = kWireMaxPayload;
 };
 
 /// The TCP front-end: accepts connections and serves frames against a

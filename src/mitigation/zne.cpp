@@ -61,19 +61,14 @@ std::vector<double> zne_expectations(const PhysicalCircuit& circuit,
   z_by_scale.reserve(options.scale_factors.size());
   for (double factor : options.scale_factors) {
     const Calibration scaled = scale_calibration_noise(calibration, factor);
-    if (options.use_cache) {
-      // One compiled executor per (circuit, scaled calibration): a sweep
-      // over samples — or repeated days with the same calibration — pays
-      // lowering + noise-model construction once per scale factor, not once
-      // per factor per call.
-      const std::shared_ptr<const NoisyExecutor> executor =
-          CompiledEvalCache::global().get_or_build_physical(circuit, scaled,
-                                                            options.noise);
-      z_by_scale.push_back(executor->run_z(x));
-    } else {
-      const NoisyExecutor executor(circuit, NoiseModel(scaled, options.noise));
-      z_by_scale.push_back(executor.run_z(x));
-    }
+    // One compiled executor per (circuit, scaled calibration): a sweep
+    // over samples — or repeated days with the same calibration — pays
+    // lowering + noise-model construction once per scale factor, not once
+    // per factor per call.
+    const std::shared_ptr<const NoisyExecutor> executor =
+        CompiledEvalCache::global().get_or_build_physical(circuit, scaled,
+                                                          options.noise);
+    z_by_scale.push_back(executor->run_z(x));
   }
 
   const std::size_t num_readouts = z_by_scale.front().size();

@@ -14,18 +14,17 @@ struct ZneOptions {
   /// factor and the observable is extrapolated back to zero noise.
   std::vector<double> scale_factors{1.0, 2.0, 3.0};
   NoiseModelOptions noise;
-  /// Reuse compiled executors from CompiledEvalCache::global(), keyed per
-  /// (circuit, scaled calibration, noise options). Repeated ZNE calls on the
-  /// same day — every sample of an evaluation sweep — then compile each
-  /// scale factor's executor once instead of once per call. Disable to force
-  /// fresh builds (e.g. when benchmarking compilation itself).
-  bool use_cache = true;
 };
 
 /// Zero-noise extrapolation [17]: executes the circuit at amplified noise
 /// levels (rate scaling — the digital analogue of pulse stretching) and
 /// Richardson-extrapolates each readout expectation to the zero-noise limit
 /// with a least-squares linear fit over the scale factors.
+///
+/// Each scale factor's compiled executor comes from
+/// CompiledEvalCache::global(), keyed per (circuit, scaled calibration, noise
+/// options): repeated calls on the same day (every sample of an evaluation
+/// sweep) compile it once.
 ///
 /// Output follows the positional readout contract: entry k is the
 /// extrapolated `<Z>` of readout SLOT k (circuit.readout_physical()[k], i.e.

@@ -33,8 +33,7 @@ OfflineBuild build_repository(const QnnModel& model,
   for (std::size_t d = 0; d < days; ++d) {
     features[d] = offline_history[d].feature_vector();
     diag.day_accuracy[d] = noisy_accuracy(model, transpiled, theta_pretrained,
-                                          profile_set, offline_history[d],
-                                          options.eval);
+                                          profile_set, offline_history[d]);
   }
 
   // 2. Performance-aware weights.
@@ -77,7 +76,7 @@ OfflineBuild build_repository(const QnnModel& model,
     for (std::size_t d : members) {
       const double acc =
           noisy_accuracy(model, transpiled, compressed.theta, profile_set,
-                         offline_history[d], options.eval);
+                         offline_history[d]);
       cluster_acc += acc;
       sample_acc_sum += acc;
       ++sample_count;

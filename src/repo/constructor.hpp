@@ -10,7 +10,6 @@ namespace qucad {
 struct ConstructorOptions {
   KMeansOptions kmeans;        // k groups (paper uses 6)
   AdmmOptions admm;            // compression settings per centroid
-  NoisyEvalOptions eval;       // evaluation backend
   std::size_t profile_samples = 64;  // validation samples per historical day
   double accuracy_requirement = 0.35;  // Guidance 2: clusters below are invalid
 };
@@ -38,7 +37,8 @@ struct OfflineBuild {
 /// performance-aware weights, clusters the days, compresses the model on
 /// each cluster centroid, and assembles the repository with threshold
 /// th_w = max_i (mean intra-cluster distance) [Guidance 1] and invalid-
-/// cluster flags [Guidance 2].
+/// cluster flags [Guidance 2]. Every day is scored with the default exact
+/// density-matrix evaluation, as admm_compress's keep-best is.
 OfflineBuild build_repository(const QnnModel& model,
                               const TranspiledModel& transpiled,
                               const std::vector<double>& theta_pretrained,

@@ -178,8 +178,7 @@ FusedChannel2 fuse_cx_channel(const CxNoise& noise) {
 }
 
 CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
-                                         const NoiseModel& noise,
-                                         const CompileOptions& options) {
+                                         const NoiseModel& noise) {
   require(noise.num_qubits() == 0 || noise.num_qubits() == circuit.num_qubits(),
           "noise model qubit count mismatch");
   const bool noisy = noise.num_qubits() > 0;
@@ -220,7 +219,6 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     Pending& p = pending[static_cast<std::size_t>(q)];
     p.u = mul2(m, p.u);
     p.any = true;
-    if (!options.fuse_single_qubit) flush(q);
   };
 
   auto emit_pulse_noise = [&](int q) {
@@ -321,55 +319,51 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
   }
   for (int q = 0; q < nq; ++q) flush(q);
 
-  if (options.fuse_cx_sandwich) {
-    // Loop to fixpoint: a fusion can bring another CX pair adjacent.
-    while (fuse_cx_sandwich_pass(program.ops_, program.stats_)) {
-    }
+  // Loop to fixpoint: a fusion can bring another CX pair adjacent.
+  while (fuse_cx_sandwich_pass(program.ops_, program.stats_)) {
   }
 
-  if (options.drop_trailing_diagonal) {
-    // Diagonal unitaries commute with every error channel here (depolarizing,
-    // thermal relaxation, and classical readout confusion all act
-    // block-diagonally w.r.t. the computational basis), so a Diag1/SymDiag1
-    // followed only by channels on its qubit cannot change measurement
-    // statistics. Walk backwards and drop them.
-    std::vector<char> blocked(static_cast<std::size_t>(nq), 0);
-    std::vector<CompiledOp> kept;
-    kept.reserve(program.ops_.size());
-    for (auto it = program.ops_.rbegin(); it != program.ops_.rend(); ++it) {
-      const CompiledOp& op = *it;
-      switch (op.kind) {
-        case COpKind::Diag1:
-        case COpKind::SymDiag1:
-          if (!blocked[static_cast<std::size_t>(op.q0)]) {
-            ++program.stats_.dropped_trailing;
-            continue;  // dropped
-          }
-          break;
-        case COpKind::SymUni1:
-          // Diagonal only when the absorbed prefix is itself diagonal.
-          if (is_diagonal(op.u) && !blocked[static_cast<std::size_t>(op.q0)]) {
-            ++program.stats_.dropped_trailing;
-            continue;  // dropped
-          }
-          blocked[static_cast<std::size_t>(op.q0)] = 1;
-          break;
-        case COpKind::Unitary1:
-          blocked[static_cast<std::size_t>(op.q0)] = 1;
-          break;
-        case COpKind::Cx:
-        case COpKind::CRot2:
-          blocked[static_cast<std::size_t>(op.q0)] = 1;
-          blocked[static_cast<std::size_t>(op.q1)] = 1;
-          break;
-        case COpKind::Channel1:
-        case COpKind::Channel2:
-          break;  // channels commute with diagonals: do not block
-      }
-      kept.push_back(op);
+  // Diagonal unitaries commute with every error channel here (depolarizing,
+  // thermal relaxation, and classical readout confusion all act
+  // block-diagonally w.r.t. the computational basis), so a Diag1/SymDiag1
+  // followed only by channels on its qubit cannot change measurement
+  // statistics. Walk backwards and drop them.
+  std::vector<char> blocked(static_cast<std::size_t>(nq), 0);
+  std::vector<CompiledOp> kept;
+  kept.reserve(program.ops_.size());
+  for (auto it = program.ops_.rbegin(); it != program.ops_.rend(); ++it) {
+    const CompiledOp& op = *it;
+    switch (op.kind) {
+      case COpKind::Diag1:
+      case COpKind::SymDiag1:
+        if (!blocked[static_cast<std::size_t>(op.q0)]) {
+          ++program.stats_.dropped_trailing;
+          continue;  // dropped
+        }
+        break;
+      case COpKind::SymUni1:
+        // Diagonal only when the absorbed prefix is itself diagonal.
+        if (is_diagonal(op.u) && !blocked[static_cast<std::size_t>(op.q0)]) {
+          ++program.stats_.dropped_trailing;
+          continue;  // dropped
+        }
+        blocked[static_cast<std::size_t>(op.q0)] = 1;
+        break;
+      case COpKind::Unitary1:
+        blocked[static_cast<std::size_t>(op.q0)] = 1;
+        break;
+      case COpKind::Cx:
+      case COpKind::CRot2:
+        blocked[static_cast<std::size_t>(op.q0)] = 1;
+        blocked[static_cast<std::size_t>(op.q1)] = 1;
+        break;
+      case COpKind::Channel1:
+      case COpKind::Channel2:
+        break;  // channels commute with diagonals: do not block
     }
-    program.ops_.assign(kept.rbegin(), kept.rend());
+    kept.push_back(op);
   }
+  program.ops_.assign(kept.rbegin(), kept.rend());
 
   program.stats_.compiled_ops = program.ops_.size();
   return program;

@@ -78,28 +78,6 @@ struct CompiledOp {
   double theta_scale = 1.0;
 };
 
-/// Knobs of the lowering pass. The defaults are correct for every Z-basis
-/// measurement consumer; disable them only when the full final state
-/// (off-diagonals / global phase included) must match the gate-by-gate
-/// reference bit for bit.
-struct CompileOptions {
-  /// Fuse adjacent single-qubit ops (between error sites and symbolic RZs)
-  /// into one 2x2.
-  bool fuse_single_qubit = true;
-  /// Fuse CX-sandwich controlled-rotation patterns into single CRot2 ops.
-  /// Only fires when nothing noisy sits inside the pattern, so it is
-  /// effectively the pure statevector path's optimization.
-  bool fuse_cx_sandwich = true;
-  /// Drop trailing diagonal ops (virtual Z, literal or symbolic) that can no
-  /// longer affect Z-basis measurement statistics. Preserves diagonal
-  /// probabilities, every `<Z>`, and every `d<Z>/dtheta` exactly (a trailing RZ
-  /// commutes with the observable, so its gradient is identically zero), but
-  /// not off-diagonal entries of a final density matrix or the phases of a
-  /// final statevector — disable when the full state must match the
-  /// gate-by-gate reference.
-  bool drop_trailing_diagonal = true;
-};
-
 /// Compilation statistics, mainly for tests and perf records.
 struct CompileStats {
   std::size_t source_ops = 0;     ///< PhysOps in the input circuit
@@ -121,7 +99,7 @@ struct CompileStats {
 ///    resolved against `x` and trainable-symbolic RZ angles against `theta`
 ///    at replay time, so one program serves every (sample, theta) pair.
 ///  - num_trainable() / num_inputs() are computed from the SOURCE circuit,
-///    not the surviving ops: a trainable RZ elided by drop_trailing_diagonal
+///    not the surviving ops: a trainable RZ elided as a trailing diagonal
 ///    still counts (its gradient is exactly zero, not absent).
 class CompiledProgram {
  public:
@@ -130,9 +108,19 @@ class CompiledProgram {
   /// Lowers `circuit` with the calibrated channels of `noise` folded in.
   /// Pass a default NoiseModel (num_qubits() == 0) for a noiseless program —
   /// required for the statevector replay paths.
+  ///
+  /// The lowering fuses adjacent single-qubit ops (between error sites and
+  /// symbolic RZs) into one 2x2, fuses noiseless CX-sandwich controlled
+  /// rotations into single CRot2 ops, and drops trailing diagonal ops
+  /// (virtual Z, literal or symbolic) that can no longer affect Z-basis
+  /// measurement. The drop preserves diagonal probabilities, every `<Z>` and
+  /// every `d<Z>/dtheta` exactly (a trailing RZ commutes with the
+  /// observable, so its gradient is identically zero), but not off-diagonal
+  /// entries of a final density matrix or the phases of a final
+  /// statevector; a circuit that ends in a non-diagonal pulse on every qubit
+  /// keeps its full final state.
   static CompiledProgram compile(const PhysicalCircuit& circuit,
-                                 const NoiseModel& noise,
-                                 const CompileOptions& options = {});
+                                 const NoiseModel& noise);
 
   int num_qubits() const { return num_qubits_; }
   /// 1 + the largest trainable slot referenced by the source circuit.
@@ -166,10 +154,10 @@ class CompiledProgram {
 
   /// Replays a noiseless program (has_channels() == false) over the L
   /// samples of `bsv` — the compiled forward pass of the statevector
-  /// engines. Same input and reset contract as run_lanes(). With the
-  /// default CompileOptions the final state matches the gate-by-gate
-  /// reference up to a global phase and elided trailing virtual-Z
-  /// rotations; probabilities and every `<Z>` match exactly.
+  /// engines. Same input and reset contract as run_lanes(). The final
+  /// state matches the gate-by-gate reference up to a global phase and
+  /// elided trailing virtual-Z rotations; probabilities and every `<Z>`
+  /// match exactly.
   ///
   /// When `resolved` is non-null it is resized to ops().size() * L and entry
   /// `idx * L + lane` receives lane's angle-resolved 2x2 of symbolic op idx

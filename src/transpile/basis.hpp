@@ -8,8 +8,6 @@
 namespace qucad {
 
 struct BasisOptions {
-  /// Angles within tol of a breakpoint take the shortened decomposition.
-  double tol = 1e-9;
   /// Keep trainable parameters symbolic instead of binding them: each one
   /// becomes an affine RZ angle (theta_scale * theta[i] + offset), so the
   /// lowered circuit — and anything compiled from it — is shared across

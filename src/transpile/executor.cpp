@@ -19,13 +19,12 @@ std::array<cplx, 4> rz_array(double angle) {
 
 }  // namespace
 
-NoisyExecutor::NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise,
-                             CompileOptions compile_options)
+NoisyExecutor::NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise)
     : circuit_(std::move(circuit)), noise_(std::move(noise)) {
   require(noise_.num_qubits() == 0 ||
               noise_.num_qubits() == circuit_.num_qubits(),
           "noise model qubit count mismatch");
-  program_ = CompiledProgram::compile(circuit_, noise_, compile_options);
+  program_ = CompiledProgram::compile(circuit_, noise_);
   // Confusion only matters on measured qubits: slot k carries the error of
   // the physical qubit hosting class k.
   std::vector<ReadoutError> slot_errors;
@@ -142,10 +141,9 @@ std::vector<double> NoisyExecutor::run_z_reference(
   return z;
 }
 
-PureExecutor::PureExecutor(PhysicalCircuit circuit,
-                           CompileOptions compile_options)
+PureExecutor::PureExecutor(PhysicalCircuit circuit)
     : circuit_(std::move(circuit)) {
-  program_ = CompiledProgram::compile(circuit_, NoiseModel(), compile_options);
+  program_ = CompiledProgram::compile(circuit_, NoiseModel());
   readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(), {});
 }
 

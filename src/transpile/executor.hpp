@@ -42,8 +42,7 @@ class NoisyExecutor {
   /// Takes copies: the executor is self-contained and cannot dangle when
   /// callers pass temporaries (both arguments are cheap relative to a
   /// single density-matrix run).
-  NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise,
-                CompileOptions compile_options = {});
+  NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise);
 
   /// `<Z>` of each readout slot, ordered by position in
   /// circuit.readout_physical() — NOT indexed by qubit id. Exact for
@@ -113,8 +112,7 @@ class PureExecutor {
  public:
   /// Takes a copy: the executor is self-contained (same rationale as
   /// NoisyExecutor).
-  explicit PureExecutor(PhysicalCircuit circuit,
-                        CompileOptions compile_options = {});
+  explicit PureExecutor(PhysicalCircuit circuit);
 
   /// `<Z>` of each readout slot for one (sample, theta) replay, ordered by
   /// position in circuit.readout_physical().

@@ -7,8 +7,7 @@ namespace qucad {
 TranspiledModel transpile_model(const Circuit& logical,
                                 const std::vector<int>& readout_logical,
                                 const CouplingMap& coupling,
-                                const Calibration* calibration,
-                                const TranspileOptions& options) {
+                                const Calibration* calibration) {
   require(logical.num_qubits() <= coupling.num_qubits(),
           "circuit does not fit on device");
   // Validate before the layout search: noise_aware_layout indexes candidate
@@ -19,7 +18,7 @@ TranspiledModel transpile_model(const Circuit& logical,
   }
 
   const Layout layout =
-      (calibration != nullptr && options.noise_aware_layout)
+      calibration != nullptr
           ? noise_aware_layout(logical, readout_logical, coupling, *calibration)
           : trivial_layout(logical.num_qubits());
 
@@ -62,16 +61,14 @@ void narrow_readout(PhysicalCircuit& phys, const TranspiledModel& model) {
 }  // namespace
 
 PhysicalCircuit lower_model(const TranspiledModel& model,
-                            std::span<const double> theta,
-                            const BasisOptions& options) {
-  PhysicalCircuit phys = lower_to_basis(model.routed, theta, options);
+                            std::span<const double> theta) {
+  PhysicalCircuit phys = lower_to_basis(model.routed, theta);
   narrow_readout(phys, model);
   return phys;
 }
 
-PhysicalCircuit lower_model_symbolic(const TranspiledModel& model,
-                                     const BasisOptions& options) {
-  BasisOptions symbolic = options;
+PhysicalCircuit lower_model_symbolic(const TranspiledModel& model) {
+  BasisOptions symbolic;
   symbolic.keep_trainable_symbolic = true;
   PhysicalCircuit phys = lower_to_basis(model.routed, {}, symbolic);
   narrow_readout(phys, model);

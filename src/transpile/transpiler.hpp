@@ -43,25 +43,18 @@ struct TranspiledModel {
   }
 };
 
-struct TranspileOptions {
-  /// Noise-aware placement when a calibration is given, trivial otherwise.
-  bool noise_aware_layout = true;
-  BasisOptions basis;
-};
-
-/// Routes a logical model circuit onto the device. The calibration (when
-/// provided and noise_aware_layout is set) drives the initial placement.
+/// Routes a logical model circuit onto the device. The initial placement is
+/// noise_aware_layout under `calibration` when one is given, trivial_layout
+/// otherwise.
 TranspiledModel transpile_model(const Circuit& logical,
                                 const std::vector<int>& readout_logical,
                                 const CouplingMap& coupling,
-                                const Calibration* calibration = nullptr,
-                                const TranspileOptions& options = {});
+                                const Calibration* calibration = nullptr);
 
 /// Binds trainable parameters and lowers to the physical basis with the
 /// compression-aware peephole. Input-encoding parameters stay symbolic.
 PhysicalCircuit lower_model(const TranspiledModel& model,
-                            std::span<const double> theta,
-                            const BasisOptions& options = {});
+                            std::span<const double> theta);
 
 /// Lowers to the physical basis with BOTH parameter spaces kept symbolic:
 /// input-encoding RZ angles are affine in x (as in lower_model) and trainable
@@ -71,7 +64,6 @@ PhysicalCircuit lower_model(const TranspiledModel& model,
 /// fire on trainable rotations here, so the circuit is the generic-length
 /// decomposition; use lower_model when a theta-specialized circuit is wanted
 /// (hardware execution, length accounting).
-PhysicalCircuit lower_model_symbolic(const TranspiledModel& model,
-                                     const BasisOptions& options = {});
+PhysicalCircuit lower_model_symbolic(const TranspiledModel& model);
 
 }  // namespace qucad

@@ -132,17 +132,18 @@ TEST_F(CompiledOpsTest, MatchesReferenceNoiseless) {
 }
 
 TEST_F(CompiledOpsTest, FullDensityMatrixMatchesWithElisionDisabled) {
-  // With trailing-diagonal elision off, the compiled program reproduces the
+  // A circuit that ends in a non-diagonal pulse on every qubit leaves no
+  // trailing diagonal to elide, so the compiled program reproduces the
   // reference density matrix entry-for-entry, off-diagonals included.
   const int nq = 4;
-  const PhysicalCircuit phys = random_transpiled(rng(), nq, 16, 2);
+  PhysicalCircuit phys = random_transpiled(rng(), nq, 16, 2);
+  for (int q = 0; q < nq; ++q) phys.push({PhysOpKind::SX, q, -1, 0.0, -1, 1.0});
   std::vector<std::pair<int, int>> edges;
   for (int q = 0; q + 1 < nq; ++q) edges.emplace_back(q, q + 1);
   const Calibration cal = noisy_calibration(nq, edges, rng());
 
-  CompileOptions opts;
-  opts.drop_trailing_diagonal = false;
-  const NoisyExecutor executor(phys, NoiseModel(cal), opts);
+  const NoisyExecutor executor(phys, NoiseModel(cal));
+  EXPECT_EQ(executor.program().stats().dropped_trailing, 0u);
 
   const std::vector<double> x{0.4, 2.0};
   const DensityMatrix ref = executor.run_density(x);
@@ -152,28 +153,6 @@ TEST_F(CompiledOpsTest, FullDensityMatrixMatchesWithElisionDisabled) {
     EXPECT_NEAR(std::abs(entry(compiled, i) - ref.data()[i]), 0.0,
                 kAgreementTol)
         << "rho entry " << i;
-  }
-}
-
-TEST_F(CompiledOpsTest, FusionDisabledStillMatches) {
-  const PhysicalCircuit phys = random_transpiled(rng(), 4, 15, 2);
-  std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}, {2, 3}};
-  const Calibration cal = noisy_calibration(4, edges, rng());
-
-  CompileOptions unfused;
-  unfused.fuse_single_qubit = false;
-  unfused.drop_trailing_diagonal = false;
-  const NoisyExecutor a(phys, NoiseModel(cal), unfused);
-  const NoisyExecutor b(phys, NoiseModel(cal));
-
-  const std::vector<double> x{1.2, 0.1};
-  const auto za = a.run_z(x);
-  const auto zb = b.run_z(x);
-  const auto zr = a.run_z_reference(x);
-  ASSERT_EQ(za.size(), zb.size());
-  for (std::size_t k = 0; k < za.size(); ++k) {
-    EXPECT_NEAR(za[k], zr[k], kAgreementTol);
-    EXPECT_NEAR(zb[k], zr[k], kAgreementTol);
   }
 }
 

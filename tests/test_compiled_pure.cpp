@@ -236,7 +236,7 @@ TEST_F(CompiledPureTest, SharedParameterContributionsAccumulate) {
 
 TEST_F(CompiledPureTest, TrailingTrainableRzIsElidedWithExactZeroGradient) {
   // A trainable RZ at the very end commutes with every Z observable: the
-  // compiled program may drop it (drop_trailing_diagonal), but the gradient
+  // compiled program drops it as a trailing diagonal, but the gradient
   // vector must still carry its entry — exactly zero, as the reference
   // computes analytically.
   Circuit c(2);

@@ -173,6 +173,35 @@ TEST(Harness, RejectsNonPositiveDayStride) {
   }
 }
 
+// A bad backend override used to surface only at the first daily
+// evaluation, after the whole offline build had run.
+TEST(Harness, RejectsInvalidBackendBeforeOffline) {
+  class CountingStrategy : public Strategy {
+   public:
+    using Strategy::Strategy;
+    std::string name() const override { return "Counting"; }
+    void offline(const std::vector<Calibration>& history) override {
+      (void)history;
+      ++offline_calls;
+    }
+    std::span<const double> online_day(int, const Calibration&) override {
+      return env_.theta_pretrained;
+    }
+    int offline_calls = 0;
+  };
+
+  const Environment& env = test_env();
+  CountingStrategy strategy(env);
+  const CalibrationHistory h(FluctuationScenario::belem(), 4, 2021);
+  HarnessOptions options;
+  options.backend = BackendConfig().with_kind(BackendKind::kSampled);
+  ASSERT_FALSE(options.backend->validate().ok()) << "kSampled at 0 shots";
+  EXPECT_THROW(
+      run_longitudinal(strategy, env, h.slice(0, 2), h.slice(2, 2), options),
+      PreconditionError);
+  EXPECT_EQ(strategy.offline_calls, 0);
+}
+
 TEST(Metrics, SummarizeSeries) {
   const std::vector<double> series{0.9, 0.85, 0.6, 0.45, 0.75};
   const SeriesMetrics m = summarize_series(series);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/require.hpp"
@@ -125,8 +126,6 @@ TEST(ZneCache, CachedSweepMatchesUncachedAndStopsRecompiling) {
 
   ZneOptions cached;
   cached.noise.include_thermal_relaxation = false;
-  ZneOptions uncached = cached;
-  uncached.use_cache = false;
 
   CompiledEvalCache::global().clear();
   const std::vector<double> first = zne_expectations(phys, cal, {}, cached);
@@ -139,7 +138,21 @@ TEST(ZneCache, CachedSweepMatchesUncachedAndStopsRecompiling) {
   EXPECT_EQ(warm.misses, cold.misses) << "repeat call must not recompile";
   EXPECT_EQ(warm.hits, cold.hits + cached.scale_factors.size());
 
-  const std::vector<double> reference = zne_expectations(phys, cal, {}, uncached);
+  // Uncached reference: a fresh executor per scaled calibration, then the
+  // same per-slot extrapolation and clamp.
+  std::vector<std::vector<double>> z_by_scale;
+  for (double factor : cached.scale_factors) {
+    const NoisyExecutor executor(
+        phys, NoiseModel(scale_calibration_noise(cal, factor), cached.noise));
+    z_by_scale.push_back(executor.run_z({}));
+  }
+  std::vector<double> reference(z_by_scale.front().size());
+  for (std::size_t q = 0; q < reference.size(); ++q) {
+    std::vector<double> ys;
+    for (const std::vector<double>& z : z_by_scale) ys.push_back(z[q]);
+    reference[q] =
+        std::clamp(extrapolate_to_zero(cached.scale_factors, ys), -1.0, 1.0);
+  }
   ASSERT_EQ(first.size(), reference.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i], second[i]) << "slot " << i;

@@ -167,6 +167,24 @@ TEST(Transpiler, OversizedCircuitRejected) {
                PreconditionError);
 }
 
+TEST(Transpiler, LayoutIsNoiseAwareExactlyWhenCalibrated) {
+  // The hot edge of Layout.NoiseAwareAvoidsHotEdge moves the placement off
+  // the trivial one, so the two selections are distinguishable.
+  Circuit c(2);
+  c.cry(0, 1, trainable(0));
+  Calibration cal(3, {{0, 1}, {1, 2}});
+  cal.set_cx_error(0, 1, 0.20);
+  cal.set_cx_error(1, 2, 0.001);
+  const CouplingMap line = CouplingMap::line(3);
+  const Layout noise_aware = noise_aware_layout(c, {0}, line, cal);
+  ASSERT_NE(noise_aware, trivial_layout(2));
+
+  EXPECT_EQ(transpile_model(c, {0}, line, &cal).routed.initial_layout,
+            noise_aware);
+  EXPECT_EQ(transpile_model(c, {0}, line, nullptr).routed.initial_layout,
+            trivial_layout(2));
+}
+
 TEST(Transpiler, OutOfRangeReadoutRejectedBeforeLayoutSearch) {
   // Fuzz-found (fuzz/corpus/transpile/hostile_readout_repro): an
   // out-of-range readout qubit used to reach the noise-aware layout
@@ -177,10 +195,7 @@ TEST(Transpiler, OutOfRangeReadoutRejectedBeforeLayoutSearch) {
   c.ry(0, trainable(0));
   c.cx(0, 1);
   const CalibrationHistory h(FluctuationScenario::belem(), 1, 3);
-  TranspileOptions noise_aware;
-  noise_aware.noise_aware_layout = true;
-  EXPECT_THROW(transpile_model(c, {0, 3}, CouplingMap::belem(), &h.day(0),
-                               noise_aware),
+  EXPECT_THROW(transpile_model(c, {0, 3}, CouplingMap::belem(), &h.day(0)),
                PreconditionError);
   EXPECT_THROW(transpile_model(c, {-1}, CouplingMap::belem(), nullptr),
                PreconditionError);
