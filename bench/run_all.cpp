@@ -343,7 +343,10 @@ std::vector<Record> train_benches() {
 /// gated against the checked-in baseline in CI (>= 2x asserted on
 /// multi-core runners). "simd_noisy_speedup" is the same ratio for the
 /// density engine (NoisyExecutor::run_z_batch vs run_z) at batch 64 on the
-/// belem workload.
+/// belem workload; the density lanes also run two small batches on a
+/// 4-thread pool, one on each side of parallel_for_lanes' padding choice:
+/// 12 rows (one block plus a 4-row tail, 5 replays: the tail pads) and 4
+/// rows (4 replays: four width-1 rows at once).
 std::vector<Record> simd_benches() {
   std::vector<Record> records;
   const QnnModel model = build_paper_model(4, 4, 4, 2);
@@ -457,6 +460,20 @@ std::vector<Record> simd_benches() {
           });
       records.push_back(rec);
       (lanes ? noisy_lanes : noisy_scalar) = rec.throughput;
+    }
+    // Ragged batches on a pool of fixed width, so each lands on the same
+    // side of the padding choice on every host.
+    ThreadPool four(4);
+    for (const std::size_t batch : {std::size_t{12}, std::size_t{4}}) {
+      records.push_back(time_loop(
+          "noisy_batch_forward",
+          "engine=lanes,qubits=4,device=belem,batch=" + std::to_string(batch) +
+              ",pool=4",
+          static_cast<double>(batch), "samples/sec", [&] {
+            const auto zs = noisy->run_z_batch(sub.first(batch), 0, 99, &four);
+            volatile double sink = zs[0][0];
+            (void)sink;
+          }));
     }
     Record speedup;
     speedup.name = "simd_noisy_speedup";

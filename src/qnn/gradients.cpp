@@ -154,12 +154,12 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
   // reverse sweep, each lane accumulating its own gradient vector.
   parallel_for_lanes(
       pool ? *pool : ThreadPool::global(), batch, true,
-      [&](auto width, std::size_t first) {
+      [&](auto width, std::size_t first, std::size_t live) {
         constexpr std::size_t L = decltype(width)::value;
         LaneInputs<L> xs;
         std::array<int, L> labels;
         for (std::size_t l = 0; l < L; ++l) {
-          const std::size_t row = indices[first + l];
+          const std::size_t row = indices[lane_row(first, l, live)];
           xs[l] = data.features[row].data();
           labels[l] = data.labels[row];
         }
@@ -172,7 +172,7 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
               lane_logits[lane] = logits_of(z_all);
               return weights_of(lane_logits[lane], labels[lane]);
             });
-        for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t l = 0; l < live; ++l) {
           const std::size_t b = first + l;
           losses[b] = cross_entropy(lane_logits[l], labels[l], logit_scale);
           correct[b] =
@@ -211,15 +211,15 @@ BatchGrad batch_loss(const PureExecutor& executor,
 
   parallel_for_lanes(
       pool ? *pool : ThreadPool::global(), batch, true,
-      [&](auto width, std::size_t first) {
+      [&](auto width, std::size_t first, std::size_t live) {
         constexpr std::size_t L = decltype(width)::value;
         LaneInputs<L> xs;
         for (std::size_t l = 0; l < L; ++l) {
-          xs[l] = data.features[indices[first + l]].data();
+          xs[l] = data.features[indices[lane_row(first, l, live)]].data();
         }
         std::array<std::vector<double>, L> logits;
-        executor.run_z_lanes<L>(xs, theta, logits.data());
-        for (std::size_t l = 0; l < L; ++l) {
+        executor.run_z_lanes<L>(xs, theta, std::span(logits.data(), live));
+        for (std::size_t l = 0; l < live; ++l) {
           const int label = data.labels[indices[first + l]];
           losses[first + l] = cross_entropy(logits[l], label, logit_scale);
           correct[first + l] =

@@ -36,9 +36,10 @@ BatchGrad batch_loss(const Circuit& circuit,
 
 /// Compiled-engine variant of batch_loss_grad: replays the executor's
 /// symbolic-theta program instead of re-walking a gate list, spread over
-/// `pool` (nullptr = the process-global pool). Full blocks of kBlockLanes
-/// samples run one lane adjoint (one forward + one reverse sweep, lane-wide
-/// duals), the ragged tail runs it at width 1. Class logits are read
+/// `pool` (nullptr = the process-global pool). Each block of kBlockLanes
+/// samples runs one lane adjoint (one forward + one reverse sweep, lane-wide
+/// duals); the ragged tail runs at width 1, or as one padded block when
+/// the pool is short of threads (parallel_for_lanes). Class logits are read
 /// positionally from the executor's readout slots — slot k is class k.
 /// Agrees with the reference batch_loss_grad on the corresponding logical
 /// circuit at 1e-10 (same unitary up to global phase); gradients are sized

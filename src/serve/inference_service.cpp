@@ -165,8 +165,10 @@ StatusOr<InferenceService> InferenceService::create(
     return Status::invalid_argument(
         std::string("cannot compile the initial epoch: ") + e.what());
   }
+  // On failure the shards that did start are closed and joined as `impl`
+  // goes out of scope.
   for (const std::unique_ptr<ServingShard>& shard : impl->shards) {
-    shard->start();
+    if (Status status = shard->start(); !status.ok()) return status;
   }
   return InferenceService(std::move(impl));
 }

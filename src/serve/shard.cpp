@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/stats.hpp"
@@ -41,8 +42,14 @@ ServingShard::~ServingShard() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-void ServingShard::start() {
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+Status ServingShard::start() {
+  try {
+    dispatcher_ = std::thread([this] { dispatch_loop(); });
+  } catch (const std::system_error& e) {
+    return Status::unavailable(
+        std::string("cannot start a shard dispatcher: ") + e.what());
+  }
+  return Status();
 }
 
 std::future<StatusOr<Prediction>> ServingShard::enqueue(

@@ -107,7 +107,8 @@ class ServingShard {
 
   /// Spawns the dispatcher. Called once, after the service installed its
   /// first epoch — the dispatcher assumes the slot is never empty.
-  void start();
+  /// kUnavailable when the thread cannot be spawned.
+  Status start();
 
   /// Admission-controlled enqueue. The future resolves with the
   /// prediction, kResourceExhausted (queue full — never queued),

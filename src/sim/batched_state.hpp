@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -22,10 +24,19 @@ namespace qucad {
 /// runtime needed).
 ///
 /// Two widths are instantiated from the same kernels: L = kBlockLanes for
-/// full batch blocks, and L = 1 for everything else — the ragged tail of a
-/// batch, single-sample calls, and density circuits wider than
-/// `BatchedDensityMatrix<kBlockLanes>::kMaxQubits`. Batch entry points pick
-/// the width from the batch size and qubit count (parallel_for_lanes).
+/// batch blocks, and L = 1 for everything else — the rows of a ragged tail
+/// the pool can run alongside the blocks, single-sample calls, and density
+/// circuits wider than `BatchedDensityMatrix<kBlockLanes>::kMaxQubits`. A
+/// tail of two or more rows that would queue behind other replays runs as
+/// one padded block instead: its padding lanes repeat a live row
+/// (lane_row) and nobody reads them back. Batch entry points pick the
+/// widths from the batch size, the pool's width and the qubit count
+/// (parallel_for_lanes).
+///
+/// Both planes start on a kPlaneAlign (cache-line) boundary, so each
+/// kBlockLanes-wide plane row is exactly one cache line and no vector load
+/// or store of a block kernel splits across two lines, whatever address the
+/// heap would otherwise have handed out.
 ///
 /// Lane-uniform vs lane-divergent ops: within one replayed block, theta is
 /// shared by every lane, so literal unitaries/diagonals, CX permutations,
@@ -45,17 +56,54 @@ namespace qucad {
 /// wide enough for AVX2 (4 doubles) and AVX-512 (8) vectors.
 inline constexpr std::size_t kBlockLanes = 8;
 
+/// Byte alignment of every SoA plane: one cache line.
+inline constexpr std::size_t kPlaneAlign = 64;
+
+/// Allocator that starts every allocation on a kPlaneAlign boundary.
+template <typename T>
+struct PlaneAllocator {
+  using value_type = T;
+
+  PlaneAllocator() = default;
+  template <typename U>
+  PlaneAllocator(const PlaneAllocator<U>& /*other*/) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kPlaneAlign}));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kPlaneAlign});
+  }
+
+  bool operator==(const PlaneAllocator&) const = default;
+};
+
+/// One real or imaginary SoA plane.
+using LanePlane = std::vector<double, PlaneAllocator<double>>;
+
 /// Feature rows of the L samples of one block: `xs[lane]` points at that
 /// lane's features.
 template <std::size_t L>
 using LaneInputs = std::array<const double*, L>;
 
-/// The lane inputs of rows [first, first + L).
+/// The sample that lane `lane` of a block holding the `live` samples
+/// [first, first + live) replays: its own, or for a padding lane past
+/// `live`, the last live one.
+inline std::size_t lane_row(std::size_t first, std::size_t lane,
+                            std::size_t live) {
+  return first + std::min(lane, live - 1);
+}
+
+/// The lane inputs of the `live` rows [first, first + live), padding lanes
+/// as lane_row.
 template <std::size_t L>
 LaneInputs<L> lane_rows(std::span<const std::vector<double>> rows,
-                        std::size_t first) {
+                        std::size_t first, std::size_t live) {
   LaneInputs<L> xs;
-  for (std::size_t l = 0; l < L; ++l) xs[l] = rows[first + l].data();
+  for (std::size_t l = 0; l < L; ++l) {
+    xs[l] = rows[lane_row(first, l, live)].data();
+  }
   return xs;
 }
 
@@ -148,8 +196,8 @@ class BatchedStateVector {
  private:
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
-  std::vector<double> re_;
-  std::vector<double> im_;
+  LanePlane re_;
+  LanePlane im_;
 };
 
 /// L density matrices evolved in lockstep — the noisy engine's counterpart
@@ -216,8 +264,8 @@ class BatchedDensityMatrix {
  private:
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
-  std::vector<double> re_;
-  std::vector<double> im_;
+  LanePlane re_;
+  LanePlane im_;
 };
 
 extern template class BatchedStateVector<1>;
@@ -238,22 +286,39 @@ State& lane_scratch(int num_qubits) {
   return *scratch;
 }
 
-/// Runs `replay(width, first)` over `n` samples, spread over `pool`: each
-/// full block of kBlockLanes samples at width kBlockLanes (when
-/// `full_blocks` is set), every other sample alone at width 1. `width` is a
-/// `std::integral_constant<std::size_t, L>`; `first` is the block's first
-/// sample index.
+/// Runs `replay(width, first, live)` over `n` samples, spread over `pool`.
+/// With `full_blocks` set, each run of kBlockLanes samples replays as one
+/// block at width kBlockLanes; every other sample (each sample when
+/// `full_blocks` is unset) replays alone at width 1 — except that a ragged
+/// tail of two or more rows replays as one padded block when the replays
+/// outnumber the pool's threads. While every replay has a thread the
+/// width-1 rows run beside the blocks and add no wall time, where one
+/// padded block would take longer than any of them; once they queue, one
+/// block replaces two or more width-1 replays and costs less than they do.
+/// A lone tail row never pads: its block would replay kBlockLanes lanes to
+/// read back one. `width` is a `std::integral_constant<std::size_t, L>`,
+/// `first` the block's first sample index and `live` the number of its
+/// lanes that carry samples [first, first + live). The lanes past `live`
+/// are padding: the replay fills them as lane_row says and must read back
+/// only the live lanes.
 template <typename Replay>
 void parallel_for_lanes(ThreadPool& pool, std::size_t n, bool full_blocks,
                         Replay&& replay) {
-  const std::size_t blocks = full_blocks ? n / kBlockLanes : 0;
-  const std::size_t tail_start = blocks * kBlockLanes;
-  pool.parallel_for(blocks + (n - tail_start), [&](std::size_t t) {
+  std::size_t blocks = full_blocks ? n / kBlockLanes : 0;
+  std::size_t singles = n - blocks * kBlockLanes;
+  if (full_blocks && singles > 1 && blocks + singles > pool.size()) {
+    ++blocks;
+    singles = 0;
+  }
+  const std::size_t tail_start = n - singles;
+  pool.parallel_for(blocks + singles, [&](std::size_t t) {
     if (t < blocks) {
-      replay(std::integral_constant<std::size_t, kBlockLanes>{},
-             t * kBlockLanes);
+      const std::size_t first = t * kBlockLanes;
+      replay(std::integral_constant<std::size_t, kBlockLanes>{}, first,
+             std::min(kBlockLanes, n - first));
     } else {
-      replay(std::integral_constant<std::size_t, 1>{}, tail_start + t - blocks);
+      replay(std::integral_constant<std::size_t, 1>{}, tail_start + t - blocks,
+             std::size_t{1});
     }
   });
 }

@@ -103,12 +103,12 @@ std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
       circuit_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
   parallel_for_lanes(
       pool ? *pool : ThreadPool::global(), xs.size(), full_blocks,
-      [&](auto width, std::size_t first) {
+      [&](auto width, std::size_t first, std::size_t live) {
         constexpr std::size_t L = decltype(width)::value;
         auto& dm = lane_scratch<BatchedDensityMatrix<L>>(circuit_.num_qubits());
-        program_.run_lanes(dm, lane_rows<L>(xs, first));
+        program_.run_lanes(dm, lane_rows<L>(xs, first, live));
         thread_local std::vector<double> probs;
-        for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t l = 0; l < live; ++l) {
           dm.lane_probabilities(l, probs);
           // Sample i draws from Rng(seed + i), i the GLOBAL sample index,
           // whichever block it lands in.
@@ -150,14 +150,14 @@ PureExecutor::PureExecutor(PhysicalCircuit circuit)
 template <std::size_t L>
 void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
                                std::span<const double> theta,
-                               std::vector<double>* zs,
+                               std::span<std::vector<double>> zs,
                                const SlotReadout* readout, int shots,
                                std::uint64_t first_seed) const {
   auto& sv = lane_scratch<BatchedStateVector<L>>(circuit_.num_qubits());
   program_.run_pure_lanes(sv, xs, theta);
   const SlotReadout& out = readout != nullptr ? *readout : readout_;
   thread_local std::vector<double> probs;
-  for (std::size_t l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < zs.size(); ++l) {
     sv.lane_probabilities(l, probs);
     zs[l] = out.z(probs, shots, first_seed + l);
   }
@@ -165,12 +165,12 @@ void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
 
 template void PureExecutor::run_z_lanes(const LaneInputs<1>&,
                                         std::span<const double>,
-                                        std::vector<double>*,
+                                        std::span<std::vector<double>>,
                                         const SlotReadout*, int,
                                         std::uint64_t) const;
 template void PureExecutor::run_z_lanes(const LaneInputs<kBlockLanes>&,
                                         std::span<const double>,
-                                        std::vector<double>*,
+                                        std::span<std::vector<double>>,
                                         const SlotReadout*, int,
                                         std::uint64_t) const;
 
@@ -178,7 +178,7 @@ std::vector<double> PureExecutor::run_z(std::span<const double> x,
                                         std::span<const double> theta) const {
   program_.require_inputs(x);
   std::vector<double> z;
-  run_z_lanes<1>({x.data()}, theta, &z);
+  run_z_lanes<1>({x.data()}, theta, {&z, 1});
   return z;
 }
 
@@ -191,11 +191,11 @@ std::vector<std::vector<double>> PureExecutor::run_z_batch(
   for (const std::vector<double>& x : xs) program_.require_inputs(x);
   std::vector<std::vector<double>> zs(xs.size());
   parallel_for_lanes(pool ? *pool : ThreadPool::global(), xs.size(), true,
-                     [&](auto width, std::size_t first) {
+                     [&](auto width, std::size_t first, std::size_t live) {
                        constexpr std::size_t L = decltype(width)::value;
-                       run_z_lanes<L>(lane_rows<L>(xs, first), theta,
-                                      &zs[first], readout, shots,
-                                      seed + first);
+                       run_z_lanes<L>(lane_rows<L>(xs, first, live), theta,
+                                      std::span(zs).subspan(first, live),
+                                      readout, shots, seed + first);
                      });
   return zs;
 }

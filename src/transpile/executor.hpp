@@ -58,9 +58,10 @@ class NoisyExecutor {
   /// Every row is validated against the program's input arity up front, on
   /// the calling thread — a ragged batch fails here, not inside a worker.
   ///
-  /// Full blocks of kBlockLanes samples replay at that width (one walk of
-  /// the op stream per block), the ragged tail at width 1; a sample's
-  /// result does not depend on which. Circuits wider than
+  /// Samples replay in blocks of kBlockLanes (one walk of the op stream per
+  /// block), the ragged tail at width 1 or, when the pool is short of
+  /// threads, as one padded block (parallel_for_lanes); a sample's result
+  /// does not depend on which. Circuits wider than
   /// `BatchedDensityMatrix<kBlockLanes>::kMaxQubits` replay every sample at
   /// width 1 (block scratch is dim^2 * kBlockLanes entries).
   std::vector<std::vector<double>> run_z_batch(
@@ -120,20 +121,22 @@ class PureExecutor {
                             std::span<const double> theta = {}) const;
 
   /// run_z over the L samples of `xs` (each checked with
-  /// CompiledProgram::require_inputs), lane l's slot values written to
-  /// `zs[l]`. Read out through `readout` (nullptr = this executor's
-  /// confusion-free slots): exact for shots <= 0, otherwise lane l draws
-  /// from Rng(first_seed + l).
+  /// CompiledProgram::require_inputs). The first zs.size() (1..L) lanes
+  /// are live: lane l's slot values are written to `zs[l]`. The lanes past
+  /// them are padding and are not read out. Read out through `readout`
+  /// (nullptr = this executor's confusion-free slots): exact for
+  /// shots <= 0, otherwise lane l draws from Rng(first_seed + l).
   template <std::size_t L>
   void run_z_lanes(const LaneInputs<L>& xs, std::span<const double> theta,
-                   std::vector<double>* zs,
+                   std::span<std::vector<double>> zs,
                    const SlotReadout* readout = nullptr, int shots = 0,
                    std::uint64_t first_seed = 0) const;
 
   /// Batched run_z spread over `pool` (nullptr = the process-global pool):
-  /// full blocks of kBlockLanes samples replay at that width, the ragged
-  /// tail at width 1. Every row is validated against the program's input
-  /// arity up front, on the calling thread. `readout` / `shots` / `seed`
+  /// blocks of kBlockLanes samples replay at that width, the ragged tail at
+  /// width 1 or, when the pool is short of threads, as one padded block
+  /// (parallel_for_lanes). Every row is validated against the program's
+  /// input arity up front, on the calling thread. `readout` / `shots` / `seed`
   /// as in run_z_lanes, sample i drawing from Rng(seed + i).
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs,

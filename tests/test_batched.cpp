@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -123,7 +125,9 @@ TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
   const BatchedFixture fx;
   const std::uint64_t seed = 41;
   const int shots = 256;
-  const std::size_t n = 2 * kLanes + 3;  // two lane blocks + width-1 tail
+  // Two lane blocks + a 3-row tail: width-1 rows on a pool of five or more
+  // threads, one padded block on a narrower one (parallel_for_lanes).
+  const std::size_t n = 2 * kLanes + 3;
   const auto xs = first_rows(fx.data, n);
 
   const std::vector<ReadoutError> confusions[] = {
@@ -465,7 +469,7 @@ void check_width(const RandomRoutedProgram& p, std::size_t entries, Run run) {
   for (std::size_t first = 0; first + L <= p.rows.size(); first += L) {
     SCOPED_TRACE("width " + std::to_string(L) + " first row " +
                  std::to_string(first));
-    const auto xs = lane_rows<L>(p.rows, first);
+    const auto xs = lane_rows<L>(p.rows, first, L);
     run(cloned, xs);
     replay_out_of_line(p.program, out_of_line, xs, p.theta);
     expect_planes_bitwise_equal(cloned, out_of_line, entries);
@@ -561,6 +565,112 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[static_cast<std::size_t>(t)]) << "caller thread " << t;
+  }
+}
+
+// Layout and schedule of the lane blocks: both SoA planes start on a cache
+// line, and parallel_for_lanes pads a ragged tail into one block only when
+// the replays outnumber the pool's threads.
+
+bool cache_line_aligned(const double* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
+
+template <typename State>
+void expect_planes_aligned(const State& state) {
+  EXPECT_TRUE(cache_line_aligned(state.re()))
+      << "re plane at " << state.re() << ", width " << State::kLanes << ", "
+      << state.num_qubits() << " qubits";
+  EXPECT_TRUE(cache_line_aligned(state.im()))
+      << "im plane at " << state.im() << ", width " << State::kLanes << ", "
+      << state.num_qubits() << " qubits";
+}
+
+TEST(BatchedLayout, PlanesStartOnCacheLines) {
+  for (const int n : {1, 2, 3, 4, 5, 6}) {
+    expect_planes_aligned(BatchedDensityMatrix<1>(n));
+    expect_planes_aligned(BatchedDensityMatrix<kBlockLanes>(n));
+    expect_planes_aligned(BatchedStateVector<1>(n));
+    expect_planes_aligned(BatchedStateVector<kBlockLanes>(n));
+  }
+  // This thread's scratch, rebuilt when the qubit count changes.
+  for (const int n : {3, 4, 2}) {
+    const auto& dm = lane_scratch<BatchedDensityMatrix<kBlockLanes>>(n);
+    ASSERT_EQ(dm.num_qubits(), n);
+    expect_planes_aligned(dm);
+    const auto& sv = lane_scratch<BatchedStateVector<1>>(n);
+    ASSERT_EQ(sv.num_qubits(), n);
+    expect_planes_aligned(sv);
+  }
+}
+
+/// One replay call: (width, first, live).
+using LaneCall = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+/// The calls parallel_for_lanes makes for `n` samples on a pool of
+/// `threads`, in sample order.
+std::vector<LaneCall> lane_schedule(std::size_t n, bool full_blocks,
+                                    std::size_t threads) {
+  ThreadPool pool(threads);
+  std::mutex mutex;
+  std::vector<LaneCall> calls;
+  parallel_for_lanes(pool, n, full_blocks,
+                     [&](auto width, std::size_t first, std::size_t live) {
+                       const std::lock_guard<std::mutex> lock(mutex);
+                       calls.emplace_back(decltype(width)::value, first, live);
+                     });
+  std::sort(calls.begin(), calls.end(),
+            [](const LaneCall& a, const LaneCall& b) {
+              return std::get<1>(a) < std::get<1>(b);
+            });
+  return calls;
+}
+
+/// `count` width-1 calls from sample `first` on.
+std::vector<LaneCall> singles(std::size_t first, std::size_t count) {
+  std::vector<LaneCall> calls;
+  for (std::size_t i = first; i < first + count; ++i) {
+    calls.emplace_back(1, i, 1);
+  }
+  return calls;
+}
+
+TEST(BatchedLayout, RaggedTailPadsOnlyWhenReplaysOutnumberThePool) {
+  // Four threads: the tail rows run beside the blocks while every replay
+  // has a thread (10 = 1 + 2 replays, 4 = 4), and pad once they queue
+  // (12 = 1 + 4, 5 = 5).
+  EXPECT_EQ(lane_schedule(12, true, 4),
+            (std::vector<LaneCall>{{kLanes, 0, kLanes}, {kLanes, 8, 4}}));
+  auto ten = singles(8, 2);
+  ten.insert(ten.begin(), LaneCall{kLanes, 0, kLanes});
+  EXPECT_EQ(lane_schedule(10, true, 4), ten);
+  EXPECT_EQ(lane_schedule(4, true, 4), singles(0, 4));
+  EXPECT_EQ(lane_schedule(5, true, 4), (std::vector<LaneCall>{{kLanes, 0, 5}}));
+  EXPECT_EQ(lane_schedule(2, true, 4), singles(0, 2));
+  EXPECT_EQ(lane_schedule(1, true, 4), singles(0, 1));
+  EXPECT_TRUE(lane_schedule(0, true, 4).empty());
+
+  // One thread: every tail of two or more rows pads; a lone row never does.
+  EXPECT_EQ(lane_schedule(2, true, 1), (std::vector<LaneCall>{{kLanes, 0, 2}}));
+  EXPECT_EQ(lane_schedule(10, true, 1),
+            (std::vector<LaneCall>{{kLanes, 0, kLanes}, {kLanes, 8, 2}}));
+  EXPECT_EQ(lane_schedule(1, true, 1), singles(0, 1));
+  auto nine = singles(8, 1);
+  nine.insert(nine.begin(), LaneCall{kLanes, 0, kLanes});
+  EXPECT_EQ(lane_schedule(9, true, 1), nine);
+
+  // Without full blocks (density circuits past the block cap) every row
+  // replays alone.
+  EXPECT_EQ(lane_schedule(12, false, 1), singles(0, 12));
+  EXPECT_EQ(lane_schedule(12, false, 4), singles(0, 12));
+
+  // Padding lanes repeat the last live row.
+  const BatchedFixture fx;
+  const auto rows = first_rows(fx.data, 12);
+  const LaneInputs<kBlockLanes> xs = lane_rows<kBlockLanes>(rows, 8, 4);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    EXPECT_EQ(xs[l], rows[std::min<std::size_t>(8 + l, 11)].data())
+        << "lane " << l;
   }
 }
 

@@ -21,6 +21,10 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         strtok (non-reentrant), and std::random_device
                         (non-deterministic seeding) are banned in
                         deterministic paths.
+  thread-outside-try    src/serve/ and src/io/ construct std::thread only
+                        inside a `try` block: a failed spawn throws
+                        std::system_error, which must become a Status
+                        rather than escape the no-throw serving path.
   fp-determinism        the lane replay is bitwise the same on every ISA
                         clone (sim/isa_clones.hpp): no `reduction(` clause
                         on a `#pragma omp simd` under src/sim/ (lanes never
@@ -70,7 +74,8 @@ CMAKE_FILE = "CMakeLists.txt"
 
 
 class Rule:
-    def __init__(self, rule_id, pattern, message, dirs, cmake=False):
+    def __init__(self, rule_id, pattern, message, dirs, cmake=False,
+                 outside_try=False):
         self.rule_id = rule_id
         self.pattern = re.compile(pattern)
         self.message = message
@@ -78,6 +83,8 @@ class Rule:
         # A CMake rule scans every CMakeLists.txt (`dirs` unused); the others
         # scan the C++ sources under `dirs`.
         self.cmake = cmake
+        # Only matches outside every `try { ... }` block count.
+        self.outside_try = outside_try
 
 
 RULES = [
@@ -111,6 +118,14 @@ RULES = [
         "rand/srand/strtok/std::random_device are banned: use "
         "common/rng.hpp's seeded generators (determinism contract)",
         dirs=("src", "bench", "examples"),
+    ),
+    Rule(
+        "thread-outside-try",
+        r"\bstd::thread\s*(?:\w+\s*)?[({]",
+        "a std::thread construction throws std::system_error when the spawn "
+        "fails: construct it inside a try block and return a Status",
+        dirs=("src/serve", "src/io"),
+        outside_try=True,
     ),
     Rule(
         "fp-determinism",
@@ -202,6 +217,26 @@ def strip_cmake_comments(text):
     return "\n".join(out)
 
 
+def try_block_spans(text):
+    """The [open, close) offsets of every `try { ... }` body in stripped
+    source (function-try-blocks included)."""
+    spans, stack = [], []
+    for match in re.finditer(r"[{}]", text):
+        if match.group() == "{":
+            j = match.start()
+            while j > 0 and text[j - 1].isspace():
+                j -= 1
+            is_try = (text[max(0, j - 3):j] == "try"
+                      and (j < 4 or not (text[j - 4].isalnum()
+                                         or text[j - 4] == "_")))
+            stack.append((match.start(), is_try))
+        elif stack:
+            start, is_try = stack.pop()
+            if is_try:
+                spans.append((start, match.start()))
+    return spans
+
+
 def load_allowlist(path):
     allow = set()
     if not path.exists():
@@ -259,7 +294,10 @@ def lint_tree(root, allow):
                 continue
             if (rule.rule_id, rel.as_posix()) in allow:
                 continue
+            tries = try_block_spans(text) if rule.outside_try else []
             for match in rule.pattern.finditer(text):
+                if any(a < match.start() < b for a, b in tries):
+                    continue
                 line = text.count("\n", 0, match.start()) + 1
                 findings.append(
                     f"{rel.as_posix()}:{line}: [{rule.rule_id}] {rule.message}"
@@ -296,6 +334,13 @@ SELF_TEST_CASES = {
         ("src/data/bad.cpp",
          "int f() { std::random_device rd; return rand() % 6; }\n"),
     ],
+    "thread-outside-try": [
+        ("src/serve/bad_thread.cpp",
+         "void S::start() { worker_ = std::thread([this] { run(); }); }\n"),
+        ("src/io/bad_thread.cpp",
+         "void f() {\n  try { g(); } catch (...) {}\n"
+         "  std::thread t(work);\n  t.join();\n}\n"),
+    ],
     "fp-determinism": [
         ("src/sim/bad.cpp",
          "double f(const double* a) {\n  double s = 0.0;\n"
@@ -320,6 +365,15 @@ CLEAN_FILES = [
      "double positional(const std::vector<double>& logits, int slot) {\n"
      "  return logits[slot];\n"
      "}\n"),
+    ("src/io/good_thread.cpp",
+     # Spawns inside try blocks (a function-try-block included) and a
+     # member declaration, which constructs nothing that can fail.
+     "struct Conn {\n  std::thread thread;\n};\n"
+     "Status S::start() {\n  try {\n"
+     "    if (ok) { worker_ = std::thread([this] { run(); }); }\n"
+     "  } catch (const std::system_error&) {\n    return fail();\n  }\n"
+     "  return Status();\n}\n"
+     "void h() try { std::thread t{work}; t.join(); } catch (...) {}\n"),
     ("src/sim/good.cpp",
      # A per-lane omp simd loop (no reduction clause) and a reduction named
      # only in a comment.
