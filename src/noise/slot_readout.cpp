@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 
+#include "common/heap_bytes.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 
@@ -126,6 +127,10 @@ std::vector<double> SlotReadout::z(std::span<const double> probs, int shots,
     }
   }
   return z;
+}
+
+std::size_t SlotReadout::heap_bytes() const {
+  return qucad::heap_bytes(bin_of_) + qucad::heap_bytes(errors_);
 }
 
 }  // namespace qucad

@@ -56,6 +56,9 @@ class SlotReadout {
   static void draw_counts(std::span<const double> bins, int shots, Rng& rng,
                           std::vector<int>& counts);
 
+  /// Heap bytes held by the bin map and the per-slot confusion.
+  std::size_t heap_bytes() const;
+
  private:
   std::vector<std::uint32_t> bin_of_;  ///< basis index -> slot bin
   std::vector<ReadoutError> errors_;   ///< empty = no confusion

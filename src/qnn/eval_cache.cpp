@@ -1,6 +1,7 @@
 #include "qnn/eval_cache.hpp"
 
 #include <bit>
+#include <iterator>
 
 #include "common/require.hpp"
 
@@ -203,6 +204,7 @@ CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
   // configurations should not serialize on each other.
   Entry entry = build();
 
+  LruList victims;  // released after `lock`, which is declared later
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = index_.find(key); it != index_.end()) {
     // A concurrent caller built the same configuration first; share theirs.
@@ -211,7 +213,7 @@ CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
   }
   lru_.emplace_front(key, entry);
   index_.emplace(key, lru_.begin());
-  evict_to_capacity_locked();
+  evict_to_capacity_locked(victims);
   stats_.entries = lru_.size();
   return entry;
 }
@@ -261,10 +263,10 @@ std::shared_ptr<const NoisyExecutor> CompiledEvalCache::get_or_build_physical(
       .noisy;
 }
 
-void CompiledEvalCache::evict_to_capacity_locked() {
+void CompiledEvalCache::evict_to_capacity_locked(LruList& victims) {
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
-    lru_.pop_back();
+    victims.splice(victims.end(), lru_, std::prev(lru_.end()));
     ++stats_.evictions;
   }
 }
@@ -274,12 +276,17 @@ EvalCacheStats CompiledEvalCache::stats() const {
   EvalCacheStats out = stats_;
   out.entries = lru_.size();
   out.capacity = capacity_;
+  for (const auto& [key, entry] : lru_) {
+    out.bytes += entry.noisy ? entry.noisy->footprint_bytes()
+                             : entry.pure->footprint_bytes();
+  }
   return out;
 }
 
 void CompiledEvalCache::clear() {
+  LruList victims;  // released after `lock`, which is declared later
   std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
+  victims.swap(lru_);
   index_.clear();
   stats_ = EvalCacheStats{};
   stats_.capacity = capacity_;
@@ -287,10 +294,11 @@ void CompiledEvalCache::clear() {
 
 void CompiledEvalCache::set_capacity(std::size_t capacity) {
   require(capacity > 0, "cache capacity must be positive");
+  LruList victims;  // released after `lock`, which is declared later
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity;
   stats_.capacity = capacity;
-  evict_to_capacity_locked();
+  evict_to_capacity_locked(victims);
   stats_.entries = lru_.size();
 }
 

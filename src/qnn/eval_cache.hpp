@@ -40,6 +40,9 @@ struct EvalCacheStats {
   std::size_t evictions = 0;
   std::size_t entries = 0;
   std::size_t capacity = 0;
+  /// Resident bytes of the cached executors (their footprint_bytes()), at
+  /// the time stats() was taken.
+  std::size_t bytes = 0;
 };
 
 /// LRU cache of compiled executors. It holds two kinds of entries in one
@@ -71,7 +74,9 @@ struct EvalCacheStats {
 /// Keys are value-based content hashes, so any caller presenting the same
 /// configuration shares one compiled executor. Entries are handed out as
 /// shared_ptr, so eviction never invalidates a running evaluation.
-/// Thread-safe.
+/// Thread-safe. Eviction, clear() and set_capacity() unlink their victims
+/// under the lock but release them after it, so freeing executors never
+/// stalls a concurrent lookup.
 class CompiledEvalCache {
  public:
   explicit CompiledEvalCache(std::size_t capacity = 64);
@@ -130,7 +135,9 @@ class CompiledEvalCache {
 
   template <typename Build>
   Entry get_or_build_entry(const Key& key, Build&& build);
-  void evict_to_capacity_locked();
+  /// Unlinks the least recently used entries past capacity into `victims`,
+  /// which the caller releases after unlocking.
+  void evict_to_capacity_locked(LruList& victims);
 
   mutable std::mutex mutex_;
   std::size_t capacity_;

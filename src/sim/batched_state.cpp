@@ -745,7 +745,7 @@ template class BatchedDensityMatrix<kBlockLanes>;
 
 namespace {
 
-std::array<cplx, 4> sym_diag_matrix(const CompiledOp& /*op*/, double angle) {
+std::array<cplx, 4> sym_diag_matrix(double angle) {
   const auto [d0, d1] = rz_diag(angle);
   return {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
 }
@@ -756,24 +756,25 @@ std::array<cplx, 4> sym_diag_matrix(const CompiledOp& /*op*/, double angle) {
 /// input-symbolic angles, once for theta-symbolic ones (applied with the
 /// uniform kernels).
 template <typename State, std::size_t L>
-void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
+void replay(const CompiledProgram& program, State& state,
             const LaneInputs<L>& xs, std::span<const double> theta,
             std::vector<std::array<cplx, 4>>* resolved) {
+  const std::vector<CompiledOp>& ops = program.ops();
+  const auto num_inputs = static_cast<std::size_t>(program.num_inputs());
   if (resolved != nullptr) resolved->resize(ops.size() * L);
   state.reset();
   std::array<std::array<cplx, 4>, L> ms;
-  auto lane_matrices = [&](std::size_t idx, auto matrix_at) {
-    const CompiledOp& op = ops[idx];
-    if (op.input_index >= 0) {
+  auto lane_matrices = [&](std::size_t idx, const SymSlot& slot,
+                           auto matrix_at) {
+    if (slot.input_index >= 0) {
       for (std::size_t l = 0; l < L; ++l) {
         // The caller checked every row with require_inputs(), so the
         // bounds check inside resolve_sym_angle always passes.
-        const std::span<const double> x(xs[l],
-                                        static_cast<std::size_t>(num_inputs));
-        ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
+        const std::span<const double> x(xs[l], num_inputs);
+        ms[l] = matrix_at(resolve_sym_angle(slot, x, theta));
       }
     } else {
-      ms.fill(matrix_at(op, resolve_sym_angle(op, {}, theta)));
+      ms.fill(matrix_at(resolve_sym_angle(slot, {}, theta)));
     }
     if (resolved != nullptr) {
       std::copy(ms.begin(), ms.end(), resolved->begin() + idx * L);
@@ -784,14 +785,17 @@ void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
     const CompiledOp& op = ops[idx];
     switch (op.kind) {
       case COpKind::Unitary1:
-        state.apply1(op.q0, op.u);
+        state.apply1(op.q0, program.unitary(op));
         break;
-      case COpKind::Diag1:
-        state.apply_diag1(op.q0, op.u[0], op.u[3]);
+      case COpKind::Diag1: {
+        const std::array<cplx, 2>& d = program.diagonal(op);
+        state.apply_diag1(op.q0, d[0], d[1]);
         break;
+      }
       case COpKind::SymDiag1: {
-        const auto* m = lane_matrices(idx, sym_diag_matrix);
-        if (op.input_index >= 0) {
+        const SymSlot& slot = program.slot(op);
+        const auto* m = lane_matrices(idx, slot, sym_diag_matrix);
+        if (slot.input_index >= 0) {
           state.apply_diag1_lanes(op.q0, m);
         } else {
           state.apply_diag1(op.q0, m[0][0], m[0][3]);
@@ -799,29 +803,36 @@ void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
         break;
       }
       case COpKind::SymUni1: {
-        const auto* m = lane_matrices(idx, sym_uni_matrix);
-        if (op.input_index >= 0) {
+        const SymSlot& slot = program.slot(op);
+        const std::array<cplx, 4>& u = program.prefix(op);
+        const auto* m = lane_matrices(
+            idx, slot, [&](double a) { return sym_uni_matrix(u, a); });
+        if (slot.input_index >= 0) {
           state.apply1_lanes(op.q0, m);
         } else {
           state.apply1(op.q0, m[0]);
         }
         break;
       }
-      case COpKind::CRot2:
-        state.apply_crot_lanes(op.q0, op.q1,
-                               lane_matrices(idx, crot_inner_matrix));
+      case COpKind::CRot2: {
+        const CRotFactors& f = program.crot(op);
+        state.apply_crot_lanes(
+            op.q0, op.q1,
+            lane_matrices(idx, program.slot(op),
+                          [&](double a) { return crot_inner_matrix(f, a); }));
         break;
+      }
       case COpKind::Cx:
         state.apply_cx(op.q0, op.q1);
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, op.ch1);
+          state.apply_channel1(op.q0, program.channel1(op));
         }
         break;
       case COpKind::Channel2:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel2(op.q0, op.q1, op.ch2);
+          state.apply_channel2(op.q0, op.q1, program.channel2(op));
         }
         break;
     }
@@ -833,52 +844,59 @@ void replay(const std::vector<CompiledOp>& ops, int num_inputs, State& state,
 // the replay loop and every kernel above into each clone. They must stay in
 // this file, next to the kernel definitions, for flatten to see them.
 
-QUCAD_ISA_CLONES void replay_entry(const std::vector<CompiledOp>& ops,
-                                   int num_inputs,
+QUCAD_ISA_CLONES void replay_entry(const CompiledProgram& program,
                                    BatchedDensityMatrix<1>& state,
                                    const LaneInputs<1>& xs,
                                    std::span<const double> theta) {
-  replay(ops, num_inputs, state, xs, theta, nullptr);
+  replay(program, state, xs, theta, nullptr);
 }
 
-QUCAD_ISA_CLONES void replay_entry(const std::vector<CompiledOp>& ops,
-                                   int num_inputs,
+QUCAD_ISA_CLONES void replay_entry(const CompiledProgram& program,
                                    BatchedDensityMatrix<kBlockLanes>& state,
                                    const LaneInputs<kBlockLanes>& xs,
                                    std::span<const double> theta) {
-  replay(ops, num_inputs, state, xs, theta, nullptr);
+  replay(program, state, xs, theta, nullptr);
 }
 
 QUCAD_ISA_CLONES void replay_entry(
-    const std::vector<CompiledOp>& ops, int num_inputs,
-    BatchedStateVector<1>& state, const LaneInputs<1>& xs,
-    std::span<const double> theta,
+    const CompiledProgram& program, BatchedStateVector<1>& state,
+    const LaneInputs<1>& xs, std::span<const double> theta,
     std::vector<std::array<cplx, 4>>* resolved) {
-  replay(ops, num_inputs, state, xs, theta, resolved);
+  replay(program, state, xs, theta, resolved);
 }
 
 QUCAD_ISA_CLONES void replay_entry(
-    const std::vector<CompiledOp>& ops, int num_inputs,
-    BatchedStateVector<kBlockLanes>& state, const LaneInputs<kBlockLanes>& xs,
-    std::span<const double> theta,
+    const CompiledProgram& program, BatchedStateVector<kBlockLanes>& state,
+    const LaneInputs<kBlockLanes>& xs, std::span<const double> theta,
     std::vector<std::array<cplx, 4>>* resolved) {
-  replay(ops, num_inputs, state, xs, theta, resolved);
+  replay(program, state, xs, theta, resolved);
 }
 
 }  // namespace
 
-const char* engine_isa() {
 #if QUCAD_HAVE_ISA_CLONES
-  // The CPU-feature tests GCC's resolver for QUCAD_ISA_CLONES runs, in the
-  // same order.
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
-  if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+namespace {
+
+// One version per level of QUCAD_ISA_CLONE_LEVELS plus the default: GCC's
+// multiversioning resolver binds the version a QUCAD_ISA_CLONES function
+// would bind, so the name cannot drift from the clones that run.
+#define QUCAD_ISA_LEVEL_VERSION(level)                        \
+  __attribute__((target("arch=" level))) const char* dispatched_isa() { \
+    return level;                                             \
+  }
+QUCAD_ISA_CLONE_LEVELS(QUCAD_ISA_LEVEL_VERSION)
+#undef QUCAD_ISA_LEVEL_VERSION
+
+__attribute__((target("default"))) const char* dispatched_isa() {
   return "x86-64";
-#else
-  return "baseline";
-#endif
 }
+
+}  // namespace
+
+const char* engine_isa() { return dispatched_isa(); }
+#else
+const char* engine_isa() { return "baseline"; }
+#endif
 
 template <std::size_t L>
 void CompiledProgram::run_lanes(BatchedDensityMatrix<L>& bdm,
@@ -886,7 +904,7 @@ void CompiledProgram::run_lanes(BatchedDensityMatrix<L>& bdm,
                                 std::span<const double> theta) const {
   require(bdm.num_qubits() == num_qubits_,
           "scratch matrix qubit count mismatch");
-  replay_entry(ops_, num_inputs_, bdm, xs, theta);
+  replay_entry(*this, bdm, xs, theta);
 }
 
 template <std::size_t L>
@@ -898,7 +916,7 @@ void CompiledProgram::run_pure_lanes(
           "scratch state qubit count mismatch");
   require(!has_channels(),
           "run_pure_lanes requires a noiseless program (no channel ops)");
-  replay_entry(ops_, num_inputs_, bsv, xs, theta, resolved);
+  replay_entry(*this, bsv, xs, theta, resolved);
 }
 
 template void CompiledProgram::run_lanes(BatchedDensityMatrix<1>&,

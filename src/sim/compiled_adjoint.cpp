@@ -199,17 +199,18 @@ void lanes_uncx_both(BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
 /// theta_scale * Im(<lam| Z |psi_after>) — computed inside the same loop
 /// that un-applies the op from both states.
 template <std::size_t L>
-void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
+void reverse_sweep_lanes(const CompiledProgram& program,
                          const std::vector<std::array<cplx, 4>>& resolved,
                          BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
                          std::vector<std::vector<double>>& gradients) {
+  const std::vector<CompiledOp>& ops = program.ops();
   std::array<std::array<cplx, 4>, L> mds;
   double acc[L];
   double scratch[L] = {};  // discarded overlap for non-trainable ops
-  auto add_grads = [&](const CompiledOp& op) {
-    auto t = static_cast<std::size_t>(op.theta_index);
+  auto add_grads = [&](const SymSlot& slot) {
+    auto t = static_cast<std::size_t>(slot.theta_index);
     for (std::size_t l = 0; l < L; ++l) {
-      gradients[l][t] += op.theta_scale * acc[l];
+      gradients[l][t] += slot.scale * acc[l];
     }
   };
   for (std::size_t idx = ops.size(); idx-- > 0;) {
@@ -217,7 +218,7 @@ void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
     const std::array<cplx, 4>* res = resolved.data() + idx * L;
     switch (op.kind) {
       case COpKind::Unitary1: {
-        mds.fill(dagger2(op.u));
+        mds.fill(dagger2(program.unitary(op)));
         lanes_unapply2_both(ket, lam, op.q0,
                             transpose_mats<L>(mds.data()), scratch);
         break;
@@ -226,19 +227,21 @@ void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
       case COpKind::SymDiag1: {
         double d0r[L], d0i[L], d1r[L], d1i[L];
         for (std::size_t l = 0; l < L; ++l) {
-          const cplx d0 = op.kind == COpKind::Diag1 ? std::conj(op.u[0])
-                                                    : std::conj(res[l][0]);
-          const cplx d1 = op.kind == COpKind::Diag1 ? std::conj(op.u[3])
-                                                    : std::conj(res[l][3]);
+          const cplx d0 = op.kind == COpKind::Diag1
+                              ? std::conj(program.diagonal(op)[0])
+                              : std::conj(res[l][0]);
+          const cplx d1 = op.kind == COpKind::Diag1
+                              ? std::conj(program.diagonal(op)[1])
+                              : std::conj(res[l][3]);
           d0r[l] = d0.real();
           d0i[l] = d0.imag();
           d1r[l] = d1.real();
           d1i[l] = d1.imag();
         }
-        if (op.kind == COpKind::SymDiag1 && op.theta_index >= 0) {
+        if (op.kind == COpKind::SymDiag1 && program.slot(op).theta_index >= 0) {
           std::fill(acc, acc + L, 0.0);
           lanes_undiag_both(ket, lam, op.q0, d0r, d0i, d1r, d1i, acc);
-          add_grads(op);
+          add_grads(program.slot(op));
         } else {
           lanes_undiag_both(ket, lam, op.q0, d0r, d0i, d1r, d1i, scratch);
         }
@@ -246,11 +249,11 @@ void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
       }
       case COpKind::SymUni1: {
         for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
-        if (op.theta_index >= 0) {
+        if (program.slot(op).theta_index >= 0) {
           std::fill(acc, acc + L, 0.0);
           lanes_unapply2_both(ket, lam, op.q0,
                               transpose_mats<L>(mds.data()), acc);
-          add_grads(op);
+          add_grads(program.slot(op));
         } else {
           lanes_unapply2_both(ket, lam, op.q0,
                               transpose_mats<L>(mds.data()), scratch);
@@ -259,12 +262,13 @@ void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
       }
       case COpKind::CRot2: {
         for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
-        if (op.theta_index >= 0) {
-          const std::array<cplx, 4> a_mat = conjugated_z_generator(op.u2);
+        if (program.slot(op).theta_index >= 0) {
+          const std::array<cplx, 4> a_mat =
+              conjugated_z_generator(program.crot(op).u2);
           std::fill(acc, acc + L, 0.0);
           lanes_uncrot_both(ket, lam, op.q0, op.q1,
                             transpose_mats<L>(mds.data()), &a_mat, acc);
-          add_grads(op);
+          add_grads(program.slot(op));
         } else {
           lanes_uncrot_both(ket, lam, op.q0, op.q1,
                             transpose_mats<L>(mds.data()), nullptr, scratch);
@@ -287,19 +291,19 @@ void reverse_sweep_lanes(const std::vector<CompiledOp>& ops,
 // sim/isa_clones.hpp), like the forward replay's.
 
 QUCAD_ISA_CLONES void reverse_sweep(
-    const std::vector<CompiledOp>& ops,
+    const CompiledProgram& program,
     const std::vector<std::array<cplx, 4>>& resolved,
     BatchedStateVector<1>& ket, BatchedStateVector<1>& lam,
     std::vector<std::vector<double>>& gradients) {
-  reverse_sweep_lanes(ops, resolved, ket, lam, gradients);
+  reverse_sweep_lanes(program, resolved, ket, lam, gradients);
 }
 
 QUCAD_ISA_CLONES void reverse_sweep(
-    const std::vector<CompiledOp>& ops,
+    const CompiledProgram& program,
     const std::vector<std::array<cplx, 4>>& resolved,
     BatchedStateVector<kBlockLanes>& ket, BatchedStateVector<kBlockLanes>& lam,
     std::vector<std::vector<double>>& gradients) {
-  reverse_sweep_lanes(ops, resolved, ket, lam, gradients);
+  reverse_sweep_lanes(program, resolved, ket, lam, gradients);
 }
 
 }  // namespace
@@ -379,7 +383,7 @@ LaneAdjointResult compiled_adjoint_gradient_lanes(
     }
   }
 
-  reverse_sweep(program.ops(), ws.resolved, *ws.ket, *ws.lam,
+  reverse_sweep(program, ws.resolved, *ws.ket, *ws.lam,
                 result.gradients);
   return result;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/heap_bytes.hpp"
 #include "common/require.hpp"
 #include "linalg/gates.hpp"
 #include "sim/statevector.hpp"
@@ -40,8 +42,8 @@ bool is_1q_unitary_kind(COpKind kind) {
          kind == COpKind::SymDiag1 || kind == COpKind::SymUni1;
 }
 
-bool is_symbolic_op(const CompiledOp& op) {
-  return op.input_index >= 0 || op.theta_index >= 0;
+bool is_symbolic_kind(COpKind kind) {
+  return kind == COpKind::SymDiag1 || kind == COpKind::SymUni1;
 }
 
 bool touches(const CompiledOp& op, int q) {
@@ -51,93 +53,21 @@ bool touches(const CompiledOp& op, int q) {
          op.q1 == q;
 }
 
-/// Literal 2x2 of a non-symbolic single-qubit op.
-std::array<cplx, 4> literal_matrix(const CompiledOp& op) {
-  if (op.kind == COpKind::Diag1) {
-    return {op.u[0], cplx{0.0, 0.0}, cplx{0.0, 0.0}, op.u[3]};
-  }
-  return op.u;
+CompiledOp make_op(COpKind kind, int q0, int q1, std::size_t arg) {
+  return {kind, static_cast<std::uint8_t>(q0), static_cast<std::uint8_t>(q1),
+          static_cast<std::uint32_t>(arg)};
 }
 
-/// One left-to-right pass fusing CX(c,t) [1q chain on t, <= 1 symbolic]
-/// CX(c,t) patterns into CRot2 ops. Ops on unrelated qubits commute out of
-/// the pattern and are re-emitted just before it. Anything touching the
-/// control, any channel on the target, or a second symbolic op aborts that
-/// candidate. Returns true when something fused (callers loop to fixpoint so
-/// patterns revealed by earlier fusions are picked up too).
-bool fuse_cx_sandwich_pass(std::vector<CompiledOp>& ops, CompileStats& stats) {
-  std::vector<CompiledOp> out;
-  out.reserve(ops.size());
-  bool changed = false;
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    const CompiledOp& op = ops[i];
-    bool fused = false;
-    if (op.kind == COpKind::Cx) {
-      const int c = op.q0;
-      const int t = op.q1;
-      std::vector<CompiledOp> mid;
-      std::vector<CompiledOp> others;
-      int sym_count = 0;
-      bool matched = false;
-      std::size_t j = i + 1;
-      for (; j < ops.size(); ++j) {
-        const CompiledOp& o = ops[j];
-        const bool on_c = touches(o, c);
-        const bool on_t = touches(o, t);
-        if (!on_c && !on_t) {
-          others.push_back(o);
-          continue;
-        }
-        if (o.kind == COpKind::Cx && o.q0 == c && o.q1 == t) {
-          matched = true;
-          break;
-        }
-        if (on_c || !is_1q_unitary_kind(o.kind)) break;
-        if (is_symbolic_op(o) && ++sym_count > 1) break;
-        mid.push_back(o);
-      }
-      if (matched) {
-        for (const CompiledOp& o : others) out.push_back(o);
-        if (!mid.empty()) {
-          CompiledOp f;
-          f.kind = COpKind::CRot2;
-          f.q0 = c;
-          f.q1 = t;
-          f.u = kIdentity2;
-          f.u2 = kIdentity2;
-          f.angle_offset = 0.0;
-          bool after_sym = false;
-          for (const CompiledOp& m : mid) {
-            if (is_symbolic_op(m)) {
-              after_sym = true;
-              f.angle_offset = m.angle_offset;
-              f.input_index = m.input_index;
-              f.input_scale = m.input_scale;
-              f.theta_index = m.theta_index;
-              f.theta_scale = m.theta_scale;
-              if (m.kind == COpKind::SymUni1) f.u = mul2(m.u, f.u);
-            } else {
-              auto& side = after_sym ? f.u2 : f.u;
-              side = mul2(literal_matrix(m), side);
-            }
-          }
-          out.push_back(f);
-          ++stats.fused_cx_sandwiches;
-        }
-        // else: CX directly followed by CX — the pair cancels entirely.
-        i = j + 1;
-        changed = true;
-        fused = true;
-      }
-    }
-    if (!fused) {
-      out.push_back(op);
-      ++i;
-    }
+/// Index of `value` in `table`, appending it when no bitwise-equal entry
+/// exists: equal coefficient sets are stored once, and every site replays
+/// exactly the doubles it was compiled with.
+template <typename T>
+std::size_t intern(std::vector<T>& table, const T& value) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (std::memcmp(&table[i], &value, sizeof(T)) == 0) return i;
   }
-  ops = std::move(out);
-  return changed;
+  table.push_back(value);
+  return table.size() - 1;
 }
 
 }  // namespace
@@ -181,6 +111,8 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
                                          const NoiseModel& noise) {
   require(noise.num_qubits() == 0 || noise.num_qubits() == circuit.num_qubits(),
           "noise model qubit count mismatch");
+  require(circuit.num_qubits() <= 256,
+          "compiled programs address at most 256 qubits");
   const bool noisy = noise.num_qubits() > 0;
   const int nq = circuit.num_qubits();
 
@@ -188,6 +120,9 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
   program.num_qubits_ = nq;
   program.stats_.source_ops = circuit.ops().size();
 
+  auto emit = [&](COpKind kind, int q0, int q1, std::size_t arg) {
+    program.ops_.push_back(make_op(kind, q0, q1, arg));
+  };
   std::vector<Pending> pending(static_cast<std::size_t>(nq));
   // Per-qubit fused channels, precomputed once (circuits revisit qubits).
   std::vector<FusedChannel1> pulse_ch;
@@ -200,16 +135,14 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     Pending& p = pending[static_cast<std::size_t>(q)];
     if (!p.any) return;
     if (!is_global_phase(p.u)) {
-      CompiledOp op;
-      op.q0 = q;
-      op.u = p.u;
       if (is_diagonal(p.u)) {
-        op.kind = COpKind::Diag1;
+        emit(COpKind::Diag1, q, 0, program.diagonals_.size());
+        program.diagonals_.push_back({p.u[0], p.u[3]});
       } else {
-        op.kind = COpKind::Unitary1;
+        emit(COpKind::Unitary1, q, 0, program.unitaries_.size());
+        program.unitaries_.push_back(p.u);
         ++program.stats_.fused_unitaries;
       }
-      program.ops_.push_back(op);
     }
     p.u = kIdentity2;
     p.any = false;
@@ -225,11 +158,7 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     if (!noisy) return;
     const FusedChannel1& ch = pulse_ch[static_cast<std::size_t>(q)];
     if (ch.is_identity()) return;
-    CompiledOp op;
-    op.kind = COpKind::Channel1;
-    op.q0 = q;
-    op.ch1 = ch;
-    program.ops_.push_back(op);
+    emit(COpKind::Channel1, q, 0, intern(program.channel1_table_, ch));
     ++program.stats_.channels;
   };
 
@@ -249,24 +178,23 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
           // into the symbolic op (SymUni1 = diag(angle) * pending): the
           // dominant ZSX rotation pattern [U, RZ(sym), U, ...] then replays
           // as one fused pass per rotation.
-          CompiledOp op;
+          SymSlot slot;
+          slot.angle_offset = phys.angle;
+          slot.scale = phys.input_index >= 0 ? phys.input_scale : phys.theta_scale;
+          slot.input_index = phys.input_index;
+          slot.theta_index = phys.theta_index;
+          COpKind kind = COpKind::SymDiag1;
           Pending& p = pending[static_cast<std::size_t>(phys.q0)];
           if (p.any && !is_global_phase(p.u)) {
-            op.kind = COpKind::SymUni1;
-            op.u = p.u;
+            kind = COpKind::SymUni1;
+            slot.factor = static_cast<std::uint32_t>(program.unitaries_.size());
+            program.unitaries_.push_back(p.u);
             ++program.stats_.fused_unitaries;
-          } else {
-            op.kind = COpKind::SymDiag1;
           }
           p.u = kIdentity2;
           p.any = false;
-          op.q0 = phys.q0;
-          op.angle_offset = phys.angle;
-          op.input_index = phys.input_index;
-          op.input_scale = phys.input_scale;
-          op.theta_index = phys.theta_index;
-          op.theta_scale = phys.theta_scale;
-          program.ops_.push_back(op);
+          emit(kind, phys.q0, 0, program.slots_.size());
+          program.slots_.push_back(slot);
         } else {
           const std::array<cplx, 4> rz{std::exp(cplx{0.0, -phys.angle / 2.0}),
                                        0.0, 0.0,
@@ -294,22 +222,14 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
       case PhysOpKind::CX: {
         flush(phys.q0);
         flush(phys.q1);
-        CompiledOp op;
-        op.kind = COpKind::Cx;
-        op.q0 = phys.q0;
-        op.q1 = phys.q1;
-        program.ops_.push_back(op);
+        emit(COpKind::Cx, phys.q0, phys.q1, 0);
         if (noisy) {
           const int a = std::min(phys.q0, phys.q1);
           const int b = std::max(phys.q0, phys.q1);
           const FusedChannel2 ch = fuse_cx_channel(noise.cx_noise(a, b));
           if (!ch.is_identity()) {
-            CompiledOp cop;
-            cop.kind = COpKind::Channel2;
-            cop.q0 = a;
-            cop.q1 = b;
-            cop.ch2 = ch;
-            program.ops_.push_back(cop);
+            emit(COpKind::Channel2, a, b,
+                         intern(program.channel2_table_, ch));
             ++program.stats_.channels;
           }
         }
@@ -320,42 +240,131 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
   for (int q = 0; q < nq; ++q) flush(q);
 
   // Loop to fixpoint: a fusion can bring another CX pair adjacent.
-  while (fuse_cx_sandwich_pass(program.ops_, program.stats_)) {
+  while (program.fuse_cx_sandwiches()) {
   }
+  program.drop_trailing_diagonals();
+  program.repack();
 
+  program.stats_.compiled_ops = program.ops_.size();
+  return program;
+}
+
+std::array<cplx, 4> CompiledProgram::literal_matrix(const CompiledOp& op) const {
+  if (op.kind == COpKind::Diag1) {
+    const std::array<cplx, 2>& d = diagonal(op);
+    return {d[0], cplx{0.0, 0.0}, cplx{0.0, 0.0}, d[1]};
+  }
+  return unitary(op);
+}
+
+/// One left-to-right pass fusing CX(c,t) [1q chain on t, <= 1 symbolic]
+/// CX(c,t) patterns into CRot2 ops. Ops on unrelated qubits commute out of
+/// the pattern and are re-emitted just before it. Anything touching the
+/// control, any channel on the target, or a second symbolic op aborts that
+/// candidate. The pool entries of absorbed ops stay behind until repack().
+bool CompiledProgram::fuse_cx_sandwiches() {
+  std::vector<CompiledOp> out;
+  out.reserve(ops_.size());
+  bool changed = false;
+  std::size_t i = 0;
+  while (i < ops_.size()) {
+    const CompiledOp op = ops_[i];
+    bool fused = false;
+    if (op.kind == COpKind::Cx) {
+      const int c = op.q0;
+      const int t = op.q1;
+      std::vector<CompiledOp> mid;
+      std::vector<CompiledOp> others;
+      int sym_count = 0;
+      bool matched = false;
+      std::size_t j = i + 1;
+      for (; j < ops_.size(); ++j) {
+        const CompiledOp& o = ops_[j];
+        const bool on_c = touches(o, c);
+        const bool on_t = touches(o, t);
+        if (!on_c && !on_t) {
+          others.push_back(o);
+          continue;
+        }
+        if (o.kind == COpKind::Cx && o.q0 == c && o.q1 == t) {
+          matched = true;
+          break;
+        }
+        if (on_c || !is_1q_unitary_kind(o.kind)) break;
+        if (is_symbolic_kind(o.kind) && ++sym_count > 1) break;
+        mid.push_back(o);
+      }
+      if (matched) {
+        for (const CompiledOp& o : others) out.push_back(o);
+        if (!mid.empty()) {
+          CRotFactors f{kIdentity2, kIdentity2};
+          SymSlot slot;  // the literal angle 0 unless the interior is symbolic
+          bool after_sym = false;
+          for (const CompiledOp& m : mid) {
+            if (is_symbolic_kind(m.kind)) {
+              after_sym = true;
+              slot = slots_[m.arg];
+              if (m.kind == COpKind::SymUni1) f.u = mul2(prefix(m), f.u);
+            } else {
+              auto& side = after_sym ? f.u2 : f.u;
+              side = mul2(literal_matrix(m), side);
+            }
+          }
+          slot.factor = static_cast<std::uint32_t>(crot_factors_.size());
+          crot_factors_.push_back(f);
+          out.push_back(make_op(COpKind::CRot2, c, t, slots_.size()));
+          slots_.push_back(slot);
+          ++stats_.fused_cx_sandwiches;
+        }
+        // else: CX directly followed by CX — the pair cancels entirely.
+        i = j + 1;
+        changed = true;
+        fused = true;
+      }
+    }
+    if (!fused) {
+      out.push_back(op);
+      ++i;
+    }
+  }
+  ops_ = std::move(out);
+  return changed;
+}
+
+void CompiledProgram::drop_trailing_diagonals() {
   // Diagonal unitaries commute with every error channel here (depolarizing,
   // thermal relaxation, and classical readout confusion all act
   // block-diagonally w.r.t. the computational basis), so a Diag1/SymDiag1
   // followed only by channels on its qubit cannot change measurement
   // statistics. Walk backwards and drop them.
-  std::vector<char> blocked(static_cast<std::size_t>(nq), 0);
+  std::vector<char> blocked(static_cast<std::size_t>(num_qubits_), 0);
   std::vector<CompiledOp> kept;
-  kept.reserve(program.ops_.size());
-  for (auto it = program.ops_.rbegin(); it != program.ops_.rend(); ++it) {
+  kept.reserve(ops_.size());
+  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
     const CompiledOp& op = *it;
     switch (op.kind) {
       case COpKind::Diag1:
       case COpKind::SymDiag1:
-        if (!blocked[static_cast<std::size_t>(op.q0)]) {
-          ++program.stats_.dropped_trailing;
+        if (!blocked[op.q0]) {
+          ++stats_.dropped_trailing;
           continue;  // dropped
         }
         break;
       case COpKind::SymUni1:
         // Diagonal only when the absorbed prefix is itself diagonal.
-        if (is_diagonal(op.u) && !blocked[static_cast<std::size_t>(op.q0)]) {
-          ++program.stats_.dropped_trailing;
+        if (is_diagonal(prefix(op)) && !blocked[op.q0]) {
+          ++stats_.dropped_trailing;
           continue;  // dropped
         }
-        blocked[static_cast<std::size_t>(op.q0)] = 1;
+        blocked[op.q0] = 1;
         break;
       case COpKind::Unitary1:
-        blocked[static_cast<std::size_t>(op.q0)] = 1;
+        blocked[op.q0] = 1;
         break;
       case COpKind::Cx:
       case COpKind::CRot2:
-        blocked[static_cast<std::size_t>(op.q0)] = 1;
-        blocked[static_cast<std::size_t>(op.q1)] = 1;
+        blocked[op.q0] = 1;
+        blocked[op.q1] = 1;
         break;
       case COpKind::Channel1:
       case COpKind::Channel2:
@@ -363,37 +372,91 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     }
     kept.push_back(op);
   }
-  program.ops_.assign(kept.rbegin(), kept.rend());
-
-  program.stats_.compiled_ops = program.ops_.size();
-  return program;
+  ops_.assign(kept.rbegin(), kept.rend());
 }
 
-std::array<cplx, 4> sym_uni_matrix(const CompiledOp& op, double angle) {
+void CompiledProgram::repack() {
+  std::vector<std::array<cplx, 4>> unitaries;
+  std::vector<std::array<cplx, 2>> diagonals;
+  std::vector<SymSlot> slots;
+  std::vector<CRotFactors> crot_factors;
+  for (CompiledOp& op : ops_) {
+    switch (op.kind) {
+      case COpKind::Unitary1:
+        unitaries.push_back(unitary(op));
+        op.arg = static_cast<std::uint32_t>(unitaries.size() - 1);
+        break;
+      case COpKind::Diag1:
+        diagonals.push_back(diagonal(op));
+        op.arg = static_cast<std::uint32_t>(diagonals.size() - 1);
+        break;
+      case COpKind::SymDiag1:
+      case COpKind::SymUni1:
+      case COpKind::CRot2: {
+        SymSlot s = slot(op);
+        if (op.kind == COpKind::SymUni1) {
+          unitaries.push_back(prefix(op));
+          s.factor = static_cast<std::uint32_t>(unitaries.size() - 1);
+        } else if (op.kind == COpKind::CRot2) {
+          crot_factors.push_back(crot(op));
+          s.factor = static_cast<std::uint32_t>(crot_factors.size() - 1);
+        }
+        slots.push_back(s);
+        op.arg = static_cast<std::uint32_t>(slots.size() - 1);
+        break;
+      }
+      case COpKind::Cx:
+      case COpKind::Channel1:
+      case COpKind::Channel2:
+        break;  // no pool entry, or an interned table entry (never orphaned)
+    }
+  }
+  unitaries_ = std::move(unitaries);
+  diagonals_ = std::move(diagonals);
+  slots_ = std::move(slots);
+  crot_factors_ = std::move(crot_factors);
+  ops_.shrink_to_fit();
+  unitaries_.shrink_to_fit();
+  diagonals_.shrink_to_fit();
+  slots_.shrink_to_fit();
+  crot_factors_.shrink_to_fit();
+  channel1_table_.shrink_to_fit();
+  channel2_table_.shrink_to_fit();
+}
+
+std::size_t CompiledProgram::heap_bytes() const {
+  return qucad::heap_bytes(ops_) + qucad::heap_bytes(unitaries_) +
+         qucad::heap_bytes(diagonals_) + qucad::heap_bytes(slots_) +
+         qucad::heap_bytes(crot_factors_) + qucad::heap_bytes(channel1_table_) +
+         qucad::heap_bytes(channel2_table_);
+}
+
+std::array<cplx, 4> sym_uni_matrix(const std::array<cplx, 4>& prefix,
+                                   double angle) {
   const auto [d0, d1] = rz_diag(angle);
-  return {d0 * op.u[0], d0 * op.u[1], d1 * op.u[2], d1 * op.u[3]};
+  return {d0 * prefix[0], d0 * prefix[1], d1 * prefix[2], d1 * prefix[3]};
 }
 
-std::array<cplx, 4> crot_inner_matrix(const CompiledOp& op, double angle) {
-  const std::array<cplx, 4> du = sym_uni_matrix(op, angle);  // diag * u
-  return mul2(op.u2, du);
+std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle) {
+  const std::array<cplx, 4> du = sym_uni_matrix(f.u, angle);  // diag * u
+  return mul2(f.u2, du);
 }
 
-double resolve_sym_angle(const CompiledOp& op, std::span<const double> x,
+double resolve_sym_angle(const SymSlot& slot, std::span<const double> x,
                          std::span<const double> theta) {
-  if (op.input_index >= 0) {
-    require(static_cast<std::size_t>(op.input_index) < x.size(),
+  if (slot.input_index >= 0) {
+    require(static_cast<std::size_t>(slot.input_index) < x.size(),
             "input vector too short for compiled op");
-    return op.input_scale * x[static_cast<std::size_t>(op.input_index)] +
-           op.angle_offset;
+    return slot.scale * x[static_cast<std::size_t>(slot.input_index)] +
+           slot.angle_offset;
   }
-  if (op.theta_index >= 0) {
-    require(static_cast<std::size_t>(op.theta_index) < theta.size(),
+  if (slot.theta_index >= 0) {
+    require(static_cast<std::size_t>(slot.theta_index) < theta.size(),
             "theta vector too short for compiled op");
-    return op.theta_scale * theta[static_cast<std::size_t>(op.theta_index)] +
-           op.angle_offset;
+    return slot.scale * theta[static_cast<std::size_t>(slot.theta_index)] +
+           slot.angle_offset;
   }
-  return op.angle_offset;  // literal (CRot2 with a fully bound interior)
+  return slot.angle_offset;  // literal (CRot2 with a fully bound interior)
 }
 
 void CompiledProgram::require_inputs(std::span<const double> x) const {

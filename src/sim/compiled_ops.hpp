@@ -40,42 +40,60 @@ enum class COpKind : std::uint8_t {
   Channel2,  ///< fused CX error site on (q0 = min, q1 = max)
 };
 
-/// One compiled operation. Only the fields of the active kind are
-/// meaningful. For the symbolic kinds the resolved angle is
-///   input_scale * x[input_index] + angle_offset   (input_index >= 0), or
-///   theta_scale * theta[theta_index] + angle_offset  (theta_index >= 0);
-/// exactly one of input_index / theta_index is >= 0 (the lowering never
-/// mixes parameter spaces inside a single RZ).
+/// The header of one compiled operation: its kind, its qubits and `arg`,
+/// an index into the program pool its kind reads (CompiledProgram's
+/// accessors resolve it):
+///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op);
+///   - SymDiag1 / SymUni1 / CRot2 -> slot(op), plus prefix(op) (SymUni1) or
+///     crot(op) (CRot2), which the slot's `factor` indexes;
+///   - Channel1 / Channel2 -> channel1(op) / channel2(op), interned tables
+///     holding each distinct coefficient set once;
+///   - Cx -> nothing (arg is 0).
+/// q1 is meaningful for the two-qubit kinds only (Cx, CRot2, Channel2).
+struct CompiledOp {
+  COpKind kind = COpKind::Diag1;
+  std::uint8_t q0 = 0;
+  std::uint8_t q1 = 0;
+  std::uint32_t arg = 0;
+};
+static_assert(sizeof(CompiledOp) == 8, "compiled op headers stay 8 bytes");
+
+/// The symbolic angle of a SymDiag1 / SymUni1 / CRot2 op:
+///   scale * x[input_index] + angle_offset      (input_index >= 0), or
+///   scale * theta[theta_index] + angle_offset  (theta_index >= 0);
+/// at most one of input_index / theta_index is >= 0 (the lowering never
+/// mixes parameter spaces inside a single RZ). A CRot2 with no symbolic
+/// interior has neither and resolves to the literal angle_offset (0 by
+/// construction).
 ///
 /// SymUni1 is the symbolic-sandwich fusion: the single-qubit chain pending
-/// in front of a symbolic RZ is absorbed as `u`, and the whole op applies
+/// in front of a symbolic RZ is absorbed as its prefix `u`, and the whole op
+/// applies
 ///   diag(e^{-i a/2}, e^{+i a/2}) * u
 /// in ONE pass over the state. Absorption is only ever of PRECEDING ops, so
 /// the RZ generator (Z on q0) still sits at the top of the op — the adjoint
 /// engine's gradient hook is unchanged.
-///
-/// CRot2 is the controlled-rotation sandwich the basis lowering emits for
-/// CRX/CRY/CRZ: CX(q0,q1), a single-qubit chain on the target q1 containing
-/// at most one symbolic RZ, CX(q0,q1) — fused into one two-qubit pass
+struct SymSlot {
+  double angle_offset = 0.0;
+  double scale = 1.0;
+  std::int32_t input_index = -1;  ///< symbolic input slot, -1 = none
+  std::int32_t theta_index = -1;  ///< symbolic trainable slot, -1 = none
+  /// SymUni1: index of the prefix `u` among the 2x2 unitaries; CRot2: index
+  /// of its factor pair. Unused by SymDiag1.
+  std::uint32_t factor = 0;
+};
+
+/// The two factors of a CRot2 op, the controlled-rotation sandwich the basis
+/// lowering emits for CRX/CRY/CRZ: CX(q0,q1), a single-qubit chain on the
+/// target q1 containing at most one symbolic RZ, CX(q0,q1) — fused into one
+/// two-qubit pass
 ///   CX * (I (x) M(a)) * CX,   M(a) = u2 * diag(e^{-i a/2}, e^{+i a/2}) * u
 /// (block-diagonal: M on the control-0 subspace, X M X on control-1). Error
 /// channels inside the pattern abort the fusion, so noisy programs keep the
-/// explicit CX + channel sites. With no symbolic interior the angle resolves
-/// to the literal angle_offset (0 by construction).
-struct CompiledOp {
-  COpKind kind = COpKind::Diag1;
-  int q0 = 0;
-  int q1 = -1;
-  std::array<cplx, 4> u{};  ///< Unitary1 / SymUni1 (full); Diag1 uses u[0],
-                            ///< u[3]; CRot2 pre-rotation factor
-  std::array<cplx, 4> u2{};  ///< CRot2 post-rotation factor
-  FusedChannel1 ch1{};      ///< Channel1
-  FusedChannel2 ch2{};      ///< Channel2
-  double angle_offset = 0.0;  ///< SymDiag1 / SymUni1 / CRot2
-  int input_index = -1;       ///< symbolic input slot, -1 = none
-  double input_scale = 1.0;
-  int theta_index = -1;       ///< symbolic trainable slot, -1 = none
-  double theta_scale = 1.0;
+/// explicit CX + channel sites.
+struct CRotFactors {
+  std::array<cplx, 4> u{};   ///< pre-rotation factor
+  std::array<cplx, 4> u2{};  ///< post-rotation factor
 };
 
 /// Compilation statistics, mainly for tests and perf records.
@@ -101,6 +119,11 @@ struct CompileStats {
 ///  - num_trainable() / num_inputs() are computed from the SOURCE circuit,
 ///    not the surviving ops: a trainable RZ elided as a trailing diagonal
 ///    still counts (its gradient is exactly zero, not absent).
+///  - Every program holder (executors, the eval cache, serving epochs) pays
+///    for its op storage, so it is compact: 8-byte CompiledOp headers
+///    indexing one pool per payload type, each pool holding only what the
+///    surviving ops reference, and the channel tables holding each distinct
+///    coefficient set once.
 class CompiledProgram {
  public:
   CompiledProgram() = default;
@@ -132,6 +155,40 @@ class CompiledProgram {
   bool has_channels() const { return stats_.channels > 0; }
   const std::vector<CompiledOp>& ops() const { return ops_; }
   const CompileStats& stats() const { return stats_; }
+
+  /// The pool entries an op header refers to; see CompiledOp for which
+  /// accessor each kind reads.
+  const std::array<cplx, 4>& unitary(const CompiledOp& op) const {
+    return unitaries_[op.arg];
+  }
+  const std::array<cplx, 2>& diagonal(const CompiledOp& op) const {
+    return diagonals_[op.arg];
+  }
+  const SymSlot& slot(const CompiledOp& op) const { return slots_[op.arg]; }
+  const std::array<cplx, 4>& prefix(const CompiledOp& op) const {
+    return unitaries_[slot(op).factor];
+  }
+  const CRotFactors& crot(const CompiledOp& op) const {
+    return crot_factors_[slot(op).factor];
+  }
+  const FusedChannel1& channel1(const CompiledOp& op) const {
+    return channel1_table_[op.arg];
+  }
+  const FusedChannel2& channel2(const CompiledOp& op) const {
+    return channel2_table_[op.arg];
+  }
+  /// The interned channel tables: one entry per distinct coefficient set
+  /// (in practice one per touched qubit and one per coupled edge), however
+  /// many error sites share it.
+  std::span<const FusedChannel1> channel1_table() const {
+    return channel1_table_;
+  }
+  std::span<const FusedChannel2> channel2_table() const {
+    return channel2_table_;
+  }
+
+  /// Heap bytes the op stream holds: the op headers plus every pool.
+  std::size_t heap_bytes() const;
 
   /// Throws PreconditionError unless `x` holds at least num_inputs()
   /// entries — the check every replay entry point runs on each feature row
@@ -171,15 +228,31 @@ class CompiledProgram {
       std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
 
  private:
+  /// The literal 2x2 of a non-symbolic single-qubit op.
+  std::array<cplx, 4> literal_matrix(const CompiledOp& op) const;
+  /// One CX-sandwich fusion pass; true when something fused.
+  bool fuse_cx_sandwiches();
+  /// Drops the diagonal ops no later op on their qubit can observe.
+  void drop_trailing_diagonals();
+  /// Rebuilds the pools with only the entries the surviving ops reference,
+  /// in op order, and trims every vector to its size.
+  void repack();
+
   int num_qubits_ = 0;
   int num_trainable_ = 0;
   int num_inputs_ = 0;
   std::vector<CompiledOp> ops_;
+  std::vector<std::array<cplx, 4>> unitaries_;  ///< Unitary1, SymUni1 prefixes
+  std::vector<std::array<cplx, 2>> diagonals_;  ///< Diag1
+  std::vector<SymSlot> slots_;  ///< SymDiag1, SymUni1, CRot2
+  std::vector<CRotFactors> crot_factors_;
+  std::vector<FusedChannel1> channel1_table_;
+  std::vector<FusedChannel2> channel2_table_;
   CompileStats stats_;
 };
 
-/// Resolved angle of a SymDiag1 / SymUni1 op against (x, theta).
-double resolve_sym_angle(const CompiledOp& op, std::span<const double> x,
+/// Resolved angle of a symbolic slot against (x, theta).
+double resolve_sym_angle(const SymSlot& slot, std::span<const double> x,
                          std::span<const double> theta);
 
 /// RZ(angle) diagonal (e^{-i angle/2}, e^{+i angle/2}) via one sincos —
@@ -190,12 +263,13 @@ inline std::array<cplx, 2> rz_diag(double angle) {
   return {cplx{c, -s}, cplx{c, s}};
 }
 
-/// The full 2x2 of a SymUni1 op at a resolved angle: diag(angle) * op.u.
-std::array<cplx, 4> sym_uni_matrix(const CompiledOp& op, double angle);
+/// The full 2x2 of a SymUni1 op at a resolved angle: diag(angle) * prefix.
+std::array<cplx, 4> sym_uni_matrix(const std::array<cplx, 4>& prefix,
+                                   double angle);
 
 /// The interior 2x2 of a CRot2 op at a resolved angle:
-/// M = op.u2 * diag(angle) * op.u (applied on the target between the CXs).
-std::array<cplx, 4> crot_inner_matrix(const CompiledOp& op, double angle);
+/// M = f.u2 * diag(angle) * f.u (applied on the target between the CXs).
+std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle);
 
 /// Folds one pulse error site (depolarizing then thermal relaxation, the
 /// order NoisyExecutor::run_density applies) into closed-form coefficients.

@@ -27,9 +27,14 @@
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
     defined(__GLIBC__) && !defined(__SANITIZE_THREAD__)
 #define QUCAD_HAVE_ISA_CLONES 1
-#define QUCAD_ISA_CLONES                                                 \
-  __attribute__((flatten, target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
-                                        "default")))
+/// The clone levels, widest first: the one list both QUCAD_ISA_CLONES and
+/// engine_isa() are generated from. X(level) is applied to each level name.
+#define QUCAD_ISA_CLONE_LEVELS(X) X("x86-64-v4") X("x86-64-v3")
+#define QUCAD_ISA_CLONE_TARGET(level) "arch=" level,
+#define QUCAD_ISA_CLONES                                                  \
+  __attribute__((flatten,                                                \
+                 target_clones(QUCAD_ISA_CLONE_LEVELS(QUCAD_ISA_CLONE_TARGET) \
+                                   "default")))
 #else
 #define QUCAD_HAVE_ISA_CLONES 0
 #define QUCAD_ISA_CLONES
@@ -37,9 +42,12 @@
 
 namespace qucad {
 
-/// The ISA level whose replay clones this process runs: "x86-64-v4",
-/// "x86-64-v3" or "x86-64" (the default clone), as the loader's resolver
-/// picks it on this CPU — or "baseline" when the build has no clones.
+/// The ISA level whose replay clones this process runs: a level of
+/// QUCAD_ISA_CLONE_LEVELS or "x86-64" (the default clone), as the loader's
+/// resolver picks it on this CPU — or "baseline" when the build has no
+/// clones. The answer comes from a function multiversioned over the same
+/// level list, so GCC's dispatcher itself picks it by the rule it applies
+/// to every QUCAD_ISA_CLONES function.
 const char* engine_isa();
 
 }  // namespace qucad

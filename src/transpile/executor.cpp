@@ -141,10 +141,20 @@ std::vector<double> NoisyExecutor::run_z_reference(
   return z;
 }
 
+std::size_t NoisyExecutor::footprint_bytes() const {
+  return sizeof(*this) + circuit_.heap_bytes() + noise_.heap_bytes() +
+         program_.heap_bytes() + readout_.heap_bytes();
+}
+
 PureExecutor::PureExecutor(PhysicalCircuit circuit)
     : circuit_(std::move(circuit)) {
   program_ = CompiledProgram::compile(circuit_, NoiseModel());
   readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(), {});
+}
+
+std::size_t PureExecutor::footprint_bytes() const {
+  return sizeof(*this) + circuit_.heap_bytes() + program_.heap_bytes() +
+         readout_.heap_bytes();
 }
 
 template <std::size_t L>

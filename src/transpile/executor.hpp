@@ -80,6 +80,11 @@ class NoisyExecutor {
   const NoiseModel& noise() const { return noise_; }
   const CompiledProgram& program() const { return program_; }
 
+  /// Resident bytes of this executor: the object plus everything it holds
+  /// on the heap (the source circuit the run_density oracle walks, the
+  /// noise model, the compiled program and the readout).
+  std::size_t footprint_bytes() const;
+
  private:
   PhysicalCircuit circuit_;
   NoiseModel noise_;
@@ -154,6 +159,9 @@ class PureExecutor {
   int num_trainable() const { return program_.num_trainable(); }
   const PhysicalCircuit& circuit() const { return circuit_; }
   const CompiledProgram& program() const { return program_; }
+
+  /// Resident bytes of this executor, as NoisyExecutor::footprint_bytes.
+  std::size_t footprint_bytes() const;
 
  private:
   PhysicalCircuit circuit_;

@@ -390,21 +390,28 @@ void replay_out_of_line(const CompiledProgram& program, State& state,
     for (std::size_t l = 0; l < L; ++l) {
       const std::span<const double> x(
           xs[l], static_cast<std::size_t>(program.num_inputs()));
-      ms[l] = matrix_at(op, resolve_sym_angle(op, x, theta));
+      ms[l] = matrix_at(op, resolve_sym_angle(program.slot(op), x, theta));
     }
     return ms.data();
+  };
+  auto sym_uni_at = [&](const CompiledOp& op, double angle) {
+    return sym_uni_matrix(program.prefix(op), angle);
+  };
+  auto crot_inner_at = [&](const CompiledOp& op, double angle) {
+    return crot_inner_matrix(program.crot(op), angle);
   };
   for (const CompiledOp& op : program.ops()) {
     switch (op.kind) {
       case COpKind::Unitary1:
-        state.apply1(op.q0, op.u);
+        state.apply1(op.q0, program.unitary(op));
         break;
       case COpKind::Diag1:
-        state.apply_diag1(op.q0, op.u[0], op.u[3]);
+        state.apply_diag1(op.q0, program.diagonal(op)[0],
+                          program.diagonal(op)[1]);
         break;
       case COpKind::SymDiag1: {
         const auto* m = lane_matrices(op, sym_diag_at);
-        if (op.input_index >= 0) {
+        if (program.slot(op).input_index >= 0) {
           state.apply_diag1_lanes(op.q0, m);
         } else {
           state.apply_diag1(op.q0, m[0][0], m[0][3]);
@@ -412,8 +419,8 @@ void replay_out_of_line(const CompiledProgram& program, State& state,
         break;
       }
       case COpKind::SymUni1: {
-        const auto* m = lane_matrices(op, sym_uni_matrix);
-        if (op.input_index >= 0) {
+        const auto* m = lane_matrices(op, sym_uni_at);
+        if (program.slot(op).input_index >= 0) {
           state.apply1_lanes(op.q0, m);
         } else {
           state.apply1(op.q0, m[0]);
@@ -421,20 +428,19 @@ void replay_out_of_line(const CompiledProgram& program, State& state,
         break;
       }
       case COpKind::CRot2:
-        state.apply_crot_lanes(op.q0, op.q1,
-                               lane_matrices(op, crot_inner_matrix));
+        state.apply_crot_lanes(op.q0, op.q1, lane_matrices(op, crot_inner_at));
         break;
       case COpKind::Cx:
         state.apply_cx(op.q0, op.q1);
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, op.ch1);
+          state.apply_channel1(op.q0, program.channel1(op));
         }
         break;
       case COpKind::Channel2:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel2(op.q0, op.q1, op.ch2);
+          state.apply_channel2(op.q0, op.q1, program.channel2(op));
         }
         break;
     }
@@ -524,6 +530,43 @@ TEST(BatchedReplay, ClonedReplayBitwiseMatchesOutOfLineKernels) {
     check_width<BatchedStateVector<1>>(p, dim, run);
     check_width<BatchedStateVector<kBlockLanes>>(p, dim, run);
   }
+}
+
+#if QUCAD_HAVE_ISA_CLONES
+/// a * b + c dispatched through QUCAD_ISA_CLONES with contraction allowed
+/// (and optimized, since unoptimized builds never contract): every listed
+/// clone level has FMA and rounds once, the default clone multiplies and
+/// adds with two roundings.
+QUCAD_ISA_CLONES __attribute__((optimize("O2", "fp-contract=fast"))) double
+clone_mul_add(double a, double b, double c) {
+  return a * b + c;
+}
+#endif
+
+TEST(BatchedIsa, EngineIsaNamesTheCloneTheDispatchRuns) {
+#if QUCAD_HAVE_ISA_CLONES
+  const std::string isa = engine_isa();
+  // The resolver's rule: the first (widest) listed level this CPU supports,
+  // else the default clone.
+  std::string widest;
+  __builtin_cpu_init();
+#define QUCAD_TEST_PICK_LEVEL(level) \
+  if (widest.empty() && __builtin_cpu_supports(level)) widest = level;
+  QUCAD_ISA_CLONE_LEVELS(QUCAD_TEST_PICK_LEVEL)
+#undef QUCAD_TEST_PICK_LEVEL
+  EXPECT_EQ(isa, widest.empty() ? "x86-64" : widest);
+
+  // (1 + 2^-30)(1 - 2^-30) - 1 is -2^-60 exactly when fused and 0 when the
+  // product is rounded first, so the probe shows whether a listed level's
+  // clone or the default one ran.
+  volatile double a = 1.0 + 0x1p-30;
+  volatile double b = 1.0 - 0x1p-30;
+  volatile double c = -1.0;
+  const bool fused = clone_mul_add(a, b, c) == -0x1p-60;
+  EXPECT_EQ(fused, isa != "x86-64") << "engine_isa " << isa;
+#else
+  EXPECT_STREQ(engine_isa(), "baseline");
+#endif
 }
 
 TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {

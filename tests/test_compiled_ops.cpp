@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "data/mnist_synth.hpp"
 #include "noise/calibration_history.hpp"
@@ -338,6 +341,122 @@ TEST(CompiledEvalCache, CachedEvaluationMatchesUncached) {
   EXPECT_EQ(r1.predictions, r2.predictions);
   EXPECT_EQ(r1.predictions, r3.predictions);
   EXPECT_DOUBLE_EQ(r1.accuracy, r2.accuracy);
+}
+
+static_assert(sizeof(CompiledOp) <= 16,
+              "a compiled op header must stay at most 16 bytes");
+
+TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
+  // Ten noisy pulses on every qubit and six CXs on every edge of a 3-qubit
+  // line, both directions: 42 error sites, but only 3 qubits and 2 edges.
+  Rng rng(41);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const Calibration cal = noisy_calibration(3, edges, rng);
+  PhysicalCircuit phys(3);
+  for (int rep = 0; rep < 10; ++rep) {
+    for (int q = 0; q < 3; ++q) {
+      phys.push(PhysOp{rep % 2 == 0 ? PhysOpKind::SX : PhysOpKind::X, q});
+    }
+    if (rep < 3) {
+      for (const auto& [a, b] : edges) {
+        phys.push(PhysOp{PhysOpKind::CX, a, b});
+        phys.push(PhysOp{PhysOpKind::CX, b, a});
+      }
+    }
+  }
+  phys.readout_physical() = {0, 1, 2};
+  const NoisyExecutor executor(phys, NoiseModel(cal));
+  const CompiledProgram& program = executor.program();
+  EXPECT_EQ(program.stats().channels, 42u);
+  EXPECT_EQ(program.channel1_table().size(), 3u);
+  EXPECT_EQ(program.channel2_table().size(), 2u);
+
+  // Every site still replays its own qubit's or edge's coefficients.
+  const auto z_ref = executor.run_z_reference({});
+  const auto z = executor.run_z({});
+  ASSERT_EQ(z.size(), z_ref.size());
+  for (std::size_t k = 0; k < z.size(); ++k) {
+    EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "slot " << k;
+  }
+}
+
+TEST(CompiledProgramLayout, SeismicBelemDensityProgramIsSmall) {
+  // The seismic detector's shape (4 features on 4 qubits, 2 classes, 2
+  // ansatz blocks) routed and compiled against a belem calibration: the
+  // density program every cached executor and serving epoch holds.
+  const CalibrationHistory h(FluctuationScenario::belem(), 2, 2021);
+  const QnnModel model = build_paper_model(4, 4, 2, 2);
+  const auto theta = init_params(model, 7);
+  const TranspiledModel transpiled = transpile_model(
+      model.circuit, model.readout_qubits, CouplingMap::belem(), &h.day(0));
+  const auto executor =
+      build_noisy_executor(model, transpiled, theta, h.day(0), {});
+  const CompiledProgram& program = executor->program();
+  ASSERT_GT(program.stats().channels, 0u);
+  EXPECT_LE(program.channel1_table().size(), 4u);
+  EXPECT_LE(program.channel2_table().size(), 4u);  // belem's four edges
+  EXPECT_LE(program.heap_bytes(), 24u * 1024u)
+      << program.ops().size() << " ops";
+  EXPECT_LE(executor->footprint_bytes(), 64u * 1024u);
+}
+
+TEST(CompiledEvalCache, ConcurrentBuildClearAndResizeStayConsistent) {
+  // Builders race clear() and set_capacity(): evicted executors are
+  // released outside the cache lock while other threads look up, insert
+  // and evict. Run under TSan and ASan to check the release path.
+  CompiledEvalCache cache(4);
+  Rng rng(13);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  std::vector<Calibration> calibrations;
+  for (int i = 0; i < 6; ++i) {
+    calibrations.push_back(noisy_calibration(3, edges, rng));
+  }
+  PhysicalCircuit phys = random_transpiled(rng, 3, 10, 1);
+  phys.readout_physical() = {0, 1};
+
+  const std::vector<double> x{0.4};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> builders;
+  for (int t = 0; t < 2; ++t) {
+    builders.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 400; ++i) {
+        const auto executor = cache.get_or_build_physical(
+            phys, calibrations[(i + static_cast<std::size_t>(t)) %
+                               calibrations.size()],
+            {});
+        if (!executor || executor->run_z(x).size() != 2) ++failures;
+      }
+    });
+  }
+  std::thread clearer([&] {
+    while (!stop) {
+      cache.clear();
+      std::this_thread::yield();
+    }
+  });
+  std::thread resizer([&] {
+    std::size_t capacity = 1;
+    while (!stop) {
+      cache.set_capacity(capacity);
+      capacity = capacity % 4 + 1;
+      const EvalCacheStats stats = cache.stats();
+      if (stats.entries > 0 && stats.bytes == 0) ++failures;
+    }
+  });
+  for (std::thread& b : builders) b.join();
+  stop = true;
+  clearer.join();
+  resizer.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  cache.clear();
+  cache.set_capacity(4);
+  const auto a = cache.get_or_build_physical(phys, calibrations[0], {});
+  const auto b = cache.get_or_build_physical(phys, calibrations[1], {});
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, a->footprint_bytes() + b->footprint_bytes());
 }
 
 }  // namespace
