@@ -44,12 +44,14 @@ int main() {
   int round = 0;
   for (int day : days) {
     const Calibration& calib = history.day(day);
-    // Shared lowering + compilation helper (the per-binary lower_model /
-    // NoiseModel / NoisyExecutor block this bench used to carry).
+    // The compiled engine answers run_z; the gate-by-gate oracles walk the
+    // circuit and noise model it was compiled from.
     const std::shared_ptr<const NoisyExecutor> executor =
         make_env_executor(env, env.theta_pretrained, calib);
-    const PhysicalCircuit& phys = executor->circuit();
-    const ReadoutMitigator mitigator(executor->noise().readout());
+    const PhysicalCircuit phys =
+        lower_noisy_circuit(env.model, env.transpiled, env.theta_pretrained);
+    const NoiseModel noise(calib, env.eval.noise);
+    const ReadoutMitigator mitigator(noise.readout());
 
     double comp_raw = 0.0, comp_mit = 0.0, bias_raw = 0.0, bias_zne = 0.0;
     for (std::size_t s = 0; s < probes; ++s) {
@@ -60,9 +62,9 @@ int main() {
 
       // Measured distribution (readout confusion on all qubits) and its
       // mitigated inversion.
-      const DensityMatrix dm = executor->run_density(x);
+      const DensityMatrix dm = run_density(phys, noise, x);
       const auto measured = apply_readout_error(dm.diagonal_probabilities(),
-                                                executor->noise().readout());
+                                                noise.readout());
       const auto mitigated = mitigator.apply(measured);
       comp_raw += computational_accuracy(ideal_probs, measured);
       comp_mit += computational_accuracy(ideal_probs, mitigated);

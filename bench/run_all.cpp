@@ -182,6 +182,9 @@ std::vector<Record> compiled_eval_benches() {
 
   const std::shared_ptr<const NoisyExecutor> executor =
       build_noisy_executor(w.model, w.transpiled, w.theta, w.calib(), {});
+  const PhysicalCircuit circuit = lower_noisy_circuit(w.model, w.transpiled,
+                                                      w.theta);
+  const NoiseModel noise(w.calib());
   const std::string params = "qubits=4,device=belem";
 
   Record footprint;
@@ -197,7 +200,7 @@ std::vector<Record> compiled_eval_benches() {
   std::size_t cursor = 0;
   const Record reference = time_loop(
       "run_z_reference", params, 1.0, "samples/sec", [&] {
-        const auto z = executor->run_z_reference(data.features[cursor]);
+        const auto z = run_z_reference(circuit, noise, data.features[cursor]);
         cursor = (cursor + 1) % data.size();
         volatile double sink = z[0];
         (void)sink;

@@ -17,9 +17,8 @@ StatevectorBackend::StatevectorBackend(
   require(executor_ != nullptr,
           "statevector backend needs a compiled executor");
   require(shots_ >= 0, "statevector backend shots must be non-negative");
-  readout_ = SlotReadout(executor_->circuit().num_qubits(),
-                         executor_->circuit().readout_physical(),
-                         std::move(slot_readout));
+  readout_ = SlotReadout(executor_->program().num_qubits(),
+                         executor_->readout_slots(), std::move(slot_readout));
 }
 
 BackendDiagnostics StatevectorBackend::diagnostics() const {

@@ -1,6 +1,5 @@
 #include "noise/noise_model.hpp"
 
-#include "common/heap_bytes.hpp"
 #include "common/require.hpp"
 
 namespace qucad {
@@ -52,15 +51,6 @@ const CxNoise& NoiseModel::cx_noise(int a, int b) const {
   const auto it = cx_.find({a, b});
   require(it != cx_.end(), "no CX channel for uncoupled pair");
   return it->second;
-}
-
-std::size_t NoiseModel::heap_bytes() const {
-  // A std::map node is the value plus the red-black links (color, parent,
-  // left, right).
-  const std::size_t cx_node =
-      sizeof(decltype(cx_)::value_type) + 4 * sizeof(void*);
-  return qucad::heap_bytes(pulse_) + cx_.size() * cx_node +
-         qucad::heap_bytes(readout_);
 }
 
 }  // namespace qucad

@@ -57,9 +57,6 @@ class NoiseModel {
 
   bool is_noiseless() const { return noiseless_; }
 
-  /// Heap bytes held by the per-qubit and per-edge noise parameters.
-  std::size_t heap_bytes() const;
-
  private:
   int num_qubits_ = 0;
   bool noiseless_ = true;

@@ -132,10 +132,9 @@ void hash_pure_configuration(Mixer& h, const Circuit& circuit,
 
 }  // namespace
 
-std::shared_ptr<const NoisyExecutor> build_noisy_executor(
-    const QnnModel& model, const TranspiledModel& transpiled,
-    std::span<const double> theta, const Calibration& calibration,
-    const NoiseModelOptions& noise_options) {
+PhysicalCircuit lower_noisy_circuit(const QnnModel& model,
+                                    const TranspiledModel& transpiled,
+                                    std::span<const double> theta) {
   require(!model.readout_qubits.empty(), "model has no readout qubits");
   PhysicalCircuit phys = lower_model(transpiled, theta);
   // Pin readout slots to the model's readout qubits in class order, whatever
@@ -149,12 +148,20 @@ std::shared_ptr<const NoisyExecutor> build_noisy_executor(
             "readout qubit outside the routed circuit");
     phys.readout_physical().push_back(transpiled.readout_physical(lq));
   }
-  return std::make_shared<const NoisyExecutor>(
-      std::move(phys), NoiseModel(calibration, noise_options));
+  return phys;
 }
 
-std::shared_ptr<const PureExecutor> build_pure_executor(
-    const Circuit& circuit, const std::vector<int>& readout_qubits) {
+std::shared_ptr<const NoisyExecutor> build_noisy_executor(
+    const QnnModel& model, const TranspiledModel& transpiled,
+    std::span<const double> theta, const Calibration& calibration,
+    const NoiseModelOptions& noise_options) {
+  return std::make_shared<const NoisyExecutor>(
+      lower_noisy_circuit(model, transpiled, theta),
+      NoiseModel(calibration, noise_options));
+}
+
+PhysicalCircuit lower_pure_circuit(const Circuit& circuit,
+                                   const std::vector<int>& readout_qubits) {
   require(!readout_qubits.empty(), "no readout qubits");
   // Trivial routing: the circuit already lives on its final wires (a logical
   // model circuit, or a routed circuit trained on physical qubits).
@@ -172,7 +179,13 @@ std::shared_ptr<const PureExecutor> build_pure_executor(
     require(q >= 0 && q < circuit.num_qubits(), "readout qubit out of range");
     phys.readout_physical().push_back(q);
   }
-  return std::make_shared<const PureExecutor>(std::move(phys));
+  return phys;
+}
+
+std::shared_ptr<const PureExecutor> build_pure_executor(
+    const Circuit& circuit, const std::vector<int>& readout_qubits) {
+  return std::make_shared<const PureExecutor>(
+      lower_pure_circuit(circuit, readout_qubits));
 }
 
 CompiledEvalCache::CompiledEvalCache(std::size_t capacity)

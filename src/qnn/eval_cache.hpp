@@ -15,22 +15,30 @@
 
 namespace qucad {
 
+/// The circuit build_noisy_executor compiles (and the oracles walk): the
+/// routed model lowered at theta (compression peephole active), readout
+/// slots pinned to the model's readout qubits in class order.
+PhysicalCircuit lower_noisy_circuit(const QnnModel& model,
+                                    const TranspiledModel& transpiled,
+                                    std::span<const double> theta);
+
 /// Builds the noisy executor for one (model, routed structure, theta,
-/// calibration, noise options) configuration: lowers the routed model at
-/// theta (compression peephole active), pins the readout slots to the
-/// model's readout qubits in class order, and compiles the circuit against
-/// the calibration's noise model.
+/// calibration, noise options) configuration: compiles lower_noisy_circuit
+/// against the calibration's noise model.
 std::shared_ptr<const NoisyExecutor> build_noisy_executor(
     const QnnModel& model, const TranspiledModel& transpiled,
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options);
 
+/// The circuit build_pure_executor compiles: `circuit` on a trivial routing
+/// (qubit ids kept), lowered with BOTH input and trainable angles symbolic,
+/// readout slot k pinned to readout_qubits[k].
+PhysicalCircuit lower_pure_circuit(const Circuit& circuit,
+                                   const std::vector<int>& readout_qubits);
+
 /// Builds the compiled statevector engine for training/evaluating `circuit`
-/// noise-free: wraps it in a trivial routing (qubit ids preserved), lowers
-/// to the physical basis with BOTH input and trainable angles symbolic, pins
-/// readout slot k to readout_qubits[k], and compiles the op-stream once.
-/// theta is deliberately NOT an input — the same executor serves every
-/// optimizer step.
+/// noise-free: compiles lower_pure_circuit once. theta is deliberately NOT
+/// an input — the same executor serves every optimizer step.
 std::shared_ptr<const PureExecutor> build_pure_executor(
     const Circuit& circuit, const std::vector<int>& readout_qubits);
 

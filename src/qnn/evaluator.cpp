@@ -32,7 +32,7 @@ StatusOr<NoisyEvalResult> noisy_evaluate_or(const QnnModel& model,
           " features, the encoder reads " + std::to_string(num_inputs));
     }
   }
-  if (calib.num_qubits() < transpiled.num_physical_qubits()) {
+  if (calib.num_qubits() != transpiled.num_physical_qubits()) {
     return Status::invalid_argument(
         "calibration covers " + std::to_string(calib.num_qubits()) +
         " qubits, the routed circuit uses " +

@@ -120,8 +120,8 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
           "theta smaller than the executor's trainable parameter space");
   const std::size_t batch = indices.size();
   const std::size_t num_params = theta.size();
-  const int n = executor.circuit().num_qubits();
-  const std::vector<int>& slots = executor.circuit().readout_physical();
+  const int n = executor.program().num_qubits();
+  const std::vector<int>& slots = executor.readout_slots();
   // Validate the selected rows up front, on the calling thread — a ragged
   // row must not fail deep inside a worker's replay.
   for (const std::size_t row : indices) {

@@ -150,7 +150,8 @@ StatusOr<InferenceService> InferenceService::create(
         "empty training set: calibration events that miss the repository "
         "compress a new model online and need training data");
   }
-  if (initial_calibration.num_qubits() < env.transpiled.num_physical_qubits()) {
+  if (initial_calibration.num_qubits() !=
+      env.transpiled.num_physical_qubits()) {
     return Status::invalid_argument(
         "calibration covers " + std::to_string(initial_calibration.num_qubits()) +
         " qubits, the routed circuit uses " +
@@ -227,7 +228,7 @@ StatusOr<std::vector<Prediction>> InferenceService::submit_batch(
 
 StatusOr<CalibrationReport> InferenceService::on_calibration(
     const Calibration& calibration) {
-  if (calibration.num_qubits() < impl_->transpiled.num_physical_qubits()) {
+  if (calibration.num_qubits() != impl_->transpiled.num_physical_qubits()) {
     return Status::invalid_argument(
         "calibration covers " + std::to_string(calibration.num_qubits()) +
         " qubits, the routed circuit uses " +

@@ -272,7 +272,7 @@ std::array<cplx, 4> sym_uni_matrix(const std::array<cplx, 4>& prefix,
 std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle);
 
 /// Folds one pulse error site (depolarizing then thermal relaxation, the
-/// order NoisyExecutor::run_density applies) into closed-form coefficients.
+/// order run_density applies) into closed-form coefficients.
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise);
 
 /// Folds one CX error site (two-qubit depolarizing, then thermal on min(q),

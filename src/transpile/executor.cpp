@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/heap_bytes.hpp"
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/gates.hpp"
@@ -19,71 +20,22 @@ std::array<cplx, 4> rz_array(double angle) {
 
 }  // namespace
 
-NoisyExecutor::NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise)
-    : circuit_(std::move(circuit)), noise_(std::move(noise)) {
-  require(noise_.num_qubits() == 0 ||
-              noise_.num_qubits() == circuit_.num_qubits(),
+NoisyExecutor::NoisyExecutor(const PhysicalCircuit& circuit,
+                             const NoiseModel& noise)
+    : slots_(circuit.readout_physical()) {
+  require(noise.num_qubits() == 0 ||
+              noise.num_qubits() == circuit.num_qubits(),
           "noise model qubit count mismatch");
-  program_ = CompiledProgram::compile(circuit_, noise_);
+  program_ = CompiledProgram::compile(circuit, noise);
   // Confusion only matters on measured qubits: slot k carries the error of
   // the physical qubit hosting class k.
   std::vector<ReadoutError> slot_errors;
-  if (noise_.num_qubits() > 0) {
-    for (int pq : circuit_.readout_physical()) {
-      slot_errors.push_back(noise_.readout()[static_cast<std::size_t>(pq)]);
+  if (noise.num_qubits() > 0) {
+    for (int pq : slots_) {
+      slot_errors.push_back(noise.readout()[static_cast<std::size_t>(pq)]);
     }
   }
-  readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(),
-                         std::move(slot_errors));
-}
-
-DensityMatrix NoisyExecutor::run_density(std::span<const double> x) const {
-  DensityMatrix dm(circuit_.num_qubits());
-  const bool noisy = noise_.num_qubits() > 0;
-
-  auto apply_pulse_noise = [&](int q) {
-    const PulseNoise& pn = noise_.pulse_noise(q);
-    dm.apply_depolarizing1(q, pn.depolarizing_p);
-    if (!pn.thermal.empty()) {
-      dm.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
-    }
-  };
-
-  for (const PhysOp& op : circuit_.ops()) {
-    switch (op.kind) {
-      case PhysOpKind::RZ: {
-        const auto rz = rz_array(op.resolve_angle(x));
-        dm.apply_diag1(op.q0, rz[0], rz[3]);
-        break;
-      }
-      case PhysOpKind::SX:
-        dm.apply1(op.q0, sx_as_array2());
-        if (noisy) apply_pulse_noise(op.q0);
-        break;
-      case PhysOpKind::X:
-        dm.apply1(op.q0, x_as_array2());
-        if (noisy) apply_pulse_noise(op.q0);
-        break;
-      case PhysOpKind::CX: {
-        dm.apply2(op.q0, op.q1, cx_as_array4());
-        if (noisy) {
-          const int a = std::min(op.q0, op.q1);
-          const int b = std::max(op.q0, op.q1);
-          const CxNoise& cn = noise_.cx_noise(a, b);
-          dm.apply_depolarizing2(a, b, cn.depolarizing_p);
-          if (!cn.thermal_first.empty()) {
-            dm.apply_thermal1(a, cn.thermal_first.gamma, cn.thermal_first.lambda);
-          }
-          if (!cn.thermal_second.empty()) {
-            dm.apply_thermal1(b, cn.thermal_second.gamma,
-                              cn.thermal_second.lambda);
-          }
-        }
-        break;
-      }
-    }
-  }
-  return dm;
+  readout_ = SlotReadout(circuit.num_qubits(), slots_, std::move(slot_errors));
 }
 
 std::vector<double> NoisyExecutor::run_z(std::span<const double> x, int shots,
@@ -100,12 +52,12 @@ std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
   for (const std::vector<double>& x : xs) program_.require_inputs(x);
   std::vector<std::vector<double>> zs(xs.size());
   const bool full_blocks =
-      circuit_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
+      program_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
   parallel_for_lanes(
       pool ? *pool : ThreadPool::global(), xs.size(), full_blocks,
       [&](auto width, std::size_t first, std::size_t live) {
         constexpr std::size_t L = decltype(width)::value;
-        auto& dm = lane_scratch<BatchedDensityMatrix<L>>(circuit_.num_qubits());
+        auto& dm = lane_scratch<BatchedDensityMatrix<L>>(program_.num_qubits());
         program_.run_lanes(dm, lane_rows<L>(xs, first, live));
         thread_local std::vector<double> probs;
         for (std::size_t l = 0; l < live; ++l) {
@@ -118,43 +70,19 @@ std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
   return zs;
 }
 
-std::vector<double> NoisyExecutor::run_z_reference(
-    std::span<const double> x) const {
-  std::vector<double> probs = run_density(x).diagonal_probabilities();
-  const std::vector<int>& slots = circuit_.readout_physical();
-  if (noise_.num_qubits() > 0) {
-    // Confusion on the measured qubits only, over the full 2^n vector.
-    std::vector<ReadoutError> errors(noise_.readout().size());
-    for (int pq : slots) {
-      errors[static_cast<std::size_t>(pq)] =
-          noise_.readout()[static_cast<std::size_t>(pq)];
-    }
-    probs = apply_readout_error(std::move(probs), errors);
-  }
-  std::vector<double> z(slots.size(), 0.0);
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    const std::size_t mq = std::size_t{1} << slots[k];
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      z[k] += (i & mq) ? -probs[i] : probs[i];
-    }
-  }
-  return z;
-}
-
 std::size_t NoisyExecutor::footprint_bytes() const {
-  return sizeof(*this) + circuit_.heap_bytes() + noise_.heap_bytes() +
-         program_.heap_bytes() + readout_.heap_bytes();
+  return sizeof(*this) + program_.heap_bytes() + readout_.heap_bytes() +
+         heap_bytes(slots_);
 }
 
-PureExecutor::PureExecutor(PhysicalCircuit circuit)
-    : circuit_(std::move(circuit)) {
-  program_ = CompiledProgram::compile(circuit_, NoiseModel());
-  readout_ = SlotReadout(circuit_.num_qubits(), circuit_.readout_physical(), {});
-}
+PureExecutor::PureExecutor(const PhysicalCircuit& circuit)
+    : program_(CompiledProgram::compile(circuit, NoiseModel())),
+      readout_(circuit.num_qubits(), circuit.readout_physical(), {}),
+      slots_(circuit.readout_physical()) {}
 
 std::size_t PureExecutor::footprint_bytes() const {
-  return sizeof(*this) + circuit_.heap_bytes() + program_.heap_bytes() +
-         readout_.heap_bytes();
+  return sizeof(*this) + program_.heap_bytes() + readout_.heap_bytes() +
+         heap_bytes(slots_);
 }
 
 template <std::size_t L>
@@ -163,7 +91,7 @@ void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
                                std::span<std::vector<double>> zs,
                                const SlotReadout* readout, int shots,
                                std::uint64_t first_seed) const {
-  auto& sv = lane_scratch<BatchedStateVector<L>>(circuit_.num_qubits());
+  auto& sv = lane_scratch<BatchedStateVector<L>>(program_.num_qubits());
   program_.run_pure_lanes(sv, xs, theta);
   const SlotReadout& out = readout != nullptr ? *readout : readout_;
   thread_local std::vector<double> probs;
@@ -220,9 +148,79 @@ AdjointResult PureExecutor::adjoint(std::span<const double> theta,
   return {std::move(lanes.z_expectations[0]), std::move(lanes.gradients[0])};
 }
 
-StateVector run_physical_pure(const PhysicalCircuit& circuit,
-                              std::span<const double> x) {
-  return run_physical_pure(circuit, x, {});
+DensityMatrix run_density(const PhysicalCircuit& circuit,
+                          const NoiseModel& noise, std::span<const double> x) {
+  DensityMatrix dm(circuit.num_qubits());
+  const bool noisy = noise.num_qubits() > 0;
+
+  auto apply_pulse_noise = [&](int q) {
+    const PulseNoise& pn = noise.pulse_noise(q);
+    dm.apply_depolarizing1(q, pn.depolarizing_p);
+    if (!pn.thermal.empty()) {
+      dm.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
+    }
+  };
+
+  for (const PhysOp& op : circuit.ops()) {
+    switch (op.kind) {
+      case PhysOpKind::RZ: {
+        const auto rz = rz_array(op.resolve_angle(x));
+        dm.apply_diag1(op.q0, rz[0], rz[3]);
+        break;
+      }
+      case PhysOpKind::SX:
+        dm.apply1(op.q0, sx_as_array2());
+        if (noisy) apply_pulse_noise(op.q0);
+        break;
+      case PhysOpKind::X:
+        dm.apply1(op.q0, x_as_array2());
+        if (noisy) apply_pulse_noise(op.q0);
+        break;
+      case PhysOpKind::CX: {
+        dm.apply2(op.q0, op.q1, cx_as_array4());
+        if (noisy) {
+          const int a = std::min(op.q0, op.q1);
+          const int b = std::max(op.q0, op.q1);
+          const CxNoise& cn = noise.cx_noise(a, b);
+          dm.apply_depolarizing2(a, b, cn.depolarizing_p);
+          if (!cn.thermal_first.empty()) {
+            dm.apply_thermal1(a, cn.thermal_first.gamma, cn.thermal_first.lambda);
+          }
+          if (!cn.thermal_second.empty()) {
+            dm.apply_thermal1(b, cn.thermal_second.gamma,
+                              cn.thermal_second.lambda);
+          }
+        }
+        break;
+      }
+    }
+  }
+  return dm;
+}
+
+std::vector<double> run_z_reference(const PhysicalCircuit& circuit,
+                                    const NoiseModel& noise,
+                                    std::span<const double> x) {
+  std::vector<double> probs =
+      run_density(circuit, noise, x).diagonal_probabilities();
+  const std::vector<int>& slots = circuit.readout_physical();
+  if (noise.num_qubits() > 0) {
+    // Confusion on the measured qubits only, over the full 2^n vector.
+    std::vector<ReadoutError> errors(noise.readout().size());
+    for (int pq : slots) {
+      errors[static_cast<std::size_t>(pq)] =
+          noise.readout()[static_cast<std::size_t>(pq)];
+    }
+    probs = apply_readout_error(std::move(probs), errors);
+  }
+  std::vector<double> z(slots.size(), 0.0);
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const std::size_t mq = std::size_t{1} << slots[k];
+    for (std::size_t i = 0; i < probs.size(); ++i) {
+      z[k] += (i & mq) ? -probs[i] : probs[i];
+    }
+  }
+  return z;
 }
 
 StateVector run_physical_pure(const PhysicalCircuit& circuit,

@@ -26,9 +26,9 @@ class ThreadPool;
 /// Construction compiles the circuit + noise model once into a fused op
 /// stream (sim/compiled_ops.hpp); run_z / run_z_batch replay that program
 /// on SoA lane states (sim/batched_state.hpp) — width 1 for a single
-/// sample. The original gate-by-gate walk is kept as
-/// run_density / run_z_reference — the ground truth the compiled path is
-/// tested against.
+/// sample. The gate-by-gate walk is kept as the free functions
+/// run_density / run_z_reference below — the ground truth the compiled path
+/// is tested against.
 ///
 /// This is the concrete engine behind the kDensityNoisy ExecutionBackend
 /// (backend/backend.hpp) — consumers select it (or any other regime)
@@ -39,15 +39,13 @@ class ThreadPool;
 /// All run methods are const and safe to call concurrently.
 class NoisyExecutor {
  public:
-  /// Takes copies: the executor is self-contained and cannot dangle when
-  /// callers pass temporaries (both arguments are cheap relative to a
-  /// single density-matrix run).
-  NoisyExecutor(PhysicalCircuit circuit, NoiseModel noise);
+  /// Compiles `circuit` against `noise` and keeps neither.
+  NoisyExecutor(const PhysicalCircuit& circuit, const NoiseModel& noise);
 
-  /// `<Z>` of each readout slot, ordered by position in
-  /// circuit.readout_physical() — NOT indexed by qubit id. Exact for
-  /// shots <= 0; otherwise the estimate from `shots` outcomes drawn from
-  /// Rng(seed): run_z_batch on the one sample, so bitwise its sample 0.
+  /// `<Z>` of each readout slot, ordered by position in readout_slots() —
+  /// NOT indexed by qubit id. Exact for shots <= 0; otherwise the estimate
+  /// from `shots` outcomes drawn from Rng(seed): run_z_batch on the one
+  /// sample, so bitwise its sample 0.
   std::vector<double> run_z(std::span<const double> x, int shots = 0,
                             std::uint64_t seed = 99) const;
 
@@ -68,29 +66,19 @@ class NoisyExecutor {
       std::span<const std::vector<double>> xs, int shots = 0,
       std::uint64_t seed = 99, ThreadPool* pool = nullptr) const;
 
-  /// Final density matrix (before readout error) via the legacy gate-by-gate
-  /// walk. Reference path for the compiled engine's equivalence tests.
-  DensityMatrix run_density(std::span<const double> x) const;
-
-  /// Exact run_z recomputed through run_density and the full-vector
-  /// apply_readout_error — the uncompiled reference.
-  std::vector<double> run_z_reference(std::span<const double> x) const;
-
-  const PhysicalCircuit& circuit() const { return circuit_; }
-  const NoiseModel& noise() const { return noise_; }
   const CompiledProgram& program() const { return program_; }
+  /// Entry k is the physical qubit read as class k.
+  const std::vector<int>& readout_slots() const { return slots_; }
 
   /// Resident bytes of this executor: the object plus everything it holds
-  /// on the heap (the source circuit the run_density oracle walks, the
-  /// noise model, the compiled program and the readout).
+  /// on the heap (the compiled program, the readout and the slot list).
   std::size_t footprint_bytes() const;
 
  private:
-  PhysicalCircuit circuit_;
-  NoiseModel noise_;
   CompiledProgram program_;
   /// The readout slots with their calibrated confusion.
   SlotReadout readout_;
+  std::vector<int> slots_;
 };
 
 /// Noise-free compiled statevector engine: the training-path counterpart of
@@ -107,7 +95,7 @@ class NoisyExecutor {
 /// (readout confusion + finite shots).
 ///
 /// Readout contract (same as NoisyExecutor): run_z output is ordered by
-/// position in circuit.readout_physical() — slot k is class k — never
+/// position in readout_slots() — slot k is class k — never
 /// indexed by qubit id. adjoint() follows the sim/adjoint.hpp contract
 /// instead: z_expectations has one entry PER QUBIT, because the observable
 /// weight hook needs the full vector.
@@ -116,12 +104,11 @@ class NoisyExecutor {
 /// into per-thread scratch (lane_scratch).
 class PureExecutor {
  public:
-  /// Takes a copy: the executor is self-contained (same rationale as
-  /// NoisyExecutor).
-  explicit PureExecutor(PhysicalCircuit circuit);
+  /// Compiles `circuit` and does not keep it.
+  explicit PureExecutor(const PhysicalCircuit& circuit);
 
   /// `<Z>` of each readout slot for one (sample, theta) replay, ordered by
-  /// position in circuit.readout_physical().
+  /// position in readout_slots().
   std::vector<double> run_z(std::span<const double> x,
                             std::span<const double> theta = {}) const;
 
@@ -157,27 +144,37 @@ class PureExecutor {
                         const ObservableWeightFn& weight_fn) const;
 
   int num_trainable() const { return program_.num_trainable(); }
-  const PhysicalCircuit& circuit() const { return circuit_; }
   const CompiledProgram& program() const { return program_; }
+  const std::vector<int>& readout_slots() const { return slots_; }
 
   /// Resident bytes of this executor, as NoisyExecutor::footprint_bytes.
   std::size_t footprint_bytes() const;
 
  private:
-  PhysicalCircuit circuit_;
   CompiledProgram program_;
   SlotReadout readout_;  ///< the readout slots, no confusion
+  std::vector<int> slots_;
 };
 
-/// Noise-free reference: runs the physical circuit gate by gate on a state
-/// vector. Ground truth for the compiled engine's equivalence tests
-/// (physical vs logical semantics, compiled vs reference replay).
-StateVector run_physical_pure(const PhysicalCircuit& circuit,
-                              std::span<const double> x);
+/// Final density matrix (before readout error) of `circuit` under `noise`
+/// via the gate-by-gate walk. Reference path for the compiled engine's
+/// equivalence tests.
+DensityMatrix run_density(const PhysicalCircuit& circuit,
+                          const NoiseModel& noise, std::span<const double> x);
 
-/// Reference overload for circuits lowered with trainable angles symbolic.
+/// Exact NoisyExecutor(circuit, noise).run_z(x) recomputed through
+/// run_density and the full-vector apply_readout_error — the uncompiled
+/// reference.
+std::vector<double> run_z_reference(const PhysicalCircuit& circuit,
+                                    const NoiseModel& noise,
+                                    std::span<const double> x);
+
+/// Noise-free reference: runs the physical circuit gate by gate on a state
+/// vector (`theta` binds the trainable angles a symbolic lowering left).
+/// Ground truth for the compiled engine's equivalence tests (physical vs
+/// logical semantics, compiled vs reference replay).
 StateVector run_physical_pure(const PhysicalCircuit& circuit,
                               std::span<const double> x,
-                              std::span<const double> theta);
+                              std::span<const double> theta = {});
 
 }  // namespace qucad

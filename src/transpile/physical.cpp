@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/heap_bytes.hpp"
 #include "common/require.hpp"
 
 namespace qucad {
@@ -90,10 +89,6 @@ std::string PhysicalCircuit::summary() const {
       << pulse_count() << " pulses, " << rz_count() << " rz, depth "
       << depth();
   return out.str();
-}
-
-std::size_t PhysicalCircuit::heap_bytes() const {
-  return qucad::heap_bytes(ops_) + qucad::heap_bytes(readout_physical_);
 }
 
 }  // namespace qucad

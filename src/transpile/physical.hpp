@@ -75,9 +75,6 @@ class PhysicalCircuit {
 
   std::string summary() const;
 
-  /// Heap bytes held by the op list and the readout slots.
-  std::size_t heap_bytes() const;
-
  private:
   int num_qubits_ = 0;
   std::vector<PhysOp> ops_;

@@ -135,7 +135,7 @@ TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
   const BackendDiagnostics diag = backend->diagnostics();
   EXPECT_EQ(diag.kind, BackendKind::kDensityNoisy);
   EXPECT_GT(diag.compiled_ops, 0u);
-  EXPECT_EQ(diag.num_qubits, direct->circuit().num_qubits());
+  EXPECT_EQ(diag.num_qubits, direct->program().num_qubits());
 }
 
 TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
@@ -460,12 +460,13 @@ TEST(BackendRegistry, DensityExactPathMatchesReferenceWithScatteredReadout) {
       transpile_model(fx.model.circuit, fx.model.readout_qubits,
                       CouplingMap::belem(), &fx.history.day(0));
   const auto backend = must_make(BackendConfig{}, fx.context());
-  const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
-      fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
+  const PhysicalCircuit circuit =
+      lower_noisy_circuit(fx.model, fx.transpiled, fx.theta);
+  const NoiseModel noise(fx.history.day(0));
   const auto batch = backend->run_logits_batch(fx.data.features);
   for (std::size_t i = 0; i < fx.data.size(); ++i) {
     const std::vector<double> reference =
-        direct->run_z_reference(fx.data.features[i]);
+        run_z_reference(circuit, noise, fx.data.features[i]);
     ASSERT_EQ(batch[i].size(), 2u);
     for (std::size_t k = 0; k < 2; ++k) {
       EXPECT_NEAR(batch[i][k], reference[k], kAgreementTol)
@@ -493,22 +494,23 @@ double chi_square(const std::vector<int>& counts,
   return chi2;
 }
 
-/// Draws 1e5 shots per seed from the density engine's confused slot
-/// marginals of `x` and pins the chi-square statistic below the p = 0.001
-/// critical value; also checks the engine's own shot path ends in exactly
-/// these counts.
-void expect_multinomial_matches_marginals(const NoisyExecutor& executor,
+/// Draws 1e5 shots per seed from the confused slot marginals of `x` (the
+/// gate-by-gate density of `circuit` under `noise`) and pins the chi-square
+/// statistic below the p = 0.001 critical value; also checks the engine
+/// compiled from them ends in exactly these counts on its own shot path.
+void expect_multinomial_matches_marginals(const PhysicalCircuit& circuit,
+                                          const NoiseModel& noise,
                                           const std::vector<double>& x,
                                           double critical) {
-  const PhysicalCircuit& circuit = executor.circuit();
+  const NoisyExecutor executor(circuit, noise);
   std::vector<ReadoutError> errors;
   for (int pq : circuit.readout_physical()) {
-    errors.push_back(executor.noise().readout()[static_cast<std::size_t>(pq)]);
+    errors.push_back(noise.readout()[static_cast<std::size_t>(pq)]);
   }
   const SlotReadout readout(circuit.num_qubits(), circuit.readout_physical(),
                             errors);
   const std::vector<double> probs =
-      executor.run_density(x).diagonal_probabilities();
+      run_density(circuit, noise, x).diagonal_probabilities();
   std::vector<double> bins;
   readout.confused_bins(probs, bins);
   ASSERT_EQ(bins.size(), std::size_t{1} << circuit.readout_physical().size());
@@ -537,10 +539,10 @@ void expect_multinomial_matches_marginals(const NoisyExecutor& executor,
 
 TEST(SlotReadout, MultinomialMatchesConfusedMarginalsTwoSlots) {
   const BackendFixture fx;
-  const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
-      fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
   // 3 degrees of freedom: chi2(0.999) = 16.27.
-  expect_multinomial_matches_marginals(*executor, fx.data.features[0], 16.27);
+  expect_multinomial_matches_marginals(
+      lower_noisy_circuit(fx.model, fx.transpiled, fx.theta),
+      NoiseModel(fx.history.day(0)), fx.data.features[0], 16.27);
 }
 
 TEST(SlotReadout, MultinomialMatchesConfusedMarginalsFourSlotsVibration) {
@@ -553,11 +555,11 @@ TEST(SlotReadout, MultinomialMatchesConfusedMarginalsFourSlotsVibration) {
       &history.day(0));
   const Dataset raw = make_vibration(8, 23);
   const Dataset data = FeatureScaler::fit(raw).transform(raw);
-  const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
-      model, transpiled, theta, history.day(1), {});
-  ASSERT_EQ(executor->circuit().readout_physical().size(), 4u);
+  const PhysicalCircuit circuit = lower_noisy_circuit(model, transpiled, theta);
+  ASSERT_EQ(circuit.readout_physical().size(), 4u);
   // 15 degrees of freedom: chi2(0.999) = 37.70.
-  expect_multinomial_matches_marginals(*executor, data.features[3], 37.70);
+  expect_multinomial_matches_marginals(circuit, NoiseModel(history.day(1)),
+                                       data.features[3], 37.70);
 }
 
 TEST(SlotReadout, BinomialDrawsHaveBinomialSpread) {
@@ -710,6 +712,18 @@ TEST(BackendThreading, EvaluatorDispatchesConfiguredBackend) {
   EXPECT_FALSE(noisy_evaluate_or(fx.model, fx.transpiled, fx.theta, fx.data,
                                  fx.history.day(0), invalid)
                    .ok());
+}
+
+TEST(BackendStatus, OtherDeviceCalibrationIsInvalidArgument) {
+  // A 7-qubit jakarta calibration for a belem-routed model covers every
+  // routed qubit but is not the routed device: the density engine needs
+  // the widths equal, so the Status surface refuses it up front.
+  const BackendFixture fx;
+  const CalibrationHistory jakarta{FluctuationScenario::jakarta(), 1, 4242};
+  const auto result = noisy_evaluate_or(fx.model, fx.transpiled, fx.theta,
+                                        fx.data, jakarta.day(0), {});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BackendThreading, HarnessBackendOverride) {

@@ -217,7 +217,9 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
 TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
   const BatchedFixture fx;
   const StatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
-  const auto& slots = fx.executor->circuit().readout_physical();
+  const PhysicalCircuit circuit =
+      lower_pure_circuit(fx.model.circuit, fx.model.readout_qubits);
+  const auto& slots = fx.executor->readout_slots();
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
@@ -234,8 +236,7 @@ TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
       const StatevectorBackend alone(fx.executor, fx.theta, {}, 256, 41 + i);
       EXPECT_EQ(logits[i], alone.run_logits(xs[i]));
 
-      const StateVector oracle =
-          run_physical_pure(fx.executor->circuit(), xs[i], fx.theta);
+      const StateVector oracle = run_physical_pure(circuit, xs[i], fx.theta);
       ASSERT_EQ(pure[i].size(), slots.size());
       for (std::size_t k = 0; k < slots.size(); ++k) {
         EXPECT_NEAR(pure[i][k], oracle.expectation_z(slots[k]), kAgreementTol)
@@ -286,6 +287,9 @@ TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
   // bitwise the width-1 one, and both inside the documented 1e-10 envelope
   // of the uncompiled gate-by-gate reference.
   const NoisyBatchedFixture fx;
+  const PhysicalCircuit circuit =
+      lower_noisy_circuit(fx.model, fx.transpiled, fx.theta);
+  const NoiseModel noise(fx.history.day(0));
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
@@ -294,7 +298,7 @@ TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
     for (std::size_t i = 0; i < n; ++i) {
       SCOPED_TRACE("sample " + std::to_string(i));
       EXPECT_EQ(density[i], fx.noisy->run_z(xs[i]));
-      const auto reference = fx.noisy->run_z_reference(xs[i]);
+      const auto reference = run_z_reference(circuit, noise, xs[i]);
       ASSERT_EQ(density[i].size(), reference.size());
       for (std::size_t k = 0; k < reference.size(); ++k) {
         EXPECT_NEAR(density[i][k], reference[k], kAgreementTol) << "slot " << k;

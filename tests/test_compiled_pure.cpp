@@ -120,7 +120,8 @@ TEST_F(CompiledPureTest, ForwardMatchesLogicalAndBoundLowering) {
     sv.run(c, theta, x);
     // Ground truth 2: the gate-by-gate physical replay of the same symbolic
     // circuit.
-    const StateVector phys_ref = run_physical_pure(executor->circuit(), x, theta);
+    const StateVector phys_ref =
+        run_physical_pure(lower_pure_circuit(c, all_qubits(nq)), x, theta);
 
     const auto z = executor->run_z(x, theta);
     ASSERT_EQ(z.size(), static_cast<std::size_t>(nq));

@@ -140,8 +140,7 @@ TEST(Executor, RunDensityTracePreserved) {
   cal.set_cx_error(0, 1, 0.05);
   cal.set_cx_error(1, 2, 0.08);
   const NoiseModel nm(cal);
-  const NoisyExecutor executor(phys, nm);
-  const DensityMatrix dm = executor.run_density({});
+  const DensityMatrix dm = run_density(phys, nm, {});
   EXPECT_NEAR(dm.trace_real(), 1.0, 1e-9);
   EXPECT_LE(dm.purity(), 1.0 + 1e-9);
 }

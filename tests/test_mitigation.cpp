@@ -221,8 +221,8 @@ TEST(Stability, DriftingCalibrationsReduceReproducibility) {
     small.set_cx_error(0, 1, full.cx_error(0, 1));
     small.set_readout(0, full.readout(0));
     small.set_readout(1, full.readout(1));
-    const NoisyExecutor ex(phys, NoiseModel(small));
-    drifting.push_back(ex.run_density({}).diagonal_probabilities());
+    drifting.push_back(
+        run_density(phys, NoiseModel(small), {}).diagonal_probabilities());
     frozen.push_back(drifting.front());
   }
   EXPECT_GT(reproducibility_spread(drifting),

@@ -294,6 +294,37 @@ TEST(ServeCalibration, BootstrapCompressionAddsEntryAndSwaps) {
             service->manager().repository().entry(0).theta);
 }
 
+TEST(ServeCalibration, OtherDeviceCalibrationLeavesBootstrapIntact) {
+  // A jakarta calibration pushed to a belem service with an empty
+  // repository is refused before the repository decision: it must not fix
+  // the matching weights or the feature width, so the next valid event
+  // still bootstraps.
+  ServeFixture fx;
+  const CalibrationHistory jakarta{FluctuationScenario::jakarta(), 1, 77};
+  EXPECT_EQ(InferenceService::create(fx.env, {}, jakarta.day(0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  StatusOr<InferenceService> service =
+      InferenceService::create(fx.env, {}, fx.history.day(0));
+  ASSERT_TRUE(service.ok());
+
+  const StatusOr<CalibrationReport> refused =
+      service->on_calibration(jakarta.day(0));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service->manager().repository().size(), 0u);
+  EXPECT_EQ(service->active_epoch(), 1u);
+
+  const StatusOr<CalibrationReport> report =
+      service->on_calibration(fx.history.day(5));
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report->decision.action,
+            OnlineManager::Decision::Action::NewModel);
+  EXPECT_TRUE(report->swapped);
+  EXPECT_EQ(service->manager().repository().size(), 1u);
+}
+
 TEST(ServeCalibration, FailurePolicyGovernsGuidance2Days) {
   ServeFixture fx;
   ModelRepository weak_repo;

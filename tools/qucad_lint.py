@@ -13,6 +13,11 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         src/backend/, src/sim/, src/transpile/ (the engines
                         themselves) — consumers go through
                         BackendRegistry / CompiledEvalCache.
+  oracle-only           run_density / run_z_reference / run_physical_pure
+                        are the gate-by-gate test oracles: src/ and
+                        examples/ never call them (only
+                        src/transpile/executor.{hpp,cpp}, which declare and
+                        define them); tests and benches may.
   positional-readout    run_z / run_logits / zne_expectations output is
                         ordered by readout slot, never indexed by qubit
                         id: flags subscripting a z/logit/expectation
@@ -75,11 +80,13 @@ CMAKE_FILE = "CMakeLists.txt"
 
 class Rule:
     def __init__(self, rule_id, pattern, message, dirs, cmake=False,
-                 outside_try=False):
+                 outside_try=False, exempt=()):
         self.rule_id = rule_id
         self.pattern = re.compile(pattern)
         self.message = message
         self.dirs = dirs
+        # Path prefixes under `dirs` the rule does not scan.
+        self.exempt = exempt
         # A CMake rule scans every CMakeLists.txt (`dirs` unused); the others
         # scan the C++ sources under `dirs`.
         self.cmake = cmake
@@ -104,6 +111,16 @@ RULES = [
         "construct execution engines through BackendRegistry / "
         "CompiledEvalCache, not directly (registry-only backend invariant)",
         dirs=("src", "bench", "examples"),
+        # The engines' own directories may construct freely.
+        exempt=("src/sim/", "src/transpile/", "src/backend/"),
+    ),
+    Rule(
+        "oracle-only",
+        r"\b(?:run_density|run_z_reference|run_physical_pure)\s*\(",
+        "run_density/run_z_reference/run_physical_pure are gate-by-gate test "
+        "oracles; program code replays the compiled engines instead",
+        dirs=("src", "examples"),
+        exempt=("src/transpile/executor.hpp", "src/transpile/executor.cpp"),
     ),
     Rule(
         "positional-readout",
@@ -143,9 +160,6 @@ RULES = [
         cmake=True,
     ),
 ]
-
-# registry-only-backend: the engines' own directories may construct freely.
-ENGINE_DIRS = ("src/sim", "src/transpile", "src/backend")
 
 
 def strip_comments_and_strings(text):
@@ -257,9 +271,7 @@ def rule_applies(rule, rel):
     rel_posix = rel.as_posix()
     if rule.cmake or rel.name == CMAKE_FILE:
         return rule.cmake and rel.name == CMAKE_FILE
-    if rule.rule_id == "registry-only-backend" and any(
-        rel_posix.startswith(d + "/") for d in ENGINE_DIRS
-    ):
+    if rel_posix.startswith(rule.exempt):
         return False
     return any(rel_posix.startswith(d + "/") for d in rule.dirs)
 
@@ -325,6 +337,13 @@ SELF_TEST_CASES = {
          "auto g() { return std::make_shared<const StatevectorBackend>(\n"
          "    executor, theta, {}, 64, 7); }\n"),
     ],
+    "oracle-only": [
+        ("src/serve/bad_oracle.cpp",
+         "auto f() { return run_z_reference(circuit, noise, x); }\n"),
+        ("examples/bad_oracle.cpp",
+         "double g() { return run_density(phys, nm, x).trace_real() +\n"
+         "    run_physical_pure(phys, x).probabilities()[0]; }\n"),
+    ],
     "positional-readout": [
         ("src/eval/bad.cpp",
          "double g() { return logits[readout_qubits[0]]; }\n"
@@ -374,6 +393,12 @@ CLEAN_FILES = [
      "  } catch (const std::system_error&) {\n    return fail();\n  }\n"
      "  return Status();\n}\n"
      "void h() try { std::thread t{work}; t.join(); } catch (...) {}\n"),
+    ("src/transpile/executor.cpp",
+     # The oracles' own definitions, calling one another.
+     "StateVector run_physical_pure(const PhysicalCircuit& c, X x) {\n"
+     "  return run_physical_pure(c, x, {});\n}\n"
+     "std::vector<double> run_z_reference(const PhysicalCircuit& c,\n"
+     "    const NoiseModel& n, X x) { return run_density(c, n, x).z(); }\n"),
     ("src/sim/good.cpp",
      # A per-lane omp simd loop (no reduction clause) and a reduction named
      # only in a comment.
