@@ -20,6 +20,11 @@ namespace qucad {
 
 namespace {
 
+void require_pair(int q0, int q1, int num_qubits) {
+  require(q0 >= 0 && q0 < num_qubits && q1 >= 0 && q1 < num_qubits && q0 != q1,
+          "invalid qubit pair");
+}
+
 /// One matrix copied into every lane, for the uniform entry points that
 /// share the per-lane kernel. (The statevector's apply1 / apply_diag1, the
 /// pure engine's hottest ops, keep their own register-constant kernels.)
@@ -197,9 +202,7 @@ inline void crot_rows(double* r00, double* i00, double* r01, double* i01,
 template <std::size_t L>
 void BatchedStateVector<L>::apply_crot_lanes(int control, int target,
                                              const std::array<cplx, 4>* ms) {
-  require(control >= 0 && control < num_qubits_ && target >= 0 &&
-              target < num_qubits_ && control != target,
-          "invalid qubit pair");
+  require_pair(control, target, num_qubits_);
   double mr[4][kLanes];
   double mi[4][kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) {
@@ -219,30 +222,6 @@ void BatchedStateVector<L>::apply_crot_lanes(int control, int target,
               re_.data() + i01 * kLanes, im_.data() + i01 * kLanes,
               re_.data() + i10 * kLanes, im_.data() + i10 * kLanes,
               re_.data() + i11 * kLanes, im_.data() + i11 * kLanes, mr, mi);
-  }
-}
-
-template <std::size_t L>
-void BatchedStateVector<L>::apply_cx(int control, int target) {
-  require(control >= 0 && control < num_qubits_ && target >= 0 &&
-              target < num_qubits_ && control != target,
-          "invalid qubit pair");
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    if (!(i & mc) || (i & mt)) continue;
-    double* ra = re_.data() + i * kLanes;
-    double* ia = im_.data() + i * kLanes;
-    double* rb = re_.data() + (i | mt) * kLanes;
-    double* ib = im_.data() + (i | mt) * kLanes;
-#pragma omp simd
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const double tr = ra[l], ti = ia[l];
-      ra[l] = rb[l];
-      ia[l] = ib[l];
-      rb[l] = tr;
-      ib[l] = ti;
-    }
   }
 }
 
@@ -279,109 +258,63 @@ void BatchedStateVector<L>::lane_probabilities(
 }
 
 // ---------------------------------------------------------------------------
-// BatchedDensityMatrix: the noisy engine's lane state. Unitaries mirror the
-// DensityMatrix oracle pass for pass (left multiply then right multiply),
-// with the complex arithmetic expanded over the SoA planes in std::complex
-// expression order — the contract described at the top of the file.
+// BatchedDensityMatrix: the noisy engine's lane state, a BatchedStateVector
+// on twice the qubits. A unitary is DensityMatrix's left multiply (the
+// statevector kernel on the row qubits) followed by its right multiply by
+// U^dag (the same kernel with conj(U) on the column qubits). The oracle's
+// right multiply forms v * conj(a) where the kernel forms conj(a) * v; IEEE
+// mul and add commute exactly, so the bits agree. The kernels below are
+// the passes a statevector cannot express.
 // ---------------------------------------------------------------------------
 
-template <std::size_t L>
-BatchedDensityMatrix<L>::BatchedDensityMatrix(int num_qubits)
-    : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
-  require(num_qubits > 0 && num_qubits <= kMaxQubits,
+namespace {
+
+int density_register_qubits(int num_qubits, int max_qubits) {
+  require(num_qubits > 0 && num_qubits <= max_qubits,
           "batched density matrix qubit count out of range");
-  re_.assign(dim_ * dim_ * kLanes, 0.0);
-  im_.assign(dim_ * dim_ * kLanes, 0.0);
-  for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
+  return 2 * num_qubits;
+}
+
+std::array<cplx, 4> conj2(const std::array<cplx, 4>& m) {
+  return {std::conj(m[0]), std::conj(m[1]), std::conj(m[2]), std::conj(m[3])};
 }
 
 template <std::size_t L>
-void BatchedDensityMatrix<L>::reset() {
-  std::fill(re_.begin(), re_.end(), 0.0);
-  std::fill(im_.begin(), im_.end(), 0.0);
-  for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
+std::array<std::array<cplx, 4>, L> conj_lanes(const std::array<cplx, 4>* ms) {
+  std::array<std::array<cplx, 4>, L> out;
+  for (std::size_t l = 0; l < L; ++l) out[l] = conj2(ms[l]);
+  return out;
+}
+
+}  // namespace
+
+template <std::size_t L>
+BatchedDensityMatrix<L>::BatchedDensityMatrix(int num_qubits)
+    : reg_(density_register_qubits(num_qubits, kMaxQubits)),
+      num_qubits_(num_qubits),
+      dim_(std::size_t{1} << num_qubits) {}
+
+template <std::size_t L>
+void BatchedDensityMatrix<L>::apply1(int q, const std::array<cplx, 4>& u) {
+  require(q >= 0 && q < num_qubits_, "qubit index out of range");
+  reg_.apply1(q + num_qubits_, u);
+  reg_.apply1(q, conj2(u));
 }
 
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply1_lanes(int q,
                                            const std::array<cplx, 4>* us) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
-  // Lane-major operand rows, plus the conjugates the right pass needs
-  // (DensityMatrix::right_mul1_dag conjugates once up front).
-  double ar[4][kLanes], ai[4][kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    for (std::size_t e = 0; e < 4; ++e) {
-      ar[e][l] = us[l][e].real();
-      ai[e][l] = us[l][e].imag();
-    }
-  }
-  const std::size_t stride = std::size_t{1} << q;
-  // Pass 1: rho -> U rho (row pairs), same traversal as left_mul1.
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if (r & stride) continue;
-    const std::size_t r1 = r | stride;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      double* r0p = re_.data() + (r * dim_ + c) * kLanes;
-      double* i0p = im_.data() + (r * dim_ + c) * kLanes;
-      double* r1p = re_.data() + (r1 * dim_ + c) * kLanes;
-      double* i1p = im_.data() + (r1 * dim_ + c) * kLanes;
-#pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v0r = r0p[l], v0i = i0p[l];
-        const double v1r = r1p[l], v1i = i1p[l];
-        // row0 = a0 * v0 + a1 * v1 ; row1 = a2 * v0 + a3 * v1
-        r0p[l] = (ar[0][l] * v0r - ai[0][l] * v0i) +
-                 (ar[1][l] * v1r - ai[1][l] * v1i);
-        i0p[l] = (ar[0][l] * v0i + ai[0][l] * v0r) +
-                 (ar[1][l] * v1i + ai[1][l] * v1r);
-        r1p[l] = (ar[2][l] * v0r - ai[2][l] * v0i) +
-                 (ar[3][l] * v1r - ai[3][l] * v1i);
-        i1p[l] = (ar[2][l] * v0i + ai[2][l] * v0r) +
-                 (ar[3][l] * v1i + ai[3][l] * v1r);
-      }
-    }
-  }
-  // Pass 2: rho -> rho U^dag (column pairs), same traversal as
-  // DensityMatrix::right_mul1_dag. conj(a) negates ai, and the oracle
-  // multiplies v * conj(a): re = vr*ar + vi*ai, im = -vr*ai + vi*ar after
-  // expanding the conjugate — written with the same signs below.
-  for (std::size_t r = 0; r < dim_; ++r) {
-    const std::size_t row = r * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if (c & stride) continue;
-      const std::size_t c1 = c | stride;
-      double* r0p = re_.data() + (row + c) * kLanes;
-      double* i0p = im_.data() + (row + c) * kLanes;
-      double* r1p = re_.data() + (row + c1) * kLanes;
-      double* i1p = im_.data() + (row + c1) * kLanes;
-#pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v0r = r0p[l], v0i = i0p[l];
-        const double v1r = r1p[l], v1i = i1p[l];
-        // row[c]  = v0 * conj(a0) + v1 * conj(a1)
-        // row[c1] = v0 * conj(a2) + v1 * conj(a3)
-        r0p[l] = (v0r * ar[0][l] - v0i * -ai[0][l]) +
-                 (v1r * ar[1][l] - v1i * -ai[1][l]);
-        i0p[l] = (v0r * -ai[0][l] + v0i * ar[0][l]) +
-                 (v1r * -ai[1][l] + v1i * ar[1][l]);
-        r1p[l] = (v0r * ar[2][l] - v0i * -ai[2][l]) +
-                 (v1r * ar[3][l] - v1i * -ai[3][l]);
-        i1p[l] = (v0r * -ai[2][l] + v0i * ar[2][l]) +
-                 (v1r * -ai[3][l] + v1i * ar[3][l]);
-      }
-    }
-  }
-}
-
-template <std::size_t L>
-void BatchedDensityMatrix<L>::apply1(int q, const std::array<cplx, 4>& u) {
-  apply1_lanes(q, broadcast<L>(u).data());
+  reg_.apply1_lanes(q + num_qubits_, us);
+  reg_.apply1_lanes(q, conj_lanes<L>(us).data());
 }
 
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_diag1_lanes(
     int q, const std::array<cplx, 4>* ms) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
+  double* re = reg_.re();
+  double* im = reg_.im();
   // Per-lane scale factors, derived with the same host-side std::complex
   // expressions as DensityMatrix::apply_diag1.
   double n0[kLanes], n1[kLanes];
@@ -405,14 +338,14 @@ void BatchedDensityMatrix<L>::apply_diag1_lanes(
     for (std::size_t c = 0; c < dim_; ++c) {
       if (c & mq) continue;
       const std::size_t c1 = c | mq;
-      double* p00r = re_.data() + (r * dim_ + c) * kLanes;
-      double* p00i = im_.data() + (r * dim_ + c) * kLanes;
-      double* p01r = re_.data() + (r * dim_ + c1) * kLanes;
-      double* p01i = im_.data() + (r * dim_ + c1) * kLanes;
-      double* p10r = re_.data() + (r1 * dim_ + c) * kLanes;
-      double* p10i = im_.data() + (r1 * dim_ + c) * kLanes;
-      double* p11r = re_.data() + (r1 * dim_ + c1) * kLanes;
-      double* p11i = im_.data() + (r1 * dim_ + c1) * kLanes;
+      double* p00r = re + (r * dim_ + c) * kLanes;
+      double* p00i = im + (r * dim_ + c) * kLanes;
+      double* p01r = re + (r * dim_ + c1) * kLanes;
+      double* p01i = im + (r * dim_ + c1) * kLanes;
+      double* p10r = re + (r1 * dim_ + c) * kLanes;
+      double* p10i = im + (r1 * dim_ + c) * kLanes;
+      double* p11r = re + (r1 * dim_ + c1) * kLanes;
+      double* p11i = im + (r1 * dim_ + c1) * kLanes;
 #pragma omp simd
       for (std::size_t l = 0; l < kLanes; ++l) {
         p00r[l] *= n0[l];
@@ -436,126 +369,18 @@ void BatchedDensityMatrix<L>::apply_diag1(int q, cplx d0, cplx d1) {
 }
 
 template <std::size_t L>
-void BatchedDensityMatrix<L>::apply2_lanes(int q0, int q1,
-                                           const std::array<cplx, 16>* us) {
-  require(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 && q1 < num_qubits_ &&
-              q0 != q1,
-          "invalid qubit pair");
-  // Lane-major operands and their dagger (adag[c*4+r] = conj(a[r*4+c]),
-  // precomputed once as in right_mul2_dag).
-  double ar[16][kLanes], ai[16][kLanes];
-  double dr[16][kLanes], di[16][kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t c = 0; c < 4; ++c) {
-        const cplx a = us[l][r * 4 + c];
-        ar[r * 4 + c][l] = a.real();
-        ai[r * 4 + c][l] = a.imag();
-        const cplx d = std::conj(a);
-        dr[c * 4 + r][l] = d.real();
-        di[c * 4 + r][l] = d.imag();
-      }
-    }
-  }
-  const std::size_t m0 = std::size_t{1} << q0;
-  const std::size_t m1 = std::size_t{1} << q1;
-  // Pass 1: rho -> U rho, same traversal as left_mul2.
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if ((r & m0) || (r & m1)) continue;
-    const std::size_t rr[4] = {r, r | m1, r | m0, r | m0 | m1};
-    for (std::size_t c = 0; c < dim_; ++c) {
-      double* vr[4];
-      double* vi[4];
-      for (int k = 0; k < 4; ++k) {
-        vr[k] = re_.data() + (rr[k] * dim_ + c) * kLanes;
-        vi[k] = im_.data() + (rr[k] * dim_ + c) * kLanes;
-      }
-      double tr[4][kLanes], ti[4][kLanes];
-      for (int k = 0; k < 4; ++k) {
-        const std::size_t k4 = static_cast<std::size_t>(k) * 4;
-#pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          // a[k4+0]*v0 + a[k4+1]*v1 + a[k4+2]*v2 + a[k4+3]*v3, left to right.
-          tr[k][l] = (((ar[k4 + 0][l] * vr[0][l] - ai[k4 + 0][l] * vi[0][l]) +
-                       (ar[k4 + 1][l] * vr[1][l] - ai[k4 + 1][l] * vi[1][l])) +
-                      (ar[k4 + 2][l] * vr[2][l] - ai[k4 + 2][l] * vi[2][l])) +
-                     (ar[k4 + 3][l] * vr[3][l] - ai[k4 + 3][l] * vi[3][l]);
-          ti[k][l] = (((ar[k4 + 0][l] * vi[0][l] + ai[k4 + 0][l] * vr[0][l]) +
-                       (ar[k4 + 1][l] * vi[1][l] + ai[k4 + 1][l] * vr[1][l])) +
-                      (ar[k4 + 2][l] * vi[2][l] + ai[k4 + 2][l] * vr[2][l])) +
-                     (ar[k4 + 3][l] * vi[3][l] + ai[k4 + 3][l] * vr[3][l]);
-        }
-      }
-      for (int k = 0; k < 4; ++k) {
-#pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          vr[k][l] = tr[k][l];
-          vi[k][l] = ti[k][l];
-        }
-      }
-    }
-  }
-  // Pass 2: rho -> rho U^dag, same traversal as right_mul2_dag (the oracle
-  // kernel accumulates v[j] * adag[j*4+k] from complex zero, j ascending).
-  for (std::size_t r = 0; r < dim_; ++r) {
-    const std::size_t row = r * dim_;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if ((c & m0) || (c & m1)) continue;
-      const std::size_t cc[4] = {c, c | m1, c | m0, c | m0 | m1};
-      double* vr[4];
-      double* vi[4];
-      for (int k = 0; k < 4; ++k) {
-        vr[k] = re_.data() + (row + cc[k]) * kLanes;
-        vi[k] = im_.data() + (row + cc[k]) * kLanes;
-      }
-      double tr[4][kLanes], ti[4][kLanes];
-      for (int k = 0; k < 4; ++k) {
-#pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          double accr = 0.0, acci = 0.0;
-          for (int j = 0; j < 4; ++j) {
-            const std::size_t jk = static_cast<std::size_t>(j) * 4 +
-                                   static_cast<std::size_t>(k);
-            accr += vr[j][l] * dr[jk][l] - vi[j][l] * di[jk][l];
-            acci += vr[j][l] * di[jk][l] + vi[j][l] * dr[jk][l];
-          }
-          tr[k][l] = accr;
-          ti[k][l] = acci;
-        }
-      }
-      for (int k = 0; k < 4; ++k) {
-#pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          vr[k][l] = tr[k][l];
-          vi[k][l] = ti[k][l];
-        }
-      }
-    }
-  }
-}
-
-template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_crot_lanes(int control, int target,
                                                const std::array<cplx, 4>* ms) {
-  // CX (I (x) M) CX is block-diagonal: M on control-0, X M X on control-1
-  // (local index = 2*bit(control) + bit(target)).
-  const cplx zero{0.0, 0.0};
-  std::array<std::array<cplx, 16>, L> us;
-  for (std::size_t l = 0; l < L; ++l) {
-    const std::array<cplx, 4>& m = ms[l];
-    us[l] = {m[0], m[1], zero, zero,  //
-             m[2], m[3], zero, zero,  //
-             zero, zero, m[3], m[2],  //
-             zero, zero, m[1], m[0]};
-  }
-  apply2_lanes(control, target, us.data());
+  require_pair(control, target, num_qubits_);
+  reg_.apply_crot_lanes(control + num_qubits_, target + num_qubits_, ms);
+  reg_.apply_crot_lanes(control, target, conj_lanes<L>(ms).data());
 }
 
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
-  require(control >= 0 && control < num_qubits_ && target >= 0 &&
-              target < num_qubits_ && control != target,
-          "invalid qubit pair");
+  require_pair(control, target, num_qubits_);
+  double* re = reg_.re();
+  double* im = reg_.im();
   // CX is a permutation P with P = P^dag = P^-1, so CX rho CX^dag just
   // relabels entries: rho'(r, c) = rho(pi(r), pi(c)) with pi(i) = i XOR
   // target-bit when the control bit is set. Each unordered entry pair is
@@ -563,10 +388,10 @@ void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
   const std::size_t mc = std::size_t{1} << control;
   const std::size_t mt = std::size_t{1} << target;
   auto swap_rows = [&](std::size_t a, std::size_t b) {
-    double* rap = re_.data() + a * kLanes;
-    double* iap = im_.data() + a * kLanes;
-    double* rbp = re_.data() + b * kLanes;
-    double* ibp = im_.data() + b * kLanes;
+    double* rap = re + a * kLanes;
+    double* iap = im + a * kLanes;
+    double* rbp = re + b * kLanes;
+    double* ibp = im + b * kLanes;
 #pragma omp simd
     for (std::size_t l = 0; l < kLanes; ++l) {
       const double tr = rap[l], ti = iap[l];
@@ -595,6 +420,8 @@ void BatchedDensityMatrix<L>::apply_channel1(int q,
                                              const FusedChannel1& channel) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   if (channel.is_identity()) return;
+  double* re = reg_.re();
+  double* im = reg_.im();
   // A local copy: the coefficients then stay in registers instead of being
   // reloaded after every store to the planes (which the compiler must
   // otherwise assume may alias them), so the lane loops vectorize.
@@ -606,14 +433,14 @@ void BatchedDensityMatrix<L>::apply_channel1(int q,
     for (std::size_t c = 0; c < dim_; ++c) {
       if (c & mq) continue;
       const std::size_t c1 = c | mq;
-      double* p00r = re_.data() + (r * dim_ + c) * kLanes;
-      double* p00i = im_.data() + (r * dim_ + c) * kLanes;
-      double* p01r = re_.data() + (r * dim_ + c1) * kLanes;
-      double* p01i = im_.data() + (r * dim_ + c1) * kLanes;
-      double* p10r = re_.data() + (r1 * dim_ + c) * kLanes;
-      double* p10i = im_.data() + (r1 * dim_ + c) * kLanes;
-      double* p11r = re_.data() + (r1 * dim_ + c1) * kLanes;
-      double* p11i = im_.data() + (r1 * dim_ + c1) * kLanes;
+      double* p00r = re + (r * dim_ + c) * kLanes;
+      double* p00i = im + (r * dim_ + c) * kLanes;
+      double* p01r = re + (r * dim_ + c1) * kLanes;
+      double* p01i = im + (r * dim_ + c1) * kLanes;
+      double* p10r = re + (r1 * dim_ + c) * kLanes;
+      double* p10i = im + (r1 * dim_ + c) * kLanes;
+      double* p11r = re + (r1 * dim_ + c1) * kLanes;
+      double* p11i = im + (r1 * dim_ + c1) * kLanes;
 #pragma omp simd
       for (std::size_t l = 0; l < kLanes; ++l) {
         const double v00r = p00r[l], v00i = p00i[l];
@@ -635,10 +462,10 @@ void BatchedDensityMatrix<L>::apply_channel1(int q,
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_channel2(int qa, int qb,
                                              const FusedChannel2& channel) {
-  require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
-              qa != qb,
-          "invalid qubit pair");
+  require_pair(qa, qb, num_qubits_);
   if (channel.is_identity()) return;
+  double* re = reg_.re();
+  double* im = reg_.im();
   const FusedChannel2 ch = channel;  // register-resident: see apply_channel1
   const std::size_t ma = std::size_t{1} << qa;
   const std::size_t mb = std::size_t{1} << qb;
@@ -656,8 +483,8 @@ void BatchedDensityMatrix<L>::apply_channel2(int qa, int qb,
       for (int kr = 0; kr < 4; ++kr) {
         for (int kc = 0; kc < 4; ++kc) {
           const std::size_t idx = (r | offsets[kr]) * dim_ + (c | offsets[kc]);
-          er[kr][kc] = re_.data() + idx * kLanes;
-          ei[kr][kc] = im_.data() + idx * kLanes;
+          er[kr][kc] = re + idx * kLanes;
+          ei[kr][kc] = im + idx * kLanes;
         }
       }
       if (ch.quarter_p != 0.0) {
@@ -728,7 +555,7 @@ void BatchedDensityMatrix<L>::lane_probabilities(
   require(lane < kLanes, "lane index out of range");
   probs.resize(dim_);
   for (std::size_t i = 0; i < dim_; ++i) {
-    probs[i] = re_[(i * dim_ + i) * kLanes + lane];
+    probs[i] = reg_.re()[(i * dim_ + i) * kLanes + lane];
   }
 }
 

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/matrix.hpp"
 
@@ -22,6 +23,13 @@ namespace qucad {
 /// across all lanes with unit-stride inner loops that the compiler
 /// vectorizes (`#pragma omp simd`; build with -fopenmp-simd, no OpenMP
 /// runtime needed).
+///
+/// There is one set of unitary kernels, BatchedStateVector's: a
+/// BatchedDensityMatrix on n qubits IS a BatchedStateVector on 2n (rows on
+/// the upper n register qubits, columns on the lower n), and applies a
+/// unitary as one statevector pass on its row qubits and one with the
+/// conjugate matrix on its column qubits. Only the error channels, the
+/// one-pass diagonal and the CX relabel are density kernels.
 ///
 /// Two widths are instantiated from the same kernels: L = kBlockLanes for
 /// batch blocks, and L = 1 for everything else — the rows of a ragged tail
@@ -157,7 +165,7 @@ class BatchedStateVector {
   std::size_t dim() const { return dim_; }
 
   /// Raw SoA planes, `[amp * L + lane]` — for the adjoint's fused ket/lam
-  /// kernels.
+  /// kernels and BatchedDensityMatrix's own kernels.
   double* re() { return re_.data(); }
   double* im() { return im_.data(); }
   const double* re() const { return re_.data(); }
@@ -182,8 +190,9 @@ class BatchedStateVector {
   /// X ms[lane] X on the control-1 pair.
   void apply_crot_lanes(int control, int target, const std::array<cplx, 4>* ms);
 
-  /// CX as an amplitude-row swap, every lane.
-  void apply_cx(int control, int target);
+  /// CX as an amplitude-row swap, every lane. Defined in this header so
+  /// that every ISA clone of a replay can inline it (sim/isa_clones.hpp).
+  inline void apply_cx(int control, int target);
 
   /// `<Z_q>` for every qubit per lane, written to `out[q * L + lane]` (the
   /// adjoint weight-hook layout).
@@ -201,12 +210,20 @@ class BatchedStateVector {
 };
 
 /// L density matrices evolved in lockstep — the noisy engine's counterpart
-/// of BatchedStateVector. Storage is SoA over the row-major entries:
-/// `re[(r * dim + c) * L + lane]` plus the matching `im` plane. The kernels
-/// follow DensityMatrix's pass structure (left multiply then right multiply
-/// for unitaries), so the gate-by-gate oracle agrees at 1e-10. Error
-/// channels and theta-symbolic angles are lane-uniform by construction
-/// (noise does not depend on the input row).
+/// of BatchedStateVector, stored as one: a row-major rho on n qubits is a
+/// BatchedStateVector<L> on 2n qubits whose amplitude `r * dim + c` holds
+/// entry (r, c), so the planes read `re[(r * dim + c) * L + lane]`. Row
+/// qubit q is register qubit q + n and column qubit q is register qubit q,
+/// and rho -> U rho U^dag is the statevector kernel with U on q + n (the
+/// oracle's left multiply) followed by the same kernel with conj(U) on q
+/// (its right multiply by U^dag): apply1, apply1_lanes and apply_crot_lanes
+/// are exactly that, and match the DensityMatrix oracle bitwise. What a
+/// statevector cannot express keeps a density kernel of its own: the fused
+/// error channels, the one-pass diagonal (it scales by |d|^2 and d0 conj(d1)
+/// as the oracle does) and the CX relabel, which swaps each entry pair once
+/// where two register passes would move every entry twice. Error channels
+/// and theta-symbolic angles are lane-uniform by construction (noise does
+/// not depend on the input row).
 template <std::size_t L>
 class BatchedDensityMatrix {
  public:
@@ -222,11 +239,11 @@ class BatchedDensityMatrix {
   std::size_t dim() const { return dim_; }
 
   /// Raw SoA planes, `[(r * dim + c) * L + lane]`.
-  const double* re() const { return re_.data(); }
-  const double* im() const { return im_.data(); }
+  const double* re() const { return reg_.re(); }
+  const double* im() const { return reg_.im(); }
 
   /// Resets every lane to |0...0><0...0|.
-  void reset();
+  void reset() { reg_.reset(); }
 
   /// rho -> U rho U^dag on qubit q, one 2x2 for every lane.
   void apply1(int q, const std::array<cplx, 4>& u);
@@ -240,12 +257,8 @@ class BatchedDensityMatrix {
   /// Per-lane diagonals diag(ms[lane][0], ms[lane][3]).
   void apply_diag1_lanes(int q, const std::array<cplx, 4>* ms);
 
-  /// rho -> U rho U^dag for per-lane two-qubit Us (row-major 4x4, local
-  /// index 2*bit(q0) + bit(q1)).
-  void apply2_lanes(int q0, int q1, const std::array<cplx, 16>* us);
-
-  /// Per-lane CRot2 block pass (see BatchedStateVector::apply_crot_lanes),
-  /// as the block-diagonal 4x4 conjugation.
+  /// Per-lane CRot2 block pass (see BatchedStateVector::apply_crot_lanes):
+  /// rho -> U rho U^dag for the block-diagonal U.
   void apply_crot_lanes(int control, int target, const std::array<cplx, 4>* ms);
 
   /// rho -> CX rho CX^dag as the index-pair relabeling, every lane.
@@ -262,11 +275,35 @@ class BatchedDensityMatrix {
   void lane_probabilities(std::size_t lane, std::vector<double>& probs) const;
 
  private:
+  /// rho on 2 * num_qubits_ register qubits, rows above columns.
+  BatchedStateVector<L> reg_;
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
-  LanePlane re_;
-  LanePlane im_;
 };
+
+template <std::size_t L>
+inline void BatchedStateVector<L>::apply_cx(int control, int target) {
+  require(control >= 0 && control < num_qubits_ && target >= 0 &&
+              target < num_qubits_ && control != target,
+          "invalid qubit pair");
+  const std::size_t mc = std::size_t{1} << control;
+  const std::size_t mt = std::size_t{1} << target;
+  for (std::size_t i = 0; i < dim_; ++i) {
+    if (!(i & mc) || (i & mt)) continue;
+    double* ra = re_.data() + i * kLanes;
+    double* ia = im_.data() + i * kLanes;
+    double* rb = re_.data() + (i | mt) * kLanes;
+    double* ib = im_.data() + (i | mt) * kLanes;
+#pragma omp simd
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const double tr = ra[l], ti = ia[l];
+      ra[l] = rb[l];
+      ia[l] = ib[l];
+      rb[l] = tr;
+      ib[l] = ti;
+    }
+  }
+}
 
 extern template class BatchedStateVector<1>;
 extern template class BatchedStateVector<kBlockLanes>;

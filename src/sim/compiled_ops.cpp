@@ -383,20 +383,17 @@ void CompiledProgram::repack() {
   for (CompiledOp& op : ops_) {
     switch (op.kind) {
       case COpKind::Unitary1:
-        unitaries.push_back(unitary(op));
-        op.arg = static_cast<std::uint32_t>(unitaries.size() - 1);
+        op.arg = static_cast<std::uint32_t>(intern(unitaries, unitary(op)));
         break;
       case COpKind::Diag1:
-        diagonals.push_back(diagonal(op));
-        op.arg = static_cast<std::uint32_t>(diagonals.size() - 1);
+        op.arg = static_cast<std::uint32_t>(intern(diagonals, diagonal(op)));
         break;
       case COpKind::SymDiag1:
       case COpKind::SymUni1:
       case COpKind::CRot2: {
         SymSlot s = slot(op);
         if (op.kind == COpKind::SymUni1) {
-          unitaries.push_back(prefix(op));
-          s.factor = static_cast<std::uint32_t>(unitaries.size() - 1);
+          s.factor = static_cast<std::uint32_t>(intern(unitaries, prefix(op)));
         } else if (op.kind == COpKind::CRot2) {
           crot_factors.push_back(crot(op));
           s.factor = static_cast<std::uint32_t>(crot_factors.size() - 1);

@@ -43,9 +43,10 @@ enum class COpKind : std::uint8_t {
 /// The header of one compiled operation: its kind, its qubits and `arg`,
 /// an index into the program pool its kind reads (CompiledProgram's
 /// accessors resolve it):
-///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op);
-///   - SymDiag1 / SymUni1 / CRot2 -> slot(op), plus prefix(op) (SymUni1) or
-///     crot(op) (CRot2), which the slot's `factor` indexes;
+///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op), interned pools;
+///   - SymDiag1 / SymUni1 / CRot2 -> slot(op), plus prefix(op) (SymUni1,
+///     from the interned unitary pool) or crot(op) (CRot2), which the
+///     slot's `factor` indexes;
 ///   - Channel1 / Channel2 -> channel1(op) / channel2(op), interned tables
 ///     holding each distinct coefficient set once;
 ///   - Cx -> nothing (arg is 0).
@@ -122,8 +123,8 @@ struct CompileStats {
 ///  - Every program holder (executors, the eval cache, serving epochs) pays
 ///    for its op storage, so it is compact: 8-byte CompiledOp headers
 ///    indexing one pool per payload type, each pool holding only what the
-///    surviving ops reference, and the channel tables holding each distinct
-///    coefficient set once.
+///    surviving ops reference, and the unitary, diagonal and channel pools
+///    holding each distinct coefficient set once.
 class CompiledProgram {
  public:
   CompiledProgram() = default;
@@ -177,9 +178,16 @@ class CompiledProgram {
   const FusedChannel2& channel2(const CompiledOp& op) const {
     return channel2_table_[op.arg];
   }
-  /// The interned channel tables: one entry per distinct coefficient set
-  /// (in practice one per touched qubit and one per coupled edge), however
-  /// many error sites share it.
+  /// The interned pools: one entry per distinct coefficient set, however
+  /// many sites share it. A circuit's repeated pulse chains share their
+  /// unitaries and diagonals; the channel tables hold in practice one entry
+  /// per touched qubit and one per coupled edge.
+  std::span<const std::array<cplx, 4>> unitary_table() const {
+    return unitaries_;
+  }
+  std::span<const std::array<cplx, 2>> diagonal_table() const {
+    return diagonals_;
+  }
   std::span<const FusedChannel1> channel1_table() const {
     return channel1_table_;
   }
@@ -235,7 +243,8 @@ class CompiledProgram {
   /// Drops the diagonal ops no later op on their qubit can observe.
   void drop_trailing_diagonals();
   /// Rebuilds the pools with only the entries the surviving ops reference,
-  /// in op order, and trims every vector to its size.
+  /// in op order and with equal unitaries and diagonals interned, and trims
+  /// every vector to its size.
   void repack();
 
   int num_qubits_ = 0;

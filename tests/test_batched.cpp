@@ -326,6 +326,118 @@ TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
   }
 }
 
+/// A random 2x2 unitary: e^{i phi} RZ(a) RY(b) RZ(c), every entry nonzero.
+std::array<cplx, 4> random_unitary2(Rng& rng) {
+  const double a = rng.uniform(-test::kPi, test::kPi);
+  const double b = rng.uniform(0.1, 3.0);
+  const double c = rng.uniform(-test::kPi, test::kPi);
+  const cplx phase = std::polar(1.0, rng.uniform(-test::kPi, test::kPi));
+  const double cb = std::cos(b / 2.0);
+  const double sb = std::sin(b / 2.0);
+  return {phase * std::polar(cb, -(a + c) / 2.0),
+          -(phase * std::polar(sb, -(a - c) / 2.0)),
+          phase * std::polar(sb, (a - c) / 2.0),
+          phase * std::polar(cb, (a + c) / 2.0)};
+}
+
+/// Bytewise equality of lane `lane` of `state` and the oracle's entries.
+template <std::size_t L>
+void expect_lane_bitwise_oracle(const BatchedDensityMatrix<L>& state,
+                                std::size_t lane, const DensityMatrix& oracle) {
+  const std::vector<cplx>& rho = oracle.data();
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    const double re = rho[i].real();
+    const double im = rho[i].imag();
+    const double* got_re = state.re() + i * L + lane;
+    const double* got_im = state.im() + i * L + lane;
+    if (std::memcmp(got_re, &re, sizeof re) != 0 ||
+        std::memcmp(got_im, &im, sizeof im) != 0) {
+      ADD_FAILURE() << "width " << L << " lane " << lane << " entry " << i
+                    << ": (" << *got_re << ", " << *got_im << ") vs oracle "
+                    << rho[i];
+      return;
+    }
+  }
+}
+
+TEST(BatchedDensity, UnitaryPassesAreBitwiseTheOracle) {
+  // Every unitary lane kernel reproduces DensityMatrix's arithmetic, so a
+  // random stream of them leaves each lane bitwise equal to a gate-by-gate
+  // oracle run of its own matrices. Per-lane ops give every lane its own
+  // matrix; the width-1 state follows lane 0.
+  constexpr int kQubits = 4;
+  Rng rng(2024);
+  BatchedDensityMatrix<1> one(kQubits);
+  BatchedDensityMatrix<kLanes> block(kQubits);
+  std::vector<DensityMatrix> oracles(kLanes, DensityMatrix(kQubits));
+  const cplx zero{0.0, 0.0};
+  std::array<std::array<cplx, 4>, kLanes> ms;
+  for (int step = 0; step < 400; ++step) {
+    const int q0 = rng.integer(0, kQubits - 1);
+    int q1 = rng.integer(0, kQubits - 2);
+    if (q1 >= q0) ++q1;
+    switch (rng.integer(0, 5)) {
+      case 0: {
+        const std::array<cplx, 4> u = random_unitary2(rng);
+        one.apply1(q0, u);
+        block.apply1(q0, u);
+        for (DensityMatrix& o : oracles) o.apply1(q0, u);
+        break;
+      }
+      case 1:
+        for (auto& m : ms) m = random_unitary2(rng);
+        one.apply1_lanes(q0, ms.data());
+        block.apply1_lanes(q0, ms.data());
+        for (std::size_t l = 0; l < kLanes; ++l) oracles[l].apply1(q0, ms[l]);
+        break;
+      case 2: {
+        const cplx d0 = std::polar(1.0, rng.uniform(-test::kPi, test::kPi));
+        const cplx d1 = std::polar(1.0, rng.uniform(-test::kPi, test::kPi));
+        one.apply_diag1(q0, d0, d1);
+        block.apply_diag1(q0, d0, d1);
+        for (DensityMatrix& o : oracles) o.apply_diag1(q0, d0, d1);
+        break;
+      }
+      case 3:
+        for (auto& m : ms) {
+          m = {std::polar(1.0, rng.uniform(-test::kPi, test::kPi)), zero, zero,
+               std::polar(1.0, rng.uniform(-test::kPi, test::kPi))};
+        }
+        one.apply_diag1_lanes(q0, ms.data());
+        block.apply_diag1_lanes(q0, ms.data());
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          oracles[l].apply_diag1(q0, ms[l][0], ms[l][3]);
+        }
+        break;
+      case 4:
+        one.apply_cx(q0, q1);
+        block.apply_cx(q0, q1);
+        for (DensityMatrix& o : oracles) {
+          o.apply_gate(Gate{GateKind::CX, q0, q1, {}, 0.0}, 0.0);
+        }
+        break;
+      default:
+        for (auto& m : ms) m = random_unitary2(rng);
+        one.apply_crot_lanes(q0, q1, ms.data());
+        block.apply_crot_lanes(q0, q1, ms.data());
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          // Block-diagonal: M on control 0, X M X on control 1 (local index
+          // 2 * bit(control) + bit(target)).
+          const std::array<cplx, 4>& m = ms[l];
+          oracles[l].apply2(q0, q1, {m[0], m[1], zero, zero,  //
+                                     m[2], m[3], zero, zero,  //
+                                     zero, zero, m[3], m[2],  //
+                                     zero, zero, m[1], m[0]});
+        }
+        break;
+    }
+  }
+  expect_lane_bitwise_oracle(one, 0, oracles[0]);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    expect_lane_bitwise_oracle(block, l, oracles[l]);
+  }
+}
+
 // Cross-ISA pins. CompiledProgram::run_lanes / run_pure_lanes dispatch to
 // per-ISA clones of the replay (sim/isa_clones.hpp) that inline their own
 // copies of the lane kernels, while the out-of-line BatchedDensityMatrix /

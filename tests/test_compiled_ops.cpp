@@ -63,22 +63,27 @@ cplx entry(const BatchedDensityMatrix<1>& rho, std::size_t i) {
   return {rho.re()[i], rho.im()[i]};
 }
 
-/// Runs a bound logical circuit on a width-1 lane density matrix with the
-/// same gate matrices DensityMatrix::apply_gate uses.
-void run_on_lanes(BatchedDensityMatrix<1>& rho, const Circuit& c) {
-  for (const Gate& g : c.gates()) {
-    const double angle = c.resolve_angle(g, {}, {});
-    if (g.kind == GateKind::RZ) {
-      rho.apply_diag1(g.q0, std::exp(cplx{0.0, -angle / 2.0}),
-                      std::exp(cplx{0.0, angle / 2.0}));
-      continue;
-    }
-    const CMat m = gate_matrix(g.kind, angle);
-    if (g.num_qubits() == 1) {
-      rho.apply1(g.q0, as_array2(m));
-    } else {
-      const std::array<cplx, 16> u = as_array4(m);
-      rho.apply2_lanes(g.q0, g.q1, &u);
+/// Runs a basis-lowered circuit on a width-1 lane density matrix with the
+/// same gate matrices run_density uses.
+void run_on_lanes(BatchedDensityMatrix<1>& rho, const PhysicalCircuit& c,
+                  std::span<const double> x) {
+  for (const PhysOp& op : c.ops()) {
+    switch (op.kind) {
+      case PhysOpKind::RZ: {
+        const double angle = op.resolve_angle(x);
+        rho.apply_diag1(op.q0, std::exp(cplx{0.0, -angle / 2.0}),
+                        std::exp(cplx{0.0, angle / 2.0}));
+        break;
+      }
+      case PhysOpKind::SX:
+        rho.apply1(op.q0, sx_as_array2());
+        break;
+      case PhysOpKind::X:
+        rho.apply1(op.q0, x_as_array2());
+        break;
+      case PhysOpKind::CX:
+        rho.apply_cx(op.q0, op.q1);
+        break;
     }
   }
 }
@@ -234,11 +239,11 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
   pn.thermal = ThermalChannel{0.02, 0.015};
 
   Rng rng(5);
-  const Circuit c = test::random_circuit(rng, 3, 8);
+  const std::vector<double> x{0.8};
+  const PhysicalCircuit c = random_transpiled(rng, 3, 8, 1);
   BatchedDensityMatrix<1> fused(3);
-  DensityMatrix seq(3);
-  run_on_lanes(fused, c);
-  seq.run(c);
+  DensityMatrix seq = run_density(c, NoiseModel{}, x);
+  run_on_lanes(fused, c, x);
 
   for (int q = 0; q < 3; ++q) {
     fused.apply_channel1(q, fuse_pulse_channel(pn));
@@ -256,11 +261,11 @@ TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
   cn.thermal_second = ThermalChannel{0.015, 0.025};
 
   Rng rng(9);
-  const Circuit c = test::random_circuit(rng, 4, 10);
+  const std::vector<double> x{1.3};
+  const PhysicalCircuit c = random_transpiled(rng, 4, 10, 1);
   BatchedDensityMatrix<1> fused(4);
-  DensityMatrix seq(4);
-  run_on_lanes(fused, c);
-  seq.run(c);
+  DensityMatrix seq = run_density(c, NoiseModel{}, x);
+  run_on_lanes(fused, c, x);
 
   fused.apply_channel2(1, 3, fuse_cx_channel(cn));
   seq.apply_depolarizing2(1, 3, cn.depolarizing_p);
@@ -272,11 +277,11 @@ TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
 
 TEST(FusedChannels, CxPermutationMatchesApply2) {
   Rng rng(11);
-  const Circuit c = test::random_circuit(rng, 4, 12);
+  const std::vector<double> x{2.1};
+  const PhysicalCircuit c = random_transpiled(rng, 4, 12, 1);
   BatchedDensityMatrix<1> perm(4);
-  DensityMatrix mat(4);
-  run_on_lanes(perm, c);
-  mat.run(c);
+  DensityMatrix mat = run_density(c, NoiseModel{}, x);
+  run_on_lanes(perm, c, x);
   perm.apply_cx(2, 0);
   mat.apply_gate(Gate{GateKind::CX, 2, 0, {}, 0.0}, 0.0);
   expect_matches_oracle(perm, mat);
@@ -352,6 +357,8 @@ static_assert(sizeof(CompiledOp) <= 16,
 TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   // Ten noisy pulses on every qubit and six CXs on every edge of a 3-qubit
   // line, both directions: 42 error sites, but only 3 qubits and 2 edges.
+  // The 30 pulses are SX or X, and the CXs flush an RZ(0.3) on each qubit
+  // 3 times: 30 unitary sites of 2 matrices, 9 diagonal sites of 1.
   Rng rng(41);
   const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
   const Calibration cal = noisy_calibration(3, edges, rng);
@@ -361,6 +368,9 @@ TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
       phys.push(PhysOp{rep % 2 == 0 ? PhysOpKind::SX : PhysOpKind::X, q});
     }
     if (rep < 3) {
+      for (int q = 0; q < 3; ++q) {
+        phys.push(PhysOp{PhysOpKind::RZ, q, -1, 0.3});
+      }
       for (const auto& [a, b] : edges) {
         phys.push(PhysOp{PhysOpKind::CX, a, b});
         phys.push(PhysOp{PhysOpKind::CX, b, a});
@@ -374,6 +384,16 @@ TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   EXPECT_EQ(program.stats().channels, 42u);
   EXPECT_EQ(program.channel1_table().size(), 3u);
   EXPECT_EQ(program.channel2_table().size(), 2u);
+  std::size_t unitary_sites = 0;
+  std::size_t diagonal_sites = 0;
+  for (const CompiledOp& op : program.ops()) {
+    unitary_sites += op.kind == COpKind::Unitary1;
+    diagonal_sites += op.kind == COpKind::Diag1;
+  }
+  EXPECT_EQ(unitary_sites, 30u);
+  EXPECT_EQ(program.unitary_table().size(), 2u);
+  EXPECT_EQ(diagonal_sites, 9u);
+  EXPECT_EQ(program.diagonal_table().size(), 1u);
 
   // Every site still replays its own qubit's or edge's coefficients.
   const auto z_ref = run_z_reference(phys, noise, {});
@@ -399,7 +419,7 @@ TEST(CompiledProgramLayout, SeismicBelemDensityProgramIsSmall) {
   ASSERT_GT(program.stats().channels, 0u);
   EXPECT_LE(program.channel1_table().size(), 4u);
   EXPECT_LE(program.channel2_table().size(), 4u);  // belem's four edges
-  EXPECT_LE(program.heap_bytes(), 24u * 1024u)
+  EXPECT_LE(program.heap_bytes(), 14u * 1024u)
       << program.ops().size() << " ops";
   EXPECT_LE(executor->footprint_bytes(), 24u * 1024u);
 }
