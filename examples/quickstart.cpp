@@ -41,12 +41,10 @@ int main() {
   //    read POSITIONALLY: logit k is <Z> of model.readout_qubits[k] (the
   //    readout-slot contract; see docs/ARCHITECTURE.md).
   //
-  //    train_model runs mini-batch Adam on exact adjoint gradients. By
-  //    default it uses the compiled statevector engine: the circuit is
-  //    lowered once with BOTH encoding and trainable angles symbolic, and
-  //    that one compiled program is replayed for every (sample, theta) pair
-  //    (TrainConfig::engine = TrainEngine::kCompiled; kReference selects the
-  //    gate-by-gate ground-truth path the engine is tested against).
+  //    train_model runs mini-batch Adam on exact adjoint gradients from the
+  //    compiled statevector engine: the circuit is lowered once with BOTH
+  //    encoding and trainable angles symbolic, and that one compiled
+  //    program is replayed for every (sample, theta) pair.
   QnnModel model = build_paper_model(/*num_qubits=*/4, /*num_features=*/4,
                                      /*num_classes=*/2, /*repeats=*/2);
   std::vector<double> theta = init_params(model, /*seed=*/3);

@@ -23,7 +23,6 @@ TrainResult noise_aware_train(const QnnModel& model,
   config.logit_scale = options.logit_scale;
   config.seed = options.seed;
   config.frozen = options.frozen;
-  config.engine = options.engine;
 
   const InjectionOptions inject{options.injection_scale};
   const BatchCircuitHook hook = [&calibration, inject](const Circuit& base,

@@ -20,10 +20,6 @@ struct NoiseAwareTrainOptions {
   /// Optional per-parameter freeze mask (1 = pinned); used by compression
   /// fine-tuning to keep snapped parameters at their levels.
   std::vector<std::uint8_t> frozen;
-  /// Gradient engine (see TrainEngine). Fine-tuning is the framework's hot
-  /// loop — every fresh calibration retrains the compressed model — so it
-  /// defaults to the compiled statevector path.
-  TrainEngine engine = TrainEngine::kCompiled;
 };
 
 /// Noise-aware training via noise injection [12]: trains parameters on the

@@ -92,7 +92,7 @@ class CompiledEvalCache {
   /// Process-wide cache used by the backend registry's factories
   /// (BackendContext::use_cache — which covers noisy_evaluate, the
   /// longitudinal harness and the serving layer) and by the compiled
-  /// training path (TrainConfig::engine).
+  /// training path (train_circuit).
   static CompiledEvalCache& global();
 
   std::shared_ptr<const NoisyExecutor> get_or_build(

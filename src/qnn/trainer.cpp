@@ -44,36 +44,23 @@ TrainResult train_circuit(const Circuit& circuit,
       const std::size_t end = std::min(start + batch_size, n);
       const std::span<const std::size_t> indices(order.data() + start, end - start);
 
-      BatchGrad bg;
-      if (config.engine == TrainEngine::kCompiled) {
-        if (hook) {
-          // The hook rewrites the structure every mini-batch (fresh sampled
-          // noise), so caching would only churn the LRU: compile directly.
-          // One compilation still amortizes over the whole batch of
-          // (forward + adjoint) replays.
-          Rng hook_rng = rng.fork();
-          const Circuit injected = hook(circuit, hook_rng);
-          const auto executor = build_pure_executor(injected, readout_qubits);
-          bg = batch_loss_grad(*executor, theta, data, indices,
-                               config.logit_scale);
-        } else {
-          // Stable structure: the structure-keyed cache entry is shared
-          // across every batch, epoch, and repeated train_circuit call —
-          // theta updates are cache hits on the same compiled program.
-          const auto executor = CompiledEvalCache::global().get_or_build_pure(
-              circuit, readout_qubits);
-          bg = batch_loss_grad(*executor, theta, data, indices,
-                               config.logit_scale);
-        }
-      } else if (hook) {
+      std::shared_ptr<const PureExecutor> executor;
+      if (hook) {
+        // The hook rewrites the structure every mini-batch (fresh sampled
+        // noise), so caching would only churn the LRU: compile directly.
+        // One compilation still amortizes over the whole batch of
+        // (forward + adjoint) replays.
         Rng hook_rng = rng.fork();
-        const Circuit injected = hook(circuit, hook_rng);
-        bg = batch_loss_grad(injected, readout_qubits, theta, data, indices,
-                             config.logit_scale);
+        executor = build_pure_executor(hook(circuit, hook_rng), readout_qubits);
       } else {
-        bg = batch_loss_grad(circuit, readout_qubits, theta, data, indices,
-                             config.logit_scale);
+        // Stable structure: the structure-keyed cache entry is shared
+        // across every batch, epoch, and repeated train_circuit call —
+        // theta updates are cache hits on the same compiled program.
+        executor = CompiledEvalCache::global().get_or_build_pure(
+            circuit, readout_qubits);
       }
+      BatchGrad bg = batch_loss_grad(*executor, theta, data, indices,
+                                     config.logit_scale);
 
       if (config.prox_anchor != nullptr && config.prox_rho > 0.0) {
         const std::vector<double>& anchor = *config.prox_anchor;

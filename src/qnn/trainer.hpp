@@ -10,21 +10,6 @@
 
 namespace qucad {
 
-/// Which gradient engine train_circuit drives.
-enum class TrainEngine {
-  /// Lower the circuit once with trainable angles symbolic and replay the
-  /// compiled op-stream per (sample, theta) — the default hot path. The
-  /// compiled program is fetched from CompiledEvalCache::global() (keyed on
-  /// structure only, so every optimizer step and every later run over the
-  /// same structure is a cache hit) except under a per-batch circuit hook,
-  /// where the freshly injected structure is compiled directly.
-  kCompiled,
-  /// Gate-by-gate statevector adjoint on the logical circuit
-  /// (sim/adjoint.hpp) — the reference path the compiled engine is tested
-  /// against.
-  kReference,
-};
-
 struct TrainConfig {
   int epochs = 30;
   int batch_size = 32;
@@ -38,10 +23,6 @@ struct TrainConfig {
   /// ADMM proximal term: adds prox_rho * (theta - anchor) to the gradient.
   const std::vector<double>* prox_anchor = nullptr;
   double prox_rho = 0.0;
-
-  /// Gradient engine. Both produce the same losses/gradients to ~1e-12 per
-  /// step; kCompiled is the fast path, kReference the ground truth.
-  TrainEngine engine = TrainEngine::kCompiled;
 };
 
 struct TrainResult {
@@ -55,7 +36,12 @@ struct TrainResult {
 using BatchCircuitHook = std::function<Circuit(const Circuit& base, Rng& rng)>;
 
 /// Mini-batch Adam training of a circuit's trainable parameters against a
-/// dataset, using exact adjoint gradients.
+/// dataset, using exact adjoint gradients. The circuit is lowered once with
+/// its trainable angles symbolic and each batch replays the compiled
+/// op-stream (batch_loss_grad over a PureExecutor). The program comes from
+/// CompiledEvalCache::global() (keyed on structure only, so every optimizer
+/// step and every later run over the same structure is a cache hit), except
+/// under a hook, whose freshly injected structure is compiled directly.
 TrainResult train_circuit(const Circuit& circuit,
                           const std::vector<int>& readout_qubits,
                           std::vector<double>& theta, const Dataset& data,

@@ -699,6 +699,220 @@ QUCAD_ISA_CLONES void replay_entry(
   replay(program, state, xs, theta, resolved);
 }
 
+// ---------------------------------------------------------------------------
+// The adjoint's reverse sweep (CompiledProgram::reverse_pure_lanes): the
+// replay run backward, un-applying each op from ket and lam with the same
+// kernels. Only a trainable op reads a gradient overlap first, each in the
+// summation order of its own helper below.
+// ---------------------------------------------------------------------------
+
+std::array<cplx, 4> dagger2(const std::array<cplx, 4>& m) {
+  return {std::conj(m[0]), std::conj(m[2]), std::conj(m[1]), std::conj(m[3])};
+}
+
+/// A = u2 Z u2^dagger: the Z generator of the interior RZ conjugated through
+/// the CRot2 post-rotation factor. Hermitian with A10 = conj(A01).
+std::array<cplx, 4> conjugated_z_generator(const std::array<cplx, 4>& p) {
+  const cplx a00 = p[0] * std::conj(p[0]) - p[1] * std::conj(p[1]);
+  const cplx a01 = p[0] * std::conj(p[2]) - p[1] * std::conj(p[3]);
+  const cplx a11 = p[2] * std::conj(p[2]) - p[3] * std::conj(p[3]);
+  return {a00, a01, std::conj(a01), a11};
+}
+
+/// acc[lane] += Im(<lam| Z_q |ket>), amplitude by amplitude (SymDiag1).
+template <std::size_t L>
+void z_overlap_by_amplitude(const BatchedStateVector<L>& ket,
+                            const BatchedStateVector<L>& lam, int q,
+                            double* acc) {
+  const std::size_t mq = std::size_t{1} << q;
+  const double* kr = ket.re();
+  const double* ki = ket.im();
+  const double* lr = lam.re();
+  const double* li = lam.im();
+  for (std::size_t i = 0; i < ket.dim(); ++i) {
+    const double sign = (i & mq) ? -1.0 : 1.0;
+    const std::size_t row = i * L;
+#pragma omp simd
+    for (std::size_t l = 0; l < L; ++l) {
+      acc[l] += sign * (lr[row + l] * ki[row + l] - li[row + l] * kr[row + l]);
+    }
+  }
+}
+
+/// acc[lane] += Im(<lam| Z_q |ket>), pair by pair in apply1's order
+/// (SymUni1).
+template <std::size_t L>
+void z_overlap_by_pair(const BatchedStateVector<L>& ket,
+                       const BatchedStateVector<L>& lam, int q, double* acc) {
+  const std::size_t stride = std::size_t{1} << q;
+  const double* kr = ket.re();
+  const double* ki = ket.im();
+  const double* lr = lam.re();
+  const double* li = lam.im();
+  for (std::size_t base = 0; base < ket.dim(); base += 2 * stride) {
+    for (std::size_t off = 0; off < stride; ++off) {
+      const std::size_t i0 = (base + off) * L;
+      const std::size_t i1 = i0 + stride * L;
+#pragma omp simd
+      for (std::size_t l = 0; l < L; ++l) {
+        acc[l] += (lr[i0 + l] * ki[i0 + l] - li[i0 + l] * kr[i0 + l]) -
+                  (lr[i1 + l] * ki[i1 + l] - li[i1 + l] * kr[i1 + l]);
+      }
+    }
+  }
+}
+
+/// acc[lane] += Im(<lam| CX (I (x) A) CX |ket>), tuple by tuple in
+/// apply_crot_lanes' order (CRot2, A = conjugated_z_generator).
+template <std::size_t L>
+void crot_overlap(const BatchedStateVector<L>& ket,
+                  const BatchedStateVector<L>& lam, int control, int target,
+                  const std::array<cplx, 4>& a, double* acc) {
+  const std::size_t mc = std::size_t{1} << control;
+  const std::size_t mt = std::size_t{1} << target;
+  auto at = [](const BatchedStateVector<L>& s, std::size_t i, std::size_t l) {
+    return cplx{s.re()[i * L + l], s.im()[i * L + l]};
+  };
+  for (std::size_t i = 0; i < ket.dim(); ++i) {
+    if ((i & mc) || (i & mt)) continue;
+    const std::size_t i01 = i | mt;
+    const std::size_t i10 = i | mc;
+    const std::size_t i11 = i | mc | mt;
+    for (std::size_t l = 0; l < L; ++l) {
+      const cplx k00 = at(ket, i, l), k01 = at(ket, i01, l);
+      const cplx k10 = at(ket, i10, l), k11 = at(ket, i11, l);
+      // Control-0 pair sees A; control-1 pair sees X A X.
+      const cplx g0 = std::conj(at(lam, i, l)) * (a[0] * k00 + a[1] * k01) +
+                      std::conj(at(lam, i01, l)) * (a[2] * k00 + a[3] * k01);
+      const cplx g1 = std::conj(at(lam, i10, l)) * (a[3] * k10 + a[2] * k11) +
+                      std::conj(at(lam, i11, l)) * (a[1] * k10 + a[0] * k11);
+      acc[l] += g0.imag() + g1.imag();
+    }
+  }
+}
+
+/// Reverse sweep: maintains ket = |psi_k>, lam = U_{k+1}^dag..U_N^dag O|psi>
+/// per lane, adding each trainable op's contribution to gradients[lane]. For
+/// a symbolic op with a trainable slot, dU/dtheta = theta_scale * (-i Z/2) U
+/// (the RZ generator sits at the top of the op even for SymUni1, whose
+/// absorbed prefix precedes the RZ), so the contribution is
+/// theta_scale * Im(<lam| G |psi_after>), read before the op is un-applied.
+/// Each op is un-applied with the kernel the forward replay applied it with:
+/// per-lane for input-symbolic angles, uniform otherwise.
+template <std::size_t L>
+void reverse_sweep_lanes(const CompiledProgram& program,
+                         const std::vector<std::array<cplx, 4>>& resolved,
+                         BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+                         std::vector<std::vector<double>>& gradients) {
+  const std::vector<CompiledOp>& ops = program.ops();
+  std::array<std::array<cplx, 4>, L> mds;
+  double acc[L];
+  // Zeroes acc for an op with a trainable slot; null for any other op.
+  auto trainable = [&](const CompiledOp& op) -> const SymSlot* {
+    const SymSlot& slot = program.slot(op);
+    if (slot.theta_index < 0) return nullptr;
+    std::fill(acc, acc + L, 0.0);
+    return &slot;
+  };
+  auto add_grads = [&](const SymSlot& slot) {
+    auto t = static_cast<std::size_t>(slot.theta_index);
+    for (std::size_t l = 0; l < L; ++l) {
+      gradients[l][t] += slot.scale * acc[l];
+    }
+  };
+  // The daggered resolved matrices of symbolic op idx, per lane.
+  auto daggered = [&](std::size_t idx) {
+    const std::array<cplx, 4>* res = resolved.data() + idx * L;
+    for (std::size_t l = 0; l < L; ++l) mds[l] = dagger2(res[l]);
+    return mds.data();
+  };
+  for (std::size_t idx = ops.size(); idx-- > 0;) {
+    const CompiledOp& op = ops[idx];
+    switch (op.kind) {
+      case COpKind::Unitary1: {
+        const std::array<cplx, 4> ud = dagger2(program.unitary(op));
+        ket.apply1(op.q0, ud);
+        lam.apply1(op.q0, ud);
+        break;
+      }
+      case COpKind::Diag1: {
+        const cplx d0 = std::conj(program.diagonal(op)[0]);
+        const cplx d1 = std::conj(program.diagonal(op)[1]);
+        ket.apply_diag1(op.q0, d0, d1);
+        lam.apply_diag1(op.q0, d0, d1);
+        break;
+      }
+      case COpKind::SymDiag1: {
+        if (const SymSlot* slot = trainable(op)) {
+          z_overlap_by_amplitude(ket, lam, op.q0, acc);
+          add_grads(*slot);
+        }
+        const auto* m = daggered(idx);
+        if (program.slot(op).input_index >= 0) {
+          ket.apply_diag1_lanes(op.q0, m);
+          lam.apply_diag1_lanes(op.q0, m);
+        } else {
+          ket.apply_diag1(op.q0, m[0][0], m[0][3]);
+          lam.apply_diag1(op.q0, m[0][0], m[0][3]);
+        }
+        break;
+      }
+      case COpKind::SymUni1: {
+        if (const SymSlot* slot = trainable(op)) {
+          z_overlap_by_pair(ket, lam, op.q0, acc);
+          add_grads(*slot);
+        }
+        const auto* m = daggered(idx);
+        if (program.slot(op).input_index >= 0) {
+          ket.apply1_lanes(op.q0, m);
+          lam.apply1_lanes(op.q0, m);
+        } else {
+          ket.apply1(op.q0, m[0]);
+          lam.apply1(op.q0, m[0]);
+        }
+        break;
+      }
+      case COpKind::CRot2: {
+        if (const SymSlot* slot = trainable(op)) {
+          crot_overlap(ket, lam, op.q0, op.q1,
+                       conjugated_z_generator(program.crot(op).u2), acc);
+          add_grads(*slot);
+        }
+        const auto* m = daggered(idx);
+        ket.apply_crot_lanes(op.q0, op.q1, m);
+        lam.apply_crot_lanes(op.q0, op.q1, m);
+        break;
+      }
+      case COpKind::Cx:
+        ket.apply_cx(op.q0, op.q1);
+        lam.apply_cx(op.q0, op.q1);
+        break;
+      case COpKind::Channel1:
+      case COpKind::Channel2:
+        require(false, "cannot un-apply a channel op");
+        break;
+    }
+  }
+}
+
+// The reverse sweep's entry points, cloned and flattened like replay_entry.
+
+QUCAD_ISA_CLONES void reverse_sweep(
+    const CompiledProgram& program,
+    const std::vector<std::array<cplx, 4>>& resolved,
+    BatchedStateVector<1>& ket, BatchedStateVector<1>& lam,
+    std::vector<std::vector<double>>& gradients) {
+  reverse_sweep_lanes(program, resolved, ket, lam, gradients);
+}
+
+QUCAD_ISA_CLONES void reverse_sweep(
+    const CompiledProgram& program,
+    const std::vector<std::array<cplx, 4>>& resolved,
+    BatchedStateVector<kBlockLanes>& ket, BatchedStateVector<kBlockLanes>& lam,
+    std::vector<std::vector<double>>& gradients) {
+  reverse_sweep_lanes(program, resolved, ket, lam, gradients);
+}
+
 }  // namespace
 
 #if QUCAD_HAVE_ISA_CLONES
@@ -746,6 +960,25 @@ void CompiledProgram::run_pure_lanes(
   replay_entry(*this, bsv, xs, theta, resolved);
 }
 
+template <std::size_t L>
+void CompiledProgram::reverse_pure_lanes(
+    BatchedStateVector<L>& ket, BatchedStateVector<L>& lam,
+    const std::vector<std::array<cplx, 4>>& resolved,
+    std::vector<std::vector<double>>& gradients) const {
+  require(ket.num_qubits() == num_qubits_ && lam.num_qubits() == num_qubits_,
+          "scratch state qubit count mismatch");
+  require(!has_channels(),
+          "reverse_pure_lanes requires a noiseless program (no channel ops)");
+  require(resolved.size() == ops_.size() * L,
+          "resolved matrices must come from this program's run_pure_lanes");
+  require(gradients.size() == L, "one gradient vector per lane");
+  for (const std::vector<double>& g : gradients) {
+    require(g.size() >= static_cast<std::size_t>(num_trainable_),
+            "gradient vector shorter than num_trainable()");
+  }
+  reverse_sweep(*this, resolved, ket, lam, gradients);
+}
+
 template void CompiledProgram::run_lanes(BatchedDensityMatrix<1>&,
                                          const LaneInputs<1>&,
                                          std::span<const double>) const;
@@ -758,5 +991,13 @@ template void CompiledProgram::run_pure_lanes(
 template void CompiledProgram::run_pure_lanes(
     BatchedStateVector<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
     std::span<const double>, std::vector<std::array<cplx, 4>>*) const;
+template void CompiledProgram::reverse_pure_lanes(
+    BatchedStateVector<1>&, BatchedStateVector<1>&,
+    const std::vector<std::array<cplx, 4>>&,
+    std::vector<std::vector<double>>&) const;
+template void CompiledProgram::reverse_pure_lanes(
+    BatchedStateVector<kBlockLanes>&, BatchedStateVector<kBlockLanes>&,
+    const std::vector<std::array<cplx, 4>>&,
+    std::vector<std::vector<double>>&) const;
 
 }  // namespace qucad

@@ -29,7 +29,10 @@ namespace qucad {
 /// the upper n register qubits, columns on the lower n), and applies a
 /// unitary as one statevector pass on its row qubits and one with the
 /// conjugate matrix on its column qubits. Only the error channels, the
-/// one-pass diagonal and the CX relabel are density kernels.
+/// one-pass diagonal and the CX relabel are density kernels. The adjoint's
+/// reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
+/// from its ket and its lam with the same kernels, fed the daggered
+/// matrices.
 ///
 /// Two widths are instantiated from the same kernels: L = kBlockLanes for
 /// batch blocks, and L = 1 for everything else — the rows of a ragged tail
@@ -164,8 +167,9 @@ class BatchedStateVector {
   /// Amplitudes per lane (2^num_qubits).
   std::size_t dim() const { return dim_; }
 
-  /// Raw SoA planes, `[amp * L + lane]` — for the adjoint's fused ket/lam
-  /// kernels and BatchedDensityMatrix's own kernels.
+  /// Raw SoA planes, `[amp * L + lane]` — for the reverse sweep's gradient
+  /// overlaps, the adjoint's lam init and BatchedDensityMatrix's own
+  /// kernels.
   double* re() { return re_.data(); }
   double* im() { return im_.data(); }
   const double* re() const { return re_.data(); }

@@ -13,17 +13,20 @@ namespace qucad {
 /// training path. Where sim/adjoint.hpp walks a logical Circuit gate by gate
 /// (building a CMat per gate and copying the full amplitude vector per
 /// trainable parameter), this engine replays a CompiledProgram's fused
-/// op-stream forward once over L samples (sim/batched_state.hpp), then
-/// sweeps it backward un-applying each op in place. Trainable parameters
-/// only ever appear as symbolic RZ angles (SymDiag1 / SymUni1 / CRot2 ops
-/// with theta_index >= 0), whose generator is Z (conjugated through the
-/// CRot2 post-factor) — so each per-parameter contribution is a single
-/// allocation-free pass
+/// op-stream forward once over L samples (CompiledProgram::run_pure_lanes),
+/// then sweeps it backward (CompiledProgram::reverse_pure_lanes), un-applying
+/// each op in place from both states with the forward replay's own
+/// BatchedStateVector kernels. Trainable parameters only ever appear as
+/// symbolic RZ angles (SymDiag1 / SymUni1 / CRot2 ops with theta_index >=
+/// 0), whose generator is Z (conjugated through the CRot2 post-factor) — so
+/// each per-parameter contribution is one allocation-free overlap pass
 ///   `d<O>/dtheta_t` += theta_scale * Im(`<lambda| G |psi>`)
-/// folded into the same loop that un-applies the op from both states (the
-/// chain rule through the affine angle is the theta_scale factor; a
-/// parameter split across several RZs by the lowering, e.g. the +-t/2 pair
-/// of a controlled rotation, accumulates one contribution per op).
+/// read just before the op is un-applied (the chain rule through the affine
+/// angle is the theta_scale factor; a parameter split across several RZs by
+/// the lowering, e.g. the +-t/2 pair of a controlled rotation, accumulates
+/// one contribution per op). compiled_adjoint_gradient_lanes adds what
+/// surrounds the two replays: the per-thread workspace, the observable
+/// weight hook and the lambda = O_eff |psi> init.
 ///
 /// Because the physical circuit implements the same unitary as its logical
 /// source up to global phase, `<Z>(theta, x)` — and therefore every gradient —

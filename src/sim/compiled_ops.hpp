@@ -235,6 +235,22 @@ class CompiledProgram {
       std::span<const double> theta = {},
       std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
 
+  /// The adjoint's reverse sweep over a noiseless program: walks the ops
+  /// backward, un-applying each from both `ket` (left by run_pure_lanes)
+  /// and `lam` with the same BatchedStateVector kernels the forward replay
+  /// applies it with, the symbolic ones through their daggered `resolved`
+  /// matrices (run_pure_lanes' record). Before un-applying an op with a
+  /// trainable slot it adds `slot.scale * Im(<lam| G |ket>)` to
+  /// `gradients[lane][theta_index]`, G the op's RZ generator (Z on q0,
+  /// conjugated through the post-factor for CRot2). `gradients` holds one
+  /// vector of at least num_trainable() entries per lane. Cloned per ISA
+  /// beside run_pure_lanes, with bitwise the same result on every clone.
+  template <std::size_t L>
+  void reverse_pure_lanes(BatchedStateVector<L>& ket,
+                          BatchedStateVector<L>& lam,
+                          const std::vector<std::array<cplx, 4>>& resolved,
+                          std::vector<std::vector<double>>& gradients) const;
+
  private:
   /// The literal 2x2 of a non-symbolic single-qubit op.
   std::array<cplx, 4> literal_matrix(const CompiledOp& op) const;

@@ -18,11 +18,21 @@ std::array<cplx, 4> rz_array(double angle) {
           std::exp(cplx{0.0, angle / 2.0})};
 }
 
+/// The circuit's readout slots, each checked against [0, num_qubits) before
+/// anything indexes a per-qubit table with it.
+const std::vector<int>& checked_readout_slots(const PhysicalCircuit& circuit) {
+  for (int pq : circuit.readout_physical()) {
+    require(pq >= 0 && pq < circuit.num_qubits(),
+            "readout slot qubit out of range");
+  }
+  return circuit.readout_physical();
+}
+
 }  // namespace
 
 NoisyExecutor::NoisyExecutor(const PhysicalCircuit& circuit,
                              const NoiseModel& noise)
-    : slots_(circuit.readout_physical()) {
+    : slots_(checked_readout_slots(circuit)) {
   require(noise.num_qubits() == 0 ||
               noise.num_qubits() == circuit.num_qubits(),
           "noise model qubit count mismatch");
@@ -201,9 +211,9 @@ DensityMatrix run_density(const PhysicalCircuit& circuit,
 std::vector<double> run_z_reference(const PhysicalCircuit& circuit,
                                     const NoiseModel& noise,
                                     std::span<const double> x) {
+  const std::vector<int>& slots = checked_readout_slots(circuit);
   std::vector<double> probs =
       run_density(circuit, noise, x).diagonal_probabilities();
-  const std::vector<int>& slots = circuit.readout_physical();
   if (noise.num_qubits() > 0) {
     // Confusion on the measured qubits only, over the full 2^n vector.
     std::vector<ReadoutError> errors(noise.readout().size());

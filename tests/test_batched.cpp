@@ -648,6 +648,132 @@ TEST(BatchedReplay, ClonedReplayBitwiseMatchesOutOfLineKernels) {
   }
 }
 
+/// Op kinds a reverse sweep exercised, the symbolic ones counted only with
+/// a trainable slot (whose gradient overlap the sweep reads first).
+std::vector<bool> reverse_kinds_present(const CompiledProgram& program) {
+  std::vector<bool> present(static_cast<std::size_t>(COpKind::Channel2) + 1);
+  for (const CompiledOp& op : program.ops()) {
+    const bool symbolic = op.kind == COpKind::SymDiag1 ||
+                          op.kind == COpKind::SymUni1 ||
+                          op.kind == COpKind::CRot2;
+    if (!symbolic || program.slot(op).theta_index >= 0) {
+      present[static_cast<std::size_t>(op.kind)] = true;
+    }
+  }
+  return present;
+}
+
+/// Un-applies `program` op by op from `state` through the out-of-line
+/// kernels, with the reverse sweep's per-op dispatch: the daggered
+/// `resolved` matrices per lane for input-symbolic angles, the uniform
+/// kernels for everything else.
+template <std::size_t L>
+void unreplay_out_of_line(const CompiledProgram& program,
+                          const std::vector<std::array<cplx, 4>>& resolved,
+                          BatchedStateVector<L>& state) {
+  auto dagger = [](const std::array<cplx, 4>& m) {
+    return std::array<cplx, 4>{std::conj(m[0]), std::conj(m[2]),
+                               std::conj(m[1]), std::conj(m[3])};
+  };
+  std::array<std::array<cplx, 4>, L> ms;
+  const std::vector<CompiledOp>& ops = program.ops();
+  for (std::size_t idx = ops.size(); idx-- > 0;) {
+    const CompiledOp& op = ops[idx];
+    for (std::size_t l = 0; l < L; ++l) {
+      ms[l] = dagger(resolved[idx * L + l]);
+    }
+    const bool per_lane = (op.kind == COpKind::SymDiag1 ||
+                           op.kind == COpKind::SymUni1) &&
+                          program.slot(op).input_index >= 0;
+    switch (op.kind) {
+      case COpKind::Unitary1:
+        state.apply1(op.q0, dagger(program.unitary(op)));
+        break;
+      case COpKind::Diag1:
+        state.apply_diag1(op.q0, std::conj(program.diagonal(op)[0]),
+                          std::conj(program.diagonal(op)[1]));
+        break;
+      case COpKind::SymDiag1:
+        if (per_lane) {
+          state.apply_diag1_lanes(op.q0, ms.data());
+        } else {
+          state.apply_diag1(op.q0, ms[0][0], ms[0][3]);
+        }
+        break;
+      case COpKind::SymUni1:
+        if (per_lane) {
+          state.apply1_lanes(op.q0, ms.data());
+        } else {
+          state.apply1(op.q0, ms[0]);
+        }
+        break;
+      case COpKind::CRot2:
+        state.apply_crot_lanes(op.q0, op.q1, ms.data());
+        break;
+      case COpKind::Cx:
+        state.apply_cx(op.q0, op.q1);
+        break;
+      case COpKind::Channel1:
+      case COpKind::Channel2:
+        ADD_FAILURE() << "noiseless program holds a channel op";
+        break;
+    }
+  }
+}
+
+/// Runs the clone-dispatched reverse sweep and the out-of-line un-apply
+/// from the same forward state at width L, and pins ket and lam bitwise.
+template <std::size_t L>
+void check_reverse_width(const RandomRoutedProgram& p) {
+  const int n = p.program.num_qubits();
+  const std::size_t dim = std::size_t{1} << n;
+  for (std::size_t first = 0; first + L <= p.rows.size(); first += L) {
+    SCOPED_TRACE("width " + std::to_string(L) + " first row " +
+                 std::to_string(first));
+    BatchedStateVector<L> ket(n);
+    std::vector<std::array<cplx, 4>> resolved;
+    p.program.run_pure_lanes(ket, lane_rows<L>(p.rows, first, L), p.theta,
+                             &resolved);
+    // lam = Z_0 |psi>, the adjoint's O |psi> for O = Z_0.
+    BatchedStateVector<L> lam = ket;
+    lam.apply_diag1(0, cplx{1.0, 0.0}, cplx{-1.0, 0.0});
+    BatchedStateVector<L> ket_out_of_line = ket;
+    BatchedStateVector<L> lam_out_of_line = lam;
+    std::vector<std::vector<double>> gradients(
+        L, std::vector<double>(p.theta.size(), 0.0));
+    p.program.reverse_pure_lanes(ket, lam, resolved, gradients);
+    unreplay_out_of_line(p.program, resolved, ket_out_of_line);
+    unreplay_out_of_line(p.program, resolved, lam_out_of_line);
+    expect_planes_bitwise_equal(ket, ket_out_of_line, dim);
+    expect_planes_bitwise_equal(lam, lam_out_of_line, dim);
+  }
+}
+
+TEST(BatchedReplay, ClonedReverseSweepBitwiseMatchesOutOfLineKernels) {
+  // The sweep's un-apply calls the BatchedStateVector members the forward
+  // replay uses; its clones must inline them bitwise, trainable overlaps
+  // read in between included.
+  SCOPED_TRACE(std::string("engine_isa ") + engine_isa());
+  std::vector<bool> kinds(static_cast<std::size_t>(COpKind::Channel2) + 1);
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomRoutedProgram p = random_routed_program(seed, false);
+    ASSERT_FALSE(p.program.has_channels());
+    const std::vector<bool> present = reverse_kinds_present(p.program);
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      kinds[k] = kinds[k] || present[k];
+    }
+    check_reverse_width<1>(p);
+    check_reverse_width<kBlockLanes>(p);
+  }
+  for (const COpKind kind :
+       {COpKind::Unitary1, COpKind::Diag1, COpKind::SymDiag1,
+        COpKind::SymUni1, COpKind::CRot2, COpKind::Cx}) {
+    EXPECT_TRUE(kinds[static_cast<std::size_t>(kind)])
+        << "op kind " << static_cast<int>(kind) << " not exercised";
+  }
+}
+
 #if QUCAD_HAVE_ISA_CLONES
 /// a * b + c dispatched through QUCAD_ISA_CLONES with contraction allowed
 /// (and optimized, since unoptimized builds never contract): every listed

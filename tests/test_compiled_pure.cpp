@@ -285,36 +285,6 @@ TEST_F(CompiledPureTest, BatchLossGradMatchesReference) {
   EXPECT_DOUBLE_EQ(compiled_eval.accuracy, ref_eval.accuracy);
 }
 
-TEST_F(CompiledPureTest, TrainerEnginesProduceTheSameTrajectory) {
-  const QnnModel model = build_paper_model(4, 4, 2, 1);
-  Dataset raw = make_seismic(48, 3);
-  const Dataset data = FeatureScaler::fit(raw).transform(raw);
-
-  TrainConfig config;
-  config.epochs = 3;
-  config.batch_size = 16;
-  config.seed = 99;
-
-  std::vector<double> theta_compiled = init_params(model, 5);
-  std::vector<double> theta_reference = theta_compiled;
-
-  config.engine = TrainEngine::kCompiled;
-  const TrainResult compiled = train_model(model, theta_compiled, data, config);
-  config.engine = TrainEngine::kReference;
-  const TrainResult reference =
-      train_model(model, theta_reference, data, config);
-
-  ASSERT_EQ(compiled.epoch_losses.size(), reference.epoch_losses.size());
-  for (std::size_t e = 0; e < compiled.epoch_losses.size(); ++e) {
-    EXPECT_NEAR(compiled.epoch_losses[e], reference.epoch_losses[e], 1e-8)
-        << "epoch " << e;
-  }
-  ASSERT_EQ(theta_compiled.size(), theta_reference.size());
-  for (std::size_t p = 0; p < theta_compiled.size(); ++p) {
-    EXPECT_NEAR(theta_compiled[p], theta_reference[p], 1e-8) << "param " << p;
-  }
-}
-
 TEST_F(CompiledPureTest, CacheHitsAcrossThetaUpdatesWithoutStaleLogits) {
   // The regression model from PR 2: readout_qubits = {1, 3} — slot order is
   // positional, never qubit-id-indexed.

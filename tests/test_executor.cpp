@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/require.hpp"
+#include "mitigation/zne.hpp"
 #include "noise/calibration_history.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -17,6 +20,31 @@ RoutedCircuit wrap(const Circuit& c) {
   routed.final_mapping = routed.initial_layout;
   return routed;
 }
+
+/// A caller-built circuit may name any readout slot: every path that
+/// indexes a per-qubit table with one (the executor's slot confusion, the
+/// reference oracle's full-vector confusion, ZNE through the eval cache)
+/// must reject a slot outside the device before reading anything.
+void expect_readout_slot_rejected(int slot) {
+  SCOPED_TRACE("readout slot " + std::to_string(slot));
+  Circuit c(2);
+  c.ry(0, 0.9).cry(0, 1, 1.1);
+  PhysicalCircuit phys = lower_to_basis(wrap(c), {});
+  phys.readout_physical() = {0, slot};
+  Calibration cal(2, {{0, 1}});
+  cal.set_readout(0, {0.1, 0.05});
+  cal.set_readout(1, {0.1, 0.05});
+  const NoiseModel noise(cal);
+  EXPECT_THROW((void)NoisyExecutor(phys, noise), PreconditionError);
+  EXPECT_THROW(run_z_reference(phys, noise, {}), PreconditionError);
+  EXPECT_THROW(zne_expectations(phys, cal, {}), PreconditionError);
+}
+
+TEST(Executor, RejectsReadoutSlotPastTheLastQubit) {
+  expect_readout_slot_rejected(2);
+}
+
+TEST(Executor, RejectsNegativeReadoutSlot) { expect_readout_slot_rejected(-1); }
 
 TEST(Executor, NoiselessMatchesStateVector) {
   Circuit c(3);

@@ -37,6 +37,10 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         -ffp-contract=fast, -march=, -mavx* or -mfma in any
                         CMakeLists.txt (ISA levels come from the clones,
                         and FP contraction stays off).
+  clones-beside-kernels QUCAD_ISA_CLONES appears in src/ only in
+                        src/sim/batched_state.cpp, beside the lane kernel
+                        definitions its `flatten` must see to inline them,
+                        and in src/sim/isa_clones.hpp, which defines it.
 
 Scope: src/, bench/, examples/ (positional-readout also covers tests/;
 fp-determinism covers src/sim/ sources and every CMakeLists.txt).
@@ -158,6 +162,15 @@ RULES = [
         "bitwise-across-ISA contract; ISA levels come from QUCAD_ISA_CLONES",
         dirs=(),
         cmake=True,
+    ),
+    Rule(
+        "clones-beside-kernels",
+        r"\bQUCAD_ISA_CLONES\b",
+        "QUCAD_ISA_CLONES flattens only the kernels whose bodies it sees: "
+        "cloned entry points belong in src/sim/batched_state.cpp, beside the "
+        "BatchedStateVector / BatchedDensityMatrix kernel definitions",
+        dirs=("src",),
+        exempt=("src/sim/batched_state.cpp", "src/sim/isa_clones.hpp"),
     ),
 ]
 
@@ -370,6 +383,13 @@ SELF_TEST_CASES = {
         ("bench/CMakeLists.txt",
          "set(CMAKE_CXX_FLAGS \"${CMAKE_CXX_FLAGS} -ffast-math -mfma\")\n"),
     ],
+    "clones-beside-kernels": [
+        ("src/sim/compiled_adjoint.cpp",
+         "QUCAD_ISA_CLONES void reverse_sweep(State& ket, State& lam) {\n"
+         "  sweep(ket, lam);\n}\n"),
+        ("src/qnn/bad_clone.cpp",
+         "QUCAD_ISA_CLONES double dot(const double* a, const double* b);\n"),
+    ],
 }
 
 CLEAN_FILES = [
@@ -405,6 +425,17 @@ CLEAN_FILES = [
      "void f(double* acc, const double* a) {\n"
      "#pragma omp simd  // no reduction(+ : acc) across lanes\n"
      "  for (int l = 0; l < 8; ++l) acc[l] += a[l];\n}\n"),
+    ("src/sim/batched_state.cpp",
+     # The cloned entry points, beside the kernels they flatten in.
+     "QUCAD_ISA_CLONES void replay_entry(State& s) { s.apply_cx(0, 1); }\n"),
+    ("src/sim/isa_clones.hpp",
+     # The macro's definition, and a mention of it in a comment.
+     "// QUCAD_ISA_CLONES marks an entry point\n"
+     "#define QUCAD_ISA_CLONES __attribute__((flatten))\n"),
+    ("src/sim/compiled_ops.hpp",
+     # Comments may name the macro anywhere.
+     "// cloned per ISA (QUCAD_ISA_CLONES) beside run_pure_lanes\n"
+     "struct CompiledProgram;\n"),
     ("examples/CMakeLists.txt",
      # The allowed contraction setting, and banned flags only in a comment.
      "# never -ffast-math or -march=native here\n"
