@@ -24,11 +24,10 @@ int main() {
   NoiseAwareTrainOnceStrategy nat_once(env);
   OneTimeCompressionStrategy compress_once(env);
 
-  HarnessOptions options;
   const MethodResult nat_result =
-      run_longitudinal(nat_once, env, {}, online, options);
+      run_longitudinal(nat_once, env, {}, {online}).front();
   const MethodResult compress_result =
-      run_longitudinal(compress_once, env, {}, online, options);
+      run_longitudinal(compress_once, env, {}, {online}).front();
 
   std::cout << "=== Fig. 2: 4-class MNIST daily accuracy, " << dates.front()
             << " .. " << dates.back() << " ===\n\n";

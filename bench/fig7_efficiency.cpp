@@ -31,9 +31,11 @@ int main() {
   std::vector<MethodResult> results;
   for (auto& strategy : strategies) {
     const bool wants_offline = strategy->name() == "QuCAD";
-    results.push_back(run_longitudinal(
-        *strategy, env, wants_offline ? offline : std::vector<Calibration>{},
-        online));
+    results.push_back(
+        run_longitudinal(*strategy, env,
+                         wants_offline ? offline : std::vector<Calibration>{},
+                         {online})
+            .front());
   }
 
   // Normalize online optimization time to QuCAD's (the paper's unit of 1).

@@ -42,9 +42,11 @@ int main(int argc, char** argv) {
     std::vector<MethodResult> results;
     for (auto& strategy : strategies) {
       const bool wants_offline = strategy->name() == "QuCAD";
-      results.push_back(run_longitudinal(
-          *strategy, env, wants_offline ? offline : std::vector<Calibration>{},
-          online));
+      results.push_back(
+          run_longitudinal(*strategy, env,
+                           wants_offline ? offline : std::vector<Calibration>{},
+                           {online})
+              .front());
     }
     print_comparison_table(std::cout, results, name);
     std::cout << "\n";

@@ -4,12 +4,11 @@
 //
 //  Phase 1 (longitudinal study): a FleetHarness runs ONE shared repository
 //  against every device's seeded drift stream — pooled offline build, then
-//  day by day each device's calibration goes through the OnlineManager
-//  (reuse / compress-new / failure) and the chosen model is scored under
-//  that device's noise. Evaluation runs through the RemoteStubBackend
-//  selected via the backend registry, so every logit passes through the
-//  simulated cloud queue (latency, shot-batched jobs, transient faults)
-//  while staying bitwise those of the inner engine.
+//  the shared longitudinal loop (run_longitudinal): day by day each
+//  device's calibration goes through the OnlineManager (reuse /
+//  compress-new / failure) and the chosen model is scored under that
+//  device's noise. The harness options select the execution regime: the
+//  density backend with finite-shot readout, as a QPU would report it.
 //
 //  Phase 2 (serving drill): the same repository behind a sharded
 //  InferenceService and the TCP wire protocol. One client thread per
@@ -36,19 +35,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "backend/registry.hpp"
 #include "core/qucad.hpp"
 #include "data/seismic_synth.hpp"
 #include "data/vibration_synth.hpp"
 #include "fleet/device_spec.hpp"
 #include "fleet/harness.hpp"
-#include "fleet/remote_stub_backend.hpp"
 #include "io/wire.hpp"
 #include "repo/constructor.hpp"
 #include "serve/inference_service.hpp"
@@ -108,9 +106,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
+  // The day window is summed below; refuse windows whose sum overflows.
   return args.devices >= 1 && args.offline_days >= 1 &&
-         args.online_days >= 1 && args.shards >= 1 &&
-         args.requests_per_day >= 1;
+         args.online_days >= 1 &&
+         args.online_days <=
+             std::numeric_limits<int>::max() - args.offline_days &&
+         args.shards >= 1 && args.requests_per_day >= 1;
 }
 
 /// Deterministic environment shared by both phases. Cost knobs sized so the
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
             << args.online_days << " online), workload " << args.workload
             << "\n";
 
-  // --- shared environment + remote stub ----------------------------------
+  // --- shared environment ------------------------------------------------
   const fleet::DeviceSpec& first = fleet_config.devices.front();
   StatusOr<fleet::DriftStream> day0_stream =
       fleet::DriftStream::create(first, 1);
@@ -244,25 +245,16 @@ int main(int argc, char** argv) {
   const Environment env =
       make_environment(args.workload, day0_stream->history().day(0));
 
-  fleet::RemoteStubOptions stub;
-  stub.inner_kind = BackendKind::kDensityNoisy;
-  stub.max_shots_per_job = 256;
-  stub.fault_rate = 0.05;
-  if (Status s = fleet::register_remote_stub_backend(
-          BackendRegistry::global(), stub);
-      !s.ok()) {
-    std::cerr << "cannot register remote stub: " << s.to_string() << "\n";
-    return 1;
-  }
-
-  // --- phase 1: longitudinal fleet study through the remote stub ---------
+  // --- phase 1: longitudinal fleet study under finite-shot readout -------
+  constexpr int kShots = 1024;
   fleet::FleetOptions options;
   options.offline_days = args.offline_days;
   options.online_days = args.online_days;
   options.max_eval_samples = 24;
-  BackendConfig stub_backend = env.eval.backend;
-  stub_backend.kind = fleet::kRemoteStubBackendKind;
-  options.backend = stub_backend;
+  options.harness.backend = BackendConfig()
+                                .with_kind(BackendKind::kDensityNoisy)
+                                .with_shots(kShots)
+                                .with_seed(args.seed);
 
   StatusOr<fleet::FleetHarness> harness =
       fleet::FleetHarness::create(env, fleet_config, options);
@@ -271,27 +263,28 @@ int main(int argc, char** argv) {
               << harness.status().to_string() << "\n";
     return 1;
   }
-  std::cout << "\n[phase 1] longitudinal run (remote-stub backend, kind "
-            << static_cast<int>(fleet::kRemoteStubBackendKind) << ")...\n";
+  std::cout << "\n[phase 1] longitudinal run (density backend, " << kShots
+            << "-shot readout)...\n";
   StatusOr<fleet::FleetResult> fleet_result = harness->run();
   if (!fleet_result.ok()) {
     std::cerr << "fleet run failed: " << fleet_result.status().to_string()
               << "\n";
     return 1;
   }
-  for (const fleet::FleetDeviceResult& device : fleet_result->devices) {
+  for (std::size_t i = 0; i < fleet_result->devices.size(); ++i) {
+    const MethodResult& device = fleet_result->devices[i];
     std::cout << "  " << device.name << ": mean accuracy "
               << device.metrics.mean_accuracy << " (" << device.reuses << " reuse, "
               << device.new_models << " new, " << device.failures
-              << " fail, " << device.maintenance_events
+              << " fail, " << harness->streams()[i].maintenance_days().size()
               << " maintenance event(s))\n";
   }
   std::cout << "  fleet aggregate: mean " << fleet_result->aggregate.mean_accuracy
             << ", reuse rate " << fleet_result->reuse_rate()
             << ", repository " << fleet_result->repository_entries_offline
             << " -> " << fleet_result->repository_entries_final
-            << " entries, online compression "
-            << fleet_result->optimize_seconds << " s\n";
+            << " entries, online optimization "
+            << fleet_result->optimize_seconds << " CPU s\n";
 
   // --- phase 2: the same repository behind the sharded wire service ------
   std::cout << "\n[phase 2] serving drill: " << args.shards

@@ -34,9 +34,11 @@ int main() {
   NoiseAwareTrainEverydayStrategy nat(env);
   QuCadStrategy qucad(env);
 
-  const MethodResult r_base = run_longitudinal(baseline, env, {}, window);
-  const MethodResult r_nat = run_longitudinal(nat, env, {}, window);
-  const MethodResult r_qucad = run_longitudinal(qucad, env, offline, window);
+  const MethodResult r_base =
+      run_longitudinal(baseline, env, {}, {window}).front();
+  const MethodResult r_nat = run_longitudinal(nat, env, {}, {window}).front();
+  const MethodResult r_qucad =
+      run_longitudinal(qucad, env, offline, {window}).front();
 
   std::cout << "=== 4-class MNIST through a noise surge (" << dates.front()
             << " .. " << dates.back() << ") ===\n\n";

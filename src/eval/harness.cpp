@@ -1,43 +1,85 @@
 #include "eval/harness.hpp"
 
+#include <chrono>
 #include <ostream>
 
 #include "common/require.hpp"
 #include "common/table.hpp"
+#include "core/strategies.hpp"
 
 namespace qucad {
 
-MethodResult run_longitudinal(Strategy& strategy, const Environment& env,
-                              const std::vector<Calibration>& offline_history,
-                              const std::vector<Calibration>& online_days,
-                              const HarnessOptions& options) {
-  require(!online_days.empty(), "no online days to evaluate");
+std::vector<MethodResult> run_longitudinal(
+    Strategy& strategy, const Environment& env,
+    const std::vector<Calibration>& offline_history,
+    const std::vector<std::vector<Calibration>>& online_streams,
+    const HarnessOptions& options) {
+  require(!online_streams.empty(), "no online streams to evaluate");
+  const std::size_t days = online_streams.front().size();
+  require(days > 0, "no online days to evaluate");
+  for (const std::vector<Calibration>& stream : online_streams) {
+    require(stream.size() == days, "online streams differ in length");
+  }
   require(options.day_stride >= 1, "day_stride must be >= 1");
   require(!options.backend.has_value() || options.backend->validate().ok(),
           "harness backend config is invalid");
   if (!offline_history.empty()) strategy.offline(offline_history);
 
-  MethodResult result;
-  result.method = strategy.name();
-  result.daily_accuracy.reserve(online_days.size());
-
   NoisyEvalOptions eval = env.eval;
   if (options.backend.has_value()) eval.backend = *options.backend;
+  // Only the QuCAD strategies keep a repository, so only they decide.
+  const auto* qucad = dynamic_cast<const QuCadStrategy*>(&strategy);
 
-  for (std::size_t d = 0; d < online_days.size();
+  std::vector<MethodResult> results(online_streams.size());
+  for (std::size_t d = 0; d < days;
        d += static_cast<std::size_t>(options.day_stride)) {
-    const Calibration& calib = online_days[d];
-    const std::span<const double> theta =
-        strategy.online_day(static_cast<int>(d), calib);
-    result.daily_accuracy.push_back(
-        noisy_accuracy(env.model, env.transpiled, theta, env.test, calib, eval));
+    for (std::size_t s = 0; s < online_streams.size(); ++s) {
+      const Calibration& calib = online_streams[s][d];
+      MethodResult& result = results[s];
+      const double cost_before = strategy.online_optimize_seconds();
+      const int optimizations_before = strategy.optimizations();
+      const auto start = std::chrono::steady_clock::now();
+
+      DayRecord record;
+      record.day = static_cast<int>(d);
+      const std::span<const double> theta =
+          strategy.online_day(record.day, calib);
+      record.accuracy = noisy_accuracy(env.model, env.transpiled, theta,
+                                       env.test, calib, eval);
+      record.wall_seconds = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+      record.optimize_seconds =
+          strategy.online_optimize_seconds() - cost_before;
+      if (qucad != nullptr) record.decision = qucad->last_decision();
+      result.optimizations += strategy.optimizations() - optimizations_before;
+      result.days.push_back(record);
+    }
   }
 
-  result.metrics = summarize_series(result.daily_accuracy);
-  result.online_optimize_seconds = strategy.online_optimize_seconds();
-  result.offline_optimize_seconds = strategy.offline_optimize_seconds();
-  result.optimizations = strategy.optimizations();
-  return result;
+  for (MethodResult& result : results) {
+    result.method = strategy.name();
+    result.offline_optimize_seconds = strategy.offline_optimize_seconds();
+    for (const DayRecord& record : result.days) {
+      result.daily_accuracy.push_back(record.accuracy);
+      result.day_seconds.push_back(record.wall_seconds);
+      result.online_optimize_seconds += record.optimize_seconds;
+      if (!record.decision.has_value()) continue;
+      switch (record.decision->action) {
+        case OnlineManager::Decision::Action::Reuse:
+          ++result.reuses;
+          break;
+        case OnlineManager::Decision::Action::NewModel:
+          ++result.new_models;
+          break;
+        case OnlineManager::Decision::Action::Failure:
+          ++result.failures;
+          break;
+      }
+    }
+    result.metrics = summarize_series(result.daily_accuracy);
+  }
+  return results;
 }
 
 void print_comparison_table(std::ostream& os,

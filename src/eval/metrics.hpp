@@ -1,8 +1,6 @@
 #pragma once
 
 #include <span>
-#include <string>
-#include <vector>
 
 namespace qucad {
 
@@ -16,15 +14,5 @@ struct SeriesMetrics {
 };
 
 SeriesMetrics summarize_series(std::span<const double> daily_accuracy);
-
-/// One row of a longitudinal comparison.
-struct MethodResult {
-  std::string method;
-  std::vector<double> daily_accuracy;
-  SeriesMetrics metrics;
-  double online_optimize_seconds = 0.0;   // process CPU seconds
-  double offline_optimize_seconds = 0.0;  // process CPU seconds
-  int optimizations = 0;
-};
 
 }  // namespace qucad

@@ -1,8 +1,9 @@
 #include "fleet/harness.hpp"
 
-#include <chrono>
+#include <string>
 #include <utility>
 
+#include "common/require.hpp"
 #include "core/strategies.hpp"
 
 namespace qucad::fleet {
@@ -23,10 +24,12 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
     return Status::invalid_argument(
         "fleet offline_days and online_days must be >= 1");
   }
-  if (options.day_stride < 1 || options.offline_stride < 1) {
+  if (options.harness.day_stride < 1 || options.offline_stride < 1) {
     return Status::invalid_argument("fleet strides must be >= 1");
   }
-  if (options.offline_days + options.online_days > config.days) {
+  // Subtract rather than add: both windows are positive, so this cannot
+  // overflow where offline_days + online_days could.
+  if (options.online_days > config.days - options.offline_days) {
     return Status::invalid_argument(
         "offline_days + online_days exceeds the fleet day count");
   }
@@ -35,8 +38,8 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
     return Status::invalid_argument(
         "fleet environment needs non-empty train/test/profile datasets");
   }
-  if (options.backend.has_value()) {
-    if (Status status = options.backend->validate(); !status.ok()) {
+  if (options.harness.backend.has_value()) {
+    if (Status status = options.harness.backend->validate(); !status.ok()) {
       return status;
     }
   }
@@ -71,7 +74,9 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
   // The per-day evaluation settings live on the harness's own environment
   // copy, so the QuCAD strategy and the evaluator read one source.
   Environment harness_env = env;
-  if (options.backend.has_value()) harness_env.eval.backend = *options.backend;
+  if (options.harness.backend.has_value()) {
+    harness_env.eval.backend = *options.harness.backend;
+  }
   if (options.max_eval_samples > 0 &&
       options.max_eval_samples < harness_env.test.size()) {
     harness_env.test = harness_env.test.take(options.max_eval_samples);
@@ -83,76 +88,45 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
 StatusOr<FleetResult> FleetHarness::run() {
   // Offline: one repository from the pooled offline windows of every
   // device's stream (interleaved device-major so the clustering sees the
-  // fleet's regimes side by side).
+  // fleet's regimes side by side). Online: one stream per device.
   std::vector<Calibration> offline_pool;
+  std::vector<std::vector<Calibration>> online;
+  online.reserve(streams_.size());
   for (const DriftStream& stream : streams_) {
     for (int d = 0; d < options_.offline_days; d += options_.offline_stride) {
       offline_pool.push_back(stream.history().day(d));
     }
+    online.push_back(
+        stream.history().slice(options_.offline_days, options_.online_days));
   }
-  QuCadStrategy qucad(env_);
-  qucad.offline(offline_pool);
-  const std::size_t offline_entries = qucad.manager().repository().size();
 
   FleetResult result;
-  result.devices.resize(streams_.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    result.devices[i].name = streams_[i].spec().name;
-    result.devices[i].maintenance_events =
-        static_cast<int>(streams_[i].maintenance_days().size());
+  QuCadStrategy qucad(env_);
+  // create() validated every precondition of the research loop; anything
+  // it still throws is an evaluation error, which leaves here as a Status.
+  try {
+    qucad.offline(offline_pool);
+    result.repository_entries_offline = qucad.manager().repository().size();
+    result.devices =
+        run_longitudinal(qucad, env_, {}, online, options_.harness);
+  } catch (const PreconditionError& e) {
+    return Status::invalid_argument(std::string("fleet run failed: ") +
+                                    e.what());
   }
+  result.repository_entries_final = qucad.manager().repository().size();
 
   std::vector<double> pooled;
-  const int first_day = options_.offline_days;
-  const int last_day = options_.offline_days + options_.online_days;
-  for (int d = first_day; d < last_day; d += options_.day_stride) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      FleetDeviceResult& device = result.devices[i];
-      const Calibration& calibration = streams_[i].history().day(d);
-
-      const auto start = std::chrono::steady_clock::now();
-      // Failure days still serve the matched (invalid) model — the paper's
-      // Table-I accounting — with the failure recorded below.
-      const std::span<const double> theta = qucad.online_day(d, calibration);
-      const OnlineManager::Decision& decision = qucad.last_decision();
-      switch (decision.action) {
-        case OnlineManager::Decision::Action::Reuse:
-          ++device.reuses;
-          break;
-        case OnlineManager::Decision::Action::NewModel:
-          ++device.new_models;
-          break;
-        case OnlineManager::Decision::Action::Failure:
-          ++device.failures;
-          break;
-      }
-      device.optimize_seconds += decision.optimize_seconds;
-
-      StatusOr<NoisyEvalResult> evaluated =
-          noisy_evaluate_or(env_.model, env_.transpiled, theta, env_.test,
-                            calibration, env_.eval);
-      if (!evaluated.ok()) return evaluated.status();
-
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      device.daily_accuracy.push_back(evaluated->accuracy);
-      device.day_seconds.push_back(seconds);
-      pooled.push_back(evaluated->accuracy);
-    }
-  }
-
-  for (FleetDeviceResult& device : result.devices) {
-    device.metrics = summarize_series(device.daily_accuracy);
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    MethodResult& device = result.devices[i];
+    device.name = streams_[i].spec().name;
+    pooled.insert(pooled.end(), device.daily_accuracy.begin(),
+                  device.daily_accuracy.end());
     result.reuses += device.reuses;
     result.new_models += device.new_models;
     result.failures += device.failures;
-    result.optimize_seconds += device.optimize_seconds;
+    result.optimize_seconds += device.online_optimize_seconds;
   }
   result.aggregate = summarize_series(pooled);
-  result.repository_entries_offline = offline_entries;
-  result.repository_entries_final = qucad.manager().repository().size();
   return result;
 }
 

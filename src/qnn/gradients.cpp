@@ -31,7 +31,7 @@ BatchGrad batch_loss_grad(const Circuit& circuit,
                           const std::vector<int>& readout_qubits,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
-                          double logit_scale) {
+                          double logit_scale, ThreadPool* pool) {
   require(!indices.empty(), "empty batch");
   const std::size_t batch = indices.size();
   const std::size_t num_params = static_cast<std::size_t>(circuit.num_trainable());
@@ -41,7 +41,8 @@ BatchGrad batch_loss_grad(const Circuit& circuit,
   std::vector<int> correct(batch, 0);
   std::vector<std::vector<double>> grads(batch);
 
-  parallel_for(batch, [&](std::size_t b) {
+  ThreadPool& workers = pool ? *pool : ThreadPool::global();
+  workers.parallel_for(batch, [&](std::size_t b) {
     const std::size_t row = indices[b];
     const std::vector<double>& x = data.features[row];
     const int label = data.labels[row];

@@ -17,7 +17,8 @@ struct BatchGrad {
 };
 
 /// Mean cross-entropy loss, accuracy and exact gradient over the selected
-/// samples, computed with one adjoint pass per sample (parallelized).
+/// samples, computed with one adjoint pass per sample, spread over `pool`
+/// (nullptr = the process-global pool).
 ///
 /// Works on any circuit whose inputs are the dataset features: the logical
 /// model circuit, the routed physical circuit (pass the physical readout
@@ -26,7 +27,7 @@ BatchGrad batch_loss_grad(const Circuit& circuit,
                           const std::vector<int>& readout_qubits,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
-                          double logit_scale);
+                          double logit_scale, ThreadPool* pool = nullptr);
 
 /// Loss/accuracy only (skips the backward sweep).
 BatchGrad batch_loss(const Circuit& circuit,

@@ -738,8 +738,10 @@ TEST(BackendThreading, HarnessBackendOverride) {
   BaselineStrategy strategy(env);
   HarnessOptions options;
   options.backend = BackendConfig().with_kind(BackendKind::kPureStatevector);
-  const MethodResult result = run_longitudinal(
-      strategy, env, {}, {fx.history.day(0), fx.history.day(1)}, options);
+  const MethodResult result =
+      run_longitudinal(strategy, env, {},
+                       {{fx.history.day(0), fx.history.day(1)}}, options)
+          .front();
   ASSERT_EQ(result.daily_accuracy.size(), 2u);
   const double noise_free = noise_free_accuracy(fx.model, fx.theta, fx.data);
   // The noise-free regime is calibration-independent: every day equals the

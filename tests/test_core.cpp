@@ -147,7 +147,7 @@ TEST(Harness, LongitudinalRunProducesMetrics) {
   BaselineStrategy baseline(env);
   const CalibrationHistory h(FluctuationScenario::belem(), 40, 2021);
   const MethodResult result =
-      run_longitudinal(baseline, env, {}, h.slice(20, 10));
+      run_longitudinal(baseline, env, {}, {h.slice(20, 10)}).front();
   EXPECT_EQ(result.daily_accuracy.size(), 10u);
   EXPECT_GT(result.metrics.mean_accuracy, 0.0);
   EXPECT_LE(result.metrics.mean_accuracy, 1.0);
@@ -163,7 +163,7 @@ TEST(Harness, RejectsNonPositiveDayStride) {
   for (const int stride : {0, -1}) {
     HarnessOptions options;
     options.day_stride = stride;
-    EXPECT_THROW(run_longitudinal(baseline, env, {}, h.slice(0, 4), options),
+    EXPECT_THROW(run_longitudinal(baseline, env, {}, {h.slice(0, 4)}, options),
                  PreconditionError)
         << "stride " << stride;
     std::ostringstream out;
@@ -197,9 +197,66 @@ TEST(Harness, RejectsInvalidBackendBeforeOffline) {
   options.backend = BackendConfig().with_kind(BackendKind::kSampled);
   ASSERT_FALSE(options.backend->validate().ok()) << "kSampled at 0 shots";
   EXPECT_THROW(
-      run_longitudinal(strategy, env, h.slice(0, 2), h.slice(2, 2), options),
+      run_longitudinal(strategy, env, h.slice(0, 2), {h.slice(2, 2)}, options),
       PreconditionError);
   EXPECT_EQ(strategy.offline_calls, 0);
+}
+
+// The decision record is the Sec. III-D step's own output: replaying the
+// same days through an OnlineManager built from the same offline history,
+// in the loop's order (day by day, and stream by stream within a day),
+// reproduces every record's action, entry, distance and threshold.
+TEST(Harness, DecisionRecordsReplayTheOnlineManager) {
+  const Environment& env = test_env();
+  const CalibrationHistory h(FluctuationScenario::belem(), 40, 2021);
+  const CalibrationHistory other(FluctuationScenario::belem(), 40, 77);
+  const std::vector<Calibration> offline = h.slice(0, 8);
+  const std::vector<std::vector<Calibration>> streams{h.slice(20, 4),
+                                                      other.slice(20, 4)};
+  QuCadStrategy qucad(env);
+  const std::vector<MethodResult> results =
+      run_longitudinal(qucad, env, offline, streams);
+  ASSERT_EQ(results.size(), streams.size());
+
+  OfflineBuild build = build_repository(
+      env.model, env.transpiled, env.theta_pretrained, offline, env.train,
+      env.profile, env.constructor_options);
+  OnlineManager manager(env.model, env.transpiled, env.theta_pretrained,
+                        env.train, std::move(build.repository),
+                        env.manager_options);
+  for (std::size_t d = 0; d < 4; ++d) {
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const OnlineManager::Decision want = manager.process_day(streams[s][d]);
+      ASSERT_EQ(results[s].days.size(), 4u);
+      const DayRecord& got = results[s].days[d];
+      ASSERT_TRUE(got.decision.has_value()) << "stream " << s << " day " << d;
+      EXPECT_EQ(got.day, static_cast<int>(d));
+      EXPECT_EQ(got.decision->action, want.action)
+          << "stream " << s << " day " << d;
+      EXPECT_EQ(got.decision->entry_index, want.entry_index)
+          << "stream " << s << " day " << d;
+      EXPECT_EQ(got.decision->distance, want.distance)
+          << "stream " << s << " day " << d;
+      EXPECT_EQ(got.decision->threshold, want.threshold)
+          << "stream " << s << " day " << d;
+      EXPECT_EQ(got.accuracy, results[s].daily_accuracy[d]);
+    }
+  }
+  for (const MethodResult& result : results) {
+    EXPECT_EQ(result.method, "QuCAD");
+    EXPECT_EQ(result.reuses + result.new_models + result.failures, 4);
+    EXPECT_EQ(result.optimizations, result.new_models);
+  }
+
+  // Strategies without a repository leave the decision empty.
+  BaselineStrategy baseline(env);
+  const MethodResult base =
+      run_longitudinal(baseline, env, {}, {h.slice(20, 2)}).front();
+  ASSERT_EQ(base.days.size(), 2u);
+  for (const DayRecord& record : base.days) {
+    EXPECT_FALSE(record.decision.has_value());
+  }
+  EXPECT_EQ(base.reuses + base.new_models + base.failures, 0);
 }
 
 TEST(Metrics, SummarizeSeries) {

@@ -1,26 +1,30 @@
 // Fleet simulator tests: seeded drift-stream reproducibility, FleetConfig
-// text round-trips, the remote-stub backend's bitwise-transparency contract,
-// and the fleet harness serving many heterogeneous devices from one
-// repository.
+// text round-trips, positional readout on the fleet's evaluation path, and
+// the fleet harness serving many heterogeneous devices from one repository
+// through the shared longitudinal loop.
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "backend/registry.hpp"
+#include "common/stats.hpp"
 #include "core/qucad.hpp"
+#include "core/strategies.hpp"
 #include "data/seismic_synth.hpp"
+#include "eval/harness.hpp"
 #include "fleet/device_spec.hpp"
 #include "fleet/drift_stream.hpp"
 #include "fleet/harness.hpp"
-#include "fleet/remote_stub_backend.hpp"
 #include "noise/calibration_history.hpp"
+#include "noise/noise_model.hpp"
 #include "qnn/ansatz.hpp"
 #include "qnn/encoding.hpp"
+#include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
+#include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
 
 namespace qucad {
@@ -31,9 +35,6 @@ using fleet::DriftStream;
 using fleet::FleetConfig;
 using fleet::FleetHarness;
 using fleet::FleetOptions;
-using fleet::kRemoteStubBackendKind;
-using fleet::RemoteStubBackend;
-using fleet::RemoteStubOptions;
 
 void expect_calibration_identical(const Calibration& a, const Calibration& b,
                                   int day) {
@@ -224,195 +225,14 @@ TEST(FleetConfig, ParseRejectsMalformedInput) {
 }
 
 // --------------------------------------------------------------------------
-// RemoteStubBackend
-
-struct StubWorkload {
-  QnnModel model;
-  std::vector<double> theta;
-  TranspiledModel transpiled;
-  DriftStream stream;
-  Dataset data;
-};
-
-StubWorkload make_stub_workload() {
-  QnnModel model = build_paper_model(4, 4, 2, 1);
-  std::vector<double> theta = init_params(model, 19);
-  StatusOr<DriftStream> stream =
-      DriftStream::create(DeviceSpec::belem("stub", 91), 40);
-  EXPECT_TRUE(stream.ok()) << stream.status().to_string();
-  TranspiledModel transpiled =
-      transpile_model(model.circuit, model.readout_qubits, CouplingMap::belem(),
-                      &stream->history().day(0));
-  Dataset raw = make_seismic(24, 9);
-  Dataset data = FeatureScaler::fit(raw).transform(raw);
-  return StubWorkload{std::move(model), std::move(theta), std::move(transpiled),
-                      *std::move(stream), std::move(data)};
-}
-
-BackendContext stub_context(const StubWorkload& w) {
-  BackendContext context;
-  context.model = &w.model;
-  context.transpiled = &w.transpiled;
-  context.theta = w.theta;
-  context.calibration = &w.stream.history().day(17);
-  return context;
-}
-
-TEST(RemoteStub, LogitsBitwiseEqualInnerBackend) {
-  const StubWorkload w = make_stub_workload();
-  const BackendContext context = stub_context(w);
-
-  BackendRegistry registry;  // fresh built-ins, test-local stub kind
-  RemoteStubOptions options;
-  options.max_shots_per_job = 7;  // 20 shots -> 3 jobs per sample
-  options.fault_rate = 0.3;       // faults must never perturb results
-  ASSERT_TRUE(register_remote_stub_backend(registry, options).ok());
-
-  BackendConfig stub_config;
-  stub_config.kind = kRemoteStubBackendKind;
-  stub_config.shots = 20;
-  stub_config.seed = 11;
-  BackendConfig inner_config = stub_config;
-  inner_config.kind = BackendKind::kSampled;
-
-  const auto stub = registry.make(stub_config, context);
-  const auto inner = registry.make(inner_config, context);
-  ASSERT_TRUE(stub.ok()) << stub.status().to_string();
-  ASSERT_TRUE(inner.ok()) << inner.status().to_string();
-
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ((*stub)->run_logits(w.data.features[i]),
-              (*inner)->run_logits(w.data.features[i]))
-        << "sample " << i;
-  }
-  EXPECT_EQ((*stub)->run_logits_batch(w.data.features),
-            (*inner)->run_logits_batch(w.data.features));
-
-  const auto* typed = dynamic_cast<const RemoteStubBackend*>(stub->get());
-  ASSERT_NE(typed, nullptr);
-  const RemoteStubBackend::Stats stats = typed->stats();
-  EXPECT_EQ(stats.submissions, 6u);  // 5 singles + 1 batch
-  EXPECT_EQ(stats.jobs, (5u + w.data.features.size()) * 3u);
-  EXPECT_EQ(stats.wait_seconds, 0.0);  // latency knobs left at zero
-
-  // Fault accounting is a pure function of the options and the job count: a
-  // second stub fed the same sequence reports identical stats.
-  const auto twin = registry.make(stub_config, context);
-  ASSERT_TRUE(twin.ok());
-  for (std::size_t i = 0; i < 5; ++i) {
-    (void)(*twin)->run_logits(w.data.features[i]);
-  }
-  (void)(*twin)->run_logits_batch(w.data.features);
-  const auto* twin_typed = dynamic_cast<const RemoteStubBackend*>(twin->get());
-  ASSERT_NE(twin_typed, nullptr);
-  EXPECT_EQ(twin_typed->stats().faults, stats.faults);
-  EXPECT_EQ(twin_typed->stats().jobs, stats.jobs);
-}
-
-TEST(RemoteStub, ConcurrentSubmissionsMatchSerialAccounting) {
-  const StubWorkload w = make_stub_workload();
-  const BackendContext context = stub_context(w);
-
-  BackendRegistry registry;
-  RemoteStubOptions options;
-  options.max_shots_per_job = 5;  // 20 shots -> 4 jobs per sample
-  options.fault_rate = 0.4;
-  ASSERT_TRUE(register_remote_stub_backend(registry, options).ok());
-
-  BackendConfig config;
-  config.kind = kRemoteStubBackendKind;
-  config.shots = 20;
-  config.seed = 3;
-  const auto concurrent = registry.make(config, context);
-  const auto serial = registry.make(config, context);
-  ASSERT_TRUE(concurrent.ok()) << concurrent.status().to_string();
-  ASSERT_TRUE(serial.ok());
-
-  constexpr int kThreads = 4;
-  constexpr int kCallsPerThread = 8;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&concurrent, &w, t] {
-      for (int c = 0; c < kCallsPerThread; ++c) {
-        (void)(*concurrent)
-            ->run_logits(w.data.features[static_cast<std::size_t>(
-                (t * kCallsPerThread + c) % 24)]);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  for (int c = 0; c < kThreads * kCallsPerThread; ++c) {
-    (void)(*serial)->run_logits(
-        w.data.features[static_cast<std::size_t>(c % 24)]);
-  }
-
-  const auto* a = dynamic_cast<const RemoteStubBackend*>(concurrent->get());
-  const auto* b = dynamic_cast<const RemoteStubBackend*>(serial->get());
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->stats().submissions,
-            static_cast<std::uint64_t>(kThreads * kCallsPerThread));
-  EXPECT_EQ(a->stats().jobs, a->stats().submissions * 4u);
-  // Job ids are handed out atomically and each job's fault stream is seeded
-  // by its id, so the total is submission-order independent.
-  EXPECT_EQ(a->stats().faults, b->stats().faults);
-  EXPECT_EQ(a->stats().jobs, b->stats().jobs);
-}
-
-TEST(RemoteStub, SelectableThroughGlobalRegistryByConfig) {
-  const StubWorkload w = make_stub_workload();
-  const Calibration& calib = w.stream.history().day(17);
-
-  RemoteStubOptions options;
-  options.max_shots_per_job = 13;
-  options.fault_rate = 0.2;
-  ASSERT_TRUE(
-      register_remote_stub_backend(BackendRegistry::global(), options).ok());
-
-  NoisyEvalOptions via_stub;
-  via_stub.backend =
-      BackendConfig{}.with_kind(kRemoteStubBackendKind).with_shots(48).with_seed(
-          9);
-  NoisyEvalOptions via_sampled;
-  via_sampled.backend =
-      BackendConfig{}.with_kind(BackendKind::kSampled).with_shots(48).with_seed(
-          9);
-
-  const StatusOr<NoisyEvalResult> stubbed = noisy_evaluate_or(
-      w.model, w.transpiled, w.theta, w.data, calib, via_stub);
-  const StatusOr<NoisyEvalResult> sampled = noisy_evaluate_or(
-      w.model, w.transpiled, w.theta, w.data, calib, via_sampled);
-  ASSERT_TRUE(stubbed.ok()) << stubbed.status().to_string();
-  ASSERT_TRUE(sampled.ok()) << sampled.status().to_string();
-  EXPECT_EQ(stubbed->predictions, sampled->predictions);
-  EXPECT_DOUBLE_EQ(stubbed->accuracy, sampled->accuracy);
-}
-
-TEST(RemoteStub, RegistrationRejectsBadOptions) {
-  BackendRegistry registry;
-  RemoteStubOptions self_wrap;
-  self_wrap.inner_kind = kRemoteStubBackendKind;
-  EXPECT_FALSE(register_remote_stub_backend(registry, self_wrap).ok());
-
-  RemoteStubOptions certain_fault;
-  certain_fault.fault_rate = 1.0;
-  EXPECT_FALSE(register_remote_stub_backend(registry, certain_fault).ok());
-
-  RemoteStubOptions negative_wait;
-  negative_wait.queue_latency_seconds = -1.0;
-  EXPECT_FALSE(register_remote_stub_backend(registry, negative_wait).ok());
-}
-
-// --------------------------------------------------------------------------
 // Positional readout through the fleet path
 
 TEST(Fleet, PositionalReadoutSurvivesStubAndScatteredLayout) {
-  // Regression guard on the fleet additions: with readout_qubits = {1, 3}
-  // and a layout that scatters logical onto physical ids, the remote stub's
-  // evaluation must match the direct density path bitwise — a positional
-  // indexing slip on either side would diverge (or read out of bounds).
+  // Regression guard on the fleet's evaluation path: with readout_qubits =
+  // {1, 3} and a layout that scatters logical onto physical ids, the density
+  // evaluation of a drift-stream day must predict what the gate-by-gate
+  // reference's slot-ordered <Z> says — a positional indexing slip on
+  // either side would diverge (or read out of bounds).
   QnnModel model;
   model.circuit = angle_encoder(4, 4);
   model.circuit.append(build_paper_ansatz(4, 1));
@@ -435,24 +255,22 @@ TEST(Fleet, PositionalReadoutSurvivesStubAndScatteredLayout) {
   Dataset raw = make_seismic(32, 9);
   const Dataset data = FeatureScaler::fit(raw).transform(raw);
 
-  RemoteStubOptions options;
-  options.inner_kind = BackendKind::kDensityNoisy;
-  const BackendKind density_stub_kind = static_cast<BackendKind>(17);
-  ASSERT_TRUE(register_remote_stub_backend(BackendRegistry::global(), options,
-                                           density_stub_kind)
-                  .ok());
-
-  NoisyEvalOptions via_stub;
-  via_stub.backend.kind = density_stub_kind;
-  via_stub.backend.shots = 0;
-  const StatusOr<NoisyEvalResult> stubbed =
-      noisy_evaluate_or(model, routed, theta, data, calib, via_stub);
   const StatusOr<NoisyEvalResult> direct =
       noisy_evaluate_or(model, routed, theta, data, calib, {});
-  ASSERT_TRUE(stubbed.ok()) << stubbed.status().to_string();
   ASSERT_TRUE(direct.ok()) << direct.status().to_string();
-  EXPECT_EQ(stubbed->predictions, direct->predictions);
-  EXPECT_DOUBLE_EQ(stubbed->accuracy, direct->accuracy);
+  const PhysicalCircuit circuit = lower_noisy_circuit(model, routed, theta);
+  const NoiseModel noise(calib);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::vector<double> z =
+        run_z_reference(circuit, noise, data.features[i]);
+    ASSERT_EQ(z.size(), 2u) << "sample " << i;
+    const int label = static_cast<int>(argmax(z));
+    EXPECT_EQ(direct->predictions[i], label) << "sample " << i;
+    if (label == data.labels[i]) ++correct;
+  }
+  EXPECT_DOUBLE_EQ(direct->accuracy, static_cast<double>(correct) /
+                                         static_cast<double>(data.size()));
 }
 
 // --------------------------------------------------------------------------
@@ -514,7 +332,7 @@ TEST(Fleet, ServesSixteenHeterogeneousDevicesFromOneRepository) {
   EXPECT_GE(result->repository_entries_final,
             result->repository_entries_offline);
 
-  for (const fleet::FleetDeviceResult& device : result->devices) {
+  for (const MethodResult& device : result->devices) {
     ASSERT_EQ(device.daily_accuracy.size(), 2u) << device.name;
     ASSERT_EQ(device.day_seconds.size(), 2u) << device.name;
     EXPECT_EQ(device.reuses + device.new_models + device.failures, 2)
@@ -561,7 +379,7 @@ TEST(Fleet, HarnessServesNonContiguousReadoutModel) {
   const StatusOr<fleet::FleetResult> result = harness->run();
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_EQ(result->decisions(), 2 * 2);
-  for (const fleet::FleetDeviceResult& device : result->devices) {
+  for (const MethodResult& device : result->devices) {
     for (double acc : device.daily_accuracy) {
       EXPECT_GE(acc, 0.0);
       EXPECT_LE(acc, 1.0);
@@ -585,12 +403,112 @@ TEST(Fleet, CreateRejectsMixedTopologiesAndBadWindows) {
   FleetOptions bad_stride;
   bad_stride.offline_days = 4;
   bad_stride.online_days = 2;
-  bad_stride.day_stride = 0;
+  bad_stride.harness.day_stride = 0;
   EXPECT_FALSE(FleetHarness::create(fleet_env(), small, bad_stride).ok());
 
   FleetConfig empty;
   empty.devices.clear();
   EXPECT_FALSE(FleetHarness::create(fleet_env(), empty, {}).ok());
+}
+
+// offline_days + online_days used to be summed in int: INT_MAX + 1 wrapped
+// negative, passed create(), and run() then threw "day index out of range"
+// out of the no-throw fleet.
+TEST(Fleet, CreateRejectsDayWindowsThatOverflowInt) {
+  const FleetConfig small = FleetConfig::heterogeneous(2, 3, 10);
+  FleetOptions huge_offline;
+  huge_offline.offline_days = INT_MAX;
+  huge_offline.online_days = 1;
+  const StatusOr<FleetHarness> harness =
+      FleetHarness::create(fleet_env(), small, huge_offline);
+  ASSERT_FALSE(harness.ok());
+  EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A day stride past the window used to overflow `d += day_stride` after the
+// first served day and index a negative day.
+TEST(Fleet, HugeDayStrideServesOneDayPerDevice) {
+  const FleetConfig config = FleetConfig::heterogeneous(2, 13, 6);
+  FleetOptions options;
+  options.offline_days = 3;
+  options.online_days = 3;
+  options.max_eval_samples = 8;
+  options.harness.day_stride = INT_MAX;
+
+  StatusOr<FleetHarness> harness =
+      FleetHarness::create(fleet_env(), config, options);
+  ASSERT_TRUE(harness.ok()) << harness.status().to_string();
+  const StatusOr<fleet::FleetResult> result = harness->run();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result->decisions(), 2);
+  for (const MethodResult& device : result->devices) {
+    ASSERT_EQ(device.days.size(), 1u) << device.name;
+    EXPECT_EQ(device.days[0].day, 0) << device.name;
+  }
+}
+
+// A backend kind with no registered factory validates, so create() accepts
+// it; the first evaluation fails, and run() must say so as a Status.
+TEST(Fleet, RunReturnsEvaluationErrorsAsStatus) {
+  const FleetConfig config = FleetConfig::heterogeneous(2, 13, 6);
+  FleetOptions options;
+  options.offline_days = 3;
+  options.online_days = 1;
+  options.max_eval_samples = 8;
+  options.harness.backend =
+      BackendConfig().with_kind(static_cast<BackendKind>(200));
+
+  StatusOr<FleetHarness> harness =
+      FleetHarness::create(fleet_env(), config, options);
+  ASSERT_TRUE(harness.ok()) << harness.status().to_string();
+  const StatusOr<fleet::FleetResult> result = harness->run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The fleet is an adapter over the one longitudinal loop: a one-device
+// fleet must reproduce run_longitudinal with QuCadStrategy on that device's
+// stream, decision for decision and accuracy for accuracy.
+TEST(Fleet, OneDeviceRunMatchesLongitudinalLoop) {
+  const FleetConfig config = FleetConfig::heterogeneous(1, 21, 8);
+  FleetOptions options;
+  options.offline_days = 4;
+  options.online_days = 4;
+  options.max_eval_samples = 12;
+
+  StatusOr<FleetHarness> harness =
+      FleetHarness::create(fleet_env(), config, options);
+  ASSERT_TRUE(harness.ok()) << harness.status().to_string();
+  const StatusOr<fleet::FleetResult> fleet_result = harness->run();
+  ASSERT_TRUE(fleet_result.ok()) << fleet_result.status().to_string();
+  ASSERT_EQ(fleet_result->devices.size(), 1u);
+  const MethodResult& device = fleet_result->devices.front();
+
+  Environment env = fleet_env();
+  env.test = env.test.take(options.max_eval_samples);
+  const CalibrationHistory& history = harness->streams().front().history();
+  QuCadStrategy qucad(env);
+  const MethodResult direct =
+      run_longitudinal(qucad, env, history.slice(0, 4), {history.slice(4, 4)})
+          .front();
+
+  EXPECT_EQ(device.name, config.devices.front().name);
+  EXPECT_EQ(device.daily_accuracy, direct.daily_accuracy);
+  EXPECT_EQ(device.reuses, direct.reuses);
+  EXPECT_EQ(device.new_models, direct.new_models);
+  EXPECT_EQ(device.failures, direct.failures);
+  ASSERT_EQ(device.days.size(), direct.days.size());
+  for (std::size_t d = 0; d < direct.days.size(); ++d) {
+    ASSERT_TRUE(device.days[d].decision.has_value()) << "day " << d;
+    ASSERT_TRUE(direct.days[d].decision.has_value()) << "day " << d;
+    const OnlineManager::Decision& a = *device.days[d].decision;
+    const OnlineManager::Decision& b = *direct.days[d].decision;
+    EXPECT_EQ(device.days[d].day, direct.days[d].day);
+    EXPECT_EQ(a.action, b.action) << "day " << d;
+    EXPECT_EQ(a.entry_index, b.entry_index) << "day " << d;
+    EXPECT_EQ(a.distance, b.distance) << "day " << d;
+    EXPECT_EQ(a.threshold, b.threshold) << "day " << d;
+  }
 }
 
 }  // namespace

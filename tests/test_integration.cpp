@@ -65,9 +65,9 @@ TEST(Integration, QuCadBeatsBaselineOverEpisodeWindow) {
   HarnessOptions options;
   options.day_stride = 4;
   const MethodResult base_result =
-      run_longitudinal(baseline, env, offline, online, options);
+      run_longitudinal(baseline, env, offline, {online}, options).front();
   const MethodResult qucad_result =
-      run_longitudinal(qucad, env, offline, online, options);
+      run_longitudinal(qucad, env, offline, {online}, options).front();
 
   EXPECT_GE(qucad_result.metrics.mean_accuracy,
             base_result.metrics.mean_accuracy - 0.02);
@@ -86,8 +86,8 @@ TEST(Integration, RepositoryReducesOnlineOptimizations) {
   CompressionEverydayStrategy everyday(env, CompressionMode::NoiseAware);
   HarnessOptions options;
   options.day_stride = 2;
-  run_longitudinal(qucad, env, offline, online, options);
-  run_longitudinal(everyday, env, {}, online, options);
+  run_longitudinal(qucad, env, offline, {online}, options);
+  run_longitudinal(everyday, env, {}, {online}, options);
 
   // The repository must cut the number of online optimizations hard
   // (paper: ~146x fewer).

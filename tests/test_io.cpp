@@ -26,8 +26,8 @@
 #include "backend/registry.hpp"
 #include "common/rng.hpp"
 #include "core/qucad.hpp"
+#include "custom_backend.hpp"
 #include "data/seismic_synth.hpp"
-#include "fleet/remote_stub_backend.hpp"
 #include "io/artifacts.hpp"
 #include "io/serializer.hpp"
 #include "noise/calibration_history.hpp"
@@ -587,16 +587,16 @@ TEST(IoArtifacts, LegacyDeterminismByteNeedsASeed) {
 }
 
 TEST(IoArtifacts, CustomBackendKindRoundTrips) {
-  // A registered custom kind (the remote stub's 16) passes validate(), so
-  // the file a service writes with it must load again.
+  // A custom kind (16, beyond the built-in enumerators) passes validate(),
+  // so the file a service writes with it must load again.
   Artifacts artifacts = golden_artifacts();
   artifacts.config.eval.backend =
-      BackendConfig().with_kind(fleet::kRemoteStubBackendKind).with_shots(48);
+      BackendConfig().with_kind(test::kCustomBackendKind).with_shots(48);
   ASSERT_TRUE(artifacts.config.validate().ok());
   const std::vector<std::uint8_t> bytes = serialize_artifacts(artifacts);
   const StatusOr<Artifacts> loaded = deserialize_artifacts(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded->config.eval.backend.kind, fleet::kRemoteStubBackendKind);
+  EXPECT_EQ(loaded->config.eval.backend.kind, test::kCustomBackendKind);
   EXPECT_EQ(loaded->config.eval.backend.shots, 48);
   EXPECT_EQ(serialize_artifacts(*loaded), bytes);
 }
@@ -809,7 +809,7 @@ TEST(IoColdStart, UnregisteredBackendKindIsAStatus) {
   artifacts.config =
       ServiceConfig::from_environment(fixture.env)
           .with_backend(BackendConfig()
-                            .with_kind(fleet::kRemoteStubBackendKind)
+                            .with_kind(test::kCustomBackendKind)
                             .with_shots(32));
   const StatusOr<Artifacts> loaded =
       deserialize_artifacts(serialize_artifacts(artifacts));
@@ -819,15 +819,12 @@ TEST(IoColdStart, UnregisteredBackendKindIsAStatus) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
 
-  fleet::RemoteStubOptions options;
-  ASSERT_TRUE(fleet::register_remote_stub_backend(BackendRegistry::global(),
-                                                  options)
-                  .ok());
+  test::register_custom_backend_kind();
   StatusOr<InferenceService> served = cold_start_service(fixture.env, *loaded);
   ASSERT_TRUE(served.ok()) << served.status().to_string();
   const auto prediction = served->submit(fixture.env.test.features[0]);
   ASSERT_TRUE(prediction.ok()) << prediction.status().to_string();
-  EXPECT_EQ(prediction->backend, fleet::kRemoteStubBackendKind);
+  EXPECT_EQ(prediction->backend, test::kCustomBackendKind);
 }
 
 TEST(IoColdStart, EmptyCalibrationStreamRejected) {

@@ -566,7 +566,8 @@ TEST(ServeLongitudinal, MatchesStrategyHarnessBitwise) {
   {
     Environment harness_env = fx.env;
     harness_env.test = test;
-    from_strategy = run_longitudinal(strategy, harness_env, {}, window);
+    from_strategy =
+        run_longitudinal(strategy, harness_env, {}, {window}).front();
   }
 
   const ServiceConfig config =

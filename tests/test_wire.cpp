@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "core/qucad.hpp"
+#include "custom_backend.hpp"
 #include "data/seismic_synth.hpp"
-#include "fleet/remote_stub_backend.hpp"
 #include "io/serializer.hpp"
 #include "io/wire.hpp"
 #include "noise/calibration_history.hpp"
@@ -49,10 +49,10 @@ TEST(WireCodec, PredictRequestRoundTrips) {
 
 TEST(WireCodec, PredictResponseRoundTripsBitwise) {
   // Any u8 backend kind rides the wire, as in artifacts: a service on a
-  // registered custom kind (the remote stub is kind 16) must answer with a
-  // frame its own client accepts.
+  // registered custom kind (16, beyond the built-in enumerators) must answer
+  // with a frame its own client accepts.
   for (const BackendKind kind :
-       {BackendKind::kSampled, fleet::kRemoteStubBackendKind}) {
+       {BackendKind::kSampled, test::kCustomBackendKind}) {
     Prediction p;
     p.label = 1;
     p.logits = {-0.125, 0.875};
@@ -302,15 +302,11 @@ TEST(WireLoopback, RoundTripMatchesDirectSubmitBitwise) {
 }
 
 TEST(WireLoopback, CustomBackendKindServiceAnswersItsClient) {
-  fleet::RemoteStubOptions options;
-  options.inner_kind = BackendKind::kDensityNoisy;
-  ASSERT_TRUE(fleet::register_remote_stub_backend(BackendRegistry::global(),
-                                                  options)
-                  .ok());
+  test::register_custom_backend_kind();
   const WireFixture& fx = fixture();
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env).with_backend(
-          BackendConfig().with_kind(fleet::kRemoteStubBackendKind));
+          BackendConfig().with_kind(test::kCustomBackendKind));
   StatusOr<InferenceService> service = InferenceService::create(
       fx.env, fx.reuse_only_repository(), fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();
@@ -325,7 +321,7 @@ TEST(WireLoopback, CustomBackendKindServiceAnswersItsClient) {
   const StatusOr<Prediction> direct = service->submit(x);
   ASSERT_TRUE(remote.ok()) << remote.status().to_string();
   ASSERT_TRUE(direct.ok()) << direct.status().to_string();
-  EXPECT_EQ(remote->backend, fleet::kRemoteStubBackendKind);
+  EXPECT_EQ(remote->backend, test::kCustomBackendKind);
   EXPECT_EQ(remote->label, direct->label);
   ASSERT_EQ(remote->logits.size(), direct->logits.size());
   for (std::size_t k = 0; k < remote->logits.size(); ++k) {
