@@ -150,21 +150,27 @@ void BackendRegistry::register_factory(BackendKind kind, Factory factory) {
   factories_[index] = std::move(factory);
 }
 
+BackendRegistry::Factory BackendRegistry::factory_for(BackendKind kind) const {
+  const std::size_t index = static_cast<std::size_t>(kind);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return index < factories_.size() ? factories_[index] : Factory{};
+}
+
+Status BackendRegistry::validate(const BackendConfig& config) const {
+  if (Status status = config.validate(); !status.ok()) return status;
+  if (factory_for(config.kind) == nullptr) {
+    return Status::invalid_argument(
+        "no factory registered for backend kind " +
+        std::to_string(static_cast<int>(config.kind)));
+  }
+  return Status();
+}
+
 StatusOr<std::shared_ptr<const ExecutionBackend>> BackendRegistry::make(
     const BackendConfig& config, const BackendContext& context) const {
-  if (Status status = config.validate(); !status.ok()) return status;
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t index = static_cast<std::size_t>(config.kind);
-    if (index >= factories_.size() || factories_[index] == nullptr) {
-      return Status::invalid_argument(
-          "no factory registered for backend kind " +
-          std::to_string(static_cast<int>(config.kind)));
-    }
-    factory = factories_[index];
-  }
-  return factory(config, context);
+  if (Status status = validate(config); !status.ok()) return status;
+  // Factories are replaced, never removed, so the validated kind has one.
+  return factory_for(config.kind)(config, context);
 }
 
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_backend(

@@ -65,6 +65,11 @@ class BackendRegistry {
   /// by constructing a fresh registry).
   void register_factory(BackendKind kind, Factory factory);
 
+  /// BackendConfig::validate() plus a registered factory for the kind: what
+  /// make() checks before it builds, for callers that must refuse a config
+  /// before their first build (the longitudinal and fleet harnesses).
+  Status validate(const BackendConfig& config) const;
+
   /// Validates `config` and builds the backend for it. Missing context
   /// fields, unknown kinds, and inconsistent configs come back as Status
   /// values. The shot budget and seed come from `config` for every kind.
@@ -72,6 +77,9 @@ class BackendRegistry {
       const BackendConfig& config, const BackendContext& context) const;
 
  private:
+  /// The factory registered for `kind`, or an empty one.
+  Factory factory_for(BackendKind kind) const;
+
   mutable std::mutex mutex_;
   std::vector<Factory> factories_;  // indexed by BackendKind; grows on demand
 };

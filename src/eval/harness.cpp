@@ -3,6 +3,7 @@
 #include <chrono>
 #include <ostream>
 
+#include "backend/registry.hpp"
 #include "common/require.hpp"
 #include "common/table.hpp"
 #include "core/strategies.hpp"
@@ -21,12 +22,12 @@ std::vector<MethodResult> run_longitudinal(
     require(stream.size() == days, "online streams differ in length");
   }
   require(options.day_stride >= 1, "day_stride must be >= 1");
-  require(!options.backend.has_value() || options.backend->validate().ok(),
+  NoisyEvalOptions eval = env.eval;
+  if (options.backend.has_value()) eval.backend = *options.backend;
+  require(BackendRegistry::global().validate(eval.backend).ok(),
           "harness backend config is invalid");
   if (!offline_history.empty()) strategy.offline(offline_history);
 
-  NoisyEvalOptions eval = env.eval;
-  if (options.backend.has_value()) eval.backend = *options.backend;
   // Only the QuCAD strategies keep a repository, so only they decide.
   const auto* qucad = dynamic_cast<const QuCadStrategy*>(&strategy);
 

@@ -66,8 +66,9 @@ struct MethodResult {
 /// day.
 ///
 /// The streams must be non-empty and of one length, `options.day_stride`
-/// must be >= 1 and a set `options.backend` must validate; all are checked
-/// before offline().
+/// must be >= 1 and the evaluation backend (`options.backend`, else the
+/// environment's) must pass BackendRegistry::global().validate(); all are
+/// checked before offline().
 std::vector<MethodResult> run_longitudinal(
     Strategy& strategy, const Environment& env,
     const std::vector<Calibration>& offline_history,

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "backend/registry.hpp"
 #include "common/require.hpp"
 #include "core/strategies.hpp"
 
@@ -38,10 +39,12 @@ StatusOr<FleetHarness> FleetHarness::create(const Environment& env,
     return Status::invalid_argument(
         "fleet environment needs non-empty train/test/profile datasets");
   }
-  if (options.harness.backend.has_value()) {
-    if (Status status = options.harness.backend->validate(); !status.ok()) {
-      return status;
-    }
+  // Refuse a backend the evaluations could not build now, not after the
+  // offline repository build.
+  if (Status status = BackendRegistry::global().validate(
+          options.harness.backend.value_or(env.eval.backend));
+      !status.ok()) {
+    return status;
   }
 
   StatusOr<FluctuationScenario> first = config.devices.front().scenario();

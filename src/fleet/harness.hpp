@@ -66,16 +66,19 @@ struct FleetResult {
 class FleetHarness {
  public:
   /// Validates the fleet against the environment and synthesizes every
-  /// device's drift stream. The environment is copied (the OnlineManager
-  /// convention: a harness cannot dangle), with `options.harness.backend`
-  /// and `options.max_eval_samples` applied to the copy.
+  /// device's drift stream. The evaluation backend must pass
+  /// BackendRegistry::global().validate() (a kind with no registered
+  /// factory is refused here, before any offline work). The environment is
+  /// copied (the OnlineManager convention: a harness cannot dangle), with
+  /// `options.harness.backend` and `options.max_eval_samples` applied to
+  /// the copy.
   static StatusOr<FleetHarness> create(const Environment& env,
                                        const FleetConfig& config,
                                        FleetOptions options = {});
 
   /// Builds the repository and serves the online window. Evaluation errors
-  /// (a calibration that does not cover the routed device, a backend kind
-  /// with no registered factory) surface as Status.
+  /// (a calibration that does not cover the routed device, a backend
+  /// factory that fails) surface as Status.
   StatusOr<FleetResult> run();
 
   const std::vector<DriftStream>& streams() const { return streams_; }

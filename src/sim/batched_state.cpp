@@ -286,6 +286,48 @@ std::array<std::array<cplx, 4>, L> conj_lanes(const std::array<cplx, 4>* ms) {
   return out;
 }
 
+/// A CX error site (FusedChannel2: two-qubit depolarizing, then thermal
+/// relaxation on a = min(q), then on b = max(q)) composed into one real map
+/// per 4x4 block, block index k = 2 * bit(a) + bit(b). The populations mix
+/// through `pop`. A coherence between indices that differ in b only scales
+/// by b_hi where bit(a) = 1, and by b_lo plus b_lo_in times its bit(a) = 1
+/// partner (the a-thermal transfer) where bit(a) = 0; likewise with a and b
+/// swapped. Coherences differing in both bits scale by ab.
+struct CxSiteMap {
+  double pop[4][4];
+  double b_lo, b_lo_in, b_hi;
+  double a_lo, a_lo_in, a_hi;
+  double ab;
+};
+
+CxSiteMap cx_site_map(const FusedChannel2& ch) {
+  // The thermal steps' population matrix: a then b, each moving gamma of
+  // its bit-1 population to bit 0 and keeping 1 - gamma.
+  const double ga = ch.gamma_a;
+  const double gb = ch.gamma_b;
+  const double thermal[4][4] = {{1.0, gb, ga, gb * ga},
+                                {0.0, ch.keep_b, 0.0, ch.keep_b * ga},
+                                {0.0, 0.0, ch.keep_a, gb * ch.keep_a},
+                                {0.0, 0.0, 0.0, ch.keep_b * ch.keep_a}};
+  CxSiteMap m;
+  // Depolarizing first: population j -> keep * x_j + quarter_p * trace.
+  for (int k = 0; k < 4; ++k) {
+    const double row_sum =
+        ((thermal[k][0] + thermal[k][1]) + thermal[k][2]) + thermal[k][3];
+    for (int j = 0; j < 4; ++j) {
+      m.pop[k][j] = ch.keep * thermal[k][j] + ch.quarter_p * row_sum;
+    }
+  }
+  m.b_lo = ch.keep * ch.s_b;
+  m.b_lo_in = m.b_lo * ga;
+  m.b_hi = m.b_lo * ch.keep_a;
+  m.a_lo = ch.keep * ch.s_a;
+  m.a_lo_in = m.a_lo * gb;
+  m.a_hi = m.a_lo * ch.keep_b;
+  m.ab = (ch.keep * ch.s_a) * ch.s_b;
+  return m;
+}
+
 }  // namespace
 
 template <std::size_t L>
@@ -460,89 +502,62 @@ void BatchedDensityMatrix<L>::apply_channel1(int q,
 }
 
 template <std::size_t L>
-void BatchedDensityMatrix<L>::apply_channel2(int qa, int qb,
+void BatchedDensityMatrix<L>::apply_channel2(int control, int target,
                                              const FusedChannel2& channel) {
-  require_pair(qa, qb, num_qubits_);
-  if (channel.is_identity()) return;
-  double* re = reg_.re();
-  double* im = reg_.im();
-  const FusedChannel2 ch = channel;  // register-resident: see apply_channel1
-  const std::size_t ma = std::size_t{1} << qa;
-  const std::size_t mb = std::size_t{1} << qb;
+  require_pair(control, target, num_qubits_);
+  const CxSiteMap m = cx_site_map(channel);
+  // Each 4x4 block over the pair, local index k = 2 * bit(min) + bit(max)
+  // as in FusedChannel2, is read through the CX relabel (rho'(r, c) =
+  // rho(pi(r), pi(c)), pi flipping the target's bit where the control's is
+  // set) into registers, and written back once through the closed form.
+  const std::size_t ma = std::size_t{1} << std::min(control, target);
+  const std::size_t mb = std::size_t{1} << std::max(control, target);
   const std::size_t offsets[4] = {0, mb, ma, ma | mb};
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if ((r & ma) || (r & mb)) continue;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if ((c & ma) || (c & mb)) continue;
-      // Lane rows of the 4x4 block, local index k = 2*bit(qa) + bit(qb),
-      // transformed in place: two-qubit depolarizing (scale the block,
-      // redistribute its partial trace over the diagonal), then thermal
-      // relaxation on qa (block-index bit 1), then on qb (bit 0).
-      double* er[4][4];
-      double* ei[4][4];
-      for (int kr = 0; kr < 4; ++kr) {
-        for (int kc = 0; kc < 4; ++kc) {
-          const std::size_t idx = (r | offsets[kr]) * dim_ + (c | offsets[kc]);
-          er[kr][kc] = re + idx * kLanes;
-          ei[kr][kc] = im + idx * kLanes;
-        }
-      }
-      if (ch.quarter_p != 0.0) {
-        double tr[kLanes], ti[kLanes];
+  const std::size_t cbit = control < target ? 2 : 1;
+  const std::size_t tbit = 3 - cbit;
+  std::size_t src[16], dst[16];  // plane offsets of block entry 4 * kr + kc
+  for (std::size_t kr = 0; kr < 4; ++kr) {
+    const std::size_t pr = (kr & cbit) ? kr ^ tbit : kr;
+    for (std::size_t kc = 0; kc < 4; ++kc) {
+      const std::size_t pc = (kc & cbit) ? kc ^ tbit : kc;
+      dst[4 * kr + kc] = (offsets[kr] * dim_ + offsets[kc]) * kLanes;
+      src[4 * kr + kc] = (offsets[pr] * dim_ + offsets[pc]) * kLanes;
+    }
+  }
+  // Every coefficient is real, so each plane maps on its own.
+  for (double* plane : {reg_.re(), reg_.im()}) {
+    for (std::size_t r = 0; r < dim_; ++r) {
+      if ((r & ma) || (r & mb)) continue;
+      for (std::size_t c = 0; c < dim_; ++c) {
+        if ((c & ma) || (c & mb)) continue;
+        double* p = plane + (r * dim_ + c) * kLanes;
 #pragma omp simd
         for (std::size_t l = 0; l < kLanes; ++l) {
-          tr[l] = ((er[0][0][l] + er[1][1][l]) + er[2][2][l]) + er[3][3][l];
-          ti[l] = ((ei[0][0][l] + ei[1][1][l]) + ei[2][2][l]) + ei[3][3][l];
-        }
-        for (int kr = 0; kr < 4; ++kr) {
-          for (int kc = 0; kc < 4; ++kc) {
-#pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[kr][kc][l] *= ch.keep;
-              ei[kr][kc][l] *= ch.keep;
-            }
+          const double x00 = p[src[0] + l], x01 = p[src[1] + l];
+          const double x02 = p[src[2] + l], x03 = p[src[3] + l];
+          const double x10 = p[src[4] + l], x11 = p[src[5] + l];
+          const double x12 = p[src[6] + l], x13 = p[src[7] + l];
+          const double x20 = p[src[8] + l], x21 = p[src[9] + l];
+          const double x22 = p[src[10] + l], x23 = p[src[11] + l];
+          const double x30 = p[src[12] + l], x31 = p[src[13] + l];
+          const double x32 = p[src[14] + l], x33 = p[src[15] + l];
+          for (std::size_t k = 0; k < 4; ++k) {
+            p[dst[5 * k] + l] = ((m.pop[k][0] * x00 + m.pop[k][1] * x11) +
+                                 m.pop[k][2] * x22) +
+                                m.pop[k][3] * x33;
           }
-        }
-        for (int k = 0; k < 4; ++k) {
-#pragma omp simd
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            er[k][k][l] += ch.quarter_p * tr[l];
-            ei[k][k][l] += ch.quarter_p * ti[l];
-          }
-        }
-      }
-      if (ch.gamma_a != 0.0 || ch.s_a != 1.0) {
-        for (int rb = 0; rb < 2; ++rb) {
-          for (int cb = 0; cb < 2; ++cb) {
-#pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[rb][cb][l] += ch.gamma_a * er[2 + rb][2 + cb][l];
-              ei[rb][cb][l] += ch.gamma_a * ei[2 + rb][2 + cb][l];
-              er[2 + rb][2 + cb][l] *= ch.keep_a;
-              ei[2 + rb][2 + cb][l] *= ch.keep_a;
-              er[rb][2 + cb][l] *= ch.s_a;
-              ei[rb][2 + cb][l] *= ch.s_a;
-              er[2 + rb][cb][l] *= ch.s_a;
-              ei[2 + rb][cb][l] *= ch.s_a;
-            }
-          }
-        }
-      }
-      if (ch.gamma_b != 0.0 || ch.s_b != 1.0) {
-        for (int ra = 0; ra < 2; ++ra) {
-          for (int ca = 0; ca < 2; ++ca) {
-#pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[2 * ra][2 * ca][l] += ch.gamma_b * er[2 * ra + 1][2 * ca + 1][l];
-              ei[2 * ra][2 * ca][l] += ch.gamma_b * ei[2 * ra + 1][2 * ca + 1][l];
-              er[2 * ra + 1][2 * ca + 1][l] *= ch.keep_b;
-              ei[2 * ra + 1][2 * ca + 1][l] *= ch.keep_b;
-              er[2 * ra][2 * ca + 1][l] *= ch.s_b;
-              ei[2 * ra][2 * ca + 1][l] *= ch.s_b;
-              er[2 * ra + 1][2 * ca][l] *= ch.s_b;
-              ei[2 * ra + 1][2 * ca][l] *= ch.s_b;
-            }
-          }
+          p[dst[1] + l] = m.b_lo * x01 + m.b_lo_in * x23;
+          p[dst[4] + l] = m.b_lo * x10 + m.b_lo_in * x32;
+          p[dst[11] + l] = m.b_hi * x23;
+          p[dst[14] + l] = m.b_hi * x32;
+          p[dst[2] + l] = m.a_lo * x02 + m.a_lo_in * x13;
+          p[dst[8] + l] = m.a_lo * x20 + m.a_lo_in * x31;
+          p[dst[7] + l] = m.a_hi * x13;
+          p[dst[13] + l] = m.a_hi * x31;
+          p[dst[3] + l] = m.ab * x03;
+          p[dst[6] + l] = m.ab * x12;
+          p[dst[9] + l] = m.ab * x21;
+          p[dst[12] + l] = m.ab * x30;
         }
       }
     }

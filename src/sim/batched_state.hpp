@@ -28,8 +28,9 @@ namespace qucad {
 /// BatchedDensityMatrix on n qubits IS a BatchedStateVector on 2n (rows on
 /// the upper n register qubits, columns on the lower n), and applies a
 /// unitary as one statevector pass on its row qubits and one with the
-/// conjugate matrix on its column qubits. Only the error channels, the
-/// one-pass diagonal and the CX relabel are density kernels. The adjoint's
+/// conjugate matrix on its column qubits. Only the error channels (the CX
+/// site applies its CX inside its channel pass), the one-pass diagonal and
+/// the CX relabel are density kernels. The adjoint's
 /// reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
 /// from its ket and its lam with the same kernels, fed the daggered
 /// matrices.
@@ -137,10 +138,10 @@ struct FusedChannel1 {
 };
 
 /// Precomputed CX error site: two-qubit depolarizing plus per-qubit thermal
-/// relaxation on both operands, applied in one gathered pass per 4x4 block
-/// (see BatchedDensityMatrix::apply_channel2). `a` refers to the lower
-/// qubit index of the pair, `b` to the higher, matching NoiseModel::cx_noise
-/// storage.
+/// relaxation on both operands, which BatchedDensityMatrix::apply_channel2
+/// applies together with the CX as one closed-form pass per 4x4 block. `a`
+/// refers to the lower qubit index of the pair, `b` to the higher, matching
+/// NoiseModel::cx_noise storage.
 struct FusedChannel2 {
   double keep = 1.0;       // 1 - p of the two-qubit depolarizing term
   double quarter_p = 0.0;  // p / 4 redistribution weight
@@ -224,8 +225,9 @@ class BatchedStateVector {
 /// are exactly that, and match the DensityMatrix oracle bitwise. What a
 /// statevector cannot express keeps a density kernel of its own: the fused
 /// error channels, the one-pass diagonal (it scales by |d|^2 and d0 conj(d1)
-/// as the oracle does) and the CX relabel, which swaps each entry pair once
-/// where two register passes would move every entry twice. Error channels
+/// as the oracle does), the CX relabel, which swaps each entry pair once
+/// where two register passes would move every entry twice, and the noisy CX
+/// site, which reads that relabel through the loads of its channel pass. Error channels
 /// and theta-symbolic angles are lane-uniform by construction (noise does
 /// not depend on the input row).
 template <std::size_t L>
@@ -271,8 +273,11 @@ class BatchedDensityMatrix {
   /// Fused single-qubit error site, every lane.
   void apply_channel1(int q, const FusedChannel1& ch);
 
-  /// Fused CX error site, every lane.
-  void apply_channel2(int qa, int qb, const FusedChannel2& ch);
+  /// CX followed by its fused error site, every lane: one pass that loads
+  /// each 4x4 block over the pair through the CX relabel and writes it back
+  /// through the channel's closed-form real map (the oracle's CX,
+  /// depolarizing and two thermal steps to ~1e-16, not bitwise).
+  void apply_channel2(int control, int target, const FusedChannel2& ch);
 
   /// One lane's computational-basis probabilities (the diagonal of its rho),
   /// resized and written to `probs`.

@@ -222,16 +222,18 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
       case PhysOpKind::CX: {
         flush(phys.q0);
         flush(phys.q1);
-        emit(COpKind::Cx, phys.q0, phys.q1, 0);
-        if (noisy) {
-          const int a = std::min(phys.q0, phys.q1);
-          const int b = std::max(phys.q0, phys.q1);
-          const FusedChannel2 ch = fuse_cx_channel(noise.cx_noise(a, b));
-          if (!ch.is_identity()) {
-            emit(COpKind::Channel2, a, b,
-                         intern(program.channel2_table_, ch));
-            ++program.stats_.channels;
-          }
+        // A CX and its error site replay as one Channel2 pass, which reads
+        // the CX relabel through its loads; a CX without one stays a Cx.
+        const FusedChannel2 ch =
+            noisy ? fuse_cx_channel(noise.cx_noise(std::min(phys.q0, phys.q1),
+                                                   std::max(phys.q0, phys.q1)))
+                  : FusedChannel2{};
+        if (ch.is_identity()) {
+          emit(COpKind::Cx, phys.q0, phys.q1, 0);
+        } else {
+          emit(COpKind::Channel2, phys.q0, phys.q1,
+               intern(program.channel2_table_, ch));
+          ++program.stats_.channels;
         }
         break;
       }
@@ -335,8 +337,8 @@ void CompiledProgram::drop_trailing_diagonals() {
   // Diagonal unitaries commute with every error channel here (depolarizing,
   // thermal relaxation, and classical readout confusion all act
   // block-diagonally w.r.t. the computational basis), so a Diag1/SymDiag1
-  // followed only by channels on its qubit cannot change measurement
-  // statistics. Walk backwards and drop them.
+  // followed only by pulse error sites (Channel1) on its qubit cannot
+  // change measurement statistics. Walk backwards and drop them.
   std::vector<char> blocked(static_cast<std::size_t>(num_qubits_), 0);
   std::vector<CompiledOp> kept;
   kept.reserve(ops_.size());
@@ -363,11 +365,11 @@ void CompiledProgram::drop_trailing_diagonals() {
         break;
       case COpKind::Cx:
       case COpKind::CRot2:
+      case COpKind::Channel2:  // a CX with its error site
         blocked[op.q0] = 1;
         blocked[op.q1] = 1;
         break;
       case COpKind::Channel1:
-      case COpKind::Channel2:
         break;  // channels commute with diagonals: do not block
     }
     kept.push_back(op);

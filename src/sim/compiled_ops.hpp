@@ -35,9 +35,9 @@ enum class COpKind : std::uint8_t {
   SymDiag1,  ///< symbolic RZ: angle affine in one input or trainable slot
   SymUni1,   ///< symbolic RZ times a fused prefix: diag(angle) * u, one pass
   CRot2,     ///< CX * (I (x) u2 * diag(angle) * u) * CX, one two-qubit pass
-  Cx,        ///< CX on (q0 = control, q1 = target), applied as a permutation
+  Cx,        ///< noiseless CX on (q0 = control, q1 = target), a relabel
   Channel1,  ///< fused depolarizing + thermal error site on q0
-  Channel2,  ///< fused CX error site on (q0 = min, q1 = max)
+  Channel2,  ///< CX on (q0 = control, q1 = target) + its fused error site
 };
 
 /// The header of one compiled operation: its kind, its qubits and `arg`,
@@ -90,8 +90,8 @@ struct SymSlot {
 /// two-qubit pass
 ///   CX * (I (x) M(a)) * CX,   M(a) = u2 * diag(e^{-i a/2}, e^{+i a/2}) * u
 /// (block-diagonal: M on the control-0 subspace, X M X on control-1). Error
-/// channels inside the pattern abort the fusion, so noisy programs keep the
-/// explicit CX + channel sites.
+/// channels inside the pattern abort the fusion, so a noisy CX stays its
+/// Channel2 site.
 struct CRotFactors {
   std::array<cplx, 4> u{};   ///< pre-rotation factor
   std::array<cplx, 4> u2{};  ///< post-rotation factor
@@ -134,7 +134,8 @@ class CompiledProgram {
   /// required for the statevector replay paths.
   ///
   /// The lowering fuses adjacent single-qubit ops (between error sites and
-  /// symbolic RZs) into one 2x2, fuses noiseless CX-sandwich controlled
+  /// symbolic RZs) into one 2x2, emits each noisy CX together with its
+  /// error site as one Channel2 op, fuses noiseless CX-sandwich controlled
   /// rotations into single CRot2 ops, and drops trailing diagonal ops
   /// (virtual Z, literal or symbolic) that can no longer affect Z-basis
   /// measurement. The drop preserves diagonal probabilities, every `<Z>` and
@@ -300,8 +301,9 @@ std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle);
 /// order run_density applies) into closed-form coefficients.
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise);
 
-/// Folds one CX error site (two-qubit depolarizing, then thermal on min(q),
-/// then thermal on max(q)) into closed-form coefficients.
+/// The coefficients of one CX error site (two-qubit depolarizing, then
+/// thermal on min(q), then thermal on max(q)); the Channel2 kernel composes
+/// them with the CX in closed form.
 FusedChannel2 fuse_cx_channel(const CxNoise& noise);
 
 }  // namespace qucad

@@ -438,6 +438,81 @@ TEST(BatchedDensity, UnitaryPassesAreBitwiseTheOracle) {
   }
 }
 
+TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
+  // apply_channel2 is a CX and its error site in one closed-form pass: to
+  // 1e-12 the oracle's CX, two-qubit depolarizing, then thermal relaxation
+  // on min(q) and on max(q), with the control on either side of the pair.
+  // Every lane starts from its own mixed state, and each lane's entries are
+  // bitwise the same at width 1 and at width kLanes.
+  constexpr int kQubits = 4;
+  CxNoise cn;
+  cn.depolarizing_p = 0.08;
+  cn.thermal_first = ThermalChannel{0.03, 0.01};
+  cn.thermal_second = ThermalChannel{0.015, 0.025};
+  const FusedChannel2 site = fuse_cx_channel(cn);
+  PulseNoise pn;
+  pn.depolarizing_p = 0.05;
+  pn.thermal = ThermalChannel{0.04, 0.02};
+  for (const auto& [control, target] :
+       {std::pair{1, 3}, std::pair{3, 1}, std::pair{0, 1}, std::pair{2, 0}}) {
+    SCOPED_TRACE("control " + std::to_string(control) + " target " +
+                 std::to_string(target));
+    Rng rng(static_cast<std::uint64_t>(31 + 4 * control + target));
+    BatchedDensityMatrix<kLanes> block(kQubits);
+    std::vector<BatchedDensityMatrix<1>> ones(kLanes,
+                                              BatchedDensityMatrix<1>(kQubits));
+    std::vector<DensityMatrix> oracles(kLanes, DensityMatrix(kQubits));
+    std::array<std::array<cplx, 4>, kLanes> ms;
+    for (int round = 0; round < 2; ++round) {
+      for (int q = 0; q < kQubits; ++q) {
+        for (auto& m : ms) m = random_unitary2(rng);
+        block.apply1_lanes(q, ms.data());
+        block.apply_channel1(q, fuse_pulse_channel(pn));
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          ones[l].apply1_lanes(q, &ms[l]);
+          ones[l].apply_channel1(q, fuse_pulse_channel(pn));
+          oracles[l].apply1(q, ms[l]);
+          oracles[l].apply_depolarizing1(q, pn.depolarizing_p);
+          oracles[l].apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
+        }
+      }
+      block.apply_cx(round, round + 2);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        ones[l].apply_cx(round, round + 2);
+        oracles[l].apply_gate(Gate{GateKind::CX, round, round + 2, {}, 0.0},
+                              0.0);
+      }
+    }
+    block.apply_channel2(control, target, site);
+    const int a = std::min(control, target);
+    const int b = std::max(control, target);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ones[l].apply_channel2(control, target, site);
+      DensityMatrix& o = oracles[l];
+      o.apply_gate(Gate{GateKind::CX, control, target, {}, 0.0}, 0.0);
+      o.apply_depolarizing2(a, b, cn.depolarizing_p);
+      o.apply_thermal1(a, cn.thermal_first.gamma, cn.thermal_first.lambda);
+      o.apply_thermal1(b, cn.thermal_second.gamma, cn.thermal_second.lambda);
+      const std::vector<cplx>& rho = o.data();
+      for (std::size_t i = 0; i < rho.size(); ++i) {
+        const cplx got{block.re()[i * kLanes + l], block.im()[i * kLanes + l]};
+        EXPECT_NEAR(std::abs(got - rho[i]), 0.0, test::kTightTol)
+            << "lane " << l << " entry " << i;
+        const double one_re = ones[l].re()[i];
+        const double one_im = ones[l].im()[i];
+        EXPECT_EQ(std::memcmp(&one_re, &block.re()[i * kLanes + l],
+                              sizeof(double)),
+                  0)
+            << "re, lane " << l << " entry " << i;
+        EXPECT_EQ(std::memcmp(&one_im, &block.im()[i * kLanes + l],
+                              sizeof(double)),
+                  0)
+            << "im, lane " << l << " entry " << i;
+      }
+    }
+  }
+}
+
 // Cross-ISA pins. CompiledProgram::run_lanes / run_pure_lanes dispatch to
 // per-ISA clones of the replay (sim/isa_clones.hpp) that inline their own
 // copies of the lane kernels, while the out-of-line BatchedDensityMatrix /
@@ -599,11 +674,15 @@ void check_width(const RandomRoutedProgram& p, std::size_t entries, Run run) {
 }
 
 TEST(BatchedNoisy, ClonedReplayBitwiseMatchesOutOfLineKernels) {
-  // Noisy programs carry the channels; CX sandwiches fuse to CRot2 only
-  // where no channel follows the CX, so the noiseless density replay covers
-  // the density CRot2 kernel.
+  // Noisy programs carry the channels, each noisy CX as one Channel2 site
+  // (the CX relabel inside its channel pass) with the control on either
+  // side of the pair; CX sandwiches fuse to CRot2 only where the CX has no
+  // error site, so the noiseless density replay covers the density CRot2
+  // kernel and the bare Cx relabel.
   SCOPED_TRACE(std::string("engine_isa ") + engine_isa());
   std::vector<bool> kinds(static_cast<std::size_t>(COpKind::Channel2) + 1);
+  bool site_control_low = false;
+  bool site_control_high = false;
   for (const bool noisy : {true, false}) {
     for (const std::uint64_t seed : {3u, 17u, 29u}) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
@@ -612,6 +691,11 @@ TEST(BatchedNoisy, ClonedReplayBitwiseMatchesOutOfLineKernels) {
       const std::vector<bool> present = op_kinds_present(p.program);
       for (std::size_t k = 0; k < kinds.size(); ++k) {
         kinds[k] = kinds[k] || present[k];
+      }
+      for (const CompiledOp& op : p.program.ops()) {
+        if (op.kind != COpKind::Channel2) continue;
+        site_control_low = site_control_low || op.q0 < op.q1;
+        site_control_high = site_control_high || op.q0 > op.q1;
       }
       const std::size_t dim = std::size_t{1} << p.program.num_qubits();
       auto run = [&](auto& bdm, const auto& xs) {
@@ -626,6 +710,8 @@ TEST(BatchedNoisy, ClonedReplayBitwiseMatchesOutOfLineKernels) {
     EXPECT_TRUE(kinds[static_cast<std::size_t>(kind)])
         << "op kind " << static_cast<int>(kind) << " not exercised";
   }
+  EXPECT_TRUE(site_control_low) << "no CX site with control = min";
+  EXPECT_TRUE(site_control_high) << "no CX site with control = max";
 }
 
 TEST(BatchedReplay, ClonedReplayBitwiseMatchesOutOfLineKernels) {

@@ -255,36 +255,147 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
 }
 
 TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
+  // The Channel2 kernel applies a CX and its error site in one pass; the
+  // oracle applies the CX, the two-qubit depolarizing and the thermal steps
+  // on min(q) then max(q) one after another. The control sits on either
+  // side of the pair.
   CxNoise cn;
   cn.depolarizing_p = 0.08;
   cn.thermal_first = ThermalChannel{0.03, 0.01};
   cn.thermal_second = ThermalChannel{0.015, 0.025};
 
-  Rng rng(9);
-  const std::vector<double> x{1.3};
-  const PhysicalCircuit c = random_transpiled(rng, 4, 10, 1);
-  BatchedDensityMatrix<1> fused(4);
-  DensityMatrix seq = run_density(c, NoiseModel{}, x);
-  run_on_lanes(fused, c, x);
+  for (const auto& [control, target] : {std::pair{1, 3}, std::pair{3, 1}}) {
+    SCOPED_TRACE("control " + std::to_string(control));
+    Rng rng(9);
+    const std::vector<double> x{1.3};
+    const PhysicalCircuit c = random_transpiled(rng, 4, 10, 1);
+    BatchedDensityMatrix<1> fused(4);
+    DensityMatrix seq = run_density(c, NoiseModel{}, x);
+    run_on_lanes(fused, c, x);
 
-  fused.apply_channel2(1, 3, fuse_cx_channel(cn));
-  seq.apply_depolarizing2(1, 3, cn.depolarizing_p);
-  seq.apply_thermal1(1, cn.thermal_first.gamma, cn.thermal_first.lambda);
-  seq.apply_thermal1(3, cn.thermal_second.gamma, cn.thermal_second.lambda);
-  expect_matches_oracle(fused, seq);
-  EXPECT_NEAR(seq.trace_real(), 1.0, test::kTightTol);
+    fused.apply_channel2(control, target, fuse_cx_channel(cn));
+    seq.apply_gate(Gate{GateKind::CX, control, target, {}, 0.0}, 0.0);
+    seq.apply_depolarizing2(1, 3, cn.depolarizing_p);
+    seq.apply_thermal1(1, cn.thermal_first.gamma, cn.thermal_first.lambda);
+    seq.apply_thermal1(3, cn.thermal_second.gamma, cn.thermal_second.lambda);
+    expect_matches_oracle(fused, seq);
+    EXPECT_NEAR(seq.trace_real(), 1.0, test::kTightTol);
+  }
 }
 
 TEST(FusedChannels, CxPermutationMatchesApply2) {
-  Rng rng(11);
-  const std::vector<double> x{2.1};
-  const PhysicalCircuit c = random_transpiled(rng, 4, 12, 1);
-  BatchedDensityMatrix<1> perm(4);
-  DensityMatrix mat = run_density(c, NoiseModel{}, x);
-  run_on_lanes(perm, c, x);
-  perm.apply_cx(2, 0);
-  mat.apply_gate(Gate{GateKind::CX, 2, 0, {}, 0.0}, 0.0);
-  expect_matches_oracle(perm, mat);
+  // Both CX kernels against the oracle's 4x4 CX: the Cx relabel, and the
+  // Channel2 pass with an identity channel, which is that relabel read
+  // through its loads.
+  for (const auto& [control, target] : {std::pair{2, 0}, std::pair{0, 2}}) {
+    SCOPED_TRACE("control " + std::to_string(control));
+    Rng rng(11);
+    const std::vector<double> x{2.1};
+    const PhysicalCircuit c = random_transpiled(rng, 4, 12, 1);
+    BatchedDensityMatrix<1> perm(4);
+    BatchedDensityMatrix<1> site(4);
+    DensityMatrix mat = run_density(c, NoiseModel{}, x);
+    run_on_lanes(perm, c, x);
+    run_on_lanes(site, c, x);
+    perm.apply_cx(control, target);
+    site.apply_channel2(control, target, FusedChannel2{});
+    mat.apply_gate(Gate{GateKind::CX, control, target, {}, 0.0}, 0.0);
+    expect_matches_oracle(perm, mat);
+    expect_matches_oracle(site, mat);
+  }
+}
+
+TEST(CompiledProgramLayout, NoisyCxIsOneChannel2SiteAndCxOtherwise) {
+  // A CX with an error site compiles to one Channel2 op on (control,
+  // target); a CX on a noiseless edge, or in a noiseless program, stays a
+  // Cx. The X pulses between the CXs keep the sandwich fusion out.
+  Rng rng(5);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  Calibration cal = noisy_calibration(3, edges, rng);
+  cal.set_cx_error(1, 2, 0.0);
+  NoiseModelOptions no_thermal;
+  no_thermal.include_thermal_relaxation = false;  // edge (1, 2) is noiseless
+  PhysicalCircuit phys(3);
+  const std::vector<std::pair<int, int>> cxs{{0, 1}, {2, 1}, {1, 0}, {1, 2}};
+  for (const auto& [control, target] : cxs) {
+    for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::SX, q});
+    phys.push(PhysOp{PhysOpKind::CX, control, target});
+  }
+  for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::X, q});
+  phys.readout_physical() = {0, 1, 2};
+
+  auto two_qubit_ops = [](const CompiledProgram& program) {
+    std::vector<CompiledOp> out;
+    for (const CompiledOp& op : program.ops()) {
+      if (op.kind != COpKind::Unitary1 && op.kind != COpKind::Diag1 &&
+          op.kind != COpKind::Channel1) {
+        out.push_back(op);
+      }
+    }
+    return out;
+  };
+  const std::vector<COpKind> noisy_kinds{COpKind::Channel2, COpKind::Cx,
+                                         COpKind::Channel2, COpKind::Cx};
+  for (const bool noisy : {true, false}) {
+    SCOPED_TRACE(noisy ? "noisy" : "noiseless");
+    const NoiseModel noise = noisy ? NoiseModel(cal, no_thermal) : NoiseModel();
+    const CompiledProgram program = CompiledProgram::compile(phys, noise);
+    const std::vector<CompiledOp> ops = two_qubit_ops(program);
+    ASSERT_EQ(ops.size(), cxs.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(ops[i].kind, noisy ? noisy_kinds[i] : COpKind::Cx) << i;
+      EXPECT_EQ(ops[i].q0, cxs[i].first) << i;
+      EXPECT_EQ(ops[i].q1, cxs[i].second) << i;
+    }
+    EXPECT_EQ(program.channel2_table().size(), noisy ? 1u : 0u);
+
+    const NoisyExecutor executor(phys, noise);
+    const auto z_ref = run_z_reference(phys, noise, {});
+    const auto z = executor.run_z({});
+    ASSERT_EQ(z.size(), z_ref.size());
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "slot " << k;
+    }
+  }
+}
+
+TEST(CompiledProgramLayout, DiagonalBeforeCxSiteMatchesReference) {
+  // An RZ on the target just before a noisy CX does not commute with it:
+  // through the CX it becomes a ZZ phase, which the X pulse on the control
+  // afterwards turns into populations. Whether the trailing-diagonal drop
+  // keeps it or not, every readout matches the gate-by-gate reference.
+  Rng rng(13);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const NoiseModel noise(noisy_calibration(3, edges, rng));
+  for (const auto& [control, target] :
+       {std::pair{0, 1}, std::pair{1, 0}, std::pair{2, 1}, std::pair{1, 2}}) {
+    for (const bool pulse_after : {true, false}) {
+      SCOPED_TRACE("control " + std::to_string(control) + " target " +
+                   std::to_string(target) +
+                   (pulse_after ? " pulse after" : " site last"));
+      PhysicalCircuit phys(3);
+      for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::SX, q});
+      PhysOp rz{PhysOpKind::RZ, target};
+      rz.angle = 0.4;
+      rz.input_index = 0;
+      rz.input_scale = 1.7;
+      phys.push(rz);
+      phys.push(PhysOp{PhysOpKind::RZ, target, -1, 0.9});
+      phys.push(PhysOp{PhysOpKind::CX, control, target});
+      if (pulse_after) phys.push(PhysOp{PhysOpKind::SX, control});
+      phys.readout_physical() = {0, 1, 2};
+      const NoisyExecutor executor(phys, noise);
+      for (const double v : {0.3, 1.9}) {
+        const std::vector<double> x{v};
+        const auto z_ref = run_z_reference(phys, noise, x);
+        const auto z = executor.run_z(x);
+        ASSERT_EQ(z.size(), z_ref.size());
+        for (std::size_t k = 0; k < z.size(); ++k) {
+          EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "x " << v << " slot " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(CompiledEvalCache, HitsOnRepeatedConfigurationMissesOnChange) {

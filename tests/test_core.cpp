@@ -200,6 +200,14 @@ TEST(Harness, RejectsInvalidBackendBeforeOffline) {
       run_longitudinal(strategy, env, h.slice(0, 2), {h.slice(2, 2)}, options),
       PreconditionError);
   EXPECT_EQ(strategy.offline_calls, 0);
+
+  // A backend kind with no registered factory is refused up front too.
+  options.backend = BackendConfig().with_kind(static_cast<BackendKind>(200));
+  ASSERT_TRUE(options.backend->validate().ok());
+  EXPECT_THROW(
+      run_longitudinal(strategy, env, h.slice(0, 2), {h.slice(2, 2)}, options),
+      PreconditionError);
+  EXPECT_EQ(strategy.offline_calls, 0);
 }
 
 // The decision record is the Sec. III-D step's own output: replaying the

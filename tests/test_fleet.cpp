@@ -7,9 +7,11 @@
 
 #include <climits>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "backend/registry.hpp"
 #include "common/stats.hpp"
 #include "core/qucad.hpp"
 #include "core/strategies.hpp"
@@ -450,6 +452,9 @@ TEST(Fleet, HugeDayStrideServesOneDayPerDevice) {
 // A backend kind with no registered factory validates, so create() accepts
 // it; the first evaluation fails, and run() must say so as a Status.
 TEST(Fleet, RunReturnsEvaluationErrorsAsStatus) {
+  // A backend kind with no registered factory is refused by create(),
+  // before any offline work; a registered kind whose factory fails at
+  // evaluation time comes back from run() as a Status.
   const FleetConfig config = FleetConfig::heterogeneous(2, 13, 6);
   FleetOptions options;
   options.offline_days = 3;
@@ -458,6 +463,18 @@ TEST(Fleet, RunReturnsEvaluationErrorsAsStatus) {
   options.harness.backend =
       BackendConfig().with_kind(static_cast<BackendKind>(200));
 
+  const StatusOr<FleetHarness> refused =
+      FleetHarness::create(fleet_env(), config, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  constexpr auto kFailing = static_cast<BackendKind>(201);
+  BackendRegistry::global().register_factory(
+      kFailing, [](const BackendConfig&, const BackendContext&)
+                    -> StatusOr<std::shared_ptr<const ExecutionBackend>> {
+        return Status::invalid_argument("this backend builds nothing");
+      });
+  options.harness.backend = BackendConfig().with_kind(kFailing);
   StatusOr<FleetHarness> harness =
       FleetHarness::create(fleet_env(), config, options);
   ASSERT_TRUE(harness.ok()) << harness.status().to_string();
