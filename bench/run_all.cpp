@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iostream>
 #include <span>
@@ -121,6 +122,33 @@ Record time_loop(const std::string& name, const std::string& params,
   return r;
 }
 
+/// One timed window of a record: runs its body for ~`seconds` (a
+/// time_loop call) and returns the record.
+using TimedWindow = std::function<Record(double seconds)>;
+
+/// Times the sides of a ratio record against each other: `rounds` rounds
+/// of one ~window_seconds window per side, the sides in turn, each side
+/// keeping its fastest window. Load from elsewhere on the machine then
+/// lands on every side alike instead of on whichever side ran while it
+/// lasted, and a window it slows is dropped rather than averaged in.
+std::vector<Record> time_interleaved(const std::vector<TimedWindow>& sides,
+                                     int rounds, double window_seconds) {
+  std::vector<Record> best(sides.size());
+  for (int round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      const Record r = sides[i](window_seconds);
+      if (r.throughput > best[i].throughput) best[i] = r;
+    }
+  }
+  return best;
+}
+
+/// The rounds and window length of the engine ratio records
+/// (compiled_speedup, simd_noisy_speedup): 0.8 s per side, in windows
+/// short enough that a slow spell of the host spoils few of them.
+constexpr int kRatioRounds = 16;
+constexpr double kRatioWindowSeconds = 0.05;
+
 std::vector<Record> kernel_benches() {
   std::vector<Record> records;
   for (int qubits : {4, 6, 8}) {
@@ -198,23 +226,34 @@ std::vector<Record> compiled_eval_benches() {
   records.push_back(footprint);
 
   std::size_t cursor = 0;
-  const Record reference = time_loop(
-      "run_z_reference", params, 1.0, "samples/sec", [&] {
-        const auto z = run_z_reference(circuit, noise, data.features[cursor]);
-        cursor = (cursor + 1) % data.size();
-        volatile double sink = z[0];
-        (void)sink;
-      });
+  const std::vector<Record> timed = time_interleaved(
+      {[&](double seconds) {
+        return time_loop(
+            "run_z_reference", params, 1.0, "samples/sec",
+            [&] {
+              const auto z =
+                  run_z_reference(circuit, noise, data.features[cursor]);
+              cursor = (cursor + 1) % data.size();
+              volatile double sink = z[0];
+              (void)sink;
+            },
+            seconds);
+      },
+       [&](double seconds) {
+         return time_loop(
+             "run_z_compiled", params, 1.0, "samples/sec",
+             [&] {
+               const auto z = executor->run_z(data.features[cursor]);
+               cursor = (cursor + 1) % data.size();
+               volatile double sink = z[0];
+               (void)sink;
+             },
+             seconds);
+       }},
+      kRatioRounds, kRatioWindowSeconds);
+  const Record& reference = timed[0];
+  const Record& compiled = timed[1];
   records.push_back(reference);
-
-  cursor = 0;
-  const Record compiled = time_loop(
-      "run_z_compiled", params, 1.0, "samples/sec", [&] {
-        const auto z = executor->run_z(data.features[cursor]);
-        cursor = (cursor + 1) % data.size();
-        volatile double sink = z[0];
-        (void)sink;
-      });
   records.push_back(compiled);
 
   Record speedup;
@@ -438,16 +477,15 @@ std::vector<Record> simd_benches() {
     constexpr std::size_t kNoisyBatch = 64;
     const std::span<const std::vector<double>> sub(data.features.data(),
                                                    kNoisyBatch);
-    double noisy_scalar = 0.0;
-    double noisy_lanes = 0.0;
-    for (const bool lanes : {false, true}) {
+    auto noisy_window = [&](bool lanes, double seconds) {
       const std::string params = std::string("engine=") +
                                  (lanes ? "lanes" : "scalar") +
                                  ",qubits=4,device=belem,batch=" +
                                  std::to_string(kNoisyBatch);
-      const Record rec = time_loop(
+      return time_loop(
           "noisy_batch_forward", params, static_cast<double>(kNoisyBatch),
-          "samples/sec", [&] {
+          "samples/sec",
+          [&] {
             std::vector<std::vector<double>> zs;
             if (lanes) {
               zs = noisy->run_z_batch(sub);
@@ -459,10 +497,17 @@ std::vector<Record> simd_benches() {
             }
             volatile double sink = zs[0][0];
             (void)sink;
-          });
-      records.push_back(rec);
-      (lanes ? noisy_lanes : noisy_scalar) = rec.throughput;
-    }
+          },
+          seconds);
+    };
+    const std::vector<Record> timed = time_interleaved(
+        {[&](double seconds) { return noisy_window(false, seconds); },
+         [&](double seconds) { return noisy_window(true, seconds); }},
+        kRatioRounds, kRatioWindowSeconds);
+    const Record& scalar = timed[0];
+    const Record& lanes = timed[1];
+    records.push_back(scalar);
+    records.push_back(lanes);
     // Ragged batches on a pool of fixed width, so each lands on the same
     // side of the padding choice on every host.
     ThreadPool four(4);
@@ -482,7 +527,7 @@ std::vector<Record> simd_benches() {
     speedup.params = "qubits=4,device=belem,batch=64";
     speedup.iters = 1;
     speedup.seconds = 0.0;
-    speedup.throughput = noisy_lanes / noisy_scalar;
+    speedup.throughput = lanes.throughput / scalar.throughput;
     speedup.unit = "x (lanes / scalar)";
     records.push_back(speedup);
   }
@@ -901,22 +946,21 @@ std::vector<Record> backend_benches() {
   // stay flat, since the readout kernel's draw does not loop over shots.
   // Three interleaved rounds, best of three per budget, so machine load
   // that shifts between budgets does not skew the flatness ratio.
-  const int budgets[] = {128, 1024, 8192};
-  Record best[3];
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t b = 0; b < 3; ++b) {
+  std::vector<TimedWindow> budgets;
+  for (const int shots : {128, 1024, 8192}) {
+    budgets.push_back([&w, &logits_loop, shots](double seconds) {
       const std::shared_ptr<const ExecutionBackend> backend =
           make_workload_backend(w, BackendConfig()
                                        .with_kind(BackendKind::kSampled)
-                                       .with_shots(budgets[b]));
-      const Record r = time_loop(
-          "sampled_shots",
-          "qubits=6,batch=32,shots=" + std::to_string(budgets[b]), 32.0,
-          "samples/sec", logits_loop(*backend, 32));
-      if (r.throughput > best[b].throughput) best[b] = r;
-    }
+                                       .with_shots(shots));
+      return time_loop("sampled_shots",
+                       "qubits=6,batch=32,shots=" + std::to_string(shots),
+                       32.0, "samples/sec", logits_loop(*backend, 32),
+                       seconds);
+    });
   }
-  records.insert(records.end(), std::begin(best), std::end(best));
+  const std::vector<Record> best = time_interleaved(budgets, 3, 0.25);
+  records.insert(records.end(), best.begin(), best.end());
 
   Record flatness;
   flatness.name = "sampled_shots_flatness";

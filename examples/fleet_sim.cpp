@@ -10,7 +10,8 @@
 //  device's noise. The harness options select the execution regime: the
 //  density backend with finite-shot readout, as a QPU would report it.
 //
-//  Phase 2 (serving drill): the same repository behind a sharded
+//  Phase 2 (serving drill): phase 1's offline repository (as the offline
+//  build left it, before the online days added to it) behind a sharded
 //  InferenceService and the TCP wire protocol. One client thread per
 //  device walks its online days — push_calibration (repository decision +
 //  epoch hot-swap), then a burst of predictions — and the drill reports
@@ -48,7 +49,6 @@
 #include "fleet/device_spec.hpp"
 #include "fleet/harness.hpp"
 #include "io/wire.hpp"
-#include "repo/constructor.hpp"
 #include "serve/inference_service.hpp"
 
 using namespace qucad;
@@ -281,32 +281,22 @@ int main(int argc, char** argv) {
   }
   std::cout << "  fleet aggregate: mean " << fleet_result->aggregate.mean_accuracy
             << ", reuse rate " << fleet_result->reuse_rate()
-            << ", repository " << fleet_result->repository_entries_offline
+            << ", repository " << fleet_result->offline_repository.size()
             << " -> " << fleet_result->repository_entries_final
             << " entries, online optimization "
             << fleet_result->optimize_seconds << " CPU s\n";
 
-  // --- phase 2: the same repository behind the sharded wire service ------
+  // --- phase 2: phase 1's offline repository behind the wire service -----
   std::cout << "\n[phase 2] serving drill: " << args.shards
             << "-shard InferenceService behind the TCP wire protocol, one "
                "client per device...\n";
-  std::vector<Calibration> offline_pool;
-  for (const fleet::DriftStream& stream : harness->streams()) {
-    for (int d = 0; d < args.offline_days; ++d) {
-      offline_pool.push_back(stream.history().day(d));
-    }
-  }
-  OfflineBuild build = build_repository(env.model, env.transpiled,
-                                        env.theta_pretrained, offline_pool,
-                                        env.train, env.profile,
-                                        env.constructor_options);
   const ServiceConfig service_config =
       ServiceConfig::from_environment(env)
           .with_num_shards(args.shards)
           .with_queue_capacity(256)
           .with_deadline_budget(std::chrono::seconds(2));
   StatusOr<InferenceService> service = InferenceService::create(
-      env, std::move(build.repository),
+      env, std::move(fleet_result->offline_repository),
       harness->streams().front().history().day(args.offline_days),
       service_config);
   if (!service.ok()) {

@@ -109,7 +109,7 @@ StatusOr<FleetResult> FleetHarness::run() {
   // it still throws is an evaluation error, which leaves here as a Status.
   try {
     qucad.offline(offline_pool);
-    result.repository_entries_offline = qucad.manager().repository().size();
+    result.offline_repository = qucad.manager().repository();
     result.devices =
         run_longitudinal(qucad, env_, {}, online, options_.harness);
   } catch (const PreconditionError& e) {

@@ -6,6 +6,7 @@
 #include "eval/harness.hpp"
 #include "fleet/device_spec.hpp"
 #include "fleet/drift_stream.hpp"
+#include "repo/repository.hpp"
 
 namespace qucad::fleet {
 
@@ -37,7 +38,10 @@ struct FleetResult {
   int new_models = 0;    ///< online compressions (repository misses)
   int failures = 0;      ///< Guidance-2 failure reports
   double optimize_seconds = 0.0;  ///< total online cost (process CPU s)
-  std::size_t repository_entries_offline = 0;
+  /// The repository the offline build made from the pooled offline windows,
+  /// before any online day added to it: what a serving deployment of the
+  /// fleet starts from.
+  ModelRepository offline_repository;
   std::size_t repository_entries_final = 0;
 
   int decisions() const { return reuses + new_models + failures; }

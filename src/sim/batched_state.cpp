@@ -286,6 +286,28 @@ std::array<std::array<cplx, 4>, L> conj_lanes(const std::array<cplx, 4>* ms) {
   return out;
 }
 
+/// A real 3x3 map on the Pauli vector (x, y, z) of a 2x2 block.
+using BlochMatrix = std::array<std::array<double, 3>, 3>;
+
+/// The real rotation of a 2x2 unitary on the Pauli vector: U (v . sigma)
+/// U^dag = (R v) . sigma, R[i][j] = tr(sigma_i U sigma_j U^dag) / 2, so a
+/// global phase of U cancels. Column j is sigma_j conjugated by U, read off
+/// its (0, 1) entry x - i y and its diagonal difference 2z.
+BlochMatrix bloch_rotation(const std::array<cplx, 4>& u) {
+  const cplx e = u[0] * std::conj(u[3]);
+  const cplx f = u[1] * std::conj(u[2]);
+  const cplx g = u[0] * std::conj(u[1]);
+  const cplx h = u[2] * std::conj(u[3]);
+  const cplx k = u[0] * std::conj(u[2]);
+  const cplx m = u[1] * std::conj(u[3]);
+  const double z_of_z =
+      0.5 * ((std::norm(u[0]) - std::norm(u[1])) -
+             (std::norm(u[2]) - std::norm(u[3])));
+  return {{{e.real() + f.real(), e.imag() - f.imag(), k.real() - m.real()},
+           {-(e.imag() + f.imag()), e.real() - f.real(), m.imag() - k.imag()},
+           {g.real() - h.real(), g.imag() - h.imag(), z_of_z}}};
+}
+
 /// A CX error site (FusedChannel2: two-qubit depolarizing, then thermal
 /// relaxation on a = min(q), then on b = max(q)) composed into one real map
 /// per 4x4 block, block index k = 2 * bit(a) + bit(b). The populations mix
@@ -459,43 +481,71 @@ void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
 
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_channel1(int q,
-                                             const FusedChannel1& channel) {
+                                             const std::array<cplx, 4>& u,
+                                             const FusedChannel1& ch) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
-  if (channel.is_identity()) return;
   double* re = reg_.re();
   double* im = reg_.im();
-  // A local copy: the coefficients then stay in registers instead of being
-  // reloaded after every store to the planes (which the compiler must
-  // otherwise assume may alias them), so the lane loops vectorize.
-  const FusedChannel1 ch = channel;
-  const std::size_t mq = std::size_t{1} << q;
-  for (std::size_t r = 0; r < dim_; ++r) {
-    if (r & mq) continue;
-    const std::size_t r1 = r | mq;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if (c & mq) continue;
-      const std::size_t c1 = c | mq;
-      double* p00r = re + (r * dim_ + c) * kLanes;
-      double* p00i = im + (r * dim_ + c) * kLanes;
-      double* p01r = re + (r * dim_ + c1) * kLanes;
-      double* p01i = im + (r * dim_ + c1) * kLanes;
-      double* p10r = re + (r1 * dim_ + c) * kLanes;
-      double* p10i = im + (r1 * dim_ + c) * kLanes;
-      double* p11r = re + (r1 * dim_ + c1) * kLanes;
-      double* p11i = im + (r1 * dim_ + c1) * kLanes;
+  // The site's map on twice the Pauli vector, diag(off, off, c) R(U) / 2,
+  // and half its z transfer: the block loop below reads 2a, 2x, 2y and 2z
+  // and writes a and the mapped (x, y, z). Locals, so the coefficients stay
+  // in registers across the stores to the planes.
+  const BlochMatrix r = bloch_rotation(u);
+  const double row_scale[3] = {0.5 * ch.off, 0.5 * ch.off, 0.5 * ch.c};
+  double m[3][3];
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) m[i][j] = row_scale[i] * r[i][j];
+  }
+  const double half_t = 0.5 * ch.t;
+  // The columns c with bit q clear come in runs of `stride`, and a run's
+  // entries and lanes are one contiguous span of every plane row, so the
+  // inner loop runs unit-stride over run x lane (vectorized at width 1
+  // too, wherever q > 0).
+  const std::size_t stride = std::size_t{1} << q;
+  const std::size_t span = stride * kLanes;
+  for (std::size_t row = 0; row < dim_; ++row) {
+    if (row & stride) continue;
+    const std::size_t row1 = row | stride;
+    for (std::size_t c = 0; c < dim_; c += 2 * stride) {
+      const std::size_t c1 = c | stride;
+      double* p00r = re + (row * dim_ + c) * kLanes;
+      double* p00i = im + (row * dim_ + c) * kLanes;
+      double* p01r = re + (row * dim_ + c1) * kLanes;
+      double* p01i = im + (row * dim_ + c1) * kLanes;
+      double* p10r = re + (row1 * dim_ + c) * kLanes;
+      double* p10i = im + (row1 * dim_ + c) * kLanes;
+      double* p11r = re + (row1 * dim_ + c1) * kLanes;
+      double* p11i = im + (row1 * dim_ + c1) * kLanes;
 #pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v00r = p00r[l], v00i = p00i[l];
-        const double v11r = p11r[l], v11i = p11i[l];
-        // Populations mix through the real 2x2, coherences scale by off.
-        p00r[l] = ch.d00_00 * v00r + ch.d00_11 * v11r;
-        p00i[l] = ch.d00_00 * v00i + ch.d00_11 * v11i;
-        p11r[l] = ch.d11_00 * v00r + ch.d11_11 * v11r;
-        p11i[l] = ch.d11_00 * v00i + ch.d11_11 * v11i;
-        p01r[l] *= ch.off;
-        p01i[l] *= ch.off;
-        p10r[l] *= ch.off;
-        p10i[l] *= ch.off;
+      for (std::size_t l = 0; l < span; ++l) {
+        const double b00r = p00r[l], b00i = p00i[l];
+        const double b01r = p01r[l], b01i = p01i[l];
+        const double b10r = p10r[l], b10i = p10i[l];
+        const double b11r = p11r[l], b11i = p11i[l];
+        // Twice the block's Pauli coefficients; 2y = i (b01 - b10).
+        const double sr = b00r + b11r, si = b00i + b11i;
+        const double xr = b01r + b10r, xi = b01i + b10i;
+        const double yr = b10i - b01i, yi = b01r - b10r;
+        const double zr = b00r - b11r, zi = b00i - b11i;
+        const double ar = 0.5 * sr, ai = 0.5 * si;
+        const double nxr = (m[0][0] * xr + m[0][1] * yr) + m[0][2] * zr;
+        const double nxi = (m[0][0] * xi + m[0][1] * yi) + m[0][2] * zi;
+        const double nyr = (m[1][0] * xr + m[1][1] * yr) + m[1][2] * zr;
+        const double nyi = (m[1][0] * xi + m[1][1] * yi) + m[1][2] * zi;
+        const double nzr =
+            ((m[2][0] * xr + m[2][1] * yr) + m[2][2] * zr) + half_t * sr;
+        const double nzi =
+            ((m[2][0] * xi + m[2][1] * yi) + m[2][2] * zi) + half_t * si;
+        // Back to entries: b00 = a + z, b11 = a - z, b01 = x - i y,
+        // b10 = x + i y.
+        p00r[l] = ar + nzr;
+        p00i[l] = ai + nzi;
+        p11r[l] = ar - nzr;
+        p11i[l] = ai - nzi;
+        p01r[l] = nxr + nyi;
+        p01i[l] = nxi - nyr;
+        p10r[l] = nxr - nyi;
+        p10i[l] = nxi + nyr;
       }
     }
   }
@@ -669,7 +719,8 @@ void replay(const CompiledProgram& program, State& state,
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, program.channel1(op));
+          state.apply_channel1(op.q0, program.unitary(op),
+                               program.channel1(op));
         }
         break;
       case COpKind::Channel2:

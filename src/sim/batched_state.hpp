@@ -28,10 +28,9 @@ namespace qucad {
 /// BatchedDensityMatrix on n qubits IS a BatchedStateVector on 2n (rows on
 /// the upper n register qubits, columns on the lower n), and applies a
 /// unitary as one statevector pass on its row qubits and one with the
-/// conjugate matrix on its column qubits. Only the error channels (the CX
-/// site applies its CX inside its channel pass), the one-pass diagonal and
-/// the CX relabel are density kernels. The adjoint's
-/// reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
+/// conjugate matrix on its column qubits. Only the error sites (each
+/// applies its pulse or CX inside its channel pass), the one-pass diagonal
+/// and the CX relabel are density kernels. The adjoint's reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
 /// from its ket and its lam with the same kernels, fed the daggered
 /// matrices.
 ///
@@ -120,21 +119,16 @@ LaneInputs<L> lane_rows(std::span<const std::vector<double>> rows,
 }
 
 /// Precomputed single-qubit error site: a depolarizing channel followed by
-/// thermal relaxation, folded into one linear map per 2x2 block of the
-/// target-qubit subspace. The populations mix through a real 2x2 matrix and
-/// the coherences scale by a single real factor, so the whole composite
-/// applies in one pass over rho (see BatchedDensityMatrix::apply_channel1).
+/// thermal relaxation, in Bloch form. On each 2x2 block aI + xX + yY + zZ
+/// of the target-qubit subspace it keeps a, scales x and y by `off` and maps
+/// z -> c z + t a; BatchedDensityMatrix::apply_channel1 applies it together
+/// with the pulse before it in one pass over rho.
 struct FusedChannel1 {
-  double d00_00 = 1.0;  // rho00 <- d00_00*rho00 + d00_11*rho11
-  double d00_11 = 0.0;
-  double d11_00 = 0.0;  // rho11 <- d11_00*rho00 + d11_11*rho11
-  double d11_11 = 1.0;
-  double off = 1.0;     // rho01, rho10 scale
+  double off = 1.0;  // x, y scale (the coherences)
+  double c = 1.0;    // z scale
+  double t = 0.0;    // z gains t * a (relaxation towards |0>)
 
-  bool is_identity() const {
-    return d00_00 == 1.0 && d00_11 == 0.0 && d11_00 == 0.0 && d11_11 == 1.0 &&
-           off == 1.0;
-  }
+  bool is_identity() const { return off == 1.0 && c == 1.0 && t == 0.0; }
 };
 
 /// Precomputed CX error site: two-qubit depolarizing plus per-qubit thermal
@@ -223,13 +217,16 @@ class BatchedStateVector {
 /// oracle's left multiply) followed by the same kernel with conj(U) on q
 /// (its right multiply by U^dag): apply1, apply1_lanes and apply_crot_lanes
 /// are exactly that, and match the DensityMatrix oracle bitwise. What a
-/// statevector cannot express keeps a density kernel of its own: the fused
-/// error channels, the one-pass diagonal (it scales by |d|^2 and d0 conj(d1)
-/// as the oracle does), the CX relabel, which swaps each entry pair once
-/// where two register passes would move every entry twice, and the noisy CX
-/// site, which reads that relabel through the loads of its channel pass. Error channels
-/// and theta-symbolic angles are lane-uniform by construction (noise does
-/// not depend on the input row).
+/// statevector cannot express keeps a density kernel of its own: the
+/// one-pass diagonal (it scales by |d|^2 and d0 conj(d1) as the oracle
+/// does), the CX relabel, which swaps each entry pair once where two
+/// register passes would move every entry twice, and the two error sites.
+/// The noisy pulse site applies its pulse as a real rotation of each 2x2
+/// block's Pauli vector inside its channel map, one pass where the two
+/// unitary passes and a channel pass took three; the noisy CX site reads
+/// the relabel through the loads of its channel pass. Error sites and
+/// theta-symbolic angles are lane-uniform by construction (noise does not
+/// depend on the input row).
 template <std::size_t L>
 class BatchedDensityMatrix {
  public:
@@ -270,8 +267,13 @@ class BatchedDensityMatrix {
   /// rho -> CX rho CX^dag as the index-pair relabeling, every lane.
   void apply_cx(int control, int target);
 
-  /// Fused single-qubit error site, every lane.
-  void apply_channel1(int q, const FusedChannel1& ch);
+  /// A pulse U on qubit q followed by its fused error site, every lane: one
+  /// pass that maps each 2x2 block aI + xX + yY + zZ of qubit q through
+  /// (x, y, z) -> diag(off, off, c) R(U) (x, y, z) + (0, 0, t a), R(U) the
+  /// real rotation U applies to the Pauli vector (the oracle's unitary,
+  /// depolarizing and thermal steps to ~1e-16, not bitwise).
+  void apply_channel1(int q, const std::array<cplx, 4>& u,
+                      const FusedChannel1& ch);
 
   /// CX followed by its fused error site, every lane: one pass that loads
   /// each 4x4 block over the pair through the CX relabel and writes it back

@@ -73,24 +73,18 @@ std::size_t intern(std::vector<T>& table, const T& value) {
 }  // namespace
 
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise) {
-  // Depolarizing(p) then thermal(gamma, lambda), written as one linear map
-  // per 2x2 block. Depolarizing: rho00 -> (keep+hp) rho00 + hp rho11 (and
-  // symmetrically), off-diagonals scale by keep. Thermal then mixes the
-  // populations (rho00 += gamma rho11; rho11 *= 1-gamma) and scales the
-  // coherences by s = sqrt((1-gamma)(1-lambda)). Composing gives:
-  const double p = noise.depolarizing_p;
-  const double keep = 1.0 - p;
-  const double hp = 0.5 * p;
+  // Depolarizing(p) then thermal(gamma, lambda) on the Pauli vector of each
+  // 2x2 block aI + xX + yY + zZ. Depolarizing keeps a and scales (x, y, z)
+  // by 1 - p. Thermal moves gamma of the |1> population to |0> (z ->
+  // (1 - gamma) z + gamma a) and scales the coherences (x, y) by
+  // s = sqrt((1-gamma)(1-lambda)). Composing gives:
+  const double keep = 1.0 - noise.depolarizing_p;
   const double gamma = noise.thermal.gamma;
-  const double lambda = noise.thermal.lambda;
   const double kg = 1.0 - gamma;
-  const double s = std::sqrt(kg * (1.0 - lambda));
   FusedChannel1 ch;
-  ch.d00_00 = (keep + hp) + gamma * hp;
-  ch.d00_11 = hp + gamma * (keep + hp);
-  ch.d11_00 = kg * hp;
-  ch.d11_11 = kg * (keep + hp);
-  ch.off = keep * s;
+  ch.off = keep * std::sqrt(kg * (1.0 - noise.thermal.lambda));
+  ch.c = kg * keep;
+  ch.t = gamma;
   return ch;
 }
 
@@ -154,12 +148,23 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     p.any = true;
   };
 
-  auto emit_pulse_noise = [&](int q) {
+  // A pulse with an error site ends its qubit's chain: the fused chain and
+  // the site replay as one Channel1 op, q1 holding the site's channel-table
+  // index (at most one entry per qubit, so it fits). A noiseless pulse keeps
+  // the chain fusing through it.
+  auto pulse = [&](int q, const std::array<cplx, 4>& m) {
+    accumulate(q, m);
     if (!noisy) return;
     const FusedChannel1& ch = pulse_ch[static_cast<std::size_t>(q)];
     if (ch.is_identity()) return;
-    emit(COpKind::Channel1, q, 0, intern(program.channel1_table_, ch));
+    Pending& p = pending[static_cast<std::size_t>(q)];
+    emit(COpKind::Channel1, q, intern(program.channel1_table_, ch),
+         program.unitaries_.size());
+    program.unitaries_.push_back(p.u);
+    ++program.stats_.fused_unitaries;
     ++program.stats_.channels;
+    p.u = kIdentity2;
+    p.any = false;
   };
 
   // Parameter-space extents come from the SOURCE circuit so that ops elided
@@ -204,20 +209,10 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
         break;
       }
       case PhysOpKind::SX:
-        accumulate(phys.q0, sx_as_array2());
-        // The error channel must follow the pulse; if this pulse is
-        // noiseless the chain keeps fusing through it.
-        if (noisy && !pulse_ch[static_cast<std::size_t>(phys.q0)].is_identity()) {
-          flush(phys.q0);
-          emit_pulse_noise(phys.q0);
-        }
+        pulse(phys.q0, sx_as_array2());
         break;
       case PhysOpKind::X:
-        accumulate(phys.q0, x_as_array2());
-        if (noisy && !pulse_ch[static_cast<std::size_t>(phys.q0)].is_identity()) {
-          flush(phys.q0);
-          emit_pulse_noise(phys.q0);
-        }
+        pulse(phys.q0, x_as_array2());
         break;
       case PhysOpKind::CX: {
         flush(phys.q0);
@@ -334,11 +329,11 @@ bool CompiledProgram::fuse_cx_sandwiches() {
 }
 
 void CompiledProgram::drop_trailing_diagonals() {
-  // Diagonal unitaries commute with every error channel here (depolarizing,
-  // thermal relaxation, and classical readout confusion all act
-  // block-diagonally w.r.t. the computational basis), so a Diag1/SymDiag1
-  // followed only by pulse error sites (Channel1) on its qubit cannot
-  // change measurement statistics. Walk backwards and drop them.
+  // A diagonal unitary on a qubit no later non-diagonal op touches cannot
+  // change measurement statistics: it commutes with the readout confusion,
+  // which acts block-diagonally w.r.t. the computational basis. Walk
+  // backwards and drop such Diag1/SymDiag1 ops. A pulse site (Channel1)
+  // blocks like a Unitary1: it carries its pulse.
   std::vector<char> blocked(static_cast<std::size_t>(num_qubits_), 0);
   std::vector<CompiledOp> kept;
   kept.reserve(ops_.size());
@@ -361,6 +356,7 @@ void CompiledProgram::drop_trailing_diagonals() {
         blocked[op.q0] = 1;
         break;
       case COpKind::Unitary1:
+      case COpKind::Channel1:  // a pulse with its error site
         blocked[op.q0] = 1;
         break;
       case COpKind::Cx:
@@ -369,8 +365,6 @@ void CompiledProgram::drop_trailing_diagonals() {
         blocked[op.q0] = 1;
         blocked[op.q1] = 1;
         break;
-      case COpKind::Channel1:
-        break;  // channels commute with diagonals: do not block
     }
     kept.push_back(op);
   }
@@ -385,6 +379,7 @@ void CompiledProgram::repack() {
   for (CompiledOp& op : ops_) {
     switch (op.kind) {
       case COpKind::Unitary1:
+      case COpKind::Channel1:
         op.arg = static_cast<std::uint32_t>(intern(unitaries, unitary(op)));
         break;
       case COpKind::Diag1:
@@ -405,7 +400,6 @@ void CompiledProgram::repack() {
         break;
       }
       case COpKind::Cx:
-      case COpKind::Channel1:
       case COpKind::Channel2:
         break;  // no pool entry, or an interned table entry (never orphaned)
     }

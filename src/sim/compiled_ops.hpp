@@ -31,12 +31,13 @@ namespace qucad {
 /// the state.
 enum class COpKind : std::uint8_t {
   Unitary1,  ///< fused 2x2 unitary on q0 (a whole RZ/SX/X chain segment)
+             ///< that no error site ends: noiseless pulses and programs
   Diag1,     ///< literal diagonal unitary on q0 (pure virtual-Z chain)
   SymDiag1,  ///< symbolic RZ: angle affine in one input or trainable slot
   SymUni1,   ///< symbolic RZ times a fused prefix: diag(angle) * u, one pass
   CRot2,     ///< CX * (I (x) u2 * diag(angle) * u) * CX, one two-qubit pass
   Cx,        ///< noiseless CX on (q0 = control, q1 = target), a relabel
-  Channel1,  ///< fused depolarizing + thermal error site on q0
+  Channel1,  ///< fused chain ending in a pulse on q0 + its error site
   Channel2,  ///< CX on (q0 = control, q1 = target) + its fused error site
 };
 
@@ -44,13 +45,16 @@ enum class COpKind : std::uint8_t {
 /// an index into the program pool its kind reads (CompiledProgram's
 /// accessors resolve it):
 ///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op), interned pools;
+///   - Channel1 -> unitary(op), its pulse's fused chain, and channel1(op),
+///     the error site, whose index into the interned channel table sits in
+///     q1 (one entry per qubit at most, so it fits in 8 bits);
 ///   - SymDiag1 / SymUni1 / CRot2 -> slot(op), plus prefix(op) (SymUni1,
 ///     from the interned unitary pool) or crot(op) (CRot2), which the
 ///     slot's `factor` indexes;
-///   - Channel1 / Channel2 -> channel1(op) / channel2(op), interned tables
-///     holding each distinct coefficient set once;
+///   - Channel2 -> channel2(op), an interned table holding each distinct
+///     coefficient set once;
 ///   - Cx -> nothing (arg is 0).
-/// q1 is meaningful for the two-qubit kinds only (Cx, CRot2, Channel2).
+/// q1 is a qubit for the two-qubit kinds only (Cx, CRot2, Channel2).
 struct CompiledOp {
   COpKind kind = COpKind::Diag1;
   std::uint8_t q0 = 0;
@@ -134,10 +138,11 @@ class CompiledProgram {
   /// required for the statevector replay paths.
   ///
   /// The lowering fuses adjacent single-qubit ops (between error sites and
-  /// symbolic RZs) into one 2x2, emits each noisy CX together with its
-  /// error site as one Channel2 op, fuses noiseless CX-sandwich controlled
-  /// rotations into single CRot2 ops, and drops trailing diagonal ops
-  /// (virtual Z, literal or symbolic) that can no longer affect Z-basis
+  /// symbolic RZs) into one 2x2, emits each noisy pulse together with its
+  /// chain and its error site as one Channel1 op and each noisy CX together
+  /// with its error site as one Channel2 op, fuses noiseless CX-sandwich
+  /// controlled rotations into single CRot2 ops, and drops trailing diagonal
+  /// ops (virtual Z, literal or symbolic) that can no longer affect Z-basis
   /// measurement. The drop preserves diagonal probabilities, every `<Z>` and
   /// every `d<Z>/dtheta` exactly (a trailing RZ commutes with the
   /// observable, so its gradient is identically zero), but not off-diagonal
@@ -174,7 +179,7 @@ class CompiledProgram {
     return crot_factors_[slot(op).factor];
   }
   const FusedChannel1& channel1(const CompiledOp& op) const {
-    return channel1_table_[op.arg];
+    return channel1_table_[op.q1];
   }
   const FusedChannel2& channel2(const CompiledOp& op) const {
     return channel2_table_[op.arg];
@@ -268,7 +273,8 @@ class CompiledProgram {
   int num_trainable_ = 0;
   int num_inputs_ = 0;
   std::vector<CompiledOp> ops_;
-  std::vector<std::array<cplx, 4>> unitaries_;  ///< Unitary1, SymUni1 prefixes
+  /// Unitary1, Channel1 pulse chains, SymUni1 prefixes.
+  std::vector<std::array<cplx, 4>> unitaries_;
   std::vector<std::array<cplx, 2>> diagonals_;  ///< Diag1
   std::vector<SymSlot> slots_;  ///< SymDiag1, SymUni1, CRot2
   std::vector<CRotFactors> crot_factors_;
@@ -298,7 +304,8 @@ std::array<cplx, 4> sym_uni_matrix(const std::array<cplx, 4>& prefix,
 std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle);
 
 /// Folds one pulse error site (depolarizing then thermal relaxation, the
-/// order run_density applies) into closed-form coefficients.
+/// order run_density applies) into its Bloch-form coefficients; the
+/// Channel1 kernel composes them with the pulse in closed form.
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise);
 
 /// The coefficients of one CX error site (two-qubit depolarizing, then

@@ -326,6 +326,9 @@ TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
   }
 }
 
+constexpr std::array<cplx, 4> kIdentity2{cplx{1.0, 0.0}, cplx{0.0, 0.0},
+                                         cplx{0.0, 0.0}, cplx{1.0, 0.0}};
+
 /// A random 2x2 unitary: e^{i phi} RZ(a) RY(b) RZ(c), every entry nonzero.
 std::array<cplx, 4> random_unitary2(Rng& rng) {
   const double a = rng.uniform(-test::kPi, test::kPi);
@@ -467,10 +470,10 @@ TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
       for (int q = 0; q < kQubits; ++q) {
         for (auto& m : ms) m = random_unitary2(rng);
         block.apply1_lanes(q, ms.data());
-        block.apply_channel1(q, fuse_pulse_channel(pn));
+        block.apply_channel1(q, kIdentity2, fuse_pulse_channel(pn));
         for (std::size_t l = 0; l < kLanes; ++l) {
           ones[l].apply1_lanes(q, &ms[l]);
-          ones[l].apply_channel1(q, fuse_pulse_channel(pn));
+          ones[l].apply_channel1(q, kIdentity2, fuse_pulse_channel(pn));
           oracles[l].apply1(q, ms[l]);
           oracles[l].apply_depolarizing1(q, pn.depolarizing_p);
           oracles[l].apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
@@ -508,6 +511,82 @@ TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
                               sizeof(double)),
                   0)
             << "im, lane " << l << " entry " << i;
+      }
+    }
+  }
+}
+
+TEST(BatchedDensity, PulseSiteMatchesTheOracleSequenceAtBothWidths) {
+  // apply_channel1 is a pulse and its error site in one closed-form pass: to
+  // 1e-12 the oracle's unitary, depolarizing and thermal steps, for random
+  // U(2) pulses with a global phase and for depolarizing-only, thermal-only
+  // and combined sites. Every lane starts from its own mixed state, and each
+  // lane's entries are bitwise the same at width 1 and at width kLanes.
+  constexpr int kQubits = 3;
+  std::vector<PulseNoise> sites(3);
+  sites[0].depolarizing_p = 0.06;
+  sites[1].thermal = ThermalChannel{0.05, 0.03};
+  sites[2].depolarizing_p = 0.02;
+  sites[2].thermal = ThermalChannel{0.015, 0.04};
+  Rng rng(77);
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const PulseNoise& pn = sites[s];
+    const FusedChannel1 site = fuse_pulse_channel(pn);
+    ASSERT_FALSE(site.is_identity());
+    for (int q = 0; q < kQubits; ++q) {
+      SCOPED_TRACE("site " + std::to_string(s) + " qubit " +
+                   std::to_string(q));
+      BatchedDensityMatrix<kLanes> block(kQubits);
+      std::vector<BatchedDensityMatrix<1>> ones(
+          kLanes, BatchedDensityMatrix<1>(kQubits));
+      std::vector<DensityMatrix> oracles(kLanes, DensityMatrix(kQubits));
+      // Per-lane mixed states: per-lane rotations, the CX relabel and a
+      // depolarizing site on every qubit, twice over.
+      std::array<std::array<cplx, 4>, kLanes> ms;
+      for (int round = 0; round < 2; ++round) {
+        for (int k = 0; k < kQubits; ++k) {
+          for (auto& m : ms) m = random_unitary2(rng);
+          block.apply1_lanes(k, ms.data());
+          block.apply_channel1(k, kIdentity2, fuse_pulse_channel(sites[0]));
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            ones[l].apply1_lanes(k, &ms[l]);
+            ones[l].apply_channel1(k, kIdentity2, fuse_pulse_channel(sites[0]));
+            oracles[l].apply1(k, ms[l]);
+            oracles[l].apply_depolarizing1(k, sites[0].depolarizing_p);
+          }
+        }
+        block.apply_cx(round, round + 1);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          ones[l].apply_cx(round, round + 1);
+          oracles[l].apply_gate(Gate{GateKind::CX, round, round + 1, {}, 0.0},
+                                0.0);
+        }
+      }
+      const std::array<cplx, 4> u = random_unitary2(rng);
+      block.apply_channel1(q, u, site);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        ones[l].apply_channel1(q, u, site);
+        DensityMatrix& o = oracles[l];
+        o.apply1(q, u);
+        o.apply_depolarizing1(q, pn.depolarizing_p);
+        o.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
+        const std::vector<cplx>& rho = o.data();
+        for (std::size_t i = 0; i < rho.size(); ++i) {
+          const cplx got{block.re()[i * kLanes + l],
+                         block.im()[i * kLanes + l]};
+          EXPECT_NEAR(std::abs(got - rho[i]), 0.0, test::kTightTol)
+              << "lane " << l << " entry " << i;
+          const double one_re = ones[l].re()[i];
+          const double one_im = ones[l].im()[i];
+          EXPECT_EQ(std::memcmp(&one_re, &block.re()[i * kLanes + l],
+                                sizeof(double)),
+                    0)
+              << "re, lane " << l << " entry " << i;
+          EXPECT_EQ(std::memcmp(&one_im, &block.im()[i * kLanes + l],
+                                sizeof(double)),
+                    0)
+              << "im, lane " << l << " entry " << i;
+        }
       }
     }
   }
@@ -626,7 +705,8 @@ void replay_out_of_line(const CompiledProgram& program, State& state,
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, program.channel1(op));
+          state.apply_channel1(op.q0, program.unitary(op),
+                               program.channel1(op));
         }
         break;
       case COpKind::Channel2:

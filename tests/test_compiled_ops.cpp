@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,6 +235,9 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
 }
 
 TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
+  // The Channel1 kernel applies a pulse and its error site in one pass; the
+  // oracle applies the pulse, the depolarizing and the thermal step one
+  // after another.
   PulseNoise pn;
   pn.depolarizing_p = 0.03;
   pn.thermal = ThermalChannel{0.02, 0.015};
@@ -246,7 +250,9 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
   run_on_lanes(fused, c, x);
 
   for (int q = 0; q < 3; ++q) {
-    fused.apply_channel1(q, fuse_pulse_channel(pn));
+    const std::array<cplx, 4> pulse = q == 1 ? x_as_array2() : sx_as_array2();
+    fused.apply_channel1(q, pulse, fuse_pulse_channel(pn));
+    seq.apply1(q, pulse);
     seq.apply_depolarizing1(q, pn.depolarizing_p);
     seq.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
   }
@@ -398,6 +404,94 @@ TEST(CompiledProgramLayout, DiagonalBeforeCxSiteMatchesReference) {
   }
 }
 
+TEST(CompiledProgramLayout, NoisyPulseIsOneChannel1SiteAndUnitary1Otherwise) {
+  // A pulse with an error site compiles to one Channel1 op holding the chain
+  // that ends in it and, in q1, its qubit's channel-table index; a pulse on
+  // a noiseless qubit, or in a noiseless program, stays in a Unitary1.
+  Rng rng(7);
+  const std::vector<std::pair<int, int>> edges{{0, 1}};
+  Calibration cal = noisy_calibration(2, edges, rng);
+  cal.set_sx_error(1, 0.0);
+  NoiseModelOptions no_thermal;
+  no_thermal.include_thermal_relaxation = false;  // qubit 1 is noiseless
+  PhysicalCircuit phys(2);
+  for (int q = 0; q < 2; ++q) {
+    phys.push(PhysOp{PhysOpKind::RZ, q, -1, 0.7});
+    phys.push(PhysOp{PhysOpKind::SX, q});
+  }
+  phys.readout_physical() = {0, 1};
+  const std::array<cplx, 4> rz{std::exp(cplx{0.0, -0.35}), cplx{0.0, 0.0},
+                               cplx{0.0, 0.0}, std::exp(cplx{0.0, 0.35})};
+  const std::array<cplx, 4>& sx = sx_as_array2();
+  const std::array<cplx, 4> chain{sx[0] * rz[0], sx[1] * rz[3],
+                                  sx[2] * rz[0], sx[3] * rz[3]};
+  for (const bool noisy : {true, false}) {
+    SCOPED_TRACE(noisy ? "noisy" : "noiseless");
+    const NoiseModel noise = noisy ? NoiseModel(cal, no_thermal) : NoiseModel();
+    const CompiledProgram program = CompiledProgram::compile(phys, noise);
+    ASSERT_EQ(program.ops().size(), 2u);
+    for (const CompiledOp& op : program.ops()) {
+      SCOPED_TRACE("qubit " + std::to_string(op.q0));
+      const bool site = noisy && op.q0 == 0;
+      EXPECT_EQ(op.kind, site ? COpKind::Channel1 : COpKind::Unitary1);
+      const std::array<cplx, 4>& u = program.unitary(op);
+      for (std::size_t e = 0; e < 4; ++e) {
+        EXPECT_NEAR(std::abs(u[e] - chain[e]), 0.0, test::kTightTol) << e;
+      }
+      if (site) {
+        EXPECT_EQ(op.q1, 0u);
+        EXPECT_EQ(std::memcmp(&program.channel1(op),
+                              &program.channel1_table()[0],
+                              sizeof(FusedChannel1)),
+                  0);
+      }
+    }
+    EXPECT_EQ(program.channel1_table().size(), noisy ? 1u : 0u);
+    EXPECT_EQ(program.unitary_table().size(), 1u);
+
+    const NoisyExecutor executor(phys, noise);
+    const auto z_ref = run_z_reference(phys, noise, {});
+    const auto z = executor.run_z({});
+    ASSERT_EQ(z.size(), z_ref.size());
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "slot " << k;
+    }
+  }
+}
+
+TEST(CompiledProgramLayout, SymbolicRzBeforeFinalPulseSiteMatchesReference) {
+  // A symbolic RZ just before the last pulse of a qubit that nothing else
+  // touches: the qubit's earlier pulse puts it in superposition, and the
+  // pulse site after the RZ turns its phase into populations, so the
+  // trailing-diagonal drop must keep it.
+  Rng rng(19);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const NoiseModel noise(noisy_calibration(3, edges, rng));
+  PhysicalCircuit phys(3);
+  for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::SX, q});
+  phys.push(PhysOp{PhysOpKind::CX, 0, 1});
+  PhysOp rz{PhysOpKind::RZ, 2};
+  rz.angle = 0.4;
+  rz.input_index = 0;
+  rz.input_scale = 1.7;
+  phys.push(rz);
+  phys.push(PhysOp{PhysOpKind::SX, 2});
+  phys.readout_physical() = {0, 1, 2};
+  const NoisyExecutor executor(phys, noise);
+  const CompiledOp& last = executor.program().ops().back();
+  EXPECT_EQ(last.kind, COpKind::Channel1);
+  EXPECT_EQ(last.q0, 2u);
+  for (const double v : {0.3, 1.9}) {
+    const std::vector<double> x{v};
+    const auto z_ref = run_z_reference(phys, noise, x);
+    const auto z = executor.run_z(x);
+    ASSERT_EQ(z.size(), z_ref.size());
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "x " << v << " slot " << k;
+    }
+  }
+}
+
 TEST(CompiledEvalCache, HitsOnRepeatedConfigurationMissesOnChange) {
   CompiledEvalCache cache(8);
   const CalibrationHistory h(FluctuationScenario::belem(), 4, 3);
@@ -468,8 +562,9 @@ static_assert(sizeof(CompiledOp) <= 16,
 TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   // Ten noisy pulses on every qubit and six CXs on every edge of a 3-qubit
   // line, both directions: 42 error sites, but only 3 qubits and 2 edges.
-  // The 30 pulses are SX or X, and the CXs flush an RZ(0.3) on each qubit
-  // 3 times: 30 unitary sites of 2 matrices, 9 diagonal sites of 1.
+  // The 30 pulses are SX or X, each a pulse site holding its matrix, and
+  // the CXs flush an RZ(0.3) on each qubit 3 times: 30 pulse sites of 2
+  // matrices, 9 diagonal sites of 1.
   Rng rng(41);
   const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
   const Calibration cal = noisy_calibration(3, edges, rng);
@@ -495,13 +590,13 @@ TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   EXPECT_EQ(program.stats().channels, 42u);
   EXPECT_EQ(program.channel1_table().size(), 3u);
   EXPECT_EQ(program.channel2_table().size(), 2u);
-  std::size_t unitary_sites = 0;
+  std::size_t pulse_sites = 0;
   std::size_t diagonal_sites = 0;
   for (const CompiledOp& op : program.ops()) {
-    unitary_sites += op.kind == COpKind::Unitary1;
+    pulse_sites += op.kind == COpKind::Channel1;
     diagonal_sites += op.kind == COpKind::Diag1;
   }
-  EXPECT_EQ(unitary_sites, 30u);
+  EXPECT_EQ(pulse_sites, 30u);
   EXPECT_EQ(program.unitary_table().size(), 2u);
   EXPECT_EQ(diagonal_sites, 9u);
   EXPECT_EQ(program.diagonal_table().size(), 1u);

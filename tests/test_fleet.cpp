@@ -330,9 +330,9 @@ TEST(Fleet, ServesSixteenHeterogeneousDevicesFromOneRepository) {
   EXPECT_EQ(result->decisions(), 16 * 2);
   EXPECT_GE(result->reuse_rate(), 0.0);
   EXPECT_LE(result->reuse_rate(), 1.0);
-  EXPECT_GE(result->repository_entries_offline, 1u);
+  EXPECT_GE(result->offline_repository.size(), 1u);
   EXPECT_GE(result->repository_entries_final,
-            result->repository_entries_offline);
+            result->offline_repository.size());
 
   for (const MethodResult& device : result->devices) {
     ASSERT_EQ(device.daily_accuracy.size(), 2u) << device.name;
