@@ -150,7 +150,7 @@ inline std::shared_ptr<const ExecutionBackend> make_workload_backend(
 /// handle for benches that need density-matrix / probability access beyond
 /// the backend interface (mitigation studies). Shares the environment's
 /// noise options so results match the evaluator's.
-inline std::shared_ptr<const NoisyExecutor> make_env_executor(
+inline std::shared_ptr<const CompiledExecutor> make_env_executor(
     const Environment& env, std::span<const double> theta,
     const Calibration& calib) {
   return build_noisy_executor(env.model, env.transpiled, theta, calib,

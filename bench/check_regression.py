@@ -14,15 +14,19 @@ Records are keyed by (name, params), so groups that reuse one name across a
 parameter sweep (BENCH_kernels.json's statevector_forward at 4/6/8 qubits)
 gate each point independently. Records present in the current run but not in
 the baseline are ignored, so adding benchmarks never requires touching the
-gate. See docs/BENCHMARKS.md for the schema and the baseline-update
-procedure.
+gate. The current record's engine_isa, compiler and build_type header is
+printed with the verdict, so a ratio failure on a runner that resolves a
+narrower replay clone (say x86-64-v3, AVX2 only) says so in the log. See
+docs/BENCHMARKS.md for the schema and the baseline-update procedure.
 """
 
 import json
 import sys
 
 
-def load_records(path):
+def load_doc(path):
+    """The record file's header fields and its records keyed by (name,
+    params)."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "qucad-bench-v1":
@@ -33,14 +37,20 @@ def load_records(path):
         if key in records:
             raise SystemExit(f"{path}: duplicate record {key}")
         records[key] = r
-    return records
+    return doc, records
+
+
+def header(doc):
+    """engine_isa / compiler / build_type of a record file ("?" if absent)."""
+    return ", ".join(f"{field} {doc.get(field, '?')}"
+                     for field in ("engine_isa", "compiler", "build_type"))
 
 
 def main(argv):
     if len(argv) not in (3, 4):
         raise SystemExit(__doc__)
-    current = load_records(argv[1])
-    baseline = load_records(argv[2])
+    current_doc, current = load_doc(argv[1])
+    _, baseline = load_doc(argv[2])
     tolerance = float(argv[3]) if len(argv) == 4 else 0.20
 
     failures = []
@@ -64,10 +74,12 @@ def main(argv):
             )
 
     if failures:
-        print(f"\n{argv[1]}: perf regression vs {argv[2]}:")
+        print(f"\n{argv[1]} ({header(current_doc)}): perf regression vs "
+              f"{argv[2]}:")
         print("\n".join(failures))
         return 1
-    print(f"\n{argv[1]}: all records within tolerance of baseline")
+    print(f"\n{argv[1]} ({header(current_doc)}): all records within "
+          "tolerance of baseline")
     return 0
 
 

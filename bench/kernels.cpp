@@ -71,7 +71,7 @@ void BM_NoisyDensityMatrixRun(benchmark::State& state) {
   const bench::BenchWorkload w = make_workload(4, 2, 2, /*theta_seed=*/1);
   const PhysicalCircuit phys = lower_model(w.transpiled, w.theta);
   const NoiseModel nm(w.calib());
-  const NoisyExecutor executor(phys, nm);
+  const CompiledExecutor executor(phys, nm);
   const std::vector<double> x(4, 0.7);
   for (auto _ : state) {
     const auto z = executor.run_z(x);

@@ -46,7 +46,7 @@ int main() {
     const Calibration& calib = history.day(day);
     // The compiled engine answers run_z; the gate-by-gate oracles walk the
     // circuit and noise model it was compiled from.
-    const std::shared_ptr<const NoisyExecutor> executor =
+    const std::shared_ptr<const CompiledExecutor> executor =
         make_env_executor(env, env.theta_pretrained, calib);
     const PhysicalCircuit phys =
         lower_noisy_circuit(env.model, env.transpiled, env.theta_pretrained);

@@ -208,7 +208,7 @@ std::vector<Record> compiled_eval_benches() {
   const BenchWorkload w = make_workload();
   const Dataset data = make_mnist4(64, 24);
 
-  const std::shared_ptr<const NoisyExecutor> executor =
+  const std::shared_ptr<const CompiledExecutor> executor =
       build_noisy_executor(w.model, w.transpiled, w.theta, w.calib(), {});
   const PhysicalCircuit circuit = lower_noisy_circuit(w.model, w.transpiled,
                                                       w.theta);
@@ -373,7 +373,7 @@ std::vector<Record> train_benches() {
 
 /// The SoA lane-replay record group: the compiled engines' one lane
 /// template at its two widths on the same model, theta, and sample rows —
-/// forward (PureExecutor::run_z_batch) and gradient (batch_loss_grad) with
+/// forward (CompiledExecutor::run_z_batch) and gradient (batch_loss_grad) with
 /// full blocks at L = kBlockLanes ("engine=lanes") vs every sample replayed
 /// alone at L = 1 ("engine=scalar", the single-sample calls run_z /
 /// batch_loss_grad of one row). Both sides spread over the same worker
@@ -383,7 +383,7 @@ std::vector<Record> train_benches() {
 /// dimensionless L = 8 / L = 1 ratios at batch 256 — hardware-independent,
 /// gated against the checked-in baseline in CI (>= 2x asserted on
 /// multi-core runners). "simd_noisy_speedup" is the same ratio for the
-/// density engine (NoisyExecutor::run_z_batch vs run_z) at batch 64 on the
+/// density engine (CompiledExecutor::run_z_batch vs run_z) at batch 64 on the
 /// belem workload; the density lanes also run two small batches on a
 /// 4-thread pool, one on each side of parallel_for_lanes' padding choice:
 /// 12 rows (one block plus a 4-row tail, 5 replays: the tail pads) and 4
@@ -466,13 +466,13 @@ std::vector<Record> simd_benches() {
     records.push_back(speedup);
   }
 
-  // Density-engine lane replay: NoisyExecutor::run_z_batch vs per-sample
+  // Density-engine lane replay: CompiledExecutor::run_z_batch vs per-sample
   // run_z over the same rows, exact expectations (shots = 0) — the shape
   // of noisy_evaluate and the compression keep_best guard. Smaller batch
   // than the pure group because each sample is a full density evolution.
   {
     const BenchWorkload w = make_workload();
-    const std::shared_ptr<const NoisyExecutor> noisy =
+    const std::shared_ptr<const CompiledExecutor> noisy =
         build_noisy_executor(w.model, w.transpiled, w.theta, w.calib(), {});
     constexpr std::size_t kNoisyBatch = 64;
     const std::span<const std::vector<double>> sub(data.features.data(),
@@ -517,7 +517,8 @@ std::vector<Record> simd_benches() {
           "engine=lanes,qubits=4,device=belem,batch=" + std::to_string(batch) +
               ",pool=4",
           static_cast<double>(batch), "samples/sec", [&] {
-            const auto zs = noisy->run_z_batch(sub.first(batch), 0, 99, &four);
+            const auto zs =
+                noisy->run_z_batch(sub.first(batch), {}, 0, 99, &four);
             volatile double sink = zs[0][0];
             (void)sink;
           }));

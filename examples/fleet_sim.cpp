@@ -12,11 +12,12 @@
 //
 //  Phase 2 (serving drill): phase 1's offline repository (as the offline
 //  build left it, before the online days added to it) behind a sharded
-//  InferenceService and the TCP wire protocol. One client thread per
-//  device walks its online days — push_calibration (repository decision +
-//  epoch hot-swap), then a burst of predictions — and the drill reports
-//  per-device request latency (p50/p99) plus the service's admission and
-//  swap counters.
+//  InferenceService and the TCP wire protocol, one client per device. The
+//  service holds one epoch for the fleet, so on each online day the devices
+//  take turns: push_calibration (repository decision + epoch hot-swap),
+//  then that day's burst of predictions, each served under the pushing
+//  device's noise. The drill reports per-device accuracy and request
+//  latency (p50/p99) plus the service's admission and swap counters.
 //
 //   fleet_sim [--devices M] [--seed S] [--config PATH]
 //             [--offline-days N] [--online-days N]
@@ -39,7 +40,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -157,39 +157,37 @@ struct DrillResult {
   std::vector<double> latency_ms;
 };
 
-void run_device_drill(const char* host, std::uint16_t port,
-                      const fleet::DriftStream& stream, const Dataset& test,
-                      int first_day, int last_day, int requests_per_day,
-                      DrillResult& out) {
-  StatusOr<WireClient> client = WireClient::connect(host, port);
-  if (!client.ok()) return;
-  std::size_t cursor = 0;
-  for (int d = first_day; d < last_day; ++d) {
-    const StatusOr<WireCalibrationAck> ack =
-        client->push_calibration(stream.history().day(d));
-    if (ack.ok()) {
-      using Action = OnlineManager::Decision::Action;
-      switch (ack->action) {
-        case Action::Reuse: ++out.reuses; break;
-        case Action::NewModel: ++out.compressions; break;
-        default: ++out.failures; break;
-      }
+/// One device's online day: push its calibration (repository decision +
+/// epoch hot-swap), then send that day's predictions, so every one of them
+/// is served under this device's noise.
+void drill_device_day(WireClient& client, const fleet::DriftStream& stream,
+                      const Dataset& test, int day, int day_index,
+                      int requests_per_day, DrillResult& out) {
+  const StatusOr<WireCalibrationAck> ack =
+      client.push_calibration(stream.history().day(day));
+  if (ack.ok()) {
+    using Action = OnlineManager::Decision::Action;
+    switch (ack->action) {
+      case Action::Reuse: ++out.reuses; break;
+      case Action::NewModel: ++out.compressions; break;
+      default: ++out.failures; break;
     }
-    for (int r = 0; r < requests_per_day; ++r) {
-      const std::size_t i = cursor++ % test.size();
-      const auto start = std::chrono::steady_clock::now();
-      const StatusOr<Prediction> prediction =
-          client->predict(test.features[i]);
-      const std::chrono::duration<double, std::milli> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (!prediction.ok()) {
-        ++out.refused;
-        continue;
-      }
-      ++out.predictions;
-      if (prediction->label == test.labels[i]) ++out.correct;
-      out.latency_ms.push_back(elapsed.count());
+  }
+  for (int r = 0; r < requests_per_day; ++r) {
+    const std::size_t i =
+        static_cast<std::size_t>(day_index * requests_per_day + r) %
+        test.size();
+    const auto start = std::chrono::steady_clock::now();
+    const StatusOr<Prediction> prediction = client.predict(test.features[i]);
+    const std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (!prediction.ok()) {
+      ++out.refused;
+      continue;
     }
+    ++out.predictions;
+    if (prediction->label == test.labels[i]) ++out.correct;
+    out.latency_ms.push_back(elapsed.count());
   }
 }
 
@@ -316,17 +314,21 @@ int main(int argc, char** argv) {
   const int first_day = args.offline_days;
   const int last_day = args.offline_days + args.online_days;
   std::vector<DrillResult> drill(harness->streams().size());
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(drill.size());
-    for (std::size_t i = 0; i < drill.size(); ++i) {
-      clients.emplace_back(run_device_drill, "127.0.0.1", server->port(),
-                           std::cref(harness->streams()[i]),
-                           std::cref(drill_test), first_day, last_day,
-                           args.requests_per_day, std::ref(drill[i]));
-    }
-    for (std::thread& t : clients) t.join();
+  std::vector<StatusOr<WireClient>> clients;
+  for (std::size_t i = 0; i < drill.size(); ++i) {
+    clients.push_back(WireClient::connect("127.0.0.1", server->port()));
   }
+  // The service holds one epoch for the whole fleet, so the devices take
+  // turns: each pushes its day and sends that day's requests before the
+  // next device pushes.
+  for (int d = first_day; d < last_day; ++d) {
+    for (std::size_t i = 0; i < drill.size(); ++i) {
+      if (!clients[i].ok()) continue;
+      drill_device_day(*clients[i], harness->streams()[i], drill_test, d,
+                       d - first_day, args.requests_per_day, drill[i]);
+    }
+  }
+  clients.clear();
   server->stop();
 
   for (std::size_t i = 0; i < drill.size(); ++i) {

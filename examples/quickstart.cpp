@@ -64,7 +64,7 @@ int main() {
   //    physical pulse sequence.
   //
   //    noisy_accuracy executes the lowered circuit on the compiled
-  //    density-matrix engine (NoisyExecutor): calibrated error channels are
+  //    density-matrix engine (CompiledExecutor): calibrated error channels are
   //    folded into the op-stream once, and the compiled program is replayed
   //    per test sample (cached across calls by CompiledEvalCache).
   const CouplingMap belem = CouplingMap::belem();

@@ -13,13 +13,6 @@ const char* backend_kind_name(BackendKind kind) {
   return "unknown";
 }
 
-BackendDiagnostics program_diagnostics(BackendKind kind,
-                                       const CompiledProgram& program,
-                                       int shots) {
-  return {backend_kind_name(kind), kind, program.num_qubits(), shots,
-          program.stats().source_ops, program.stats().compiled_ops};
-}
-
 Status BackendConfig::validate() const {
   if (shots < 0) {
     return Status::invalid_argument("backend shots must be non-negative");

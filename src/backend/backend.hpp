@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "sim/compiled_ops.hpp"
 
 namespace qucad {
 
@@ -17,18 +16,19 @@ class ThreadPool;
 /// The pluggable execution-backend API: one interface every consumer of
 /// "classify this feature vector under some execution regime" goes through
 /// (evaluator, longitudinal harness, serving layer, benches), with the
-/// concrete engine selected by a BackendConfig instead of hard-coded
-/// NoisyExecutor / PureExecutor calls. The built-in backends are
+/// concrete regime selected by a BackendConfig instead of hard-coded
+/// CompiledExecutor calls. The built-in backends are
 ///  - kDensityNoisy:     exact density-matrix evolution with calibrated
-///                       channels (fronts NoisyExecutor); exact expectations,
-///                       or finite-shot readout with BackendConfig::shots,
-///  - kPureStatevector:  noise-free statevector expectations (fronts
-///                       PureExecutor),
+///                       channels; exact expectations, or finite-shot
+///                       readout with BackendConfig::shots,
+///  - kPureStatevector:  noise-free statevector expectations,
 ///  - kSampled:          finite-shot bitstring sampling from the compiled
 ///                       pure statevector with per-qubit readout confusion —
 ///                       hardware-like readout at statevector cost.
-/// Both statevector kinds are one StatevectorBackend
-/// (backend/statevector_backend.hpp), exact at shots == 0.
+/// All three are one adapter, CompiledBackend (backend/registry.hpp), over
+/// one CompiledExecutor (transpile/executor.hpp), whose lane state follows
+/// its program: density matrix when it has error channels, statevector
+/// otherwise.
 /// New regimes (sharded pools, remote/hardware stubs) plug in through
 /// BackendRegistry (backend/registry.hpp) without touching any consumer.
 
@@ -60,11 +60,6 @@ struct BackendDiagnostics {
   std::size_t compiled_ops = 0;  ///< ops in the fused replay stream
 };
 
-/// The diagnostics of a built-in backend of `kind` replaying `program`.
-BackendDiagnostics program_diagnostics(BackendKind kind,
-                                       const CompiledProgram& program,
-                                       int shots);
-
 /// Selects and parameterizes an execution backend. This is the config every
 /// consumer-facing option struct carries (NoisyEvalOptions, HarnessOptions,
 /// ServiceConfig) so a scenario picks its execution regime declaratively. Engine knobs that would poison executor-cache keys (noise
@@ -81,7 +76,7 @@ struct BackendConfig {
   int shots = 0;
 
   /// Base seed of the per-sample shot streams of every shot-drawing kind
-  /// (sample i draws from seed + i, matching NoisyExecutor::run_z_batch).
+  /// (sample i draws from seed + i, matching CompiledExecutor::run_z_batch).
   /// Unset, a shot-drawing backend draws its base seed from the OS entropy
   /// pool, so its estimates do not reproduce across builds.
   std::optional<std::uint64_t> seed = 99;

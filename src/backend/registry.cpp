@@ -3,7 +3,6 @@
 #include <random>
 #include <utility>
 
-#include "backend/statevector_backend.hpp"
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "qnn/eval_cache.hpp"
@@ -11,35 +10,6 @@
 namespace qucad {
 
 namespace {
-
-/// Adapter fronting the exact density-matrix engine (NoisyExecutor): the
-/// fused run_z_batch sweep with per-thread scratch reuse. With shots > 0
-/// sample i draws from seed + i through the executor's readout kernel.
-class DensityMatrixBackend final : public ExecutionBackend {
- public:
-  DensityMatrixBackend(std::shared_ptr<const NoisyExecutor> executor,
-                       int shots, std::uint64_t seed)
-      : executor_(std::move(executor)), shots_(shots), seed_(seed) {}
-
-  BackendKind kind() const override { return BackendKind::kDensityNoisy; }
-  BackendDiagnostics diagnostics() const override {
-    return program_diagnostics(BackendKind::kDensityNoisy,
-                               executor_->program(), shots_);
-  }
-
-  std::vector<std::vector<double>> run_logits_batch(
-      std::span<const std::vector<double>> xs,
-      ThreadPool* pool = nullptr) const override {
-    // SoA lane replay: full blocks at width 8, the tail at width 1 — see
-    // NoisyExecutor::run_z_batch.
-    return executor_->run_z_batch(xs, shots_, seed_, pool);
-  }
-
- private:
-  std::shared_ptr<const NoisyExecutor> executor_;
-  int shots_;
-  std::uint64_t seed_;
-};
 
 /// The base seed of a backend's shot streams: 0 when it draws no shots,
 /// else the configured one, or one drawn from the OS entropy pool when the
@@ -54,7 +24,7 @@ Status missing(const char* field, const char* kind) {
                                   field + " (required by " + kind + ")");
 }
 
-std::shared_ptr<const PureExecutor> resolve_pure_executor(
+std::shared_ptr<const CompiledExecutor> resolve_pure_executor(
     const BackendContext& context) {
   if (context.use_cache) {
     return CompiledEvalCache::global().get_or_build_pure(
@@ -70,7 +40,7 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
   if (context.model == nullptr) return missing("the model", kind);
   if (context.transpiled == nullptr) return missing("the routed model", kind);
   if (context.calibration == nullptr) return missing("a calibration", kind);
-  std::shared_ptr<const NoisyExecutor> executor =
+  std::shared_ptr<const CompiledExecutor> executor =
       context.use_cache
           ? CompiledEvalCache::global().get_or_build(
                 *context.model, *context.transpiled, context.theta,
@@ -78,9 +48,12 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
           : build_noisy_executor(*context.model, *context.transpiled,
                                  context.theta, *context.calibration,
                                  context.noise);
+  // Theta was bound when the circuit was lowered; the executor's readout
+  // carries the calibration's confusion.
   return std::shared_ptr<const ExecutionBackend>(
-      std::make_shared<const DensityMatrixBackend>(
-          std::move(executor), config.shots, resolve_seed(config)));
+      std::make_shared<const CompiledBackend>(
+          BackendKind::kDensityNoisy, std::move(executor),
+          std::vector<double>{}, config.shots, resolve_seed(config)));
 }
 
 /// Both statevector kinds: kPureStatevector is the shots == 0 case (exact,
@@ -100,13 +73,42 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_statevector(
     slot_readout = *std::move(errors);
   }
   return std::shared_ptr<const ExecutionBackend>(
-      std::make_shared<const StatevectorBackend>(
-          resolve_pure_executor(context),
+      std::make_shared<const CompiledBackend>(
+          config.kind, resolve_pure_executor(context),
           std::vector<double>(context.theta.begin(), context.theta.end()),
-          std::move(slot_readout), config.shots, resolve_seed(config)));
+          config.shots, resolve_seed(config), std::move(slot_readout)));
 }
 
 }  // namespace
+
+CompiledBackend::CompiledBackend(
+    BackendKind kind, std::shared_ptr<const CompiledExecutor> executor,
+    std::vector<double> theta, int shots, std::uint64_t seed,
+    std::vector<ReadoutError> slot_readout)
+    : executor_(std::move(executor)),
+      theta_(std::move(theta)),
+      shots_(shots),
+      seed_(seed),
+      kind_(kind) {
+  require(executor_ != nullptr, "backend needs a compiled executor");
+  require(shots_ >= 0, "backend shots must be non-negative");
+  if (!slot_readout.empty()) {
+    readout_.emplace(executor_->program().num_qubits(),
+                     executor_->readout_slots(), std::move(slot_readout));
+  }
+}
+
+BackendDiagnostics CompiledBackend::diagnostics() const {
+  const CompiledProgram& program = executor_->program();
+  return {backend_kind_name(kind_), kind_, program.num_qubits(), shots_,
+          program.stats().source_ops, program.stats().compiled_ops};
+}
+
+std::vector<std::vector<double>> CompiledBackend::run_logits_batch(
+    std::span<const std::vector<double>> xs, ThreadPool* pool) const {
+  return executor_->run_z_batch(xs, theta_, shots_, seed_, pool,
+                                readout_ ? &*readout_ : nullptr);
+}
 
 StatusOr<std::vector<ReadoutError>> slot_readout_errors(
     const QnnModel& model, const TranspiledModel* transpiled,

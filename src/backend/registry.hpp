@@ -4,13 +4,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "backend/backend.hpp"
 #include "noise/calibration.hpp"
 #include "noise/noise_model.hpp"
+#include "noise/slot_readout.hpp"
 #include "qnn/model.hpp"
+#include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
 
 namespace qucad {
@@ -39,6 +42,49 @@ struct BackendContext {
   bool use_cache = true;
 };
 
+/// The one adapter behind every built-in kind: a CompiledExecutor bound to
+/// theta, a shot budget and a base seed, optionally read out through its
+/// own per-slot confusion instead of the executor's. kDensityNoisy fronts a
+/// noisy density program (theta bound at lowering, the calibration's
+/// confusion in the executor's readout); kPureStatevector and kSampled
+/// front the structure-keyed noiseless program from CompiledEvalCache, so
+/// one executor is shared across theta updates and shot budgets, and
+/// kSampled reads out through the calibration's slot confusion.
+///
+/// run_logits_batch is CompiledExecutor::run_z_batch: with shots > 0,
+/// sample i draws its shot stream from seed + i, where i is the sample's
+/// index WITHIN this batch — so a fixed batch layout is bitwise
+/// reproducible, but splitting the same samples into different batches
+/// redraws their streams (the serving layer documents the same caveat). A
+/// lane's result does not depend on the replay width, so sample i's logits
+/// are bit-for-bit those of a backend seeded seed + i answering run_logits
+/// alone. Shot estimates converge to the exact logits (plus readout-error
+/// bias) as shots grows.
+class CompiledBackend final : public ExecutionBackend {
+ public:
+  /// `slot_readout[k]` is the confusion of readout slot k (the calibration
+  /// readout error of the physical qubit hosting class k); empty keeps the
+  /// executor's own readout.
+  CompiledBackend(BackendKind kind,
+                  std::shared_ptr<const CompiledExecutor> executor,
+                  std::vector<double> theta, int shots, std::uint64_t seed,
+                  std::vector<ReadoutError> slot_readout = {});
+
+  BackendKind kind() const override { return kind_; }
+  BackendDiagnostics diagnostics() const override;
+  std::vector<std::vector<double>> run_logits_batch(
+      std::span<const std::vector<double>> xs,
+      ThreadPool* pool = nullptr) const override;
+
+ private:
+  std::shared_ptr<const CompiledExecutor> executor_;
+  std::vector<double> theta_;
+  std::optional<SlotReadout> readout_;
+  int shots_;
+  std::uint64_t seed_;
+  BackendKind kind_;
+};
+
 /// Factory map from BackendKind to backend builder — the single seam every
 /// consumer (evaluator, harness, serving, benches) selects its execution
 /// regime through, and the extension point for future regimes (sharded
@@ -52,9 +98,9 @@ class BackendRegistry {
       std::function<StatusOr<std::shared_ptr<const ExecutionBackend>>(
           const BackendConfig&, const BackendContext&)>;
 
-  /// A registry with the built-in kinds pre-registered (one factory for
-  /// kDensityNoisy, one StatevectorBackend factory for kPureStatevector and
-  /// kSampled).
+  /// A registry with the built-in kinds pre-registered: each builds a
+  /// CompiledBackend (one factory for kDensityNoisy, one for
+  /// kPureStatevector and kSampled).
   BackendRegistry();
 
   /// Process-wide registry used by every config-driven consumer.

@@ -65,7 +65,7 @@ std::vector<double> zne_expectations(const PhysicalCircuit& circuit,
     // over samples — or repeated days with the same calibration — pays
     // lowering + noise-model construction once per scale factor, not once
     // per factor per call.
-    const std::shared_ptr<const NoisyExecutor> executor =
+    const std::shared_ptr<const CompiledExecutor> executor =
         CompiledEvalCache::global().get_or_build_physical(circuit, scaled,
                                                           options.noise);
     z_by_scale.push_back(executor->run_z(x));

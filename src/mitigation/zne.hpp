@@ -28,7 +28,7 @@ struct ZneOptions {
 ///
 /// Output follows the positional readout contract: entry k is the
 /// extrapolated `<Z>` of readout SLOT k (circuit.readout_physical()[k], i.e.
-/// class k) — ordered like NoisyExecutor::run_z, never indexed by qubit id.
+/// class k) — ordered like CompiledExecutor::run_z, never by qubit id.
 ///
 /// This is the "mitigate at one moment" family the paper contrasts with
 /// QuCAD: it reduces bias on a fixed calibration but must be re-run from

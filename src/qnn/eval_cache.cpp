@@ -151,11 +151,11 @@ PhysicalCircuit lower_noisy_circuit(const QnnModel& model,
   return phys;
 }
 
-std::shared_ptr<const NoisyExecutor> build_noisy_executor(
+std::shared_ptr<const CompiledExecutor> build_noisy_executor(
     const QnnModel& model, const TranspiledModel& transpiled,
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options) {
-  return std::make_shared<const NoisyExecutor>(
+  return std::make_shared<const CompiledExecutor>(
       lower_noisy_circuit(model, transpiled, theta),
       NoiseModel(calibration, noise_options));
 }
@@ -182,9 +182,9 @@ PhysicalCircuit lower_pure_circuit(const Circuit& circuit,
   return phys;
 }
 
-std::shared_ptr<const PureExecutor> build_pure_executor(
+std::shared_ptr<const CompiledExecutor> build_pure_executor(
     const Circuit& circuit, const std::vector<int>& readout_qubits) {
-  return std::make_shared<const PureExecutor>(
+  return std::make_shared<const CompiledExecutor>(
       lower_pure_circuit(circuit, readout_qubits));
 }
 
@@ -231,7 +231,7 @@ CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
   return entry;
 }
 
-std::shared_ptr<const NoisyExecutor> CompiledEvalCache::get_or_build(
+std::shared_ptr<const CompiledExecutor> CompiledEvalCache::get_or_build(
     const QnnModel& model, const TranspiledModel& transpiled,
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options) {
@@ -241,27 +241,24 @@ std::shared_ptr<const NoisyExecutor> CompiledEvalCache::get_or_build(
   hash_configuration(h1, model, transpiled, theta, calibration, noise_options);
   hash_configuration(h2, model, transpiled, theta, calibration, noise_options);
   return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-           return Entry{build_noisy_executor(model, transpiled, theta,
-                                             calibration, noise_options),
-                        nullptr};
-         })
-      .noisy;
+    return build_noisy_executor(model, transpiled, theta, calibration,
+                                noise_options);
+  });
 }
 
-std::shared_ptr<const PureExecutor> CompiledEvalCache::get_or_build_pure(
+std::shared_ptr<const CompiledExecutor> CompiledEvalCache::get_or_build_pure(
     const Circuit& circuit, const std::vector<int>& readout_qubits) {
   Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
   Fnv h2(0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL);
   hash_pure_configuration(h1, circuit, readout_qubits);
   hash_pure_configuration(h2, circuit, readout_qubits);
   return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-           return Entry{nullptr,
-                        build_pure_executor(circuit, readout_qubits)};
-         })
-      .pure;
+    return build_pure_executor(circuit, readout_qubits);
+  });
 }
 
-std::shared_ptr<const NoisyExecutor> CompiledEvalCache::get_or_build_physical(
+std::shared_ptr<const CompiledExecutor>
+CompiledEvalCache::get_or_build_physical(
     const PhysicalCircuit& circuit, const Calibration& calibration,
     const NoiseModelOptions& noise_options) {
   Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
@@ -269,11 +266,9 @@ std::shared_ptr<const NoisyExecutor> CompiledEvalCache::get_or_build_physical(
   hash_physical_configuration(h1, circuit, calibration, noise_options);
   hash_physical_configuration(h2, circuit, calibration, noise_options);
   return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-           return Entry{std::make_shared<const NoisyExecutor>(
-                            circuit, NoiseModel(calibration, noise_options)),
-                        nullptr};
-         })
-      .noisy;
+    return std::make_shared<const CompiledExecutor>(
+        circuit, NoiseModel(calibration, noise_options));
+  });
 }
 
 void CompiledEvalCache::evict_to_capacity_locked(LruList& victims) {
@@ -290,8 +285,7 @@ EvalCacheStats CompiledEvalCache::stats() const {
   out.entries = lru_.size();
   out.capacity = capacity_;
   for (const auto& [key, entry] : lru_) {
-    out.bytes += entry.noisy ? entry.noisy->footprint_bytes()
-                             : entry.pure->footprint_bytes();
+    out.bytes += entry->footprint_bytes();
   }
   return out;
 }

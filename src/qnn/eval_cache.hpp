@@ -25,7 +25,7 @@ PhysicalCircuit lower_noisy_circuit(const QnnModel& model,
 /// Builds the noisy executor for one (model, routed structure, theta,
 /// calibration, noise options) configuration: compiles lower_noisy_circuit
 /// against the calibration's noise model.
-std::shared_ptr<const NoisyExecutor> build_noisy_executor(
+std::shared_ptr<const CompiledExecutor> build_noisy_executor(
     const QnnModel& model, const TranspiledModel& transpiled,
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options);
@@ -39,7 +39,7 @@ PhysicalCircuit lower_pure_circuit(const Circuit& circuit,
 /// Builds the compiled statevector engine for training/evaluating `circuit`
 /// noise-free: compiles lower_pure_circuit once. theta is deliberately NOT
 /// an input — the same executor serves every optimizer step.
-std::shared_ptr<const PureExecutor> build_pure_executor(
+std::shared_ptr<const CompiledExecutor> build_pure_executor(
     const Circuit& circuit, const std::vector<int>& readout_qubits);
 
 struct EvalCacheStats {
@@ -73,11 +73,10 @@ struct EvalCacheStats {
 ///
 /// The cache also backs every ExecutionBackend uniformly: the registry's
 /// backend factories (backend/registry.hpp) resolve their compiled engine
-/// here — the density backend through get_or_build, the one statevector
-/// backend (kPureStatevector and kSampled alike) through get_or_build_pure —
-/// so building a
-/// backend for an already-seen configuration costs a hash lookup plus a
-/// thin wrapper, never a recompilation.
+/// here — kDensityNoisy through get_or_build, kPureStatevector and kSampled
+/// through get_or_build_pure — so building a backend for an already-seen
+/// configuration costs a hash lookup plus a thin wrapper, never a
+/// recompilation.
 ///
 /// Keys are value-based content hashes, so any caller presenting the same
 /// configuration shares one compiled executor. Entries are handed out as
@@ -95,7 +94,7 @@ class CompiledEvalCache {
   /// training path (train_circuit).
   static CompiledEvalCache& global();
 
-  std::shared_ptr<const NoisyExecutor> get_or_build(
+  std::shared_ptr<const CompiledExecutor> get_or_build(
       const QnnModel& model, const TranspiledModel& transpiled,
       std::span<const double> theta, const Calibration& calibration,
       const NoiseModelOptions& noise_options);
@@ -103,7 +102,7 @@ class CompiledEvalCache {
   /// Pure-executor lookup; see build_pure_executor for what is compiled.
   /// Keyed on structure only (circuit gate list with its symbolic parameter
   /// references and literal values, plus the readout slots) — NOT on theta.
-  std::shared_ptr<const PureExecutor> get_or_build_pure(
+  std::shared_ptr<const CompiledExecutor> get_or_build_pure(
       const Circuit& circuit, const std::vector<int>& readout_qubits);
 
   /// Noisy-executor lookup for an already-lowered PhysicalCircuit, keyed on
@@ -113,7 +112,7 @@ class CompiledEvalCache {
   /// mitigation passes like zne_expectations, which revisit the same circuit
   /// under a sweep of scaled calibrations and would otherwise re-compile a
   /// fresh executor per scale factor per call.
-  std::shared_ptr<const NoisyExecutor> get_or_build_physical(
+  std::shared_ptr<const CompiledExecutor> get_or_build_physical(
       const PhysicalCircuit& circuit, const Calibration& calibration,
       const NoiseModelOptions& noise_options);
 
@@ -133,12 +132,9 @@ class CompiledEvalCache {
       return static_cast<std::size_t>(k.h1 ^ (k.h2 * 0x9e3779b97f4a7c15ULL));
     }
   };
-  /// One cached executor; exactly one pointer is set, matching the key's
-  /// domain (a tag byte mixed into the hash keeps the domains disjoint).
-  struct Entry {
-    std::shared_ptr<const NoisyExecutor> noisy;
-    std::shared_ptr<const PureExecutor> pure;
-  };
+  /// One cached executor (a tag byte mixed into each key keeps the noisy,
+  /// physical-circuit and pure key domains disjoint).
+  using Entry = std::shared_ptr<const CompiledExecutor>;
   using LruList = std::list<std::pair<Key, Entry>>;
 
   template <typename Build>

@@ -96,11 +96,11 @@ double noise_free_accuracy(const QnnModel& model, std::span<const double> theta,
   // instead of re-walking the logical gate list (predict()): the executor is
   // shared across samples, thetas, and repeated harness calls. Logits stay
   // positional — slot k is class k.
-  const std::shared_ptr<const PureExecutor> executor =
+  const std::shared_ptr<const CompiledExecutor> executor =
       CompiledEvalCache::global().get_or_build_pure(model.circuit,
                                                     model.readout_qubits);
   // Batched replay: full sample blocks go through the SoA lane engine, the
-  // ragged tail per sample (PureExecutor::run_z_batch).
+  // ragged tail per sample (CompiledExecutor::run_z_batch).
   const std::vector<std::vector<double>> logits =
       executor->run_z_batch(data.features, theta);
   std::size_t total = 0;

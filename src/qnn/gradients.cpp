@@ -112,7 +112,7 @@ BatchGrad batch_loss(const Circuit& circuit,
   return out;
 }
 
-BatchGrad batch_loss_grad(const PureExecutor& executor,
+BatchGrad batch_loss_grad(const CompiledExecutor& executor,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
                           double logit_scale, ThreadPool* pool) {
@@ -197,7 +197,7 @@ BatchGrad batch_loss_grad(const PureExecutor& executor,
   return out;
 }
 
-BatchGrad batch_loss(const PureExecutor& executor,
+BatchGrad batch_loss(const CompiledExecutor& executor,
                      std::span<const double> theta, const Dataset& data,
                      std::span<const std::size_t> indices, double logit_scale,
                      ThreadPool* pool) {

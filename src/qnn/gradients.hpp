@@ -46,14 +46,14 @@ BatchGrad batch_loss(const Circuit& circuit,
 /// circuit at 1e-10 (same unitary up to global phase); gradients are sized
 /// to theta.size(). Selected feature rows are validated against the
 /// program's input arity up front, on the calling thread.
-BatchGrad batch_loss_grad(const PureExecutor& executor,
+BatchGrad batch_loss_grad(const CompiledExecutor& executor,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
                           double logit_scale, ThreadPool* pool = nullptr);
 
 /// Compiled-engine variant of batch_loss (forward replays only; same lane
 /// blocking, validation, and `pool` contract as batch_loss_grad).
-BatchGrad batch_loss(const PureExecutor& executor,
+BatchGrad batch_loss(const CompiledExecutor& executor,
                      std::span<const double> theta, const Dataset& data,
                      std::span<const std::size_t> indices, double logit_scale,
                      ThreadPool* pool = nullptr);

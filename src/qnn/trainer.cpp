@@ -44,7 +44,7 @@ TrainResult train_circuit(const Circuit& circuit,
       const std::size_t end = std::min(start + batch_size, n);
       const std::span<const std::size_t> indices(order.data() + start, end - start);
 
-      std::shared_ptr<const PureExecutor> executor;
+      std::shared_ptr<const CompiledExecutor> executor;
       if (hook) {
         // The hook rewrites the structure every mini-batch (fresh sampled
         // noise), so caching would only churn the LRU: compile directly.

@@ -38,7 +38,7 @@ using BatchCircuitHook = std::function<Circuit(const Circuit& base, Rng& rng)>;
 /// Mini-batch Adam training of a circuit's trainable parameters against a
 /// dataset, using exact adjoint gradients. The circuit is lowered once with
 /// its trainable angles symbolic and each batch replays the compiled
-/// op-stream (batch_loss_grad over a PureExecutor). The program comes from
+/// op-stream (batch_loss_grad over a CompiledExecutor). The program comes from
 /// CompiledEvalCache::global() (keyed on structure only, so every optimizer
 /// step and every later run over the same structure is a cache hit), except
 /// under a hook, whose freshly injected structure is compiled directly.

@@ -443,40 +443,10 @@ void BatchedDensityMatrix<L>::apply_crot_lanes(int control, int target,
 template <std::size_t L>
 void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
   require_pair(control, target, num_qubits_);
-  double* re = reg_.re();
-  double* im = reg_.im();
-  // CX is a permutation P with P = P^dag = P^-1, so CX rho CX^dag just
-  // relabels entries: rho'(r, c) = rho(pi(r), pi(c)) with pi(i) = i XOR
-  // target-bit when the control bit is set. Each unordered entry pair is
-  // swapped once, from its lexicographically smaller side.
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  auto swap_rows = [&](std::size_t a, std::size_t b) {
-    double* rap = re + a * kLanes;
-    double* iap = im + a * kLanes;
-    double* rbp = re + b * kLanes;
-    double* ibp = im + b * kLanes;
-#pragma omp simd
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const double tr = rap[l], ti = iap[l];
-      rap[l] = rbp[l];
-      iap[l] = ibp[l];
-      rbp[l] = tr;
-      ibp[l] = ti;
-    }
-  };
-  for (std::size_t r = 0; r < dim_; ++r) {
-    const std::size_t pr = (r & mc) ? (r ^ mt) : r;
-    if (pr < r) continue;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      const std::size_t pc = (c & mc) ? (c ^ mt) : c;
-      if (pr == r) {
-        if (pc > c) swap_rows(r * dim_ + c, r * dim_ + pc);
-      } else {
-        swap_rows(r * dim_ + c, pr * dim_ + pc);
-      }
-    }
-  }
+  // CX is real, so CX rho CX^dag is the statevector row swap on the column
+  // (high) half of the register and again on the row (low) half.
+  reg_.apply_cx(control + num_qubits_, target + num_qubits_);
+  reg_.apply_cx(control, target);
 }
 
 template <std::size_t L>

@@ -215,16 +215,15 @@ class BatchedStateVector {
 /// qubit q is register qubit q + n and column qubit q is register qubit q,
 /// and rho -> U rho U^dag is the statevector kernel with U on q + n (the
 /// oracle's left multiply) followed by the same kernel with conj(U) on q
-/// (its right multiply by U^dag): apply1, apply1_lanes and apply_crot_lanes
-/// are exactly that, and match the DensityMatrix oracle bitwise. What a
-/// statevector cannot express keeps a density kernel of its own: the
-/// one-pass diagonal (it scales by |d|^2 and d0 conj(d1) as the oracle
-/// does), the CX relabel, which swaps each entry pair once where two
-/// register passes would move every entry twice, and the two error sites.
-/// The noisy pulse site applies its pulse as a real rotation of each 2x2
-/// block's Pauli vector inside its channel map, one pass where the two
-/// unitary passes and a channel pass took three; the noisy CX site reads
-/// the relabel through the loads of its channel pass. Error sites and
+/// (its right multiply by U^dag): apply1, apply1_lanes, apply_crot_lanes
+/// and apply_cx are exactly that, and match the DensityMatrix oracle
+/// bitwise. What a statevector cannot express keeps a density kernel of its
+/// own: the one-pass diagonal (it scales by |d|^2 and d0 conj(d1) as the
+/// oracle does) and the two error sites. The noisy pulse site applies its
+/// pulse as a real rotation of each 2x2 block's Pauli vector inside its
+/// channel map, one pass where the two unitary passes and a channel pass
+/// took three; the noisy CX site reads the CX relabel through the loads of
+/// its channel pass. Error sites and
 /// theta-symbolic angles are lane-uniform by construction (noise does not
 /// depend on the input row).
 template <std::size_t L>
@@ -264,7 +263,8 @@ class BatchedDensityMatrix {
   /// rho -> U rho U^dag for the block-diagonal U.
   void apply_crot_lanes(int control, int target, const std::array<cplx, 4>* ms);
 
-  /// rho -> CX rho CX^dag as the index-pair relabeling, every lane.
+  /// rho -> CX rho CX^dag, every lane: the statevector row swap on both
+  /// halves of the vectorized register.
   void apply_cx(int control, int target);
 
   /// A pulse U on qubit q followed by its fused error site, every lane: one

@@ -15,12 +15,12 @@ namespace qucad {
 /// \file
 /// The shared compiled-program abstraction: a PhysicalCircuit (optionally
 /// with a NoiseModel folded in) lowered ONCE into a flat, replayable op
-/// stream. Two engines replay it, L samples at a time (sim/batched_state.hpp):
-///   - the density-matrix engine (NoisyExecutor::run_z / run_z_batch), which
-///     replays one program per evaluation sample, and
-///   - the pure-statevector engine (PureExecutor /
-///     compiled_adjoint_gradient_lanes), which replays one program per
-///     (sample, theta) pair during training.
+/// stream. One engine replays it L samples at a time (CompiledExecutor,
+/// transpile/executor.hpp, on the lane states of sim/batched_state.hpp): on
+/// a density matrix when the program has error channels (one replay per
+/// evaluation sample), on a statevector otherwise (one replay per
+/// (sample, theta) pair during training, where
+/// compiled_adjoint_gradient_lanes also sweeps it backward).
 /// Symbolic slots are the reason a single program can be shared: RZ angles
 /// affine in an input-encoding slot stay symbolic across samples, and RZ
 /// angles affine in a trainable slot stay symbolic across optimizer steps.

@@ -7,7 +7,6 @@
 #include "common/thread_pool.hpp"
 #include "linalg/gates.hpp"
 #include "noise/channels.hpp"
-#include "sim/compiled_adjoint.hpp"
 
 namespace qucad {
 
@@ -30,8 +29,8 @@ const std::vector<int>& checked_readout_slots(const PhysicalCircuit& circuit) {
 
 }  // namespace
 
-NoisyExecutor::NoisyExecutor(const PhysicalCircuit& circuit,
-                             const NoiseModel& noise)
+CompiledExecutor::CompiledExecutor(const PhysicalCircuit& circuit,
+                                   const NoiseModel& noise)
     : slots_(checked_readout_slots(circuit)) {
   require(noise.num_qubits() == 0 ||
               noise.num_qubits() == circuit.num_qubits(),
@@ -48,114 +47,81 @@ NoisyExecutor::NoisyExecutor(const PhysicalCircuit& circuit,
   readout_ = SlotReadout(circuit.num_qubits(), slots_, std::move(slot_errors));
 }
 
-std::vector<double> NoisyExecutor::run_z(std::span<const double> x, int shots,
-                                         std::uint64_t seed) const {
-  const std::vector<std::vector<double>> one{{x.begin(), x.end()}};
-  return run_z_batch(one, shots, seed)[0];
-}
-
-std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
-    std::span<const std::vector<double>> xs, int shots, std::uint64_t seed,
-    ThreadPool* pool) const {
-  // Validate the whole batch at the API boundary: a ragged row must fail
-  // here, on the calling thread, not deep inside a worker's replay.
-  for (const std::vector<double>& x : xs) program_.require_inputs(x);
-  std::vector<std::vector<double>> zs(xs.size());
-  const bool full_blocks =
-      program_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
-  parallel_for_lanes(
-      pool ? *pool : ThreadPool::global(), xs.size(), full_blocks,
-      [&](auto width, std::size_t first, std::size_t live) {
-        constexpr std::size_t L = decltype(width)::value;
-        auto& dm = lane_scratch<BatchedDensityMatrix<L>>(program_.num_qubits());
-        program_.run_lanes(dm, lane_rows<L>(xs, first, live));
-        thread_local std::vector<double> probs;
-        for (std::size_t l = 0; l < live; ++l) {
-          dm.lane_probabilities(l, probs);
-          // Sample i draws from Rng(seed + i), i the GLOBAL sample index,
-          // whichever block it lands in.
-          zs[first + l] = readout_.z(probs, shots, seed + first + l);
-        }
-      });
-  return zs;
-}
-
-std::size_t NoisyExecutor::footprint_bytes() const {
-  return sizeof(*this) + program_.heap_bytes() + readout_.heap_bytes() +
-         heap_bytes(slots_);
-}
-
-PureExecutor::PureExecutor(const PhysicalCircuit& circuit)
-    : program_(CompiledProgram::compile(circuit, NoiseModel())),
-      readout_(circuit.num_qubits(), circuit.readout_physical(), {}),
-      slots_(circuit.readout_physical()) {}
-
-std::size_t PureExecutor::footprint_bytes() const {
+std::size_t CompiledExecutor::footprint_bytes() const {
   return sizeof(*this) + program_.heap_bytes() + readout_.heap_bytes() +
          heap_bytes(slots_);
 }
 
 template <std::size_t L>
-void PureExecutor::run_z_lanes(const LaneInputs<L>& xs,
-                               std::span<const double> theta,
-                               std::span<std::vector<double>> zs,
-                               const SlotReadout* readout, int shots,
-                               std::uint64_t first_seed) const {
-  auto& sv = lane_scratch<BatchedStateVector<L>>(program_.num_qubits());
-  program_.run_pure_lanes(sv, xs, theta);
+void CompiledExecutor::run_z_lanes(const LaneInputs<L>& xs,
+                                   std::span<const double> theta,
+                                   std::span<std::vector<double>> zs,
+                                   const SlotReadout* readout, int shots,
+                                   std::uint64_t first_seed) const {
   const SlotReadout& out = readout != nullptr ? *readout : readout_;
   thread_local std::vector<double> probs;
-  for (std::size_t l = 0; l < zs.size(); ++l) {
-    sv.lane_probabilities(l, probs);
-    zs[l] = out.z(probs, shots, first_seed + l);
+  auto read_lanes = [&](const auto& state) {
+    for (std::size_t l = 0; l < zs.size(); ++l) {
+      state.lane_probabilities(l, probs);
+      zs[l] = out.z(probs, shots, first_seed + l);
+    }
+  };
+  // The lane state follows the program: channels need a density matrix,
+  // a channel-free program replays on a statevector.
+  if (program_.has_channels()) {
+    auto& dm = lane_scratch<BatchedDensityMatrix<L>>(program_.num_qubits());
+    program_.run_lanes(dm, xs, theta);
+    read_lanes(dm);
+  } else {
+    auto& sv = lane_scratch<BatchedStateVector<L>>(program_.num_qubits());
+    program_.run_pure_lanes(sv, xs, theta);
+    read_lanes(sv);
   }
 }
 
-template void PureExecutor::run_z_lanes(const LaneInputs<1>&,
-                                        std::span<const double>,
-                                        std::span<std::vector<double>>,
-                                        const SlotReadout*, int,
-                                        std::uint64_t) const;
-template void PureExecutor::run_z_lanes(const LaneInputs<kBlockLanes>&,
-                                        std::span<const double>,
-                                        std::span<std::vector<double>>,
-                                        const SlotReadout*, int,
-                                        std::uint64_t) const;
+template void CompiledExecutor::run_z_lanes(const LaneInputs<1>&,
+                                            std::span<const double>,
+                                            std::span<std::vector<double>>,
+                                            const SlotReadout*, int,
+                                            std::uint64_t) const;
+template void CompiledExecutor::run_z_lanes(const LaneInputs<kBlockLanes>&,
+                                            std::span<const double>,
+                                            std::span<std::vector<double>>,
+                                            const SlotReadout*, int,
+                                            std::uint64_t) const;
 
-std::vector<double> PureExecutor::run_z(std::span<const double> x,
-                                        std::span<const double> theta) const {
+std::vector<double> CompiledExecutor::run_z(std::span<const double> x,
+                                            std::span<const double> theta,
+                                            int shots,
+                                            std::uint64_t seed) const {
   program_.require_inputs(x);
   std::vector<double> z;
-  run_z_lanes<1>({x.data()}, theta, {&z, 1});
+  run_z_lanes<1>({x.data()}, theta, {&z, 1}, nullptr, shots, seed);
   return z;
 }
 
-std::vector<std::vector<double>> PureExecutor::run_z_batch(
+std::vector<std::vector<double>> CompiledExecutor::run_z_batch(
     std::span<const std::vector<double>> xs, std::span<const double> theta,
-    ThreadPool* pool, const SlotReadout* readout, int shots,
-    std::uint64_t seed) const {
-  // Validate the whole batch at the API boundary (calling thread), so a
-  // ragged row never fails inside a worker's replay.
+    int shots, std::uint64_t seed, ThreadPool* pool,
+    const SlotReadout* readout) const {
+  // Validate the whole batch at the API boundary: a ragged row must fail
+  // here, on the calling thread, not deep inside a worker's replay.
   for (const std::vector<double>& x : xs) program_.require_inputs(x);
   std::vector<std::vector<double>> zs(xs.size());
-  parallel_for_lanes(pool ? *pool : ThreadPool::global(), xs.size(), true,
+  const bool full_blocks =
+      !program_.has_channels() ||
+      program_.num_qubits() <= BatchedDensityMatrix<kBlockLanes>::kMaxQubits;
+  parallel_for_lanes(pool ? *pool : ThreadPool::global(), xs.size(),
+                     full_blocks,
                      [&](auto width, std::size_t first, std::size_t live) {
                        constexpr std::size_t L = decltype(width)::value;
+                       // Sample i draws from Rng(seed + i), i the GLOBAL
+                       // sample index, whichever block it lands in.
                        run_z_lanes<L>(lane_rows<L>(xs, first, live), theta,
                                       std::span(zs).subspan(first, live),
                                       readout, shots, seed + first);
                      });
   return zs;
-}
-
-AdjointResult PureExecutor::adjoint(std::span<const double> theta,
-                                    std::span<const double> x,
-                                    const ObservableWeightFn& weight_fn) const {
-  program_.require_inputs(x);
-  LaneAdjointResult lanes = compiled_adjoint_gradient_lanes<1>(
-      program_, theta, {x.data()},
-      [&](std::size_t, const std::vector<double>& z) { return weight_fn(z); });
-  return {std::move(lanes.z_expectations[0]), std::move(lanes.gradients[0])};
 }
 
 DensityMatrix run_density(const PhysicalCircuit& circuit,

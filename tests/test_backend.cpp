@@ -1,6 +1,6 @@
 // Contract tests of the pluggable execution-backend API (src/backend/):
 // config validation, registry dispatch equivalence with
-// the direct NoisyExecutor / PureExecutor paths (1e-10), the sampled
+// the direct CompiledExecutor paths (1e-10), the sampled
 // backend's seeded determinism + shots->inf convergence to the pure logits
 // + hand-computed readout-error application (sampled and density shots),
 // the SlotReadout kernel's distribution (chi-square against the exact
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "backend/registry.hpp"
-#include "backend/statevector_backend.hpp"
 #include "common/stats.hpp"
 #include "core/strategies.hpp"
 #include "data/seismic_synth.hpp"
@@ -109,7 +108,7 @@ TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
       must_make(BackendConfig{}, fx.context());
   EXPECT_EQ(backend->kind(), BackendKind::kDensityNoisy);
 
-  const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
+  const std::shared_ptr<const CompiledExecutor> direct = build_noisy_executor(
       fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
   for (std::size_t i = 0; i < 4; ++i) {
     const std::vector<double> via_registry =
@@ -146,17 +145,17 @@ TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
       BackendConfig().with_shots(64).with_seed(std::uint64_t{7}), fx.context());
   EXPECT_EQ(backend->diagnostics().shots, 64);
 
-  const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
+  const std::shared_ptr<const CompiledExecutor> direct = build_noisy_executor(
       fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
   const auto via_registry = backend->run_logits_batch(fx.data.features);
-  const auto via_executor = direct->run_z_batch(fx.data.features, 64, 7);
+  const auto via_executor = direct->run_z_batch(fx.data.features, {}, 64, 7);
   ASSERT_EQ(via_registry.size(), via_executor.size());
   for (std::size_t i = 0; i < via_registry.size(); ++i) {
     EXPECT_EQ(via_registry[i], via_executor[i]) << "sample " << i;
   }
   // Single-sample replay equals slot 0 of the batch (seed + 0).
   EXPECT_EQ(backend->run_logits(fx.data.features[0]), via_registry[0]);
-  EXPECT_EQ(direct->run_z(fx.data.features[0], 64, 7), via_registry[0]);
+  EXPECT_EQ(direct->run_z(fx.data.features[0], {}, 64, 7), via_registry[0]);
 
   // The seed resolution is shared with kSampled: an unseeded config draws
   // its base seed from entropy and still answers every row.
@@ -183,7 +182,7 @@ TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
       BackendConfig().with_kind(BackendKind::kPureStatevector), fx.context());
   EXPECT_EQ(backend->kind(), BackendKind::kPureStatevector);
 
-  const std::shared_ptr<const PureExecutor> direct =
+  const std::shared_ptr<const CompiledExecutor> direct =
       build_pure_executor(fx.model.circuit, fx.model.readout_qubits);
   for (std::size_t i = 0; i < 4; ++i) {
     const std::vector<double> via_registry =
@@ -502,7 +501,7 @@ void expect_multinomial_matches_marginals(const PhysicalCircuit& circuit,
                                           const NoiseModel& noise,
                                           const std::vector<double>& x,
                                           double critical) {
-  const NoisyExecutor executor(circuit, noise);
+  const CompiledExecutor executor(circuit, noise);
   std::vector<ReadoutError> errors;
   for (int pq : circuit.readout_physical()) {
     errors.push_back(noise.readout()[static_cast<std::size_t>(pq)]);
@@ -526,7 +525,7 @@ void expect_multinomial_matches_marginals(const PhysicalCircuit& circuit,
     EXPECT_LT(chi_square(counts, bins, shots), critical) << "seed " << seed;
 
     // The engine's shot path draws the same counts from the same seed.
-    const std::vector<double> z = executor.run_z(x, shots, seed);
+    const std::vector<double> z = executor.run_z(x, {}, shots, seed);
     for (std::size_t k = 0; k < z.size(); ++k) {
       double ones = 0.0;
       for (std::size_t b = 0; b < counts.size(); ++b) {
@@ -692,7 +691,7 @@ TEST(BackendThreading, EvaluatorDispatchesConfiguredBackend) {
   const auto shot_zs =
       build_noisy_executor(fx.model, fx.transpiled, fx.theta,
                            fx.history.day(0), {})
-          ->run_z_batch(fx.data.features, 256, 99);
+          ->run_z_batch(fx.data.features, {}, 256, 99);
   for (std::size_t i = 0; i < shot_zs.size(); ++i) {
     EXPECT_EQ(shot_eval.predictions[i], static_cast<int>(argmax(shot_zs[i])))
         << "sample " << i;

@@ -22,7 +22,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "backend/statevector_backend.hpp"
+#include "backend/registry.hpp"
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "data/mnist_synth.hpp"
@@ -56,7 +56,7 @@ constexpr std::size_t kLanes = kBlockLanes;
 struct BatchedFixture {
   QnnModel model = build_paper_model(4, 4, 4, 2);
   std::vector<double> theta = init_params(model, 11);
-  std::shared_ptr<const PureExecutor> executor =
+  std::shared_ptr<const CompiledExecutor> executor =
       build_pure_executor(model.circuit, model.readout_qubits);
   Dataset data = make_mnist4(2 * kLanes + 3, 17);
 };
@@ -136,13 +136,13 @@ TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
        ReadoutError{0.15, 0.0}},  // confused bins change every binomial's p
   };
   for (const auto& slot_readout : confusions) {
-    const StatevectorBackend batch(fx.executor, fx.theta, slot_readout, shots,
-                                   seed);
+    const CompiledBackend batch(BackendKind::kSampled, fx.executor, fx.theta,
+                                shots, seed, slot_readout);
     const auto zs = batch.run_logits_batch(xs);
     ASSERT_EQ(zs.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      const StatevectorBackend per(fx.executor, fx.theta, slot_readout, shots,
-                                   seed + i);
+      const CompiledBackend per(BackendKind::kSampled, fx.executor, fx.theta,
+                                shots, seed + i, slot_readout);
       EXPECT_EQ(per.run_logits(xs[i]), zs[i])
           << "sample " << i << (slot_readout.empty() ? "" : " (with confusion)");
     }
@@ -160,7 +160,8 @@ TEST(BatchedValidation, ShortRowsFailUpFrontAtEveryBatchEntryPoint) {
   EXPECT_THROW(fx.executor->run_z_batch(ragged, fx.theta), PreconditionError);
   EXPECT_THROW(fx.executor->run_z(ragged[3], fx.theta), PreconditionError);
 
-  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 32, 7);
+  const CompiledBackend sampled(BackendKind::kSampled, fx.executor, fx.theta,
+                                32, 7);
   EXPECT_THROW(sampled.run_logits_batch(ragged), PreconditionError);
   EXPECT_THROW(sampled.run_logits(ragged[3]), PreconditionError);
 
@@ -189,7 +190,7 @@ struct NoisyBatchedFixture {
       transpile_model(model.circuit, model.readout_qubits, CouplingMap::belem(),
                       &history.day(0));
   Dataset data = make_mnist4(2 * kLanes + 3, 19);
-  std::shared_ptr<const NoisyExecutor> noisy =
+  std::shared_ptr<const CompiledExecutor> noisy =
       build_noisy_executor(model, transpiled, theta, history.day(0), {});
 };
 
@@ -216,7 +217,8 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
 
 TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
   const BatchedFixture fx;
-  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 256, 41);
+  const CompiledBackend sampled(BackendKind::kSampled, fx.executor, fx.theta,
+                                256, 41);
   const PhysicalCircuit circuit =
       lower_pure_circuit(fx.model.circuit, fx.model.readout_qubits);
   const auto& slots = fx.executor->readout_slots();
@@ -233,7 +235,8 @@ TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
       // block amplitudes being exactly the width-1 amplitudes.
       EXPECT_EQ(pure[i], fx.executor->run_z(xs[i], fx.theta));
       // Sample i draws from seed + i whichever width replays it.
-      const StatevectorBackend alone(fx.executor, fx.theta, {}, 256, 41 + i);
+      const CompiledBackend alone(BackendKind::kSampled, fx.executor,
+                                  fx.theta, 256, 41 + i);
       EXPECT_EQ(logits[i], alone.run_logits(xs[i]));
 
       const StateVector oracle = run_physical_pure(circuit, xs[i], fx.theta);
@@ -316,10 +319,10 @@ TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
     SCOPED_TRACE("batch size " + std::to_string(n));
     const auto xs = first_rows(fx.data, n);
     for (const int shots : {1, 128, 8192}) {
-      const auto sampled = fx.noisy->run_z_batch(xs, shots, 41);
+      const auto sampled = fx.noisy->run_z_batch(xs, {}, shots, 41);
       ASSERT_EQ(sampled.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(sampled[i], fx.noisy->run_z(xs[i], shots, 41 + i))
+        EXPECT_EQ(sampled[i], fx.noisy->run_z(xs[i], {}, shots, 41 + i))
             << "sample " << i << " shots " << shots;
       }
     }
@@ -989,7 +992,8 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   ThreadPool pool(4);
   const auto xs = first_rows(fx.data, 2 * kLanes + 1);
   const auto expected_z = fx.executor->run_z_batch(xs, fx.theta);
-  const StatevectorBackend sampled(fx.executor, fx.theta, {}, 64, 9);
+  const CompiledBackend sampled(BackendKind::kSampled, fx.executor, fx.theta,
+                                64, 9);
   const auto expected_logits = sampled.run_logits_batch(xs);
   const auto indices = iota_indices(xs.size());
   const BatchGrad expected_grad =
@@ -1003,7 +1007,8 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
     threads.emplace_back([&, t] {
       bool agree = true;
       for (int round = 0; round < 3; ++round) {
-        agree &= fx.executor->run_z_batch(xs, fx.theta, &pool) == expected_z;
+        agree &= fx.executor->run_z_batch(xs, fx.theta, 0, 99, &pool) ==
+                 expected_z;
         agree &= sampled.run_logits_batch(xs, &pool) == expected_logits;
         const BatchGrad grad = batch_loss_grad(*fx.executor, fx.theta, fx.data,
                                                indices, 5.0, &pool);

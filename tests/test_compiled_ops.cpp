@@ -108,7 +108,7 @@ TEST_F(CompiledOpsTest, MatchesReferenceOnRandomCircuitsWithNoise) {
     for (int q = 0; q + 1 < nq; ++q) edges.emplace_back(q, q + 1);
     const Calibration cal = noisy_calibration(nq, edges, rng());
     const NoiseModel noise(cal);
-    const NoisyExecutor executor(phys, noise);
+    const CompiledExecutor executor(phys, noise);
 
     std::vector<double> x{0.3, 1.1};
     const auto z_ref = run_z_reference(phys, noise, x);
@@ -125,7 +125,7 @@ TEST_F(CompiledOpsTest, MatchesReferenceNoiseless) {
   for (int trial = 0; trial < 4; ++trial) {
     const int nq = 3 + trial % 2;
     const PhysicalCircuit phys = random_transpiled(rng(), nq, 12, 1);
-    const NoisyExecutor executor(phys, NoiseModel{});
+    const CompiledExecutor executor(phys, NoiseModel{});
 
     const std::vector<double> x{0.7};
     const auto z_ref = run_z_reference(phys, NoiseModel{}, x);
@@ -153,7 +153,7 @@ TEST_F(CompiledOpsTest, FullDensityMatrixMatchesWithElisionDisabled) {
   const Calibration cal = noisy_calibration(nq, edges, rng());
 
   const NoiseModel noise(cal);
-  const NoisyExecutor executor(phys, noise);
+  const CompiledExecutor executor(phys, noise);
   EXPECT_EQ(executor.program().stats().dropped_trailing, 0u);
 
   const std::vector<double> x{0.4, 2.0};
@@ -175,13 +175,13 @@ TEST_F(CompiledOpsTest, ShotSamplingMatchesLegacySeedForSeed) {
   const PhysicalCircuit phys = random_transpiled(rng(), 3, 10, 1);
   std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
   const Calibration cal = noisy_calibration(3, edges, rng());
-  const NoisyExecutor executor(phys, NoiseModel(cal));
+  const CompiledExecutor executor(phys, NoiseModel(cal));
 
   const std::vector<double> x{0.9};
-  const auto s1 = executor.run_z(x, 4000, 42);
-  const auto s2 = executor.run_z(x, 4000, 42);
-  EXPECT_EQ(executor.run_z_batch(std::vector<std::vector<double>>{x}, 4000,
-                                 42)[0],
+  const auto s1 = executor.run_z(x, {}, 4000, 42);
+  const auto s2 = executor.run_z(x, {}, 4000, 42);
+  EXPECT_EQ(executor.run_z_batch(std::vector<std::vector<double>>{x}, {},
+                                 4000, 42)[0],
             s1);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t k = 0; k < s1.size(); ++k) {
@@ -203,7 +203,7 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
     for (int q = 0; q + 1 < nq; ++q) edges.emplace_back(q, q + 1);
     const Calibration cal = noisy_calibration(nq, edges, rng());
     const NoiseModel noise(cal);
-    const NoisyExecutor executor(phys, noise);
+    const CompiledExecutor executor(phys, noise);
 
     std::vector<std::vector<double>> xs;
     for (int i = 0; i < (nq == 4 ? 8 : 2); ++i) {
@@ -224,9 +224,9 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
     }
 
     // Shot batches reproduce single-sample shot runs seeded 77 + i.
-    const auto shot_batch = executor.run_z_batch(xs, 500, 77);
+    const auto shot_batch = executor.run_z_batch(xs, {}, 500, 77);
     for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto single = executor.run_z(xs[i], 500, 77 + i);
+      const auto single = executor.run_z(xs[i], {}, 500, 77 + i);
       for (std::size_t k = 0; k < single.size(); ++k) {
         EXPECT_DOUBLE_EQ(shot_batch[i][k], single[k]);
       }
@@ -355,7 +355,7 @@ TEST(CompiledProgramLayout, NoisyCxIsOneChannel2SiteAndCxOtherwise) {
     }
     EXPECT_EQ(program.channel2_table().size(), noisy ? 1u : 0u);
 
-    const NoisyExecutor executor(phys, noise);
+    const CompiledExecutor executor(phys, noise);
     const auto z_ref = run_z_reference(phys, noise, {});
     const auto z = executor.run_z({});
     ASSERT_EQ(z.size(), z_ref.size());
@@ -390,7 +390,7 @@ TEST(CompiledProgramLayout, DiagonalBeforeCxSiteMatchesReference) {
       phys.push(PhysOp{PhysOpKind::CX, control, target});
       if (pulse_after) phys.push(PhysOp{PhysOpKind::SX, control});
       phys.readout_physical() = {0, 1, 2};
-      const NoisyExecutor executor(phys, noise);
+      const CompiledExecutor executor(phys, noise);
       for (const double v : {0.3, 1.9}) {
         const std::vector<double> x{v};
         const auto z_ref = run_z_reference(phys, noise, x);
@@ -449,7 +449,7 @@ TEST(CompiledProgramLayout, NoisyPulseIsOneChannel1SiteAndUnitary1Otherwise) {
     EXPECT_EQ(program.channel1_table().size(), noisy ? 1u : 0u);
     EXPECT_EQ(program.unitary_table().size(), 1u);
 
-    const NoisyExecutor executor(phys, noise);
+    const CompiledExecutor executor(phys, noise);
     const auto z_ref = run_z_reference(phys, noise, {});
     const auto z = executor.run_z({});
     ASSERT_EQ(z.size(), z_ref.size());
@@ -477,7 +477,7 @@ TEST(CompiledProgramLayout, SymbolicRzBeforeFinalPulseSiteMatchesReference) {
   phys.push(rz);
   phys.push(PhysOp{PhysOpKind::SX, 2});
   phys.readout_physical() = {0, 1, 2};
-  const NoisyExecutor executor(phys, noise);
+  const CompiledExecutor executor(phys, noise);
   const CompiledOp& last = executor.program().ops().back();
   EXPECT_EQ(last.kind, COpKind::Channel1);
   EXPECT_EQ(last.q0, 2u);
@@ -585,7 +585,7 @@ TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   }
   phys.readout_physical() = {0, 1, 2};
   const NoiseModel noise(cal);
-  const NoisyExecutor executor(phys, noise);
+  const CompiledExecutor executor(phys, noise);
   const CompiledProgram& program = executor.program();
   EXPECT_EQ(program.stats().channels, 42u);
   EXPECT_EQ(program.channel1_table().size(), 3u);

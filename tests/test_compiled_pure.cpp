@@ -1,10 +1,10 @@
 // Equivalence suite for the compiled statevector training path: the
 // symbolic-theta compiled program (lower_model_symbolic / build_pure_executor
-// + PureExecutor::adjoint) must reproduce the logical-circuit reference
-// engines — StateVector::run, adjoint_gradient, parameter_shift_gradient,
-// batch_loss_grad — to 1e-10 on randomized parameterized circuits, and the
-// structure-keyed executor cache must hit across theta updates while
-// recomputing results (no stale logits).
+// + compiled_adjoint_gradient_lanes) must reproduce the logical-circuit
+// reference engines — StateVector::run, adjoint_gradient,
+// parameter_shift_gradient, batch_loss_grad — to 1e-10 on randomized
+// parameterized circuits, and the structure-keyed executor cache must hit
+// across theta updates while recomputing results (no stale logits).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "qnn/model.hpp"
 #include "qnn/trainer.hpp"
 #include "sim/adjoint.hpp"
+#include "sim/compiled_adjoint.hpp"
 #include "transpile/transpiler.hpp"
 
 #include "test_support.hpp"
@@ -66,9 +67,17 @@ std::vector<double> random_vector(Rng& rng, int n, double lo = -kPi,
   return v;
 }
 
-/// Observable weights that ignore the forward expectations.
-ObservableWeightFn fixed(std::vector<double> weights) {
-  return [w = std::move(weights)](const std::vector<double>&) { return w; };
+/// The compiled adjoint of one sample under observable weights that ignore
+/// the forward expectations: compiled_adjoint_gradient_lanes at width 1,
+/// lane 0 unpacked. z_expectations has one entry per qubit.
+AdjointResult compiled_adjoint(const CompiledExecutor& executor,
+                               std::span<const double> theta,
+                               std::span<const double> x,
+                               const std::vector<double>& weights) {
+  LaneAdjointResult lanes = compiled_adjoint_gradient_lanes<1>(
+      executor.program(), theta, {x.data()},
+      [&](std::size_t, const std::vector<double>&) { return weights; });
+  return {std::move(lanes.z_expectations[0]), std::move(lanes.gradients[0])};
 }
 
 std::vector<int> all_qubits(int nq) {
@@ -150,7 +159,7 @@ TEST_F(CompiledPureTest, LowerModelSymbolicMatchesBoundLowerModel) {
     const StateVector ref = run_physical_pure(bound, x);
 
     const PhysicalCircuit symbolic = lower_model_symbolic(transpiled);
-    const PureExecutor executor(symbolic);
+    const CompiledExecutor executor(symbolic);
     const auto z = executor.run_z(x, theta);
 
     ASSERT_EQ(bound.readout_physical(), symbolic.readout_physical());
@@ -178,7 +187,7 @@ TEST_F(CompiledPureTest, AdjointMatchesReferenceAdjoint) {
 
     const auto reference = adjoint_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
-    const auto compiled = executor->adjoint(theta, x, fixed(weights));
+    const auto compiled = compiled_adjoint(*executor, theta, x, weights);
 
     ASSERT_EQ(compiled.z_expectations.size(), reference.z_expectations.size());
     for (int q = 0; q < nq; ++q) {
@@ -207,7 +216,7 @@ TEST_F(CompiledPureTest, AdjointMatchesParameterShift) {
 
     const auto shift = parameter_shift_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
-    const auto compiled = executor->adjoint(theta, x, fixed(weights));
+    const auto compiled = compiled_adjoint(*executor, theta, x, weights);
 
     ASSERT_EQ(compiled.gradients.size(), shift.size());
     for (std::size_t p = 0; p < shift.size(); ++p) {
@@ -228,7 +237,7 @@ TEST_F(CompiledPureTest, SharedParameterContributionsAccumulate) {
 
   const auto reference = adjoint_gradient(c, theta, {}, weights);
   const auto executor = build_pure_executor(c, all_qubits(2));
-  const auto compiled = executor->adjoint(theta, {}, fixed(weights));
+  const auto compiled = compiled_adjoint(*executor, theta, {}, weights);
 
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(compiled.gradients[0], reference.gradients[0], kAgreementTol);
@@ -250,7 +259,7 @@ TEST_F(CompiledPureTest, TrailingTrainableRzIsElidedWithExactZeroGradient) {
   EXPECT_EQ(executor->num_trainable(), 2);
 
   const auto reference = adjoint_gradient(c, theta, {}, weights);
-  const auto compiled = executor->adjoint(theta, {}, fixed(weights));
+  const auto compiled = compiled_adjoint(*executor, theta, {}, weights);
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(reference.gradients[1], 0.0, 1e-15);
   EXPECT_DOUBLE_EQ(compiled.gradients[1], 0.0);

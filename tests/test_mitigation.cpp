@@ -101,7 +101,7 @@ TEST(Zne, RecoversIdealExpectationOnSimpleCircuit) {
   ZneOptions options;
   options.noise.include_thermal_relaxation = false;
 
-  const NoisyExecutor noisy(phys, NoiseModel(cal, options.noise));
+  const CompiledExecutor noisy(phys, NoiseModel(cal, options.noise));
   const double z_noisy = noisy.run_z({})[0];
   const double z_zne = zne_expectations(phys, cal, {}, options)[0];
   const double z_ideal = std::cos(0.8);
@@ -142,7 +142,7 @@ TEST(ZneCache, CachedSweepMatchesUncachedAndStopsRecompiling) {
   // same per-slot extrapolation and clamp.
   std::vector<std::vector<double>> z_by_scale;
   for (double factor : cached.scale_factors) {
-    const NoisyExecutor executor(
+    const CompiledExecutor executor(
         phys, NoiseModel(scale_calibration_noise(cal, factor), cached.noise));
     z_by_scale.push_back(executor.run_z({}));
   }

@@ -203,9 +203,9 @@ TEST(ServeSubmit, MatchesResearchEvaluatorBitwise) {
   const NoisyEvalResult expected = noisy_evaluate(
       fx.env.model, fx.env.transpiled, fx.env.theta_pretrained, probe, day,
       fx.env.eval);
-  const std::shared_ptr<const NoisyExecutor> reference = build_noisy_executor(
-      fx.env.model, fx.env.transpiled, fx.env.theta_pretrained, day,
-      fx.env.eval.noise);
+  const std::shared_ptr<const CompiledExecutor> reference =
+      build_noisy_executor(fx.env.model, fx.env.transpiled,
+                           fx.env.theta_pretrained, day, fx.env.eval.noise);
 
   for (std::size_t i = 0; i < probe.size(); ++i) {
     const StatusOr<Prediction> prediction =
@@ -431,7 +431,7 @@ TEST(ServeHotSwap, ConcurrentSubmitsSeeConsistentEpochs) {
       const auto it = epochs.find(request.prediction.epoch);
       ASSERT_NE(it, epochs.end())
           << "prediction names unknown epoch " << request.prediction.epoch;
-      const std::shared_ptr<const NoisyExecutor> executor =
+      const std::shared_ptr<const CompiledExecutor> executor =
           CompiledEvalCache::global().get_or_build(
               fx.env.model, fx.env.transpiled, it->second.first,
               it->second.second, fx.env.eval.noise);
@@ -517,8 +517,9 @@ TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
   for (int v = 0; v < 4; ++v) {
     std::vector<double> theta = fx.env.theta_pretrained;
     theta[static_cast<std::size_t>(v)] += 0.2 * v;
-    const std::shared_ptr<const NoisyExecutor> executor = build_noisy_executor(
-        fx.env.model, fx.env.transpiled, theta, day, fx.env.eval.noise);
+    const std::shared_ptr<const CompiledExecutor> executor =
+        build_noisy_executor(fx.env.model, fx.env.transpiled, theta, day,
+                             fx.env.eval.noise);
     std::vector<std::vector<double>> per_sample;
     for (const std::vector<double>& x : xs) {
       per_sample.push_back(executor->run_z(x));
@@ -534,12 +535,12 @@ TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIterations; ++i) {
         const std::size_t v = static_cast<std::size_t>((t + i) % 4);
-        const std::shared_ptr<const NoisyExecutor> executor =
+        const std::shared_ptr<const CompiledExecutor> executor =
             CompiledEvalCache::global().get_or_build(
                 fx.env.model, fx.env.transpiled, thetas[v], day,
                 fx.env.eval.noise);
         const std::vector<std::vector<double>> zs =
-            executor->run_z_batch(xs, 0, 0, &fx.pool);
+            executor->run_z_batch(xs, {}, 0, 0, &fx.pool);
         ASSERT_EQ(zs, expected[v]) << "thread " << t << " iteration " << i;
       }
     });
@@ -788,9 +789,9 @@ TEST(ServeSharding, PredictionsBitwiseIdenticalAcrossShardCounts) {
   ServeFixture fx;
   const Calibration& day = fx.history.day(0);
   const Dataset probe = fx.env.train.take(16);
-  const std::shared_ptr<const NoisyExecutor> reference = build_noisy_executor(
-      fx.env.model, fx.env.transpiled, fx.env.theta_pretrained, day,
-      fx.env.eval.noise);
+  const std::shared_ptr<const CompiledExecutor> reference =
+      build_noisy_executor(fx.env.model, fx.env.transpiled,
+                           fx.env.theta_pretrained, day, fx.env.eval.noise);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     const ServiceConfig config = fx.pooled_config().with_num_shards(shards);
@@ -951,7 +952,7 @@ TEST(ServeHotSwap, SaturatedShardsKeepEpochConsistency) {
       const auto it = epochs.find(request.prediction.epoch);
       ASSERT_NE(it, epochs.end())
           << "prediction names unknown epoch " << request.prediction.epoch;
-      const std::shared_ptr<const NoisyExecutor> executor =
+      const std::shared_ptr<const CompiledExecutor> executor =
           CompiledEvalCache::global().get_or_build(
               fx.env.model, fx.env.transpiled, it->second.first,
               it->second.second, fx.env.eval.noise);

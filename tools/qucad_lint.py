@@ -8,11 +8,11 @@ docs/ARCHITECTURE.md "Correctness tooling":
                         serving path: errors travel as Status/StatusOr, so
                         `throw` may not appear there (tests excluded by
                         scope).
-  registry-only-backend NoisyExecutor / PureExecutor /
-                        StatevectorBackend are constructed only inside
-                        src/backend/, src/sim/, src/transpile/ (the engines
-                        themselves) — consumers go through
-                        BackendRegistry / CompiledEvalCache.
+  registry-only-backend CompiledExecutor (and its NoisyExecutor alias)
+                        and the CompiledBackend adapter are constructed
+                        only inside src/backend/, src/sim/,
+                        src/transpile/ (the engine itself) — consumers go
+                        through BackendRegistry / CompiledEvalCache.
   oracle-only           run_density / run_z_reference / run_physical_pure
                         are the gate-by-gate test oracles: src/ and
                         examples/ never call them (only
@@ -66,7 +66,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "tools" / "qucad_lint_allow.txt"
 
-BACKEND_TYPES = r"(?:NoisyExecutor|PureExecutor|StatevectorBackend)"
+BACKEND_TYPES = r"(?:CompiledExecutor|NoisyExecutor|CompiledBackend)"
 
 # Containers whose subscript must be a slot index (a slot-ordered value or
 # the direct result of a slot-ordered call), and index spellings that claim
@@ -345,10 +345,12 @@ SELF_TEST_CASES = {
     ],
     "registry-only-backend": [
         ("src/qnn/bad.cpp",
-         "void f() { NoisyExecutor executor(phys, nm); }\n"),
+         "void f() { CompiledExecutor executor(phys, nm); }\n"),
+        ("examples/bad.cpp",
+         "auto h() { return new NoisyExecutor(phys); }\n"),
         ("bench/bad.cpp",
-         "auto g() { return std::make_shared<const StatevectorBackend>(\n"
-         "    executor, theta, {}, 64, 7); }\n"),
+         "auto g() { return std::make_shared<const CompiledBackend>(\n"
+         "    kind, executor, theta, 64, 7); }\n"),
     ],
     "oracle-only": [
         ("src/serve/bad_oracle.cpp",
@@ -396,7 +398,7 @@ CLEAN_FILES = [
     ("src/serve/good.cpp",
      # Mentions of every banned pattern inside comments and strings, plus
      # the allowed direction of readout indexing: none of these may fire.
-     "// a comment may say throw, rand(), or NoisyExecutor executor(x);\n"
+     "// a comment may say throw, rand(), or CompiledExecutor executor(x);\n"
      "const char* s = \"throw std::random_device rand()\";\n"
      "int slot_ok(const std::vector<int>& readout_qubits) {\n"
      "  return readout_qubits[0];  // slot -> qubit mapping is the legal way\n"
