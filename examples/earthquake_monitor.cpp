@@ -4,11 +4,10 @@
 // built repository answers each morning's calibration (reuse / compress a
 // new model / Guidance-2 failure report) with a shard-by-shard hot-swap of
 // the compiled executor, and the day's requests arrive as independent
-// submit_async() calls — routed across shards, micro-batched per shard,
+// submit_async() calls — routed across shards, micro-batched per shard and
 // admission-controlled (bounded queues + a per-request deadline budget),
-// with repeated sensor readings answered from the epoch-keyed result
-// cache. Compare src/core/strategies.hpp for the research-harness shape of
-// the same loop.
+// each one classified under that day's epoch. Compare
+// src/core/strategies.hpp for the research-harness shape of the same loop.
 
 #include <future>
 #include <iostream>
@@ -63,14 +62,12 @@ int main() {
   // Production shape: two shards (each with its own micro-batch dispatcher
   // and bounded queue), a deadline budget generous enough for an epoch's
   // first (compile-carrying) sweep but bounding tail latency under real
-  // saturation, and a result cache that answers repeated sensor readings
-  // without a compiled sweep.
+  // saturation.
   const ServiceConfig serving_config =
       ServiceConfig::from_environment(env)
           .with_num_shards(2)
           .with_queue_capacity(256)
-          .with_deadline_budget(std::chrono::seconds(2))
-          .with_result_cache(512);
+          .with_deadline_budget(std::chrono::seconds(2));
   const int start = CalibrationHistory::kOfflineDays;
   StatusOr<InferenceService> service = InferenceService::create(
       env, std::move(build.repository), history.day(start), serving_config);
@@ -119,10 +116,6 @@ int main() {
       }
       if (prediction->label == env.test.labels[i]) ++correct;
     }
-    // A monitoring probe resubmitting today's first reading: the day's
-    // sweep already populated the epoch-keyed result cache, so this is
-    // answered without queueing or re-execution.
-    (void)service->submit(env.test.features[0]);
     if (refused > 0) {
       std::cerr << history.date_string(day) << ": " << refused
                 << " requests refused by admission control\n";
@@ -147,8 +140,7 @@ int main() {
   const ServingStats stats = service->stats();
   std::cout << "\nserved " << stats.requests << " requests over 90 days in "
             << stats.batches << " compiled sweeps (" << stats.coalesced
-            << " coalesced); " << stats.cache_hits << "/"
-            << stats.cache_lookups << " result-cache hits, " << stats.shed
+            << " coalesced); " << stats.shed
             << " shed, " << stats.deadline_misses << " deadline misses\n"
             << stats.compressions << " online compressions, " << stats.reuses
             << " repository reuses, " << stats.failures

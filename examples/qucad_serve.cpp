@@ -143,8 +143,7 @@ int main(int argc, char** argv) {
     artifacts.config = ServiceConfig::from_environment(env)
                            .with_num_shards(2)
                            .with_queue_capacity(256)
-                           .with_deadline_budget(std::chrono::seconds(2))
-                           .with_result_cache(512);
+                           .with_deadline_budget(std::chrono::seconds(2));
     if (Status s = save_artifacts(artifacts, args.artifacts); !s.ok()) {
       std::cerr << "cannot save artifacts: " << s.to_string() << "\n";
       return 1;

@@ -10,7 +10,11 @@
 // the parser accepts again, and that second decode must re-encode to the
 // same bytes (serialize_artifacts is a canonical form, so it must be
 // idempotent even when the accepted input itself was non-canonical, e.g.
-// carried sections out of order).
+// carried sections out of order). It also runs ServiceConfig::validate()
+// on the decoded config, which never throws, and checks that a config it
+// accepts asks for at most ServiceConfig::kMaxShards shards: the bound that
+// keeps a crafted file from making cold start reserve unbounded shards or
+// start unbounded dispatcher threads.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +37,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const qucad::StatusOr<qucad::Artifacts> decoded =
       qucad::deserialize_artifacts(bytes);
   if (!decoded.ok()) return 0;
+
+  if (decoded->config.validate().ok()) {
+    check(decoded->config.num_shards <= qucad::ServiceConfig::kMaxShards);
+  }
 
   const std::vector<std::uint8_t> canonical =
       qucad::serialize_artifacts(*decoded);

@@ -1,5 +1,6 @@
 #include "io/artifacts.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -217,8 +218,10 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_u64(static_cast<std::uint64_t>(config.deadline_budget.count()));
   // The v1 routing-policy byte; one policy is left, written as 0.
   out.write_u8(0);
-  out.write_u64(config.result_cache_capacity);
-  out.write_f64(config.result_cache_quantum);
+  // The v1 result_cache_capacity and result_cache_quantum slots; the cache
+  // is gone, written as 0 and 0.0.
+  out.write_u64(0);
+  out.write_f64(0.0);
 }
 
 Status read_enum_u8(Deserializer& in, std::uint8_t max_value,
@@ -323,9 +326,15 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   // The v1 routing-policy byte (0 least-loaded, 1 hash): range-checked,
   // then ignored — every service routes least-loaded now.
   if (Status s = read_enum_u8(in, 1, "RoutingPolicy", raw); !s.ok()) return s;
+  // The v1 result_cache_capacity and result_cache_quantum slots: the
+  // quantum is range-checked, then both are ignored — no service caches.
   if (Status s = in.read_u64(count); !s.ok()) return s;
-  config.result_cache_capacity = static_cast<std::size_t>(count);
-  if (Status s = in.read_f64(config.result_cache_quantum); !s.ok()) return s;
+  double quantum = 0.0;
+  if (Status s = in.read_f64(quantum); !s.ok()) return s;
+  if (!std::isfinite(quantum) || quantum < 0.0) {
+    return Status::data_loss(
+        "retired cache-quantum slot must be finite and non-negative");
+  }
   out = std::move(config);
   return Status();
 }

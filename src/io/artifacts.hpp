@@ -39,6 +39,14 @@ struct Environment;
 /// partially mutating the caller's objects (the artifact is built in
 /// temporaries and returned by value only on full success).
 ///
+/// The service-config section keeps three v1 slots that no knob fills any
+/// more. Writers fill them with fixed values; readers range-check them and
+/// then ignore them, so files written before the knobs went still load:
+///
+///     routing policy         u8    written 0; > 1 is kDataLoss
+///     result_cache_capacity  u64   written 0; any value accepted
+///     result_cache_quantum   f64   written 0.0; NaN, inf or < 0 is kDataLoss
+///
 /// Version policy: any change to the encoded byte layout bumps
 /// kFormatVersion — readers do not attempt cross-version migration (a
 /// version-skew file is rejected with kFailedPrecondition), and a

@@ -7,7 +7,6 @@
 
 #include "backend/registry.hpp"
 #include "common/require.hpp"
-#include "serve/result_cache.hpp"
 
 namespace qucad {
 
@@ -26,13 +25,12 @@ struct InferenceService::Impl {
 
   // --- sharded serving plane ---------------------------------------------
   AdmissionController admission;
-  ResultCache cache;
   // The one current epoch every shard and submit path reads; written only
   // by install_epoch. Declared before the shards, which borrow it.
   EpochSlot epoch;
-  // Stable addresses: shards hold references to config/admission/cache/
-  // epoch and run dispatcher threads, so they live behind unique_ptr and
-  // are neither copied nor reallocated after create().
+  // Stable addresses: shards hold references to config/admission/epoch
+  // and run dispatcher threads, so they live behind unique_ptr and are
+  // neither copied nor reallocated after create().
   std::vector<std::unique_ptr<ServingShard>> shards;
   mutable std::mutex admin_mutex;  // serializes on_calibration events
 
@@ -52,12 +50,11 @@ struct InferenceService::Impl {
         manager(model, transpiled, theta_pretrained, env.train,
                 std::move(repository), config.manager),
         min_features(static_cast<std::size_t>(model.num_inputs())),
-        admission(config.deadline_budget),
-        cache(config.result_cache_capacity, config.result_cache_quantum) {
+        admission(config.deadline_budget) {
     shards.reserve(config.num_shards);
     for (std::size_t s = 0; s < config.num_shards; ++s) {
-      shards.push_back(std::make_unique<ServingShard>(
-          s, config, admission, cache.enabled() ? &cache : nullptr, epoch));
+      shards.push_back(
+          std::make_unique<ServingShard>(s, config, admission, epoch));
     }
   }
 
@@ -189,18 +186,6 @@ std::future<StatusOr<Prediction>> InferenceService::submit_async(
     rejected.set_value(std::move(status));
     return rejected.get_future();
   }
-  if (impl_->cache.enabled()) {
-    // Answer repeats from the CURRENT epoch without queueing. The key
-    // carries the epoch id, so a cached answer is exactly what this epoch's
-    // sweep would compute (bitwise, for expectation backends) and a
-    // hot-swap invalidates by construction.
-    if (std::optional<Prediction> hit =
-            impl_->cache.lookup(impl_->epoch.load()->id, features)) {
-      std::promise<StatusOr<Prediction>> cached;
-      cached.set_value(*std::move(hit));
-      return cached.get_future();
-    }
-  }
   return impl_->route(features).enqueue(std::move(features));
 }
 
@@ -312,11 +297,6 @@ ServingStats InferenceService::stats() const {
     stats.deadline_misses += s.deadline_misses;
     stats.queue_depth += s.queue_depth;
   }
-  stats.cache_hits = impl_->cache.hits();
-  stats.cache_lookups = impl_->cache.lookups();
-  // Cache hits short-circuit the shards, but they are served requests all
-  // the same.
-  stats.requests += stats.cache_hits;
   return stats;
 }
 

@@ -45,8 +45,6 @@ struct ServingStats {
   std::uint64_t shed = 0;            ///< requests refused with kResourceExhausted
   std::uint64_t deadline_misses = 0; ///< requests expired (kDeadlineExceeded) while queued
   std::uint64_t queue_depth = 0;     ///< instantaneous backlog across all shards
-  std::uint64_t cache_hits = 0;      ///< requests answered from the result cache
-  std::uint64_t cache_lookups = 0;   ///< result-cache probes (hits + misses)
 };
 
 /// Synchronized repository/decision snapshot, taken under the calibration
@@ -78,9 +76,9 @@ struct RepositorySnapshot {
 ///    instead of queuing unboundedly, and a request still queued past
 ///    `deadline_budget` fails with kDeadlineExceeded instead of executing
 ///    late — under overload the service degrades by refusing work in
-///    microseconds, not by letting tail latency collapse. An optional
-///    epoch-keyed result cache answers repeated (quantized) feature
-///    vectors without queueing at all. `submit` is a thin blocking shim
+///    microseconds, not by letting tail latency collapse. Every request
+///    runs on the current epoch: validate, route, shard queue, one
+///    compiled sweep. `submit` is a thin blocking shim
 ///    (`submit_async(...).get()`); `submit_batch` sweeps a caller-assembled
 ///    batch directly on the current epoch, bypassing queue and window.
 ///  - `on_calibration` runs the repository decision for a new calibration
@@ -134,14 +132,14 @@ class InferenceService {
 
   /// Classifies one feature vector without blocking on the batch window:
   /// the request is admission-checked, routed to a shard, and the caller
-  /// gets a future that resolves when the shard's dispatcher sweeps it (or
-  /// immediately, on a result-cache hit). The future carries
-  /// kInvalidArgument for a malformed request (wrong feature arity; never
-  /// enqueued), kResourceExhausted when the routed shard's queue is full
-  /// (shed; never enqueued), kDeadlineExceeded when the request out-waited
-  /// its `deadline_budget` in the queue, and kUnavailable once the service
-  /// is shutting down. The returned future is always valid and always
-  /// resolves — errors arrive through it, not as exceptions.
+  /// gets a future that resolves when the shard's dispatcher sweeps it.
+  /// The future carries kInvalidArgument for a malformed request (wrong
+  /// feature arity; never enqueued), kResourceExhausted when the routed
+  /// shard's queue is full (shed; never enqueued), kDeadlineExceeded when
+  /// the request out-waited its `deadline_budget` in the queue, and
+  /// kUnavailable once the service is shutting down. The returned future
+  /// is always valid and always resolves — errors arrive through it, not
+  /// as exceptions.
   std::future<StatusOr<Prediction>> submit_async(std::vector<double> features);
 
   /// Blocking shim over submit_async: classifies one feature vector and

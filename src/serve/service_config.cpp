@@ -1,8 +1,6 @@
 #include "serve/service_config.hpp"
 
-#include <cmath>
-
-#include "core/qucad.hpp"
+#include "core/strategy.hpp"
 
 namespace qucad {
 
@@ -18,6 +16,11 @@ Status ServiceConfig::validate() const {
         "num_shards must be at least 1 (a zero-shard service can route "
         "nothing)");
   }
+  if (num_shards > kMaxShards) {
+    return Status::invalid_argument(
+        "num_shards must be at most 256 (each shard starts a dispatcher "
+        "thread)");
+  }
   if (queue_capacity == 0) {
     return Status::invalid_argument(
         "queue_capacity must be at least 1 (a zero-capacity queue sheds "
@@ -27,23 +30,11 @@ Status ServiceConfig::validate() const {
     return Status::invalid_argument(
         "deadline_budget must be non-negative (0 disables the deadline)");
   }
-  if (!std::isfinite(result_cache_quantum) || result_cache_quantum < 0.0) {
-    return Status::invalid_argument(
-        "result_cache_quantum must be finite and non-negative (0 keys on "
-        "exact bits)");
-  }
   if (Status status = eval.backend.validate(); !status.ok()) return status;
   if (manager.bootstrap_scale <= 0.0) {
     return Status::invalid_argument("bootstrap_scale must be positive");
   }
   return Status();
-}
-
-ServiceConfig ServiceConfig::from_pipeline(const PipelineConfig& pipeline) {
-  ServiceConfig config;
-  config.eval = pipeline.eval;
-  config.manager = pipeline.manager_options;
-  return config;
 }
 
 ServiceConfig ServiceConfig::from_environment(const Environment& env) {

@@ -9,8 +9,7 @@
 
 namespace qucad {
 
-struct PipelineConfig;  // core/qucad.hpp
-struct Environment;     // core/strategy.hpp
+struct Environment;  // core/strategy.hpp
 
 /// One consolidated configuration for the online serving surface. The
 /// research pipeline spreads its knobs over nested option structs
@@ -68,8 +67,14 @@ struct ServiceConfig {
   /// One shard is a single-dispatcher service; more shards remove that
   /// bottleneck under concurrent load. Expectation backends stay
   /// bitwise-identical across shard counts (a request's logits do not
-  /// depend on which shard's sweep computed them). Must be >= 1.
+  /// depend on which shard's sweep computed them). Must be in
+  /// [1, kMaxShards]: each shard starts one dispatcher thread.
   std::size_t num_shards = 1;
+
+  /// Upper bound on `num_shards`, the same cap a fleet puts on devices.
+  /// validate() enforces it, so a config decoded from untrusted artifact
+  /// bytes cannot ask create() for an unbounded number of threads.
+  static constexpr std::size_t kMaxShards = 256;
 
   /// Admission bound: requests queued per shard before submit_async sheds
   /// with kResourceExhausted instead of queuing unboundedly. Must be >= 1.
@@ -80,20 +85,6 @@ struct ServiceConfig {
   /// being executed late (the dispatcher checks before each sweep). Zero
   /// disables the deadline.
   std::chrono::microseconds deadline_budget{0};
-
-  /// Epoch-keyed result cache: predictions for repeated (quantized) feature
-  /// vectors are answered without queueing or re-execution. Entries are
-  /// keyed by (epoch id, quantized features), so a hot-swap naturally
-  /// invalidates — a cached answer always names the epoch that computed it.
-  /// Zero disables the cache (the default: caching trades the shot-sampled
-  /// backends' batch-placement semantics for speed; expectation backends
-  /// lose nothing).
-  std::size_t result_cache_capacity = 0;
-
-  /// Cache-key quantization step: features are bucketed to multiples of
-  /// this before keying, so near-identical sensor readings share an entry.
-  /// Zero keys on exact bit patterns. Must be finite and >= 0.
-  double result_cache_quantum = 0.0;
 
   ServiceConfig& with_eval(NoisyEvalOptions value) {
     eval = std::move(value);
@@ -131,27 +122,14 @@ struct ServiceConfig {
     deadline_budget = value;
     return *this;
   }
-  ServiceConfig& with_result_cache(std::size_t capacity) {
-    result_cache_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& with_result_cache_quantum(double value) {
-    result_cache_quantum = value;
-    return *this;
-  }
 
   /// OK when every knob is in range; the first violation otherwise.
   Status validate() const;
 
-  /// Consolidates the serving-relevant groups out of a research
-  /// PipelineConfig (eval + manager_options; the training/compression knobs
-  /// the service does not own are dropped).
-  static ServiceConfig from_pipeline(const PipelineConfig& pipeline);
-
-  /// Same consolidation from a prepared Environment — what
-  /// InferenceService::create defaults to when no config is given, so a
-  /// service built from an Environment evaluates exactly like the research
-  /// harness did.
+  /// Consolidates the serving-relevant groups (eval + manager_options) out
+  /// of a prepared Environment — what InferenceService::create defaults to
+  /// when no config is given, so a service built from an Environment
+  /// evaluates exactly like the research harness did.
   static ServiceConfig from_environment(const Environment& env);
 };
 

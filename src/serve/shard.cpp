@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/stats.hpp"
-#include "serve/result_cache.hpp"
 
 namespace qucad {
 
@@ -29,11 +28,10 @@ std::size_t route_by_hash(std::span<const double> features,
 
 ServingShard::ServingShard(std::size_t index, const ServiceConfig& config,
                            const AdmissionController& admission,
-                           ResultCache* cache, const EpochSlot& epoch)
+                           const EpochSlot& epoch)
     : index_(index),
       config_(config),
       admission_(admission),
-      cache_(cache),
       epoch_(epoch),
       queue_(config.queue_capacity) {}
 
@@ -148,9 +146,6 @@ void ServingShard::serve_pending(std::vector<QueuedRequest>& batch) {
       coalesced_.fetch_add(live.size(), std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < live.size(); ++i) {
-      if (cache_ != nullptr) {
-        cache_->insert(epoch->id, features[i], predictions[i]);
-      }
       resolve(live[i].promise, std::move(predictions[i]));
     }
   } catch (const std::exception& e) {

@@ -18,8 +18,6 @@
 
 namespace qucad {
 
-class ResultCache;
-
 /// One classified request.
 struct Prediction {
   /// argmax over `logits` — the predicted class.
@@ -88,16 +86,14 @@ struct ShardStats {
 /// thread. The InferenceService routes submit_async() requests across N of
 /// these; each shard is single-consumer by construction, so the dispatcher
 /// needs no coordination with its peers — the only cross-shard state is the
-/// service's EpochSlot, the AdmissionController (deadline policy and clock)
-/// and the optional ResultCache.
+/// service's EpochSlot and the AdmissionController (deadline policy and
+/// clock).
 class ServingShard {
  public:
-  /// `config`, `admission`, `cache` and `epoch` are borrowed and must
-  /// outlive the shard (the owning service guarantees it). `cache` may be
-  /// null.
+  /// `config`, `admission` and `epoch` are borrowed and must outlive the
+  /// shard (the owning service guarantees it).
   ServingShard(std::size_t index, const ServiceConfig& config,
-               const AdmissionController& admission, ResultCache* cache,
-               const EpochSlot& epoch);
+               const AdmissionController& admission, const EpochSlot& epoch);
 
   /// Closes the queue, drains in-flight requests, joins the dispatcher.
   ~ServingShard();
@@ -149,7 +145,6 @@ class ServingShard {
   const std::size_t index_;
   const ServiceConfig& config_;
   const AdmissionController& admission_;
-  ResultCache* cache_;
   const EpochSlot& epoch_;
 
   BoundedQueue<QueuedRequest> queue_;

@@ -191,7 +191,6 @@ Artifacts golden_artifacts() {
   artifacts.config = ServiceConfig()
                          .with_num_shards(2)
                          .with_queue_capacity(64)
-                         .with_result_cache(32)
                          .with_backend(BackendConfig()
                                            .with_kind(BackendKind::kSampled)
                                            .with_shots(512)
@@ -535,8 +534,8 @@ std::size_t section_payload_length(const std::vector<std::uint8_t>& bytes,
 
 TEST(IoArtifacts, LegacyRoutingByteIsRangeCheckedThenIgnored) {
   // The v1 config keeps the retired routing-policy byte (0 least-loaded,
-  // 1 hash) just before the two result-cache slots (u64 capacity, f64
-  // quantum) that end the section. A file written with hash routing still
+  // 1 hash) just before the two retired result-cache slots (u64 capacity,
+  // f64 quantum) that end the section. A file written with hash routing still
   // loads, as the one policy left; any other value is corrupt.
   const std::vector<std::uint8_t> good =
       serialize_artifacts(golden_artifacts());
@@ -555,6 +554,42 @@ TEST(IoArtifacts, LegacyRoutingByteIsRangeCheckedThenIgnored) {
       patch_section_payload(good, kSectionServiceConfig, offset, {2}));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(IoArtifacts, LegacyCacheSlotsAreRangeCheckedThenIgnored) {
+  // The two retired result-cache slots end the v1 config section: a u64
+  // capacity (any value loads) and an f64 quantum (finite and >= 0 loads).
+  // Both are ignored and re-encoded as 0, so a file written with the cache
+  // on (qucad_serve wrote capacity 512) decodes to the very artifacts a
+  // cache-free writer produces, and cold-starts like them.
+  const std::vector<std::uint8_t> good =
+      serialize_artifacts(golden_artifacts());
+  const std::size_t capacity_offset =
+      section_payload_length(good, kSectionServiceConfig) - 8 - 8;
+  const std::size_t quantum_offset = capacity_offset + 8;
+
+  Serializer cached;
+  cached.write_u64(512);
+  cached.write_f64(0.25);
+  const std::vector<std::uint8_t> with_cache = patch_section_payload(
+      good, kSectionServiceConfig, capacity_offset, cached.bytes());
+  ASSERT_NE(with_cache, good);
+  const StatusOr<Artifacts> loaded = deserialize_artifacts(with_cache);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(serialize_artifacts(*loaded), good)
+      << "the slots must be ignored and re-encoded as 0";
+
+  for (const double quantum : {std::numeric_limits<double>::quiet_NaN(),
+                               -0.5, std::numeric_limits<double>::infinity()}) {
+    Serializer bad;
+    bad.write_f64(quantum);
+    const StatusOr<Artifacts> rejected =
+        deserialize_artifacts(patch_section_payload(
+            good, kSectionServiceConfig, quantum_offset, bad.bytes()));
+    ASSERT_FALSE(rejected.ok()) << "quantum " << quantum;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss)
+        << "quantum " << quantum;
+  }
 }
 
 TEST(IoArtifacts, LegacyDeterminismByteNeedsASeed) {
@@ -674,14 +709,22 @@ TEST(IoGolden, SerializationIsByteStableAgainstTheCheckedInArtifact) {
 }
 
 TEST(IoGolden, CheckedInArtifactLoads) {
-  if (!std::ifstream(golden_path()).good()) {
-    GTEST_SKIP() << "golden artifact not generated yet";
+  // repo_v1_result_cache.qcd is the same artifact written while the serving
+  // result cache existed (capacity slot 32). It must keep loading, as the
+  // very service the current encoder writes.
+  const std::vector<std::uint8_t> current =
+      serialize_artifacts(golden_artifacts());
+  for (const std::string& path :
+       {golden_path(),
+        std::string(QUCAD_GOLDEN_DIR) + "/repo_v1_result_cache.qcd"}) {
+    SCOPED_TRACE(path);
+    const StatusOr<Artifacts> loaded = load_artifacts(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+    EXPECT_EQ(loaded->repository.size(), 3u);
+    EXPECT_EQ(loaded->repository.threshold(), 0.375);
+    EXPECT_EQ(loaded->calibration_history.size(), 2u);
+    EXPECT_EQ(serialize_artifacts(*loaded), current);
   }
-  const StatusOr<Artifacts> loaded = load_artifacts(golden_path());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded->repository.size(), 3u);
-  EXPECT_EQ(loaded->repository.threshold(), 0.375);
-  EXPECT_EQ(loaded->calibration_history.size(), 2u);
 }
 
 // --- cold start ----------------------------------------------------------
@@ -825,6 +868,26 @@ TEST(IoColdStart, UnregisteredBackendKindIsAStatus) {
   const auto prediction = served->submit(fixture.env.test.features[0]);
   ASSERT_TRUE(prediction.ok()) << prediction.status().to_string();
   EXPECT_EQ(prediction->backend, test::kCustomBackendKind);
+}
+
+TEST(IoColdStart, OversizedShardCountIsAStatus) {
+  // num_shards is a u64 in the file. An absurd count decodes, and the cold
+  // start refuses it through ServiceConfig::validate() before it reserves a
+  // shard or starts a dispatcher thread.
+  const IoFixture fixture;
+  Artifacts artifacts;
+  artifacts.repository = fixture.small_repository();
+  artifacts.calibration_history = fixture.history.slice(0, 2);
+  artifacts.config = ServiceConfig::from_environment(fixture.env);
+  artifacts.config.num_shards = std::size_t{1} << 62;
+  const StatusOr<Artifacts> loaded =
+      deserialize_artifacts(serialize_artifacts(artifacts));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->config.num_shards, std::size_t{1} << 62);
+  const StatusOr<InferenceService> refused =
+      cold_start_service(fixture.env, *loaded);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IoColdStart, EmptyCalibrationStreamRejected) {

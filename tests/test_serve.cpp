@@ -33,7 +33,6 @@
 #include "qnn/trainer.hpp"
 #include "serve/admission.hpp"
 #include "serve/inference_service.hpp"
-#include "serve/result_cache.hpp"
 #include "serve/shard.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -120,11 +119,14 @@ TEST(ServeConfig, ValidateRejectsBadShardingKnobs) {
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceConfig().with_result_cache_quantum(-0.5).validate().code(),
+  // Each shard starts a dispatcher thread, so the count is capped.
+  EXPECT_TRUE(ServiceConfig()
+                  .with_num_shards(ServiceConfig::kMaxShards)
+                  .validate()
+                  .ok());
+  EXPECT_EQ(ServiceConfig().with_num_shards(257).validate().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceConfig()
-                .with_result_cache_quantum(
-                    std::numeric_limits<double>::quiet_NaN())
+  EXPECT_EQ(ServiceConfig().with_num_shards(std::size_t{1} << 62)
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -135,25 +137,14 @@ TEST(ServeConfig, BuildersSetShardingKnobs) {
                                    .with_num_shards(4)
                                    .with_queue_capacity(7)
                                    .with_deadline_budget(
-                                       std::chrono::milliseconds(5))
-                                   .with_result_cache(16)
-                                   .with_result_cache_quantum(0.25);
+                                       std::chrono::milliseconds(5));
   EXPECT_EQ(config.num_shards, 4u);
   EXPECT_EQ(config.queue_capacity, 7u);
   EXPECT_EQ(config.deadline_budget, std::chrono::microseconds(5000));
-  EXPECT_EQ(config.result_cache_capacity, 16u);
-  EXPECT_DOUBLE_EQ(config.result_cache_quantum, 0.25);
   EXPECT_TRUE(config.validate().ok());
 }
 
-TEST(ServeConfig, ConsolidatesFromPipelineAndEnvironment) {
-  PipelineConfig pipeline;
-  pipeline.eval.backend.shots = 128;
-  pipeline.manager_options.bootstrap_scale = 2.5;
-  const ServiceConfig from_pipeline = ServiceConfig::from_pipeline(pipeline);
-  EXPECT_EQ(from_pipeline.eval.backend.shots, 128);
-  EXPECT_DOUBLE_EQ(from_pipeline.manager.bootstrap_scale, 2.5);
-
+TEST(ServeConfig, ConsolidatesFromEnvironment) {
   Environment env;
   env.eval.backend.shots = 64;
   env.manager_options.enable_failure_reports = false;
@@ -1043,106 +1034,34 @@ TEST(ServeHotSwap, EpochInstallIsAllOrNothing) {
   EXPECT_EQ(service->stats().swaps, service->active_epoch());
 }
 
-TEST(ServeResultCache, QuantizesKeysInvalidatesByEpochAndEvictsLru) {
-  ResultCache cache(2, 0.1);
-  EXPECT_TRUE(cache.enabled());
-  Prediction first;
-  first.label = 1;
-  first.logits = {0.25, 0.75};
-  first.epoch = 7;
-
-  const std::vector<double> x{0.50};
-  const std::vector<double> x_nearby{0.52};  // same 0.1 bucket as 0.50
-  const std::vector<double> y{1.30};
-  const std::vector<double> z{2.70};
-
-  cache.insert(7, x, first);
-  const std::optional<Prediction> hit = cache.lookup(7, x_nearby);
-  ASSERT_TRUE(hit.has_value()) << "nearby reading should share the bucket";
-  EXPECT_EQ(hit->logits, first.logits);
-  EXPECT_EQ(hit->label, first.label);
-
-  // Same features under another epoch: unreachable by key construction.
-  EXPECT_FALSE(cache.lookup(8, x).has_value());
-
-  // LRU eviction at capacity 2: touch x, insert y then z -> y evicted.
-  Prediction other = first;
-  other.label = 0;
-  cache.insert(7, y, other);
-  ASSERT_TRUE(cache.lookup(7, x).has_value());  // refresh x's recency
-  cache.insert(7, z, other);
-  EXPECT_FALSE(cache.lookup(7, y).has_value()) << "y was least recent";
-  EXPECT_TRUE(cache.lookup(7, x).has_value());
-  EXPECT_TRUE(cache.lookup(7, z).has_value());
-  EXPECT_LE(cache.entries(), 2u);
-  EXPECT_EQ(cache.lookups(), 6u);
-  EXPECT_EQ(cache.hits(), 4u);
-
-  // Capacity 0 disables: lookups miss, inserts drop.
-  ResultCache disabled(0, 0.0);
-  EXPECT_FALSE(disabled.enabled());
-  disabled.insert(7, x, first);
-  EXPECT_FALSE(disabled.lookup(7, x).has_value());
-}
-
-TEST(ServeResultCache, OutOfRangeFeaturesAreNeverCached) {
-  // With a positive quantum, a feature whose bucket falls outside the int64
-  // range has no key of its own. Such requests must never share an entry.
-  ResultCache cache(8, 1e-3);
-  Prediction huge;
-  huge.label = 1;
-  huge.logits = {0.5, -0.5};
-  huge.epoch = 1;
-  cache.insert(1, std::vector<double>{1e16, 0.0, 0.0, 0.0}, huge);
-  EXPECT_EQ(cache.entries(), 0u);
-
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const std::vector<double>& x :
-       {std::vector<double>{-1e300, 0.0, 0.0, 0.0},
-        std::vector<double>{nan, nan, nan, nan},
-        std::vector<double>{inf, inf, inf, inf}}) {
-    EXPECT_FALSE(cache.lookup(1, x).has_value()) << "x[0] = " << x[0];
-  }
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(ServeResultCache, ServesRepeatsWithoutReexecutionUntilSwap) {
+TEST(ServeSubmit, RepeatedRequestRunsOnTheCurrentEpoch) {
+  // Nothing answers a request but a sweep on the current epoch: a repeat
+  // runs its own sweep, and after a hot-swap the same vector runs under
+  // the new epoch.
   ServeFixture fx;
-  const ServiceConfig config =
-      ServiceConfig::from_environment(fx.env).with_result_cache(64);
   StatusOr<InferenceService> service = InferenceService::create(
-      fx.env, fx.reuse_only_repository(1), fx.history.day(0), config);
+      fx.env, fx.reuse_only_repository(1), fx.history.day(0));
   ASSERT_TRUE(service.ok()) << service.status().to_string();
 
   const std::vector<double>& x = fx.env.train.features[0];
-  const StatusOr<Prediction> first = service->submit(x);  // miss: executes
+  const StatusOr<Prediction> first = service->submit(x);
   ASSERT_TRUE(first.ok());
-  const StatusOr<Prediction> second = service->submit(x);  // hit: no sweep
+  const StatusOr<Prediction> second = service->submit(x);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->logits, first->logits);
   EXPECT_EQ(second->epoch, first->epoch);
-
   ServingStats stats = service->stats();
-  EXPECT_EQ(stats.cache_lookups, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.batches, 1u) << "the repeat must not run a sweep";
-  EXPECT_EQ(stats.requests, 2u) << "cache hits still count as served";
+  EXPECT_EQ(stats.batches, 2u) << "the repeat must run its own sweep";
+  EXPECT_EQ(stats.requests, 2u);
 
-  // A hot-swap moves the service to epoch 2; the cached epoch-1 answer must
-  // be unreachable — the same vector now executes under the new epoch.
   const StatusOr<CalibrationReport> swap =
       service->on_calibration(fx.history.day(10));
   ASSERT_TRUE(swap.ok());
   ASSERT_TRUE(swap->swapped);
   const StatusOr<Prediction> third = service->submit(x);
   ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->epoch, 2u) << "stale epoch-1 cache entry served after swap";
-  stats = service->stats();
-  EXPECT_EQ(stats.cache_lookups, 3u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(third->epoch, 2u);
+  EXPECT_EQ(service->stats().batches, 3u);
 }
 
 TEST(ServeStats, RepositorySnapshotTracksDecisions) {
