@@ -243,6 +243,18 @@ int main(int argc, char** argv) {
   const Environment env =
       make_environment(args.workload, day0_stream->history().day(0));
 
+  // Phase 2's serving config, checked now so a bad flag is refused before
+  // phase 1 runs.
+  const ServiceConfig service_config =
+      ServiceConfig::from_environment(env)
+          .with_num_shards(args.shards)
+          .with_queue_capacity(256)
+          .with_deadline_budget(std::chrono::seconds(2));
+  if (const Status valid = service_config.validate(); !valid.ok()) {
+    std::cerr << "bad serving config: " << valid.to_string() << "\n";
+    return 1;
+  }
+
   // --- phase 1: longitudinal fleet study under finite-shot readout -------
   constexpr int kShots = 1024;
   fleet::FleetOptions options;
@@ -288,11 +300,6 @@ int main(int argc, char** argv) {
   std::cout << "\n[phase 2] serving drill: " << args.shards
             << "-shard InferenceService behind the TCP wire protocol, one "
                "client per device...\n";
-  const ServiceConfig service_config =
-      ServiceConfig::from_environment(env)
-          .with_num_shards(args.shards)
-          .with_queue_capacity(256)
-          .with_deadline_budget(std::chrono::seconds(2));
   StatusOr<InferenceService> service = InferenceService::create(
       env, std::move(fleet_result->offline_repository),
       harness->streams().front().history().day(args.offline_days),

@@ -66,7 +66,8 @@ int main() {
   //    noisy_accuracy executes the lowered circuit on the compiled
   //    density-matrix engine (CompiledExecutor): calibrated error channels are
   //    folded into the op-stream once, and the compiled program is replayed
-  //    per test sample (cached across calls by CompiledEvalCache).
+  //    per test sample (each noisy configuration is compiled once and
+  //    cached across calls by CompiledEvalCache).
   const CouplingMap belem = CouplingMap::belem();
   const CalibrationHistory history(FluctuationScenario::belem(),
                                    CalibrationHistory::kTotalDays, 2021);

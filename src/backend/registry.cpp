@@ -24,16 +24,6 @@ Status missing(const char* field, const char* kind) {
                                   field + " (required by " + kind + ")");
 }
 
-std::shared_ptr<const CompiledExecutor> resolve_pure_executor(
-    const BackendContext& context) {
-  if (context.use_cache) {
-    return CompiledEvalCache::global().get_or_build_pure(
-        context.model->circuit, context.model->readout_qubits);
-  }
-  return build_pure_executor(context.model->circuit,
-                             context.model->readout_qubits);
-}
-
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
     const BackendConfig& config, const BackendContext& context) {
   const char* kind = backend_kind_name(BackendKind::kDensityNoisy);
@@ -74,7 +64,9 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_statevector(
   }
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const CompiledBackend>(
-          config.kind, resolve_pure_executor(context),
+          config.kind,
+          build_pure_executor(context.model->circuit,
+                              context.model->readout_qubits),
           std::vector<double>(context.theta.begin(), context.theta.end()),
           config.shots, resolve_seed(config), std::move(slot_readout)));
 }

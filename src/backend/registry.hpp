@@ -36,9 +36,9 @@ struct BackendContext {
   /// Noise-model construction knobs for the density backend; kSampled
   /// honors include_readout_error.
   NoiseModelOptions noise;
-  /// Resolve compiled executors through CompiledEvalCache::global() so every
-  /// backend kind shares the one executor cache (a repeated configuration —
-  /// or a theta update on the structure-keyed pure program — is a hit).
+  /// kDensityNoisy only: resolve its noisy executor through
+  /// CompiledEvalCache::global(), so a repeated configuration is a hit. The
+  /// statevector kinds always compile their own program.
   bool use_cache = true;
 };
 
@@ -47,9 +47,9 @@ struct BackendContext {
 /// own per-slot confusion instead of the executor's. kDensityNoisy fronts a
 /// noisy density program (theta bound at lowering, the calibration's
 /// confusion in the executor's readout); kPureStatevector and kSampled
-/// front the structure-keyed noiseless program from CompiledEvalCache, so
-/// one executor is shared across theta updates and shot budgets, and
-/// kSampled reads out through the calibration's slot confusion.
+/// front a noiseless program compiled with theta symbolic, so the backend's
+/// theta is bound at replay, and kSampled reads out through the
+/// calibration's slot confusion.
 ///
 /// run_logits_batch is CompiledExecutor::run_z_batch: with shots > 0,
 /// sample i draws its shot stream from seed + i, where i is the sample's

@@ -50,37 +50,37 @@ double extrapolate_to_zero(std::span<const double> xs,
   return intercept;  // value at zero noise
 }
 
-std::vector<double> zne_expectations(const PhysicalCircuit& circuit,
-                                     const Calibration& calibration,
-                                     std::span<const double> x,
-                                     const ZneOptions& options) {
+std::vector<std::vector<double>> zne_expectations(
+    const PhysicalCircuit& circuit, const Calibration& calibration,
+    std::span<const std::vector<double>> xs, const ZneOptions& options) {
   require(options.scale_factors.size() >= 2,
           "ZNE needs at least two scale factors");
 
-  std::vector<std::vector<double>> z_by_scale;
+  // z_by_scale[s][i]: the slot values of row i under scale factor s. Each
+  // scaled calibration compiles once and replays every row in one batch.
+  std::vector<std::vector<std::vector<double>>> z_by_scale;
   z_by_scale.reserve(options.scale_factors.size());
   for (double factor : options.scale_factors) {
-    const Calibration scaled = scale_calibration_noise(calibration, factor);
-    // One compiled executor per (circuit, scaled calibration): a sweep
-    // over samples — or repeated days with the same calibration — pays
-    // lowering + noise-model construction once per scale factor, not once
-    // per factor per call.
     const std::shared_ptr<const CompiledExecutor> executor =
-        CompiledEvalCache::global().get_or_build_physical(circuit, scaled,
-                                                          options.noise);
-    z_by_scale.push_back(executor->run_z(x));
+        build_physical_executor(
+            circuit, scale_calibration_noise(calibration, factor),
+            options.noise);
+    z_by_scale.push_back(executor->run_z_batch(xs));
   }
 
-  const std::size_t num_readouts = z_by_scale.front().size();
-  std::vector<double> extrapolated(num_readouts);
+  std::vector<std::vector<double>> extrapolated(xs.size());
   std::vector<double> ys(options.scale_factors.size());
-  for (std::size_t q = 0; q < num_readouts; ++q) {
-    for (std::size_t s = 0; s < options.scale_factors.size(); ++s) {
-      ys[s] = z_by_scale[s][q];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::size_t num_readouts = z_by_scale.front()[i].size();
+    extrapolated[i].resize(num_readouts);
+    for (std::size_t q = 0; q < num_readouts; ++q) {
+      for (std::size_t s = 0; s < options.scale_factors.size(); ++s) {
+        ys[s] = z_by_scale[s][i][q];
+      }
+      // <Z> is bounded; clamp the linear extrapolation accordingly.
+      extrapolated[i][q] = std::clamp(
+          extrapolate_to_zero(options.scale_factors, ys), -1.0, 1.0);
     }
-    // <Z> is bounded; clamp the linear extrapolation accordingly.
-    extrapolated[q] =
-        std::clamp(extrapolate_to_zero(options.scale_factors, ys), -1.0, 1.0);
   }
   return extrapolated;
 }

@@ -21,22 +21,23 @@ struct ZneOptions {
 /// Richardson-extrapolates each readout expectation to the zero-noise limit
 /// with a least-squares linear fit over the scale factors.
 ///
-/// Each scale factor's compiled executor comes from
-/// CompiledEvalCache::global(), keyed per (circuit, scaled calibration, noise
-/// options): repeated calls on the same day (every sample of an evaluation
-/// sweep) compile it once.
+/// One call compiles each scale factor's executor once and replays every
+/// row of `xs` through it in one batch (CompiledExecutor::run_z_batch), so
+/// a sweep over samples pays lowering + noise-model construction once per
+/// scale factor. Row i's result is bitwise what a one-row call on xs[i]
+/// returns.
 ///
-/// Output follows the positional readout contract: entry k is the
+/// Output follows the positional readout contract: entry [i][k] is the
 /// extrapolated `<Z>` of readout SLOT k (circuit.readout_physical()[k], i.e.
-/// class k) — ordered like CompiledExecutor::run_z, never by qubit id.
+/// class k) for row i — ordered like CompiledExecutor::run_z, never by
+/// qubit id.
 ///
 /// This is the "mitigate at one moment" family the paper contrasts with
 /// QuCAD: it reduces bias on a fixed calibration but must be re-run from
 /// scratch whenever the noise drifts.
-std::vector<double> zne_expectations(const PhysicalCircuit& circuit,
-                                     const Calibration& calibration,
-                                     std::span<const double> x,
-                                     const ZneOptions& options = {});
+std::vector<std::vector<double>> zne_expectations(
+    const PhysicalCircuit& circuit, const Calibration& calibration,
+    std::span<const std::vector<double>> xs, const ZneOptions& options = {});
 
 /// Amplifies every error rate in a calibration by `factor` (clamped to
 /// valid probability ranges). Exposed for tests.

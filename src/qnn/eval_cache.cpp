@@ -75,8 +75,6 @@ void hash_configuration(Mixer& h, const QnnModel& model,
                         std::span<const double> theta,
                         const Calibration& calib,
                         const NoiseModelOptions& options) {
-  h.mix(std::uint64_t{0x4e});  // key-domain tag: 'N'oisy executor
-
   // Readout slots (class order) — they pin the executor's z ordering.
   h.mix(static_cast<std::uint64_t>(model.readout_qubits.size()));
   for (int q : model.readout_qubits) h.mix(q);
@@ -90,44 +88,6 @@ void hash_configuration(Mixer& h, const QnnModel& model,
   for (double t : theta) h.mix(t);
 
   hash_noise_configuration(h, calib, options);
-}
-
-/// Physical-circuit key: the lowered op stream itself (including symbolic
-/// slot references — two circuits differing only in a literal angle are
-/// distinct programs) plus readout slots, calibration and noise options.
-template <typename Mixer>
-void hash_physical_configuration(Mixer& h, const PhysicalCircuit& circuit,
-                                 const Calibration& calib,
-                                 const NoiseModelOptions& options) {
-  h.mix(std::uint64_t{0x48});  // key-domain tag: p'H'ysical-circuit executor
-  h.mix(circuit.num_qubits());
-  h.mix(static_cast<std::uint64_t>(circuit.readout_physical().size()));
-  for (int q : circuit.readout_physical()) h.mix(q);
-  h.mix(static_cast<std::uint64_t>(circuit.ops().size()));
-  for (const PhysOp& op : circuit.ops()) {
-    h.mix(static_cast<std::uint64_t>(op.kind));
-    h.mix(op.q0);
-    h.mix(op.q1);
-    h.mix(op.angle);
-    h.mix(op.input_index);
-    h.mix(op.input_scale);
-    h.mix(op.theta_index);
-    h.mix(op.theta_scale);
-  }
-  hash_noise_configuration(h, calib, options);
-}
-
-/// Pure-executor key: structure + readout slots only. Theta never enters —
-/// trainable angles stay symbolic through lowering, so one entry serves
-/// every optimizer step (a theta update is a hit, results recomputed at
-/// replay time).
-template <typename Mixer>
-void hash_pure_configuration(Mixer& h, const Circuit& circuit,
-                             const std::vector<int>& readout_qubits) {
-  h.mix(std::uint64_t{0x50});  // key-domain tag: 'P'ure executor
-  h.mix(static_cast<std::uint64_t>(readout_qubits.size()));
-  for (int q : readout_qubits) h.mix(q);
-  hash_circuit_structure(h, circuit);
 }
 
 }  // namespace
@@ -151,13 +111,19 @@ PhysicalCircuit lower_noisy_circuit(const QnnModel& model,
   return phys;
 }
 
+std::shared_ptr<const CompiledExecutor> build_physical_executor(
+    const PhysicalCircuit& circuit, const Calibration& calibration,
+    const NoiseModelOptions& noise_options) {
+  return std::make_shared<const CompiledExecutor>(
+      circuit, NoiseModel(calibration, noise_options));
+}
+
 std::shared_ptr<const CompiledExecutor> build_noisy_executor(
     const QnnModel& model, const TranspiledModel& transpiled,
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options) {
-  return std::make_shared<const CompiledExecutor>(
-      lower_noisy_circuit(model, transpiled, theta),
-      NoiseModel(calibration, noise_options));
+  return build_physical_executor(lower_noisy_circuit(model, transpiled, theta),
+                                 calibration, noise_options);
 }
 
 PhysicalCircuit lower_pure_circuit(const Circuit& circuit,
@@ -199,9 +165,16 @@ CompiledEvalCache& CompiledEvalCache::global() {
   return cache;
 }
 
-template <typename Build>
-CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
-                                                              Build&& build) {
+std::shared_ptr<const CompiledExecutor> CompiledEvalCache::get_or_build(
+    const QnnModel& model, const TranspiledModel& transpiled,
+    std::span<const double> theta, const Calibration& calibration,
+    const NoiseModelOptions& noise_options) {
+  // Two independent 64-bit mixes (distinct offsets and odd multipliers).
+  Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
+  Fnv h2(0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL);
+  hash_configuration(h1, model, transpiled, theta, calibration, noise_options);
+  hash_configuration(h2, model, transpiled, theta, calibration, noise_options);
+  const Key key{h1.state, h2.state};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
@@ -215,7 +188,8 @@ CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
 
   // Build outside the lock: compilation is the expensive part and distinct
   // configurations should not serialize on each other.
-  Entry entry = build();
+  Entry entry = build_noisy_executor(model, transpiled, theta, calibration,
+                                     noise_options);
 
   LruList victims;  // released after `lock`, which is declared later
   std::lock_guard<std::mutex> lock(mutex_);
@@ -229,46 +203,6 @@ CompiledEvalCache::Entry CompiledEvalCache::get_or_build_entry(const Key& key,
   evict_to_capacity_locked(victims);
   stats_.entries = lru_.size();
   return entry;
-}
-
-std::shared_ptr<const CompiledExecutor> CompiledEvalCache::get_or_build(
-    const QnnModel& model, const TranspiledModel& transpiled,
-    std::span<const double> theta, const Calibration& calibration,
-    const NoiseModelOptions& noise_options) {
-  // Two independent 64-bit mixes (distinct offsets and odd multipliers).
-  Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
-  Fnv h2(0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL);
-  hash_configuration(h1, model, transpiled, theta, calibration, noise_options);
-  hash_configuration(h2, model, transpiled, theta, calibration, noise_options);
-  return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-    return build_noisy_executor(model, transpiled, theta, calibration,
-                                noise_options);
-  });
-}
-
-std::shared_ptr<const CompiledExecutor> CompiledEvalCache::get_or_build_pure(
-    const Circuit& circuit, const std::vector<int>& readout_qubits) {
-  Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
-  Fnv h2(0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL);
-  hash_pure_configuration(h1, circuit, readout_qubits);
-  hash_pure_configuration(h2, circuit, readout_qubits);
-  return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-    return build_pure_executor(circuit, readout_qubits);
-  });
-}
-
-std::shared_ptr<const CompiledExecutor>
-CompiledEvalCache::get_or_build_physical(
-    const PhysicalCircuit& circuit, const Calibration& calibration,
-    const NoiseModelOptions& noise_options) {
-  Fnv h1(0xcbf29ce484222325ULL, 0x100000001b3ULL);
-  Fnv h2(0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL);
-  hash_physical_configuration(h1, circuit, calibration, noise_options);
-  hash_physical_configuration(h2, circuit, calibration, noise_options);
-  return get_or_build_entry(Key{h1.state, h2.state}, [&] {
-    return std::make_shared<const CompiledExecutor>(
-        circuit, NoiseModel(calibration, noise_options));
-  });
 }
 
 void CompiledEvalCache::evict_to_capacity_locked(LruList& victims) {

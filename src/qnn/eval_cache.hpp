@@ -30,6 +30,14 @@ std::shared_ptr<const CompiledExecutor> build_noisy_executor(
     std::span<const double> theta, const Calibration& calibration,
     const NoiseModelOptions& noise_options);
 
+/// Builds the noisy executor for an already-lowered circuit: compiles
+/// `circuit` against the calibration's noise model. For callers that hold a
+/// PhysicalCircuit rather than a (model, transpiled, theta) triple, such as
+/// zne_expectations under each scaled calibration.
+std::shared_ptr<const CompiledExecutor> build_physical_executor(
+    const PhysicalCircuit& circuit, const Calibration& calibration,
+    const NoiseModelOptions& noise_options);
+
 /// The circuit build_pure_executor compiles: `circuit` on a trivial routing
 /// (qubit ids kept), lowered with BOTH input and trainable angles symbolic,
 /// readout slot k pinned to readout_qubits[k].
@@ -53,30 +61,18 @@ struct EvalCacheStats {
   std::size_t bytes = 0;
 };
 
-/// LRU cache of compiled executors. It holds two kinds of entries in one
-/// LRU, distinguished by their key domains:
+/// LRU cache of noisy (density-matrix) executors, keyed by a 128-bit
+/// content hash of (readout slots, routed structure, THETA, calibration
+/// values, noise options). Theta is part of the key because lowering binds
+/// it — the compression peephole specializes the circuit to the parameter
+/// values.
 ///
-///  - Noisy (density-matrix) executors, keyed by a 128-bit content hash of
-///    (readout slots, routed structure, THETA, calibration values, noise
-///    options). Theta is part of the key because lowering binds it — the
-///    compression peephole specializes the circuit to the parameter values.
-///  - Pure (statevector, training-path) executors, keyed ONLY by
-///    (readout slots, circuit structure): both input and trainable angles
-///    stay symbolic through lowering, so a theta update is a cache HIT on
-///    the same compiled program — the whole point of the symbolic-theta
-///    path. No stale results are possible: theta is supplied at replay
-///    time, never baked into the entry.
-///
-/// Repository construction, keep-best loops and fine-tuning revisit the same
-/// configurations across rounds; caching stops them re-lowering the circuit
-/// (and rebuilding the noise model) on every call.
-///
-/// The cache also backs every ExecutionBackend uniformly: the registry's
-/// backend factories (backend/registry.hpp) resolve their compiled engine
-/// here — kDensityNoisy through get_or_build, kPureStatevector and kSampled
-/// through get_or_build_pure — so building a backend for an already-seen
-/// configuration costs a hash lookup plus a thin wrapper, never a
-/// recompilation.
+/// The registry's kDensityNoisy factory (backend/registry.hpp) resolves its
+/// engine here when BackendContext::use_cache is set, so building a backend
+/// for an already-seen configuration costs a hash lookup plus a thin
+/// wrapper. Everything else owns the executor it replays: training and
+/// noise-free accuracy build one pure program per call (build_pure_executor)
+/// and ZNE one noisy program per scale factor (build_physical_executor).
 ///
 /// Keys are value-based content hashes, so any caller presenting the same
 /// configuration shares one compiled executor. Entries are handed out as
@@ -88,32 +84,14 @@ class CompiledEvalCache {
  public:
   explicit CompiledEvalCache(std::size_t capacity = 64);
 
-  /// Process-wide cache used by the backend registry's factories
+  /// Process-wide cache used by the backend registry's density factory
   /// (BackendContext::use_cache — which covers noisy_evaluate, the
-  /// longitudinal harness and the serving layer) and by the compiled
-  /// training path (train_circuit).
+  /// longitudinal harness and the serving layer).
   static CompiledEvalCache& global();
 
   std::shared_ptr<const CompiledExecutor> get_or_build(
       const QnnModel& model, const TranspiledModel& transpiled,
       std::span<const double> theta, const Calibration& calibration,
-      const NoiseModelOptions& noise_options);
-
-  /// Pure-executor lookup; see build_pure_executor for what is compiled.
-  /// Keyed on structure only (circuit gate list with its symbolic parameter
-  /// references and literal values, plus the readout slots) — NOT on theta.
-  std::shared_ptr<const CompiledExecutor> get_or_build_pure(
-      const Circuit& circuit, const std::vector<int>& readout_qubits);
-
-  /// Noisy-executor lookup for an already-lowered PhysicalCircuit, keyed on
-  /// (op stream incl. symbolic slots, readout slots, calibration values,
-  /// noise options). This is the entry point for callers that hold a
-  /// physical circuit rather than a (model, transpiled, theta) triple —
-  /// mitigation passes like zne_expectations, which revisit the same circuit
-  /// under a sweep of scaled calibrations and would otherwise re-compile a
-  /// fresh executor per scale factor per call.
-  std::shared_ptr<const CompiledExecutor> get_or_build_physical(
-      const PhysicalCircuit& circuit, const Calibration& calibration,
       const NoiseModelOptions& noise_options);
 
   EvalCacheStats stats() const;
@@ -132,13 +110,10 @@ class CompiledEvalCache {
       return static_cast<std::size_t>(k.h1 ^ (k.h2 * 0x9e3779b97f4a7c15ULL));
     }
   };
-  /// One cached executor (a tag byte mixed into each key keeps the noisy,
-  /// physical-circuit and pure key domains disjoint).
+  /// One cached noisy executor.
   using Entry = std::shared_ptr<const CompiledExecutor>;
   using LruList = std::list<std::pair<Key, Entry>>;
 
-  template <typename Build>
-  Entry get_or_build_entry(const Key& key, Build&& build);
   /// Unlinks the least recently used entries past capacity into `victims`,
   /// which the caller releases after unlocking.
   void evict_to_capacity_locked(LruList& victims);

@@ -92,13 +92,11 @@ double noisy_accuracy(const QnnModel& model, const TranspiledModel& transpiled,
 double noise_free_accuracy(const QnnModel& model, std::span<const double> theta,
                            const Dataset& data) {
   require(data.size() > 0, "empty evaluation set");
-  // Replay the structure-keyed compiled statevector program per sample
-  // instead of re-walking the logical gate list (predict()): the executor is
-  // shared across samples, thetas, and repeated harness calls. Logits stay
-  // positional — slot k is class k.
+  // Replay the compiled statevector program instead of re-walking the
+  // logical gate list (predict()): one compile serves every sample. Logits
+  // stay positional — slot k is class k.
   const std::shared_ptr<const CompiledExecutor> executor =
-      CompiledEvalCache::global().get_or_build_pure(model.circuit,
-                                                    model.readout_qubits);
+      build_pure_executor(model.circuit, model.readout_qubits);
   // Batched replay: full sample blocks go through the SoA lane engine, the
   // ragged tail per sample (CompiledExecutor::run_z_batch).
   const std::vector<std::vector<double>> logits =

@@ -30,6 +30,11 @@ TrainResult train_circuit(const Circuit& circuit,
   TrainResult result;
   result.epoch_losses.reserve(static_cast<std::size_t>(config.epochs));
 
+  // Stable structure: one program for every batch and epoch of this call
+  // (theta is bound at replay, never compiled in).
+  const std::shared_ptr<const CompiledExecutor> fixed_executor =
+      hook ? nullptr : build_pure_executor(circuit, readout_qubits);
+
   const std::size_t n = data.size();
   const std::size_t batch_size =
       std::min<std::size_t>(static_cast<std::size_t>(config.batch_size), n);
@@ -44,20 +49,13 @@ TrainResult train_circuit(const Circuit& circuit,
       const std::size_t end = std::min(start + batch_size, n);
       const std::span<const std::size_t> indices(order.data() + start, end - start);
 
-      std::shared_ptr<const CompiledExecutor> executor;
+      // Under a hook the structure changes every mini-batch (fresh sampled
+      // noise), so each batch compiles its own program; one compilation
+      // still amortizes over the batch's forward + adjoint replays.
+      std::shared_ptr<const CompiledExecutor> executor = fixed_executor;
       if (hook) {
-        // The hook rewrites the structure every mini-batch (fresh sampled
-        // noise), so caching would only churn the LRU: compile directly.
-        // One compilation still amortizes over the whole batch of
-        // (forward + adjoint) replays.
         Rng hook_rng = rng.fork();
         executor = build_pure_executor(hook(circuit, hook_rng), readout_qubits);
-      } else {
-        // Stable structure: the structure-keyed cache entry is shared
-        // across every batch, epoch, and repeated train_circuit call —
-        // theta updates are cache hits on the same compiled program.
-        executor = CompiledEvalCache::global().get_or_build_pure(
-            circuit, readout_qubits);
       }
       BatchGrad bg = batch_loss_grad(*executor, theta, data, indices,
                                      config.logit_scale);

@@ -38,10 +38,10 @@ using BatchCircuitHook = std::function<Circuit(const Circuit& base, Rng& rng)>;
 /// Mini-batch Adam training of a circuit's trainable parameters against a
 /// dataset, using exact adjoint gradients. The circuit is lowered once with
 /// its trainable angles symbolic and each batch replays the compiled
-/// op-stream (batch_loss_grad over a CompiledExecutor). The program comes from
-/// CompiledEvalCache::global() (keyed on structure only, so every optimizer
-/// step and every later run over the same structure is a cache hit), except
-/// under a hook, whose freshly injected structure is compiled directly.
+/// op-stream (batch_loss_grad over a CompiledExecutor). The call compiles
+/// one program (build_pure_executor) that every optimizer step replays,
+/// since theta is bound at replay time; under a hook each mini-batch
+/// compiles its freshly injected structure instead.
 TrainResult train_circuit(const Circuit& circuit,
                           const std::vector<int>& readout_qubits,
                           std::vector<double>& theta, const Dataset& data,

@@ -635,26 +635,24 @@ TEST(CompiledEvalCache, ConcurrentBuildClearAndResizeStayConsistent) {
   // released outside the cache lock while other threads look up, insert
   // and evict. Run under TSan and ASan to check the release path.
   CompiledEvalCache cache(4);
-  Rng rng(13);
-  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
-  std::vector<Calibration> calibrations;
-  for (int i = 0; i < 6; ++i) {
-    calibrations.push_back(noisy_calibration(3, edges, rng));
-  }
-  PhysicalCircuit phys = random_transpiled(rng, 3, 10, 1);
-  phys.readout_physical() = {0, 1};
+  const CalibrationHistory h(FluctuationScenario::belem(), 6, 13);
+  const QnnModel model = build_paper_model(4, 4, 2, 1);
+  const auto theta = init_params(model, 3);
+  const TranspiledModel transpiled = transpile_model(
+      model.circuit, model.readout_qubits, CouplingMap::belem(), &h.day(0));
+  const auto build = [&](std::size_t day) {
+    return cache.get_or_build(model, transpiled, theta,
+                              h.day(static_cast<int>(day % 6)), {});
+  };
 
-  const std::vector<double> x{0.4};
+  const std::vector<double> x{0.4, 1.1, 2.0, 0.7};
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> builders;
   for (int t = 0; t < 2; ++t) {
     builders.emplace_back([&, t] {
       for (std::size_t i = 0; i < 400; ++i) {
-        const auto executor = cache.get_or_build_physical(
-            phys, calibrations[(i + static_cast<std::size_t>(t)) %
-                               calibrations.size()],
-            {});
+        const auto executor = build(i + static_cast<std::size_t>(t));
         if (!executor || executor->run_z(x).size() != 2) ++failures;
       }
     });
@@ -682,8 +680,8 @@ TEST(CompiledEvalCache, ConcurrentBuildClearAndResizeStayConsistent) {
 
   cache.clear();
   cache.set_capacity(4);
-  const auto a = cache.get_or_build_physical(phys, calibrations[0], {});
-  const auto b = cache.get_or_build_physical(phys, calibrations[1], {});
+  const auto a = build(0);
+  const auto b = build(1);
   const EvalCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.bytes, a->footprint_bytes() + b->footprint_bytes());

@@ -27,7 +27,7 @@ RoutedCircuit wrap(const Circuit& c) {
 
 /// A caller-built circuit may name any readout slot: every path that
 /// indexes a per-qubit table with one (the executor's slot confusion, the
-/// reference oracle's full-vector confusion, ZNE through the eval cache)
+/// reference oracle's full-vector confusion, ZNE's per-scale executors)
 /// must reject a slot outside the device before reading anything.
 void expect_readout_slot_rejected(int slot) {
   SCOPED_TRACE("readout slot " + std::to_string(slot));
@@ -41,7 +41,8 @@ void expect_readout_slot_rejected(int slot) {
   const NoiseModel noise(cal);
   EXPECT_THROW((void)CompiledExecutor(phys, noise), PreconditionError);
   EXPECT_THROW(run_z_reference(phys, noise, {}), PreconditionError);
-  EXPECT_THROW(zne_expectations(phys, cal, {}), PreconditionError);
+  const std::vector<std::vector<double>> one_row{{}};
+  EXPECT_THROW(zne_expectations(phys, cal, one_row), PreconditionError);
 }
 
 TEST(Executor, RejectsReadoutSlotPastTheLastQubit) {

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/require.hpp"
 #include "mitigation/readout_mitigation.hpp"
 #include "mitigation/stability.hpp"
 #include "mitigation/zne.hpp"
 #include "noise/calibration_history.hpp"
-#include "qnn/eval_cache.hpp"
+#include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
 
 namespace qucad {
@@ -103,15 +104,16 @@ TEST(Zne, RecoversIdealExpectationOnSimpleCircuit) {
 
   const CompiledExecutor noisy(phys, NoiseModel(cal, options.noise));
   const double z_noisy = noisy.run_z({})[0];
-  const double z_zne = zne_expectations(phys, cal, {}, options)[0];
+  const std::vector<std::vector<double>> one_row{{}};
+  const double z_zne = zne_expectations(phys, cal, one_row, options)[0][0];
   const double z_ideal = std::cos(0.8);
 
   EXPECT_LT(std::abs(z_zne - z_ideal), std::abs(z_noisy - z_ideal));
 }
 
-TEST(ZneCache, CachedSweepMatchesUncachedAndStopsRecompiling) {
+TEST(Zne, BatchMatchesPerRowFreshExecutors) {
   Circuit c(2);
-  c.ry(0, 0.8).cry(0, 1, 0.5);
+  c.ry(0, input(0)).cry(0, 1, 0.5).rz(1, input(1));
   RoutedCircuit routed;
   routed.circuit = c;
   routed.initial_layout = trivial_layout(2);
@@ -124,51 +126,43 @@ TEST(ZneCache, CachedSweepMatchesUncachedAndStopsRecompiling) {
   cal.set_cx_error(0, 1, 0.03);
   cal.set_readout(0, {0.02, 0.02});
 
-  ZneOptions cached;
-  cached.noise.include_thermal_relaxation = false;
+  ZneOptions options;
+  options.noise.include_thermal_relaxation = false;
 
-  CompiledEvalCache::global().clear();
-  const std::vector<double> first = zne_expectations(phys, cal, {}, cached);
-  const EvalCacheStats cold = CompiledEvalCache::global().stats();
-  EXPECT_EQ(cold.misses, cached.scale_factors.size())
-      << "one compiled executor per scale factor";
+  // Ragged sizes: a lone row, exactly one lane block and one block plus a
+  // tail row.
+  for (const std::size_t rows :
+       {std::size_t{1}, std::size_t{8}, std::size_t{9}}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    std::vector<std::vector<double>> xs;
+    for (std::size_t i = 0; i < rows; ++i) {
+      xs.push_back({0.3 + 0.2 * static_cast<double>(i),
+                    1.4 - 0.1 * static_cast<double>(i)});
+    }
+    const std::vector<std::vector<double>> batch =
+        zne_expectations(phys, cal, xs, options);
+    ASSERT_EQ(batch.size(), rows);
 
-  const std::vector<double> second = zne_expectations(phys, cal, {}, cached);
-  const EvalCacheStats warm = CompiledEvalCache::global().stats();
-  EXPECT_EQ(warm.misses, cold.misses) << "repeat call must not recompile";
-  EXPECT_EQ(warm.hits, cold.hits + cached.scale_factors.size());
-
-  // Uncached reference: a fresh executor per scaled calibration, then the
-  // same per-slot extrapolation and clamp.
-  std::vector<std::vector<double>> z_by_scale;
-  for (double factor : cached.scale_factors) {
-    const CompiledExecutor executor(
-        phys, NoiseModel(scale_calibration_noise(cal, factor), cached.noise));
-    z_by_scale.push_back(executor.run_z({}));
+    // Reference: a fresh executor per scaled calibration and row, then the
+    // same per-slot extrapolation and clamp.
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::vector<std::vector<double>> z_by_scale;
+      for (double factor : options.scale_factors) {
+        const CompiledExecutor executor(
+            phys,
+            NoiseModel(scale_calibration_noise(cal, factor), options.noise));
+        z_by_scale.push_back(executor.run_z(xs[i]));
+      }
+      ASSERT_EQ(batch[i].size(), z_by_scale.front().size());
+      for (std::size_t q = 0; q < batch[i].size(); ++q) {
+        std::vector<double> ys;
+        for (const std::vector<double>& z : z_by_scale) ys.push_back(z[q]);
+        const double reference = std::clamp(
+            extrapolate_to_zero(options.scale_factors, ys), -1.0, 1.0);
+        EXPECT_EQ(batch[i][q], reference) << "row " << i << " slot " << q;
+      }
+    }
   }
-  std::vector<double> reference(z_by_scale.front().size());
-  for (std::size_t q = 0; q < reference.size(); ++q) {
-    std::vector<double> ys;
-    for (const std::vector<double>& z : z_by_scale) ys.push_back(z[q]);
-    reference[q] =
-        std::clamp(extrapolate_to_zero(cached.scale_factors, ys), -1.0, 1.0);
-  }
-  ASSERT_EQ(first.size(), reference.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], second[i]) << "slot " << i;
-    EXPECT_EQ(first[i], reference[i])
-        << "cached executor must replay the identical program, slot " << i;
-  }
-
-  // A different scale factor set keys different executors (the scaled
-  // calibration is part of the key), never a stale hit.
-  ZneOptions shifted = cached;
-  shifted.scale_factors = {1.0, 1.5, 2.0};
-  const std::vector<double> other = zne_expectations(phys, cal, {}, shifted);
-  const EvalCacheStats after = CompiledEvalCache::global().stats();
-  EXPECT_EQ(after.misses, warm.misses + 1)
-      << "factors 1.0 and 2.0 were cached by the first sweep; only 1.5 is new";
-  EXPECT_NE(other[0], 0.0);
 }
 
 TEST(Stability, HellingerBasics) {

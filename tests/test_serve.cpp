@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -35,6 +36,8 @@
 #include "serve/inference_service.hpp"
 #include "serve/shard.hpp"
 #include "transpile/transpiler.hpp"
+
+#include "custom_backend.hpp"
 
 namespace qucad {
 namespace {
@@ -443,32 +446,58 @@ TEST(ServeHotSwap, ConcurrentSubmitsSeeConsistentEpochs) {
 TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   ServeFixture fx;
   constexpr int kThreads = 8;
-  // A wide coalescing window so simultaneously-released submitters land in
-  // one sweep even under unlucky scheduling.
+  const auto gate = std::make_shared<test::Gate>();
+  std::future<void> entered = gate->entered.get_future();
+  // A custom kind no other test uses.
+  const BackendKind held = static_cast<BackendKind>(19);
+  test::register_held_backend_kind(held, gate);
+
   const ServiceConfig config =
-      fx.pooled_config().with_batch_window(std::chrono::milliseconds(50));
+      fx.pooled_config()
+          .with_batch_window(std::chrono::milliseconds(50))
+          .with_backend(BackendConfig().with_kind(held));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
-  ASSERT_TRUE(service.ok());
-  // A lone warm-up request leaves the dispatcher not lingering; the burst
-  // below must turn coalescing back on by itself.
-  ASSERT_TRUE(service->submit(fx.env.train.features[kThreads]).ok());
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  test::GateOpener opener{*gate};
 
+  // A lone warm-up request, its sweep parked on the gate: it leaves the
+  // dispatcher not lingering, so the burst below must turn coalescing back
+  // on by itself.
+  std::future<StatusOr<Prediction>> warm_up =
+      service->submit_async(fx.env.train.features[kThreads]);
+  ASSERT_EQ(entered.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the warm-up sweep never started";
+
+  std::latch start(kThreads);
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
+      start.arrive_and_wait();
       const StatusOr<Prediction> prediction =
           service->submit(fx.env.train.features[static_cast<std::size_t>(t)]);
-      ASSERT_TRUE(prediction.ok());
+      EXPECT_TRUE(prediction.ok()) << prediction.status().to_string();
     });
   }
+  // Every submitter queues behind the parked sweep before it finishes.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service->shard_stats()[0].queue_depth < kThreads &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(service->shard_stats()[0].queue_depth,
+            static_cast<std::uint64_t>(kThreads));
+  opener();
   for (std::thread& client : clients) client.join();
+  ASSERT_TRUE(warm_up.get().ok());
 
   const ServingStats stats = service->stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads) + 1);
-  EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kThreads) + 1)
-      << "concurrent submitters should coalesce into shared sweeps";
-  EXPECT_GT(stats.coalesced, 0u);
+  EXPECT_EQ(stats.batches, 2u)
+      << "the queued submitters should share one sweep after the warm-up's";
+  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kThreads));
 }
 
 TEST(ServeBatching, LoneRequestDoesNotLinger) {
@@ -678,53 +707,11 @@ TEST(ServeRouting, HashRoutingIsDeterministicAcrossServices) {
 // that hashes to it must go to the idle peer instead of waiting out the
 // sweep.
 TEST(ServeRouting, IdleShardIsPreferredOverBusyOne) {
-  struct Gate {
-    std::atomic<bool> armed{true};
-    std::promise<void> entered;
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-  };
-  // The density backend, except that the first sweep blocks until the test
-  // opens the gate.
-  class HeldBackend final : public ExecutionBackend {
-   public:
-    HeldBackend(std::shared_ptr<const ExecutionBackend> inner,
-                std::shared_ptr<Gate> gate)
-        : inner_(std::move(inner)), gate_(std::move(gate)) {}
-    BackendKind kind() const override { return inner_->kind(); }
-    BackendDiagnostics diagnostics() const override {
-      return inner_->diagnostics();
-    }
-    std::vector<std::vector<double>> run_logits_batch(
-        std::span<const std::vector<double>> xs,
-        ThreadPool* pool) const override {
-      if (gate_->armed.exchange(false)) {
-        gate_->entered.set_value();
-        gate_->released.wait();
-      }
-      return inner_->run_logits_batch(xs, pool);
-    }
-
-   private:
-    std::shared_ptr<const ExecutionBackend> inner_;
-    std::shared_ptr<Gate> gate_;
-  };
-  const auto gate = std::make_shared<Gate>();
+  const auto gate = std::make_shared<test::Gate>();
   std::future<void> entered = gate->entered.get_future();
   // A custom kind no other test uses.
   const BackendKind held = static_cast<BackendKind>(18);
-  BackendRegistry::global().register_factory(
-      held,
-      [gate](const BackendConfig& config, const BackendContext& context)
-          -> StatusOr<std::shared_ptr<const ExecutionBackend>> {
-        BackendConfig density = config;
-        density.kind = BackendKind::kDensityNoisy;
-        StatusOr<std::shared_ptr<const ExecutionBackend>> inner =
-            BackendRegistry::global().make(density, context);
-        if (!inner.ok()) return inner.status();
-        return std::shared_ptr<const ExecutionBackend>(
-            std::make_shared<HeldBackend>(*std::move(inner), gate));
-      });
+  test::register_held_backend_kind(held, gate);
 
   ServeFixture fx;
   const ServiceConfig config =
@@ -735,17 +722,7 @@ TEST(ServeRouting, IdleShardIsPreferredOverBusyOne) {
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();
-  // Opens the gate on every exit path, before the service joins its
-  // dispatchers.
-  struct Opener {
-    Gate& gate;
-    bool open = false;
-    void operator()() {
-      if (!open) gate.release.set_value();
-      open = true;
-    }
-    ~Opener() { (*this)(); }
-  } opener{*gate};
+  test::GateOpener opener{*gate};
 
   const std::vector<double>& a = fx.env.train.features[0];
   const std::size_t busy = route_by_hash(a, 2);

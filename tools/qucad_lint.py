@@ -11,8 +11,9 @@ docs/ARCHITECTURE.md "Correctness tooling":
   registry-only-backend CompiledExecutor (and its NoisyExecutor alias)
                         and the CompiledBackend adapter are constructed
                         only inside src/backend/, src/sim/,
-                        src/transpile/ (the engine itself) — consumers go
-                        through BackendRegistry / CompiledEvalCache.
+                        src/transpile/ (the engine itself) — consumers
+                        build engines through BackendRegistry or the
+                        qnn/eval_cache builders (build_*_executor).
   oracle-only           run_density / run_z_reference / run_physical_pure
                         are the gate-by-gate test oracles: src/ and
                         examples/ never call them (only
@@ -112,8 +113,9 @@ RULES = [
         r"|make_(?:shared|unique)\s*<\s*(?:const\s+)?" + BACKEND_TYPES + r"\b"
         r"|\b" + BACKEND_TYPES + r"\s+\w+\s*[({]"
         r"|\b" + BACKEND_TYPES + r"\s*\()",
-        "construct execution engines through BackendRegistry / "
-        "CompiledEvalCache, not directly (registry-only backend invariant)",
+        "build execution engines through BackendRegistry or the "
+        "qnn/eval_cache builders, not directly (registry-only backend "
+        "invariant)",
         dirs=("src", "bench", "examples"),
         # The engines' own directories may construct freely.
         exempt=("src/sim/", "src/transpile/", "src/backend/"),
