@@ -3,6 +3,9 @@
 //      day) vs noise-aware training every day.
 //  (b) noise-aware vs noise-agnostic compression, re-run on each day.
 
+#include <string>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "compress/admm.hpp"
 
@@ -22,29 +25,32 @@ int main() {
 
   std::cout << "=== Fig. 9(a): QuCAD vs practical upper bound ===\n\n";
   {
+    std::vector<Calibration> stream;
+    for (int day : days) stream.push_back(history.day(day));
     QuCadStrategy qucad(env);
-    qucad.offline(offline);
     CompressionEverydayStrategy upper(env, CompressionMode::NoiseAware);
     NoiseAwareTrainEverydayStrategy nat(env);
+    const MethodResult results[3] = {
+        run_longitudinal(qucad, env, offline, {stream}).front(),
+        run_longitudinal(upper, env, {}, {stream}).front(),
+        run_longitudinal(nat, env, {}, {stream}).front(),
+    };
 
     TextTable table({"Date", "QuCAD", "Compression Everyday",
                      "Noise-Aware Train Everyday"});
-    double s_q = 0.0, s_u = 0.0, s_n = 0.0;
     for (int r = 0; r < 8; ++r) {
-      const Calibration& calib = history.day(days[r]);
-      const double acc_q = noisy_accuracy(
-          env.model, env.transpiled, qucad.online_day(r, calib), env.test, calib);
-      const double acc_u = noisy_accuracy(
-          env.model, env.transpiled, upper.online_day(r, calib), env.test, calib);
-      const double acc_n = noisy_accuracy(
-          env.model, env.transpiled, nat.online_day(r, calib), env.test, calib);
-      s_q += acc_q;
-      s_u += acc_u;
-      s_n += acc_n;
-      table.add_row({history.date_string(days[r]), fmt_pct(acc_q),
-                     fmt_pct(acc_u), fmt_pct(acc_n)});
+      std::vector<std::string> row = {history.date_string(days[r])};
+      for (const MethodResult& result : results) {
+        row.push_back(
+            fmt_pct(result.daily_accuracy[static_cast<std::size_t>(r)]));
+      }
+      table.add_row(row);
     }
-    table.add_row({"Avg", fmt_pct(s_q / 8), fmt_pct(s_u / 8), fmt_pct(s_n / 8)});
+    std::vector<std::string> avg = {"Avg"};
+    for (const MethodResult& result : results) {
+      avg.push_back(fmt_pct(result.metrics.mean_accuracy));
+    }
+    table.add_row(avg);
     table.print(std::cout);
     std::cout << "\nPaper reference: QuCAD tracks the per-day compression "
                  "upper bound closely while\nnoise-aware training trails "

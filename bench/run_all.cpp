@@ -192,6 +192,38 @@ std::vector<Record> kernel_benches() {
                                   (void)sink;
                                 }));
   }
+  {
+    const BenchWorkload w = make_workload(4, 2, 2, /*theta_seed=*/1);
+    records.push_back(time_loop("lower_model", "qubits=4,device=belem", 1.0,
+                                "lowerings/sec", [&] {
+                                  const PhysicalCircuit phys =
+                                      lower_model(w.transpiled, w.theta);
+                                  volatile std::size_t sink = phys.cx_count();
+                                  (void)sink;
+                                }));
+  }
+  {
+    Circuit c = angle_encoder(4, 4);
+    c.append(build_paper_ansatz(4, 1));
+    const auto theta = bench_theta(c.num_trainable());
+    const std::vector<double> x(4, 0.7);
+    const std::vector<double> weights{1.0, 0.0, 0.0, 0.0};
+    records.push_back(time_loop(
+        "parameter_shift_gradient", "qubits=4", 1.0, "gradients/sec", [&] {
+          const auto grads = parameter_shift_gradient(c, theta, x, weights);
+          volatile double sink = grads[0];
+          (void)sink;
+        }));
+  }
+  records.push_back(time_loop(
+      "calibration_history",
+      "device=belem,days=" + std::to_string(CalibrationHistory::kTotalDays),
+      1.0, "histories/sec", [] {
+        const CalibrationHistory history(FluctuationScenario::belem(),
+                                         CalibrationHistory::kTotalDays, 2021);
+        volatile double sink = history.day(100).sx_error(0);
+        (void)sink;
+      }));
   return records;
 }
 

@@ -18,24 +18,20 @@ int main() {
       prepare_environment(make_dataset("mnist4"), CouplingMap::belem(),
                           history.day(0), paper_config("mnist4"));
 
-  auto run = [&](ClusterMetric metric, bool performance_weights) {
+  // Plain L2 k-means ignores the performance weights by construction.
+  auto run = [&](ClusterMetric metric) {
     ConstructorOptions options = env.constructor_options;
-    options.kmeans.k = 6;
     options.kmeans.metric = metric;
-    OfflineBuild build =
-        build_repository(env.model, env.transpiled, env.theta_pretrained,
-                         offline, env.train, env.profile, options);
-    if (!performance_weights) {
-      // plain L2 k-means ignores the performance weighting by construction
-    }
-    return build.diagnostics;
+    return build_repository(env.model, env.transpiled, env.theta_pretrained,
+                            offline, env.train, env.profile, options)
+        .diagnostics;
   };
 
   std::cout << "=== Table II: clustering ablation (K=6, " << offline.size()
             << " offline days, 4-class MNIST) ===\n\n";
 
-  const ConstructorDiagnostics l2 = run(ClusterMetric::L2, false);
-  const ConstructorDiagnostics weighted = run(ClusterMetric::WeightedL1, true);
+  const ConstructorDiagnostics l2 = run(ClusterMetric::L2);
+  const ConstructorDiagnostics weighted = run(ClusterMetric::WeightedL1);
 
   TextTable table({"Method", "K", "Mean Acc. of Clusters",
                    "Mean Acc. of Samples"});

@@ -36,8 +36,6 @@ bool is_single_qubit_rotation(GateKind kind) {
   return kind == GateKind::RX || kind == GateKind::RY || kind == GateKind::RZ;
 }
 
-bool is_parameterizable(GateKind kind) { return is_rotation(kind); }
-
 int gate_arity(GateKind kind) {
   switch (kind) {
     case GateKind::RX:

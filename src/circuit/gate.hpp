@@ -53,7 +53,6 @@ struct Gate {
 bool is_rotation(GateKind kind);
 bool is_controlled_rotation(GateKind kind);
 bool is_single_qubit_rotation(GateKind kind);
-bool is_parameterizable(GateKind kind);
 int gate_arity(GateKind kind);
 std::string gate_name(GateKind kind);
 

@@ -83,8 +83,4 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body) {
-  ThreadPool::global().parallel_for(count, body);
-}
-
 }  // namespace qucad

@@ -44,7 +44,4 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Convenience wrapper over ThreadPool::global().parallel_for.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
-
 }  // namespace qucad

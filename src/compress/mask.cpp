@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 
 #include "common/require.hpp"
 
@@ -61,16 +60,12 @@ MaskInfo build_mask(std::span<const double> theta, const CompressionTable& table
             "fraction must be in [0, 1]");
     const std::size_t keep =
         static_cast<std::size_t>(std::round(policy.value * static_cast<double>(n)));
-    if (keep == 0) {
-      info.threshold_used = std::numeric_limits<double>::infinity();
-      return info;
-    }
+    if (keep == 0) return info;
     std::vector<double> sorted = info.priority;
     std::nth_element(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(keep - 1),
                      sorted.end(), std::greater<>());
     threshold = sorted[keep - 1];
   }
-  info.threshold_used = threshold;
 
   for (std::size_t i = 0; i < n; ++i) {
     if (info.priority[i] >= threshold) info.mask[i] = 1;

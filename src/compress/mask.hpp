@@ -33,7 +33,6 @@ struct MaskInfo {
   std::vector<double> priority;      // P: priority to be pruned
   std::vector<std::uint8_t> mask;    // 1 = compress this parameter
   std::vector<std::uint8_t> controlled;  // 1 = two-qubit (CR) parameter
-  double threshold_used = 0.0;
 
   std::size_t masked_count() const;
 };

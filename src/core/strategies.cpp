@@ -96,7 +96,6 @@ void QuCadStrategy::offline(const std::vector<Calibration>& history) {
                              history, env_.train, env_.profile,
                              env_.constructor_options);
   });
-  diagnostics_ = std::move(build.diagnostics);
   manager_ = std::make_unique<OnlineManager>(
       env_.model, env_.transpiled, env_.theta_pretrained, env_.train,
       std::move(build.repository), env_.manager_options);
@@ -107,9 +106,6 @@ std::span<const double> QuCadStrategy::online_day(int, const Calibration& calib)
   timed_online([&] { decision_ = manager_->process_day(calib); });
   if (decision_.action != OnlineManager::Decision::Action::NewModel) {
     --optimizations_;  // pure repository lookup, no optimization happened
-  }
-  if (decision_.action == OnlineManager::Decision::Action::Failure) {
-    ++failures_;
   }
   // Failure days execute the matched (invalid) model too: the paper's
   // Table-I accounting charges the Guidance-2 miss to accuracy.

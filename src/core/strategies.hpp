@@ -81,8 +81,6 @@ class QuCadStrategy : public Strategy {
   /// What the latest online_day() decided (reuse / new model / failure,
   /// match distance, compression cost).
   const OnlineManager::Decision& last_decision() const { return decision_; }
-  const ConstructorDiagnostics& offline_diagnostics() const { return diagnostics_; }
-  int failure_reports() const { return failures_; }
 
  protected:
   /// Starts online-ready from `repository` (no offline stage).
@@ -90,10 +88,8 @@ class QuCadStrategy : public Strategy {
 
  private:
   std::unique_ptr<OnlineManager> manager_;
-  ConstructorDiagnostics diagnostics_;
   OnlineManager::Decision decision_;
   std::vector<double> theta_;
-  int failures_ = 0;
 };
 
 /// Table I row 5: the same online step starting from an empty repository.

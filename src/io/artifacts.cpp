@@ -173,9 +173,10 @@ Status decode_history(Deserializer& in, std::vector<Calibration>& out) {
 
 void encode_config(Serializer& out, const ServiceConfig& config) {
   // Request-execution knobs (the worker-pool pointer is process state, not
-  // configuration — it is not persisted and loads back as nullptr).
-  out.write_f64(config.eval.noise.durations.sx_us);
-  out.write_f64(config.eval.noise.durations.cx_us);
+  // configuration — it is not persisted and loads back as nullptr). The two
+  // v1 pulse-duration slots are written as the fixed SX and CX durations.
+  out.write_f64(0.035);
+  out.write_f64(0.300);
   out.write_bool(config.eval.noise.include_thermal_relaxation);
   out.write_bool(config.eval.noise.include_readout_error);
   // Two v1 slots held the density-only shot knob BackendConfig now carries.
@@ -207,10 +208,13 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_f64(admm.injection_scale);
   out.write_bool(admm.keep_best);
   out.write_u64(admm.validation_samples);
-  out.write_bool(config.manager.enable_failure_reports);
-  out.write_f64(config.manager.bootstrap_scale);
+  // The v1 failure-report flag and bootstrap-scale slots, then the v1
+  // batch-size cap: written as the fixed rules (failure reports on, a 1.5x
+  // bootstrap threshold, 32-request batches).
+  out.write_bool(true);
+  out.write_f64(1.5);
+  out.write_u64(32);
   // Serving knobs.
-  out.write_u64(config.max_batch_size);
   out.write_u64(static_cast<std::uint64_t>(config.batch_window.count()));
   out.write_u8(static_cast<std::uint8_t>(config.failure_policy));
   out.write_u64(config.num_shards);
@@ -236,10 +240,16 @@ Status read_enum_u8(Deserializer& in, std::uint8_t max_value,
 
 Status decode_config(Deserializer& in, ServiceConfig& out) {
   ServiceConfig config;
-  if (Status s = in.read_f64(config.eval.noise.durations.sx_us); !s.ok())
-    return s;
-  if (Status s = in.read_f64(config.eval.noise.durations.cx_us); !s.ok())
-    return s;
+  // The v1 SX and CX pulse-duration slots: range-checked, then ignored —
+  // the noise model's durations are fixed.
+  for (int slot = 0; slot < 2; ++slot) {
+    double duration = 0.0;
+    if (Status s = in.read_f64(duration); !s.ok()) return s;
+    if (!std::isfinite(duration) || duration < 0.0) {
+      return Status::data_loss(
+          "retired pulse-duration slot must be finite and non-negative");
+    }
+  }
   if (Status s = in.read_bool(config.eval.noise.include_thermal_relaxation);
       !s.ok())
     return s;
@@ -304,13 +314,20 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   std::uint64_t count = 0;
   if (Status s = in.read_u64(count); !s.ok()) return s;
   admm.validation_samples = static_cast<std::size_t>(count);
-  if (Status s = in.read_bool(config.manager.enable_failure_reports); !s.ok())
-    return s;
-  if (Status s = in.read_f64(config.manager.bootstrap_scale); !s.ok())
-    return s;
-
+  // The v1 failure-report flag, bootstrap-scale and batch-size-cap slots:
+  // range-checked, then ignored — the rules they set are fixed.
+  bool flag = false;
+  if (Status s = in.read_bool(flag); !s.ok()) return s;
+  double scale = 0.0;
+  if (Status s = in.read_f64(scale); !s.ok()) return s;
+  if (!(scale > 0.0)) {
+    return Status::data_loss("retired bootstrap-scale slot must be positive");
+  }
   if (Status s = in.read_u64(count); !s.ok()) return s;
-  config.max_batch_size = static_cast<std::size_t>(count);
+  if (count == 0) {
+    return Status::data_loss("retired batch-size-cap slot must be at least 1");
+  }
+
   if (Status s = in.read_u64(count); !s.ok()) return s;
   config.batch_window =
       std::chrono::microseconds(static_cast<std::int64_t>(count));

@@ -39,10 +39,15 @@ struct Environment;
 /// partially mutating the caller's objects (the artifact is built in
 /// temporaries and returned by value only on full success).
 ///
-/// The service-config section keeps three v1 slots that no knob fills any
+/// The service-config section keeps eight v1 slots that no knob fills any
 /// more. Writers fill them with fixed values; readers range-check them and
 /// then ignore them, so files written before the knobs went still load:
 ///
+///     SX pulse duration      f64   written 0.035; NaN, inf or < 0 is kDataLoss
+///     CX pulse duration      f64   written 0.300; NaN, inf or < 0 is kDataLoss
+///     failure-report flag    bool  written 1; > 1 is kDataLoss
+///     bootstrap scale        f64   written 1.5; NaN or <= 0 is kDataLoss
+///     batch-size cap         u64   written 32; 0 is kDataLoss
 ///     routing policy         u8    written 0; > 1 is kDataLoss
 ///     result_cache_capacity  u64   written 0; any value accepted
 ///     result_cache_quantum   f64   written 0.0; NaN, inf or < 0 is kDataLoss

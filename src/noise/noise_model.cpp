@@ -4,6 +4,14 @@
 
 namespace qucad {
 
+namespace {
+
+// Pulse durations that turn T1/T2 into per-gate thermal relaxation.
+constexpr double kSxDurationUs = 0.035;
+constexpr double kCxDurationUs = 0.300;
+
+}  // namespace
+
 NoiseModel::NoiseModel(const Calibration& calibration, NoiseModelOptions options)
     : num_qubits_(calibration.num_qubits()) {
   const int n = num_qubits_;
@@ -18,7 +26,7 @@ NoiseModel::NoiseModel(const Calibration& calibration, NoiseModelOptions options
   for (int q = 0; q < n; ++q) {
     PulseNoise pn;
     pn.depolarizing_p = calibration.sx_error(q);
-    pn.thermal = thermal_for(q, options.durations.sx_us);
+    pn.thermal = thermal_for(q, kSxDurationUs);
     if (pn.depolarizing_p > 0.0 || !pn.thermal.empty()) noiseless_ = false;
     pulse_.push_back(std::move(pn));
   }
@@ -26,8 +34,8 @@ NoiseModel::NoiseModel(const Calibration& calibration, NoiseModelOptions options
   for (const auto& [a, b] : calibration.edges()) {
     CxNoise cn;
     cn.depolarizing_p = calibration.cx_error(a, b);
-    cn.thermal_first = thermal_for(a, options.durations.cx_us);
-    cn.thermal_second = thermal_for(b, options.durations.cx_us);
+    cn.thermal_first = thermal_for(a, kCxDurationUs);
+    cn.thermal_second = thermal_for(b, kCxDurationUs);
     if (cn.depolarizing_p > 0.0 || !cn.thermal_first.empty()) noiseless_ = false;
     cx_.emplace(std::make_pair(a, b), std::move(cn));
   }

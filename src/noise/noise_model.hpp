@@ -9,15 +9,7 @@
 
 namespace qucad {
 
-/// Pulse durations used to convert T1/T2 into per-gate thermal relaxation.
-/// Defaults approximate IBM Falcon-family backends.
-struct GateDurations {
-  double sx_us = 0.035;  // 35 ns single-qubit pulse
-  double cx_us = 0.300;  // 300 ns echoed cross resonance
-};
-
 struct NoiseModelOptions {
-  GateDurations durations;
   bool include_thermal_relaxation = true;
   bool include_readout_error = true;
 };
@@ -41,7 +33,8 @@ struct CxNoise {
 /// Device noise model compiled from one calibration snapshot, in the same
 /// shape Qiskit Aer builds from backend properties: a depolarizing channel
 /// per gate scaled by the calibrated error rate, thermal relaxation over the
-/// gate duration, and classical readout confusion at measurement.
+/// gate duration (IBM Falcon-family pulses: 35 ns SX, 300 ns echoed
+/// cross-resonance CX), and classical readout confusion at measurement.
 class NoiseModel {
  public:
   NoiseModel() = default;

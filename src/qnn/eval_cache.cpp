@@ -63,8 +63,6 @@ void hash_noise_configuration(Mixer& h, const Calibration& calib,
   }
 
   // Noise-model options.
-  h.mix(options.durations.sx_us);
-  h.mix(options.durations.cx_us);
   h.mix(options.include_thermal_relaxation);
   h.mix(options.include_readout_error);
 }

@@ -91,7 +91,7 @@ BatchGrad batch_loss(const Circuit& circuit,
   std::vector<double> losses(batch, 0.0);
   std::vector<int> correct(batch, 0);
 
-  parallel_for(batch, [&](std::size_t b) {
+  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
     const std::size_t row = indices[b];
     StateVector sv(circuit.num_qubits());
     sv.run(circuit, theta, data.features[row]);

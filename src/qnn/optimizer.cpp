@@ -6,27 +6,16 @@
 
 namespace qucad {
 
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
+Adam::Adam(double lr) : lr_(lr) {
   require(lr > 0.0, "learning rate must be positive");
-  require(momentum >= 0.0 && momentum < 1.0, "momentum out of range");
-}
-
-void Sgd::step(std::vector<double>& params, const std::vector<double>& grad) {
-  require(params.size() == grad.size(), "gradient size mismatch");
-  if (velocity_.size() != params.size()) velocity_.assign(params.size(), 0.0);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    velocity_[i] = momentum_ * velocity_[i] - lr_ * grad[i];
-    params[i] += velocity_[i];
-  }
-}
-
-void Sgd::reset() { velocity_.clear(); }
-
-Adam::Adam(double lr, double beta1, double beta2, double eps)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  require(lr > 0.0, "learning rate must be positive");
-  require(beta1 >= 0.0 && beta1 < 1.0 && beta2 >= 0.0 && beta2 < 1.0,
-          "Adam betas out of range");
 }
 
 void Adam::step(std::vector<double>& params, const std::vector<double>& grad) {
@@ -37,21 +26,15 @@ void Adam::step(std::vector<double>& params, const std::vector<double>& grad) {
     step_count_ = 0;
   }
   ++step_count_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_count_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_count_));
   for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * grad[i];
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * grad[i] * grad[i];
+    m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * grad[i];
+    v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * grad[i] * grad[i];
     const double m_hat = m_[i] / bias1;
     const double v_hat = v_[i] / bias2;
-    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
   }
-}
-
-void Adam::reset() {
-  m_.clear();
-  v_.clear();
-  step_count_ = 0;
 }
 
 }  // namespace qucad

@@ -1,44 +1,20 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 namespace qucad {
 
-/// First-order parameter optimizer.
-class Optimizer {
+/// Adam with the standard moment constants (beta1 0.9, beta2 0.999,
+/// eps 1e-8).
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(double lr);
 
   /// In-place update of params given the loss gradient.
-  virtual void step(std::vector<double>& params,
-                    const std::vector<double>& grad) = 0;
-
-  /// Clears any internal state (moments, step counters).
-  virtual void reset() = 0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-  void step(std::vector<double>& params, const std::vector<double>& grad) override;
-  void reset() override;
+  void step(std::vector<double>& params, const std::vector<double>& grad);
 
  private:
   double lr_;
-  double momentum_;
-  std::vector<double> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
-  void step(std::vector<double>& params, const std::vector<double>& grad) override;
-  void reset() override;
-
- private:
-  double lr_, beta1_, beta2_, eps_;
   long step_count_ = 0;
   std::vector<double> m_, v_;
 };

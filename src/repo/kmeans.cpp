@@ -12,6 +12,9 @@ namespace qucad {
 
 namespace {
 
+/// Cap on Lloyd iterations per seeding.
+constexpr int kMaxIterations = 60;
+
 double metric_distance(const std::vector<double>& a, const std::vector<double>& b,
                        const std::vector<double>& w, ClusterMetric metric) {
   return metric == ClusterMetric::WeightedL1 ? weighted_l1(a, b, w)
@@ -99,7 +102,7 @@ KMeansResult kmeans_single_run(const std::vector<std::vector<double>>& data,
   result.assignment.assign(n, -1);
   int iter = 0;
   bool changed = true;
-  while (changed && iter < options.max_iterations) {
+  while (changed && iter < kMaxIterations) {
     changed = false;
     ++iter;
 
@@ -166,7 +169,6 @@ KMeansResult kmeans_single_run(const std::vector<std::vector<double>>& data,
       result.intra_mean_distance[c] /= static_cast<double>(result.cluster_sizes[c]);
     }
   }
-  result.iterations_run = iter;
   return result;
 }
 

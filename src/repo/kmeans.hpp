@@ -12,7 +12,6 @@ enum class ClusterMetric {
 
 struct KMeansOptions {
   int k = 6;
-  int max_iterations = 60;
   int restarts = 4;  // independent seedings; lowest objective wins
   std::uint64_t seed = 2023;
   ClusterMetric metric = ClusterMetric::WeightedL1;
@@ -24,7 +23,6 @@ struct KMeansResult {
   std::vector<double> intra_mean_distance;     // per cluster (dist^w_L1)_i
   std::vector<std::size_t> cluster_sizes;
   double objective = 0.0;  // WSAE (Eq. 6) / SSE depending on metric
-  int iterations_run = 0;
 };
 
 /// Weighted k-means (Sec. III-C). Under WeightedL1 the assignment uses

@@ -10,6 +10,14 @@
 
 namespace qucad {
 
+namespace {
+
+/// Bootstrap threshold without an offline stage: this multiple of the
+/// running mean day-to-day drift.
+constexpr double kBootstrapScale = 1.5;
+
+}  // namespace
+
 OnlineManager::OnlineManager(const QnnModel& model,
                              const TranspiledModel& transpiled,
                              const std::vector<double>& theta_pretrained,
@@ -51,7 +59,7 @@ OnlineManager::Decision OnlineManager::process_day(const Calibration& calibratio
     seen_features_.push_back(features);
     threshold = day_scale_count_ == 0
                     ? 0.0
-                    : options_.bootstrap_scale * day_scale_sum_ /
+                    : kBootstrapScale * day_scale_sum_ /
                           static_cast<double>(day_scale_count_);
   }
   decision.threshold = threshold;
@@ -62,7 +70,7 @@ OnlineManager::Decision OnlineManager::process_day(const Calibration& calibratio
     ++entry.uses;
     decision.entry_index = match.index;
     decision.distance = match.distance;
-    if (options_.enable_failure_reports && !entry.valid) {
+    if (!entry.valid) {
       decision.action = Decision::Action::Failure;
     } else {
       decision.action = Decision::Action::Reuse;

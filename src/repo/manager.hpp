@@ -10,13 +10,6 @@ namespace qucad {
 
 struct ManagerOptions {
   AdmmOptions admm;  // used when a new model must be generated online
-  /// Guidance 2: when > 0, matching an invalid cluster emits a failure
-  /// report instead of silently returning a weak model.
-  bool enable_failure_reports = true;
-  /// Bootstrap threshold (repository built without an offline stage):
-  /// compress anew when today's match distance exceeds
-  /// `bootstrap_scale x running mean of past match distances`.
-  double bootstrap_scale = 1.5;
 };
 
 /// Online model-repository manager (Sec. III-D). Each day it matches the
@@ -25,6 +18,10 @@ struct ManagerOptions {
 ///  - distance >  threshold: treat today as a new centroid — run noise-aware
 ///    compression now and add the result to the repository
 ///  - matched cluster invalid: emit a failure report (Guidance 2)
+/// A repository built without an offline stage has no clustered th_w; the
+/// manager then bootstraps one and compresses anew when today's match
+/// distance exceeds 1.5 x the running mean of each past day's distance to
+/// its nearest earlier calibration.
 class OnlineManager {
  public:
   /// Copies every input: the manager is self-contained and cannot dangle,

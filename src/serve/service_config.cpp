@@ -5,9 +5,6 @@
 namespace qucad {
 
 Status ServiceConfig::validate() const {
-  if (max_batch_size == 0) {
-    return Status::invalid_argument("max_batch_size must be at least 1");
-  }
   if (batch_window.count() < 0) {
     return Status::invalid_argument("batch_window must be non-negative");
   }
@@ -31,9 +28,6 @@ Status ServiceConfig::validate() const {
         "deadline_budget must be non-negative (0 disables the deadline)");
   }
   if (Status status = eval.backend.validate(); !status.ok()) return status;
-  if (manager.bootstrap_scale <= 0.0) {
-    return Status::invalid_argument("bootstrap_scale must be positive");
-  }
   return Status();
 }
 

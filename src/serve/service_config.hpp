@@ -43,12 +43,9 @@ struct ServiceConfig {
   /// inconsistent backend combinations.
   NoisyEvalOptions eval;
 
-  /// Repository-decision knobs for calibration events (reuse threshold
-  /// bootstrap, online-compression ADMM settings, failure reports).
+  /// Repository-decision knobs for calibration events (the online-compression
+  /// ADMM settings).
   ManagerOptions manager;
-
-  /// Upper bound on requests coalesced into one compiled batch sweep.
-  std::size_t max_batch_size = 32;
 
   /// Cap on how long the dispatcher lingers for more concurrent submitters
   /// after the first request of a batch arrives. It lingers only while
@@ -76,6 +73,9 @@ struct ServiceConfig {
   /// bytes cannot ask create() for an unbounded number of threads.
   static constexpr std::size_t kMaxShards = 256;
 
+  /// Upper bound on requests coalesced into one compiled batch sweep.
+  static constexpr std::size_t kMaxBatchSize = 32;
+
   /// Admission bound: requests queued per shard before submit_async sheds
   /// with kResourceExhausted instead of queuing unboundedly. Must be >= 1.
   std::size_t queue_capacity = 1024;
@@ -86,18 +86,6 @@ struct ServiceConfig {
   /// disables the deadline.
   std::chrono::microseconds deadline_budget{0};
 
-  ServiceConfig& with_eval(NoisyEvalOptions value) {
-    eval = std::move(value);
-    return *this;
-  }
-  ServiceConfig& with_manager(ManagerOptions value) {
-    manager = std::move(value);
-    return *this;
-  }
-  ServiceConfig& with_max_batch_size(std::size_t value) {
-    max_batch_size = value;
-    return *this;
-  }
   ServiceConfig& with_batch_window(std::chrono::microseconds value) {
     batch_window = value;
     return *this;

@@ -101,7 +101,7 @@ void ServingShard::dispatch_loop() {
   bool linger = true;
   for (;;) {
     std::vector<QueuedRequest> batch = queue_.collect(
-        config_.max_batch_size,
+        ServiceConfig::kMaxBatchSize,
         linger ? config_.batch_window : std::chrono::microseconds(0));
     if (batch.empty()) return;  // closed and drained
     linger = batch.size() > 1;

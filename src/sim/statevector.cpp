@@ -171,17 +171,6 @@ double StateVector::expectation_z(int q) const {
   return acc;
 }
 
-std::vector<double> StateVector::all_z_expectations() const {
-  std::vector<double> z(static_cast<std::size_t>(num_qubits_), 0.0);
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    const double p = std::norm(amps_[i]);
-    for (int q = 0; q < num_qubits_; ++q) {
-      z[static_cast<std::size_t>(q)] += (i >> q) & 1 ? -p : p;
-    }
-  }
-  return z;
-}
-
 std::vector<double> StateVector::probabilities() const {
   std::vector<double> probs(amps_.size());
   for (std::size_t i = 0; i < amps_.size(); ++i) probs[i] = std::norm(amps_[i]);

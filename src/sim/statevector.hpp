@@ -54,10 +54,6 @@ class StateVector {
   /// <Z_q> of the current state.
   double expectation_z(int q) const;
 
-  /// <Z_q> for every qubit, computed in one pass over the amplitudes
-  /// (expectation_z per qubit would make num_qubits passes).
-  std::vector<double> all_z_expectations() const;
-
   /// |amp|^2 for every basis state.
   std::vector<double> probabilities() const;
 

@@ -11,15 +11,15 @@ CouplingMap::CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges,
                          std::string name)
     : num_qubits_(num_qubits), name_(std::move(name)), edges_(std::move(edges)) {
   require(num_qubits > 0, "coupling map requires at least one qubit");
-  neighbors_.resize(static_cast<std::size_t>(num_qubits));
+  std::vector<std::vector<int>> neighbors(static_cast<std::size_t>(num_qubits));
   for (auto& [a, b] : edges_) {
     require(a >= 0 && a < num_qubits && b >= 0 && b < num_qubits && a != b,
             "invalid coupling edge");
     if (a > b) std::swap(a, b);
-    neighbors_[static_cast<std::size_t>(a)].push_back(b);
-    neighbors_[static_cast<std::size_t>(b)].push_back(a);
+    neighbors[static_cast<std::size_t>(a)].push_back(b);
+    neighbors[static_cast<std::size_t>(b)].push_back(a);
   }
-  for (auto& nb : neighbors_) std::sort(nb.begin(), nb.end());
+  for (auto& nb : neighbors) std::sort(nb.begin(), nb.end());
 
   // BFS from every source to fill dist_ and next_ (next hop toward target).
   const std::size_t n = static_cast<std::size_t>(num_qubits);
@@ -34,7 +34,7 @@ CouplingMap::CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges,
     while (!frontier.empty()) {
       const int u = frontier.front();
       frontier.pop();
-      for (int v : neighbors_[static_cast<std::size_t>(u)]) {
+      for (int v : neighbors[static_cast<std::size_t>(u)]) {
         if (dist_row[static_cast<std::size_t>(v)] >= 0) continue;
         dist_row[static_cast<std::size_t>(v)] = dist_row[static_cast<std::size_t>(u)] + 1;
         parent[static_cast<std::size_t>(v)] = u;
@@ -54,11 +54,6 @@ CouplingMap::CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges,
 }
 
 bool CouplingMap::adjacent(int a, int b) const { return distance(a, b) == 1; }
-
-const std::vector<int>& CouplingMap::neighbors(int q) const {
-  require(q >= 0 && q < num_qubits_, "qubit out of range");
-  return neighbors_[static_cast<std::size_t>(q)];
-}
 
 int CouplingMap::distance(int a, int b) const {
   require(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_,

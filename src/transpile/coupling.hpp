@@ -18,7 +18,6 @@ class CouplingMap {
   const std::vector<std::pair<int, int>>& edges() const { return edges_; }
 
   bool adjacent(int a, int b) const;
-  const std::vector<int>& neighbors(int q) const;
 
   /// Hop distance between two physical qubits.
   int distance(int a, int b) const;
@@ -39,7 +38,6 @@ class CouplingMap {
   int num_qubits_;
   std::string name_;
   std::vector<std::pair<int, int>> edges_;
-  std::vector<std::vector<int>> neighbors_;
   std::vector<std::vector<int>> dist_;  // -1 = unreachable
   std::vector<std::vector<int>> next_;  // next hop on shortest path
 };

@@ -43,35 +43,20 @@ TranspiledModel transpile_model(const Circuit& logical,
   return model;
 }
 
-namespace {
-
-/// lower_to_basis defaults readout_physical() to the full logical->physical
-/// mapping (every logical qubit is a readout slot). When the model names
-/// explicit readout qubits, restrict to those, positionally: slot k of the
-/// lowered circuit is class k of the model. Executor run_z output is ordered
-/// by these slots, not indexed by qubit id.
-void narrow_readout(PhysicalCircuit& phys, const TranspiledModel& model) {
-  if (model.readout_logical.empty()) return;
-  phys.readout_physical().clear();
-  for (int l : model.readout_logical) {
-    phys.readout_physical().push_back(model.readout_physical(l));
-  }
-}
-
-}  // namespace
-
 PhysicalCircuit lower_model(const TranspiledModel& model,
                             std::span<const double> theta) {
   PhysicalCircuit phys = lower_to_basis(model.routed, theta);
-  narrow_readout(phys, model);
-  return phys;
-}
-
-PhysicalCircuit lower_model_symbolic(const TranspiledModel& model) {
-  BasisOptions symbolic;
-  symbolic.keep_trainable_symbolic = true;
-  PhysicalCircuit phys = lower_to_basis(model.routed, {}, symbolic);
-  narrow_readout(phys, model);
+  // lower_to_basis defaults readout_physical() to the full logical->physical
+  // mapping (every logical qubit is a readout slot). When the model names
+  // explicit readout qubits, restrict to those, positionally: slot k of the
+  // lowered circuit is class k of the model. Executor run_z output is
+  // ordered by these slots, not indexed by qubit id.
+  if (!model.readout_logical.empty()) {
+    phys.readout_physical().clear();
+    for (int l : model.readout_logical) {
+      phys.readout_physical().push_back(model.readout_physical(l));
+    }
+  }
   return phys;
 }
 

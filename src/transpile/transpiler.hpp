@@ -56,14 +56,4 @@ TranspiledModel transpile_model(const Circuit& logical,
 PhysicalCircuit lower_model(const TranspiledModel& model,
                             std::span<const double> theta);
 
-/// Lowers to the physical basis with BOTH parameter spaces kept symbolic:
-/// input-encoding RZ angles are affine in x (as in lower_model) and trainable
-/// RZ angles are affine in theta. The result is structure-only — one lowering
-/// (and one compiled program) serves every (sample, theta) pair, which is
-/// what the compiled training path replays. The compression peephole cannot
-/// fire on trainable rotations here, so the circuit is the generic-length
-/// decomposition; use lower_model when a theta-specialized circuit is wanted
-/// (hardware execution, length accounting).
-PhysicalCircuit lower_model_symbolic(const TranspiledModel& model);
-
 }  // namespace qucad

@@ -624,7 +624,9 @@ RandomRoutedProgram random_routed_program(std::uint64_t seed, bool noisy) {
   EXPECT_GT(transpiled.routed.swap_count, 0) << "seed " << seed;
   RandomRoutedProgram out;
   out.program = CompiledProgram::compile(
-      lower_model_symbolic(transpiled),
+      lower_pure_circuit(transpiled.routed.circuit,
+                         {transpiled.readout_physical(1),
+                          transpiled.readout_physical(3)}),
       noisy ? NoiseModel(history.day(0)) : NoiseModel());
   out.theta.resize(static_cast<std::size_t>(c.num_trainable()));
   for (double& t : out.theta) t = rng.uniform(-test::kPi, test::kPi);

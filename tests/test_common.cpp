@@ -164,24 +164,26 @@ TEST(Stats, ArgmaxFirstOfTies) {
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  ThreadPool::global().parallel_for(
+      1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(
-      parallel_for(100,
-                   [&](std::size_t i) {
-                     if (i == 57) throw std::runtime_error("task failed");
-                   }),
+      ThreadPool::global().parallel_for(
+          100,
+          [&](std::size_t i) {
+            if (i == 57) throw std::runtime_error("task failed");
+          }),
       std::runtime_error);
 }
 
 TEST(ThreadPool, ZeroAndOneIterations) {
   int count = 0;
-  parallel_for(0, [&](std::size_t) { ++count; });
+  ThreadPool::global().parallel_for(0, [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 0);
-  parallel_for(1, [&](std::size_t) { ++count; });
+  ThreadPool::global().parallel_for(1, [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 1);
 }
 

@@ -1,5 +1,5 @@
 // Equivalence suite for the compiled statevector training path: the
-// symbolic-theta compiled program (lower_model_symbolic / build_pure_executor
+// symbolic-theta compiled program (lower_pure_circuit / build_pure_executor
 // + compiled_adjoint_gradient_lanes) must reproduce the logical-circuit
 // reference engines — StateVector::run, adjoint_gradient,
 // parameter_shift_gradient, batch_loss_grad — to 1e-10 on randomized
@@ -145,7 +145,7 @@ TEST_F(CompiledPureTest, ForwardMatchesLogicalAndBoundLowering) {
   }
 }
 
-TEST_F(CompiledPureTest, LowerModelSymbolicMatchesBoundLowerModel) {
+TEST_F(CompiledPureTest, SymbolicRoutedLoweringMatchesBoundLowerModel) {
   // Through real routing: symbolic lowering + replay at theta must match the
   // theta-bound lowering (compression peephole active) slot for slot.
   const QnnModel model = build_paper_model(4, 4, 2, 1);
@@ -158,7 +158,12 @@ TEST_F(CompiledPureTest, LowerModelSymbolicMatchesBoundLowerModel) {
     const PhysicalCircuit bound = lower_model(transpiled, theta);
     const StateVector ref = run_physical_pure(bound, x);
 
-    const PhysicalCircuit symbolic = lower_model_symbolic(transpiled);
+    std::vector<int> readout;
+    for (int l : transpiled.readout_logical) {
+      readout.push_back(transpiled.readout_physical(l));
+    }
+    const PhysicalCircuit symbolic =
+        lower_pure_circuit(transpiled.routed.circuit, readout);
     const CompiledExecutor executor(symbolic);
     const auto z = executor.run_z(x, theta);
 

@@ -248,7 +248,6 @@ Artifacts random_artifacts(Rng& rng) {
   artifacts.config.num_shards = 1 + static_cast<std::size_t>(rng.uniform(0.0, 4.0));
   artifacts.config.queue_capacity =
       8 + static_cast<std::size_t>(rng.uniform(0.0, 100.0));
-  artifacts.config.manager.bootstrap_scale = rng.uniform(0.5, 2.0);
   if (rng.bernoulli(0.5)) {
     artifacts.config.eval.backend = BackendConfig()
                                         .with_kind(BackendKind::kSampled)
@@ -589,6 +588,74 @@ TEST(IoArtifacts, LegacyCacheSlotsAreRangeCheckedThenIgnored) {
     ASSERT_FALSE(rejected.ok()) << "quantum " << quantum;
     EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss)
         << "quantum " << quantum;
+  }
+}
+
+TEST(IoArtifacts, LegacyKnobSlotsAreRangeCheckedThenIgnored) {
+  // Five retired knob slots of the v1 config: the SX and CX pulse durations
+  // open the section; the failure-report flag, the bootstrap scale and the
+  // batch-size cap sit 67 bytes before its end (ahead of 8 + 1 + 8 + 8 + 8
+  // serving bytes, the routing byte and the two cache slots). In-range
+  // values load and decode to the artifacts the defaults encode; the values
+  // a service could never run with stay corrupt. (IoGolden.
+  // CheckedInArtifactLoads pins that both checked-in files re-encode to the
+  // current bytes.)
+  const std::vector<std::uint8_t> good =
+      serialize_artifacts(golden_artifacts());
+  constexpr std::size_t kDurationsOffset = 0;
+  const std::size_t flag_offset =
+      section_payload_length(good, kSectionServiceConfig) - 67;
+  const std::size_t scale_offset = flag_offset + 1;
+  const std::size_t batch_offset = scale_offset + 8;
+
+  Serializer durations;
+  durations.write_f64(0.05);
+  durations.write_f64(0.45);
+  Serializer knobs;
+  knobs.write_bool(false);
+  knobs.write_f64(2.5);
+  knobs.write_u64(8);
+  const std::vector<std::uint8_t> customized = patch_section_payload(
+      patch_section_payload(good, kSectionServiceConfig, kDurationsOffset,
+                            durations.bytes()),
+      kSectionServiceConfig, flag_offset, knobs.bytes());
+  ASSERT_NE(customized, good);
+  const StatusOr<Artifacts> loaded = deserialize_artifacts(customized);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(serialize_artifacts(*loaded), good)
+      << "the slots must be ignored and re-encoded as the defaults";
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto f64 = [](double value) {
+    Serializer out;
+    out.write_f64(value);
+    return out.bytes();
+  };
+  struct Bad {
+    std::string what;
+    std::size_t offset;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Bad> bad;
+  for (const double duration : {nan, inf, -inf, -0.1}) {
+    bad.push_back({"sx duration " + std::to_string(duration),
+                   kDurationsOffset, f64(duration)});
+    bad.push_back({"cx duration " + std::to_string(duration),
+                   kDurationsOffset + 8, f64(duration)});
+  }
+  for (const double scale : {0.0, -1.5, nan}) {
+    bad.push_back(
+        {"bootstrap scale " + std::to_string(scale), scale_offset, f64(scale)});
+  }
+  Serializer zero_batch;
+  zero_batch.write_u64(0);
+  bad.push_back({"batch-size cap 0", batch_offset, zero_batch.bytes()});
+  for (const Bad& b : bad) {
+    const StatusOr<Artifacts> rejected = deserialize_artifacts(
+        patch_section_payload(good, kSectionServiceConfig, b.offset, b.bytes));
+    ASSERT_FALSE(rejected.ok()) << b.what;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss) << b.what;
   }
 }
 

@@ -96,7 +96,7 @@ struct ServeFixture {
 
 TEST(ServeConfig, ValidateRejectsBadKnobs) {
   EXPECT_TRUE(ServiceConfig().validate().ok());
-  EXPECT_EQ(ServiceConfig().with_max_batch_size(0).validate().code(),
+  EXPECT_EQ(ServiceConfig().with_num_shards(0).validate().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ServiceConfig()
                 .with_batch_window(std::chrono::microseconds(-1))
@@ -150,10 +150,10 @@ TEST(ServeConfig, BuildersSetShardingKnobs) {
 TEST(ServeConfig, ConsolidatesFromEnvironment) {
   Environment env;
   env.eval.backend.shots = 64;
-  env.manager_options.enable_failure_reports = false;
+  env.manager_options.admm.iterations = 7;
   const ServiceConfig from_env = ServiceConfig::from_environment(env);
   EXPECT_EQ(from_env.eval.backend.shots, 64);
-  EXPECT_FALSE(from_env.manager.enable_failure_reports);
+  EXPECT_EQ(from_env.manager.admm.iterations, 7);
 }
 
 TEST(ServeCreate, RejectsInvalidInputsWithStatus) {
@@ -178,7 +178,7 @@ TEST(ServeCreate, RejectsInvalidInputsWithStatus) {
   EXPECT_EQ(InferenceService::create(fx.env, {}, narrow).status().code(),
             StatusCode::kInvalidArgument);
 
-  const ServiceConfig bad_config = ServiceConfig().with_max_batch_size(0);
+  const ServiceConfig bad_config = ServiceConfig().with_queue_capacity(0);
   EXPECT_EQ(InferenceService::create(fx.env, {}, fx.history.day(0), bad_config)
                 .status()
                 .code(),
