@@ -144,8 +144,10 @@ std::vector<Record> time_interleaved(const std::vector<TimedWindow>& sides,
 }
 
 /// The rounds and window length of the engine ratio records
-/// (compiled_speedup, simd_noisy_speedup): 0.8 s per side, in windows
-/// short enough that a slow spell of the host spoils few of them.
+/// (compiled_speedup, simd_noisy_speedup) and the pool-parallel
+/// batch_forward and ragged noisy_batch_forward records: 0.8 s per side,
+/// in windows short enough that a slow spell of the host spoils few of
+/// them.
 constexpr int kRatioRounds = 16;
 constexpr double kRatioWindowSeconds = 0.05;
 
@@ -234,7 +236,9 @@ std::vector<Record> kernel_benches() {
 /// compiled/reference ratio — hardware-independent, which is what the CI
 /// regression gate checks against the checked-in baseline. The
 /// "density_executors_per_mib" record is the workload executor's resident
-/// footprint as executors per MiB: deterministic, so its gate is tight.
+/// footprint as executors per MiB, and "density_programs_per_kop" its
+/// program's length as programs per 1000 ops (a lost fusion lengthens it):
+/// both deterministic, so their gates are tight.
 std::vector<Record> compiled_eval_benches() {
   std::vector<Record> records;
   const BenchWorkload w = make_workload();
@@ -256,6 +260,16 @@ std::vector<Record> compiled_eval_benches() {
                          static_cast<double>(executor->footprint_bytes());
   footprint.unit = "executors/MiB (iters = bytes per executor)";
   records.push_back(footprint);
+
+  Record length;
+  length.name = "density_programs_per_kop";
+  length.params = params;
+  length.iters = static_cast<std::int64_t>(executor->program().ops().size());
+  length.seconds = 0.0;
+  length.throughput =
+      1000.0 / static_cast<double>(executor->program().ops().size());
+  length.unit = "programs/kop (iters = ops per program)";
+  records.push_back(length);
 
   std::size_t cursor = 0;
   const std::vector<Record> timed = time_interleaved(
@@ -437,12 +451,17 @@ std::vector<Record> simd_benches() {
     const std::span<const std::vector<double>> sub(data.features.data(), batch);
     std::vector<std::size_t> idx(batch);
     for (std::size_t i = 0; i < batch; ++i) idx[i] = i;
-    for (const bool lanes : {false, true}) {
-      const std::string params = std::string("engine=") +
-                                 (lanes ? "lanes" : "scalar") +
-                                 ",qubits=4,batch=" + std::to_string(batch);
-      const Record forward = time_loop(
-          "batch_forward", params, static_cast<double>(batch), "samples/sec",
+    auto params_of = [&](bool lanes) {
+      return std::string("engine=") + (lanes ? "lanes" : "scalar") +
+             ",qubits=4,batch=" + std::to_string(batch);
+    };
+    // The forward records are pool-parallel, so one slow spell of the host
+    // can halve a single window: each side keeps its fastest of several
+    // short windows instead.
+    auto forward_window = [&](bool lanes, double seconds) {
+      return time_loop(
+          "batch_forward", params_of(lanes), static_cast<double>(batch),
+          "samples/sec",
           [&] {
             std::vector<std::vector<double>> zs;
             if (lanes) {
@@ -455,7 +474,16 @@ std::vector<Record> simd_benches() {
             }
             volatile double sink = zs[0][0];
             (void)sink;
-          });
+          },
+          seconds);
+    };
+    const std::vector<Record> forwards = time_interleaved(
+        {[&](double seconds) { return forward_window(false, seconds); },
+         [&](double seconds) { return forward_window(true, seconds); }},
+        kRatioRounds, kRatioWindowSeconds);
+    for (const bool lanes : {false, true}) {
+      const std::string params = params_of(lanes);
+      const Record& forward = forwards[lanes ? 1 : 0];
       records.push_back(forward);
       const Record grad = time_loop(
           "batch_grad", params, static_cast<double>(batch), "gradients/sec",
@@ -541,20 +569,28 @@ std::vector<Record> simd_benches() {
     records.push_back(scalar);
     records.push_back(lanes);
     // Ragged batches on a pool of fixed width, so each lands on the same
-    // side of the padding choice on every host.
+    // side of the padding choice on every host. Like batch_forward, each
+    // keeps its fastest of several short windows.
     ThreadPool four(4);
-    for (const std::size_t batch : {std::size_t{12}, std::size_t{4}}) {
-      records.push_back(time_loop(
+    auto ragged_window = [&](std::size_t batch, double seconds) {
+      return time_loop(
           "noisy_batch_forward",
           "engine=lanes,qubits=4,device=belem,batch=" + std::to_string(batch) +
               ",pool=4",
-          static_cast<double>(batch), "samples/sec", [&] {
+          static_cast<double>(batch), "samples/sec",
+          [&] {
             const auto zs =
                 noisy->run_z_batch(sub.first(batch), {}, 0, 99, &four);
             volatile double sink = zs[0][0];
             (void)sink;
-          }));
-    }
+          },
+          seconds);
+    };
+    const std::vector<Record> ragged = time_interleaved(
+        {[&](double seconds) { return ragged_window(12, seconds); },
+         [&](double seconds) { return ragged_window(4, seconds); }},
+        kRatioRounds, kRatioWindowSeconds);
+    records.insert(records.end(), ragged.begin(), ragged.end());
     Record speedup;
     speedup.name = "simd_noisy_speedup";
     speedup.params = "qubits=4,device=belem,batch=64";
@@ -940,27 +976,40 @@ std::vector<Record> backend_benches() {
       (void)sink;
     };
   };
+  // Each backend_logits record keeps its fastest of a few short windows,
+  // interleaved over one backend's batch sizes: a slow spell of the shared
+  // host then spoils a window rather than the record.
+  constexpr int kLogitsRounds = 4;
+  constexpr double kLogitsWindowSeconds = 0.1;
+  auto logits_window = [&](const ExecutionBackend& backend,
+                           const std::string& params,
+                           std::size_t batch) -> TimedWindow {
+    return [&logits_loop, &backend, params, batch](double seconds) {
+      return time_loop("backend_logits", params, static_cast<double>(batch),
+                       "samples/sec", logits_loop(backend, batch), seconds);
+    };
+  };
   for (const KindSpec& spec : specs) {
     const std::shared_ptr<const ExecutionBackend> backend =
         make_workload_backend(w, spec.config);
+    std::vector<TimedWindow> batches;
     for (const std::size_t batch : {std::size_t{1}, std::size_t{32},
                                     std::size_t{256}}) {
-      const Record record = time_loop(
-          "backend_logits",
+      batches.push_back(logits_window(
+          *backend,
           std::string("backend=") + spec.label +
               ",qubits=6,batch=" + std::to_string(batch),
-          static_cast<double>(batch), "samples/sec",
-          logits_loop(*backend, batch));
-      if (batch == 32) {
-        if (spec.config.kind == BackendKind::kDensityNoisy) {
-          density_batch32 = record.throughput;
-        }
-        if (spec.config.kind == BackendKind::kSampled) {
-          sampled_batch32 = record.throughput;
-        }
-      }
-      records.push_back(record);
+          batch));
     }
+    const std::vector<Record> timed =
+        time_interleaved(batches, kLogitsRounds, kLogitsWindowSeconds);
+    if (spec.config.kind == BackendKind::kDensityNoisy) {
+      density_batch32 = timed[1].throughput;
+    }
+    if (spec.config.kind == BackendKind::kSampled) {
+      sampled_batch32 = timed[1].throughput;
+    }
+    records.insert(records.end(), timed.begin(), timed.end());
   }
 
   // Density plus shots: the exact engine's state read out through the same
@@ -968,11 +1017,13 @@ std::vector<Record> backend_benches() {
   {
     const std::shared_ptr<const ExecutionBackend> backend =
         make_workload_backend(w, BackendConfig().with_shots(sampled_shots));
-    records.push_back(time_loop(
-        "backend_logits",
-        "backend=density_noisy,qubits=6,batch=32,shots=" +
-            std::to_string(sampled_shots),
-        32.0, "samples/sec", logits_loop(*backend, 32)));
+    records.push_back(
+        time_interleaved({logits_window(*backend,
+                                        "backend=density_noisy,qubits=6,"
+                                        "batch=32,shots=" +
+                                            std::to_string(sampled_shots),
+                                        32)},
+                         kLogitsRounds, kLogitsWindowSeconds)[0]);
   }
 
   // Shot-budget sweep of the sampled backend: the per-sample cost should

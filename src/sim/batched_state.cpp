@@ -286,28 +286,6 @@ std::array<std::array<cplx, 4>, L> conj_lanes(const std::array<cplx, 4>* ms) {
   return out;
 }
 
-/// A real 3x3 map on the Pauli vector (x, y, z) of a 2x2 block.
-using BlochMatrix = std::array<std::array<double, 3>, 3>;
-
-/// The real rotation of a 2x2 unitary on the Pauli vector: U (v . sigma)
-/// U^dag = (R v) . sigma, R[i][j] = tr(sigma_i U sigma_j U^dag) / 2, so a
-/// global phase of U cancels. Column j is sigma_j conjugated by U, read off
-/// its (0, 1) entry x - i y and its diagonal difference 2z.
-BlochMatrix bloch_rotation(const std::array<cplx, 4>& u) {
-  const cplx e = u[0] * std::conj(u[3]);
-  const cplx f = u[1] * std::conj(u[2]);
-  const cplx g = u[0] * std::conj(u[1]);
-  const cplx h = u[2] * std::conj(u[3]);
-  const cplx k = u[0] * std::conj(u[2]);
-  const cplx m = u[1] * std::conj(u[3]);
-  const double z_of_z =
-      0.5 * ((std::norm(u[0]) - std::norm(u[1])) -
-             (std::norm(u[2]) - std::norm(u[3])));
-  return {{{e.real() + f.real(), e.imag() - f.imag(), k.real() - m.real()},
-           {-(e.imag() + f.imag()), e.real() - f.real(), m.imag() - k.imag()},
-           {g.real() - h.real(), g.imag() - h.imag(), z_of_z}}};
-}
-
 /// A CX error site (FusedChannel2: two-qubit depolarizing, then thermal
 /// relaxation on a = min(q), then on b = max(q)) composed into one real map
 /// per 4x4 block, block index k = 2 * bit(a) + bit(b). The populations mix
@@ -450,23 +428,20 @@ void BatchedDensityMatrix<L>::apply_cx(int control, int target) {
 }
 
 template <std::size_t L>
-void BatchedDensityMatrix<L>::apply_channel1(int q,
-                                             const std::array<cplx, 4>& u,
-                                             const FusedChannel1& ch) {
+void BatchedDensityMatrix<L>::apply_channel1(int q, const BlochMap& map) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   double* re = reg_.re();
   double* im = reg_.im();
-  // The site's map on twice the Pauli vector, diag(off, off, c) R(U) / 2,
-  // and half its z transfer: the block loop below reads 2a, 2x, 2y and 2z
-  // and writes a and the mapped (x, y, z). Locals, so the coefficients stay
-  // in registers across the stores to the planes.
-  const BlochMatrix r = bloch_rotation(u);
-  const double row_scale[3] = {0.5 * ch.off, 0.5 * ch.off, 0.5 * ch.c};
+  // The map on twice the Pauli vector, m / 2, and half its shift: the block
+  // loop below reads 2a, 2x, 2y and 2z and writes a and the mapped
+  // (x, y, z). Locals, so the coefficients stay in registers across the
+  // stores to the planes.
   double m[3][3];
+  double half_shift[3];
   for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) m[i][j] = row_scale[i] * r[i][j];
+    for (int j = 0; j < 3; ++j) m[i][j] = 0.5 * map.m[i][j];
+    half_shift[i] = 0.5 * map.shift[i];
   }
-  const double half_t = 0.5 * ch.t;
   // The columns c with bit q clear come in runs of `stride`, and a run's
   // entries and lanes are one contiguous span of every plane row, so the
   // inner loop runs unit-stride over run x lane (vectorized at width 1
@@ -498,14 +473,18 @@ void BatchedDensityMatrix<L>::apply_channel1(int q,
         const double yr = b10i - b01i, yi = b01r - b10r;
         const double zr = b00r - b11r, zi = b00i - b11i;
         const double ar = 0.5 * sr, ai = 0.5 * si;
-        const double nxr = (m[0][0] * xr + m[0][1] * yr) + m[0][2] * zr;
-        const double nxi = (m[0][0] * xi + m[0][1] * yi) + m[0][2] * zi;
-        const double nyr = (m[1][0] * xr + m[1][1] * yr) + m[1][2] * zr;
-        const double nyi = (m[1][0] * xi + m[1][1] * yi) + m[1][2] * zi;
+        const double nxr =
+            ((m[0][0] * xr + m[0][1] * yr) + m[0][2] * zr) + half_shift[0] * sr;
+        const double nxi =
+            ((m[0][0] * xi + m[0][1] * yi) + m[0][2] * zi) + half_shift[0] * si;
+        const double nyr =
+            ((m[1][0] * xr + m[1][1] * yr) + m[1][2] * zr) + half_shift[1] * sr;
+        const double nyi =
+            ((m[1][0] * xi + m[1][1] * yi) + m[1][2] * zi) + half_shift[1] * si;
         const double nzr =
-            ((m[2][0] * xr + m[2][1] * yr) + m[2][2] * zr) + half_t * sr;
+            ((m[2][0] * xr + m[2][1] * yr) + m[2][2] * zr) + half_shift[2] * sr;
         const double nzi =
-            ((m[2][0] * xi + m[2][1] * yi) + m[2][2] * zi) + half_t * si;
+            ((m[2][0] * xi + m[2][1] * yi) + m[2][2] * zi) + half_shift[2] * si;
         // Back to entries: b00 = a + z, b11 = a - z, b01 = x - i y,
         // b10 = x + i y.
         p00r[l] = ar + nzr;
@@ -689,8 +668,7 @@ void replay(const CompiledProgram& program, State& state,
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, program.unitary(op),
-                               program.channel1(op));
+          state.apply_channel1(op.q0, program.bloch_map(op));
         }
         break;
       case COpKind::Channel2:

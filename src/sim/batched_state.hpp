@@ -28,9 +28,10 @@ namespace qucad {
 /// BatchedDensityMatrix on n qubits IS a BatchedStateVector on 2n (rows on
 /// the upper n register qubits, columns on the lower n), and applies a
 /// unitary as one statevector pass on its row qubits and one with the
-/// conjugate matrix on its column qubits. Only the error sites (each
-/// applies its pulse or CX inside its channel pass), the one-pass diagonal
-/// and the CX relabel are density kernels. The adjoint's reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
+/// conjugate matrix on its column qubits. Only the error sites (a noisy
+/// single-qubit segment as one map, a CX inside its channel pass), the
+/// one-pass diagonal and the CX relabel are density kernels. The adjoint's
+/// reverse sweep (CompiledProgram::reverse_pure_lanes) un-applies each op
 /// from its ket and its lam with the same kernels, fed the daggered
 /// matrices.
 ///
@@ -118,17 +119,17 @@ LaneInputs<L> lane_rows(std::span<const std::vector<double>> rows,
   return xs;
 }
 
-/// Precomputed single-qubit error site: a depolarizing channel followed by
-/// thermal relaxation, in Bloch form. On each 2x2 block aI + xX + yY + zZ
-/// of the target-qubit subspace it keeps a, scales x and y by `off` and maps
-/// z -> c z + t a; BatchedDensityMatrix::apply_channel1 applies it together
-/// with the pulse before it in one pass over rho.
-struct FusedChannel1 {
-  double off = 1.0;  // x, y scale (the coherences)
-  double c = 1.0;    // z scale
-  double t = 0.0;    // z gains t * a (relaxation towards |0>)
-
-  bool is_identity() const { return off == 1.0 && c == 1.0 && t == 0.0; }
+/// A single-qubit segment of a noisy program in Bloch form: on each 2x2
+/// block aI + xX + yY + zZ of the target-qubit subspace it keeps a and maps
+/// (x, y, z) -> m (x, y, z) + shift a. Every unitary, depolarizing channel
+/// and thermal relaxation on one qubit is such a map, and so is any
+/// composition of them, which is how CompiledProgram::compile folds a run of
+/// pulses, their error sites and the rotations around them into the one map
+/// BatchedDensityMatrix::apply_channel1 applies in one pass over rho.
+struct BlochMap {
+  std::array<std::array<double, 3>, 3> m{
+      {{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}}};
+  std::array<double, 3> shift{};  ///< (x, y, z) gain per unit of a
 };
 
 /// Precomputed CX error site: two-qubit depolarizing plus per-qubit thermal
@@ -219,13 +220,13 @@ class BatchedStateVector {
 /// and apply_cx are exactly that, and match the DensityMatrix oracle
 /// bitwise. What a statevector cannot express keeps a density kernel of its
 /// own: the one-pass diagonal (it scales by |d|^2 and d0 conj(d1) as the
-/// oracle does) and the two error sites. The noisy pulse site applies its
-/// pulse as a real rotation of each 2x2 block's Pauli vector inside its
-/// channel map, one pass where the two unitary passes and a channel pass
-/// took three; the noisy CX site reads the CX relabel through the loads of
-/// its channel pass. Error sites and
-/// theta-symbolic angles are lane-uniform by construction (noise does not
-/// depend on the input row).
+/// oracle does) and the two error sites. The single-qubit site applies a
+/// whole noisy segment (its pulses, their error sites and the rotations
+/// around them) as one real affine map of each 2x2 block's Pauli vector, one
+/// pass where each pulse took two unitary passes and a channel pass; the
+/// noisy CX site reads the CX relabel through the loads of its channel pass.
+/// Error sites and theta-symbolic angles are lane-uniform by construction
+/// (noise does not depend on the input row).
 template <std::size_t L>
 class BatchedDensityMatrix {
  public:
@@ -267,13 +268,11 @@ class BatchedDensityMatrix {
   /// halves of the vectorized register.
   void apply_cx(int control, int target);
 
-  /// A pulse U on qubit q followed by its fused error site, every lane: one
-  /// pass that maps each 2x2 block aI + xX + yY + zZ of qubit q through
-  /// (x, y, z) -> diag(off, off, c) R(U) (x, y, z) + (0, 0, t a), R(U) the
-  /// real rotation U applies to the Pauli vector (the oracle's unitary,
-  /// depolarizing and thermal steps to ~1e-16, not bitwise).
-  void apply_channel1(int q, const std::array<cplx, 4>& u,
-                      const FusedChannel1& ch);
+  /// A single-qubit segment on qubit q, every lane: one pass that maps each
+  /// 2x2 block aI + xX + yY + zZ of qubit q through `map` (the oracle's
+  /// unitary, depolarizing and thermal steps of the segment to ~1e-16, not
+  /// bitwise).
+  void apply_channel1(int q, const BlochMap& map);
 
   /// CX followed by its fused error site, every lane: one pass that loads
   /// each 4x4 block over the pair through the CX relabel and writes it back

@@ -31,10 +31,14 @@ bool is_global_phase(const std::array<cplx, 4>& u, double tol = 1e-15) {
   return is_diagonal(u, tol) && std::abs(u[0] - u[3]) <= tol;
 }
 
-/// Per-qubit accumulator for the single-qubit fusion pass.
+/// Per-qubit accumulator for the single-qubit fusion pass: the segment's
+/// Bloch map up to its last error site, if it has one, and the unitary chain
+/// since then.
 struct Pending {
   std::array<cplx, 4> u = kIdentity2;
   bool any = false;
+  BlochMap map;
+  bool has_site = false;
 };
 
 bool is_1q_unitary_kind(COpKind kind) {
@@ -70,7 +74,55 @@ std::size_t intern(std::vector<T>& table, const T& value) {
   return table.size() - 1;
 }
 
+/// The real rotation of a 2x2 unitary on the Pauli vector: U (v . sigma)
+/// U^dag = (R v) . sigma, R[i][j] = tr(sigma_i U sigma_j U^dag) / 2, so a
+/// global phase of U cancels. Column j is sigma_j conjugated by U, read off
+/// its (0, 1) entry x - i y and its diagonal difference 2z.
+std::array<std::array<double, 3>, 3> bloch_rotation(
+    const std::array<cplx, 4>& u) {
+  const cplx e = u[0] * std::conj(u[3]);
+  const cplx f = u[1] * std::conj(u[2]);
+  const cplx g = u[0] * std::conj(u[1]);
+  const cplx h = u[2] * std::conj(u[3]);
+  const cplx k = u[0] * std::conj(u[2]);
+  const cplx m = u[1] * std::conj(u[3]);
+  const double z_of_z =
+      0.5 * ((std::norm(u[0]) - std::norm(u[1])) -
+             (std::norm(u[2]) - std::norm(u[3])));
+  return {{{e.real() + f.real(), e.imag() - f.imag(), k.real() - m.real()},
+           {-(e.imag() + f.imag()), e.real() - f.real(), m.imag() - k.imag()},
+           {g.real() - h.real(), g.imag() - h.imag(), z_of_z}}};
+}
+
+/// `after` applied to the output of `before`: with before = (B, b) and
+/// after = (A, c), v -> A (B v + b a) + c a.
+BlochMap compose(const BlochMap& after, const BlochMap& before) {
+  BlochMap out;
+  for (int i = 0; i < 3; ++i) {
+    const std::array<double, 3>& row = after.m[i];
+    for (int j = 0; j < 3; ++j) {
+      out.m[i][j] = (row[0] * before.m[0][j] + row[1] * before.m[1][j]) +
+                    row[2] * before.m[2][j];
+    }
+    out.shift[i] = ((row[0] * before.shift[0] + row[1] * before.shift[1]) +
+                    row[2] * before.shift[2]) +
+                   after.shift[i];
+  }
+  return out;
+}
+
 }  // namespace
+
+BlochMap pulse_site_map(const std::array<cplx, 4>& u, const FusedChannel1& ch) {
+  const std::array<std::array<double, 3>, 3> r = bloch_rotation(u);
+  const double row_scale[3] = {ch.off, ch.off, ch.c};
+  BlochMap map;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) map.m[i][j] = row_scale[i] * r[i][j];
+  }
+  map.shift = {0.0, 0.0, ch.t};
+  return map;
+}
 
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise) {
   // Depolarizing(p) then thermal(gamma, lambda) on the Pauli vector of each
@@ -125,8 +177,21 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     for (int q = 0; q < nq; ++q) pulse_ch.push_back(fuse_pulse_channel(noise.pulse_noise(q)));
   }
 
+  // A segment with an error site ends as one Channel1 op, its trailing
+  // chain rotating its map; any other segment ends as one Diag1 or Unitary1
+  // op, or none when it is a global phase.
   auto flush = [&](int q) {
     Pending& p = pending[static_cast<std::size_t>(q)];
+    if (p.has_site) {
+      if (p.any && !is_global_phase(p.u)) {
+        BlochMap rotation;
+        rotation.m = bloch_rotation(p.u);
+        p.map = compose(rotation, p.map);
+      }
+      emit(COpKind::Channel1, q, 0, intern(program.bloch_maps_, p.map));
+      p = Pending{};
+      return;
+    }
     if (!p.any) return;
     if (!is_global_phase(p.u)) {
       if (is_diagonal(p.u)) {
@@ -148,23 +213,21 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
     p.any = true;
   };
 
-  // A pulse with an error site ends its qubit's chain: the fused chain and
-  // the site replay as one Channel1 op, q1 holding the site's channel-table
-  // index (at most one entry per qubit, so it fits). A noiseless pulse keeps
-  // the chain fusing through it.
+  // A pulse with an error site folds the chain that ends in it and the site
+  // into its qubit's segment map. A noiseless pulse keeps the chain fusing
+  // through it.
   auto pulse = [&](int q, const std::array<cplx, 4>& m) {
     accumulate(q, m);
     if (!noisy) return;
     const FusedChannel1& ch = pulse_ch[static_cast<std::size_t>(q)];
     if (ch.is_identity()) return;
     Pending& p = pending[static_cast<std::size_t>(q)];
-    emit(COpKind::Channel1, q, intern(program.channel1_table_, ch),
-         program.unitaries_.size());
-    program.unitaries_.push_back(p.u);
-    ++program.stats_.fused_unitaries;
-    ++program.stats_.channels;
+    const BlochMap site = pulse_site_map(p.u, ch);
+    p.map = p.has_site ? compose(site, p.map) : site;
+    p.has_site = true;
     p.u = kIdentity2;
     p.any = false;
+    ++program.stats_.channels;
   };
 
   // Parameter-space extents come from the SOURCE circuit so that ops elided
@@ -182,7 +245,8 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
           // the pending single-qubit chain as a separate pass, absorb it
           // into the symbolic op (SymUni1 = diag(angle) * pending): the
           // dominant ZSX rotation pattern [U, RZ(sym), U, ...] then replays
-          // as one fused pass per rotation.
+          // as one fused pass per rotation. A segment with an error site
+          // ends here instead, the pending chain folded into its map.
           SymSlot slot;
           slot.angle_offset = phys.angle;
           slot.scale = phys.input_index >= 0 ? phys.input_scale : phys.theta_scale;
@@ -190,6 +254,7 @@ CompiledProgram CompiledProgram::compile(const PhysicalCircuit& circuit,
           slot.theta_index = phys.theta_index;
           COpKind kind = COpKind::SymDiag1;
           Pending& p = pending[static_cast<std::size_t>(phys.q0)];
+          if (p.has_site) flush(phys.q0);
           if (p.any && !is_global_phase(p.u)) {
             kind = COpKind::SymUni1;
             slot.factor = static_cast<std::uint32_t>(program.unitaries_.size());
@@ -332,8 +397,8 @@ void CompiledProgram::drop_trailing_diagonals() {
   // A diagonal unitary on a qubit no later non-diagonal op touches cannot
   // change measurement statistics: it commutes with the readout confusion,
   // which acts block-diagonally w.r.t. the computational basis. Walk
-  // backwards and drop such Diag1/SymDiag1 ops. A pulse site (Channel1)
-  // blocks like a Unitary1: it carries its pulse.
+  // backwards and drop such Diag1/SymDiag1 ops. A segment site (Channel1)
+  // blocks like a Unitary1: it carries at least one pulse.
   std::vector<char> blocked(static_cast<std::size_t>(num_qubits_), 0);
   std::vector<CompiledOp> kept;
   kept.reserve(ops_.size());
@@ -356,7 +421,7 @@ void CompiledProgram::drop_trailing_diagonals() {
         blocked[op.q0] = 1;
         break;
       case COpKind::Unitary1:
-      case COpKind::Channel1:  // a pulse with its error site
+      case COpKind::Channel1:  // a segment with its error sites
         blocked[op.q0] = 1;
         break;
       case COpKind::Cx:
@@ -379,7 +444,6 @@ void CompiledProgram::repack() {
   for (CompiledOp& op : ops_) {
     switch (op.kind) {
       case COpKind::Unitary1:
-      case COpKind::Channel1:
         op.arg = static_cast<std::uint32_t>(intern(unitaries, unitary(op)));
         break;
       case COpKind::Diag1:
@@ -400,6 +464,7 @@ void CompiledProgram::repack() {
         break;
       }
       case COpKind::Cx:
+      case COpKind::Channel1:
       case COpKind::Channel2:
         break;  // no pool entry, or an interned table entry (never orphaned)
     }
@@ -413,14 +478,14 @@ void CompiledProgram::repack() {
   diagonals_.shrink_to_fit();
   slots_.shrink_to_fit();
   crot_factors_.shrink_to_fit();
-  channel1_table_.shrink_to_fit();
+  bloch_maps_.shrink_to_fit();
   channel2_table_.shrink_to_fit();
 }
 
 std::size_t CompiledProgram::heap_bytes() const {
   return qucad::heap_bytes(ops_) + qucad::heap_bytes(unitaries_) +
          qucad::heap_bytes(diagonals_) + qucad::heap_bytes(slots_) +
-         qucad::heap_bytes(crot_factors_) + qucad::heap_bytes(channel1_table_) +
+         qucad::heap_bytes(crot_factors_) + qucad::heap_bytes(bloch_maps_) +
          qucad::heap_bytes(channel2_table_);
 }
 

@@ -25,6 +25,20 @@ namespace qucad {
 /// affine in an input-encoding slot stay symbolic across samples, and RZ
 /// angles affine in a trainable slot stay symbolic across optimizer steps.
 
+/// Precomputed single-qubit error site: a depolarizing channel followed by
+/// thermal relaxation, in Bloch form. On each 2x2 block aI + xX + yY + zZ
+/// of the target-qubit subspace it keeps a, scales x and y by `off` and maps
+/// z -> c z + t a. Depolarizing and thermal relaxation scale x and y alike
+/// and act on z alone, so the site commutes with every rotation about z;
+/// CompiledProgram::compile folds it into its segment's BlochMap.
+struct FusedChannel1 {
+  double off = 1.0;  // x, y scale (the coherences)
+  double c = 1.0;    // z scale
+  double t = 0.0;    // z gains t * a (relaxation towards |0>)
+
+  bool is_identity() const { return off == 1.0 && c == 1.0 && t == 0.0; }
+};
+
 /// Op vocabulary of a compiled program. The lowering pass turns a
 /// PhysicalCircuit + NoiseModel into a flat stream of these so that every
 /// replay skips re-lowering, noise-model lookups, and redundant passes over
@@ -37,17 +51,15 @@ enum class COpKind : std::uint8_t {
   SymUni1,   ///< symbolic RZ times a fused prefix: diag(angle) * u, one pass
   CRot2,     ///< CX * (I (x) u2 * diag(angle) * u) * CX, one two-qubit pass
   Cx,        ///< noiseless CX on (q0 = control, q1 = target), a relabel
-  Channel1,  ///< fused chain ending in a pulse on q0 + its error site
+  Channel1,  ///< a noisy single-qubit segment on q0 as one Bloch map
   Channel2,  ///< CX on (q0 = control, q1 = target) + its fused error site
 };
 
 /// The header of one compiled operation: its kind, its qubits and `arg`,
 /// an index into the program pool its kind reads (CompiledProgram's
 /// accessors resolve it):
-///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op), interned pools;
-///   - Channel1 -> unitary(op), its pulse's fused chain, and channel1(op),
-///     the error site, whose index into the interned channel table sits in
-///     q1 (one entry per qubit at most, so it fits in 8 bits);
+///   - Unitary1 -> unitary(op), Diag1 -> diagonal(op), Channel1 ->
+///     bloch_map(op), interned pools;
 ///   - SymDiag1 / SymUni1 / CRot2 -> slot(op), plus prefix(op) (SymUni1,
 ///     from the interned unitary pool) or crot(op) (CRot2), which the
 ///     slot's `factor` indexes;
@@ -127,8 +139,8 @@ struct CompileStats {
 ///  - Every program holder (executors, the eval cache, serving epochs) pays
 ///    for its op storage, so it is compact: 8-byte CompiledOp headers
 ///    indexing one pool per payload type, each pool holding only what the
-///    surviving ops reference, and the unitary, diagonal and channel pools
-///    holding each distinct coefficient set once.
+///    surviving ops reference, and the unitary, diagonal, Bloch-map and CX
+///    channel pools holding each distinct coefficient set once.
 class CompiledProgram {
  public:
   CompiledProgram() = default;
@@ -137,13 +149,16 @@ class CompiledProgram {
   /// Pass a default NoiseModel (num_qubits() == 0) for a noiseless program —
   /// required for the statevector replay paths.
   ///
-  /// The lowering fuses adjacent single-qubit ops (between error sites and
-  /// symbolic RZs) into one 2x2, emits each noisy pulse together with its
-  /// chain and its error site as one Channel1 op and each noisy CX together
-  /// with its error site as one Channel2 op, fuses noiseless CX-sandwich
-  /// controlled rotations into single CRot2 ops, and drops trailing diagonal
-  /// ops (virtual Z, literal or symbolic) that can no longer affect Z-basis
-  /// measurement. The drop preserves diagonal probabilities, every `<Z>` and
+  /// The lowering fuses adjacent single-qubit ops (between two-qubit ops
+  /// and symbolic RZs) into one 2x2 while no noisy pulse is among them, and
+  /// otherwise folds the whole segment (its noisy pulses, their error sites
+  /// and the literal rotations between and around them) into one BlochMap,
+  /// emitted as one Channel1 op when the segment ends: at the qubit's next
+  /// two-qubit op, at a symbolic RZ on it, or at the end of the program. It
+  /// emits each noisy CX together with its error site as one Channel2 op,
+  /// fuses noiseless CX-sandwich controlled rotations into single CRot2 ops,
+  /// and drops trailing diagonal ops (virtual Z, literal or symbolic) that
+  /// can no longer affect Z-basis measurement. The drop preserves diagonal probabilities, every `<Z>` and
   /// every `d<Z>/dtheta` exactly (a trailing RZ commutes with the
   /// observable, so its gradient is identically zero), but not off-diagonal
   /// entries of a final density matrix or the phases of a final
@@ -178,25 +193,23 @@ class CompiledProgram {
   const CRotFactors& crot(const CompiledOp& op) const {
     return crot_factors_[slot(op).factor];
   }
-  const FusedChannel1& channel1(const CompiledOp& op) const {
-    return channel1_table_[op.q1];
+  const BlochMap& bloch_map(const CompiledOp& op) const {
+    return bloch_maps_[op.arg];
   }
   const FusedChannel2& channel2(const CompiledOp& op) const {
     return channel2_table_[op.arg];
   }
   /// The interned pools: one entry per distinct coefficient set, however
-  /// many sites share it. A circuit's repeated pulse chains share their
-  /// unitaries and diagonals; the channel tables hold in practice one entry
-  /// per touched qubit and one per coupled edge.
+  /// many sites share it. A circuit's repeated chains share their unitaries,
+  /// diagonals and Bloch maps; the CX channel table holds in practice one
+  /// entry per coupled edge.
   std::span<const std::array<cplx, 4>> unitary_table() const {
     return unitaries_;
   }
   std::span<const std::array<cplx, 2>> diagonal_table() const {
     return diagonals_;
   }
-  std::span<const FusedChannel1> channel1_table() const {
-    return channel1_table_;
-  }
+  std::span<const BlochMap> bloch_map_table() const { return bloch_maps_; }
   std::span<const FusedChannel2> channel2_table() const {
     return channel2_table_;
   }
@@ -273,12 +286,12 @@ class CompiledProgram {
   int num_trainable_ = 0;
   int num_inputs_ = 0;
   std::vector<CompiledOp> ops_;
-  /// Unitary1, Channel1 pulse chains, SymUni1 prefixes.
+  /// Unitary1, SymUni1 prefixes.
   std::vector<std::array<cplx, 4>> unitaries_;
   std::vector<std::array<cplx, 2>> diagonals_;  ///< Diag1
   std::vector<SymSlot> slots_;  ///< SymDiag1, SymUni1, CRot2
   std::vector<CRotFactors> crot_factors_;
-  std::vector<FusedChannel1> channel1_table_;
+  std::vector<BlochMap> bloch_maps_;  ///< Channel1
   std::vector<FusedChannel2> channel2_table_;
   CompileStats stats_;
 };
@@ -304,9 +317,14 @@ std::array<cplx, 4> sym_uni_matrix(const std::array<cplx, 4>& prefix,
 std::array<cplx, 4> crot_inner_matrix(const CRotFactors& f, double angle);
 
 /// Folds one pulse error site (depolarizing then thermal relaxation, the
-/// order run_density applies) into its Bloch-form coefficients; the
-/// Channel1 kernel composes them with the pulse in closed form.
+/// order run_density applies) into its Bloch-form coefficients, which
+/// pulse_site_map composes with the pulse.
 FusedChannel1 fuse_pulse_channel(const PulseNoise& noise);
+
+/// The Bloch map of pulse `u` followed by its error site `ch`:
+/// diag(off, off, c) R(U) with shift (0, 0, t), R(U) the real rotation U
+/// applies to the Pauli vector (a global phase of U cancels).
+BlochMap pulse_site_map(const std::array<cplx, 4>& u, const FusedChannel1& ch);
 
 /// The coefficients of one CX error site (two-qubit depolarizing, then
 /// thermal on min(q), then thermal on max(q)); the Channel2 kernel composes

@@ -459,6 +459,8 @@ TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
   PulseNoise pn;
   pn.depolarizing_p = 0.05;
   pn.thermal = ThermalChannel{0.04, 0.02};
+  const BlochMap pulse_site =
+      pulse_site_map(kIdentity2, fuse_pulse_channel(pn));
   for (const auto& [control, target] :
        {std::pair{1, 3}, std::pair{3, 1}, std::pair{0, 1}, std::pair{2, 0}}) {
     SCOPED_TRACE("control " + std::to_string(control) + " target " +
@@ -473,10 +475,10 @@ TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
       for (int q = 0; q < kQubits; ++q) {
         for (auto& m : ms) m = random_unitary2(rng);
         block.apply1_lanes(q, ms.data());
-        block.apply_channel1(q, kIdentity2, fuse_pulse_channel(pn));
+        block.apply_channel1(q, pulse_site);
         for (std::size_t l = 0; l < kLanes; ++l) {
           ones[l].apply1_lanes(q, &ms[l]);
-          ones[l].apply_channel1(q, kIdentity2, fuse_pulse_channel(pn));
+          ones[l].apply_channel1(q, pulse_site);
           oracles[l].apply1(q, ms[l]);
           oracles[l].apply_depolarizing1(q, pn.depolarizing_p);
           oracles[l].apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
@@ -520,17 +522,20 @@ TEST(BatchedDensity, CxSiteMatchesTheOracleSequenceAtBothWidths) {
 }
 
 TEST(BatchedDensity, PulseSiteMatchesTheOracleSequenceAtBothWidths) {
-  // apply_channel1 is a pulse and its error site in one closed-form pass: to
-  // 1e-12 the oracle's unitary, depolarizing and thermal steps, for random
-  // U(2) pulses with a global phase and for depolarizing-only, thermal-only
-  // and combined sites. Every lane starts from its own mixed state, and each
-  // lane's entries are bitwise the same at width 1 and at width kLanes.
+  // apply_channel1 on a pulse_site_map is a pulse and its error site in one
+  // closed-form pass: to 1e-12 the oracle's unitary, depolarizing and
+  // thermal steps, for random U(2) pulses with a global phase and for
+  // depolarizing-only, thermal-only and combined sites. Every lane starts
+  // from its own mixed state, and each lane's entries are bitwise the same
+  // at width 1 and at width kLanes.
   constexpr int kQubits = 3;
   std::vector<PulseNoise> sites(3);
   sites[0].depolarizing_p = 0.06;
   sites[1].thermal = ThermalChannel{0.05, 0.03};
   sites[2].depolarizing_p = 0.02;
   sites[2].thermal = ThermalChannel{0.015, 0.04};
+  const BlochMap depolarize =
+      pulse_site_map(kIdentity2, fuse_pulse_channel(sites[0]));
   Rng rng(77);
   for (std::size_t s = 0; s < sites.size(); ++s) {
     const PulseNoise& pn = sites[s];
@@ -550,10 +555,10 @@ TEST(BatchedDensity, PulseSiteMatchesTheOracleSequenceAtBothWidths) {
         for (int k = 0; k < kQubits; ++k) {
           for (auto& m : ms) m = random_unitary2(rng);
           block.apply1_lanes(k, ms.data());
-          block.apply_channel1(k, kIdentity2, fuse_pulse_channel(sites[0]));
+          block.apply_channel1(k, depolarize);
           for (std::size_t l = 0; l < kLanes; ++l) {
             ones[l].apply1_lanes(k, &ms[l]);
-            ones[l].apply_channel1(k, kIdentity2, fuse_pulse_channel(sites[0]));
+            ones[l].apply_channel1(k, depolarize);
             oracles[l].apply1(k, ms[l]);
             oracles[l].apply_depolarizing1(k, sites[0].depolarizing_p);
           }
@@ -566,9 +571,9 @@ TEST(BatchedDensity, PulseSiteMatchesTheOracleSequenceAtBothWidths) {
         }
       }
       const std::array<cplx, 4> u = random_unitary2(rng);
-      block.apply_channel1(q, u, site);
+      block.apply_channel1(q, pulse_site_map(u, site));
       for (std::size_t l = 0; l < kLanes; ++l) {
-        ones[l].apply_channel1(q, u, site);
+        ones[l].apply_channel1(q, pulse_site_map(u, site));
         DensityMatrix& o = oracles[l];
         o.apply1(q, u);
         o.apply_depolarizing1(q, pn.depolarizing_p);
@@ -710,8 +715,7 @@ void replay_out_of_line(const CompiledProgram& program, State& state,
         break;
       case COpKind::Channel1:
         if constexpr (std::is_same_v<State, BatchedDensityMatrix<L>>) {
-          state.apply_channel1(op.q0, program.unitary(op),
-                               program.channel1(op));
+          state.apply_channel1(op.q0, program.bloch_map(op));
         }
         break;
       case COpKind::Channel2:

@@ -235,7 +235,7 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
 }
 
 TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
-  // The Channel1 kernel applies a pulse and its error site in one pass; the
+  // The Channel1 kernel applies a pulse site's map in one pass; the
   // oracle applies the pulse, the depolarizing and the thermal step one
   // after another.
   PulseNoise pn;
@@ -251,7 +251,7 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
 
   for (int q = 0; q < 3; ++q) {
     const std::array<cplx, 4> pulse = q == 1 ? x_as_array2() : sx_as_array2();
-    fused.apply_channel1(q, pulse, fuse_pulse_channel(pn));
+    fused.apply_channel1(q, pulse_site_map(pulse, fuse_pulse_channel(pn)));
     seq.apply1(q, pulse);
     seq.apply_depolarizing1(q, pn.depolarizing_p);
     seq.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
@@ -405,9 +405,9 @@ TEST(CompiledProgramLayout, DiagonalBeforeCxSiteMatchesReference) {
 }
 
 TEST(CompiledProgramLayout, NoisyPulseIsOneChannel1SiteAndUnitary1Otherwise) {
-  // A pulse with an error site compiles to one Channel1 op holding the chain
-  // that ends in it and, in q1, its qubit's channel-table index; a pulse on
-  // a noiseless qubit, or in a noiseless program, stays in a Unitary1.
+  // A pulse with an error site compiles to one Channel1 op holding the Bloch
+  // map of the chain that ends in it and its site; a pulse on a noiseless
+  // qubit, or in a noiseless program, stays in a Unitary1.
   Rng rng(7);
   const std::vector<std::pair<int, int>> edges{{0, 1}};
   Calibration cal = noisy_calibration(2, edges, rng);
@@ -434,19 +434,24 @@ TEST(CompiledProgramLayout, NoisyPulseIsOneChannel1SiteAndUnitary1Otherwise) {
       SCOPED_TRACE("qubit " + std::to_string(op.q0));
       const bool site = noisy && op.q0 == 0;
       EXPECT_EQ(op.kind, site ? COpKind::Channel1 : COpKind::Unitary1);
-      const std::array<cplx, 4>& u = program.unitary(op);
-      for (std::size_t e = 0; e < 4; ++e) {
-        EXPECT_NEAR(std::abs(u[e] - chain[e]), 0.0, test::kTightTol) << e;
-      }
       if (site) {
-        EXPECT_EQ(op.q1, 0u);
-        EXPECT_EQ(std::memcmp(&program.channel1(op),
-                              &program.channel1_table()[0],
-                              sizeof(FusedChannel1)),
-                  0);
+        const BlochMap expected =
+            pulse_site_map(chain, fuse_pulse_channel(noise.pulse_noise(0)));
+        const BlochMap& map = program.bloch_map(op);
+        for (std::size_t i = 0; i < 3; ++i) {
+          for (std::size_t j = 0; j < 3; ++j) {
+            EXPECT_NEAR(map.m[i][j], expected.m[i][j], test::kTightTol);
+          }
+          EXPECT_NEAR(map.shift[i], expected.shift[i], test::kTightTol);
+        }
+      } else {
+        const std::array<cplx, 4>& u = program.unitary(op);
+        for (std::size_t e = 0; e < 4; ++e) {
+          EXPECT_NEAR(std::abs(u[e] - chain[e]), 0.0, test::kTightTol) << e;
+        }
       }
     }
-    EXPECT_EQ(program.channel1_table().size(), noisy ? 1u : 0u);
+    EXPECT_EQ(program.bloch_map_table().size(), noisy ? 1u : 0u);
     EXPECT_EQ(program.unitary_table().size(), 1u);
 
     const CompiledExecutor executor(phys, noise);
@@ -488,6 +493,225 @@ TEST(CompiledProgramLayout, SymbolicRzBeforeFinalPulseSiteMatchesReference) {
     ASSERT_EQ(z.size(), z_ref.size());
     for (std::size_t k = 0; k < z.size(); ++k) {
       EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "x " << v << " slot " << k;
+    }
+  }
+}
+
+/// Replays `program` at width L, lane l on rows[l % rows.size()], and pins
+/// every lane's full rho to run_density at 1e-10, off-diagonals included.
+template <std::size_t L>
+void expect_lanes_match_density(const CompiledProgram& program,
+                                const PhysicalCircuit& phys,
+                                const NoiseModel& noise,
+                                const std::vector<std::vector<double>>& rows) {
+  BatchedDensityMatrix<L> rho(phys.num_qubits());
+  LaneInputs<L> xs;
+  for (std::size_t l = 0; l < L; ++l) xs[l] = rows[l % rows.size()].data();
+  program.run_lanes(rho, xs);
+  for (std::size_t l = 0; l < L; ++l) {
+    const DensityMatrix ref = run_density(phys, noise, rows[l % rows.size()]);
+    for (std::size_t i = 0; i < ref.data().size(); ++i) {
+      const cplx got{rho.re()[i * L + l], rho.im()[i * L + l]};
+      EXPECT_NEAR(std::abs(got - ref.data()[i]), 0.0, kAgreementTol)
+          << "width " << L << " lane " << l << " entry " << i;
+    }
+  }
+}
+
+/// The kinds of the ops a program applies to qubit q, in order.
+std::vector<COpKind> kinds_on(const CompiledProgram& program, int q) {
+  std::vector<COpKind> out;
+  for (const CompiledOp& op : program.ops()) {
+    const bool two_qubit = op.kind == COpKind::Cx ||
+                           op.kind == COpKind::CRot2 ||
+                           op.kind == COpKind::Channel2;
+    if (op.q0 == q || (two_qubit && op.q1 == q)) out.push_back(op.kind);
+  }
+  return out;
+}
+
+PhysOp literal_rz(int q, double angle) {
+  return PhysOp{PhysOpKind::RZ, q, -1, angle};
+}
+
+PhysOp input_rz(int q, double scale, double offset) {
+  PhysOp rz{PhysOpKind::RZ, q};
+  rz.angle = offset;
+  rz.input_index = 0;
+  rz.input_scale = scale;
+  return rz;
+}
+
+TEST(NoisySegments, RandomSegmentsMatchTheOracleAtBothWidths) {
+  // Random runs of noisy SX / X pulses with literal RZs between and around
+  // them, on q = 0 and on q > 0: a CX cuts each run into two segments, the
+  // second with no later op, and each segment is one Channel1 op. Every
+  // qubit ends in a pulse site, so no diagonal is dropped and the whole rho
+  // matches the oracle at both widths.
+  Rng rng(23);
+  const int nq = 3;
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const NoiseModel noise(noisy_calibration(nq, edges, rng));
+  const std::vector<std::vector<double>> rows{{0.3}, {1.1}, {2.6}};
+  for (const int q : {0, 2}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      SCOPED_TRACE("qubit " + std::to_string(q) + " trial " +
+                   std::to_string(trial));
+      PhysicalCircuit phys(nq);
+      // An input-dependent entangled start, so every lane differs.
+      for (int k = 0; k < nq; ++k) {
+        phys.push(PhysOp{PhysOpKind::SX, k});
+        phys.push(input_rz(k, 0.7 + 0.4 * k, 0.1 * k));
+      }
+      phys.push(PhysOp{PhysOpKind::CX, 0, 1});
+      phys.push(PhysOp{PhysOpKind::CX, 1, 2});
+      auto push_segment = [&] {
+        const int pulses = rng.integer(1, 5);
+        for (int p = 0; p < pulses; ++p) {
+          if (rng.uniform(0.0, 1.0) < 0.7) {
+            phys.push(literal_rz(q, rng.uniform(-test::kPi, test::kPi)));
+          }
+          phys.push(PhysOp{rng.uniform(0.0, 1.0) < 0.5 ? PhysOpKind::SX
+                                                       : PhysOpKind::X,
+                           q});
+        }
+        if (rng.uniform(0.0, 1.0) < 0.5) {
+          phys.push(literal_rz(q, rng.uniform(-test::kPi, test::kPi)));
+        }
+      };
+      push_segment();
+      phys.push(PhysOp{PhysOpKind::CX, 1, q});
+      push_segment();
+      for (int k = 0; k < nq; ++k) {
+        if (k != q) phys.push(PhysOp{PhysOpKind::SX, k});
+      }
+      phys.readout_physical() = {0, 1, 2};
+
+      const CompiledProgram program = CompiledProgram::compile(phys, noise);
+      const std::vector<COpKind> expected{
+          COpKind::Channel1, COpKind::SymDiag1, COpKind::Channel2,
+          COpKind::Channel1, COpKind::Channel2, COpKind::Channel1};
+      EXPECT_EQ(kinds_on(program, q), expected);
+      EXPECT_EQ(program.stats().dropped_trailing, 0u);
+      expect_lanes_match_density<1>(program, phys, noise, rows);
+      expect_lanes_match_density<kBlockLanes>(program, phys, noise, rows);
+    }
+  }
+}
+
+TEST(NoisySegments, InputSymbolicRzCutsASegment) {
+  // An input-symbolic RZ cannot join a map compiled once for every sample:
+  // it ends the segment before it (its pending literal RZ folded in) and
+  // starts a new one after it.
+  Rng rng(29);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const NoiseModel noise(noisy_calibration(3, edges, rng));
+  PhysicalCircuit phys(3);
+  for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::SX, q});
+  phys.push(PhysOp{PhysOpKind::CX, 0, 1});
+  phys.push(PhysOp{PhysOpKind::SX, 1});
+  phys.push(literal_rz(1, 0.4));
+  phys.push(PhysOp{PhysOpKind::X, 1});
+  phys.push(literal_rz(1, -1.2));
+  phys.push(input_rz(1, 1.3, 0.2));
+  phys.push(literal_rz(1, 0.9));
+  phys.push(PhysOp{PhysOpKind::SX, 1});
+  phys.push(literal_rz(1, 0.3));
+  phys.push(PhysOp{PhysOpKind::CX, 1, 2});
+  for (int q = 0; q < 3; ++q) phys.push(PhysOp{PhysOpKind::SX, q});
+  phys.readout_physical() = {0, 1, 2};
+
+  const CompiledProgram program = CompiledProgram::compile(phys, noise);
+  const std::vector<COpKind> expected{
+      COpKind::Channel1, COpKind::Channel2, COpKind::Channel1,
+      COpKind::SymDiag1, COpKind::Channel1, COpKind::Channel2,
+      COpKind::Channel1};
+  EXPECT_EQ(kinds_on(program, 1), expected);
+  const std::vector<std::vector<double>> rows{{0.3}, {1.9}, {-0.8}};
+  expect_lanes_match_density<1>(program, phys, noise, rows);
+  expect_lanes_match_density<kBlockLanes>(program, phys, noise, rows);
+  const CompiledExecutor executor(phys, noise);
+  for (const std::vector<double>& x : rows) {
+    const auto z_ref = run_z_reference(phys, noise, x);
+    const auto z = executor.run_z(x);
+    ASSERT_EQ(z.size(), z_ref.size());
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      EXPECT_NEAR(z[k], z_ref[k], kAgreementTol)
+          << "x " << x[0] << " slot " << k;
+    }
+  }
+}
+
+TEST(NoisySegments, TrailingSegmentIsOneSiteAndKeepsTheFullState) {
+  // A segment no later op ends is flushed at the end of the program, its
+  // final RZ folded into the map rather than dropped as a trailing
+  // diagonal, so the whole final rho matches the oracle.
+  Rng rng(31);
+  const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
+  const NoiseModel noise(noisy_calibration(3, edges, rng));
+  PhysicalCircuit phys(3);
+  for (int q = 0; q < 3; ++q) {
+    phys.push(PhysOp{PhysOpKind::SX, q});
+    phys.push(input_rz(q, 0.9, 0.3 * q));
+  }
+  phys.push(PhysOp{PhysOpKind::CX, 0, 1});
+  phys.push(PhysOp{PhysOpKind::CX, 2, 1});
+  for (int q = 0; q < 3; ++q) {
+    phys.push(literal_rz(q, 0.5 + q));
+    phys.push(PhysOp{PhysOpKind::SX, q});
+    phys.push(literal_rz(q, -0.7));
+    phys.push(PhysOp{PhysOpKind::X, q});
+    phys.push(literal_rz(q, 1.1 - q));
+  }
+  phys.readout_physical() = {0, 1, 2};
+
+  const CompiledProgram program = CompiledProgram::compile(phys, noise);
+  EXPECT_EQ(program.stats().dropped_trailing, 0u);
+  for (int q = 0; q < 3; ++q) {
+    SCOPED_TRACE("qubit " + std::to_string(q));
+    ASSERT_FALSE(kinds_on(program, q).empty());
+    EXPECT_EQ(kinds_on(program, q).back(), COpKind::Channel1);
+  }
+  const std::vector<std::vector<double>> rows{{0.6}, {2.2}};
+  expect_lanes_match_density<1>(program, phys, noise, rows);
+  expect_lanes_match_density<kBlockLanes>(program, phys, noise, rows);
+}
+
+TEST(NoisySegments, RoutedProgramReadOnQubitsOneAndThreeMatchesReference) {
+  // A random circuit read out on logical qubits {1, 3}, routed onto belem
+  // with SWAPs and compiled against the day's noise: each lane of a full
+  // block and each single sample match the gate-by-gate reference.
+  for (const std::uint64_t seed : {5u, 41u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const CalibrationHistory history(FluctuationScenario::belem(), 1, seed);
+    Circuit c = angle_encoder(4, 4);
+    c.append(test::random_circuit(rng, 4, 30));
+    const TranspiledModel transpiled =
+        transpile_model(c, {1, 3}, CouplingMap::belem(), &history.day(0));
+    EXPECT_GT(transpiled.routed.swap_count, 0);
+    const PhysicalCircuit phys = lower_pure_circuit(
+        transpiled.routed.circuit,
+        {transpiled.readout_physical(1), transpiled.readout_physical(3)});
+    const NoiseModel noise(history.day(0));
+    const CompiledExecutor executor(phys, noise);
+    ASSERT_TRUE(executor.program().has_channels());
+    std::vector<std::vector<double>> rows(kBlockLanes);
+    for (auto& row : rows) {
+      row.resize(4);
+      for (double& v : row) v = rng.uniform(0.0, test::kPi);
+    }
+    const auto batch = executor.run_z_batch(rows);
+    ASSERT_EQ(batch.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto z_ref = run_z_reference(phys, noise, rows[i]);
+      const auto z = executor.run_z(rows[i]);
+      ASSERT_EQ(z_ref.size(), 2u);
+      ASSERT_EQ(batch[i].size(), 2u);
+      for (std::size_t k = 0; k < z_ref.size(); ++k) {
+        EXPECT_NEAR(z[k], z_ref[k], kAgreementTol) << "row " << i;
+        EXPECT_NEAR(batch[i][k], z_ref[k], kAgreementTol) << "row " << i;
+      }
     }
   }
 }
@@ -562,9 +786,10 @@ static_assert(sizeof(CompiledOp) <= 16,
 TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   // Ten noisy pulses on every qubit and six CXs on every edge of a 3-qubit
   // line, both directions: 42 error sites, but only 3 qubits and 2 edges.
-  // The 30 pulses are SX or X, each a pulse site holding its matrix, and
-  // the CXs flush an RZ(0.3) on each qubit 3 times: 30 pulse sites of 2
-  // matrices, 9 diagonal sites of 1.
+  // The pulses are SX or X. The CXs end each qubit's segment 3 times, each
+  // segment a pulse and an RZ(0.3) (SX then RZ twice, X then RZ once), and
+  // the last 7 pulses are one trailing segment: 12 segment sites, 3 maps
+  // per qubit, and no diagonal left on its own.
   Rng rng(41);
   const std::vector<std::pair<int, int>> edges{{0, 1}, {1, 2}};
   const Calibration cal = noisy_calibration(3, edges, rng);
@@ -588,18 +813,18 @@ TEST(CompiledProgramLayout, ChannelTablesHoldOneEntryPerDistinctSite) {
   const CompiledExecutor executor(phys, noise);
   const CompiledProgram& program = executor.program();
   EXPECT_EQ(program.stats().channels, 42u);
-  EXPECT_EQ(program.channel1_table().size(), 3u);
   EXPECT_EQ(program.channel2_table().size(), 2u);
-  std::size_t pulse_sites = 0;
+  std::size_t segment_sites = 0;
   std::size_t diagonal_sites = 0;
   for (const CompiledOp& op : program.ops()) {
-    pulse_sites += op.kind == COpKind::Channel1;
+    segment_sites += op.kind == COpKind::Channel1;
     diagonal_sites += op.kind == COpKind::Diag1;
   }
-  EXPECT_EQ(pulse_sites, 30u);
-  EXPECT_EQ(program.unitary_table().size(), 2u);
-  EXPECT_EQ(diagonal_sites, 9u);
-  EXPECT_EQ(program.diagonal_table().size(), 1u);
+  EXPECT_EQ(segment_sites, 12u);
+  EXPECT_EQ(program.bloch_map_table().size(), 9u);
+  EXPECT_EQ(diagonal_sites, 0u);
+  EXPECT_EQ(program.unitary_table().size(), 0u);
+  EXPECT_EQ(program.diagonal_table().size(), 0u);
 
   // Every site still replays its own qubit's or edge's coefficients.
   const auto z_ref = run_z_reference(phys, noise, {});
@@ -623,8 +848,19 @@ TEST(CompiledProgramLayout, SeismicBelemDensityProgramIsSmall) {
       build_noisy_executor(model, transpiled, theta, h.day(0), {});
   const CompiledProgram& program = executor->program();
   ASSERT_GT(program.stats().channels, 0u);
-  EXPECT_LE(program.channel1_table().size(), 4u);
   EXPECT_LE(program.channel2_table().size(), 4u);  // belem's four edges
+  // Each noisy single-qubit segment is one Channel1 op, so only the
+  // diagonals between two CX sites are left on their own.
+  std::vector<std::size_t> kinds(
+      static_cast<std::size_t>(COpKind::Channel2) + 1);
+  for (const CompiledOp& op : program.ops()) {
+    ++kinds[static_cast<std::size_t>(op.kind)];
+  }
+  EXPECT_EQ(kinds[static_cast<std::size_t>(COpKind::Channel1)], 51u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(COpKind::Channel2)], 154u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(COpKind::Diag1)], 38u);
+  EXPECT_EQ(kinds[static_cast<std::size_t>(COpKind::SymDiag1)], 4u);
+  EXPECT_EQ(program.ops().size(), 247u);
   EXPECT_LE(program.heap_bytes(), 14u * 1024u)
       << program.ops().size() << " ops";
   EXPECT_LE(executor->footprint_bytes(), 24u * 1024u);
