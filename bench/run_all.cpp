@@ -823,8 +823,9 @@ std::vector<Record> serving_benches() {
   speedup.unit = "x (batched / naive loop)";
   records.push_back(speedup);
 
-  // Live concurrent clients through submit(): micro-batcher handoff,
-  // coalescing window and epoch snapshotting included.
+  // Live concurrent clients through submit(): dispatcher handoff, shared
+  // sweeps for requests that queue during one, and epoch snapshotting
+  // included.
   for (const int clients : {1, 8, 32}) {
     const int per_client = clients >= 32 ? 10 : 40;
     const HammerResult h =

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -22,10 +22,9 @@ enum class PushResult {
 /// primitive of the sharded serving layer. Producers never block — a push
 /// against a full queue returns kFull immediately so the caller can shed
 /// load (Status::resource_exhausted) instead of queuing unboundedly. The
-/// single consumer drains with collect(), which implements the micro-batch
-/// discipline: wait for the first item, then linger up to a straggler
-/// window so concurrent producers share one batch. Items stay IN the queue
-/// during the straggler wait, so capacity measures true backlog and
+/// single consumer drains with collect(): it waits for the first item and
+/// takes whatever else is queued, so items that arrive while the consumer
+/// is busy share its next batch. Capacity measures true backlog, and
 /// producers feel backpressure the moment the consumer falls behind.
 template <typename T>
 class BoundedQueue {
@@ -46,24 +45,13 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Consumer side. Blocks until at least one item is available, then waits
-  /// up to `straggler_window` (or until `max_items` are queued) for more,
-  /// and pops up to `max_items`. Returns an empty vector only when the
-  /// queue is closed AND drained — the consumer's exit signal. After
-  /// close() the straggler wait is skipped so shutdown drains promptly.
-  std::vector<T> collect(std::size_t max_items,
-                         std::chrono::microseconds straggler_window) {
+  /// Consumer side. Blocks until at least one item is available, then pops
+  /// up to `max_items`. Returns an empty vector only when the queue is
+  /// closed AND drained — the consumer's exit signal.
+  std::vector<T> collect(std::size_t max_items) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return {};  // closed and drained
-
-    if (straggler_window.count() > 0 && items_.size() < max_items &&
-        !closed_) {
-      const auto deadline = std::chrono::steady_clock::now() + straggler_window;
-      while (items_.size() < max_items && !closed_) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-    }
 
     const std::size_t take = std::min(items_.size(), max_items);
     std::vector<T> batch;

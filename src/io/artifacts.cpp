@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/require.hpp"
@@ -214,8 +215,9 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_bool(true);
   out.write_f64(1.5);
   out.write_u64(32);
+  // The v1 batch-window slot: written as the old 200 us default.
+  out.write_u64(200);
   // Serving knobs.
-  out.write_u64(static_cast<std::uint64_t>(config.batch_window.count()));
   out.write_u8(static_cast<std::uint8_t>(config.failure_policy));
   out.write_u64(config.num_shards);
   out.write_u64(config.queue_capacity);
@@ -328,9 +330,13 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
     return Status::data_loss("retired batch-size-cap slot must be at least 1");
   }
 
+  // The v1 batch-window slot: range-checked, then ignored — a shard serves
+  // what is queued when it wakes.
   if (Status s = in.read_u64(count); !s.ok()) return s;
-  config.batch_window =
-      std::chrono::microseconds(static_cast<std::int64_t>(count));
+  if (count > static_cast<std::uint64_t>(
+                  std::numeric_limits<std::int64_t>::max())) {
+    return Status::data_loss("retired batch-window slot out of range");
+  }
   if (Status s = read_enum_u8(in, 1, "FailurePolicy", raw); !s.ok()) return s;
   config.failure_policy = static_cast<ServiceConfig::FailurePolicy>(raw);
   if (Status s = in.read_u64(count); !s.ok()) return s;

@@ -9,7 +9,6 @@
 #include "qnn/loss.hpp"
 #include "sim/adjoint.hpp"
 #include "sim/compiled_adjoint.hpp"
-#include "sim/statevector.hpp"
 
 namespace qucad {
 
@@ -78,37 +77,6 @@ BatchGrad batch_loss_grad(const Circuit& circuit,
   out.loss *= inv;
   out.accuracy *= inv;
   for (double& g : out.grad) g *= inv;
-  return out;
-}
-
-BatchGrad batch_loss(const Circuit& circuit,
-                     const std::vector<int>& readout_qubits,
-                     std::span<const double> theta, const Dataset& data,
-                     std::span<const std::size_t> indices, double logit_scale) {
-  require(!indices.empty(), "empty batch");
-  const std::size_t batch = indices.size();
-
-  std::vector<double> losses(batch, 0.0);
-  std::vector<int> correct(batch, 0);
-
-  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
-    const std::size_t row = indices[b];
-    StateVector sv(circuit.num_qubits());
-    sv.run(circuit, theta, data.features[row]);
-    std::vector<double> logits;
-    logits.reserve(readout_qubits.size());
-    for (int q : readout_qubits) logits.push_back(sv.expectation_z(q));
-    losses[b] = cross_entropy(logits, data.labels[row], logit_scale);
-    correct[b] = static_cast<int>(argmax(logits)) == data.labels[row] ? 1 : 0;
-  });
-
-  BatchGrad out;
-  for (std::size_t b = 0; b < batch; ++b) {
-    out.loss += losses[b];
-    out.accuracy += correct[b];
-  }
-  out.loss /= static_cast<double>(batch);
-  out.accuracy /= static_cast<double>(batch);
   return out;
 }
 
@@ -194,47 +162,6 @@ BatchGrad batch_loss_grad(const CompiledExecutor& executor,
   out.loss *= inv;
   out.accuracy *= inv;
   for (double& g : out.grad) g *= inv;
-  return out;
-}
-
-BatchGrad batch_loss(const CompiledExecutor& executor,
-                     std::span<const double> theta, const Dataset& data,
-                     std::span<const std::size_t> indices, double logit_scale,
-                     ThreadPool* pool) {
-  require(!indices.empty(), "empty batch");
-  const std::size_t batch = indices.size();
-  for (const std::size_t row : indices) {
-    executor.program().require_inputs(data.features[row]);
-  }
-
-  std::vector<double> losses(batch, 0.0);
-  std::vector<int> correct(batch, 0);
-
-  parallel_for_lanes(
-      pool ? *pool : ThreadPool::global(), batch, true,
-      [&](auto width, std::size_t first, std::size_t live) {
-        constexpr std::size_t L = decltype(width)::value;
-        LaneInputs<L> xs;
-        for (std::size_t l = 0; l < L; ++l) {
-          xs[l] = data.features[indices[lane_row(first, l, live)]].data();
-        }
-        std::array<std::vector<double>, L> logits;
-        executor.run_z_lanes<L>(xs, theta, std::span(logits.data(), live));
-        for (std::size_t l = 0; l < live; ++l) {
-          const int label = data.labels[indices[first + l]];
-          losses[first + l] = cross_entropy(logits[l], label, logit_scale);
-          correct[first + l] =
-              static_cast<int>(argmax(logits[l])) == label ? 1 : 0;
-        }
-      });
-
-  BatchGrad out;
-  for (std::size_t b = 0; b < batch; ++b) {
-    out.loss += losses[b];
-    out.accuracy += correct[b];
-  }
-  out.loss /= static_cast<double>(batch);
-  out.accuracy /= static_cast<double>(batch);
   return out;
 }
 

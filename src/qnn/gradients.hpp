@@ -29,12 +29,6 @@ BatchGrad batch_loss_grad(const Circuit& circuit,
                           std::span<const std::size_t> indices,
                           double logit_scale, ThreadPool* pool = nullptr);
 
-/// Loss/accuracy only (skips the backward sweep).
-BatchGrad batch_loss(const Circuit& circuit,
-                     const std::vector<int>& readout_qubits,
-                     std::span<const double> theta, const Dataset& data,
-                     std::span<const std::size_t> indices, double logit_scale);
-
 /// Compiled-engine variant of batch_loss_grad: replays the executor's
 /// symbolic-theta program instead of re-walking a gate list, spread over
 /// `pool` (nullptr = the process-global pool). Each block of kBlockLanes
@@ -50,12 +44,5 @@ BatchGrad batch_loss_grad(const CompiledExecutor& executor,
                           std::span<const double> theta, const Dataset& data,
                           std::span<const std::size_t> indices,
                           double logit_scale, ThreadPool* pool = nullptr);
-
-/// Compiled-engine variant of batch_loss (forward replays only; same lane
-/// blocking, validation, and `pool` contract as batch_loss_grad).
-BatchGrad batch_loss(const CompiledExecutor& executor,
-                     std::span<const double> theta, const Dataset& data,
-                     std::span<const std::size_t> indices, double logit_scale,
-                     ThreadPool* pool = nullptr);
 
 }  // namespace qucad

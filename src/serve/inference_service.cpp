@@ -201,7 +201,7 @@ StatusOr<std::vector<Prediction>> InferenceService::submit_batch(
       return status;
     }
   }
-  // A caller-assembled batch bypasses queue and window: one sweep on the
+  // A caller-assembled batch bypasses the queue: one sweep on the
   // current epoch, counted against the routed shard.
   const std::shared_ptr<const Epoch> epoch = impl_->epoch.load();
   try {

@@ -68,7 +68,7 @@ struct RepositorySnapshot {
 ///    ownership of the model, routing, training data and repository BY
 ///    VALUE: the service cannot dangle, whatever the caller does with the
 ///    setup-scope objects it was built from.
-///  - `submit_async` never blocks on the batch window: the request is
+///  - `submit_async` never blocks on a sweep: the request is
 ///    routed to one of `ServiceConfig::num_shards` independent shards
 ///    (fewest outstanding requests, feature-hash tie-break) and the
 ///    caller gets a future. Each shard owns a BOUNDED queue and its own micro-batch
@@ -80,7 +80,7 @@ struct RepositorySnapshot {
 ///    runs on the current epoch: validate, route, shard queue, one
 ///    compiled sweep. `submit` is a thin blocking shim
 ///    (`submit_async(...).get()`); `submit_batch` sweeps a caller-assembled
-///    batch directly on the current epoch, bypassing queue and window.
+///    batch directly on the current epoch, bypassing the queue.
 ///  - `on_calibration` runs the repository decision for a new calibration
 ///    snapshot (reuse / compress-new / failure report), builds ONE backend
 ///    through the registry and publishes it as the service's one current
@@ -130,9 +130,9 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Classifies one feature vector without blocking on the batch window:
-  /// the request is admission-checked, routed to a shard, and the caller
-  /// gets a future that resolves when the shard's dispatcher sweeps it.
+  /// Classifies one feature vector without blocking on a sweep: the
+  /// request is admission-checked, routed to a shard, and the caller gets a
+  /// future that resolves when the shard's dispatcher sweeps it.
   /// The future carries kInvalidArgument for a malformed request (wrong
   /// feature arity; never enqueued), kResourceExhausted when the routed
   /// shard's queue is full (shed; never enqueued), kDeadlineExceeded when
@@ -148,7 +148,7 @@ class InferenceService {
   StatusOr<Prediction> submit(std::vector<double> features);
 
   /// Classifies a caller-assembled batch through one compiled sweep,
-  /// bypassing the coalescing window (the batch is already a batch).
+  /// bypassing the shard queue (the batch is already a batch).
   /// All-or-nothing validation: any malformed sample fails the whole call.
   StatusOr<std::vector<Prediction>> submit_batch(
       std::span<const std::vector<double>> batch);

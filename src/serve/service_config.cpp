@@ -5,9 +5,6 @@
 namespace qucad {
 
 Status ServiceConfig::validate() const {
-  if (batch_window.count() < 0) {
-    return Status::invalid_argument("batch_window must be non-negative");
-  }
   if (num_shards == 0) {
     return Status::invalid_argument(
         "num_shards must be at least 1 (a zero-shard service can route "

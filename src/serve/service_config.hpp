@@ -16,7 +16,7 @@ struct Environment;  // core/strategy.hpp
 /// (`PipelineConfig` holding `NoisyEvalOptions`, `ManagerOptions`, ADMM
 /// settings, ...); the serving layer needs exactly two of those groups —
 /// how to execute a request (`eval`) and how to react to a calibration
-/// event (`manager`) — plus its own batching/hot-swap knobs, so they live
+/// event (`manager`) — plus its own sharding/admission knobs, so they live
 /// flat in one struct with builder-style setters and validated construction
 /// (`InferenceService::create` rejects an invalid config with a Status
 /// instead of aborting).
@@ -46,14 +46,6 @@ struct ServiceConfig {
   /// Repository-decision knobs for calibration events (the online-compression
   /// ADMM settings).
   ManagerOptions manager;
-
-  /// Cap on how long the dispatcher lingers for more concurrent submitters
-  /// after the first request of a batch arrives. It lingers only while
-  /// lingering coalesces: on a shard's first batch and after a batch that
-  /// held more than one request, never after a lone request, which would
-  /// otherwise wait out the whole window for nothing. Zero serves every
-  /// request as its own batch (lowest latency, no coalescing).
-  std::chrono::microseconds batch_window{200};
 
   FailurePolicy failure_policy = FailurePolicy::kKeepServing;
 
@@ -86,10 +78,6 @@ struct ServiceConfig {
   /// disables the deadline.
   std::chrono::microseconds deadline_budget{0};
 
-  ServiceConfig& with_batch_window(std::chrono::microseconds value) {
-    batch_window = value;
-    return *this;
-  }
   ServiceConfig& with_failure_policy(FailurePolicy value) {
     failure_policy = value;
     return *this;

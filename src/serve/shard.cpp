@@ -1,7 +1,6 @@
 #include "serve/shard.hpp"
 
 #include <bit>
-#include <chrono>
 #include <exception>
 #include <string>
 #include <system_error>
@@ -94,17 +93,12 @@ std::vector<Prediction> ServingShard::run_batch(
 }
 
 void ServingShard::dispatch_loop() {
-  // Linger for stragglers only while lingering coalesces: after a batch of
-  // one, the window would only park the next lone request. A batch that
-  // gathers without lingering (requests queued during the previous sweep)
-  // turns it back on. A fresh shard lingers on its first batch.
-  bool linger = true;
+  // Serve whatever is queued on waking: requests that arrive during a sweep
+  // share the next one.
   for (;;) {
-    std::vector<QueuedRequest> batch = queue_.collect(
-        ServiceConfig::kMaxBatchSize,
-        linger ? config_.batch_window : std::chrono::microseconds(0));
+    std::vector<QueuedRequest> batch =
+        queue_.collect(ServiceConfig::kMaxBatchSize);
     if (batch.empty()) return;  // closed and drained
-    linger = batch.size() > 1;
     serve_pending(batch);
   }
 }

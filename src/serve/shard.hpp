@@ -120,8 +120,8 @@ class ServingShard {
 
   std::size_t index() const { return index_; }
   /// Requests admitted to this shard whose futures are not yet resolved:
-  /// queued, lingering, or inside the current sweep. The router's load
-  /// signal: a shard that is mid-sweep has an empty queue but is not idle.
+  /// queued or inside the current sweep. The router's load signal: a shard
+  /// that is mid-sweep has an empty queue but is not idle.
   std::uint64_t outstanding() const {
     return outstanding_.load(std::memory_order_relaxed);
   }

@@ -299,8 +299,7 @@ TEST(BoundedQueue, PushPopRoundTrip) {
   EXPECT_EQ(queue.try_push(1), PushResult::kOk);
   EXPECT_EQ(queue.try_push(2), PushResult::kOk);
   EXPECT_EQ(queue.size(), 2u);
-  const std::vector<int> batch =
-      queue.collect(8, std::chrono::microseconds(0));
+  const std::vector<int> batch = queue.collect(8);
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   EXPECT_EQ(queue.size(), 0u);
 }
@@ -312,7 +311,7 @@ TEST(BoundedQueue, ShedsAtCapacityInsteadOfBlocking) {
   EXPECT_EQ(queue.try_push(3), PushResult::kFull);
   EXPECT_EQ(queue.size(), 2u);  // the rejected item was never queued
   // Draining frees capacity again.
-  (void)queue.collect(1, std::chrono::microseconds(0));
+  (void)queue.collect(1);
   EXPECT_EQ(queue.try_push(3), PushResult::kOk);
 }
 
@@ -321,24 +320,8 @@ TEST(BoundedQueue, CollectTakesAtMostMaxItems) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(queue.try_push(i), PushResult::kOk);
   }
-  EXPECT_EQ(queue.collect(3, std::chrono::microseconds(0)),
-            (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(queue.collect(3, std::chrono::microseconds(0)),
-            (std::vector<int>{3, 4}));
-}
-
-TEST(BoundedQueue, StragglerWindowCoalescesConcurrentProducers) {
-  BoundedQueue<int> queue(16);
-  ASSERT_EQ(queue.try_push(0), PushResult::kOk);
-  std::thread straggler([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    (void)queue.try_push(1);
-  });
-  // The consumer has one item in hand but lingers for the straggler.
-  const std::vector<int> batch =
-      queue.collect(16, std::chrono::milliseconds(500));
-  straggler.join();
-  EXPECT_EQ(batch, (std::vector<int>{0, 1}));
+  EXPECT_EQ(queue.collect(3), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(queue.collect(3), (std::vector<int>{3, 4}));
 }
 
 TEST(BoundedQueue, CloseRejectsProducersAndDrainsConsumer) {
@@ -347,11 +330,10 @@ TEST(BoundedQueue, CloseRejectsProducersAndDrainsConsumer) {
   queue.close();
   EXPECT_TRUE(queue.closed());
   EXPECT_EQ(queue.try_push(8), PushResult::kClosed);
-  // Queued work is still drained (no straggler wait after close)...
-  EXPECT_EQ(queue.collect(4, std::chrono::seconds(10)),
-            (std::vector<int>{7}));
+  // Queued work is still drained...
+  EXPECT_EQ(queue.collect(4), (std::vector<int>{7}));
   // ...and an empty closed queue signals shutdown with an empty batch.
-  EXPECT_TRUE(queue.collect(4, std::chrono::seconds(10)).empty());
+  EXPECT_TRUE(queue.collect(4).empty());
 }
 
 TEST(BoundedQueue, ConcurrentProducersNeverExceedCapacity) {
@@ -378,8 +360,7 @@ TEST(BoundedQueue, ConcurrentProducersNeverExceedCapacity) {
   int drained = 0;
   std::thread consumer([&] {
     for (;;) {
-      const std::vector<int> batch =
-          queue.collect(kCapacity, std::chrono::microseconds(50));
+      const std::vector<int> batch = queue.collect(kCapacity);
       drained += static_cast<int>(batch.size());
       ASSERT_LE(batch.size(), kCapacity);
       if (batch.empty() && done.load()) return;
@@ -391,9 +372,8 @@ TEST(BoundedQueue, ConcurrentProducersNeverExceedCapacity) {
   queue.close();
   consumer.join();
   // Drain anything the consumer exited before taking.
-  drained += static_cast<int>(
-      queue.collect(kProducers * kPerProducer, std::chrono::microseconds(0))
-          .size());
+  drained +=
+      static_cast<int>(queue.collect(kProducers * kPerProducer).size());
   EXPECT_EQ(drained, accepted.load());
   EXPECT_EQ(accepted.load() + shed.load(), kProducers * kPerProducer);
 }

@@ -592,12 +592,12 @@ TEST(IoArtifacts, LegacyCacheSlotsAreRangeCheckedThenIgnored) {
 }
 
 TEST(IoArtifacts, LegacyKnobSlotsAreRangeCheckedThenIgnored) {
-  // Five retired knob slots of the v1 config: the SX and CX pulse durations
-  // open the section; the failure-report flag, the bootstrap scale and the
-  // batch-size cap sit 67 bytes before its end (ahead of 8 + 1 + 8 + 8 + 8
-  // serving bytes, the routing byte and the two cache slots). In-range
-  // values load and decode to the artifacts the defaults encode; the values
-  // a service could never run with stay corrupt. (IoGolden.
+  // Six retired knob slots of the v1 config: the SX and CX pulse durations
+  // open the section; the failure-report flag, the bootstrap scale, the
+  // batch-size cap and the batch window sit 67 bytes before its end (ahead
+  // of 1 + 8 + 8 + 8 serving bytes, the routing byte and the two cache
+  // slots). In-range values load and decode to the artifacts the defaults
+  // encode; the values a service could never run with stay corrupt. (IoGolden.
   // CheckedInArtifactLoads pins that both checked-in files re-encode to the
   // current bytes.)
   const std::vector<std::uint8_t> good =
@@ -607,6 +607,7 @@ TEST(IoArtifacts, LegacyKnobSlotsAreRangeCheckedThenIgnored) {
       section_payload_length(good, kSectionServiceConfig) - 67;
   const std::size_t scale_offset = flag_offset + 1;
   const std::size_t batch_offset = scale_offset + 8;
+  const std::size_t window_offset = batch_offset + 8;
 
   Serializer durations;
   durations.write_f64(0.05);
@@ -615,6 +616,7 @@ TEST(IoArtifacts, LegacyKnobSlotsAreRangeCheckedThenIgnored) {
   knobs.write_bool(false);
   knobs.write_f64(2.5);
   knobs.write_u64(8);
+  knobs.write_u64(50'000);
   const std::vector<std::uint8_t> customized = patch_section_payload(
       patch_section_payload(good, kSectionServiceConfig, kDurationsOffset,
                             durations.bytes()),
@@ -651,6 +653,16 @@ TEST(IoArtifacts, LegacyKnobSlotsAreRangeCheckedThenIgnored) {
   Serializer zero_batch;
   zero_batch.write_u64(0);
   bad.push_back({"batch-size cap 0", batch_offset, zero_batch.bytes()});
+  // A window above INT64_MAX us decoded to a negative duration.
+  for (const std::uint64_t window :
+       {static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+            1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Serializer out;
+    out.write_u64(window);
+    bad.push_back(
+        {"batch window " + std::to_string(window), window_offset, out.bytes()});
+  }
   for (const Bad& b : bad) {
     const StatusOr<Artifacts> rejected = deserialize_artifacts(
         patch_section_payload(good, kSectionServiceConfig, b.offset, b.bytes));

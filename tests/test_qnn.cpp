@@ -138,9 +138,10 @@ TEST(BatchGrad, LossDecreasesUnderGradientStep) {
   const BatchGrad g0 =
       batch_loss_grad(model.circuit, model.readout_qubits, theta, data, idx, 5.0);
   for (std::size_t i = 0; i < theta.size(); ++i) theta[i] -= 0.05 * g0.grad[i];
-  const BatchGrad g1 =
-      batch_loss(model.circuit, model.readout_qubits, theta, data, idx, 5.0);
-  EXPECT_LT(g1.loss, g0.loss);
+  const double loss1 =
+      batch_loss_grad(model.circuit, model.readout_qubits, theta, data, idx, 5.0)
+          .loss;
+  EXPECT_LT(loss1, g0.loss);
 }
 
 TEST(Trainer, ReducesLossOnSeparableData) {

@@ -99,11 +99,6 @@ TEST(ServeConfig, ValidateRejectsBadKnobs) {
   EXPECT_EQ(ServiceConfig().with_num_shards(0).validate().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ServiceConfig()
-                .with_batch_window(std::chrono::microseconds(-1))
-                .validate()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceConfig()
                 .with_backend(BackendConfig().with_shots(-5))
                 .validate()
                 .code(),
@@ -453,17 +448,14 @@ TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   test::register_held_backend_kind(held, gate);
 
   const ServiceConfig config =
-      fx.pooled_config()
-          .with_batch_window(std::chrono::milliseconds(50))
-          .with_backend(BackendConfig().with_kind(held));
+      fx.pooled_config().with_backend(BackendConfig().with_kind(held));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();
   test::GateOpener opener{*gate};
 
-  // A lone warm-up request, its sweep parked on the gate: it leaves the
-  // dispatcher not lingering, so the burst below must turn coalescing back
-  // on by itself.
+  // A lone warm-up request, its sweep parked on the gate: the burst below
+  // queues behind it and must share the dispatcher's next sweep.
   std::future<StatusOr<Prediction>> warm_up =
       service->submit_async(fx.env.train.features[kThreads]);
   ASSERT_EQ(entered.wait_for(std::chrono::seconds(30)),
@@ -498,27 +490,6 @@ TEST(ServeBatching, ConcurrentSubmittersShareSweeps) {
   EXPECT_EQ(stats.batches, 2u)
       << "the queued submitters should share one sweep after the warm-up's";
   EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kThreads));
-}
-
-TEST(ServeBatching, LoneRequestDoesNotLinger) {
-  ServeFixture fx;
-  // A window far longer than a sweep: a dispatcher that lingered after a
-  // lone request would park the next one for the whole window.
-  const ServiceConfig config =
-      ServiceConfig::from_environment(fx.env)
-          .with_num_shards(1)
-          .with_batch_window(std::chrono::seconds(2));
-  StatusOr<InferenceService> service =
-      InferenceService::create(fx.env, {}, fx.history.day(0), config);
-  ASSERT_TRUE(service.ok()) << service.status().to_string();
-
-  // A fresh shard lingers on its first batch; this one holds one request.
-  ASSERT_TRUE(service->submit(fx.env.train.features[0]).ok());
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(service->submit(fx.env.train.features[1]).ok());
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
-      << "a lone request waited out the batch window after a lone batch";
-  EXPECT_EQ(service->stats().batches, 2u);
 }
 
 TEST(ServeCacheStress, GlobalCacheIsConsistentUnderContention) {
@@ -672,9 +643,7 @@ TEST(ServeRouting, HashRoutingIsDeterministicAcrossServices) {
   // finds every shard idle, so the hash tie-break places it.
   ServeFixture fx;
   const ServiceConfig config =
-      ServiceConfig::from_environment(fx.env)
-          .with_num_shards(4)
-          .with_batch_window(std::chrono::microseconds(0));
+      ServiceConfig::from_environment(fx.env).with_num_shards(4);
   StatusOr<InferenceService> first =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   StatusOr<InferenceService> second =
@@ -717,7 +686,6 @@ TEST(ServeRouting, IdleShardIsPreferredOverBusyOne) {
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env)
           .with_num_shards(2)
-          .with_batch_window(std::chrono::microseconds(0))
           .with_backend(BackendConfig().with_kind(held));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
@@ -783,25 +751,40 @@ TEST(ServeSharding, PredictionsBitwiseIdenticalAcrossShardCounts) {
 }
 
 TEST(ServeAdmission, SaturatedShardShedsWithResourceExhausted) {
+  const auto gate = std::make_shared<test::Gate>();
+  std::future<void> entered = gate->entered.get_future();
+  // A custom kind no other test uses.
+  const BackendKind held = static_cast<BackendKind>(20);
+  test::register_held_backend_kind(held, gate);
+
   ServeFixture fx;
-  // One shard whose queue holds 2 requests, with a coalescing window far
-  // wider than the submission burst. Admitted requests stay IN the queue
-  // while the dispatcher lingers for stragglers (capacity measures true
-  // backlog), so of 8 instant submits exactly 2 are admitted and 6 shed.
+  // One shard whose queue holds 2 requests.
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env)
           .with_num_shards(1)
           .with_queue_capacity(2)
-          .with_batch_window(std::chrono::milliseconds(750));
+          .with_backend(BackendConfig().with_kind(held));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();
+  test::GateOpener opener{*gate};
+
+  // Park the dispatcher's first sweep on the gate, so the burst below stays
+  // in the queue: of 8 submits exactly 2 are admitted and 6 shed.
+  std::future<StatusOr<Prediction>> warm_up =
+      service->submit_async(fx.env.train.features[8]);
+  ASSERT_EQ(entered.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the warm-up sweep never started";
 
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(
         service->submit_async(fx.env.train.features[static_cast<std::size_t>(i)]));
   }
+  EXPECT_EQ(service->shard_stats()[0].queue_depth, 2u);
+  opener();
+  ASSERT_TRUE(warm_up.get().ok());
   int ok = 0;
   int shed = 0;
   for (std::future<StatusOr<Prediction>>& future : futures) {
@@ -818,7 +801,7 @@ TEST(ServeAdmission, SaturatedShardShedsWithResourceExhausted) {
   EXPECT_EQ(shed, 6);
 
   const ServingStats stats = service->stats();
-  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.shed, 6u);
   const std::vector<ShardStats> shards = service->shard_stats();
   ASSERT_EQ(shards.size(), 1u);
@@ -826,24 +809,45 @@ TEST(ServeAdmission, SaturatedShardShedsWithResourceExhausted) {
 }
 
 TEST(ServeAdmission, ExpiredDeadlineFailsRequestsBeforeExecution) {
+  const auto gate = std::make_shared<test::Gate>();
+  std::future<void> entered = gate->entered.get_future();
+  // A custom kind no other test uses.
+  const BackendKind held = static_cast<BackendKind>(21);
+  test::register_held_backend_kind(held, gate);
+
   ServeFixture fx;
-  // Every request out-waits its 1us budget inside the 200ms coalescing
-  // window, so the dispatcher must fail all of them at the gate — late
-  // answers never execute.
+  constexpr auto kBudget = std::chrono::milliseconds(500);
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env)
           .with_num_shards(1)
-          .with_batch_window(std::chrono::milliseconds(200))
-          .with_deadline_budget(std::chrono::microseconds(1));
+          .with_deadline_budget(kBudget)
+          .with_backend(BackendConfig().with_kind(held));
   StatusOr<InferenceService> service =
       InferenceService::create(fx.env, {}, fx.history.day(0), config);
   ASSERT_TRUE(service.ok()) << service.status().to_string();
+  test::GateOpener opener{*gate};
 
+  // The warm-up passes the deadline gate (one thread wake-up, far inside
+  // the budget) and parks its sweep on the gate.
+  std::future<StatusOr<Prediction>> warm_up =
+      service->submit_async(fx.env.train.features[4]);
+  ASSERT_EQ(entered.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the warm-up sweep never started";
+
+  // Requests queued behind it out-wait their budget while the gate holds,
+  // so the dispatcher must fail all of them at the deadline gate — late
+  // answers never execute.
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(
         service->submit_async(fx.env.train.features[static_cast<std::size_t>(i)]));
   }
+  std::this_thread::sleep_for(kBudget + std::chrono::milliseconds(100));
+  opener();
+
+  const StatusOr<Prediction> first = warm_up.get();
+  EXPECT_TRUE(first.ok()) << first.status().to_string();
   for (std::future<StatusOr<Prediction>>& future : futures) {
     const StatusOr<Prediction> result = future.get();
     ASSERT_FALSE(result.ok());
@@ -852,7 +856,7 @@ TEST(ServeAdmission, ExpiredDeadlineFailsRequestsBeforeExecution) {
   }
   const ServingStats stats = service->stats();
   EXPECT_EQ(stats.deadline_misses, 4u);
-  EXPECT_EQ(stats.requests, 0u) << "an expired request must never execute";
+  EXPECT_EQ(stats.requests, 1u) << "an expired request must never execute";
 }
 
 // Hot-swap under saturation: small bounded queues across 2 shards, async
@@ -966,7 +970,6 @@ TEST(ServeHotSwap, EpochInstallIsAllOrNothing) {
   const ServiceConfig config =
       ServiceConfig::from_environment(fx.env)
           .with_num_shards(4)
-          .with_batch_window(std::chrono::microseconds(0))
           .with_backend(BackendConfig().with_kind(counting));
   StatusOr<InferenceService> service = InferenceService::create(
       fx.env, fx.reuse_only_repository(3), fx.history.day(0), config);
